@@ -33,7 +33,7 @@ from .experiments import (
     run_scenario,
     scenario_config,
 )
-from .matcher import CandidateMapping, enumerate_monomorphisms, mapping_feasible, workflow_monomorphisms
+from .matcher import CandidateMapping, enumerate_monomorphisms, workflow_monomorphisms
 from .model import (
     Allocation,
     NetworkParams,
@@ -42,6 +42,7 @@ from .model import (
     TaskSpec,
     WeightConfig,
     Workflow,
+    mapping_feasible,
     validate_allocation,
 )
 from .profiles import load_profiles, node_from_profile

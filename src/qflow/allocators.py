@@ -21,13 +21,14 @@ import time
 from dataclasses import dataclass, field
 
 from .costs import aggregate_cost, compute_bounds
-from .matcher import mapping_feasible, workflow_monomorphisms
+from .matcher import workflow_monomorphisms
 from .model import (
     Allocation,
     NetworkParams,
     ResourceNetwork,
     WeightConfig,
     Workflow,
+    mapping_feasible,
     validate_allocation,
 )
 
@@ -304,16 +305,13 @@ def exhaustive_oracle(
         )
     started = time.perf_counter()
     bounds = compute_bounds(workflow, network, params, sim_time)
-    skeleton = sorted(workflow.skeleton())
 
     best = None
     best_cost = math.inf
     best_breakdown = None
     examined = 0
     for tup in itertools.permutations(range(n_nodes), n_tasks):
-        if any(not network.has_link(tup[a], tup[b]) for a, b in skeleton):
-            continue
-        if any(workflow.tasks[j].qubits > network.nodes[tup[j]].qubits for j in range(n_tasks)):
+        if not mapping_feasible(tup, workflow, network):
             continue
         examined += 1
         breakdown = aggregate_cost(workflow, list(tup), network, weights, params, bounds, sim_time)

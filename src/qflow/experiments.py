@@ -6,8 +6,9 @@ freshly generated workloads and topologies. Outputs are a per-run CSV table
 (stable column order), a per-QPU share table and a JSON summary carrying the
 full effective configuration for auditability. With timing capture disabled
 the output files are byte-identical across reruns of the same config; with
-it enabled (the default) the decision-time column carries measured CPU
-seconds and is therefore hardware- and load-dependent.
+it enabled (the default) the decision-time column carries measured
+wall-clock seconds (``time.perf_counter``) and is therefore hardware- and
+load-dependent.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> dict[str, Path]:
         "metrics_mean": {name: result.mean(name) for name in METRIC_FIELDS},
         "metrics_std": {name: result.std(name) for name in METRIC_FIELDS},
         "timing_note": (
-            "decision_time is measured CPU time and varies across reruns"
+            "decision_time is measured wall-clock time (perf_counter) and varies across reruns"
             if config.measure_timing
             else "timing capture disabled; outputs are byte-reproducible"
         ),

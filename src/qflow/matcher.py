@@ -4,8 +4,7 @@ the resource network.
 A candidate mapping sends each workflow task index to a distinct network
 node index such that every workflow edge lands on a network link; extra
 links among the chosen nodes are allowed (monomorphism semantics, since
-surplus physical connectivity cannot hurt execution). A stricter induced
-mode is available for auditing.
+surplus physical connectivity cannot hurt execution).
 
 Enumeration is a deterministic backtracking search: pattern vertices are
 visited highest-degree first then breadth-first, and host candidates are
@@ -51,14 +50,12 @@ def enumerate_monomorphisms(
     pattern_edges: Iterable[tuple[int, int]],
     host: ResourceNetwork,
     min_qubits: Sequence[int] | None = None,
-    induced: bool = False,
 ) -> Iterator[CandidateMapping]:
     """Yield every injective, adjacency-preserving mapping of the pattern
     into the host, lazily and in a deterministic order.
 
     ``min_qubits[v]`` (optional) prunes host nodes whose qubit count cannot
-    host pattern vertex ``v``. With ``induced=True`` non-adjacent pattern
-    pairs must additionally map to non-linked nodes.
+    host pattern vertex ``v``.
     """
     if pattern_size < 1:
         raise ValueError("pattern must be nonempty")
@@ -76,12 +73,8 @@ def enumerate_monomorphisms(
     def feasible(v: int, h: int) -> bool:
         if min_qubits is not None and host.nodes[h].qubits < min_qubits[v]:
             return False
-        for p in mapping:
-            linked = host.has_link(mapping[p], h)
-            if p in adj[v]:
-                if not linked:
-                    return False
-            elif induced and linked:
+        for p in adj[v]:
+            if p in mapping and not host.has_link(mapping[p], h):
                 return False
         return True
 
@@ -102,29 +95,8 @@ def enumerate_monomorphisms(
     return extend(0)
 
 
-def workflow_monomorphisms(
-    workflow: Workflow,
-    network: ResourceNetwork,
-    prune_by_qubits: bool = True,
-    induced: bool = False,
-) -> Iterator[CandidateMapping]:
+def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[CandidateMapping]:
     """Enumerate embeddings of a workflow's undirected skeleton into the
-    network, optionally pruning nodes too small for the candidate task."""
-    caps = [t.qubits for t in workflow.tasks] if prune_by_qubits else None
-    return enumerate_monomorphisms(
-        len(workflow.tasks), workflow.skeleton(), network, min_qubits=caps, induced=induced
-    )
-
-
-def mapping_feasible(
-    mapping: CandidateMapping, workflow: Workflow, network: ResourceNetwork
-) -> bool:
-    """True iff the mapping preserves workflow adjacency and every task fits
-    its node's qubit capacity."""
-    for a, b in workflow.skeleton():
-        if not network.has_link(mapping[a], mapping[b]):
-            return False
-    for j, task in enumerate(workflow.tasks):
-        if task.qubits > network.nodes[mapping[j]].qubits:
-            return False
-    return True
+    network, pruning nodes too small for the candidate task."""
+    caps = [t.qubits for t in workflow.tasks]
+    return enumerate_monomorphisms(len(workflow.tasks), workflow.skeleton(), network, min_qubits=caps)

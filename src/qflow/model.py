@@ -8,6 +8,7 @@ may share nothing and can execute in parallel.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 PROGRAM_FAMILIES = (
@@ -131,8 +132,7 @@ class QpuNode:
     Error rates are probabilities in [0, 1); runtimes and coherence times are
     seconds; ``d1cps`` is depth-1 circuit layers per second (the device speed
     figure). ``next_available_time`` is monotonically nondecreasing over a
-    simulation run. ``connectivity`` and ``gate_set`` are carried as optional
-    metadata and are not consumed by any cost function.
+    simulation run.
     """
 
     id: str
@@ -148,8 +148,6 @@ class QpuNode:
     d1cps: float
     next_available_time: float = 0.0
     queue: list = field(default_factory=list)
-    connectivity: object = None
-    gate_set: object = None
 
     def __post_init__(self):
         if self.qubits < 1:
@@ -206,17 +204,13 @@ class ResourceNetwork:
             object.__setattr__(self, "_adjacency", cached)
         return cached
 
-    def neighbors(self, k: int) -> list[int]:
-        """Adjacent node indices, ascending."""
-        return list(self.adjacency()[k])
-
     def is_connected(self) -> bool:
         n = len(self.nodes)
         seen = {0}
         stack = [0]
         while stack:
             u = stack.pop()
-            for v in self.neighbors(u):
+            for v in self.adjacency()[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -288,8 +282,20 @@ class Allocation:
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
 
-    def node_of(self, task_index: int) -> int:
-        return self.assignment[task_index]
+
+def mapping_feasible(
+    mapping: Mapping[int, int] | Sequence[int], workflow: Workflow, network: ResourceNetwork
+) -> bool:
+    """True iff every workflow edge lands on a network link and every task
+    fits its node's qubit capacity; ``mapping[j]`` is task j's node index.
+    Injectivity is not checked here."""
+    for a, b in workflow.skeleton():
+        if not network.has_link(mapping[a], mapping[b]):
+            return False
+    for j, task in enumerate(workflow.tasks):
+        if task.qubits > network.nodes[mapping[j]].qubits:
+            return False
+    return True
 
 
 def validate_allocation(workflow: Workflow, network: ResourceNetwork, allocation: Allocation) -> bool:
@@ -310,13 +316,7 @@ def validate_allocation(workflow: Workflow, network: ResourceNetwork, allocation
         return False
     if len(set(assignment.values())) != n_tasks:
         return False
-    for a, b in workflow.skeleton():
-        if not network.has_link(assignment[a], assignment[b]):
-            return False
-    for j, task in enumerate(workflow.tasks):
-        if task.qubits > network.nodes[assignment[j]].qubits:
-            return False
-    return True
+    return mapping_feasible(assignment, workflow, network)
 
 
 def _skeleton_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:

@@ -14,6 +14,7 @@ behaviours can be switched off to replicate the fully asynchronous reading.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -71,7 +72,6 @@ class SimState:
 
     clock: float
     network: ResourceNetwork
-    pending: list[Workflow] = field(default_factory=list)
     completed: list[Workflow] = field(default_factory=list)
     failed: list[Workflow] = field(default_factory=list)
     metrics: MetricsAccumulator = field(default_factory=MetricsAccumulator)
@@ -94,56 +94,42 @@ def run_simulation(
     own network. Metrics follow the evaluation conventions: execution time
     is the workload makespan, wait time sums per-task (start - arrival),
     fidelity averages over allocated tasks, communication overhead sums the
-    raw per-workflow network cost, decision time sums allocator CPU time
-    over every invocation including failed attempts.
+    raw per-workflow network cost, decision time sums the allocators'
+    wall-clock time (``time.perf_counter``) over every invocation including
+    failed attempts.
     """
     state = SimState(clock=0.0, network=network)
     state.busy_seconds = {k: 0.0 for k in range(len(network.nodes))}
     state.metrics.tasks_total = sum(len(wf.tasks) for wf in workload)
-    if not workload:
-        return state
-
     order = sorted(workload, key=lambda wf: (wf.arrival_time, wf.total_qubits, wf.priority, wf.id))
-    first_arrival = min(wf.arrival_time for wf in workload)
-    instants = sorted({wf.arrival_time for wf in workload})
+    instants = itertools.groupby(order, key=lambda wf: wf.arrival_time)
     attempts: dict[str, int] = {wf.id: 0 for wf in workload}
-    pending = list(order)
-    last_finish = None
-
-    def decision_pass(t: float) -> None:
-        nonlocal pending, last_finish
+    retrying: list[Workflow] = []
+    # One pass per distinct arrival time offers the retry list, then that
+    # instant's arrivals. Both are in FCFS order and every retry arrived
+    # earlier, so each pass sees all pending workflows in FCFS order. After
+    # the last arrival, retries are spent in further passes at the final clock.
+    while True:
+        t, arrivals = next(instants, (state.clock, ()))
+        offered = [*retrying, *arrivals]
+        if not offered:
+            break
         state.clock = t
-        eligible = [wf for wf in pending if wf.arrival_time <= t]
-        still_pending = [wf for wf in pending if wf.arrival_time > t]
-        for wf in eligible:
+        retrying = []
+        for wf in offered:
             attempts[wf.id] += 1
             outcome = allocator(wf, network, t)
             state.metrics.decision_time += outcome.decision_time
             if outcome.succeeded:
-                finish = _execute(wf, outcome, state, params, t, dependency_gating, gate_comm_latency)
-                last_finish = finish if last_finish is None else max(last_finish, finish)
+                _execute(wf, outcome, state, params, t, dependency_gating, gate_comm_latency)
                 state.completed.append(wf)
             elif attempts[wf.id] > retry_limit:
                 state.failed.append(wf)
             else:
-                still_pending.append(wf)
-        pending = sorted(
-            still_pending, key=lambda wf: (wf.arrival_time, wf.total_qubits, wf.priority, wf.id)
-        )
+                retrying.append(wf)
 
-    for t in instants:
-        decision_pass(t)
-    # Workflows still pending after the last arrival spend their remaining
-    # retries at synthetic instants on the final clock.
-    while pending and any(attempts[wf.id] <= retry_limit for wf in pending):
-        decision_pass(state.clock)
-
-    for wf in pending:
-        state.failed.append(wf)
-    pending = []
-
-    if last_finish is not None:
-        state.metrics.execution_time = last_finish - first_arrival
+    if state.executions:
+        state.metrics.execution_time = max(e.finish for e in state.executions) - order[0].arrival_time
     return state
 
 
@@ -155,11 +141,8 @@ def _execute(
     now: float,
     dependency_gating: bool,
     gate_comm_latency: bool,
-) -> float:
-    """Enqueue an allocated workflow's tasks and advance node queue state.
-
-    Returns the workflow's last task finish time.
-    """
+) -> None:
+    """Enqueue an allocated workflow's tasks and advance node queue state."""
     allocation = outcome.allocation
     assert allocation is not None
     network = state.network
@@ -169,7 +152,6 @@ def _execute(
     for a, b in workflow.edges:
         preds[b].append(a)
 
-    workflow_last = now
     for j in workflow.topological_order():
         task = workflow.tasks[j]
         node_index = assignment[j]
@@ -201,12 +183,10 @@ def _execute(
         state.metrics.fidelity_sum += fidelity(task, node)
         state.metrics.task_count += 1
         state.metrics.tasks_allocated += 1
-        workflow_last = max(workflow_last, finish)
 
     state.metrics.communication_overhead += workflow_network_cost(
         workflow, assignment, network, params, require_links=True
     )
-    return workflow_last
 
 
 def qpu_time_distribution(state: SimState) -> list[float]:

@@ -7,27 +7,18 @@ import random
 
 import pytest
 
-from qflow.matcher import (
-    enumerate_monomorphisms,
-    mapping_feasible,
-    pattern_order,
-    workflow_monomorphisms,
-)
+from qflow.matcher import enumerate_monomorphisms, pattern_order, workflow_monomorphisms
+from qflow.model import mapping_feasible
 
 from .conftest import chain_workflow, make_network, random_small_instance
 
 
-def brute_force_monomorphisms(pattern_size, pattern_edges, network, min_qubits=None, induced=False):
+def brute_force_monomorphisms(pattern_size, pattern_edges, network, min_qubits=None):
     """Oracle: filter all injective index tuples by adjacency preservation."""
     edges = {(min(a, b), max(a, b)) for a, b in pattern_edges}
     found = []
     for tup in itertools.permutations(range(len(network.nodes)), pattern_size):
         ok = all(network.has_link(tup[a], tup[b]) for a, b in edges)
-        if ok and induced:
-            for a in range(pattern_size):
-                for b in range(a + 1, pattern_size):
-                    if (a, b) not in edges and network.has_link(tup[a], tup[b]):
-                        ok = False
         if ok and min_qubits is not None:
             ok = all(network.nodes[tup[v]].qubits >= min_qubits[v] for v in range(pattern_size))
         if ok:
@@ -56,12 +47,10 @@ class TestExamples:
 
     def test_monomorphism_allows_extra_host_links(self):
         # pattern path 0-1-2 embeds into K3 even though the images carry an
-        # extra link; induced mode rejects exactly those embeddings
+        # extra link
         k3 = make_network([5, 5, 5], [(0, 1), (0, 2), (1, 2)])
         loose = list(enumerate_monomorphisms(3, [(0, 1), (1, 2)], k3))
-        strict = list(enumerate_monomorphisms(3, [(0, 1), (1, 2)], k3, induced=True))
         assert len(loose) == 6
-        assert strict == []
 
     def test_disconnected_pattern_rejected(self):
         host = make_network([5, 5], [(0, 1)])
@@ -89,12 +78,9 @@ class TestOracleEquivalence:
                 for j in range(i + 1, n_pat):
                     if rng.random() < 0.3:
                         pat_edges.add((i, j))
-            induced = rng.random() < 0.3
             caps = [rng.randint(1, 9) for _ in range(n_pat)] if rng.random() < 0.5 else None
-            got = list(
-                enumerate_monomorphisms(n_pat, pat_edges, host, min_qubits=caps, induced=induced)
-            )
-            expected = brute_force_monomorphisms(n_pat, pat_edges, host, caps, induced)
+            got = list(enumerate_monomorphisms(n_pat, pat_edges, host, min_qubits=caps))
+            expected = brute_force_monomorphisms(n_pat, pat_edges, host, caps)
             key = lambda m: tuple(sorted(m.items()))
             assert sorted(map(key, got)) == sorted(map(key, expected))
             assert len(got) == len(expected)  # exhaustive, no duplicates
@@ -104,7 +90,7 @@ class TestOracleEquivalence:
         for _ in range(50):
             wf, network = random_small_instance(rng)
             seen = set()
-            for m in workflow_monomorphisms(wf, network, prune_by_qubits=False):
+            for m in enumerate_monomorphisms(len(wf.tasks), wf.skeleton(), network):
                 key = tuple(sorted(m.items()))
                 assert key not in seen
                 seen.add(key)
@@ -154,7 +140,7 @@ class TestMappingFeasible:
             ]
             unpruned_feasible = [
                 tuple(sorted(m.items()))
-                for m in workflow_monomorphisms(wf, network, prune_by_qubits=False)
+                for m in enumerate_monomorphisms(len(wf.tasks), wf.skeleton(), network)
                 if mapping_feasible(m, wf, network)
             ]
             assert sorted(pruned) == sorted(unpruned_feasible)

@@ -223,6 +223,82 @@ class TestFailuresAndRetries:
         assert len(state.completed) + len(state.failed) == len(workload)
 
 
+def coin_allocator(seed: int, calls: list):
+    """Allocator stub that records (workflow id, sim_time) per call and fails
+    at random; successes pin task j on node j."""
+    rng = random.Random(seed)
+
+    def call(workflow, network, sim_time):
+        calls.append((workflow.id, sim_time))
+        mapping = {j: j for j in range(len(workflow.tasks))} if rng.random() < 0.4 else None
+        allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
+        return AllocationOutcome(allocation=allocation, candidates_examined=1, decision_time=0.0)
+
+    return call
+
+
+def rescan_reference(workload, allocator, retry_limit):
+    """The documented rule as a rescan: at every distinct arrival time, offer
+    each arrived, pending workflow in (arrival, total qubits, priority, id)
+    order; after the last arrival, pass again at that time until every
+    workflow is placed or out of retries. Returns (completed, failed) ids."""
+    key = lambda wf: (wf.arrival_time, wf.total_qubits, wf.priority, wf.id)
+    attempts = {wf.id: 0 for wf in workload}
+    pending, completed, failed = list(workload), [], []
+    instants = sorted({wf.arrival_time for wf in workload})
+
+    def decision_pass(t):
+        for wf in sorted((wf for wf in pending if wf.arrival_time <= t), key=key):
+            attempts[wf.id] += 1
+            if allocator(wf, None, t).succeeded:
+                completed.append(wf.id)
+                pending.remove(wf)
+            elif attempts[wf.id] > retry_limit:
+                failed.append(wf.id)
+                pending.remove(wf)
+
+    for t in instants:
+        decision_pass(t)
+    while pending:
+        decision_pass(instants[-1])
+    return completed, failed
+
+
+class TestCallSequence:
+    @pytest.mark.parametrize("retry_limit", [0, 1, 3])
+    def test_calls_and_outcomes_match_rescan_reference(self, retry_limit):
+        rng = random.Random(100 + retry_limit)
+        net = make_network([127, 127, 127], [(0, 1), (0, 2), (1, 2)])
+        total_calls = total_workflows = 0
+        for _ in range(20):
+            # few distinct arrival times and small qubit/priority ranges, so
+            # instants are shared and every tie-break level is exercised
+            workload = []
+            for i in rng.sample(range(100), rng.randint(30, 60)):
+                chain = chain_workflow([rng.choice([2, 5, 9]) for _ in range(rng.randint(1, 3))])
+                workload.append(
+                    Workflow(
+                        id=f"w{i:02d}",
+                        tasks=chain.tasks,
+                        edges=chain.edges,
+                        arrival_time=rng.choice([0.0, 0.5, 1.25, 3.0, 4.5]),
+                        priority=rng.choice([-1, 0, 2]),
+                    )
+                )
+            seed = rng.randrange(2**32)
+            calls, expected_calls = [], []
+            state = run_simulation(
+                workload, net, coin_allocator(seed, calls), PARAMS, retry_limit=retry_limit
+            )
+            expected = rescan_reference(workload, coin_allocator(seed, expected_calls), retry_limit)
+            assert calls == expected_calls
+            assert ([wf.id for wf in state.completed], [wf.id for wf in state.failed]) == expected
+            total_calls += len(calls)
+            total_workflows += len(workload)
+        # with retries allowed, some workflows must actually have been retried
+        assert (total_calls > total_workflows) == (retry_limit > 0)
+
+
 class TestMetrics:
     def test_fidelity_average_over_allocated_tasks(self):
         net = make_network([127], [])
