@@ -17,6 +17,7 @@ from .costs import (
     CostBreakdown,
     NormalizationBounds,
     aggregate_cost,
+    candidate_scorer,
     classical_link_cost,
     compute_bounds,
     error_cost,

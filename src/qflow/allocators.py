@@ -3,8 +3,8 @@
 Four strategies share one outcome record:
 
 * :func:`soft_iso` walks the lazy monomorphism stream, scores every
-  candidate, and stops early once the cost signal stabilizes or a candidate
-  budget is exhausted.
+  candidate from a per-decision term table, and stops early once the cost
+  signal stabilizes or a candidate budget is exhausted.
 * :func:`random_aware` draws a few random capacity-respecting assignments
   and keeps the cheapest one that satisfies the connectivity constraint.
 * :func:`greedy_dfs` ignores costs entirely and pins qubit-sorted tasks onto
@@ -20,7 +20,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .costs import aggregate_cost, compute_bounds
+from .costs import aggregate_cost, candidate_scorer, compute_bounds
 from .matcher import workflow_monomorphisms
 from .model import (
     Allocation,
@@ -102,34 +102,35 @@ def soft_iso(
     the configured thresholds, or once the candidate budget is spent. The
     budget is also enforced at the top of the loop so the number of scored
     candidates never exceeds it.
+
+    Candidates are scored by one per-decision :func:`candidate_scorer`,
+    which returns the same float as :func:`aggregate_cost`; the full
+    breakdown is computed for the final incumbent only.
     """
     config = config or SoftIsoConfig()
     started = time.perf_counter()
     n_tasks = len(workflow.tasks)
     cap = config.cap(n_tasks)
     bounds = compute_bounds(workflow, network, params, sim_time)
+    score = candidate_scorer(workflow, network, weights, params, bounds, sim_time)
 
     mincost = math.inf
     maxcost = -math.inf
     prevcost = 0.0
     examined = 0
     incumbent: dict[int, int] | None = None
-    incumbent_breakdown = None
     history: list[float] = []
 
     for mapping in workflow_monomorphisms(workflow, network):
         if examined >= cap:
             break
         examined += 1
-        candidate = [mapping[j] for j in range(n_tasks)]
-        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, sim_time)
-        cost = breakdown.total
+        cost = score(mapping)
         maxcost = max(cost, maxcost)
         if cost < mincost:
             if mapping_feasible(mapping, workflow, network):
                 mincost = cost
                 incumbent = mapping
-                incumbent_breakdown = breakdown
                 history.append(cost)
             if (
                 abs(cost - maxcost) > config.thres_max
@@ -141,9 +142,9 @@ def soft_iso(
 
     allocation = None
     if incumbent is not None:
-        allocation = Allocation(
-            workflow_id=workflow.id, assignment=incumbent, cost_breakdown=incumbent_breakdown
-        )
+        candidate = [incumbent[j] for j in range(n_tasks)]
+        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, sim_time)
+        allocation = Allocation(workflow_id=workflow.id, assignment=incumbent, cost_breakdown=breakdown)
     return AllocationOutcome(
         allocation=allocation,
         candidates_examined=examined,
@@ -168,6 +169,12 @@ def random_aware(
     The trial count is the task count; a multiplier is available since more
     trials buy better placements at linear extra cost. A trial whose
     candidate pool runs empty counts as an infeasible trial.
+
+    Trials are scored with :func:`aggregate_cost`, not a
+    :func:`candidate_scorer` table: a decision scores only
+    ``n_tasks * trial_multiplier`` candidates, fewer than the table's
+    ``n_tasks * n_nodes`` entries, so building the table costs more than it
+    saves.
     """
     started = time.perf_counter()
     rng = random.Random(rng_seed)
@@ -292,7 +299,9 @@ def exhaustive_oracle(
 
     Guarded to small instances; iterates injective node tuples in
     lexicographic order, so cost ties resolve to the smallest tuple. Used as
-    the reference implementation in equivalence tests.
+    the reference implementation in equivalence tests, so it scores with
+    :func:`aggregate_cost` and shares no search or scoring table with
+    :func:`soft_iso`.
     """
     import itertools
 

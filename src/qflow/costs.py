@@ -12,11 +12,17 @@ Every operation here is a pure function of its inputs. Raw costs:
 Normalization divides each raw component by a per-decision upper bound
 (:func:`compute_bounds`) and clips to [0, 1], so candidate costs are
 comparable under lazy enumeration with early stopping.
+
+:func:`aggregate_cost` is the reference objective and returns every
+component. :func:`candidate_scorer` is the fast path for scoring many
+candidates of one decision: it tabulates the per-(task, node) terms once and
+returns only the total, equal as a float to ``aggregate_cost(...).total``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .model import NetworkParams, QpuNode, ResourceNetwork, TaskSpec, WeightConfig, Workflow
@@ -230,6 +236,65 @@ def aggregate_cost(
         network=n_norm,
         total=total,
     )
+
+
+def candidate_scorer(
+    workflow: Workflow,
+    network: ResourceNetwork,
+    weights: WeightConfig,
+    params: NetworkParams,
+    bounds: NormalizationBounds,
+    sim_time: float = 0.0,
+) -> Callable[[Sequence[int]], float]:
+    """Per-decision scorer: ``score(candidate)`` is the same float as
+    ``aggregate_cost(workflow, candidate, ...).total``.
+
+    The per-(task, node) error, runtime and quantum-link terms, each task's
+    classical term, the clipped availability of every node and the sorted
+    skeleton are computed once. Each call then performs exactly the
+    additions of :func:`aggregate_cost` in the same order (tasks ascending,
+    then sorted edges), because a strict-``<`` argmin over many candidates
+    can flip on one ulp of reordering. ``candidate[j]`` is task j's node
+    index; a list or a task-indexed dict both work.
+    """
+    tasks = workflow.tasks
+    nodes = network.nodes
+    err = [[error_cost(t, n) for n in nodes] for t in tasks]
+    run = [[runtime_cost(t, n) for n in nodes] for t in tasks]
+    qlink = [[quantum_link_cost(t, n, params) for n in nodes] for t in tasks]
+    clink = [classical_link_cost(t, params) for t in tasks]
+    avail = [max(n.next_available_time - sim_time, 0.0) for n in nodes]
+    edges = [
+        (qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0)
+        for a, b in sorted(workflow.skeleton())
+    ]
+    rows = list(zip(range(len(tasks)), err, run))
+    max_nat = bounds.max_nat
+    max_err = bounds.max_task_error_sum
+    max_run = bounds.max_task_runtime_sum
+    max_net = bounds.max_network_sum
+    zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
+    rest = 1.0 - zeta
+
+    def score(candidate: Sequence[int]) -> float:
+        availability = 0.0
+        e = 0.0
+        r = 0.0
+        for j, err_j, run_j in rows:
+            k = candidate[j]
+            wait = avail[k]
+            if wait > availability:  # as max(availability, wait)
+                availability = wait
+            e += err_j[k]
+            r += run_j[k]
+        net = 0.0
+        for q_a, q_b, a, b, c in edges:
+            net += (q_a[candidate[a]] + q_b[candidate[b]]) / 2.0 + c
+        return zeta * _clip01(availability / max_nat) + rest * (
+            alpha * _clip01(e / max_err) + beta * _clip01(r / max_run) + gamma * _clip01(net / max_net)
+        )
+
+    return score
 
 
 def _clip01(x: float) -> float:

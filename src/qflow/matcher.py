@@ -8,9 +8,13 @@ surplus physical connectivity cannot hurt execution).
 
 Enumeration is a deterministic backtracking search: pattern vertices are
 visited highest-degree first then breadth-first, and host candidates are
-tried in ascending node index. An optional per-vertex capacity requirement
-prunes host nodes with too few qubits in-search, which drops only mappings
-that the qubit constraint would reject anyway.
+tried in ascending node index, so the stream is sorted by the hosts of the
+vertices in visit order. An optional per-vertex capacity requirement
+prunes host nodes with too few qubits before the search, which drops only
+mappings that the qubit constraint would reject anyway. As in VF2++
+(Juttner and Madarasi, 2018), each vertex's candidate domain is fixed once
+and, at each depth, narrowed by the neighbour sets of the hosts of its
+already-mapped pattern neighbours.
 """
 
 from __future__ import annotations
@@ -66,25 +70,36 @@ def enumerate_monomorphisms(
         adj[a].add(b)
         adj[b].add(a)
 
-    host_indices = list(range(len(host.nodes)))
+    # Search tables: qubit-feasible hosts per pattern vertex (ascending),
+    # neighbour set per host, and per depth the pattern neighbours mapped
+    # at earlier depths.
+    domain = [
+        [h for h, node in enumerate(host.nodes) if min_qubits is None or node.qubits >= min_qubits[v]]
+        for v in range(pattern_size)
+    ]
+    adjacency = host.adjacency()
+    neighbours = [frozenset(adjacency[h]) for h in range(len(host.nodes))]
+    depth_of = {v: d for d, v in enumerate(order)}
+    earlier = [[p for p in adj[v] if depth_of[p] < d] for d, v in enumerate(order)]
+    last = pattern_size - 1
     mapping: CandidateMapping = {}
     used: set[int] = set()
 
-    def feasible(v: int, h: int) -> bool:
-        if min_qubits is not None and host.nodes[h].qubits < min_qubits[v]:
-            return False
-        for p in adj[v]:
-            if p in mapping and not host.has_link(mapping[p], h):
-                return False
-        return True
-
     def extend(depth: int) -> Iterator[CandidateMapping]:
-        if depth == pattern_size:
-            yield dict(mapping)
-            return
         v = order[depth]
-        for h in host_indices:
-            if h in used or not feasible(v, h):
+        pool = domain[v]
+        for p in earlier[depth]:
+            linked = neighbours[mapping[p]]
+            pool = [h for h in pool if h in linked]
+        if depth == last:
+            for h in pool:
+                if h not in used:
+                    mapping[v] = h
+                    yield dict(mapping)
+            mapping.pop(v, None)  # later yields keep their keys in visit order
+            return
+        for h in pool:
+            if h in used:
                 continue
             mapping[v] = h
             used.add(h)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+from qflow import generate_catalog, generate_network, generate_workload, load_profiles
 from qflow.allocators import (
     EXHAUSTIVE,
     SoftIsoConfig,
@@ -15,7 +17,10 @@ from qflow.allocators import (
     random_aware,
     soft_iso,
 )
-from qflow.model import NetworkParams, WeightConfig, validate_allocation
+from qflow.costs import aggregate_cost, compute_bounds
+from qflow.experiments import scenario_config
+from qflow.matcher import workflow_monomorphisms
+from qflow.model import NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 
 from .conftest import chain_workflow, make_network, random_small_instance
 
@@ -120,6 +125,94 @@ class TestSoftIso:
             outcome = soft_iso(wf, net, WEIGHTS, PARAMS)
             if outcome.succeeded:
                 assert validate_allocation(wf, net, outcome.allocation)
+
+
+def reference_soft_iso(workflow, network, weights, params, config, sim_time):
+    """soft_iso's search loop scoring every candidate with aggregate_cost.
+
+    Returns (assignment, candidates examined, incumbent costs, breakdown).
+    """
+    n_tasks = len(workflow.tasks)
+    cap = config.cap(n_tasks)
+    bounds = compute_bounds(workflow, network, params, sim_time)
+    mincost, maxcost, prevcost = math.inf, -math.inf, 0.0
+    examined = 0
+    incumbent = incumbent_breakdown = None
+    history = []
+    for mapping in workflow_monomorphisms(workflow, network):
+        if examined >= cap:
+            break
+        examined += 1
+        candidate = [mapping[j] for j in range(n_tasks)]
+        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, sim_time)
+        cost = breakdown.total
+        maxcost = max(cost, maxcost)
+        if cost < mincost:
+            if mapping_feasible(mapping, workflow, network):
+                mincost = cost
+                incumbent = mapping
+                incumbent_breakdown = breakdown
+                history.append(cost)
+            if (
+                abs(cost - maxcost) > config.thres_max
+                and abs(cost - prevcost) > config.thres_prev
+            ) or examined >= cap:
+                break
+        if not config.strict_pseudocode:
+            prevcost = cost
+    return incumbent, examined, tuple(history), incumbent_breakdown
+
+
+def scenario_instances(scenario, seed, n_workflows, node_count=None):
+    """Workflows and a network drawn the way a scenario repetition draws
+    them, with a seeded backlog on about half of the nodes."""
+    topology = {} if node_count is None else {"node_count": node_count}
+    config = scenario_config(scenario, "soft_iso", workload={"batch_size": n_workflows}, topology=topology)
+    catalog = generate_catalog(
+        config.catalog_size, qubit_range=config.workload.qubit_range, seed=4 * seed + 3,
+        shots=config.workload.shots_default,
+    )
+    workflows = generate_workload(dataclasses.replace(config.workload, seed=4 * seed + 1), catalog)
+    network = generate_network(dataclasses.replace(config.topology, seed=4 * seed + 2), load_profiles())
+    rng = random.Random(seed)
+    for node in network.nodes:
+        node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 2.0)])
+    return workflows, network
+
+
+class TestSoftIsoReference:
+    """Table scoring keeps every decision of the aggregate_cost loop."""
+
+    @pytest.mark.parametrize(
+        "scenario, node_count, config, seeds",
+        [
+            # most LP-MR decisions spend the full budget of 10**4 candidates
+            ("LP-MR", None, SoftIsoConfig(), 2),
+            ("LP-MR", 8, EXHAUSTIVE, 4),
+            ("LP-LR", None, SoftIsoConfig(), 4),
+            ("LP-LR", None, EXHAUSTIVE, 4),
+        ],
+        ids=["lpmr-default", "lpmr8-exhaustive", "lplr-default", "lplr-exhaustive"],
+    )
+    def test_matches_aggregate_cost_loop(self, scenario, node_count, config, seeds):
+        placed = 0
+        for seed in range(seeds):
+            workflows, network = scenario_instances(scenario, seed, 4, node_count)
+            for wf in workflows:
+                sim_time = wf.arrival_time + 0.5
+                assignment, examined, history, breakdown = reference_soft_iso(
+                    wf, network, WEIGHTS, PARAMS, config, sim_time
+                )
+                outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, sim_time)
+                assert outcome.candidates_examined == examined
+                assert outcome.incumbent_costs == history
+                if assignment is None:
+                    assert outcome.allocation is None
+                else:
+                    placed += 1
+                    assert outcome.allocation.assignment == assignment
+                    assert outcome.allocation.cost_breakdown == breakdown
+        assert placed >= 4
 
 
 class TestRandomAware:

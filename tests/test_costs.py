@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qflow.costs import (
     aggregate_cost,
+    candidate_scorer,
     classical_link_cost,
     compute_bounds,
     error_cost,
@@ -301,6 +302,46 @@ class TestAggregateCost:
             for value in (got.availability, got.error, got.runtime, got.network):
                 assert 0.0 <= value <= 1.0
             assert 0.0 <= got.total <= 1.0
+
+
+class TestCandidateScorer:
+    def test_equals_aggregate_cost_total_exactly(self):
+        # soft_iso keeps a candidate only when it is strictly cheaper, so the
+        # table scorer must return the very float aggregate_cost returns.
+        from .conftest import random_small_instance
+
+        rng = random.Random(2024)
+        clipped = 0
+        for _ in range(300):
+            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            sim_time = rng.uniform(0.05, 1.5)
+            for node in network.nodes:
+                node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+            params = NetworkParams(
+                success_probability=rng.uniform(0.1, 1.0),
+                transmission_efficiency=rng.uniform(0.2, 1.0),
+                switch_count=rng.randint(0, 3),
+                classical_latency=rng.uniform(0.0, 0.05),
+            )
+            alpha = rng.random()
+            beta = rng.random() * (1.0 - alpha)
+            weights = WeightConfig(
+                zeta=rng.choice([0.0, 0.5, 1.0]), alpha=alpha, beta=beta, gamma=1.0 - alpha - beta
+            )
+            bounds = compute_bounds(wf, network, params, sim_time)
+            score = candidate_scorer(wf, network, weights, params, bounds, sim_time)
+            for _ in range(20):
+                # any injective candidate: links and qubit capacity are ignored
+                candidate = rng.sample(range(len(network.nodes)), len(wf.tasks))
+                ref = aggregate_cost(wf, candidate, network, weights, params, bounds, sim_time)
+                assert score(candidate) == ref.total
+                assert score(dict(enumerate(candidate))) == ref.total
+                clipped += (
+                    ref.error_raw > bounds.max_task_error_sum
+                    or ref.runtime_raw > bounds.max_task_runtime_sum
+                    or ref.network_raw > bounds.max_network_sum
+                )
+        assert clipped > 100  # the clipping branch is exercised, not just the interior
 
 
 class TestComputeBounds:

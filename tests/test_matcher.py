@@ -84,6 +84,13 @@ class TestOracleEquivalence:
             key = lambda m: tuple(sorted(m.items()))
             assert sorted(map(key, got)) == sorted(map(key, expected))
             assert len(got) == len(expected)  # exhaustive, no duplicates
+            # with the set fixed, this pins the exact sequence: hosts ascend
+            # lexicographically along the pattern visit order
+            order = pattern_order(n_pat, pat_edges)
+            visit = lambda m: tuple(m[v] for v in order)
+            unpruned = list(enumerate_monomorphisms(n_pat, pat_edges, host))
+            for stream in (got, unpruned):
+                assert [visit(m) for m in stream] == sorted(visit(m) for m in stream)
 
     def test_no_duplicates_and_injective(self):
         rng = random.Random(1)
