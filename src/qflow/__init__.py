@@ -15,9 +15,9 @@ from .allocators import (
 )
 from .costs import (
     CostBreakdown,
+    DecisionTable,
     NormalizationBounds,
     aggregate_cost,
-    candidate_scorer,
     classical_link_cost,
     compute_bounds,
     error_cost,

@@ -5,8 +5,9 @@ Four strategies share one outcome record:
 * :func:`soft_iso` walks the lazy monomorphism stream, scores every
   candidate from a per-decision term table, and stops early once the cost
   signal stabilizes or a candidate budget is exhausted.
-* :func:`random_aware` draws a few random capacity-respecting assignments
-  and keeps the cheapest one that satisfies the connectivity constraint.
+* :func:`random_aware` draws a few random capacity-respecting assignments,
+  scores them from the same kind of table, and keeps the cheapest one that
+  satisfies the connectivity constraint.
 * :func:`greedy_dfs` ignores costs entirely and pins qubit-sorted tasks onto
   a depth-first traversal of the network.
 * :func:`exhaustive_oracle` enumerates every injective assignment on small
@@ -20,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .costs import aggregate_cost, candidate_scorer, compute_bounds
+from .costs import DecisionTable, aggregate_cost, compute_bounds
 from .matcher import workflow_monomorphisms
 from .model import (
     Allocation,
@@ -103,16 +104,16 @@ def soft_iso(
     budget is also enforced at the top of the loop so the number of scored
     candidates never exceeds it.
 
-    Candidates are scored by one per-decision :func:`candidate_scorer`,
-    which returns the same float as :func:`aggregate_cost`; the full
+    Candidates are scored from one per-decision :class:`DecisionTable`,
+    whose scorer returns the same float as :func:`aggregate_cost`; the full
     breakdown is computed for the final incumbent only.
     """
     config = config or SoftIsoConfig()
     started = time.perf_counter()
     n_tasks = len(workflow.tasks)
     cap = config.cap(n_tasks)
-    bounds = compute_bounds(workflow, network, params, sim_time)
-    score = candidate_scorer(workflow, network, weights, params, bounds, sim_time)
+    table = DecisionTable(workflow, network, params, sim_time)
+    score = table.scorer(weights)
 
     mincost = math.inf
     maxcost = -math.inf
@@ -143,7 +144,7 @@ def soft_iso(
     allocation = None
     if incumbent is not None:
         candidate = [incumbent[j] for j in range(n_tasks)]
-        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, sim_time)
+        breakdown = aggregate_cost(workflow, candidate, network, weights, params, table.bounds, sim_time)
         allocation = Allocation(workflow_id=workflow.id, assignment=incumbent, cost_breakdown=breakdown)
     return AllocationOutcome(
         allocation=allocation,
@@ -170,21 +171,20 @@ def random_aware(
     trials buy better placements at linear extra cost. A trial whose
     candidate pool runs empty counts as an infeasible trial.
 
-    Trials are scored with :func:`aggregate_cost`, not a
-    :func:`candidate_scorer` table: a decision scores only
-    ``n_tasks * trial_multiplier`` candidates, fewer than the table's
-    ``n_tasks * n_nodes`` entries, so building the table costs more than it
-    saves.
+    Trials are scored from one per-decision :class:`DecisionTable`, which
+    also supplies the normalization bounds, so every term is evaluated once
+    per decision; the full breakdown is computed for the final incumbent
+    only.
     """
     started = time.perf_counter()
     rng = random.Random(rng_seed)
     n_tasks = len(workflow.tasks)
-    bounds = compute_bounds(workflow, network, params, sim_time)
+    table = DecisionTable(workflow, network, params, sim_time)
+    score = table.scorer(weights)
     order = sorted(range(n_tasks), key=lambda j: (workflow.tasks[j].qubits, j))
 
     mincost = math.inf
     incumbent: dict[int, int] | None = None
-    incumbent_breakdown = None
     history: list[float] = []
     trials = 0
     for _ in range(n_tasks * trial_multiplier):
@@ -206,20 +206,17 @@ def random_aware(
             used.add(pick)
         if aborted:
             continue
-        candidate = [assignment[j] for j in range(n_tasks)]
-        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, sim_time)
-        cost = breakdown.total
+        cost = score(assignment)
         if cost < mincost and mapping_feasible(assignment, workflow, network):
             mincost = cost
             incumbent = assignment
-            incumbent_breakdown = breakdown
             history.append(cost)
 
     allocation = None
     if incumbent is not None:
-        allocation = Allocation(
-            workflow_id=workflow.id, assignment=incumbent, cost_breakdown=incumbent_breakdown
-        )
+        candidate = [incumbent[j] for j in range(n_tasks)]
+        breakdown = aggregate_cost(workflow, candidate, network, weights, params, table.bounds, sim_time)
+        allocation = Allocation(workflow_id=workflow.id, assignment=incumbent, cost_breakdown=breakdown)
     return AllocationOutcome(
         allocation=allocation,
         candidates_examined=trials,

@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
-One entry point drives three modes: a single experiment from a JSON config
-(optionally overridden by flags), a named stress scenario, or a sweep over
-one config field with a failure histogram across the swept experiments.
+One entry point drives three modes: a single experiment from a JSON config,
+a named stress scenario, or a sweep over one config field with a failure
+histogram across the swept experiments. The same flags override the config
+in every mode.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on runtime failures.
 """
@@ -20,10 +21,11 @@ from .experiments import (
     SWEEP_ALIASES,
     ConfigError,
     ExperimentConfig,
+    ScenarioResult,
     apply_sweep_value,
     emit_failure_histogram,
     run_experiment,
-    run_scenario,
+    scenario_config,
 )
 from .simulation import ALLOCATOR_NAMES
 
@@ -68,15 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
-    raw = {}
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-    config = ExperimentConfig.from_dict(raw)
+    """The scenario preset or the JSON config (default fields without one),
+    with the command-line flags applied in both modes."""
+    if args.scenario:
+        config = scenario_config(args.scenario, "soft_iso")
+    else:
+        raw = {}
+        if args.config:
+            try:
+                raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                raise ConfigError(f"config file not found: {args.config}")
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file is not valid JSON: {exc}")
+        config = ExperimentConfig.from_dict(raw)
     replacements = {}
     if args.algo:
         replacements["algorithm"] = args.algo
@@ -122,23 +129,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.scenario:
-            overrides = {}
-            if args.profiles:
-                overrides["profiles_path"] = str(args.profiles)
-            if args.no_timing:
-                overrides["measure_timing"] = False
-            result = run_scenario(
-                args.scenario,
-                args.algo or "soft_iso",
-                base_seed=args.seed or 0,
-                repetitions=args.reps or 10,
-                out_dir=args.out,
-                **overrides,
-            )
-            print(result.table_row())
-            return 0
         config = load_config(args)
+        if args.scenario:
+            result = run_experiment(config, out_dir=args.out)
+            print(ScenarioResult.of(args.scenario, result).table_row())
+            return 0
         if args.sweep:
             if not args.out:
                 raise ConfigError("--sweep requires --out DIR")

@@ -14,9 +14,11 @@ Normalization divides each raw component by a per-decision upper bound
 comparable under lazy enumeration with early stopping.
 
 :func:`aggregate_cost` is the reference objective and returns every
-component. :func:`candidate_scorer` is the fast path for scoring many
-candidates of one decision: it tabulates the per-(task, node) terms once and
-returns only the total, equal as a float to ``aggregate_cost(...).total``.
+component. :class:`DecisionTable` evaluates one decision's terms once; the
+normalization bounds are read off it, and its scorer returns only the total
+of a candidate, equal as a float to ``aggregate_cost(...).total``. The
+cost-aware allocators build one table per decision and score every
+candidate or trial from it.
 """
 
 from __future__ import annotations
@@ -151,40 +153,8 @@ def compute_bounds(
     sim_time: float = 0.0,
 ) -> NormalizationBounds:
     """Upper bounds on the raw cost components of any assignment of this
-    workflow, computable before candidate enumeration begins.
-
-    Error/runtime bounds take the worst feasible (task, node) pair times the
-    task count; the network bound takes the worst per-edge endpoint value
-    times the edge count. Falls back to all pairs when no pair satisfies the
-    qubit constraint, and floors everything at a small epsilon so that
-    normalization never divides by zero.
-    """
-    max_nat = max((node.next_available_time - sim_time for node in network.nodes), default=0.0)
-    max_nat = max(max_nat, 0.0)
-
-    pairs = [
-        (task, node)
-        for task in workflow.tasks
-        for node in network.nodes
-        if task.qubits <= node.qubits
-    ]
-    if not pairs:
-        pairs = [(task, node) for task in workflow.tasks for node in network.nodes]
-
-    worst_error = max(error_cost(t, n) for t, n in pairs)
-    worst_runtime = max(runtime_cost(t, n) for t, n in pairs)
-    worst_endpoint = max(
-        quantum_link_cost(t, n, params) + classical_link_cost(t, params) for t, n in pairs
-    )
-
-    n_tasks = len(workflow.tasks)
-    n_edges = len(workflow.skeleton())
-    return NormalizationBounds(
-        max_nat=max(max_nat, BOUND_FLOOR),
-        max_task_error_sum=max(n_tasks * worst_error, BOUND_FLOOR),
-        max_task_runtime_sum=max(n_tasks * worst_runtime, BOUND_FLOOR),
-        max_network_sum=max(n_edges * worst_endpoint, BOUND_FLOOR),
-    )
+    workflow: the bounds of its :class:`DecisionTable`."""
+    return DecisionTable(workflow, network, params, sim_time).bounds
 
 
 def aggregate_cost(
@@ -238,63 +208,93 @@ def aggregate_cost(
     )
 
 
-def candidate_scorer(
-    workflow: Workflow,
-    network: ResourceNetwork,
-    weights: WeightConfig,
-    params: NetworkParams,
-    bounds: NormalizationBounds,
-    sim_time: float = 0.0,
-) -> Callable[[Sequence[int]], float]:
-    """Per-decision scorer: ``score(candidate)`` is the same float as
-    ``aggregate_cost(workflow, candidate, ...).total``.
+class DecisionTable:
+    """Every cost term of one decision, each evaluated once.
 
-    The per-(task, node) error, runtime and quantum-link terms, each task's
-    classical term, the clipped availability of every node and the sorted
-    skeleton are computed once. Each call then performs exactly the
-    additions of :func:`aggregate_cost` in the same order (tasks ascending,
-    then sorted edges), because a strict-``<`` argmin over many candidates
-    can flip on one ulp of reordering. ``candidate[j]`` is task j's node
-    index; a list or a task-indexed dict both work.
+    Holds the error, runtime and quantum-link terms per (task, node), the
+    classical term per task, the clipped availability per node, the sorted
+    skeleton, and the :class:`NormalizationBounds` taken from those same
+    floats. The error and runtime bounds are the worst qubit-feasible
+    (task, node) term times the task count; the network bound is the worst
+    per-endpoint quantum-plus-classical term times the edge count; the
+    availability bound is the largest backlog. When no pair satisfies the
+    qubit constraint the worst cases range over all pairs, and every bound
+    is floored at ``BOUND_FLOOR`` so normalization never divides by zero.
     """
-    tasks = workflow.tasks
-    nodes = network.nodes
-    err = [[error_cost(t, n) for n in nodes] for t in tasks]
-    run = [[runtime_cost(t, n) for n in nodes] for t in tasks]
-    qlink = [[quantum_link_cost(t, n, params) for n in nodes] for t in tasks]
-    clink = [classical_link_cost(t, params) for t in tasks]
-    avail = [max(n.next_available_time - sim_time, 0.0) for n in nodes]
-    edges = [
-        (qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0)
-        for a, b in sorted(workflow.skeleton())
-    ]
-    rows = list(zip(range(len(tasks)), err, run))
-    max_nat = bounds.max_nat
-    max_err = bounds.max_task_error_sum
-    max_run = bounds.max_task_runtime_sum
-    max_net = bounds.max_network_sum
-    zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
-    rest = 1.0 - zeta
 
-    def score(candidate: Sequence[int]) -> float:
-        availability = 0.0
-        e = 0.0
-        r = 0.0
-        for j, err_j, run_j in rows:
-            k = candidate[j]
-            wait = avail[k]
-            if wait > availability:  # as max(availability, wait)
-                availability = wait
-            e += err_j[k]
-            r += run_j[k]
-        net = 0.0
-        for q_a, q_b, a, b, c in edges:
-            net += (q_a[candidate[a]] + q_b[candidate[b]]) / 2.0 + c
-        return zeta * _clip01(availability / max_nat) + rest * (
-            alpha * _clip01(e / max_err) + beta * _clip01(r / max_run) + gamma * _clip01(net / max_net)
+    def __init__(
+        self,
+        workflow: Workflow,
+        network: ResourceNetwork,
+        params: NetworkParams,
+        sim_time: float = 0.0,
+    ):
+        tasks = workflow.tasks
+        nodes = network.nodes
+        self.err = [[error_cost(t, n) for n in nodes] for t in tasks]
+        self.run = [[runtime_cost(t, n) for n in nodes] for t in tasks]
+        self.qlink = [[quantum_link_cost(t, n, params) for n in nodes] for t in tasks]
+        self.clink = [classical_link_cost(t, params) for t in tasks]
+        self.avail = [max(n.next_available_time - sim_time, 0.0) for n in nodes]
+        self.edges = sorted(workflow.skeleton())
+
+        pairs = [
+            (j, k)
+            for j, t in enumerate(tasks)
+            for k, n in enumerate(nodes)
+            if t.qubits <= n.qubits
+        ] or [(j, k) for j in range(len(tasks)) for k in range(len(nodes))]
+        n_tasks = len(tasks)
+        self.bounds = NormalizationBounds(
+            max_nat=max(max(self.avail, default=0.0), BOUND_FLOOR),
+            max_task_error_sum=max(n_tasks * max(self.err[j][k] for j, k in pairs), BOUND_FLOOR),
+            max_task_runtime_sum=max(n_tasks * max(self.run[j][k] for j, k in pairs), BOUND_FLOOR),
+            max_network_sum=max(
+                len(self.edges) * max(self.qlink[j][k] + self.clink[j] for j, k in pairs),
+                BOUND_FLOOR,
+            ),
         )
 
-    return score
+    def scorer(self, weights: WeightConfig) -> Callable[[Sequence[int]], float]:
+        """``score(candidate)`` is the same float as
+        ``aggregate_cost(workflow, candidate, ..., self.bounds, sim_time).total``.
+
+        Each call performs exactly the additions of :func:`aggregate_cost`
+        in the same order (tasks ascending, then sorted edges), because a
+        strict-``<`` argmin over many candidates can flip on one ulp of
+        reordering. ``candidate[j]`` is task j's node index; a list or a
+        task-indexed dict both work.
+        """
+        avail, qlink, clink = self.avail, self.qlink, self.clink
+        edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]
+        rows = list(zip(range(len(self.err)), self.err, self.run))
+        bounds = self.bounds
+        max_nat = bounds.max_nat
+        max_err = bounds.max_task_error_sum
+        max_run = bounds.max_task_runtime_sum
+        max_net = bounds.max_network_sum
+        zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
+        rest = 1.0 - zeta
+
+        def score(candidate: Sequence[int]) -> float:
+            availability = 0.0
+            e = 0.0
+            r = 0.0
+            for j, err_j, run_j in rows:
+                k = candidate[j]
+                wait = avail[k]
+                if wait > availability:  # as max(availability, wait)
+                    availability = wait
+                e += err_j[k]
+                r += run_j[k]
+            net = 0.0
+            for q_a, q_b, a, b, c in edges:
+                net += (q_a[candidate[a]] + q_b[candidate[b]]) / 2.0 + c
+            return zeta * _clip01(availability / max_nat) + rest * (
+                alpha * _clip01(e / max_err) + beta * _clip01(r / max_run) + gamma * _clip01(net / max_net)
+            )
+
+        return score
 
 
 def _clip01(x: float) -> float:

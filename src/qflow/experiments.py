@@ -117,9 +117,7 @@ class ExperimentConfig:
                         sub[tuple_field] = tuple(sub[tuple_field])
                 try:
                     kwargs[key] = nested[key](**sub)
-                except TypeError as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
             else:
                 kwargs[key] = value
@@ -129,11 +127,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         try:
             return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -306,7 +302,7 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> dict[str, Path]:
 
     summary_path = out_dir / "summary.json"
     summary = {
-        "config": _config_to_dict(config),
+        "config": dataclasses.asdict(config),
         "effective_arrival_rate": config.workload.effective_rate,
         "normalization": {
             "rule": "per-decision upper bounds; raw components clipped to [0, 1]",
@@ -322,16 +318,6 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> dict[str, Path]:
     }
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
     return {"results": results_path, "shares": shares_path, "summary": summary_path}
-
-
-def _config_to_dict(config: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(config)
-    for key, value in list(out.items()):
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        elif isinstance(value, dict):
-            out[key] = {k: (list(v) if isinstance(v, tuple) else v) for k, v in value.items()}
-    return out
 
 
 def scenario_config(
@@ -380,6 +366,18 @@ class ScenarioResult:
     completion_tablev: int
     decision_time: float
 
+    @classmethod
+    def of(cls, name: str, result: ExperimentResult) -> "ScenarioResult":
+        """Table entry of scenario ``name`` from its experiment result."""
+        completion = result.mean("completion_pct")
+        return cls(
+            name=name,
+            algorithm=result.config.algorithm,
+            completion_pct=completion,
+            completion_tablev=round(completion),
+            decision_time=result.mean("decision_time"),
+        )
+
     def table_row(self) -> str:
         return f"{self.algorithm:>14s}  {self.name}: completion {self.completion_tablev}%  decision {self.decision_time:.4f} s"
 
@@ -395,15 +393,7 @@ def run_scenario(
     """Run one scenario preset and report completion and decision time in
     the integer-percent scenario-table format."""
     config = scenario_config(name, algorithm, base_seed=base_seed, repetitions=repetitions, **overrides)
-    result = run_experiment(config, out_dir=out_dir)
-    completion = result.mean("completion_pct")
-    return ScenarioResult(
-        name=name,
-        algorithm=algorithm,
-        completion_pct=completion,
-        completion_tablev=round(completion),
-        decision_time=result.mean("decision_time"),
-    )
+    return ScenarioResult.of(name, run_experiment(config, out_dir=out_dir))
 
 
 def emit_failure_histogram(

@@ -268,6 +268,85 @@ class TestRandomAware:
                 assert validate_allocation(wf, net, outcome.allocation)
 
 
+def reference_random_aware(workflow, network, weights, params, rng_seed, sim_time, trial_multiplier):
+    """random_aware's trial loop scoring every trial with aggregate_cost and
+    keeping that trial's breakdown.
+
+    Returns (assignment, trials, incumbent costs, breakdown, aborted trials).
+    """
+    rng = random.Random(rng_seed)
+    n_tasks = len(workflow.tasks)
+    bounds = compute_bounds(workflow, network, params, sim_time)
+    order = sorted(range(n_tasks), key=lambda j: (workflow.tasks[j].qubits, j))
+    mincost = math.inf
+    incumbent = incumbent_breakdown = None
+    history = []
+    trials = aborts = 0
+    for _ in range(n_tasks * trial_multiplier):
+        trials += 1
+        assignment, used = {}, set()
+        aborted = False
+        for j in order:
+            pool = [
+                k
+                for k, node in enumerate(network.nodes)
+                if node.qubits >= workflow.tasks[j].qubits and k not in used
+            ]
+            if not pool:
+                aborted = True
+                break
+            pick = rng.choice(pool)
+            assignment[j] = pick
+            used.add(pick)
+        if aborted:
+            aborts += 1
+            continue
+        candidate = [assignment[j] for j in range(n_tasks)]
+        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, sim_time)
+        cost = breakdown.total
+        if cost < mincost and mapping_feasible(assignment, workflow, network):
+            mincost = cost
+            incumbent = assignment
+            incumbent_breakdown = breakdown
+            history.append(cost)
+    return incumbent, trials, tuple(history), incumbent_breakdown, aborts
+
+
+class TestRandomAwareReference:
+    """Table scoring keeps every decision of the per-trial aggregate_cost loop."""
+
+    @pytest.mark.parametrize("trial_multiplier", [1, 3])
+    def test_matches_aggregate_cost_loop(self, trial_multiplier):
+        rng = random.Random(500 + trial_multiplier)
+        # small nodes (4-10 qubits) make trials abort when no node fits
+        instances = [random_small_instance(rng, max_tasks=5, max_nodes=8) for _ in range(200)]
+        for scenario in ("LP-LR", "LP-MR"):
+            for seed in range(2):
+                workflows, network = scenario_instances(scenario, seed, 10)
+                instances += [(wf, network) for wf in workflows]
+        placed = aborted = 0
+        for wf, network in instances:
+            sim_time = rng.uniform(0.05, 1.5)
+            seed = rng.randrange(1 << 30)
+            assignment, trials, history, breakdown, aborts = reference_random_aware(
+                wf, network, WEIGHTS, PARAMS, seed, sim_time, trial_multiplier
+            )
+            outcome = random_aware(
+                wf, network, WEIGHTS, PARAMS, rng_seed=seed, sim_time=sim_time,
+                trial_multiplier=trial_multiplier,
+            )
+            aborted += aborts
+            assert outcome.candidates_examined == trials
+            assert outcome.incumbent_costs == history
+            if assignment is None:
+                assert outcome.allocation is None
+            else:
+                placed += 1
+                assert outcome.allocation.assignment == assignment
+                assert outcome.allocation.cost_breakdown == breakdown
+        assert placed >= 100 and aborted >= 20
+
+
 class TestGreedyDfs:
     def test_single_task_takes_smallest_sufficient_node_in_dfs_order(self):
         wf = chain_workflow([5])

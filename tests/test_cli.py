@@ -73,6 +73,25 @@ class TestScenarioMode:
         out = capsys.readouterr().out
         assert "SP-MR" in out and "completion 100%" in out
 
+    def test_scenario_applies_every_config_flag(self, tmp_path, capsys):
+        out = tmp_path / "scenario"
+        assert main(["--scenario", "SP-MR", "--algo", "greedy_dfs", "--reps", "1", "--seed", "7",
+                     "--no-timing", "--no-dep-gating", "--strict-pseudocode",
+                     "--out", str(out)]) == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["algorithm"] == "greedy_dfs"
+        assert (config["repetitions"], config["base_seed"]) == (1, 7)
+        assert config["measure_timing"] is False
+        assert config["dependency_gating"] is False
+        assert config["soft_config"]["strict_pseudocode"] is True
+        assert config["retry_limit"] == 0  # the scenario preset is kept
+
+    def test_zero_reps_is_config_error_in_both_modes(self, capsys):
+        assert main(["--scenario", "SP-MR", "--algo", "greedy_dfs", "--reps", "0"]) == 1
+        assert "repetitions" in capsys.readouterr().err
+        assert main(["--algo", "greedy_dfs", "--reps", "0"]) == 1
+        assert "repetitions" in capsys.readouterr().err
+
 
 class TestSweepMode:
     def test_sweep_writes_histogram_and_subdirs(self, tmp_path):

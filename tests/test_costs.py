@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow.costs import (
+    DecisionTable,
     aggregate_cost,
-    candidate_scorer,
     classical_link_cost,
     compute_bounds,
     error_cost,
@@ -328,8 +329,10 @@ class TestCandidateScorer:
             weights = WeightConfig(
                 zeta=rng.choice([0.0, 0.5, 1.0]), alpha=alpha, beta=beta, gamma=1.0 - alpha - beta
             )
-            bounds = compute_bounds(wf, network, params, sim_time)
-            score = candidate_scorer(wf, network, weights, params, bounds, sim_time)
+            table = DecisionTable(wf, network, params, sim_time)
+            assert table.bounds == compute_bounds(wf, network, params, sim_time)
+            bounds = table.bounds
+            score = table.scorer(weights)
             for _ in range(20):
                 # any injective candidate: links and qubit capacity are ignored
                 candidate = rng.sample(range(len(network.nodes)), len(wf.tasks))
@@ -369,12 +372,21 @@ class TestComputeBounds:
         assert bounds.max_task_error_sum == pytest.approx(2 * worst, rel=1e-12)
 
     def test_brute_force_over_small_networks(self):
+        # exact: the bounds are maxima of the very floats the term functions return
         rng = random.Random(11)
         params = NetworkParams(success_probability=0.4, classical_latency=0.03)
         from .conftest import random_small_instance
 
-        for _ in range(100):
+        fallbacks = busy = 0
+        for i in range(200):
             wf, network = random_small_instance(rng, max_tasks=3, max_nodes=3)
+            for node in network.nodes:
+                node.next_available_time = rng.choice([0.0, 0.1, rng.uniform(0.0, 2.0)])
+            if i % 4 == 0:  # every task outgrows every node (at most 10 qubits)
+                tasks = tuple(dataclasses.replace(t, qubits=t.qubits + 10) for t in wf.tasks)
+                wf = dataclasses.replace(wf, tasks=tasks)
+                fallbacks += 1
+            busy += any(n.next_available_time > 0.25 for n in network.nodes)
             bounds = compute_bounds(wf, network, params, sim_time=0.25)
             pairs = [
                 (t, n) for t in wf.tasks for n in network.nodes if t.qubits <= n.qubits
@@ -388,10 +400,11 @@ class TestComputeBounds:
             exp_nat = max(
                 [max(n.next_available_time - 0.25, 0.0) for n in network.nodes] + [0.0]
             )
-            assert bounds.max_task_error_sum == pytest.approx(max(exp_err, 1e-12), rel=1e-12)
-            assert bounds.max_task_runtime_sum == pytest.approx(max(exp_rt, 1e-12), rel=1e-12)
-            assert bounds.max_network_sum == pytest.approx(max(exp_net, 1e-12), rel=1e-12)
-            assert bounds.max_nat == pytest.approx(max(exp_nat, 1e-12), rel=1e-12)
+            assert bounds.max_task_error_sum == max(exp_err, 1e-12)
+            assert bounds.max_task_runtime_sum == max(exp_rt, 1e-12)
+            assert bounds.max_network_sum == max(exp_net, 1e-12)
+            assert bounds.max_nat == max(exp_nat, 1e-12)
+        assert fallbacks == 50 and busy > 50
 
 
 class TestFidelity:
