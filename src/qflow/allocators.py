@@ -1,6 +1,8 @@
 """Allocation strategies mapping one workflow onto the QPU network.
 
-Four strategies share one outcome record:
+Every strategy is a pure function of its inputs: it reads the network and
+returns an :class:`AllocationOutcome` value, and keeps no clock (the
+simulator times each call). Four strategies share one outcome record:
 
 * :func:`soft_iso` walks the lazy monomorphism stream, scores every
   candidate from a per-decision term table, and stops early once the cost
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 
 from .costs import DecisionTable, aggregate_cost, compute_bounds
@@ -78,7 +79,6 @@ class AllocationOutcome:
 
     allocation: Allocation | None
     candidates_examined: int
-    decision_time: float
     incumbent_costs: tuple[float, ...] = field(default=())
 
     @property
@@ -97,21 +97,20 @@ def soft_iso(
     """Cost-aware embedding search with soft early stopping.
 
     Iterates candidate embeddings from the monomorphism stream; tracks the
-    maximum cost seen; whenever a candidate beats the incumbent it is
-    accepted if feasible, and the stop rule is evaluated: break once the
-    cost deviates from both the maximum and the previous cost by more than
-    the configured thresholds, or once the candidate budget is spent. The
-    budget is also enforced at the top of the loop so the number of scored
-    candidates never exceeds it.
+    maximum cost seen; whenever a candidate beats the incumbent it replaces
+    it, and the stop rule is evaluated: break once the cost deviates from
+    both the maximum and the previous cost by more than the configured
+    thresholds, or once the candidate budget is spent. The budget is also
+    enforced at the top of the loop so the number of scored candidates
+    never exceeds it. The stream yields only injective, qubit-fitting,
+    edge-preserving mappings, so no candidate needs a feasibility check.
 
     Candidates are scored from one per-decision :class:`DecisionTable`,
     whose scorer returns the same float as :func:`aggregate_cost`; the full
     breakdown is computed for the final incumbent only.
     """
     config = config or SoftIsoConfig()
-    started = time.perf_counter()
-    n_tasks = len(workflow.tasks)
-    cap = config.cap(n_tasks)
+    cap = config.cap(len(workflow.tasks))
     table = DecisionTable(workflow, network, params, sim_time)
     score = table.scorer(weights)
 
@@ -129,10 +128,9 @@ def soft_iso(
         cost = score(mapping)
         maxcost = max(cost, maxcost)
         if cost < mincost:
-            if mapping_feasible(mapping, workflow, network):
-                mincost = cost
-                incumbent = mapping
-                history.append(cost)
+            mincost = cost
+            incumbent = mapping
+            history.append(cost)
             if (
                 abs(cost - maxcost) > config.thres_max
                 and abs(cost - prevcost) > config.thres_prev
@@ -141,17 +139,7 @@ def soft_iso(
         if not config.strict_pseudocode:
             prevcost = cost
 
-    allocation = None
-    if incumbent is not None:
-        candidate = [incumbent[j] for j in range(n_tasks)]
-        breakdown = aggregate_cost(workflow, candidate, network, weights, params, table.bounds, sim_time)
-        allocation = Allocation(workflow_id=workflow.id, assignment=incumbent, cost_breakdown=breakdown)
-    return AllocationOutcome(
-        allocation=allocation,
-        candidates_examined=examined,
-        decision_time=time.perf_counter() - started,
-        incumbent_costs=tuple(history),
-    )
+    return _scored_outcome(workflow, network, weights, params, sim_time, table, incumbent, examined, history)
 
 
 def random_aware(
@@ -176,7 +164,6 @@ def random_aware(
     per decision; the full breakdown is computed for the final incumbent
     only.
     """
-    started = time.perf_counter()
     rng = random.Random(rng_seed)
     n_tasks = len(workflow.tasks)
     table = DecisionTable(workflow, network, params, sim_time)
@@ -212,17 +199,28 @@ def random_aware(
             incumbent = assignment
             history.append(cost)
 
+    return _scored_outcome(workflow, network, weights, params, sim_time, table, incumbent, trials, history)
+
+
+def _scored_outcome(
+    workflow: Workflow,
+    network: ResourceNetwork,
+    weights: WeightConfig,
+    params: NetworkParams,
+    sim_time: float,
+    table: DecisionTable,
+    incumbent: dict[int, int] | None,
+    examined: int,
+    history: list[float],
+) -> AllocationOutcome:
+    """The outcome of a table-scored search: the incumbent, if any, with its
+    full :func:`aggregate_cost` breakdown under the table's bounds."""
     allocation = None
     if incumbent is not None:
-        candidate = [incumbent[j] for j in range(n_tasks)]
+        candidate = [incumbent[j] for j in range(len(workflow.tasks))]
         breakdown = aggregate_cost(workflow, candidate, network, weights, params, table.bounds, sim_time)
         allocation = Allocation(workflow_id=workflow.id, assignment=incumbent, cost_breakdown=breakdown)
-    return AllocationOutcome(
-        allocation=allocation,
-        candidates_examined=trials,
-        decision_time=time.perf_counter() - started,
-        incumbent_costs=tuple(history),
-    )
+    return AllocationOutcome(allocation, examined, tuple(history))
 
 
 def dfs_node_order(network: ResourceNetwork) -> list[int]:
@@ -262,7 +260,6 @@ def greedy_dfs(
     configuration. Fails when the walk runs out of nodes or the resulting
     assignment violates workflow connectivity.
     """
-    started = time.perf_counter()
     order = sorted(range(len(workflow.tasks)), key=lambda j: (workflow.tasks[j].qubits, j))
     assignment: dict[int, int] = {}
     pending = list(order)
@@ -278,11 +275,7 @@ def greedy_dfs(
         candidate = Allocation(workflow_id=workflow.id, assignment=assignment)
         if validate_allocation(workflow, network, candidate):
             allocation = candidate
-    return AllocationOutcome(
-        allocation=allocation,
-        candidates_examined=1,
-        decision_time=time.perf_counter() - started,
-    )
+    return AllocationOutcome(allocation, candidates_examined=1)
 
 
 def exhaustive_oracle(
@@ -309,7 +302,6 @@ def exhaustive_oracle(
             f"oracle guard: instance {n_tasks} tasks x {n_nodes} nodes exceeds "
             f"{ORACLE_MAX_TASKS} x {ORACLE_MAX_NODES}"
         )
-    started = time.perf_counter()
     bounds = compute_bounds(workflow, network, params, sim_time)
 
     best = None
@@ -333,8 +325,4 @@ def exhaustive_oracle(
             assignment={j: best[j] for j in range(n_tasks)},
             cost_breakdown=best_breakdown,
         )
-    return AllocationOutcome(
-        allocation=allocation,
-        candidates_examined=examined,
-        decision_time=time.perf_counter() - started,
-    )
+    return AllocationOutcome(allocation, examined)

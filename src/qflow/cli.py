@@ -73,6 +73,9 @@ def load_config(args) -> ExperimentConfig:
     """The scenario preset or the JSON config (default fields without one),
     with the command-line flags applied in both modes."""
     if args.scenario:
+        ignored = [flag for flag, given in (("--config", args.config), ("--sweep", args.sweep)) if given]
+        if ignored:
+            raise ConfigError(f"--scenario runs a preset and cannot be combined with {' or '.join(ignored)}")
         config = scenario_config(args.scenario, "soft_iso")
     else:
         raw = {}

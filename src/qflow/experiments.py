@@ -6,9 +6,9 @@ freshly generated workloads and topologies. Outputs are a per-run CSV table
 (stable column order), a per-QPU share table and a JSON summary carrying the
 full effective configuration for auditability. With timing capture disabled
 the output files are byte-identical across reruns of the same config; with
-it enabled (the default) the decision-time column carries measured
-wall-clock seconds (``time.perf_counter``) and is therefore hardware- and
-load-dependent.
+it enabled (the default) the decision-time column carries wall-clock
+seconds (``time.perf_counter``), measured by the simulator around each
+allocator call, and is therefore hardware- and load-dependent.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import statistics
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -453,17 +454,17 @@ def _replace_field(obj, name: str, raw_value: str):
     matching = [f for f in dataclasses.fields(obj) if f.name == name]
     if not matching:
         raise ConfigError(f"{type(obj).__name__} has no field {name!r}")
-    current = getattr(obj, name)
+    kind = type(getattr(obj, name))
+    if kind is type(None):  # a field annotated ``X | None`` left at None takes X
+        kind = next(a for a in typing.get_args(typing.get_type_hints(type(obj))[name]) if a is not kind)
     value: object
-    if isinstance(current, bool):
-        value = raw_value.strip().lower() in ("1", "true", "yes", "on")
-    elif isinstance(current, int):
-        value = int(raw_value)
-    elif isinstance(current, float):
-        value = float(raw_value)
-    else:
-        value = raw_value
     try:
+        if kind is bool:
+            value = raw_value.strip().lower() in ("1", "true", "yes", "on")
+        elif kind in (int, float):
+            value = kind(raw_value)
+        else:
+            value = raw_value
         return dataclasses.replace(obj, **{name: value})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc

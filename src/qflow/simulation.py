@@ -10,12 +10,16 @@ of times and then recorded as failed.
 Task start times respect both the QPU queue and, by default, the workflow's
 dependency edges including the per-edge communication delay. Both gating
 behaviours can be switched off to replicate the fully asynchronous reading.
+
+The simulator owns the decision clock: it times every allocator call with
+``time.perf_counter``, so allocators stay pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Protocol
 
 from .allocators import AllocationOutcome
@@ -36,7 +40,6 @@ class MetricsAccumulator:
     execution_time: float = 0.0
     wait_time: float = 0.0
     fidelity_sum: float = 0.0
-    task_count: int = 0
     communication_overhead: float = 0.0
     decision_time: float = 0.0
     tasks_allocated: int = 0
@@ -44,7 +47,7 @@ class MetricsAccumulator:
 
     @property
     def avg_fidelity(self) -> float:
-        return self.fidelity_sum / self.task_count if self.task_count else 0.0
+        return self.fidelity_sum / self.tasks_allocated if self.tasks_allocated else 0.0
 
     @property
     def completion_pct(self) -> float:
@@ -94,9 +97,9 @@ def run_simulation(
     own network. Metrics follow the evaluation conventions: execution time
     is the workload makespan, wait time sums per-task (start - arrival),
     fidelity averages over allocated tasks, communication overhead sums the
-    raw per-workflow network cost, decision time sums the allocators'
-    wall-clock time (``time.perf_counter``) over every invocation including
-    failed attempts.
+    raw per-workflow network cost, decision time sums the wall-clock time
+    (``time.perf_counter``) of every allocator invocation, failed attempts
+    included, measured here around each call.
     """
     state = SimState(clock=0.0, network=network)
     state.busy_seconds = {k: 0.0 for k in range(len(network.nodes))}
@@ -118,8 +121,9 @@ def run_simulation(
         retrying = []
         for wf in offered:
             attempts[wf.id] += 1
+            started = perf_counter()
             outcome = allocator(wf, network, t)
-            state.metrics.decision_time += outcome.decision_time
+            state.metrics.decision_time += perf_counter() - started
             if outcome.succeeded:
                 _execute(wf, outcome, state, params, t, dependency_gating, gate_comm_latency)
                 state.completed.append(wf)
@@ -181,7 +185,6 @@ def _execute(
         )
         state.metrics.wait_time += start - workflow.arrival_time
         state.metrics.fidelity_sum += fidelity(task, node)
-        state.metrics.task_count += 1
         state.metrics.tasks_allocated += 1
 
     state.metrics.communication_overhead += workflow_network_cost(

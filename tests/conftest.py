@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from qflow.experiments import scenario_config
 from qflow.model import QpuNode, ResourceNetwork, TaskSpec, Workflow
 from qflow.profiles import load_profiles, node_from_profile
+from qflow.workload import generate_catalog, generate_network, generate_workload
 
 
 @pytest.fixture(scope="session")
@@ -144,3 +147,20 @@ def random_small_instance(rng: random.Random, max_tasks=4, max_nodes=6):
             links.add((rng.randrange(k), k))
     network = ResourceNetwork(nodes=nodes, links=frozenset(links))
     return workflow, network
+
+
+def scenario_instances(scenario, seed, n_workflows, node_count=None):
+    """Workflows and a network drawn the way a scenario repetition draws
+    them, with a seeded backlog on about half of the nodes."""
+    topology = {} if node_count is None else {"node_count": node_count}
+    config = scenario_config(scenario, "soft_iso", workload={"batch_size": n_workflows}, topology=topology)
+    catalog = generate_catalog(
+        config.catalog_size, qubit_range=config.workload.qubit_range, seed=4 * seed + 3,
+        shots=config.workload.shots_default,
+    )
+    workflows = generate_workload(dataclasses.replace(config.workload, seed=4 * seed + 1), catalog)
+    network = generate_network(dataclasses.replace(config.topology, seed=4 * seed + 2), load_profiles())
+    rng = random.Random(seed)
+    for node in network.nodes:
+        node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 2.0)])
+    return workflows, network

@@ -455,7 +455,7 @@ def _fixed_allocator(assignments):
     def call(workflow, network, sim_time):
         mapping = assignments.get(workflow.id)
         allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
-        return AllocationOutcome(allocation=allocation, candidates_examined=1, decision_time=0.0)
+        return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
     return call
 

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
 import pytest
 
-from qflow import generate_catalog, generate_network, generate_workload, load_profiles
 from qflow.allocators import (
     EXHAUSTIVE,
+    AllocationOutcome,
     SoftIsoConfig,
     exhaustive_oracle,
     greedy_dfs,
@@ -18,11 +17,10 @@ from qflow.allocators import (
     soft_iso,
 )
 from qflow.costs import aggregate_cost, compute_bounds
-from qflow.experiments import scenario_config
 from qflow.matcher import workflow_monomorphisms
-from qflow.model import NetworkParams, WeightConfig, mapping_feasible, validate_allocation
+from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 
-from .conftest import chain_workflow, make_network, random_small_instance
+from .conftest import chain_workflow, make_network, random_small_instance, scenario_instances
 
 WEIGHTS = WeightConfig()
 PARAMS = NetworkParams()
@@ -163,21 +161,12 @@ def reference_soft_iso(workflow, network, weights, params, config, sim_time):
     return incumbent, examined, tuple(history), incumbent_breakdown
 
 
-def scenario_instances(scenario, seed, n_workflows, node_count=None):
-    """Workflows and a network drawn the way a scenario repetition draws
-    them, with a seeded backlog on about half of the nodes."""
-    topology = {} if node_count is None else {"node_count": node_count}
-    config = scenario_config(scenario, "soft_iso", workload={"batch_size": n_workflows}, topology=topology)
-    catalog = generate_catalog(
-        config.catalog_size, qubit_range=config.workload.qubit_range, seed=4 * seed + 3,
-        shots=config.workload.shots_default,
-    )
-    workflows = generate_workload(dataclasses.replace(config.workload, seed=4 * seed + 1), catalog)
-    network = generate_network(dataclasses.replace(config.topology, seed=4 * seed + 2), load_profiles())
-    rng = random.Random(seed)
-    for node in network.nodes:
-        node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 2.0)])
-    return workflows, network
+def reference_outcome(workflow, assignment, examined, history, breakdown):
+    """The whole outcome a reference loop's results describe."""
+    allocation = None
+    if assignment is not None:
+        allocation = Allocation(workflow_id=workflow.id, assignment=assignment, cost_breakdown=breakdown)
+    return AllocationOutcome(allocation=allocation, candidates_examined=examined, incumbent_costs=history)
 
 
 class TestSoftIsoReference:
@@ -204,14 +193,8 @@ class TestSoftIsoReference:
                     wf, network, WEIGHTS, PARAMS, config, sim_time
                 )
                 outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, sim_time)
-                assert outcome.candidates_examined == examined
-                assert outcome.incumbent_costs == history
-                if assignment is None:
-                    assert outcome.allocation is None
-                else:
-                    placed += 1
-                    assert outcome.allocation.assignment == assignment
-                    assert outcome.allocation.cost_breakdown == breakdown
+                assert outcome == reference_outcome(wf, assignment, examined, history, breakdown)
+                placed += assignment is not None
         assert placed >= 4
 
 
@@ -336,14 +319,8 @@ class TestRandomAwareReference:
                 trial_multiplier=trial_multiplier,
             )
             aborted += aborts
-            assert outcome.candidates_examined == trials
-            assert outcome.incumbent_costs == history
-            if assignment is None:
-                assert outcome.allocation is None
-            else:
-                placed += 1
-                assert outcome.allocation.assignment == assignment
-                assert outcome.allocation.cost_breakdown == breakdown
+            assert outcome == reference_outcome(wf, assignment, trials, history, breakdown)
+            placed += assignment is not None
         assert placed >= 100 and aborted >= 20
 
 

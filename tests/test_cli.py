@@ -92,6 +92,12 @@ class TestScenarioMode:
         assert main(["--algo", "greedy_dfs", "--reps", "0"]) == 1
         assert "repetitions" in capsys.readouterr().err
 
+    def test_scenario_rejects_config_and_sweep(self, tmp_path, capsys):
+        assert main(["--scenario", "SP-MR", "--algo", "greedy_dfs", "--reps", "1",
+                     "--config", str(tmp_path / "x.json"), "--sweep", "tasks_per_group=1,2"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "--config" in err and "--sweep" in err
+
 
 class TestSweepMode:
     def test_sweep_writes_histogram_and_subdirs(self, tmp_path):
@@ -103,15 +109,24 @@ class TestSweepMode:
         assert (out / "workload_tasks_per_group=2" / "results.csv").exists()
         hist = (out / "failure_histogram.csv").read_text().splitlines()
         assert hist[0] == "algorithm,bin_lower_pct,bin_upper_pct,experiments"
+        # a field left at null takes its annotated type
+        assert main(["--config", str(cfg), "--sweep", "workload.arrival_rate=5,10",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "workload_arrival_rate=10" / "summary.json").read_text())
+        assert summary["config"]["workload"]["arrival_rate"] == 10.0
 
     def test_sweep_requires_out(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "--sweep", "tasks_per_group=1,2"]) == 1
 
-    def test_sweep_rejects_bad_key(self, tmp_path):
+    def test_sweep_rejects_bad_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["--config", str(cfg), "--sweep", "nope=1",
                      "--out", str(tmp_path / "s")]) == 1
+        assert main(["--config", str(cfg), "--sweep", "batch=abc",
+                     "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "batch_size" in err
 
 
 class TestReproducibility:

@@ -215,6 +215,9 @@ class TestSweep:
         assert apply_sweep_value(cfg, "topology.link_probability", "0.8").topology.link_probability == 0.8
         assert apply_sweep_value(cfg, "algorithm", "soft_iso").algorithm == "soft_iso"
         assert apply_sweep_value(cfg, "retry_limit", "1").retry_limit == 1
+        # typed fields keep their type; an optional field takes its annotation's
+        assert repr(apply_sweep_value(cfg, "topology.link_probability", "1").topology.link_probability) == "1.0"
+        assert repr(apply_sweep_value(cfg, "workload.arrival_rate", "5").workload.arrival_rate) == "5.0"
 
     def test_invalid_key_rejected(self):
         with pytest.raises(ConfigError, match="no field"):
@@ -225,3 +228,7 @@ class TestSweep:
     def test_invalid_value_carries_field(self):
         with pytest.raises(ConfigError, match="batch_size"):
             apply_sweep_value(small_config(), "workload.batch_size", "0")
+        with pytest.raises(ConfigError, match="batch_size"):
+            apply_sweep_value(small_config(), "workload.batch_size", "abc")
+        with pytest.raises(ConfigError, match="arrival_rate"):
+            apply_sweep_value(small_config(), "workload.arrival_rate", "fast")

@@ -7,10 +7,11 @@ import random
 
 import pytest
 
+from qflow.allocators import SoftIsoConfig
 from qflow.matcher import enumerate_monomorphisms, pattern_order, workflow_monomorphisms
 from qflow.model import mapping_feasible
 
-from .conftest import chain_workflow, make_network, random_small_instance
+from .conftest import chain_workflow, make_network, random_small_instance, scenario_instances
 
 
 def brute_force_monomorphisms(pattern_size, pattern_edges, network, min_qubits=None):
@@ -124,10 +125,17 @@ class TestDeterminism:
 
 class TestMappingFeasible:
     def test_enumerated_mappings_pass_adjacency_by_construction(self):
+        # soft_iso accepts stream mappings unchecked, so every one up to its
+        # default budget must be injective and feasible on the preset draws
         rng = random.Random(5)
-        for _ in range(30):
-            wf, network = random_small_instance(rng)
-            for m in itertools.islice(workflow_monomorphisms(wf, network), 20):
+        instances = [(wf, network, 20) for wf, network in (random_small_instance(rng) for _ in range(30))]
+        for scenario in ("LP-LR", "LP-MR"):
+            for seed in range(3):
+                workflows, network = scenario_instances(scenario, seed, 5)
+                instances += [(wf, network, SoftIsoConfig().cap(len(wf.tasks))) for wf in workflows]
+        for wf, network, cap in instances:
+            for m in itertools.islice(workflow_monomorphisms(wf, network), int(cap)):
+                assert len(set(m.values())) == len(wf.tasks)
                 assert mapping_feasible(m, wf, network)
 
     def test_qubit_violation_detected(self):

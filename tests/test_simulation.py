@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from qflow import simulation
 from qflow.allocators import AllocationOutcome, greedy_dfs
 from qflow.costs import edge_communication_cost, fidelity, runtime_cost
 from qflow.model import Allocation, NetworkParams, WeightConfig, Workflow
@@ -23,7 +25,7 @@ def fixed_allocator(assignments: dict[str, dict[int, int]]):
     def call(workflow, network, sim_time):
         mapping = assignments.get(workflow.id)
         allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
-        return AllocationOutcome(allocation=allocation, candidates_examined=1, decision_time=0.0)
+        return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
     return call
 
@@ -201,7 +203,7 @@ class TestFailuresAndRetries:
             allocation = (
                 Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
             )
-            return AllocationOutcome(allocation=allocation, candidates_examined=1, decision_time=0.0)
+            return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
         state = run_simulation([blocked, late], net, scripted, PARAMS, retry_limit=3)
         assert ("blocked", 0.0) in seen and ("blocked", 1.0) in seen
@@ -232,7 +234,7 @@ def coin_allocator(seed: int, calls: list):
         calls.append((workflow.id, sim_time))
         mapping = {j: j for j in range(len(workflow.tasks))} if rng.random() < 0.4 else None
         allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
-        return AllocationOutcome(allocation=allocation, candidates_examined=1, decision_time=0.0)
+        return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
     return call
 
@@ -331,6 +333,24 @@ class TestMetrics:
         state = run_simulation([wf], net, fixed_allocator({"w": {0: 0, 1: 1}}), PARAMS)
         expected = workflow_network_cost(wf, {0: 0, 1: 1}, net, PARAMS)
         assert state.metrics.communication_overhead == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("failures", [0, 1, 3])
+    def test_decision_time_counts_every_invocation(self, monkeypatch, failures):
+        # a clock that ticks 1.0 per read makes each timed call last 1 s
+        ticks = itertools.count(0.0, 1.0)
+        monkeypatch.setattr(simulation, "perf_counter", lambda: next(ticks))
+        net = make_network([127], [])
+        wf = chain_workflow([5], wf_id="w", arrival=0.0)
+        script = [None] * failures + [{0: 0}]
+
+        def flaky(workflow, network, sim_time):
+            mapping = script.pop(0)
+            allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
+            return AllocationOutcome(allocation=allocation, candidates_examined=1)
+
+        state = run_simulation([wf], net, flaky, PARAMS, retry_limit=failures)
+        assert state.completed == [wf]
+        assert state.metrics.decision_time == failures + 1
 
 
 class TestQpuTimeDistribution:
