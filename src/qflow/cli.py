@@ -118,9 +118,10 @@ def _run_sweep(config: ExperimentConfig, sweep: str, out: Path) -> None:
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--sweep needs at least one value")
+    # every value is checked before the first sub-run writes anything
+    variants = [(value, apply_sweep_value(config, key, value)) for value in values]
     results = []
-    for value in values:
-        variant = apply_sweep_value(config, key, value)
+    for value, variant in variants:
         sub_dir = out / f"{key.replace('.', '_')}={value}"
         results.append(run_experiment(variant, out_dir=sub_dir))
         print(f"sweep {key}={value}: completion {results[-1].mean('completion_pct'):.2f}%")

@@ -15,16 +15,17 @@ comparable under lazy enumeration with early stopping.
 
 :func:`aggregate_cost` is the reference objective and returns every
 component. :class:`DecisionTable` evaluates one decision's terms once; the
-normalization bounds are read off it, and its scorer returns only the total
-of a candidate, equal as a float to ``aggregate_cost(...).total``. The
-cost-aware allocators build one table per decision and score every
-candidate or trial from it.
+normalization bounds are read off it. Its scorer returns only the total of
+a candidate, and its block scorer the totals of candidates that differ in
+one task's host, each equal as a float to ``aggregate_cost(...).total``.
+The cost-aware allocators build one table per decision and score every
+candidate, block or trial from it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .model import NetworkParams, QpuNode, ResourceNetwork, TaskSpec, WeightConfig, Workflow
@@ -293,6 +294,105 @@ class DecisionTable:
             return zeta * _clip01(availability / max_nat) + rest * (
                 alpha * _clip01(e / max_err) + beta * _clip01(r / max_run) + gamma * _clip01(net / max_net)
             )
+
+        return score
+
+    def block_scorer(
+        self, weights: WeightConfig, v: int
+    ) -> Callable[[Mapping[int, int], Sequence[int]], list[float]]:
+        """``score(prefix, hosts)`` lists, for each ``h`` in ``hosts``, the
+        float :meth:`scorer` returns for ``prefix`` plus task ``v`` on ``h``.
+
+        ``prefix`` maps every task but ``v``. The terms that do not depend on
+        ``v``'s host are folded once per call: the availability maximum over
+        the prefix, the error and runtime sums of the tasks before ``v``,
+        the terms of the tasks after ``v`` and the edge sum up to the first
+        sorted edge that touches ``v``. Per host only the remaining
+        additions run, in :meth:`scorer`'s order, so every float is equal.
+        Availability is folded after normalizing, since
+        ``f(max(a, b)) == max(f(a), f(b))`` for the monotone
+        ``f(x) = zeta * clip(x / max_nat)``.
+        """
+        err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
+        bounds = self.bounds
+        max_err = bounds.max_task_error_sum
+        max_run = bounds.max_task_runtime_sum
+        max_net = bounds.max_network_sum
+        zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
+        rest = 1.0 - zeta
+        wait = [zeta * _clip01(a / bounds.max_nat) for a in self.avail]
+        err_v, run_v, qlink_v = err[v], run[v], qlink[v]
+        before = [(err[j], run[j], j) for j in range(v)]
+        after = [(err[j], run[j], j) for j in range(v + 1, len(err))]
+        edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]
+        split = next((i for i, (a, b) in enumerate(self.edges) if v in (a, b)), len(edges))
+        head = edges[:split]
+        # From the first edge touching v on, each edge either touches v
+        # (kept: the other endpoint's row and task) or is a prefix constant.
+        tail = [
+            (q_b, b, c, None, None) if a == v else (q_a, a, c, None, None) if b == v else (q_a, a, c, q_b, b)
+            for q_a, q_b, a, b, c in edges[split:]
+        ]
+        first = tail.pop(0) if tail else None  # no edge at all: a one-task workflow
+
+        def score(prefix: Mapping[int, int], hosts: Sequence[int]) -> list[float]:
+            w = 0.0
+            for k in prefix.values():
+                x = wait[k]
+                if x > w:
+                    w = x
+            e = 0.0
+            r = 0.0
+            for err_j, run_j, j in before:
+                k = prefix[j]
+                e += err_j[k]
+                r += run_j[k]
+            net = 0.0
+            for q_a, q_b, a, b, c in head:
+                net += (q_a[prefix[a]] + q_b[prefix[b]]) / 2.0 + c
+            if first is None:
+                nets = [net] * len(hosts)
+            else:
+                q_a, a, c, _, _ = first
+                q = q_a[prefix[a]]
+                nets = [net + ((q + qlink_v[h]) / 2.0 + c) for h in hosts]
+            for q_a, a, c, q_b, b in tail:
+                q = q_a[prefix[a]]
+                if q_b is None:
+                    nets = [x + ((q + qlink_v[h]) / 2.0 + c) for x, h in zip(nets, hosts)]
+                else:
+                    t = (q + q_b[prefix[b]]) / 2.0 + c
+                    nets = [x + t for x in nets]
+            # _clip01 is inlined below: a call per term costs as much as the
+            # rest of the pass.
+            if not after:
+                # v is the last task, so its terms are the last additions
+                return [
+                    (x if (x := wait[h]) > w else w)
+                    + rest * (
+                        alpha * (0.0 if (x := (e + err_v[h]) / max_err) < 0.0 else 1.0 if x > 1.0 else x)
+                        + beta * (0.0 if (x := (r + run_v[h]) / max_run) < 0.0 else 1.0 if x > 1.0 else x)
+                        + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
+                    )
+                    for h, x_n in zip(hosts, nets)
+                ]
+            errs = [e + err_v[h] for h in hosts]
+            runs = [r + run_v[h] for h in hosts]
+            for err_j, run_j, j in after:
+                k = prefix[j]
+                e = err_j[k]
+                r = run_j[k]
+                errs = [x + e for x in errs]
+                runs = [x + r for x in runs]
+            return [
+                (x if (x := wait[h]) > w else w)
+                + rest * (
+                    alpha * (0.0 if (x := x_e / max_err) < 0.0 else 1.0 if x > 1.0 else x)
+                    + beta * (0.0 if (x := x_r / max_run) < 0.0 else 1.0 if x > 1.0 else x)
+                    + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
+                )
+                for h, x_e, x_r, x_n in zip(hosts, errs, runs, nets)
+            ]
 
         return score
 

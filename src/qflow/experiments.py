@@ -450,6 +450,12 @@ SWEEP_ALIASES = {
 }
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _replace_field(obj, name: str, raw_value: str):
     matching = [f for f in dataclasses.fields(obj) if f.name == name]
     if not matching:
@@ -460,7 +466,10 @@ def _replace_field(obj, name: str, raw_value: str):
     value: object
     try:
         if kind is bool:
-            value = raw_value.strip().lower() in ("1", "true", "yes", "on")
+            word = raw_value.strip().lower()
+            if word not in _BOOL_WORDS:
+                raise ValueError(f"expected one of {'/'.join(_BOOL_WORDS)}, got {raw_value!r}")
+            value = _BOOL_WORDS[word]
         elif kind in (int, float):
             value = kind(raw_value)
         else:

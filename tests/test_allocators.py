@@ -198,6 +198,41 @@ class TestSoftIsoReference:
         assert placed >= 4
 
 
+class TestSoftIsoStopRule:
+    """soft_iso scores whole blocks and walks one candidate at a time only
+    through blocks that improve the incumbent; where the stop rule and a
+    fractional budget bite often, every outcome still equals the loop over
+    single candidates."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SoftIsoConfig(),
+            SoftIsoConfig(thres_max=0.02, thres_prev=0.002),
+            SoftIsoConfig(thres_max=0.02, thres_prev=0.002, strict_pseudocode=True),
+            SoftIsoConfig(thres_max=math.inf, thres_prev=math.inf, counter_cap_base=2.5),
+        ],
+        ids=["default", "tight", "tight-strict", "fractional-cap"],
+    )
+    def test_matches_aggregate_cost_loop_on_random_instances(self, config):
+        rng = random.Random(808)
+        stopped_early = 0
+        for _ in range(250):
+            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            for node in network.nodes:
+                node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 2.0)])
+            sim_time = rng.uniform(0.0, 1.0)
+            assignment, examined, history, breakdown = reference_soft_iso(
+                wf, network, WEIGHTS, PARAMS, config, sim_time
+            )
+            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, sim_time)
+            assert outcome == reference_outcome(wf, assignment, examined, history, breakdown)
+            if assignment is not None:
+                assert list(outcome.allocation.assignment) == list(assignment)
+            stopped_early += examined < len(list(workflow_monomorphisms(wf, network)))
+        assert stopped_early >= 25
+
+
 class TestRandomAware:
     def test_complete_capacious_network_always_succeeds(self):
         wf = chain_workflow([5, 5, 5])

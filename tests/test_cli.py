@@ -127,6 +127,13 @@ class TestSweepMode:
                      "--out", str(tmp_path / "s")]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "batch_size" in err
+        # a misspelt boolean is an error, not a silent false, and is caught
+        # before any earlier value of the sweep runs
+        assert main(["--config", str(cfg), "--sweep", "dependency_gating=on,flase",
+                     "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "dependency_gating" in err
+        assert not (tmp_path / "b").exists()
 
 
 class TestReproducibility:

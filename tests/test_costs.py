@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qflow.costs import (
     DecisionTable,
+    NormalizationBounds,
     aggregate_cost,
     classical_link_cost,
     compute_bounds,
@@ -22,6 +23,7 @@ from qflow.costs import (
     runtime_cost,
     workflow_network_cost,
 )
+from qflow.matcher import workflow_monomorphism_blocks
 from qflow.model import NetworkParams, WeightConfig, Workflow
 
 from .conftest import chain_workflow, make_network, make_node, make_task
@@ -345,6 +347,91 @@ class TestCandidateScorer:
                     or ref.network_raw > bounds.max_network_sum
                 )
         assert clipped > 100  # the clipping branch is exercised, not just the interior
+
+
+class TestBlockScorer:
+    """Every float of ``block_scorer`` is the very float ``aggregate_cost``
+    returns for the same candidate, because soft_iso compares them with a
+    strict ``<`` and its digests cover the chosen assignments."""
+
+    @staticmethod
+    def decisions(rng):
+        from .conftest import random_small_instance, scenario_instances
+
+        for scenario in ("LP-LR", "LP-MR"):
+            for seed in range(2):
+                workflows, network = scenario_instances(scenario, seed, 3)
+                for wf in workflows:
+                    yield wf, network, NetworkParams(), WeightConfig(), wf.arrival_time + 0.5
+        for _ in range(120):
+            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            params = NetworkParams(
+                success_probability=rng.uniform(0.1, 1.0),
+                transmission_efficiency=rng.uniform(0.2, 1.0),
+                switch_count=rng.randint(0, 3),
+                classical_latency=rng.uniform(0.0, 0.05),
+            )
+            alpha = rng.random()
+            beta = rng.random() * (1.0 - alpha)
+            weights = WeightConfig(
+                zeta=rng.choice([0.0, 0.5, 1.0]), alpha=alpha, beta=beta, gamma=1.0 - alpha - beta
+            )
+            yield wf, network, params, weights, rng.uniform(0.05, 1.5)
+
+    @staticmethod
+    def blocks(rng, wf, network):
+        """The matcher's own blocks (last vertex in visit order), then for
+        every task v random injective prefixes with every free node as a
+        host; prefix keys are shuffled, since scoring must not read them in
+        order."""
+        leaves = 0
+        for prefix, v, hosts in workflow_monomorphism_blocks(wf, network):
+            yield dict(prefix), v, list(hosts)
+            leaves += len(hosts)
+            if leaves >= 300:
+                break
+        n_nodes = len(network.nodes)
+        for v in range(len(wf.tasks)):
+            for _ in range(3):
+                nodes = rng.sample(range(n_nodes), len(wf.tasks))
+                others = [j for j in range(len(wf.tasks)) if j != v]
+                rng.shuffle(others)
+                prefix = {j: nodes[j] for j in others}
+                yield prefix, v, sorted(set(range(n_nodes)) - set(prefix.values()))
+
+    @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
+    def test_equals_aggregate_cost_total_on_every_leaf(self, shrink):
+        rng = random.Random(515)
+        leaves = clipped = 0
+        last_vertices = set()
+        for wf, network, params, weights, sim_time in self.decisions(rng):
+            table = DecisionTable(wf, network, params, sim_time)
+            b = table.bounds
+            # halved bounds push raw sums above them, so the > 1 clip runs
+            table.bounds = bounds = NormalizationBounds(
+                b.max_nat * shrink, b.max_task_error_sum * shrink,
+                b.max_task_runtime_sum * shrink, b.max_network_sum * shrink,
+            )
+            scorers = [table.block_scorer(weights, v) for v in range(len(wf.tasks))]
+            for prefix, v, hosts in self.blocks(rng, wf, network):
+                costs = scorers[v](prefix, hosts)
+                assert len(costs) == len(hosts)
+                for h, cost in zip(hosts, costs):
+                    candidate = [h if j == v else prefix[j] for j in range(len(wf.tasks))]
+                    ref = aggregate_cost(wf, candidate, network, weights, params, bounds, sim_time)
+                    assert cost == ref.total
+                    leaves += 1
+                    clipped += (
+                        ref.availability_raw > bounds.max_nat
+                        or ref.error_raw > bounds.max_task_error_sum
+                        or ref.runtime_raw > bounds.max_task_runtime_sum
+                        or ref.network_raw > bounds.max_network_sum
+                    )
+                last_vertices.add((len(wf.tasks), v))
+        assert leaves > 8_000
+        assert {(5, v) for v in range(5)} <= last_vertices
+        if shrink < 1.0:
+            assert clipped > leaves // 2  # the clip branch is exercised, not just the interior
 
 
 class TestComputeBounds:

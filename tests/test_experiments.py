@@ -218,6 +218,8 @@ class TestSweep:
         # typed fields keep their type; an optional field takes its annotation's
         assert repr(apply_sweep_value(cfg, "topology.link_probability", "1").topology.link_probability) == "1.0"
         assert repr(apply_sweep_value(cfg, "workload.arrival_rate", "5").workload.arrival_rate) == "5.0"
+        assert apply_sweep_value(cfg, "dependency_gating", "Off").dependency_gating is False
+        assert apply_sweep_value(cfg, "dependency_gating", " yes ").dependency_gating is True
 
     def test_invalid_key_rejected(self):
         with pytest.raises(ConfigError, match="no field"):
@@ -232,3 +234,5 @@ class TestSweep:
             apply_sweep_value(small_config(), "workload.batch_size", "abc")
         with pytest.raises(ConfigError, match="arrival_rate"):
             apply_sweep_value(small_config(), "workload.arrival_rate", "fast")
+        with pytest.raises(ConfigError, match="dependency_gating"):
+            apply_sweep_value(small_config(), "dependency_gating", "flase")

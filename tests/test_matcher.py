@@ -8,7 +8,13 @@ import random
 import pytest
 
 from qflow.allocators import SoftIsoConfig
-from qflow.matcher import enumerate_monomorphisms, pattern_order, workflow_monomorphisms
+from qflow.matcher import (
+    enumerate_monomorphism_blocks,
+    enumerate_monomorphisms,
+    pattern_order,
+    workflow_monomorphism_blocks,
+    workflow_monomorphisms,
+)
 from qflow.model import mapping_feasible
 
 from .conftest import chain_workflow, make_network, random_small_instance, scenario_instances
@@ -25,6 +31,53 @@ def brute_force_monomorphisms(pattern_size, pattern_edges, network, min_qubits=N
         if ok:
             found.append({v: tup[v] for v in range(pattern_size)})
     return found
+
+
+def reference_monomorphisms(pattern_size, pattern_edges, host, min_qubits=None):
+    """Reference for the block search: a plain list-domain backtracker that
+    yields one dict per leaf, keyed in visit order, with hosts ascending
+    along the visit order."""
+    edges = {(min(a, b), max(a, b)) for a, b in pattern_edges}
+    order = pattern_order(pattern_size, edges)
+    adj = {i: set() for i in range(pattern_size)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    domain = [
+        [h for h, node in enumerate(host.nodes) if min_qubits is None or node.qubits >= min_qubits[v]]
+        for v in range(pattern_size)
+    ]
+    adjacency = host.adjacency()
+    neighbours = [frozenset(adjacency[h]) for h in range(len(host.nodes))]
+    depth_of = {v: d for d, v in enumerate(order)}
+    earlier = [[p for p in adj[v] if depth_of[p] < d] for d, v in enumerate(order)]
+    last = pattern_size - 1
+    mapping = {}
+    used = set()
+
+    def extend(depth):
+        v = order[depth]
+        pool = domain[v]
+        for p in earlier[depth]:
+            linked = neighbours[mapping[p]]
+            pool = [h for h in pool if h in linked]
+        if depth == last:
+            for h in pool:
+                if h not in used:
+                    mapping[v] = h
+                    yield dict(mapping)
+            mapping.pop(v, None)
+            return
+        for h in pool:
+            if h in used:
+                continue
+            mapping[v] = h
+            used.add(h)
+            yield from extend(depth + 1)
+            del mapping[v]
+            used.remove(h)
+
+    return extend(0)
 
 
 class TestExamples:
@@ -103,6 +156,62 @@ class TestOracleEquivalence:
                 assert key not in seen
                 seen.add(key)
                 assert len(set(m.values())) == len(m)
+
+
+class TestBlockStream:
+    """The block search, flattened, is the reference backtracker's stream,
+    down to the key order of every dict."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(77)
+        for _ in range(150):
+            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            yield wf, network, None
+        for scenario in ("LP-LR", "LP-MR"):
+            for seed in range(2):
+                workflows, network = scenario_instances(scenario, seed, 4)
+                for wf in workflows:
+                    yield wf, network, 30_000
+
+    def test_flattened_blocks_equal_reference_stream(self):
+        compared = 0
+        for wf, network, limit in self.instances():
+            caps = [t.qubits for t in wf.tasks]
+            for got, ref in (
+                (workflow_monomorphisms(wf, network),
+                 reference_monomorphisms(len(wf.tasks), wf.skeleton(), network, caps)),
+                (enumerate_monomorphisms(len(wf.tasks), wf.skeleton(), network),
+                 reference_monomorphisms(len(wf.tasks), wf.skeleton(), network)),
+            ):
+                got = list(itertools.islice(got, limit))
+                ref = list(itertools.islice(ref, limit))
+                assert got == ref
+                assert [list(m) for m in got] == [list(m) for m in ref]
+                compared += len(ref)
+        assert compared > 100_000
+
+    def test_blocks_are_nonempty_ascending_and_share_one_leaf(self):
+        blocks = 0
+        for wf, network, limit in self.instances():
+            order = pattern_order(len(wf.tasks), wf.skeleton())
+            leaves = 0
+            for prefix, v, hosts in workflow_monomorphism_blocks(wf, network):
+                assert v == order[-1]
+                assert list(prefix) == order[:-1]
+                assert hosts and hosts == sorted(set(hosts))
+                assert not set(hosts) & set(prefix.values())
+                blocks += 1
+                leaves += len(hosts)
+                if limit is not None and leaves >= limit:
+                    break
+        assert blocks > 1_000
+
+    def test_single_vertex_pattern_is_one_block(self):
+        host = make_network([5, 3, 5, 5], [(0, 1), (1, 2), (2, 3)])
+        assert list(enumerate_monomorphism_blocks(1, [], host)) == [({}, 0, [0, 1, 2, 3])]
+        assert list(enumerate_monomorphism_blocks(1, [], host, min_qubits=[4])) == [({}, 0, [0, 2, 3])]
+        assert list(enumerate_monomorphism_blocks(1, [], host, min_qubits=[6])) == []
 
 
 class TestDeterminism:
