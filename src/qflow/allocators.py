@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .costs import DecisionTable, aggregate_cost, compute_bounds
+from .costs import CostBreakdown, DecisionTable, aggregate_cost, compute_bounds
 # workflow_monomorphisms is not called here; it stays bound because
 # perfbench's tracer times the matcher by swapping this name.
 from .matcher import workflow_monomorphism_blocks, workflow_monomorphisms
@@ -58,10 +58,10 @@ class SoftIsoConfig:
     strict_pseudocode: bool = False
 
     def __post_init__(self):
-        if self.thres_max < 0 or self.thres_prev < 0:
-            raise ValueError("thresholds must be >= 0")
-        if self.counter_cap_base < 1:
-            raise ValueError("counter_cap_base must be >= 1")
+        if not (self.thres_max >= 0 and self.thres_prev >= 0):
+            raise ValueError("thresholds must be >= 0, not NaN")
+        if not self.counter_cap_base >= 1:
+            raise ValueError("counter_cap_base must be >= 1, not NaN")
 
     def cap(self, n_tasks: int) -> float:
         return self.counter_cap_base ** n_tasks
@@ -116,8 +116,8 @@ def soft_iso(
     the incumbent cannot stop the search, so it only updates the maximum
     and previous costs; any other block is walked candidate by candidate
     with the rule above. The outcome, including the incumbent's key order,
-    is that of a walk over single candidates. The full breakdown is
-    computed for the final incumbent only.
+    is that of a walk over single candidates. The final incumbent's
+    breakdown is read from the same table.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
@@ -166,7 +166,8 @@ def soft_iso(
         if stop:
             break
 
-    return _scored_outcome(workflow, network, weights, params, sim_time, table, incumbent, examined, history)
+    best = table.breakdown(incumbent, weights) if incumbent is not None else None
+    return _outcome(workflow, incumbent, best, examined, history)
 
 
 def random_aware(
@@ -186,32 +187,30 @@ def random_aware(
     trials buy better placements at linear extra cost. A trial whose
     candidate pool runs empty counts as an infeasible trial.
 
-    Trials are scored from one per-decision :class:`DecisionTable`, which
-    also supplies the normalization bounds, so every term is evaluated once
-    per decision; the full breakdown is computed for the final incumbent
-    only.
+    Each task's pool of qubit-fitting nodes is listed once per decision,
+    and a trial draws from it the nodes not used yet, in ascending order.
+    Trials are scored by the :meth:`DecisionTable.breakdown` of one
+    per-decision table, which also supplies the normalization bounds; the
+    incumbent keeps its trial's breakdown.
     """
     rng = random.Random(rng_seed)
-    n_tasks = len(workflow.tasks)
+    tasks = workflow.tasks
     table = DecisionTable(workflow, network, params, sim_time)
-    score = table.scorer(weights)
-    order = sorted(range(n_tasks), key=lambda j: (workflow.tasks[j].qubits, j))
+    order = sorted(range(len(tasks)), key=lambda j: (tasks[j].qubits, j))
+    fits = [[k for k, node in enumerate(network.nodes) if node.qubits >= task.qubits] for task in tasks]
 
     mincost = math.inf
     incumbent: dict[int, int] | None = None
+    best = None
     history: list[float] = []
     trials = 0
-    for _ in range(n_tasks * trial_multiplier):
+    for _ in range(len(tasks) * trial_multiplier):
         trials += 1
         assignment: dict[int, int] = {}
         used: set[int] = set()
         aborted = False
         for j in order:
-            pool = [
-                k
-                for k, node in enumerate(network.nodes)
-                if node.qubits >= workflow.tasks[j].qubits and k not in used
-            ]
+            pool = [k for k in fits[j] if k not in used]
             if not pool:
                 aborted = True
                 break
@@ -220,32 +219,27 @@ def random_aware(
             used.add(pick)
         if aborted:
             continue
-        cost = score(assignment)
-        if cost < mincost and mapping_feasible(assignment, workflow, network):
-            mincost = cost
+        cost = table.breakdown(assignment, weights)
+        if cost.total < mincost and mapping_feasible(assignment, workflow, network):
+            mincost = cost.total
             incumbent = assignment
-            history.append(cost)
+            best = cost
+            history.append(mincost)
 
-    return _scored_outcome(workflow, network, weights, params, sim_time, table, incumbent, trials, history)
+    return _outcome(workflow, incumbent, best, trials, history)
 
 
-def _scored_outcome(
+def _outcome(
     workflow: Workflow,
-    network: ResourceNetwork,
-    weights: WeightConfig,
-    params: NetworkParams,
-    sim_time: float,
-    table: DecisionTable,
     incumbent: dict[int, int] | None,
+    breakdown: CostBreakdown | None,
     examined: int,
     history: list[float],
 ) -> AllocationOutcome:
     """The outcome of a table-scored search: the incumbent, if any, with its
-    full :func:`aggregate_cost` breakdown under the table's bounds."""
+    breakdown."""
     allocation = None
     if incumbent is not None:
-        candidate = [incumbent[j] for j in range(len(workflow.tasks))]
-        breakdown = aggregate_cost(workflow, candidate, network, weights, params, table.bounds, sim_time)
         allocation = Allocation(workflow_id=workflow.id, assignment=incumbent, cost_breakdown=breakdown)
     return AllocationOutcome(allocation, examined, tuple(history))
 

@@ -14,12 +14,20 @@ Normalization divides each raw component by a per-decision upper bound
 comparable under lazy enumeration with early stopping.
 
 :func:`aggregate_cost` is the reference objective and returns every
-component. :class:`DecisionTable` evaluates one decision's terms once; the
-normalization bounds are read off it. Its scorer returns only the total of
-a candidate, and its block scorer the totals of candidates that differ in
-one task's host, each equal as a float to ``aggregate_cost(...).total``.
-The cost-aware allocators build one table per decision and score every
-candidate, block or trial from it.
+component. :class:`DecisionTable` holds one decision's terms; the
+normalization bounds are read off it. Its :meth:`~DecisionTable.breakdown`
+returns a candidate's breakdown and its block scorer the totals of
+candidates that differ in one task's host, each equal as a float to
+``aggregate_cost(...)``'s. The cost-aware allocators build one table per
+decision and score every candidate, block or trial from it.
+
+The error, runtime, quantum-link and classical terms of a task depend only
+on the task, the node calibration and the :class:`NetworkParams`, none of
+which changes during a run. Each :class:`ResourceNetwork` therefore keeps
+them in a term cache keyed by ``(TaskSpec, NetworkParams)``, evaluated on a
+task's first decision and read by every later one: at most distinct tasks x
+nodes terms of each kind per parameter set. A table computes only the
+availability column, the sorted edges and the bounds.
 """
 
 from __future__ import annotations
@@ -189,6 +197,19 @@ def aggregate_cost(
     assignment = {j: candidate_nodes[j] for j in range(len(workflow.tasks))}
     net = workflow_network_cost(workflow, assignment, network, params, require_links=False)
 
+    return _normalized(availability, err, runtime, net, bounds, weights)
+
+
+def _normalized(
+    availability: float,
+    err: float,
+    runtime: float,
+    net: float,
+    bounds: NormalizationBounds,
+    weights: WeightConfig,
+) -> CostBreakdown:
+    """The breakdown of the raw sums: each clipped to [0, 1] against its
+    bound, then weighted into the total."""
     a_norm = _clip01(availability / bounds.max_nat)
     e_norm = _clip01(err / bounds.max_task_error_sum)
     r_norm = _clip01(runtime / bounds.max_task_runtime_sum)
@@ -209,8 +230,42 @@ def aggregate_cost(
     )
 
 
+@dataclass(frozen=True, slots=True)
+class TaskTerms:
+    """The static cost terms of one task on every node of one network under
+    one :class:`NetworkParams`.
+
+    ``err``, ``run`` and ``qlink`` hold the task's error, runtime and
+    quantum-link term per node; ``clink`` is its classical term.
+    ``fit_max`` is the (error, runtime, ``qlink + clink``) maxima over the
+    nodes that fit the task's qubits, ``None`` when none does;
+    ``all_max`` the same maxima over every node.
+    """
+
+    err: tuple[float, ...]
+    run: tuple[float, ...]
+    qlink: tuple[float, ...]
+    clink: float
+    fit_max: tuple[float, float, float] | None
+    all_max: tuple[float, float, float]
+
+
+def _task_terms(task: TaskSpec, nodes: Sequence[QpuNode], params: NetworkParams) -> TaskTerms:
+    err = tuple(error_cost(task, n) for n in nodes)
+    run = tuple(runtime_cost(task, n) for n in nodes)
+    qlink = tuple(quantum_link_cost(task, n, params) for n in nodes)
+    clink = classical_link_cost(task, params)
+    rows = [(err[k], run[k], qlink[k] + clink) for k in range(len(nodes))]
+    fits = [row for row, n in zip(rows, nodes) if task.qubits <= n.qubits]
+    return TaskTerms(
+        err, run, qlink, clink,
+        fit_max=tuple(map(max, zip(*fits))) if fits else None,
+        all_max=tuple(map(max, zip(*rows))),
+    )
+
+
 class DecisionTable:
-    """Every cost term of one decision, each evaluated once.
+    """Every cost term of one decision.
 
     Holds the error, runtime and quantum-link terms per (task, node), the
     classical term per task, the clipped availability per node, the sorted
@@ -221,6 +276,15 @@ class DecisionTable:
     availability bound is the largest backlog. When no pair satisfies the
     qubit constraint the worst cases range over all pairs, and every bound
     is floored at ``BOUND_FLOOR`` so normalization never divides by zero.
+
+    The per-task rows and maxima depend only on the task, the node
+    calibration and the link parameters, so they come from the network's
+    term cache (:meth:`ResourceNetwork.term_cache`), keyed by
+    ``(NetworkParams, TaskSpec)``: one :class:`TaskTerms` per distinct
+    task, so at most distinct tasks x nodes terms of each kind per
+    parameter set. Only the availability column, the sorted edges and the
+    bounds (maxima of the per-task maxima, the same floats as maxima over
+    the pairs) are computed per decision.
     """
 
     def __init__(
@@ -230,85 +294,69 @@ class DecisionTable:
         params: NetworkParams,
         sim_time: float = 0.0,
     ):
-        tasks = workflow.tasks
-        nodes = network.nodes
-        self.err = [[error_cost(t, n) for n in nodes] for t in tasks]
-        self.run = [[runtime_cost(t, n) for n in nodes] for t in tasks]
-        self.qlink = [[quantum_link_cost(t, n, params) for n in nodes] for t in tasks]
-        self.clink = [classical_link_cost(t, params) for t in tasks]
-        self.avail = [max(n.next_available_time - sim_time, 0.0) for n in nodes]
+        cache = network.term_cache(params)
+        terms = []
+        for task in workflow.tasks:
+            entry = cache.get(task)
+            if entry is None:
+                entry = cache[task] = _task_terms(task, network.nodes, params)
+            terms.append(entry)
+        self.err = [t.err for t in terms]
+        self.run = [t.run for t in terms]
+        self.qlink = [t.qlink for t in terms]
+        self.clink = [t.clink for t in terms]
+        self.avail = [max(n.next_available_time - sim_time, 0.0) for n in network.nodes]
         self.edges = sorted(workflow.skeleton())
 
-        pairs = [
-            (j, k)
-            for j, t in enumerate(tasks)
-            for k, n in enumerate(nodes)
-            if t.qubits <= n.qubits
-        ] or [(j, k) for j in range(len(tasks)) for k in range(len(nodes))]
-        n_tasks = len(tasks)
+        worst = [t.fit_max for t in terms if t.fit_max is not None] or [t.all_max for t in terms]
+        max_err, max_run, max_net = map(max, zip(*worst))
+        n_tasks = len(terms)
         self.bounds = NormalizationBounds(
             max_nat=max(max(self.avail, default=0.0), BOUND_FLOOR),
-            max_task_error_sum=max(n_tasks * max(self.err[j][k] for j, k in pairs), BOUND_FLOOR),
-            max_task_runtime_sum=max(n_tasks * max(self.run[j][k] for j, k in pairs), BOUND_FLOOR),
-            max_network_sum=max(
-                len(self.edges) * max(self.qlink[j][k] + self.clink[j] for j, k in pairs),
-                BOUND_FLOOR,
-            ),
+            max_task_error_sum=max(n_tasks * max_err, BOUND_FLOOR),
+            max_task_runtime_sum=max(n_tasks * max_run, BOUND_FLOOR),
+            max_network_sum=max(len(self.edges) * max_net, BOUND_FLOOR),
         )
 
-    def scorer(self, weights: WeightConfig) -> Callable[[Sequence[int]], float]:
-        """``score(candidate)`` is the same float as
-        ``aggregate_cost(workflow, candidate, ..., self.bounds, sim_time).total``.
+    def breakdown(self, candidate: Sequence[int] | Mapping[int, int], weights: WeightConfig) -> CostBreakdown:
+        """The breakdown :func:`aggregate_cost` returns for ``candidate``
+        under this table's bounds, equal float for float.
 
-        Each call performs exactly the additions of :func:`aggregate_cost`
-        in the same order (tasks ascending, then sorted edges), because a
-        strict-``<`` argmin over many candidates can flip on one ulp of
-        reordering. ``candidate[j]`` is task j's node index; a list or a
-        task-indexed dict both work.
+        The additions run in :func:`aggregate_cost`'s order (tasks
+        ascending, then sorted edges), because a strict-``<`` argmin over
+        many candidates can flip on one ulp of reordering.
+        ``candidate[j]`` is task j's node index; a list or a task-indexed
+        dict both work.
         """
         avail, qlink, clink = self.avail, self.qlink, self.clink
-        edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]
-        rows = list(zip(range(len(self.err)), self.err, self.run))
-        bounds = self.bounds
-        max_nat = bounds.max_nat
-        max_err = bounds.max_task_error_sum
-        max_run = bounds.max_task_runtime_sum
-        max_net = bounds.max_network_sum
-        zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
-        rest = 1.0 - zeta
-
-        def score(candidate: Sequence[int]) -> float:
-            availability = 0.0
-            e = 0.0
-            r = 0.0
-            for j, err_j, run_j in rows:
-                k = candidate[j]
-                wait = avail[k]
-                if wait > availability:  # as max(availability, wait)
-                    availability = wait
-                e += err_j[k]
-                r += run_j[k]
-            net = 0.0
-            for q_a, q_b, a, b, c in edges:
-                net += (q_a[candidate[a]] + q_b[candidate[b]]) / 2.0 + c
-            return zeta * _clip01(availability / max_nat) + rest * (
-                alpha * _clip01(e / max_err) + beta * _clip01(r / max_run) + gamma * _clip01(net / max_net)
-            )
-
-        return score
+        availability = 0.0
+        e = 0.0
+        r = 0.0
+        for j, (err_j, run_j) in enumerate(zip(self.err, self.run)):
+            k = candidate[j]
+            wait = avail[k]
+            if wait > availability:  # as max(availability, wait)
+                availability = wait
+            e += err_j[k]
+            r += run_j[k]
+        net = 0.0
+        for a, b in self.edges:
+            net += (qlink[a][candidate[a]] + qlink[b][candidate[b]]) / 2.0 + (clink[a] + clink[b]) / 2.0
+        return _normalized(availability, e, r, net, self.bounds, weights)
 
     def block_scorer(
         self, weights: WeightConfig, v: int
     ) -> Callable[[Mapping[int, int], Sequence[int]], list[float]]:
         """``score(prefix, hosts)`` lists, for each ``h`` in ``hosts``, the
-        float :meth:`scorer` returns for ``prefix`` plus task ``v`` on ``h``.
+        total :meth:`breakdown` returns for ``prefix`` plus task ``v`` on
+        ``h``.
 
         ``prefix`` maps every task but ``v``. The terms that do not depend on
         ``v``'s host are folded once per call: the availability maximum over
         the prefix, the error and runtime sums of the tasks before ``v``,
         the terms of the tasks after ``v`` and the edge sum up to the first
         sorted edge that touches ``v``. Per host only the remaining
-        additions run, in :meth:`scorer`'s order, so every float is equal.
+        additions run, in :meth:`breakdown`'s order, so every float is equal.
         Availability is folded after normalizing, since
         ``f(max(a, b)) == max(f(a), f(b))`` for the monotone
         ``f(x) = zeta * clip(x / max_nat)``.

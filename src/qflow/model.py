@@ -2,12 +2,17 @@
 
 All types are immutable value records except :class:`QpuNode`, whose queue
 state (``next_available_time`` and ``queue``) is mutated by the simulation
-engine only. A single simulation run is single-threaded; independent runs
-may share nothing and can execute in parallel.
+engine only. A node's calibration is never mutated after its network is
+built: each :class:`ResourceNetwork` caches the cost terms derived from it
+(:meth:`ResourceNetwork.term_cache`), and the cache relies on that. Freezing
+the node, with availability held by the simulator, waits on the benchmark,
+which reads the queue fields. A single simulation run is single-threaded;
+independent runs may share nothing and can execute in parallel.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -132,7 +137,10 @@ class QpuNode:
     Error rates are probabilities in [0, 1); runtimes and coherence times are
     seconds; ``d1cps`` is depth-1 circuit layers per second (the device speed
     figure). ``next_available_time`` is monotonically nondecreasing over a
-    simulation run.
+    simulation run. The calibration fields must not change once the node
+    is in a network, whose term cache was evaluated from them; only the
+    queue state is live. The class is not frozen only because of that
+    queue state.
     """
 
     id: str
@@ -204,6 +212,21 @@ class ResourceNetwork:
             object.__setattr__(self, "_adjacency", cached)
         return cached
 
+    def term_cache(self, params: NetworkParams) -> dict:
+        """The store, keyed by :class:`TaskSpec`, in which
+        :class:`qflow.costs.DecisionTable` keeps the static cost terms of
+        tasks on these nodes under ``params``; created empty on first use
+        and kept for the network's life. Sound because node calibration is
+        never mutated after the network is built."""
+        caches = getattr(self, "_term_caches", None)
+        if caches is None:
+            caches = {}
+            object.__setattr__(self, "_term_caches", caches)
+        cache = caches.get(params)
+        if cache is None:
+            cache = caches[params] = {}
+        return cache
+
     def is_connected(self) -> bool:
         n = len(self.nodes)
         seen = {0}
@@ -222,8 +245,12 @@ class NetworkParams:
     """Link-model parameters shared by every link in the network.
 
     ``transmission_efficiency`` is a dimensionless linear factor by default
-    (1.0 makes the switch attenuation term vanish). Set ``eta_in_db`` to
-    interpret the value as decibels instead.
+    (1.0 makes the switch attenuation term vanish) and must be > 0. Set
+    ``eta_in_db`` to interpret the value as decibels instead: any finite
+    value, 0 dB being lossless and a loss negative. NaN is rejected in
+    either mode, as it is for ``classical_latency``, and so is a value
+    whose attenuation ``eta_linear ** switch_count`` overflows or
+    underflows to zero.
     """
 
     success_probability: float = 0.5
@@ -235,11 +262,20 @@ class NetworkParams:
     def __post_init__(self):
         if not 0.0 <= self.success_probability <= 1.0:
             raise ValueError("success_probability must be in [0, 1]")
-        if self.transmission_efficiency <= 0:
+        if self.eta_in_db:
+            if not math.isfinite(self.transmission_efficiency):
+                raise ValueError("transmission_efficiency must be finite in dB")
+        elif not self.transmission_efficiency > 0:
             raise ValueError("transmission_efficiency must be > 0")
         if self.switch_count < 0:
             raise ValueError("switch_count must be >= 0")
-        if self.classical_latency < 0:
+        try:
+            attenuation = self.eta_linear ** self.switch_count
+        except OverflowError:
+            attenuation = math.inf
+        if not 0.0 < attenuation < math.inf:
+            raise ValueError("transmission_efficiency ** switch_count must be a positive finite float")
+        if not self.classical_latency >= 0:
             raise ValueError("classical_latency must be >= 0")
 
     @property

@@ -93,8 +93,10 @@ def run_simulation(
 ) -> SimState:
     """Run one workload through the pipeline and return the final state.
 
-    The passed network is mutated in place (queue state); hand each run its
-    own network. Metrics follow the evaluation conventions: execution time
+    The passed network's queue state is mutated in place; hand each run its
+    own network. Its calibration is not touched, so the cost terms the
+    allocators cache on the network stay valid across the run's decisions
+    and retries, and only availability is read afresh at each decision. Metrics follow the evaluation conventions: execution time
     is the workload makespan, wait time sums per-task (start - arrival),
     fidelity averages over allocated tasks, communication overhead sums the
     raw per-workflow network cost, decision time sums the wall-clock time

@@ -135,6 +135,17 @@ class TestSweepMode:
         assert "config error" in err and "dependency_gating" in err
         assert not (tmp_path / "b").exists()
 
+    def test_sweep_rejects_nan(self, tmp_path, capsys):
+        # a NaN cost beats no incumbent and a NaN threshold never stops the
+        # search, so both runs would finish with a quietly wrong result
+        for key in ("params.classical_latency", "params.transmission_efficiency", "soft_config.thres_max"):
+            out = tmp_path / key
+            assert main(["--algo", "soft_iso", "--reps", "1", "--no-timing",
+                         "--sweep", f"{key}=nan", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and key.split(".")[1] in err
+            assert not out.exists()
+
 
 class TestReproducibility:
     def test_cli_outputs_byte_identical(self, tmp_path):

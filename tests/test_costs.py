@@ -31,6 +31,41 @@ from .conftest import chain_workflow, make_network, make_node, make_task
 getcontext().prec = 50
 
 
+def fresh_terms(wf, network, params, sim_time):
+    """One decision's terms and bounds evaluated afresh from the term
+    functions, the bounds taken over the qubit-feasible (task, node) pairs,
+    or over all pairs when none fits: what a cached table must equal."""
+    tasks, nodes = wf.tasks, network.nodes
+    err = [tuple(error_cost(t, n) for n in nodes) for t in tasks]
+    run = [tuple(runtime_cost(t, n) for n in nodes) for t in tasks]
+    qlink = [tuple(quantum_link_cost(t, n, params) for n in nodes) for t in tasks]
+    clink = [classical_link_cost(t, params) for t in tasks]
+    avail = [max(n.next_available_time - sim_time, 0.0) for n in nodes]
+    pairs = [
+        (j, k) for j, t in enumerate(tasks) for k, n in enumerate(nodes) if t.qubits <= n.qubits
+    ] or [(j, k) for j in range(len(tasks)) for k in range(len(nodes))]
+    bounds = NormalizationBounds(
+        max_nat=max(max(avail, default=0.0), 1e-12),
+        max_task_error_sum=max(len(tasks) * max(err[j][k] for j, k in pairs), 1e-12),
+        max_task_runtime_sum=max(len(tasks) * max(run[j][k] for j, k in pairs), 1e-12),
+        max_network_sum=max(
+            len(wf.skeleton()) * max(qlink[j][k] + clink[j] for j, k in pairs), 1e-12
+        ),
+    )
+    return err, run, qlink, clink, avail, bounds
+
+
+def assert_fresh(table, wf, network, params, sim_time):
+    err, run, qlink, clink, avail, bounds = fresh_terms(wf, network, params, sim_time)
+    assert table.err == err
+    assert table.run == run
+    assert table.qlink == qlink
+    assert table.clink == clink
+    assert table.avail == avail
+    assert table.edges == sorted(wf.skeleton())
+    assert table.bounds == bounds
+
+
 def decimal_error(e1: str, e2: str, er: str, depth: int, g2: int, qubits: int) -> Decimal:
     """Independent 50-digit evaluation of the execution-error formula."""
     survival = (
@@ -309,8 +344,9 @@ class TestAggregateCost:
 
 class TestCandidateScorer:
     def test_equals_aggregate_cost_total_exactly(self):
-        # soft_iso keeps a candidate only when it is strictly cheaper, so the
-        # table scorer must return the very float aggregate_cost returns.
+        # the allocators keep a candidate only when it is strictly cheaper,
+        # so the table's breakdown must hold the very floats aggregate_cost
+        # returns, the total included.
         from .conftest import random_small_instance
 
         rng = random.Random(2024)
@@ -332,21 +368,75 @@ class TestCandidateScorer:
                 zeta=rng.choice([0.0, 0.5, 1.0]), alpha=alpha, beta=beta, gamma=1.0 - alpha - beta
             )
             table = DecisionTable(wf, network, params, sim_time)
-            assert table.bounds == compute_bounds(wf, network, params, sim_time)
+            assert_fresh(table, wf, network, params, sim_time)
             bounds = table.bounds
-            score = table.scorer(weights)
             for _ in range(20):
                 # any injective candidate: links and qubit capacity are ignored
                 candidate = rng.sample(range(len(network.nodes)), len(wf.tasks))
                 ref = aggregate_cost(wf, candidate, network, weights, params, bounds, sim_time)
-                assert score(candidate) == ref.total
-                assert score(dict(enumerate(candidate))) == ref.total
+                assert table.breakdown(candidate, weights) == ref
+                assert table.breakdown(dict(enumerate(candidate)), weights) == ref
                 clipped += (
                     ref.error_raw > bounds.max_task_error_sum
                     or ref.runtime_raw > bounds.max_task_runtime_sum
                     or ref.network_raw > bounds.max_network_sum
                 )
         assert clipped > 100  # the clipping branch is exercised, not just the interior
+
+
+class TestTermCache:
+    """A network's cached terms stay what a fresh evaluation gives, after a
+    run has advanced its queues and under every link-parameter set."""
+
+    @staticmethod
+    def networks(rng):
+        from .conftest import random_small_instance, scenario_instances
+
+        for scenario in ("LP-LR", "LP-MR"):
+            for seed in range(2):
+                yield scenario_instances(scenario, seed, 12)
+        for i in range(40):
+            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            others = [random_small_instance(rng, max_tasks=5)[0] for _ in range(5)]
+            workflows = [
+                dataclasses.replace(w, id=f"wf{i}-{k}", arrival_time=0.1 * k)
+                for k, w in enumerate([wf, *others])
+            ]
+            yield workflows, network
+
+    def test_rows_and_bounds_equal_fresh_evaluation(self):
+        from qflow.allocators import SoftIsoConfig
+        from qflow.simulation import make_allocator, run_simulation
+
+        rng = random.Random(808)
+        run_params = NetworkParams()
+        other_params = NetworkParams(
+            success_probability=0.9, transmission_efficiency=-3.0, eta_in_db=True,
+            switch_count=2, classical_latency=0.05,
+        )
+        tables = 0
+        for workflows, network in self.networks(rng):
+            allocator = make_allocator("soft_iso", WeightConfig(), run_params, SoftIsoConfig(counter_cap_base=2))
+            state = run_simulation(workflows, network, allocator, run_params)
+            assert state.completed and network.term_cache(run_params)
+            # no node can host any task of this one: its bounds fall back to all pairs
+            biggest = max(n.qubits for n in network.nodes)
+            homeless = dataclasses.replace(
+                workflows[0], tasks=tuple(dataclasses.replace(t, qubits=biggest + 1) for t in workflows[0].tasks)
+            )
+            for params in (run_params, other_params, run_params):
+                for wf in [*workflows, homeless]:
+                    sim_time = rng.uniform(0.0, state.clock + 1.0)
+                    table = DecisionTable(wf, network, params, sim_time)
+                    assert_fresh(table, wf, network, params, sim_time)
+                    assert all(type(row) is tuple for row in (*table.err, *table.run, *table.qlink))
+                    again = DecisionTable(wf, network, params, sim_time)
+                    assert all(a is b for a, b in zip(again.err, table.err))  # read, not re-evaluated
+                    tables += 1
+            distinct = {t for wf in [*workflows, homeless] for t in wf.tasks}
+            assert len(network.term_cache(run_params)) <= len(distinct)
+            assert len(network.term_cache(other_params)) <= len(distinct)
+        assert tables > 500
 
 
 class TestBlockScorer:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 
 import pytest
 
+from qflow.allocators import SoftIsoConfig
 from qflow.experiments import (
     RESULT_COLUMNS,
     ConfigError,
@@ -59,6 +61,16 @@ class TestConfig:
     def test_nested_error_carries_field_path(self):
         with pytest.raises(ConfigError, match="workload"):
             ExperimentConfig.from_dict({"workload": {"batch_size": 0}})
+
+    @pytest.mark.parametrize("field", ["thres_max", "thres_prev", "counter_cap_base"])
+    def test_nan_soft_config_rejected(self, field):
+        # NaN compares false with every threshold, so it would silently turn
+        # stopping off; inf is the documented way to do that
+        with pytest.raises(ValueError):
+            SoftIsoConfig(**{field: math.nan})
+        assert getattr(SoftIsoConfig(**{field: math.inf}), field) == math.inf
+        with pytest.raises(ConfigError, match="soft_config"):
+            ExperimentConfig.from_dict({"soft_config": {field: math.nan}})
 
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="algorithm"):

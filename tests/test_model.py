@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -110,6 +111,35 @@ class TestNetworkParams:
             NetworkParams(success_probability=1.5)
         with pytest.raises(ValueError):
             NetworkParams(classical_latency=-0.1)
+
+    @pytest.mark.parametrize("db", [0.0, -3.0, -40.0, 2.5])
+    def test_decibels_accept_any_finite_value(self, db):
+        # 0 dB is lossless and a loss is negative
+        p = NetworkParams(transmission_efficiency=db, eta_in_db=True)
+        assert p.eta_linear == 10.0 ** (db / 10.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"transmission_efficiency": 0.0},
+            {"transmission_efficiency": -0.5},
+            {"transmission_efficiency": math.nan},
+            {"transmission_efficiency": math.nan, "eta_in_db": True},
+            {"transmission_efficiency": math.inf, "eta_in_db": True},
+            {"transmission_efficiency": -4000.0, "eta_in_db": True},
+            {"transmission_efficiency": 4000.0, "eta_in_db": True},
+            {"transmission_efficiency": 1e-200, "switch_count": 2},
+            {"classical_latency": math.nan},
+        ],
+        ids=[
+            "linear-zero", "linear-negative", "linear-nan", "db-nan", "db-inf",
+            "db-underflow", "db-overflow", "attenuation-underflow", "latency-nan",
+        ],
+    )
+    def test_rejects_out_of_range_and_nan(self, kwargs):
+        field = next(iter(kwargs))
+        with pytest.raises(ValueError, match=field):
+            NetworkParams(**kwargs)
 
 
 class TestValidateAllocation:
