@@ -27,7 +27,7 @@ which changes during a run. Each :class:`ResourceNetwork` therefore keeps
 them in a term cache keyed by ``(TaskSpec, NetworkParams)``, evaluated on a
 task's first decision and read by every later one: at most distinct tasks x
 nodes terms of each kind per parameter set. A table computes only the
-availability column, the sorted edges and the bounds.
+availability column and the bounds; its edges are the workflow's skeleton.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def workflow_network_cost(
     depends only on the endpoints' tasks and nodes.
     """
     total = 0.0
-    for a, b in sorted(workflow.skeleton()):
+    for a, b in workflow.skeleton():
         ka, kb = assignment[a], assignment[b]
         if require_links and not network.has_link(ka, kb):
             raise ValueError(
@@ -268,8 +268,8 @@ class DecisionTable:
     """Every cost term of one decision.
 
     Holds the error, runtime and quantum-link terms per (task, node), the
-    classical term per task, the clipped availability per node, the sorted
-    skeleton, and the :class:`NormalizationBounds` taken from those same
+    classical term per task, the clipped availability per node, the
+    workflow's skeleton (sorted), and the :class:`NormalizationBounds` taken from those same
     floats. The error and runtime bounds are the worst qubit-feasible
     (task, node) term times the task count; the network bound is the worst
     per-endpoint quantum-plus-classical term times the edge count; the
@@ -282,9 +282,9 @@ class DecisionTable:
     term cache (:meth:`ResourceNetwork.term_cache`), keyed by
     ``(NetworkParams, TaskSpec)``: one :class:`TaskTerms` per distinct
     task, so at most distinct tasks x nodes terms of each kind per
-    parameter set. Only the availability column, the sorted edges and the
-    bounds (maxima of the per-task maxima, the same floats as maxima over
-    the pairs) are computed per decision.
+    parameter set. Only the availability column and the bounds (maxima of
+    the per-task maxima, the same floats as maxima over the pairs) are
+    computed per decision.
     """
 
     def __init__(
@@ -306,7 +306,7 @@ class DecisionTable:
         self.qlink = [t.qlink for t in terms]
         self.clink = [t.clink for t in terms]
         self.avail = [max(n.next_available_time - sim_time, 0.0) for n in network.nodes]
-        self.edges = sorted(workflow.skeleton())
+        self.edges = workflow.skeleton()
 
         worst = [t.fit_max for t in terms if t.fit_max is not None] or [t.all_max for t in terms]
         max_err, max_run, max_net = map(max, zip(*worst))

@@ -35,13 +35,7 @@ from .simulation import (
 )
 from .workload import TopologySpec, WorkloadSpec, generate_catalog, generate_network, generate_workload, import_task_catalog
 
-RESULT_COLUMNS = (
-    "algorithm",
-    "seed",
-    "batch",
-    "nodes",
-    "tasks_per_group",
-    "rho_q",
+METRIC_FIELDS = (
     "execution_time",
     "wait_time",
     "avg_fidelity",
@@ -49,6 +43,9 @@ RESULT_COLUMNS = (
     "decision_time",
     "completion_pct",
 )
+# The run's identity (with "seed" holding "mean" or "std" on summary rows),
+# then the metrics.
+RESULT_COLUMNS = ("algorithm", "seed", "batch", "nodes", "tasks_per_group", "rho_q", *METRIC_FIELDS)
 
 SCENARIO_NAMES = ("SP-LR", "SP-MR", "LP-LR", "LP-MR")
 
@@ -218,16 +215,6 @@ class ExperimentResult:
         return statistics.pstdev(values) if len(values) > 1 else 0.0
 
 
-METRIC_FIELDS = (
-    "execution_time",
-    "wait_time",
-    "avg_fidelity",
-    "comm_overhead",
-    "decision_time",
-    "completion_pct",
-)
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run all repetitions (optionally across a process pool), ordered by
     seed, and write the result tables when an output directory is given."""
@@ -253,38 +240,25 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = result.config
     results_path = out_dir / "results.csv"
-    fixed = (
-        config.algorithm,
-        config.workload.batch_size,
-        config.topology.node_count,
-        config.workload.tasks_per_group,
-        config.topology.link_probability,
-    )
+
+    def row(seed, metrics) -> list[str]:
+        identity = (
+            config.algorithm,
+            seed,
+            config.workload.batch_size,
+            config.topology.node_count,
+            config.workload.tasks_per_group,
+            config.topology.link_probability,
+        )
+        return [_fmt(value) for value in (*identity, *metrics)]
+
     with open(results_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in result.runs:
-            writer.writerow(
-                [
-                    fixed[0],
-                    r.seed,
-                    fixed[1],
-                    fixed[2],
-                    fixed[3],
-                    _fmt(fixed[4]),
-                    _fmt(r.execution_time),
-                    _fmt(r.wait_time),
-                    _fmt(r.avg_fidelity),
-                    _fmt(r.comm_overhead),
-                    _fmt(r.decision_time),
-                    _fmt(r.completion_pct),
-                ]
-            )
+            writer.writerow(row(r.seed, (getattr(r, name) for name in METRIC_FIELDS)))
         for label, fn in (("mean", result.mean), ("std", result.std)):
-            writer.writerow(
-                [fixed[0], label, fixed[1], fixed[2], fixed[3], _fmt(fixed[4])]
-                + [_fmt(fn(name)) for name in METRIC_FIELDS]
-            )
+            writer.writerow(row(label, map(fn, METRIC_FIELDS)))
 
     shares_path = out_dir / "qpu_shares.csv"
     with open(shares_path, "w", newline="", encoding="utf-8") as fh:

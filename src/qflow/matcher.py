@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .model import ResourceNetwork, Workflow
+from .model import ResourceNetwork, Workflow, neighbour_lists
 
 # A candidate mapping: workflow task index -> network node index, injective.
 CandidateMapping = dict[int, int]
@@ -37,23 +37,21 @@ MappingBlock = tuple[CandidateMapping, int, list[int]]
 
 
 def pattern_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Visit order of pattern vertices: highest degree first, then BFS."""
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    root = max(range(n), key=lambda v: (len(adj[v]), -v))
+    """Visit order of pattern vertices: highest degree first, then BFS.
+    ``edges`` lists each undirected pattern edge once."""
+    return _visit_order(neighbour_lists(n, edges))
+
+
+def _visit_order(adj: list[list[int]]) -> list[int]:
+    root = max(range(len(adj)), key=lambda v: (len(adj[v]), -v))
     order = [root]
     seen = {root}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(adj[u]):
+    for u in order:  # grows while walked: a breadth-first search
+        for v in adj[u]:
             if v not in seen:
                 seen.add(v)
                 order.append(v)
-                queue.append(v)
-    if len(order) != n:
+    if len(order) != len(adj):
         raise ValueError("pattern skeleton must be connected")
     return order
 
@@ -74,17 +72,14 @@ def enumerate_monomorphism_blocks(
     is the search's live mapping: it is valid only until the next block is
     requested and must not be modified or kept.
 
-    ``min_qubits[v]`` (optional) prunes host nodes whose qubit count cannot
-    host pattern vertex ``v``.
+    ``pattern_edges`` lists each undirected pattern edge once, as a
+    workflow skeleton does. ``min_qubits[v]`` (optional) prunes host nodes
+    whose qubit count cannot host pattern vertex ``v``.
     """
     if pattern_size < 1:
         raise ValueError("pattern must be nonempty")
-    edges = {(min(a, b), max(a, b)) for a, b in pattern_edges}
-    order = pattern_order(pattern_size, edges)
-    adj: dict[int, set[int]] = {i: set() for i in range(pattern_size)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = neighbour_lists(pattern_size, pattern_edges)
+    order = _visit_order(adj)
 
     # Search tables as host bitmasks: qubit-feasible hosts per pattern
     # vertex and neighbours per host; per depth, the pattern neighbours
@@ -93,8 +88,7 @@ def enumerate_monomorphism_blocks(
         sum(1 << h for h, node in enumerate(host.nodes) if min_qubits is None or node.qubits >= min_qubits[v])
         for v in range(pattern_size)
     ]
-    adjacency = host.adjacency()
-    neighbours = [sum(1 << k for k in adjacency[h]) for h in range(len(host.nodes))]
+    neighbours = [sum(1 << k for k in adjacent) for adjacent in host.adjacency()]
     depth_of = {v: d for d, v in enumerate(order)}
     earlier = [[p for p in adj[v] if depth_of[p] < d] for d, v in enumerate(order)]
     last = pattern_size - 1

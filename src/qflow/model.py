@@ -8,13 +8,20 @@ built: each :class:`ResourceNetwork` caches the cost terms derived from it
 the node, with availability held by the simulator, waits on the benchmark,
 which reads the queue fields. A single simulation run is single-threaded;
 independent runs may share nothing and can execute in parallel.
+
+The graph helpers at the end (:func:`neighbour_lists`, :func:`components`,
+:func:`kahn_order`) build the neighbour lists, components and topological
+orders every module uses; each workflow and network derives its views from
+them once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappop, heappush
 
 PROGRAM_FAMILIES = (
     "ghz",
@@ -74,7 +81,8 @@ class Workflow:
 
     ``edges`` are directed (dependency order, used for execution gating);
     constraint checking uses the undirected skeleton. The skeleton must be
-    connected and the directed graph acyclic.
+    connected and the directed graph acyclic. Validation keeps the
+    topological order it computes; the skeleton is derived on first use.
     """
 
     id: str
@@ -82,6 +90,7 @@ class Workflow:
     edges: frozenset[tuple[int, int]] = frozenset()
     arrival_time: float = 0.0
     priority: int = 0
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.tasks)
@@ -94,40 +103,32 @@ class Workflow:
                 raise ValueError(f"workflow {self.id}: edge ({a},{b}) out of range")
             if a == b:
                 raise ValueError(f"workflow {self.id}: self-loop on task {a}")
-        if self.arrival_time < 0:
-            raise ValueError(f"workflow {self.id}: negative arrival time")
-        if not _is_acyclic(n, self.edges):
+        if not self.arrival_time >= 0:
+            raise ValueError(f"workflow {self.id}: arrival time must be >= 0, got {self.arrival_time}")
+        # one task has no edge (self-loops are rejected above) and one order
+        order = kahn_order(n, self.edges) if n > 1 else [0]
+        if len(order) < n:
             raise ValueError(f"workflow {self.id}: task graph has a cycle")
-        if not _skeleton_connected(n, self.edges):
+        if n > 1 and len(components(n, self.edges)) > 1:
             raise ValueError(f"workflow {self.id}: task graph skeleton is disconnected")
+        object.__setattr__(self, "_order", tuple(order))
 
     @property
     def total_qubits(self) -> int:
         return sum(t.qubits for t in self.tasks)
 
-    def skeleton(self) -> frozenset[tuple[int, int]]:
-        """Undirected edge set (each edge as a sorted index pair)."""
-        return frozenset(tuple(sorted(e)) for e in self.edges)
+    def skeleton(self) -> tuple[tuple[int, int], ...]:
+        """Undirected edges as ascending index pairs, in sorted order."""
+        return self._skeleton
 
-    def topological_order(self) -> list[int]:
-        """Kahn's algorithm; ties broken by ascending task index."""
-        n = len(self.tasks)
-        indeg = [0] * n
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for a, b in sorted(self.edges):
-            indeg[b] += 1
-            succ[a].append(b)
-        ready = sorted(i for i in range(n) if indeg[i] == 0)
-        order = []
-        while ready:
-            u = ready.pop(0)
-            order.append(u)
-            for v in sorted(succ[u]):
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(v)
-            ready.sort()
-        return order
+    @cached_property
+    def _skeleton(self) -> tuple[tuple[int, int], ...]:
+        # an acyclic graph has no pair of opposite edges, so no pair repeats
+        return tuple(sorted((a, b) if a < b else (b, a) for a, b in self.edges))
+
+    def topological_order(self) -> tuple[int, ...]:
+        """Task indices in dependency order, the least ready index first."""
+        return self._order
 
 
 @dataclass
@@ -172,8 +173,9 @@ class QpuNode:
             "t2",
             "d1cps",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"node {self.id}: {name} must be > 0")
+            v = getattr(self, name)
+            if not v > 0:
+                raise ValueError(f"node {self.id}: {name} must be > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -200,17 +202,13 @@ class ResourceNetwork:
     def has_link(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.links
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Neighbor indices per node, ascending; built once and cached."""
-        cached = getattr(self, "_adjacency", None)
-        if cached is None:
-            lists: dict[int, list[int]] = {k: [] for k in range(len(self.nodes))}
-            for a, b in self.links:
-                lists[a].append(b)
-                lists[b].append(a)
-            cached = {k: tuple(sorted(v)) for k, v in lists.items()}
-            object.__setattr__(self, "_adjacency", cached)
-        return cached
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour indices per node, ascending; built once."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, neighbour_lists(len(self.nodes), self.links)))
 
     def term_cache(self, params: NetworkParams) -> dict:
         """The store, keyed by :class:`TaskSpec`, in which
@@ -218,26 +216,14 @@ class ResourceNetwork:
         tasks on these nodes under ``params``; created empty on first use
         and kept for the network's life. Sound because node calibration is
         never mutated after the network is built."""
-        caches = getattr(self, "_term_caches", None)
-        if caches is None:
-            caches = {}
-            object.__setattr__(self, "_term_caches", caches)
-        cache = caches.get(params)
-        if cache is None:
-            cache = caches[params] = {}
-        return cache
+        return self._term_caches.setdefault(params, {})
+
+    @cached_property
+    def _term_caches(self) -> dict[NetworkParams, dict]:
+        return {}
 
     def is_connected(self) -> bool:
-        n = len(self.nodes)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.adjacency()[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
+        return len(components(len(self.nodes), self.links)) == 1
 
 
 @dataclass(frozen=True)
@@ -301,9 +287,11 @@ class WeightConfig:
     def __post_init__(self):
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError("zeta must be in [0, 1]")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("alpha, beta, gamma must be nonnegative")
-        if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-12:
+        for name in ("alpha", "beta", "gamma"):
+            v = getattr(self, name)
+            if not v >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
+        if not abs(self.alpha + self.beta + self.gamma - 1.0) <= 1e-12:
             raise ValueError("alpha + beta + gamma must equal 1")
 
 
@@ -355,37 +343,56 @@ def validate_allocation(workflow: Workflow, network: ResourceNetwork, allocation
     return mapping_feasible(assignment, workflow, network)
 
 
-def _skeleton_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+def neighbour_lists(n: int, pairs: Iterable[tuple[int, int]], directed: bool = False) -> list[list[int]]:
+    """Ascending neighbour list of each vertex 0..n-1: the ``b`` of every
+    pair ``(a, b)`` when ``directed``, else both endpoints of every pair.
+    Each pair is counted once, so an undirected pair must not repeat."""
+    lists: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        lists[a].append(b)
+        if not directed:
+            lists[b].append(a)
+    for neighbours in lists:
+        neighbours.sort()
+    return lists
 
 
-def _is_acyclic(n: int, edges: frozenset[tuple[int, int]]) -> bool:
-    indeg = [0] * n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        indeg[b] += 1
-        succ[a].append(b)
-    ready = [i for i in range(n) if indeg[i] == 0]
-    removed = 0
+def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the undirected graph on 0..n-1, each as an
+    ascending vertex list, ordered by their least vertex."""
+    adjacency = neighbour_lists(n, edges)
+    seen = [False] * n
+    found = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for u in component:  # grows while walked: a breadth-first search
+            for v in adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    component.append(v)
+        component.sort()
+        found.append(component)
+    return found
+
+
+def kahn_order(n: int, edges: Collection[tuple[int, int]]) -> list[int]:
+    """Kahn's topological order of the directed graph on 0..n-1, taking the
+    least ready vertex first; shorter than ``n`` exactly when the graph has
+    a cycle."""
+    successors = neighbour_lists(n, edges, directed=True)
+    indegree = [0] * n
+    for _, b in edges:
+        indegree[b] += 1
+    ready = [v for v in range(n) if not indegree[v]]  # ascending, so a heap
+    order = []
     while ready:
-        u = ready.pop()
-        removed += 1
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    return removed == n
+        u = heappop(ready)
+        order.append(u)
+        for v in successors[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                heappush(ready, v)
+    return order

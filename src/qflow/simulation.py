@@ -24,7 +24,7 @@ from typing import Protocol
 
 from .allocators import AllocationOutcome
 from .costs import edge_communication_cost, fidelity, runtime_cost, workflow_network_cost
-from .model import NetworkParams, ResourceNetwork, Workflow
+from .model import NetworkParams, ResourceNetwork, Workflow, neighbour_lists
 
 DEFAULT_RETRY_LIMIT = 3
 
@@ -96,10 +96,12 @@ def run_simulation(
     The passed network's queue state is mutated in place; hand each run its
     own network. Its calibration is not touched, so the cost terms the
     allocators cache on the network stay valid across the run's decisions
-    and retries, and only availability is read afresh at each decision. Metrics follow the evaluation conventions: execution time
-    is the workload makespan, wait time sums per-task (start - arrival),
-    fidelity averages over allocated tasks, communication overhead sums the
-    raw per-workflow network cost, decision time sums the wall-clock time
+    and retries, and only availability is read afresh at each decision.
+
+    Metrics follow the evaluation conventions: execution time is the
+    workload makespan, wait time sums per-task (start - arrival), fidelity
+    averages over allocated tasks, communication overhead sums the raw
+    per-workflow network cost, decision time sums the wall-clock time
     (``time.perf_counter``) of every allocator invocation, failed attempts
     included, measured here around each call.
     """
@@ -154,9 +156,7 @@ def _execute(
     network = state.network
     assignment = allocation.assignment
     finish_times: dict[int, float] = {}
-    preds: dict[int, list[int]] = {j: [] for j in range(len(workflow.tasks))}
-    for a, b in workflow.edges:
-        preds[b].append(a)
+    preds = neighbour_lists(len(workflow.tasks), [(b, a) for a, b in workflow.edges], directed=True)
 
     for j in workflow.topological_order():
         task = workflow.tasks[j]
@@ -164,7 +164,7 @@ def _execute(
         node = network.nodes[node_index]
         ready = now
         if dependency_gating:
-            for p in sorted(preds[j]):
+            for p in preds[j]:
                 gate = finish_times[p]
                 if gate_comm_latency:
                     gate += edge_communication_cost(

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import PROGRAM_FAMILIES, QpuNode, ResourceNetwork, TaskSpec, Workflow
+from .model import PROGRAM_FAMILIES, QpuNode, ResourceNetwork, TaskSpec, Workflow, components
 from .profiles import node_from_profile
 
 DEFAULT_PROFILE_POOL = ("brisbane", "torino", "marrakesh")
@@ -61,8 +61,8 @@ class WorkloadSpec:
         lo, hi = self.qubit_range
         if lo < 1 or hi < lo:
             raise ValueError("qubit_range must satisfy 1 <= lo <= hi")
-        if self.arrival_rate is not None and self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be > 0")
+        if self.arrival_rate is not None and not self.arrival_rate > 0:
+            raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
         if self.shots_default < 1:
             raise ValueError("shots_default must be >= 1")
 
@@ -355,9 +355,8 @@ def generate_network(
             if rng.random() < spec.link_probability:
                 links.add((a, b))
 
-    components = _components(n, links)
-    if len(components) > 1:
-        members = [sorted(c) for c in components]
+    members = components(n, links)
+    if len(members) > 1:
         for ca, cb in _uniform_spanning_tree_edges(len(members), rng):
             a = rng.choice(members[ca])
             b = rng.choice(members[cb])
@@ -365,26 +364,3 @@ def generate_network(
 
     return ResourceNetwork(nodes=tuple(nodes), links=frozenset(links))
 
-
-def _components(n: int, links: set[tuple[int, int]]) -> list[set[int]]:
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for a, b in links:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set[int] = set()
-    comps = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps

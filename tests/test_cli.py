@@ -136,9 +136,16 @@ class TestSweepMode:
         assert not (tmp_path / "b").exists()
 
     def test_sweep_rejects_nan(self, tmp_path, capsys):
-        # a NaN cost beats no incumbent and a NaN threshold never stops the
-        # search, so both runs would finish with a quietly wrong result
-        for key in ("params.classical_latency", "params.transmission_efficiency", "soft_config.thres_max"):
+        # a NaN cost or weight beats no incumbent, a NaN threshold never stops
+        # the search and a NaN rate makes every arrival time NaN, so each run
+        # would finish with a quietly wrong result
+        for key in (
+            "params.classical_latency",
+            "params.transmission_efficiency",
+            "soft_config.thres_max",
+            "weights.alpha",
+            "workload.arrival_rate",
+        ):
             out = tmp_path / key
             assert main(["--algo", "soft_iso", "--reps", "1", "--no-timing",
                          "--sweep", f"{key}=nan", "--out", str(out)]) == 1

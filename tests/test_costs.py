@@ -62,7 +62,7 @@ def assert_fresh(table, wf, network, params, sim_time):
     assert table.qlink == qlink
     assert table.clink == clink
     assert table.avail == avail
-    assert table.edges == sorted(wf.skeleton())
+    assert table.edges == tuple(sorted(wf.skeleton()))
     assert table.bounds == bounds
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
@@ -12,11 +13,14 @@ from qflow.model import (
     NetworkParams,
     WeightConfig,
     Workflow,
+    components,
+    kahn_order,
     validate_allocation,
 )
 from qflow.profiles import PROFILES_ENV_VAR, load_profiles, node_from_profile
+from qflow.workload import random_connected_dag
 
-from .conftest import chain_workflow, make_network, make_task
+from .conftest import chain_workflow, make_network, make_node, make_task
 
 
 class TestTaskSpec:
@@ -55,6 +59,19 @@ class TestWorkflow:
         with pytest.raises(ValueError):
             Workflow(id="w", tasks=())
 
+    def test_cycle_reported_before_disconnection(self):
+        tasks = tuple(make_task(task_id=f"t{i}") for i in range(4))
+        with pytest.raises(ValueError, match="cycle"):
+            Workflow(id="w", tasks=tasks, edges=frozenset({(0, 1), (1, 2), (2, 0)}))
+
+    def test_single_task_has_empty_skeleton(self):
+        wf = chain_workflow([5])
+        assert wf.skeleton() == () and wf.topological_order() == (0,)
+
+    def test_nan_arrival_rejected(self):
+        with pytest.raises(ValueError, match="arrival"):
+            chain_workflow([5, 5], arrival=math.nan)
+
     def test_topological_order_respects_edges(self):
         tasks = tuple(make_task(task_id=f"t{i}") for i in range(4))
         wf = Workflow(id="w", tasks=tasks, edges=frozenset({(0, 2), (1, 2), (2, 3), (0, 1)}))
@@ -83,6 +100,91 @@ class TestResourceNetwork:
         assert not make_network([1, 1, 1], [(0, 1)]).is_connected()
 
 
+class TestQpuNode:
+    @pytest.mark.parametrize(
+        "kwarg, field",
+        [("rt1", "one_qubit_runtime"), ("rt2", "two_qubit_runtime"), ("rtr", "readout_runtime"),
+         ("t1", "t1"), ("t2", "t2"), ("d1cps", "d1cps")],
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_nonpositive_and_nan_calibration_rejected(self, kwarg, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be > 0"):
+            make_node(**{kwarg: value})
+
+
+def reference_kahn(n, edges):
+    """Kahn's algorithm over a sorted ready list, the least index first."""
+    indeg = [0] * n
+    succ = [[] for _ in range(n)]
+    for a, b in sorted(edges):
+        indeg[b] += 1
+        succ[a].append(b)
+    ready = sorted(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while ready:
+        u = ready.pop(0)
+        order.append(u)
+        for v in sorted(succ[u]):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+        ready.sort()
+    return order
+
+
+def reference_components(n, edges):
+    """Components by merging vertex sets, as ascending lists ordered by
+    their least vertex."""
+    sets = [{v} for v in range(n)]
+    for a, b in edges:
+        sa = next(s for s in sets if a in s)
+        sb = next(s for s in sets if b in s)
+        if sa is not sb:
+            sa |= sb
+            sets.remove(sb)
+    return sorted((sorted(s) for s in sets), key=lambda c: c[0])
+
+
+class TestGraphLayer:
+    def test_workflow_views_match_references_on_random_dags(self):
+        rng = random.Random(20)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            labels = list(range(n))
+            rng.shuffle(labels)  # so that index order is not a topological order
+            edges = frozenset((labels[a], labels[b]) for a, b in random_connected_dag(n, rng))
+            wf = Workflow(id="w", tasks=tuple(make_task(task_id=f"t{i}") for i in range(n)), edges=edges)
+            assert wf.topological_order() == tuple(reference_kahn(n, edges))
+            assert wf.skeleton() == tuple(sorted({tuple(sorted(e)) for e in edges}))
+
+    def test_kahn_order_matches_reference_and_is_short_on_cycles(self):
+        rng = random.Random(21)
+        cyclic = 0
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            edges = {(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.2}
+            order = kahn_order(n, edges)
+            assert order == reference_kahn(n, edges)
+            if len(order) < n:
+                cyclic += 1
+                with pytest.raises(ValueError, match="cycle"):
+                    Workflow(id="w", tasks=tuple(make_task(task_id=f"t{i}") for i in range(n)), edges=edges)
+        assert cyclic > 50
+
+    def test_components_and_adjacency_match_references(self):
+        rng = random.Random(22)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            p = rng.random() * 0.4
+            links = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
+            assert components(n, links) == reference_components(n, links)
+            net = make_network([5] * n, links)
+            assert net.is_connected() == (len(reference_components(n, links)) == 1)
+            assert net.adjacency() == tuple(
+                tuple(sorted({b for a, b in links if a == v} | {a for a, b in links if b == v})) for v in range(n)
+            )
+
+
 class TestWeightConfig:
     def test_defaults_balanced(self):
         w = WeightConfig()
@@ -96,6 +198,11 @@ class TestWeightConfig:
     def test_zeta_range(self):
         with pytest.raises(ValueError):
             WeightConfig(zeta=1.5)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+    def test_nan_weight_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            WeightConfig(**{field: math.nan})
 
 
 class TestNetworkParams:
@@ -210,6 +317,14 @@ class TestProfiles:
         loaded = load_profiles()
         assert sorted(loaded) == ["tiny"]
         assert loaded["tiny"]["qubits"] == 7
+
+    @pytest.mark.parametrize("field", ["one_qubit_runtime", "t1", "d1cps"])
+    def test_nan_calibration_in_file_rejected(self, tmp_path, profiles, field):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"broken": dict(profiles["brisbane"], **{field: math.nan})}))
+        assert f'"{field}": NaN' in path.read_text()
+        with pytest.raises(ValueError, match=rf"{field} must be > 0, got nan"):
+            node_from_profile("broken", load_profiles(path))
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

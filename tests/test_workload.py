@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -106,6 +107,11 @@ class TestGenerateWorkload:
         for wf in generate_workload(spec, catalog):
             assert len(wf.tasks) == 1
             assert wf.edges == frozenset()
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+    def test_nonpositive_and_nan_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="arrival_rate must be > 0"):
+            WorkloadSpec(arrival_rate=rate)
 
     def test_high_rate_bunches_arrivals_near_zero(self):
         catalog = generate_catalog(30, seed=2)
