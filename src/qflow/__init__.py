@@ -39,6 +39,7 @@ from .matcher import (
     MappingBlock,
     enumerate_monomorphism_blocks,
     enumerate_monomorphisms,
+    mask_hosts,
     workflow_monomorphism_blocks,
     workflow_monomorphisms,
 )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .costs import CostBreakdown, DecisionTable, aggregate_cost, compute_bounds
 # workflow_monomorphisms is not called here; it stays bound because
 # perfbench's tracer times the matcher by swapping this name.
-from .matcher import workflow_monomorphism_blocks, workflow_monomorphisms
+from .matcher import mask_hosts, workflow_monomorphism_blocks, workflow_monomorphisms
 from .model import (
     Allocation,
     NetworkParams,
@@ -118,11 +118,19 @@ def soft_iso(
     with the rule above. The outcome, including the incumbent's key order,
     is that of a walk over single candidates. The final incumbent's
     breakdown is read from the same table.
+
+    When a threshold is infinite, ``abs(cost - maxcost) > thres_max`` or
+    ``abs(cost - prevcost) > thres_prev`` is never true, so only the budget
+    stops the search and the maximum and previous costs go unread. The
+    scorer then gets the incumbent's cost as its floor, and a block whose
+    exact lower bound is not below it is counted without being scored or
+    having its host mask decoded.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
     table = DecisionTable(workflow, network, params, sim_time)
     score = None
+    bounded = math.inf in (config.thres_max, config.thres_prev)
 
     mincost = math.inf
     maxcost = -math.inf
@@ -131,29 +139,37 @@ def soft_iso(
     incumbent: dict[int, int] | None = None
     history: list[float] = []
 
-    for prefix, v, hosts in workflow_monomorphism_blocks(workflow, network):
+    for prefix, v, mask in workflow_monomorphism_blocks(workflow, network):
         if examined >= cap:
             break
         if score is None:
             score = table.block_scorer(weights, v)
-        if examined + len(hosts) > cap:
-            hosts = hosts[: math.ceil(cap - examined)]
-        costs = score(prefix, hosts)
+        size = mask.bit_count()
+        if examined + size > cap:
+            size = math.ceil(cap - examined)
+            mask = sum(1 << h for h in mask_hosts(mask)[:size])
+        costs = score(prefix, mask, mincost if bounded else None)
+        if costs is None:
+            # every cost of the block is >= mincost, and nothing else is read
+            examined += size
+            continue
         if min(costs) >= mincost:
             # no candidate of the block improves, so none can stop the search
-            examined += len(costs)
+            examined += size
             maxcost = max(maxcost, max(costs))
             if not config.strict_pseudocode:
                 prevcost = costs[-1]
             continue
         stop = False
-        for h, cost in zip(hosts, costs):
+        for cost in costs:
+            low = mask & -mask  # this cost's host: the lowest bit left
+            mask ^= low
             examined += 1
             maxcost = max(cost, maxcost)
             if cost < mincost:
                 mincost = cost
                 incumbent = prefix.copy()
-                incumbent[v] = h
+                incumbent[v] = low.bit_length() - 1
                 history.append(cost)
                 if (
                     abs(cost - maxcost) > config.thres_max
@@ -244,31 +260,6 @@ def _outcome(
     return AllocationOutcome(allocation, examined, tuple(history))
 
 
-def dfs_node_order(network: ResourceNetwork) -> list[int]:
-    """Depth-first traversal order: start at the node with the fewest
-    qubits, visit neighbors in ascending qubit order, and restart from the
-    next unvisited minimum-qubit node if the graph is a forest."""
-    n = len(network.nodes)
-    key = lambda k: (network.nodes[k].qubits, k)
-    adjacency = network.adjacency()
-    visited: list[int] = []
-    seen: set[int] = set()
-    for start in sorted(range(n), key=key):
-        if start in seen:
-            continue
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            visited.append(u)
-            for v in sorted(adjacency[u], key=key, reverse=True):
-                if v not in seen:
-                    stack.append(v)
-    return visited
-
-
 def greedy_dfs(
     workflow: Workflow,
     network: ResourceNetwork,
@@ -277,14 +268,15 @@ def greedy_dfs(
     """Constraint-only baseline: qubit-sorted tasks walk the DFS node order
     and each task takes the next node large enough to hold it.
 
-    Never evaluates costs, so the outcome is independent of the weight
-    configuration. Fails when the walk runs out of nodes or the resulting
-    assignment violates workflow connectivity.
+    The walk is the network's :meth:`~ResourceNetwork.dfs_order`, derived
+    once per network. Never evaluates costs, so the outcome is independent
+    of the weight configuration. Fails when the walk runs out of nodes or
+    the resulting assignment violates workflow connectivity.
     """
     order = sorted(range(len(workflow.tasks)), key=lambda j: (workflow.tasks[j].qubits, j))
     assignment: dict[int, int] = {}
     pending = list(order)
-    for k in dfs_node_order(network):
+    for k in network.dfs_order():
         if not pending:
             break
         j = pending[0]

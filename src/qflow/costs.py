@@ -18,7 +18,9 @@ component. :class:`DecisionTable` holds one decision's terms; the
 normalization bounds are read off it. Its :meth:`~DecisionTable.breakdown`
 returns a candidate's breakdown and its block scorer the totals of
 candidates that differ in one task's host, each equal as a float to
-``aggregate_cost(...)``'s. The cost-aware allocators build one table per
+``aggregate_cost(...)``'s; given a floor, the scorer first checks an exact
+float lower bound on the block and returns ``None`` if no total can be
+below the floor. The cost-aware allocators build one table per
 decision and score every candidate, block or trial from it.
 
 The error, runtime, quantum-link and classical terms of a task depend only
@@ -346,10 +348,12 @@ class DecisionTable:
 
     def block_scorer(
         self, weights: WeightConfig, v: int
-    ) -> Callable[[Mapping[int, int], Sequence[int]], list[float]]:
-        """``score(prefix, hosts)`` lists, for each ``h`` in ``hosts``, the
-        total :meth:`breakdown` returns for ``prefix`` plus task ``v`` on
-        ``h``.
+    ) -> Callable[..., list[float] | None]:
+        """``score(prefix, mask, floor=None)`` lists, for each host ``h``
+        whose bit is set in ``mask``, ascending, the total :meth:`breakdown`
+        returns for ``prefix`` plus task ``v`` on ``h``. Given a ``floor``,
+        it returns ``None`` instead when it can prove that no such total is
+        below ``floor``.
 
         ``prefix`` maps every task but ``v``. The terms that do not depend on
         ``v``'s host are folded once per call: the availability maximum over
@@ -360,6 +364,18 @@ class DecisionTable:
         Availability is folded after normalizing, since
         ``f(max(a, b)) == max(f(a), f(b))`` for the monotone
         ``f(x) = zeta * clip(x / max_nat)``.
+
+        Given a ``floor``, the folded prefix first goes through the
+        per-host expression once more, in the same order, with ``v``'s
+        host terms (its normalized availability, error, runtime and
+        quantum-link term) replaced by their minima over all nodes, taken
+        once per scorer. That bound needs no epsilon: under
+        round-to-nearest, ``a + x``, ``x / d`` for ``d > 0``, ``w * x`` for
+        ``w >= 0``, ``max(x, a)`` and the clip are each monotone
+        non-decreasing in ``x`` as floats, the weights and ``1 - zeta`` are
+        nonnegative and the bounds positive, so the bound is ``<=`` every
+        host's total as a float. When it is ``>= floor`` the call returns
+        ``None`` without decoding ``mask`` or computing any per-host cost.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -370,6 +386,7 @@ class DecisionTable:
         rest = 1.0 - zeta
         wait = [zeta * _clip01(a / bounds.max_nat) for a in self.avail]
         err_v, run_v, qlink_v = err[v], run[v], qlink[v]
+        low_wait, low_err, low_run, low_qlink = min(wait), min(err_v), min(run_v), min(qlink_v)
         before = [(err[j], run[j], j) for j in range(v)]
         after = [(err[j], run[j], j) for j in range(v + 1, len(err))]
         edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]
@@ -381,9 +398,9 @@ class DecisionTable:
             (q_b, b, c, None, None) if a == v else (q_a, a, c, None, None) if b == v else (q_a, a, c, q_b, b)
             for q_a, q_b, a, b, c in edges[split:]
         ]
-        first = tail.pop(0) if tail else None  # no edge at all: a one-task workflow
+        first, others = (tail[0], tail[1:]) if tail else (None, [])  # no edge: a one-task workflow
 
-        def score(prefix: Mapping[int, int], hosts: Sequence[int]) -> list[float]:
+        def score(prefix: Mapping[int, int], mask: int, floor: float | None = None) -> list[float] | None:
             w = 0.0
             for k in prefix.values():
                 x = wait[k]
@@ -398,21 +415,45 @@ class DecisionTable:
             net = 0.0
             for q_a, q_b, a, b, c in head:
                 net += (q_a[prefix[a]] + q_b[prefix[b]]) / 2.0 + c
+            # _clip01 is inlined below: a call per term costs as much as the
+            # rest of the pass.
+            if floor is not None:
+                x_n = net
+                for q_a, a, c, q_b, b in tail:
+                    x_n += (q_a[prefix[a]] + (low_qlink if q_b is None else q_b[prefix[b]])) / 2.0 + c
+                x_e = e + low_err
+                x_r = r + low_run
+                for err_j, run_j, j in after:
+                    k = prefix[j]
+                    x_e += err_j[k]
+                    x_r += run_j[k]
+                bound = (low_wait if low_wait > w else w) + rest * (
+                    alpha * (0.0 if (x := x_e / max_err) < 0.0 else 1.0 if x > 1.0 else x)
+                    + beta * (0.0 if (x := x_r / max_run) < 0.0 else 1.0 if x > 1.0 else x)
+                    + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
+                )
+                if bound >= floor:
+                    return None
+            # the mask decoded inline: a call per block costs about 1% of
+            # a short LP-LR search
+            hosts = []
+            while mask:
+                low = mask & -mask
+                hosts.append(low.bit_length() - 1)
+                mask ^= low
             if first is None:
                 nets = [net] * len(hosts)
             else:
                 q_a, a, c, _, _ = first
                 q = q_a[prefix[a]]
                 nets = [net + ((q + qlink_v[h]) / 2.0 + c) for h in hosts]
-            for q_a, a, c, q_b, b in tail:
+            for q_a, a, c, q_b, b in others:
                 q = q_a[prefix[a]]
                 if q_b is None:
                     nets = [x + ((q + qlink_v[h]) / 2.0 + c) for x, h in zip(nets, hosts)]
                 else:
                     t = (q + q_b[prefix[b]]) / 2.0 + c
                     nets = [x + t for x in nets]
-            # _clip01 is inlined below: a call per term costs as much as the
-            # rest of the pass.
             if not after:
                 # v is the last task, so its terms are the last additions
                 return [

@@ -19,8 +19,12 @@ its already-mapped pattern neighbours and by the mask of used hosts.
 
 The search yields blocks: all mappings that differ only in the host of the
 last vertex in visit order share one prefix, so a consumer can evaluate
-the prefix once per block (soft_iso scores a whole block per call). The
-flat streams are the blocks unrolled into one dict per mapping.
+the prefix once per block (soft_iso scores a whole block per call). A
+block carries its leaf hosts as the bitmask the search computed; a
+consumer decodes it with :func:`mask_hosts` only where it needs the hosts
+one by one, so a block it can rule out as a whole costs only the mask's
+popcount. The flat streams are the blocks unrolled into one dict per
+mapping.
 """
 
 from __future__ import annotations
@@ -32,8 +36,19 @@ from .model import ResourceNetwork, Workflow, neighbour_lists
 # A candidate mapping: workflow task index -> network node index, injective.
 CandidateMapping = dict[int, int]
 # A block of candidate mappings that differ only in the host of the last
-# visited pattern vertex: (prefix, last vertex, ascending leaf hosts).
-MappingBlock = tuple[CandidateMapping, int, list[int]]
+# visited pattern vertex: (prefix, last vertex, leaf hosts as a bitmask,
+# bit h set for host h).
+MappingBlock = tuple[CandidateMapping, int, int]
+
+
+def mask_hosts(mask: int) -> list[int]:
+    """The hosts of a host bitmask, ascending."""
+    hosts = []
+    while mask:
+        low = mask & -mask
+        hosts.append(low.bit_length() - 1)
+        mask ^= low
+    return hosts
 
 
 def pattern_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
@@ -65,12 +80,12 @@ def enumerate_monomorphism_blocks(
     """Yield every injective, adjacency-preserving mapping of the pattern
     into the host, grouped into blocks, lazily and in a deterministic order.
 
-    A block ``(prefix, v, hosts)`` stands for the mappings ``prefix`` plus
-    ``v -> h`` for each ``h`` in ``hosts``: ``v`` is the last pattern vertex
-    in visit order, ``hosts`` is its nonempty ascending list of leaf hosts,
-    and ``prefix`` maps every other vertex, keyed in visit order. ``prefix``
-    is the search's live mapping: it is valid only until the next block is
-    requested and must not be modified or kept.
+    A block ``(prefix, v, mask)`` stands for the mappings ``prefix`` plus
+    ``v -> h`` for each ``h`` in ``mask_hosts(mask)``, ascending: ``v`` is
+    the last pattern vertex in visit order, ``mask`` is the nonzero bitmask
+    of its leaf hosts, and ``prefix`` maps every other vertex, keyed in
+    visit order. ``prefix`` is the search's live mapping: it is valid only
+    until the next block is requested and must not be modified or kept.
 
     ``pattern_edges`` lists each undirected pattern edge once, as a
     workflow skeleton does. ``min_qubits[v]`` (optional) prunes host nodes
@@ -100,13 +115,8 @@ def enumerate_monomorphism_blocks(
         for p in earlier[depth]:
             pool &= neighbours[mapping[p]]
         if depth == last:
-            hosts = []
-            while pool:
-                low = pool & -pool
-                hosts.append(low.bit_length() - 1)
-                pool ^= low
-            if hosts:
-                yield mapping, v, hosts
+            if pool:
+                yield mapping, v, pool
             return
         while pool:
             low = pool & -pool
@@ -131,8 +141,8 @@ def enumerate_monomorphisms(
 
 
 def _flatten(blocks: Iterator[MappingBlock]) -> Iterator[CandidateMapping]:
-    for prefix, v, hosts in blocks:
-        for h in hosts:
+    for prefix, v, mask in blocks:
+        for h in mask_hosts(mask):
             mapping = prefix.copy()
             mapping[v] = h
             yield mapping

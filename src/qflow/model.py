@@ -58,14 +58,15 @@ class TaskSpec:
     program_family: str = "randomcircuit"
 
     def __post_init__(self):
-        if self.qubits < 1:
+        # written so that NaN fails each check
+        if not self.qubits >= 1:
             raise ValueError(f"task {self.id}: qubits must be >= 1, got {self.qubits}")
-        if self.depth < 1:
+        if not self.depth >= 1:
             raise ValueError(f"task {self.id}: depth must be >= 1, got {self.depth}")
-        if self.shots < 1:
+        if not self.shots >= 1:
             raise ValueError(f"task {self.id}: shots must be >= 1, got {self.shots}")
-        if self.two_qubit_gates < 0:
-            raise ValueError(f"task {self.id}: two_qubit_gates must be >= 0")
+        if not self.two_qubit_gates >= 0:
+            raise ValueError(f"task {self.id}: two_qubit_gates must be >= 0, got {self.two_qubit_gates}")
         if not 0 <= self.measured_qubits <= self.qubits:
             raise ValueError(
                 f"task {self.id}: measured_qubits must be in [0, qubits], "
@@ -209,6 +210,34 @@ class ResourceNetwork:
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, neighbour_lists(len(self.nodes), self.links)))
+
+    def dfs_order(self) -> tuple[int, ...]:
+        """Depth-first traversal order, built once: start at the node with
+        the fewest qubits, visit neighbours in ascending qubit order, and
+        restart from the next unvisited minimum-qubit node if the graph is a
+        forest. Ties in qubits go to the lower index."""
+        return self._dfs_order
+
+    @cached_property
+    def _dfs_order(self) -> tuple[int, ...]:
+        key = lambda k: (self.nodes[k].qubits, k)
+        adjacency = self.adjacency()
+        visited: list[int] = []
+        seen: set[int] = set()
+        for start in sorted(range(len(self.nodes)), key=key):
+            if start in seen:
+                continue
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                if u in seen:
+                    continue
+                seen.add(u)
+                visited.append(u)
+                for v in sorted(adjacency[u], key=key, reverse=True):
+                    if v not in seen:
+                        stack.append(v)
+        return tuple(visited)
 
     def term_cache(self, params: NetworkParams) -> dict:
         """The store, keyed by :class:`TaskSpec`, in which

@@ -24,6 +24,8 @@ from .conftest import chain_workflow, make_network, random_small_instance, scena
 
 WEIGHTS = WeightConfig()
 PARAMS = NetworkParams()
+# the setting of the benchmark's lpmr-search workload
+THRESHOLDS_OFF = SoftIsoConfig(thres_max=math.inf, thres_prev=math.inf, counter_cap_base=10.0)
 
 
 class TestSoftIso:
@@ -180,8 +182,16 @@ class TestSoftIsoReference:
             ("LP-MR", 8, EXHAUSTIVE, 4),
             ("LP-LR", None, SoftIsoConfig(), 4),
             ("LP-LR", None, EXHAUSTIVE, 4),
+            # thresholds off, budget 10**4: soft_iso skips blocks by their bound
+            ("LP-MR", None, THRESHOLDS_OFF, 2),
+            # one infinite threshold is enough for the skip
+            ("LP-MR", None, SoftIsoConfig(thres_max=math.inf, thres_prev=0.03), 1),
+            ("LP-MR", None, SoftIsoConfig(thres_max=math.inf, thres_prev=0.03, strict_pseudocode=True), 1),
         ],
-        ids=["lpmr-default", "lpmr8-exhaustive", "lplr-default", "lplr-exhaustive"],
+        ids=[
+            "lpmr-default", "lpmr8-exhaustive", "lplr-default", "lplr-exhaustive",
+            "lpmr-thresholds-off", "lpmr-max-off", "lpmr-max-off-strict",
+        ],
     )
     def test_matches_aggregate_cost_loop(self, scenario, node_count, config, seeds):
         placed = 0
@@ -196,6 +206,34 @@ class TestSoftIsoReference:
                 assert outcome == reference_outcome(wf, assignment, examined, history, breakdown)
                 placed += assignment is not None
         assert placed >= 4
+
+    def test_thresholds_off_leaves_most_blocks_unscored(self, monkeypatch):
+        """With the thresholds off only the budget stops the search, so
+        soft_iso scores only the blocks whose bound is below the incumbent;
+        on LP-MR draws at least half of all blocks go unscored."""
+        import qflow.costs
+
+        calls = {"blocks": 0, "scored": 0}
+        block_scorer = qflow.costs.DecisionTable.block_scorer
+
+        def counting(table, weights, v):
+            score = block_scorer(table, weights, v)
+
+            def counted(prefix, mask, floor=None):
+                costs = score(prefix, mask, floor)
+                calls["blocks"] += 1
+                calls["scored"] += costs is not None
+                return costs
+
+            return counted
+
+        monkeypatch.setattr(qflow.costs.DecisionTable, "block_scorer", counting)
+        workflows, network = scenario_instances("LP-MR", 0, 4)
+        for wf in workflows:
+            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, THRESHOLDS_OFF, wf.arrival_time + 0.5)
+            assert outcome.candidates_examined == 10**4
+        assert calls["blocks"] > 1_000
+        assert calls["scored"] <= calls["blocks"] // 2
 
 
 class TestSoftIsoStopRule:
@@ -359,7 +397,75 @@ class TestRandomAwareReference:
         assert placed >= 100 and aborted >= 20
 
 
+def reference_dfs_node_order(network):
+    """The DFS walk greedy_dfs used to recompute at every decision."""
+    n = len(network.nodes)
+    key = lambda k: (network.nodes[k].qubits, k)
+    adjacency = network.adjacency()
+    visited = []
+    seen = set()
+    for start in sorted(range(n), key=key):
+        if start in seen:
+            continue
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            if u in seen:
+                continue
+            seen.add(u)
+            visited.append(u)
+            for v in sorted(adjacency[u], key=key, reverse=True):
+                if v not in seen:
+                    stack.append(v)
+    return visited
+
+
+def reference_greedy_dfs(workflow, network):
+    """greedy_dfs walking the reference order: the assignment or None."""
+    pending = sorted(range(len(workflow.tasks)), key=lambda j: (workflow.tasks[j].qubits, j))
+    assignment = {}
+    for k in reference_dfs_node_order(network):
+        if not pending:
+            break
+        if network.nodes[k].qubits >= workflow.tasks[pending[0]].qubits:
+            assignment[pending.pop(0)] = k
+    if pending or not mapping_feasible(assignment, workflow, network):
+        return None
+    return assignment
+
+
 class TestGreedyDfs:
+    def test_cached_order_equals_reference_walk_on_random_networks(self):
+        rng = random.Random(606)
+        forests = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            qubits = [rng.choice([3, 5, 7, 27]) for _ in range(n)]  # few sizes: many ties
+            p = rng.choice([0.0, 0.15, 0.4, 0.9])
+            links = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+            network = make_network(qubits, links)
+            assert network.dfs_order() == tuple(reference_dfs_node_order(network))
+            assert network.dfs_order() is network.dfs_order()
+            forests += not network.is_connected()
+        assert forests >= 50
+
+    @pytest.mark.parametrize("scenario", ["SP-LR", "SP-MR", "LP-LR", "LP-MR"])
+    def test_outcomes_match_reference_on_preset_draws(self, scenario):
+        placed = 0
+        for seed in range(3):
+            workflows, network = scenario_instances(scenario, seed, 40)
+            for wf in workflows:
+                outcome = greedy_dfs(wf, network, wf.arrival_time)
+                assignment = reference_greedy_dfs(wf, network)
+                assert outcome.candidates_examined == 1
+                if assignment is None:
+                    assert outcome.allocation is None
+                else:
+                    assert outcome.allocation == Allocation(workflow_id=wf.id, assignment=assignment)
+                    assert list(outcome.allocation.assignment) == list(assignment)
+                    placed += 1
+        assert placed >= 5
+
     def test_single_task_takes_smallest_sufficient_node_in_dfs_order(self):
         wf = chain_workflow([5])
         net = make_network([3, 8, 127], [(0, 1), (1, 2)])

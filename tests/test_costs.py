@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -23,7 +24,7 @@ from qflow.costs import (
     runtime_cost,
     workflow_network_cost,
 )
-from qflow.matcher import workflow_monomorphism_blocks
+from qflow.matcher import mask_hosts, workflow_monomorphism_blocks
 from qflow.model import NetworkParams, WeightConfig, Workflow
 
 from .conftest import chain_workflow, make_network, make_node, make_task
@@ -475,9 +476,9 @@ class TestBlockScorer:
         host; prefix keys are shuffled, since scoring must not read them in
         order."""
         leaves = 0
-        for prefix, v, hosts in workflow_monomorphism_blocks(wf, network):
-            yield dict(prefix), v, list(hosts)
-            leaves += len(hosts)
+        for prefix, v, mask in workflow_monomorphism_blocks(wf, network):
+            yield dict(prefix), v, mask
+            leaves += mask.bit_count()
             if leaves >= 300:
                 break
         n_nodes = len(network.nodes)
@@ -487,7 +488,18 @@ class TestBlockScorer:
                 others = [j for j in range(len(wf.tasks)) if j != v]
                 rng.shuffle(others)
                 prefix = {j: nodes[j] for j in others}
-                yield prefix, v, sorted(set(range(n_nodes)) - set(prefix.values()))
+                yield prefix, v, sum(1 << h for h in set(range(n_nodes)) - set(prefix.values()))
+
+    @staticmethod
+    def scale_bounds(table, shrink):
+        """Scale the table's bounds by ``shrink``: halved bounds push raw
+        sums above them, so the > 1 clip runs."""
+        b = table.bounds
+        table.bounds = NormalizationBounds(
+            b.max_nat * shrink, b.max_task_error_sum * shrink,
+            b.max_task_runtime_sum * shrink, b.max_network_sum * shrink,
+        )
+        return table.bounds
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_equals_aggregate_cost_total_on_every_leaf(self, shrink):
@@ -496,15 +508,11 @@ class TestBlockScorer:
         last_vertices = set()
         for wf, network, params, weights, sim_time in self.decisions(rng):
             table = DecisionTable(wf, network, params, sim_time)
-            b = table.bounds
-            # halved bounds push raw sums above them, so the > 1 clip runs
-            table.bounds = bounds = NormalizationBounds(
-                b.max_nat * shrink, b.max_task_error_sum * shrink,
-                b.max_task_runtime_sum * shrink, b.max_network_sum * shrink,
-            )
+            bounds = self.scale_bounds(table, shrink)
             scorers = [table.block_scorer(weights, v) for v in range(len(wf.tasks))]
-            for prefix, v, hosts in self.blocks(rng, wf, network):
-                costs = scorers[v](prefix, hosts)
+            for prefix, v, mask in self.blocks(rng, wf, network):
+                hosts = mask_hosts(mask)
+                costs = scorers[v](prefix, mask)
                 assert len(costs) == len(hosts)
                 for h, cost in zip(hosts, costs):
                     candidate = [h if j == v else prefix[j] for j in range(len(wf.tasks))]
@@ -522,6 +530,38 @@ class TestBlockScorer:
         assert {(5, v) for v in range(5)} <= last_vertices
         if shrink < 1.0:
             assert clipped > leaves // 2  # the clip branch is exercised, not just the interior
+
+    @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
+    def test_floor_skips_only_blocks_with_no_total_below_it(self, shrink):
+        """``score(prefix, mask, f)`` returns ``None`` only when every total
+        of the unfloored call is ``>= f`` as a float, and otherwise the very
+        totals of the unfloored call. The floors are each block's least
+        total, one ulp either side of it, the least total of the previous
+        block (an incumbent) and a uniform draw."""
+        rng = random.Random(2718)
+        skipped = scored = 0
+        for wf, network, params, weights, sim_time in self.decisions(rng):
+            table = DecisionTable(wf, network, params, sim_time)
+            self.scale_bounds(table, shrink)
+            scorers = [table.block_scorer(weights, v) for v in range(len(wf.tasks))]
+            incumbent = math.inf
+            for prefix, v, mask in self.blocks(rng, wf, network):
+                costs = scorers[v](prefix, mask)
+                low = min(costs)
+                floors = (
+                    low, math.nextafter(low, -math.inf), math.nextafter(low, math.inf),
+                    incumbent, rng.random(),
+                )
+                for floor in floors:
+                    got = scorers[v](prefix, mask, floor)
+                    if got is None:
+                        assert all(cost >= floor for cost in costs)
+                        skipped += 1
+                    else:
+                        assert got == costs
+                        scored += 1
+                incumbent = low
+        assert skipped > 1_000 and scored > 1_000
 
 
 class TestComputeBounds:

@@ -11,6 +11,7 @@ from qflow.allocators import SoftIsoConfig
 from qflow.matcher import (
     enumerate_monomorphism_blocks,
     enumerate_monomorphisms,
+    mask_hosts,
     pattern_order,
     workflow_monomorphism_blocks,
     workflow_monomorphisms,
@@ -196,7 +197,8 @@ class TestBlockStream:
         for wf, network, limit in self.instances():
             order = pattern_order(len(wf.tasks), wf.skeleton())
             leaves = 0
-            for prefix, v, hosts in workflow_monomorphism_blocks(wf, network):
+            for prefix, v, mask in workflow_monomorphism_blocks(wf, network):
+                hosts = mask_hosts(mask)
                 assert v == order[-1]
                 assert list(prefix) == order[:-1]
                 assert hosts and hosts == sorted(set(hosts))
@@ -209,9 +211,12 @@ class TestBlockStream:
 
     def test_single_vertex_pattern_is_one_block(self):
         host = make_network([5, 3, 5, 5], [(0, 1), (1, 2), (2, 3)])
-        assert list(enumerate_monomorphism_blocks(1, [], host)) == [({}, 0, [0, 1, 2, 3])]
-        assert list(enumerate_monomorphism_blocks(1, [], host, min_qubits=[4])) == [({}, 0, [0, 2, 3])]
-        assert list(enumerate_monomorphism_blocks(1, [], host, min_qubits=[6])) == []
+        def decoded(blocks):
+            return [(prefix, v, mask_hosts(mask)) for prefix, v, mask in blocks]
+
+        assert decoded(enumerate_monomorphism_blocks(1, [], host)) == [({}, 0, [0, 1, 2, 3])]
+        assert decoded(enumerate_monomorphism_blocks(1, [], host, min_qubits=[4])) == [({}, 0, [0, 2, 3])]
+        assert decoded(enumerate_monomorphism_blocks(1, [], host, min_qubits=[6])) == []
 
 
 class TestDeterminism:

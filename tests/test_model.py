@@ -43,6 +43,11 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             make_task(**kwargs)
 
+    @pytest.mark.parametrize("field", ["qubits", "depth", "two_qubit_gates", "shots"])
+    def test_nan_count_rejected(self, field):
+        with pytest.raises(ValueError, match=rf"{field} must be >= \d, got nan"):
+            make_task(**{field: math.nan})
+
 
 class TestWorkflow:
     def test_cycle_rejected(self):

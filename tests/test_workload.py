@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -147,6 +148,18 @@ class TestGenerateWorkload:
         path = tmp_path / "w.json"
         export_workload(workload, path)
         assert import_workload(path) == workload
+
+    def test_imported_nan_depth_rejected(self, tmp_path):
+        catalog = generate_catalog(40, seed=4)
+        workload = generate_workload(WorkloadSpec(batch_size=3, tasks_per_group=2, seed=5), catalog)
+        path = tmp_path / "w.json"
+        export_workload(workload, path)
+        payload = json.loads(path.read_text())
+        payload["workflows"][1]["tasks"][0]["depth"] = math.nan
+        path.write_text(json.dumps(payload))
+        assert '"depth": NaN' in path.read_text()
+        with pytest.raises(ValueError, match="depth must be >= 1, got nan"):
+            import_workload(path)
 
     def test_qubit_filter_enforced(self):
         catalog = generate_catalog(40, qubit_range=(5, 100), seed=4)
