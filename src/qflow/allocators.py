@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .costs import CostBreakdown, DecisionTable, aggregate_cost, compute_bounds
 # workflow_monomorphisms is not called here; it stays bound because
 # perfbench's tracer times the matcher by swapping this name.
-from .matcher import mask_hosts, workflow_monomorphism_blocks, workflow_monomorphisms
+from .matcher import mask_hosts, workflow_monomorphism_groups, workflow_monomorphisms
 from .model import (
     Allocation,
     NetworkParams,
@@ -108,8 +108,10 @@ def soft_iso(
     never exceeds it. The stream yields only injective, qubit-fitting,
     edge-preserving mappings, so no candidate needs a feasibility check.
 
-    The stream arrives in blocks of candidates that differ only in the
-    host of the last task in visit order. Each block is scored in one call
+    The stream arrives in groups of blocks. A block holds the candidates
+    that differ only in the host of the last task in visit order, ``v``; a
+    group holds the blocks that differ only in the hosts of ``v`` and of
+    the task before it, ``u``. Each block is scored in one call
     of a :meth:`DecisionTable.block_scorer`, built at the first block from
     the per-decision table, whose floats equal :func:`aggregate_cost`'s.
     The last block is cut to the budget. A block none of whose costs beats
@@ -124,7 +126,13 @@ def soft_iso(
     stops the search and the maximum and previous costs go unread. The
     scorer then gets the incumbent's cost as its floor, and a block whose
     exact lower bound is not below it is counted without being scored or
-    having its host mask decoded.
+    having its host mask decoded. One level up, ``u`` is put on the
+    scorer's sentinel host first: a group whose exact lower bound (the
+    host terms of ``u`` and ``v`` at their minima) is not below the
+    incumbent is counted by the popcounts of its leaf masks, cut to the
+    budget, and skipped. Every block of such a group would have been
+    skipped one by one with the incumbent unchanged, so the count and the
+    budget cut are those of the block-by-block walk.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
@@ -139,46 +147,60 @@ def soft_iso(
     incumbent: dict[int, int] | None = None
     history: list[float] = []
 
-    for prefix, v, mask in workflow_monomorphism_blocks(workflow, network):
+    for prefix, u, v, pairs in workflow_monomorphism_groups(workflow, network):
         if examined >= cap:
             break
         if score is None:
-            score = table.block_scorer(weights, v)
-        size = mask.bit_count()
-        if examined + size > cap:
-            size = math.ceil(cap - examined)
-            mask = sum(1 << h for h in mask_hosts(mask)[:size])
-        costs = score(prefix, mask, mincost if bounded else None)
-        if costs is None:
-            # every cost of the block is >= mincost, and nothing else is read
-            examined += size
-            continue
-        if min(costs) >= mincost:
-            # no candidate of the block improves, so none can stop the search
-            examined += size
-            maxcost = max(maxcost, max(costs))
-            if not config.strict_pseudocode:
-                prevcost = costs[-1]
-            continue
+            score = table.block_scorer(weights, v, u if bounded else None)
+        if bounded and u is not None:
+            prefix[u] = len(network.nodes)  # u's sentinel host: its least terms
+            if score(prefix, 0, mincost) is None:
+                # no block of the group has a cost below mincost
+                size = sum(mask.bit_count() for _, mask in pairs)
+                examined += size if examined + size <= cap else math.ceil(cap - examined)
+                continue
         stop = False
-        for cost in costs:
-            low = mask & -mask  # this cost's host: the lowest bit left
-            mask ^= low
-            examined += 1
-            maxcost = max(cost, maxcost)
-            if cost < mincost:
-                mincost = cost
-                incumbent = prefix.copy()
-                incumbent[v] = low.bit_length() - 1
-                history.append(cost)
-                if (
-                    abs(cost - maxcost) > config.thres_max
-                    and abs(cost - prevcost) > config.thres_prev
-                ) or examined >= cap:
-                    stop = True
-                    break
-            if not config.strict_pseudocode:
-                prevcost = cost
+        for h, mask in pairs:
+            if examined >= cap:
+                break
+            if u is not None:
+                prefix[u] = h
+            size = mask.bit_count()
+            if examined + size > cap:
+                size = math.ceil(cap - examined)
+                mask = sum(1 << k for k in mask_hosts(mask)[:size])
+            costs = score(prefix, mask, mincost if bounded else None)
+            if costs is None:
+                # every cost of the block is >= mincost, and nothing else is read
+                examined += size
+                continue
+            if min(costs) >= mincost:
+                # no candidate of the block improves, so none can stop the search
+                examined += size
+                maxcost = max(maxcost, max(costs))
+                if not config.strict_pseudocode:
+                    prevcost = costs[-1]
+                continue
+            for cost in costs:
+                low = mask & -mask  # this cost's host: the lowest bit left
+                mask ^= low
+                examined += 1
+                maxcost = max(cost, maxcost)
+                if cost < mincost:
+                    mincost = cost
+                    incumbent = prefix.copy()
+                    incumbent[v] = low.bit_length() - 1
+                    history.append(cost)
+                    if (
+                        abs(cost - maxcost) > config.thres_max
+                        and abs(cost - prevcost) > config.thres_prev
+                    ) or examined >= cap:
+                        stop = True
+                        break
+                if not config.strict_pseudocode:
+                    prevcost = cost
+            if stop:
+                break
         if stop:
             break
 

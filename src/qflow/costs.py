@@ -20,8 +20,10 @@ returns a candidate's breakdown and its block scorer the totals of
 candidates that differ in one task's host, each equal as a float to
 ``aggregate_cost(...)``'s; given a floor, the scorer first checks an exact
 float lower bound on the block and returns ``None`` if no total can be
-below the floor. The cost-aware allocators build one table per
-decision and score every candidate, block or trial from it.
+below the floor. Given a second task, the same floor expression bounds a
+group of blocks that differ in the hosts of both tasks. The cost-aware
+allocators build one table per decision and score every candidate, block
+or trial from it.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -347,7 +349,7 @@ class DecisionTable:
         return _normalized(availability, e, r, net, self.bounds, weights)
 
     def block_scorer(
-        self, weights: WeightConfig, v: int
+        self, weights: WeightConfig, v: int, u: int | None = None
     ) -> Callable[..., list[float] | None]:
         """``score(prefix, mask, floor=None)`` lists, for each host ``h``
         whose bit is set in ``mask``, ascending, the total :meth:`breakdown`
@@ -376,6 +378,16 @@ class DecisionTable:
         nonnegative and the bounds positive, so the bound is ``<=`` every
         host's total as a float. When it is ``>= floor`` the call returns
         ``None`` without decoding ``mask`` or computing any per-host cost.
+
+        Given another task ``u``, the scorer also takes host ``n`` (the
+        node count) for ``u``: a sentinel whose normalized availability,
+        error, runtime and quantum-link term are ``u``'s minima over all
+        nodes. With ``u`` on it, ``score(prefix, 0, floor)`` evaluates the
+        group bound: the same floor expression with the host terms of both
+        ``u`` and ``v`` at their minima. By the same monotonicity it is
+        ``<=`` the floor of every block that puts ``u`` on a real node, so
+        ``<=`` each of their totals; the call returns ``None`` when it is
+        ``>= floor`` and ``[]`` otherwise.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -385,6 +397,11 @@ class DecisionTable:
         zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
         rest = 1.0 - zeta
         wait = [zeta * _clip01(a / bounds.max_nat) for a in self.avail]
+        if u is not None:
+            err, run, qlink = list(err), list(run), list(qlink)
+            for rows in (err, run, qlink):
+                rows[u] += (min(rows[u]),)
+            wait.append(min(wait))
         err_v, run_v, qlink_v = err[v], run[v], qlink[v]
         low_wait, low_err, low_run, low_qlink = min(wait), min(err_v), min(run_v), min(qlink_v)
         before = [(err[j], run[j], j) for j in range(v)]

@@ -17,14 +17,17 @@ Prosser, 2015), each vertex's candidate domain is a bitmask of hosts fixed
 once and, at each depth, narrowed by the neighbour masks of the hosts of
 its already-mapped pattern neighbours and by the mask of used hosts.
 
-The search yields blocks: all mappings that differ only in the host of the
-last vertex in visit order share one prefix, so a consumer can evaluate
-the prefix once per block (soft_iso scores a whole block per call). A
-block carries its leaf hosts as the bitmask the search computed; a
-consumer decodes it with :func:`mask_hosts` only where it needs the hosts
-one by one, so a block it can rule out as a whole costs only the mask's
-popcount. The flat streams are the blocks unrolled into one dict per
-mapping.
+The search yields groups. With ``u`` and ``v`` the last two vertices in
+visit order, all mappings that differ only in the hosts of ``u`` and ``v``
+share one prefix; at the depth of ``u`` the search lists, per host of
+``u``, the leaf hosts of ``v`` as one bitmask, with mask operations alone.
+A group's blocks are its ``(host of u, leaf mask)`` pairs: all mappings
+that differ only in the host of ``v``. A consumer can evaluate the prefix
+once per group and once more per block (soft_iso bounds a whole group and
+scores a whole block per call), and decodes a leaf mask with
+:func:`mask_hosts` only where it needs the hosts one by one, so a group or
+block it can rule out as a whole costs only popcounts. The block and flat
+streams are the groups unrolled, in the same order.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ CandidateMapping = dict[int, int]
 # visited pattern vertex: (prefix, last vertex, leaf hosts as a bitmask,
 # bit h set for host h).
 MappingBlock = tuple[CandidateMapping, int, int]
+# A group of blocks that differ only in the hosts of the last two visited
+# pattern vertices u and v: (prefix, u, v, [(host of u, leaf mask of v)]).
+MappingGroup = tuple[CandidateMapping, int | None, int, list[tuple[int | None, int]]]
 
 
 def mask_hosts(mask: int) -> list[int]:
@@ -71,21 +77,24 @@ def _visit_order(adj: list[list[int]]) -> list[int]:
     return order
 
 
-def enumerate_monomorphism_blocks(
+def enumerate_monomorphism_groups(
     pattern_size: int,
     pattern_edges: Iterable[tuple[int, int]],
     host: ResourceNetwork,
     min_qubits: Sequence[int] | None = None,
-) -> Iterator[MappingBlock]:
+) -> Iterator[MappingGroup]:
     """Yield every injective, adjacency-preserving mapping of the pattern
-    into the host, grouped into blocks, lazily and in a deterministic order.
+    into the host, in groups, lazily and in a deterministic order.
 
-    A block ``(prefix, v, mask)`` stands for the mappings ``prefix`` plus
-    ``v -> h`` for each ``h`` in ``mask_hosts(mask)``, ascending: ``v`` is
-    the last pattern vertex in visit order, ``mask`` is the nonzero bitmask
-    of its leaf hosts, and ``prefix`` maps every other vertex, keyed in
-    visit order. ``prefix`` is the search's live mapping: it is valid only
-    until the next block is requested and must not be modified or kept.
+    With ``u`` and ``v`` the last two pattern vertices in visit order, a
+    group ``(prefix, u, v, pairs)`` stands for the blocks ``(prefix plus
+    u -> hu, v, mask)`` of :func:`enumerate_monomorphism_blocks`, one per
+    ``(hu, mask)`` in ``pairs``, hosts of ``u`` ascending and masks nonzero.
+    ``prefix`` maps every vertex before ``u``, keyed in visit order; it is
+    the search's live mapping, valid only until the next group is
+    requested. A consumer may set ``prefix[u]``, which the search drops
+    before the next group. A one-vertex pattern gives at most the group
+    ``({}, None, v, [(None, mask)])``.
 
     ``pattern_edges`` lists each undirected pattern edge once, as a
     workflow skeleton does. ``min_qubits[v]`` (optional) prunes host nodes
@@ -103,30 +112,77 @@ def enumerate_monomorphism_blocks(
         sum(1 << h for h, node in enumerate(host.nodes) if min_qubits is None or node.qubits >= min_qubits[v])
         for v in range(pattern_size)
     ]
+    v = order[-1]
+    if pattern_size == 1:
+        return iter([({}, None, v, [(None, domain[v])])] if domain[v] else [])
     neighbours = [sum(1 << k for k in adjacent) for adjacent in host.adjacency()]
-    depth_of = {v: d for d, v in enumerate(order)}
-    earlier = [[p for p in adj[v] if depth_of[p] < d] for d, v in enumerate(order)]
-    last = pattern_size - 1
+    depth_of = {w: d for d, w in enumerate(order)}
+    earlier = [[p for p in adj[w] if depth_of[p] < d] for d, w in enumerate(order)]
+    last = pattern_size - 2  # the depth of u
+    u = order[last]
+    v_on_u = u in adj[v]
+    v_earlier = [p for p in earlier[-1] if p != u]
     mapping: CandidateMapping = {}
 
-    def extend(depth: int, used: int) -> Iterator[MappingBlock]:
-        v = order[depth]
-        pool = domain[v] & ~used
+    def extend(depth: int, used: int) -> Iterator[MappingGroup]:
+        w = order[depth]
+        pool = domain[w] & ~used
         for p in earlier[depth]:
             pool &= neighbours[mapping[p]]
-        if depth == last:
-            if pool:
-                yield mapping, v, pool
+        if depth < last:
+            while pool:
+                low = pool & -pool
+                pool ^= low
+                # reassigning a key keeps its position, so ``mapping`` stays
+                # keyed in visit order without deleting keys on backtrack
+                mapping[w] = low.bit_length() - 1
+                yield from extend(depth + 1, used | low)
             return
-        while pool:
+        # w is u: v's pool without u's host, narrowed per host of u
+        leaves = domain[v] & ~used
+        for p in v_earlier:
+            leaves &= neighbours[mapping[p]]
+        pairs = []
+        while pool and leaves:
             low = pool & -pool
             pool ^= low
-            # reassigning a key keeps its position, so ``mapping`` stays
-            # keyed in visit order without deleting keys on backtrack
-            mapping[v] = low.bit_length() - 1
-            yield from extend(depth + 1, used | low)
+            h = low.bit_length() - 1
+            mask = leaves & ~low
+            if v_on_u:
+                mask &= neighbours[h]
+            if mask:
+                pairs.append((h, mask))
+        if pairs:
+            mapping.pop(u, None)
+            yield mapping, u, v, pairs
 
     return extend(0, 0)
+
+
+def enumerate_monomorphism_blocks(
+    pattern_size: int,
+    pattern_edges: Iterable[tuple[int, int]],
+    host: ResourceNetwork,
+    min_qubits: Sequence[int] | None = None,
+) -> Iterator[MappingBlock]:
+    """The blocks of :func:`enumerate_monomorphism_groups`, in order.
+
+    A block ``(prefix, v, mask)`` stands for the mappings ``prefix`` plus
+    ``v -> h`` for each ``h`` in ``mask_hosts(mask)``, ascending: ``v`` is
+    the last pattern vertex in visit order, ``mask`` is the nonzero bitmask
+    of its leaf hosts, and ``prefix`` maps every other vertex, keyed in
+    visit order. ``prefix`` is the search's live mapping: it is valid only
+    until the next block is requested and must not be modified or kept.
+    """
+    return _unroll(enumerate_monomorphism_groups(pattern_size, pattern_edges, host, min_qubits))
+
+
+def _unroll(groups: Iterator[MappingGroup]) -> Iterator[MappingBlock]:
+    for prefix, u, v, pairs in groups:
+        for h, mask in pairs:
+            if u is not None:
+                prefix[u] = h
+            yield prefix, v, mask
 
 
 def enumerate_monomorphisms(
@@ -148,11 +204,16 @@ def _flatten(blocks: Iterator[MappingBlock]) -> Iterator[CandidateMapping]:
             yield mapping
 
 
-def workflow_monomorphism_blocks(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingBlock]:
+def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingGroup]:
     """Enumerate embeddings of a workflow's undirected skeleton into the
-    network in blocks, pruning nodes too small for the candidate task."""
+    network in groups, pruning nodes too small for the candidate task."""
     caps = [t.qubits for t in workflow.tasks]
-    return enumerate_monomorphism_blocks(len(workflow.tasks), workflow.skeleton(), network, min_qubits=caps)
+    return enumerate_monomorphism_groups(len(workflow.tasks), workflow.skeleton(), network, min_qubits=caps)
+
+
+def workflow_monomorphism_blocks(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingBlock]:
+    """The blocks of :func:`workflow_monomorphism_groups`, in order."""
+    return _unroll(workflow_monomorphism_groups(workflow, network))
 
 
 def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[CandidateMapping]:

@@ -72,6 +72,14 @@ class TaskSpec:
                 f"task {self.id}: measured_qubits must be in [0, qubits], "
                 f"got {self.measured_qubits} with qubits={self.qubits}"
             )
+        # inf % 1 is NaN, which is true, so an infinite count fails too
+        if (
+            self.qubits % 1 or self.depth % 1 or self.two_qubit_gates % 1
+            or self.measured_qubits % 1 or self.shots % 1
+        ):
+            counts = ("qubits", "depth", "two_qubit_gates", "measured_qubits", "shots")
+            name = next(n for n in counts if getattr(self, n) % 1)
+            raise ValueError(f"task {self.id}: {name} must be a finite whole number, got {getattr(self, name)}")
         if self.program_family not in PROGRAM_FAMILIES:
             raise ValueError(f"task {self.id}: unknown program family {self.program_family!r}")
 

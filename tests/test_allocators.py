@@ -207,33 +207,59 @@ class TestSoftIsoReference:
                 placed += assignment is not None
         assert placed >= 4
 
-    def test_thresholds_off_leaves_most_blocks_unscored(self, monkeypatch):
-        """With the thresholds off only the budget stops the search, so
-        soft_iso scores only the blocks whose bound is below the incumbent;
-        on LP-MR draws at least half of all blocks go unscored."""
+    @staticmethod
+    def count_lpmr_search(monkeypatch):
+        """Run soft_iso with the thresholds off on LP-MR draws and count the
+        groups and blocks the matcher yields, the groups whose bound skips
+        them and the blocks the scorer scores."""
+        import qflow.allocators
         import qflow.costs
 
-        calls = {"blocks": 0, "scored": 0}
+        calls = {"groups": 0, "groups_skipped": 0, "blocks": 0, "scored": 0}
+        groups = qflow.allocators.workflow_monomorphism_groups
         block_scorer = qflow.costs.DecisionTable.block_scorer
 
-        def counting(table, weights, v):
-            score = block_scorer(table, weights, v)
+        def counting_groups(workflow, network):
+            for group in groups(workflow, network):
+                calls["groups"] += 1
+                calls["blocks"] += len(group[3])
+                yield group
+
+        def counting(table, weights, v, u=None):
+            score = block_scorer(table, weights, v, u)
 
             def counted(prefix, mask, floor=None):
                 costs = score(prefix, mask, floor)
-                calls["blocks"] += 1
-                calls["scored"] += costs is not None
+                if mask:
+                    calls["scored"] += costs is not None
+                else:
+                    calls["groups_skipped"] += costs is None
                 return costs
 
             return counted
 
+        monkeypatch.setattr(qflow.allocators, "workflow_monomorphism_groups", counting_groups)
         monkeypatch.setattr(qflow.costs.DecisionTable, "block_scorer", counting)
         workflows, network = scenario_instances("LP-MR", 0, 4)
         for wf in workflows:
             outcome = soft_iso(wf, network, WEIGHTS, PARAMS, THRESHOLDS_OFF, wf.arrival_time + 0.5)
             assert outcome.candidates_examined == 10**4
+        return calls
+
+    def test_thresholds_off_leaves_most_blocks_unscored(self, monkeypatch):
+        """With the thresholds off only the budget stops the search, so
+        soft_iso scores only the blocks whose bound is below the incumbent;
+        on LP-MR draws at least half of all blocks go unscored."""
+        calls = self.count_lpmr_search(monkeypatch)
         assert calls["blocks"] > 1_000
         assert calls["scored"] <= calls["blocks"] // 2
+
+    def test_thresholds_off_skips_most_groups(self, monkeypatch):
+        """With the thresholds off soft_iso rules out whole groups by their
+        bound; on LP-MR draws at least half of all groups are skipped."""
+        calls = self.count_lpmr_search(monkeypatch)
+        assert calls["groups"] > 100
+        assert calls["groups_skipped"] >= calls["groups"] / 2
 
 
 class TestSoftIsoStopRule:

@@ -24,7 +24,7 @@ from qflow.costs import (
     runtime_cost,
     workflow_network_cost,
 )
-from qflow.matcher import mask_hosts, workflow_monomorphism_blocks
+from qflow.matcher import mask_hosts, workflow_monomorphism_blocks, workflow_monomorphism_groups
 from qflow.model import NetworkParams, WeightConfig, Workflow
 
 from .conftest import chain_workflow, make_network, make_node, make_task
@@ -562,6 +562,90 @@ class TestBlockScorer:
                         scored += 1
                 incumbent = low
         assert skipped > 1_000 and scored > 1_000
+
+
+    @staticmethod
+    def groups(rng, wf, network):
+        """The matcher's own groups (last two vertices in visit order), then
+        for every ordered pair of tasks (u, v) random injective prefixes
+        with every free node as a host of u and every other free node as a
+        host of v."""
+        leaves = 0
+        for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network):
+            yield prefix, u, v, pairs
+            leaves += sum(mask.bit_count() for _, mask in pairs)
+            if leaves >= 300:
+                break
+        n_nodes = len(network.nodes)
+        for u in range(len(wf.tasks)):
+            for v in range(len(wf.tasks)):
+                if u == v:
+                    continue
+                nodes = rng.sample(range(n_nodes), len(wf.tasks) - 2)
+                prefix = dict(zip([j for j in range(len(wf.tasks)) if j not in (u, v)], nodes))
+                free = sum(1 << h for h in set(range(n_nodes)) - set(nodes))
+                yield prefix, u, v, [(h, free & ~(1 << h)) for h in mask_hosts(free)]
+
+    @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
+    def test_group_bound_is_below_every_total_of_its_group(self, shrink):
+        """With ``u`` on the sentinel host, ``score(prefix, 0, f)`` returns
+        ``None`` only when every total of the group is ``>= f``, and
+        ``[]`` otherwise. The bound is ``<=`` the group's least total as a
+        float: it never reaches one ulp above it. A scorer given ``u``
+        still scores every block exactly."""
+        rng = random.Random(1618)
+        skipped = kept = random_skipped = random_kept = leaves = clipped = 0
+        for wf, network, params, weights, sim_time in self.decisions(rng):
+            if len(wf.tasks) < 2:
+                continue
+            for node in network.nodes:
+                node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 2.0)])
+            table = DecisionTable(wf, network, params, sim_time)
+            bounds = self.scale_bounds(table, shrink)
+            sentinel = len(network.nodes)
+            scorers = {}
+            incumbent = math.inf
+            for prefix, u, v, pairs in self.groups(rng, wf, network):
+                if (u, v) not in scorers:
+                    scorers[u, v] = table.block_scorer(weights, v, u)
+                score = scorers[u, v]
+                totals = []
+                for h, mask in pairs:
+                    prefix[u] = h
+                    costs = score(prefix, mask)
+                    for k, cost in zip(mask_hosts(mask), costs):
+                        candidate = [k if j == v else prefix[j] for j in range(len(wf.tasks))]
+                        ref = aggregate_cost(wf, candidate, network, weights, params, bounds, sim_time)
+                        assert cost == ref.total
+                        clipped += (
+                            ref.error_raw > bounds.max_task_error_sum
+                            or ref.runtime_raw > bounds.max_task_runtime_sum
+                            or ref.network_raw > bounds.max_network_sum
+                        )
+                    totals += costs
+                leaves += len(totals)
+                low = min(totals)
+                prefix[u] = sentinel
+                assert score(prefix, 0, math.nextafter(low, math.inf)) == []
+                for floor in (low, math.nextafter(low, -math.inf), incumbent):
+                    got = score(prefix, 0, floor)
+                    if got is None:
+                        assert low >= floor
+                        skipped += 1
+                    else:
+                        assert got == []
+                        kept += 1
+                floor = rng.random()
+                got = score(prefix, 0, floor)
+                assert got == [] or (got is None and low >= floor)
+                random_skipped += got is None
+                random_kept += got is not None
+                incumbent = low
+        assert leaves > 20_000
+        assert skipped > 500 and kept > 500
+        assert random_skipped > 100 and random_kept > 100
+        if shrink < 1.0:
+            assert clipped > leaves // 4  # the > 1 clip is exercised
 
 
 class TestComputeBounds:

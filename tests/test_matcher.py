@@ -10,10 +10,12 @@ import pytest
 from qflow.allocators import SoftIsoConfig
 from qflow.matcher import (
     enumerate_monomorphism_blocks,
+    enumerate_monomorphism_groups,
     enumerate_monomorphisms,
     mask_hosts,
     pattern_order,
     workflow_monomorphism_blocks,
+    workflow_monomorphism_groups,
     workflow_monomorphisms,
 )
 from qflow.model import mapping_feasible
@@ -217,6 +219,114 @@ class TestBlockStream:
         assert decoded(enumerate_monomorphism_blocks(1, [], host)) == [({}, 0, [0, 1, 2, 3])]
         assert decoded(enumerate_monomorphism_blocks(1, [], host, min_qubits=[4])) == [({}, 0, [0, 2, 3])]
         assert decoded(enumerate_monomorphism_blocks(1, [], host, min_qubits=[6])) == []
+
+
+def reference_blocks(mappings, v):
+    """The reference stream as blocks: consecutive mappings that differ
+    only in ``v``'s host, as (prefix without ``v``, v, hosts)."""
+    blocks = []
+    for m in mappings:
+        prefix = {w: h for w, h in m.items() if w != v}
+        if blocks and list(blocks[-1][0].items()) == list(prefix.items()):
+            blocks[-1][2].append(m[v])
+        else:
+            blocks.append((prefix, v, [m[v]]))
+    return blocks
+
+
+def unrolled(groups):
+    """Groups unrolled by hand into (prefix copy, v, hosts) blocks."""
+    blocks = []
+    for prefix, u, v, pairs in groups:
+        for h, mask in pairs:
+            if u is not None:
+                prefix[u] = h
+            blocks.append((dict(prefix), v, mask_hosts(mask)))
+    return blocks
+
+
+class TestGroupStream:
+    """Groups share all but the hosts of the last two visited vertices;
+    unrolled, they are the block stream and the flat stream, in order and
+    down to key order."""
+
+    @staticmethod
+    def patterns():
+        rng = random.Random(404)
+        for _ in range(200):
+            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            yield len(wf.tasks), wf.skeleton(), network, [t.qubits for t in wf.tasks]
+        k6 = make_network([9, 4, 9, 9, 2, 9], [(a, b) for a in range(6) for b in range(a + 1, 6)])
+        # star around 1, visited 1, 0, 2, 3: u = 2 and v = 3 are not adjacent
+        yield 4, [(0, 1), (1, 2), (1, 3)], k6, None
+        yield 2, [(0, 1)], k6, [5, 3]
+        yield 1, [], k6, [3]
+
+    def test_unrolled_groups_equal_blocks_and_flat_stream(self):
+        leaves = 0
+        for n, edges, network, caps in self.patterns():
+            groups = unrolled(enumerate_monomorphism_groups(n, edges, network, caps))
+            blocks = [
+                (dict(prefix), v, mask_hosts(mask))
+                for prefix, v, mask in enumerate_monomorphism_blocks(n, edges, network, caps)
+            ]
+            ref = list(reference_monomorphisms(n, edges, network, caps))
+            expected = reference_blocks(ref, pattern_order(n, edges)[-1])
+            for got in (groups, blocks):
+                assert got == expected
+                assert [list(prefix) for prefix, _, _ in got] == [list(prefix) for prefix, _, _ in expected]
+            flat = list(enumerate_monomorphisms(n, edges, network, caps))
+            assert flat == ref and [list(m) for m in flat] == [list(m) for m in ref]
+            leaves += len(ref)
+        assert leaves > 4_000
+
+    def test_pairs_ascend_with_nonzero_masks(self):
+        groups = 0
+        for n, edges, network, caps in self.patterns():
+            order = pattern_order(n, edges)
+            for prefix, u, v, pairs in enumerate_monomorphism_groups(n, edges, network, caps):
+                assert v == order[-1]
+                if n == 1:
+                    assert (prefix, u, [h for h, _ in pairs]) == ({}, None, [None])
+                else:
+                    assert u == order[-2] and list(prefix) == order[:-2]
+                    hosts = [h for h, _ in pairs]
+                    assert hosts == sorted(set(hosts))
+                    assert not set(hosts) & set(prefix.values())
+                assert all(mask for _, mask in pairs)
+                groups += 1
+        assert groups > 500
+
+    def test_v_not_adjacent_to_u_takes_hosts_off_u_links(self):
+        # on a path host, the star's leaves 2 and 3 both hang off 1's host,
+        # so 3's leaf hosts are never linked to 2's host
+        path = make_network([5] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        edges = [(0, 1), (1, 2), (1, 3)]
+        assert pattern_order(4, edges) == [1, 0, 2, 3]
+        assert list(enumerate_monomorphism_groups(4, edges, path)) == []
+        star = make_network([5] * 5, [(0, k) for k in range(1, 5)])
+        groups = [
+            (dict(prefix), u, v, [(h, mask_hosts(mask)) for h, mask in pairs])
+            for prefix, u, v, pairs in enumerate_monomorphism_groups(4, edges, star)
+        ]
+        assert groups[0] == ({1: 0, 0: 1}, 2, 3, [(2, [3, 4]), (3, [2, 4]), (4, [2, 3])])
+        assert len(groups) == 4 and sum(len(hosts) for g in groups for _, hosts in g[3]) == 24
+
+    def test_one_and_two_task_patterns(self):
+        host = make_network([5, 3, 5, 5], [(0, 1), (1, 2), (2, 3)])
+
+        def decoded(groups):
+            return [(dict(p), u, v, [(h, mask_hosts(m)) for h, m in pairs]) for p, u, v, pairs in groups]
+
+        assert decoded(enumerate_monomorphism_groups(1, [], host)) == [({}, None, 0, [(None, [0, 1, 2, 3])])]
+        assert decoded(enumerate_monomorphism_groups(1, [], host, min_qubits=[6])) == []
+        assert decoded(enumerate_monomorphism_groups(2, [(0, 1)], host, min_qubits=[4, 1])) == [
+            ({}, 0, 1, [(0, [1]), (2, [1, 3]), (3, [2])])
+        ]
+        wf = chain_workflow([4, 1])
+        assert decoded(workflow_monomorphism_groups(wf, host)) == decoded(
+            enumerate_monomorphism_groups(2, [(0, 1)], host, min_qubits=[4, 1])
+        )
 
 
 class TestDeterminism:

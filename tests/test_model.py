@@ -48,6 +48,18 @@ class TestTaskSpec:
         with pytest.raises(ValueError, match=rf"{field} must be >= \d, got nan"):
             make_task(**{field: math.nan})
 
+    @pytest.mark.parametrize("field", ["qubits", "depth", "two_qubit_gates", "measured_qubits", "shots"])
+    @pytest.mark.parametrize("value", [math.inf, 2.5], ids=["inf", "fractional"])
+    def test_infinite_or_fractional_count_rejected(self, field, value):
+        # qubits bounds measured_qubits, so a fractional qubit count comes
+        # with a measured count below it
+        kwargs = {field: value, "measured_qubits": 2} if field == "qubits" else {field: value}
+        with pytest.raises(ValueError, match=rf"task t: {field} must be "):
+            make_task(**kwargs)
+
+    def test_integral_float_count_accepted(self):
+        assert make_task(depth=6.0).depth == 6
+
 
 class TestWorkflow:
     def test_cycle_rejected(self):
