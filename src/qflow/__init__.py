@@ -36,13 +36,10 @@ from .experiments import (
 )
 from .matcher import (
     CandidateMapping,
-    MappingBlock,
     MappingGroup,
-    enumerate_monomorphism_blocks,
     enumerate_monomorphism_groups,
     enumerate_monomorphisms,
     mask_hosts,
-    workflow_monomorphism_blocks,
     workflow_monomorphism_groups,
     workflow_monomorphisms,
 )

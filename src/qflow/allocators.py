@@ -127,7 +127,7 @@ def soft_iso(
     scorer then gets the incumbent's cost as its floor, and a block whose
     exact lower bound is not below it is counted without being scored or
     having its host mask decoded. One level up, ``u`` is put on the
-    scorer's sentinel host first: a group whose exact lower bound (the
+    table's sentinel host first: a group whose exact lower bound (the
     host terms of ``u`` and ``v`` at their minima) is not below the
     incumbent is counted by the popcounts of its leaf masks, cut to the
     budget, and skipped. Every block of such a group would have been
@@ -151,7 +151,7 @@ def soft_iso(
         if examined >= cap:
             break
         if score is None:
-            score = table.block_scorer(weights, v, u if bounded else None)
+            score = table.block_scorer(weights, v)
         if bounded and u is not None:
             prefix[u] = len(network.nodes)  # u's sentinel host: its least terms
             if score(prefix, 0, mincost) is None:

@@ -20,10 +20,10 @@ returns a candidate's breakdown and its block scorer the totals of
 candidates that differ in one task's host, each equal as a float to
 ``aggregate_cost(...)``'s; given a floor, the scorer first checks an exact
 float lower bound on the block and returns ``None`` if no total can be
-below the floor. Given a second task, the same floor expression bounds a
-group of blocks that differ in the hosts of both tasks. The cost-aware
-allocators build one table per decision and score every candidate, block
-or trial from it.
+below the floor. With a second task on a sentinel host, the same
+expression bounds a group of blocks that differ in the hosts of both
+tasks. The cost-aware allocators build one table per decision and score
+every candidate, block or trial from it.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -240,7 +240,9 @@ class TaskTerms:
     one :class:`NetworkParams`.
 
     ``err``, ``run`` and ``qlink`` hold the task's error, runtime and
-    quantum-link term per node; ``clink`` is its classical term.
+    quantum-link term per node, then the row's minimum at index ``n`` (the
+    node count): a sentinel host with the task's least terms, for bounds.
+    ``clink`` is its classical term.
     ``fit_max`` is the (error, runtime, ``qlink + clink``) maxima over the
     nodes that fit the task's qubits, ``None`` when none does;
     ``all_max`` the same maxima over every node.
@@ -255,14 +257,14 @@ class TaskTerms:
 
 
 def _task_terms(task: TaskSpec, nodes: Sequence[QpuNode], params: NetworkParams) -> TaskTerms:
-    err = tuple(error_cost(task, n) for n in nodes)
-    run = tuple(runtime_cost(task, n) for n in nodes)
-    qlink = tuple(quantum_link_cost(task, n, params) for n in nodes)
+    err = [error_cost(task, n) for n in nodes]
+    run = [runtime_cost(task, n) for n in nodes]
+    qlink = [quantum_link_cost(task, n, params) for n in nodes]
     clink = classical_link_cost(task, params)
     rows = [(err[k], run[k], qlink[k] + clink) for k in range(len(nodes))]
     fits = [row for row, n in zip(rows, nodes) if task.qubits <= n.qubits]
     return TaskTerms(
-        err, run, qlink, clink,
+        *((*row, min(row)) for row in (err, run, qlink)), clink,
         fit_max=tuple(map(max, zip(*fits))) if fits else None,
         all_max=tuple(map(max, zip(*rows))),
     )
@@ -281,14 +283,14 @@ class DecisionTable:
     qubit constraint the worst cases range over all pairs, and every bound
     is floored at ``BOUND_FLOOR`` so normalization never divides by zero.
 
-    The per-task rows and maxima depend only on the task, the node
-    calibration and the link parameters, so they come from the network's
-    term cache (:meth:`ResourceNetwork.term_cache`), keyed by
+    The per-task rows, each ending with its minimum on the sentinel host
+    ``n`` (the node count), and the maxima depend only on the task, the
+    node calibration and the link parameters, so they come from the
+    network's term cache (:meth:`ResourceNetwork.term_cache`), keyed by
     ``(NetworkParams, TaskSpec)``: one :class:`TaskTerms` per distinct
-    task, so at most distinct tasks x nodes terms of each kind per
-    parameter set. Only the availability column and the bounds (maxima of
-    the per-task maxima, the same floats as maxima over the pairs) are
-    computed per decision.
+    task. Only the availability column and the bounds (maxima of the
+    per-task maxima, the same floats as maxima over the pairs) are computed
+    per decision.
     """
 
     def __init__(
@@ -348,9 +350,7 @@ class DecisionTable:
             net += (qlink[a][candidate[a]] + qlink[b][candidate[b]]) / 2.0 + (clink[a] + clink[b]) / 2.0
         return _normalized(availability, e, r, net, self.bounds, weights)
 
-    def block_scorer(
-        self, weights: WeightConfig, v: int, u: int | None = None
-    ) -> Callable[..., list[float] | None]:
+    def block_scorer(self, weights: WeightConfig, v: int) -> Callable[..., list[float] | None]:
         """``score(prefix, mask, floor=None)`` lists, for each host ``h``
         whose bit is set in ``mask``, ascending, the total :meth:`breakdown`
         returns for ``prefix`` plus task ``v`` on ``h``. Given a ``floor``,
@@ -368,26 +368,23 @@ class DecisionTable:
         ``f(x) = zeta * clip(x / max_nat)``.
 
         Given a ``floor``, the folded prefix first goes through the
-        per-host expression once more, in the same order, with ``v``'s
-        host terms (its normalized availability, error, runtime and
-        quantum-link term) replaced by their minima over all nodes, taken
-        once per scorer. That bound needs no epsilon: under
-        round-to-nearest, ``a + x``, ``x / d`` for ``d > 0``, ``w * x`` for
-        ``w >= 0``, ``max(x, a)`` and the clip are each monotone
-        non-decreasing in ``x`` as floats, the weights and ``1 - zeta`` are
-        nonnegative and the bounds positive, so the bound is ``<=`` every
-        host's total as a float. When it is ``>= floor`` the call returns
-        ``None`` without decoding ``mask`` or computing any per-host cost.
+        per-host expression once more, in the same order, with ``v`` on the
+        sentinel host ``n`` (the node count), whose normalized availability,
+        error, runtime and quantum-link terms are the minima over all nodes.
+        That bound needs no epsilon: under round-to-nearest, ``a + x``,
+        ``x / d`` for ``d > 0``, ``w * x`` for ``w >= 0``, ``max(x, a)`` and
+        the clip are each monotone non-decreasing in ``x`` as floats, the
+        weights and ``1 - zeta`` are nonnegative and the bounds positive, so
+        the bound is ``<=`` every host's total as a float. When it is
+        ``>= floor`` the call returns ``None`` without decoding ``mask`` or
+        computing any per-host cost.
 
-        Given another task ``u``, the scorer also takes host ``n`` (the
-        node count) for ``u``: a sentinel whose normalized availability,
-        error, runtime and quantum-link term are ``u``'s minima over all
-        nodes. With ``u`` on it, ``score(prefix, 0, floor)`` evaluates the
-        group bound: the same floor expression with the host terms of both
-        ``u`` and ``v`` at their minima. By the same monotonicity it is
-        ``<=`` the floor of every block that puts ``u`` on a real node, so
-        ``<=`` each of their totals; the call returns ``None`` when it is
-        ``>= floor`` and ``[]`` otherwise.
+        ``prefix`` may put another task ``u`` on the sentinel too: then
+        ``score(prefix, 0, floor)`` evaluates the group bound, with the host
+        terms of both ``u`` and ``v`` at their minima. By the same
+        monotonicity it is ``<=`` the floor of every block that puts ``u``
+        on a real node, so ``<=`` each of their totals; the call returns
+        ``None`` when it is ``>= floor`` and ``[]`` otherwise.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -397,13 +394,9 @@ class DecisionTable:
         zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
         rest = 1.0 - zeta
         wait = [zeta * _clip01(a / bounds.max_nat) for a in self.avail]
-        if u is not None:
-            err, run, qlink = list(err), list(run), list(qlink)
-            for rows in (err, run, qlink):
-                rows[u] += (min(rows[u]),)
-            wait.append(min(wait))
+        wait.append(min(wait))  # the sentinel host, as in the term rows
         err_v, run_v, qlink_v = err[v], run[v], qlink[v]
-        low_wait, low_err, low_run, low_qlink = min(wait), min(err_v), min(run_v), min(qlink_v)
+        low_wait, low_err, low_run, low_qlink = wait[-1], err_v[-1], run_v[-1], qlink_v[-1]
         before = [(err[j], run[j], j) for j in range(v)]
         after = [(err[j], run[j], j) for j in range(v + 1, len(err))]
         edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .costs import BOUND_FLOOR
-from .model import NetworkParams, WeightConfig
+from .model import NetworkParams, WeightConfig, check_count
 from .allocators import SoftIsoConfig
 from .profiles import load_profiles
 from .simulation import (
@@ -82,16 +82,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALLOCATOR_NAMES:
             raise ConfigError(f"algorithm: unknown value {self.algorithm!r}, expected one of {ALLOCATOR_NAMES}")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions: must be >= 1")
-        if self.retry_limit < 0:
-            raise ConfigError("retry_limit: must be >= 0")
-        if self.trial_multiplier < 1:
-            raise ConfigError("trial_multiplier: must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers: must be >= 1")
-        if self.catalog_size < 1:
-            raise ConfigError("catalog_size: must be >= 1")
+        counts = {"repetitions": 1, "retry_limit": 0, "trial_multiplier": 1, "workers": 1, "catalog_size": 1}
+        try:
+            for name, minimum in counts.items():
+                check_count(name, getattr(self, name), minimum)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -26,8 +26,8 @@ that differ only in the host of ``v``. A consumer can evaluate the prefix
 once per group and once more per block (soft_iso bounds a whole group and
 scores a whole block per call), and decodes a leaf mask with
 :func:`mask_hosts` only where it needs the hosts one by one, so a group or
-block it can rule out as a whole costs only popcounts. The block and flat
-streams are the groups unrolled, in the same order.
+block it can rule out as a whole costs only popcounts. The flat stream is
+the groups unrolled, in the same order.
 """
 
 from __future__ import annotations
@@ -38,12 +38,9 @@ from .model import ResourceNetwork, Workflow, neighbour_lists
 
 # A candidate mapping: workflow task index -> network node index, injective.
 CandidateMapping = dict[int, int]
-# A block of candidate mappings that differ only in the host of the last
-# visited pattern vertex: (prefix, last vertex, leaf hosts as a bitmask,
-# bit h set for host h).
-MappingBlock = tuple[CandidateMapping, int, int]
-# A group of blocks that differ only in the hosts of the last two visited
-# pattern vertices u and v: (prefix, u, v, [(host of u, leaf mask of v)]).
+# A group of mappings that differ only in the hosts of the last two visited
+# pattern vertices u and v: (prefix, u, v, [(host of u, leaf mask of v)]),
+# bit h of a leaf mask set for host h.
 MappingGroup = tuple[CandidateMapping, int | None, int, list[tuple[int | None, int]]]
 
 
@@ -87,12 +84,12 @@ def enumerate_monomorphism_groups(
     into the host, in groups, lazily and in a deterministic order.
 
     With ``u`` and ``v`` the last two pattern vertices in visit order, a
-    group ``(prefix, u, v, pairs)`` stands for the blocks ``(prefix plus
-    u -> hu, v, mask)`` of :func:`enumerate_monomorphism_blocks`, one per
-    ``(hu, mask)`` in ``pairs``, hosts of ``u`` ascending and masks nonzero.
-    ``prefix`` maps every vertex before ``u``, keyed in visit order; it is
-    the search's live mapping, valid only until the next group is
-    requested. A consumer may set ``prefix[u]``, which the search drops
+    group ``(prefix, u, v, pairs)`` stands for the mappings ``prefix`` plus
+    ``u -> hu`` plus ``v -> h``, for each ``(hu, mask)`` in ``pairs`` (hosts
+    of ``u`` ascending, masks nonzero) and each ``h`` in
+    ``mask_hosts(mask)``. ``prefix`` maps every vertex before ``u``, keyed
+    in visit order; it is the search's live mapping, valid only until the
+    next group is requested. A consumer may set ``prefix[u]``, which the search drops
     before the next group. A one-vertex pattern gives at most the group
     ``({}, None, v, [(None, mask)])``.
 
@@ -159,49 +156,26 @@ def enumerate_monomorphism_groups(
     return extend(0, 0)
 
 
-def enumerate_monomorphism_blocks(
-    pattern_size: int,
-    pattern_edges: Iterable[tuple[int, int]],
-    host: ResourceNetwork,
-    min_qubits: Sequence[int] | None = None,
-) -> Iterator[MappingBlock]:
-    """The blocks of :func:`enumerate_monomorphism_groups`, in order.
-
-    A block ``(prefix, v, mask)`` stands for the mappings ``prefix`` plus
-    ``v -> h`` for each ``h`` in ``mask_hosts(mask)``, ascending: ``v`` is
-    the last pattern vertex in visit order, ``mask`` is the nonzero bitmask
-    of its leaf hosts, and ``prefix`` maps every other vertex, keyed in
-    visit order. ``prefix`` is the search's live mapping: it is valid only
-    until the next block is requested and must not be modified or kept.
-    """
-    return _unroll(enumerate_monomorphism_groups(pattern_size, pattern_edges, host, min_qubits))
-
-
-def _unroll(groups: Iterator[MappingGroup]) -> Iterator[MappingBlock]:
-    for prefix, u, v, pairs in groups:
-        for h, mask in pairs:
-            if u is not None:
-                prefix[u] = h
-            yield prefix, v, mask
-
-
 def enumerate_monomorphisms(
     pattern_size: int,
     pattern_edges: Iterable[tuple[int, int]],
     host: ResourceNetwork,
     min_qubits: Sequence[int] | None = None,
 ) -> Iterator[CandidateMapping]:
-    """The mappings of :func:`enumerate_monomorphism_blocks`, one dict each,
-    keyed in visit order."""
-    return _flatten(enumerate_monomorphism_blocks(pattern_size, pattern_edges, host, min_qubits))
+    """The mappings of :func:`enumerate_monomorphism_groups`, one dict
+    each, keyed in visit order."""
+    return _flatten(enumerate_monomorphism_groups(pattern_size, pattern_edges, host, min_qubits))
 
 
-def _flatten(blocks: Iterator[MappingBlock]) -> Iterator[CandidateMapping]:
-    for prefix, v, mask in blocks:
-        for h in mask_hosts(mask):
-            mapping = prefix.copy()
-            mapping[v] = h
-            yield mapping
+def _flatten(groups: Iterator[MappingGroup]) -> Iterator[CandidateMapping]:
+    for prefix, u, v, pairs in groups:
+        for h, mask in pairs:
+            if u is not None:
+                prefix[u] = h
+            for k in mask_hosts(mask):
+                mapping = prefix.copy()
+                mapping[v] = k
+                yield mapping
 
 
 def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingGroup]:
@@ -211,11 +185,6 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
     return enumerate_monomorphism_groups(len(workflow.tasks), workflow.skeleton(), network, min_qubits=caps)
 
 
-def workflow_monomorphism_blocks(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingBlock]:
-    """The blocks of :func:`workflow_monomorphism_groups`, in order."""
-    return _unroll(workflow_monomorphism_groups(workflow, network))
-
-
 def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[CandidateMapping]:
-    """The mappings of :func:`workflow_monomorphism_blocks`, one dict each."""
-    return _flatten(workflow_monomorphism_blocks(workflow, network))
+    """The mappings of :func:`workflow_monomorphism_groups`, one dict each."""
+    return _flatten(workflow_monomorphism_groups(workflow, network))

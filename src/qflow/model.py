@@ -40,6 +40,18 @@ PROGRAM_FAMILIES = (
 )
 
 
+def check_count(name: str, value: float, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a whole number
+    ``>= minimum``. A bool, NaN, an infinite or a fractional value fails;
+    an integral float such as ``6.0`` passes."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a whole number, not a bool, got {value}")
+    if not value >= minimum:  # NaN fails here
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if value % 1:  # inf % 1 is NaN, which is true
+        raise ValueError(f"{name} must be a finite whole number, got {value}")
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Metadata of one quantum-circuit task.
@@ -58,28 +70,17 @@ class TaskSpec:
     program_family: str = "randomcircuit"
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not self.qubits >= 1:
-            raise ValueError(f"task {self.id}: qubits must be >= 1, got {self.qubits}")
-        if not self.depth >= 1:
-            raise ValueError(f"task {self.id}: depth must be >= 1, got {self.depth}")
-        if not self.shots >= 1:
-            raise ValueError(f"task {self.id}: shots must be >= 1, got {self.shots}")
-        if not self.two_qubit_gates >= 0:
-            raise ValueError(f"task {self.id}: two_qubit_gates must be >= 0, got {self.two_qubit_gates}")
-        if not 0 <= self.measured_qubits <= self.qubits:
+        counts = (("qubits", 1), ("depth", 1), ("shots", 1), ("two_qubit_gates", 0), ("measured_qubits", 0))
+        try:
+            for name, minimum in counts:
+                check_count(name, getattr(self, name), minimum)
+        except ValueError as exc:
+            raise ValueError(f"task {self.id}: {exc}") from None
+        if self.measured_qubits > self.qubits:
             raise ValueError(
                 f"task {self.id}: measured_qubits must be in [0, qubits], "
                 f"got {self.measured_qubits} with qubits={self.qubits}"
             )
-        # inf % 1 is NaN, which is true, so an infinite count fails too
-        if (
-            self.qubits % 1 or self.depth % 1 or self.two_qubit_gates % 1
-            or self.measured_qubits % 1 or self.shots % 1
-        ):
-            counts = ("qubits", "depth", "two_qubit_gates", "measured_qubits", "shots")
-            name = next(n for n in counts if getattr(self, n) % 1)
-            raise ValueError(f"task {self.id}: {name} must be a finite whole number, got {getattr(self, name)}")
         if self.program_family not in PROGRAM_FAMILIES:
             raise ValueError(f"task {self.id}: unknown program family {self.program_family!r}")
 
@@ -290,8 +291,7 @@ class NetworkParams:
                 raise ValueError("transmission_efficiency must be finite in dB")
         elif not self.transmission_efficiency > 0:
             raise ValueError("transmission_efficiency must be > 0")
-        if self.switch_count < 0:
-            raise ValueError("switch_count must be >= 0")
+        check_count("switch_count", self.switch_count, 0)
         try:
             attenuation = self.eta_linear ** self.switch_count
         except OverflowError:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import PROGRAM_FAMILIES, QpuNode, ResourceNetwork, TaskSpec, Workflow, components
+from .model import PROGRAM_FAMILIES, QpuNode, ResourceNetwork, TaskSpec, Workflow, check_count, components
 from .profiles import node_from_profile
 
 DEFAULT_PROFILE_POOL = ("brisbane", "torino", "marrakesh")
@@ -52,19 +52,17 @@ class WorkloadSpec:
     tasks_per_group_min: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 1 <= self.tasks_per_group <= 5:
+        for name in ("batch_size", "tasks_per_group", "tasks_per_group_min", "shots_default"):
+            check_count(name, getattr(self, name), 1)
+        if self.tasks_per_group > 5:
             raise ValueError("tasks_per_group must be in [1, 5]")
-        if not 1 <= self.tasks_per_group_min <= self.tasks_per_group:
+        if self.tasks_per_group_min > self.tasks_per_group:
             raise ValueError("tasks_per_group_min must be in [1, tasks_per_group]")
         lo, hi = self.qubit_range
-        if lo < 1 or hi < lo:
-            raise ValueError("qubit_range must satisfy 1 <= lo <= hi")
+        check_count("qubit_range low end", lo, 1)
+        check_count("qubit_range high end", hi, lo)
         if self.arrival_rate is not None and not self.arrival_rate > 0:
             raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
-        if self.shots_default < 1:
-            raise ValueError("shots_default must be >= 1")
 
     @property
     def effective_rate(self) -> float:
@@ -81,8 +79,7 @@ class TopologySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
+        check_count("node_count", self.node_count, 1)
         if not 0.0 <= self.link_probability <= 1.0:
             raise ValueError("link_probability must be in [0, 1]")
         if not self.profile_pool:

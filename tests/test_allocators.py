@@ -225,8 +225,8 @@ class TestSoftIsoReference:
                 calls["blocks"] += len(group[3])
                 yield group
 
-        def counting(table, weights, v, u=None):
-            score = block_scorer(table, weights, v, u)
+        def counting(table, weights, v):
+            score = block_scorer(table, weights, v)
 
             def counted(prefix, mask, floor=None):
                 costs = score(prefix, mask, floor)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 from qflow.cli import main
 
@@ -41,6 +42,23 @@ class TestExitCodes:
         cfg = write_config(tmp_path, repetitions=0)
         assert main(["--config", str(cfg)]) == 1
         assert "repetitions" in capsys.readouterr().err
+
+    def test_nan_retry_limit_is_config_error_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # unchecked, NaN retries never exhaust: 5-task workflows on 3 nodes always fail and retry forever
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr("qflow.cli.run_experiment", unreachable)
+        for bad, spelled in ((math.nan, "NaN"), (math.inf, "Infinity")):
+            cfg = write_config(
+                tmp_path, repetitions=1, retry_limit=bad,
+                workload={"batch_size": 3, "tasks_per_group": 5, "tasks_per_group_min": 5},
+                topology={"node_count": 3},
+            )
+            assert f'"retry_limit": {spelled}' in cfg.read_text()
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+            assert "retry_limit" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["--frobnicate"]) == 1

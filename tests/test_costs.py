@@ -24,7 +24,7 @@ from qflow.costs import (
     runtime_cost,
     workflow_network_cost,
 )
-from qflow.matcher import mask_hosts, workflow_monomorphism_blocks, workflow_monomorphism_groups
+from qflow.matcher import mask_hosts, workflow_monomorphism_groups
 from qflow.model import NetworkParams, WeightConfig, Workflow
 
 from .conftest import chain_workflow, make_network, make_node, make_task
@@ -57,10 +57,12 @@ def fresh_terms(wf, network, params, sim_time):
 
 
 def assert_fresh(table, wf, network, params, sim_time):
+    """The cached rows are the fresh rows, each followed by its minimum on
+    the sentinel host; the bounds range over the real nodes only."""
     err, run, qlink, clink, avail, bounds = fresh_terms(wf, network, params, sim_time)
-    assert table.err == err
-    assert table.run == run
-    assert table.qlink == qlink
+    assert table.err == [row + (min(row),) for row in err]
+    assert table.run == [row + (min(row),) for row in run]
+    assert table.qlink == [row + (min(row),) for row in qlink]
     assert table.clink == clink
     assert table.avail == avail
     assert table.edges == tuple(sorted(wf.skeleton()))
@@ -471,14 +473,17 @@ class TestBlockScorer:
 
     @staticmethod
     def blocks(rng, wf, network):
-        """The matcher's own blocks (last vertex in visit order), then for
-        every task v random injective prefixes with every free node as a
-        host; prefix keys are shuffled, since scoring must not read them in
-        order."""
+        """The blocks of the matcher's own groups (last vertex in visit
+        order), then for every task v random injective prefixes with every
+        free node as a host; prefix keys are shuffled, since scoring must
+        not read them in order."""
         leaves = 0
-        for prefix, v, mask in workflow_monomorphism_blocks(wf, network):
-            yield dict(prefix), v, mask
-            leaves += mask.bit_count()
+        for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network):
+            for h, mask in pairs:
+                if u is not None:
+                    prefix[u] = h
+                yield dict(prefix), v, mask
+                leaves += mask.bit_count()
             if leaves >= 300:
                 break
         n_nodes = len(network.nodes)
@@ -591,8 +596,9 @@ class TestBlockScorer:
         """With ``u`` on the sentinel host, ``score(prefix, 0, f)`` returns
         ``None`` only when every total of the group is ``>= f``, and
         ``[]`` otherwise. The bound is ``<=`` the group's least total as a
-        float: it never reaches one ulp above it. A scorer given ``u``
-        still scores every block exactly."""
+        float: it never reaches one ulp above it. The same scorer puts
+        ``v`` on the sentinel for each block's floor and scores every block
+        exactly."""
         rng = random.Random(1618)
         skipped = kept = random_skipped = random_kept = leaves = clipped = 0
         for wf, network, params, weights, sim_time in self.decisions(rng):
@@ -607,7 +613,7 @@ class TestBlockScorer:
             incumbent = math.inf
             for prefix, u, v, pairs in self.groups(rng, wf, network):
                 if (u, v) not in scorers:
-                    scorers[u, v] = table.block_scorer(weights, v, u)
+                    scorers[u, v] = table.block_scorer(weights, v)
                 score = scorers[u, v]
                 totals = []
                 for h, mask in pairs:

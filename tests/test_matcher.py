@@ -9,12 +9,10 @@ import pytest
 
 from qflow.allocators import SoftIsoConfig
 from qflow.matcher import (
-    enumerate_monomorphism_blocks,
     enumerate_monomorphism_groups,
     enumerate_monomorphisms,
     mask_hosts,
     pattern_order,
-    workflow_monomorphism_blocks,
     workflow_monomorphism_groups,
     workflow_monomorphisms,
 )
@@ -37,7 +35,7 @@ def brute_force_monomorphisms(pattern_size, pattern_edges, network, min_qubits=N
 
 
 def reference_monomorphisms(pattern_size, pattern_edges, host, min_qubits=None):
-    """Reference for the block search: a plain list-domain backtracker that
+    """Reference for the group search: a plain list-domain backtracker that
     yields one dict per leaf, keyed in visit order, with hosts ascending
     along the visit order."""
     edges = {(min(a, b), max(a, b)) for a, b in pattern_edges}
@@ -161,8 +159,8 @@ class TestOracleEquivalence:
                 assert len(set(m.values())) == len(m)
 
 
-class TestBlockStream:
-    """The block search, flattened, is the reference backtracker's stream,
+class TestFlatStream:
+    """The group search, flattened, is the reference backtracker's stream,
     down to the key order of every dict."""
 
     @staticmethod
@@ -177,7 +175,7 @@ class TestBlockStream:
                 for wf in workflows:
                     yield wf, network, 30_000
 
-    def test_flattened_blocks_equal_reference_stream(self):
+    def test_equals_reference_stream(self):
         compared = 0
         for wf, network, limit in self.instances():
             caps = [t.qubits for t in wf.tasks]
@@ -193,32 +191,6 @@ class TestBlockStream:
                 assert [list(m) for m in got] == [list(m) for m in ref]
                 compared += len(ref)
         assert compared > 100_000
-
-    def test_blocks_are_nonempty_ascending_and_share_one_leaf(self):
-        blocks = 0
-        for wf, network, limit in self.instances():
-            order = pattern_order(len(wf.tasks), wf.skeleton())
-            leaves = 0
-            for prefix, v, mask in workflow_monomorphism_blocks(wf, network):
-                hosts = mask_hosts(mask)
-                assert v == order[-1]
-                assert list(prefix) == order[:-1]
-                assert hosts and hosts == sorted(set(hosts))
-                assert not set(hosts) & set(prefix.values())
-                blocks += 1
-                leaves += len(hosts)
-                if limit is not None and leaves >= limit:
-                    break
-        assert blocks > 1_000
-
-    def test_single_vertex_pattern_is_one_block(self):
-        host = make_network([5, 3, 5, 5], [(0, 1), (1, 2), (2, 3)])
-        def decoded(blocks):
-            return [(prefix, v, mask_hosts(mask)) for prefix, v, mask in blocks]
-
-        assert decoded(enumerate_monomorphism_blocks(1, [], host)) == [({}, 0, [0, 1, 2, 3])]
-        assert decoded(enumerate_monomorphism_blocks(1, [], host, min_qubits=[4])) == [({}, 0, [0, 2, 3])]
-        assert decoded(enumerate_monomorphism_blocks(1, [], host, min_qubits=[6])) == []
 
 
 def reference_blocks(mappings, v):
@@ -247,8 +219,8 @@ def unrolled(groups):
 
 class TestGroupStream:
     """Groups share all but the hosts of the last two visited vertices;
-    unrolled, they are the block stream and the flat stream, in order and
-    down to key order."""
+    unrolled, they are the reference stream's blocks and the flat stream,
+    in order and down to key order."""
 
     @staticmethod
     def patterns():
@@ -266,15 +238,10 @@ class TestGroupStream:
         leaves = 0
         for n, edges, network, caps in self.patterns():
             groups = unrolled(enumerate_monomorphism_groups(n, edges, network, caps))
-            blocks = [
-                (dict(prefix), v, mask_hosts(mask))
-                for prefix, v, mask in enumerate_monomorphism_blocks(n, edges, network, caps)
-            ]
             ref = list(reference_monomorphisms(n, edges, network, caps))
             expected = reference_blocks(ref, pattern_order(n, edges)[-1])
-            for got in (groups, blocks):
-                assert got == expected
-                assert [list(prefix) for prefix, _, _ in got] == [list(prefix) for prefix, _, _ in expected]
+            assert groups == expected
+            assert [list(prefix) for prefix, _, _ in groups] == [list(prefix) for prefix, _, _ in expected]
             flat = list(enumerate_monomorphisms(n, edges, network, caps))
             assert flat == ref and [list(m) for m in flat] == [list(m) for m in ref]
             leaves += len(ref)
@@ -319,6 +286,9 @@ class TestGroupStream:
             return [(dict(p), u, v, [(h, mask_hosts(m)) for h, m in pairs]) for p, u, v, pairs in groups]
 
         assert decoded(enumerate_monomorphism_groups(1, [], host)) == [({}, None, 0, [(None, [0, 1, 2, 3])])]
+        assert decoded(enumerate_monomorphism_groups(1, [], host, min_qubits=[4])) == [
+            ({}, None, 0, [(None, [0, 2, 3])])
+        ]
         assert decoded(enumerate_monomorphism_groups(1, [], host, min_qubits=[6])) == []
         assert decoded(enumerate_monomorphism_groups(2, [(0, 1)], host, min_qubits=[4, 1])) == [
             ({}, 0, 1, [(0, [1]), (2, [1, 3]), (3, [2])])

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from qflow.experiments import ExperimentConfig
 from qflow.model import (
     Allocation,
     NetworkParams,
@@ -18,7 +19,7 @@ from qflow.model import (
     validate_allocation,
 )
 from qflow.profiles import PROFILES_ENV_VAR, load_profiles, node_from_profile
-from qflow.workload import random_connected_dag
+from qflow.workload import TopologySpec, WorkloadSpec, random_connected_dag
 
 from .conftest import chain_workflow, make_network, make_node, make_task
 
@@ -59,6 +60,43 @@ class TestTaskSpec:
 
     def test_integral_float_count_accepted(self):
         assert make_task(depth=6.0).depth == 6
+
+
+# Every whole-count field: a builder from the value, the least valid value
+# and the name its error must carry.
+COUNT_FIELDS = {
+    **{
+        f"TaskSpec.{name}": (lambda x, name=name: make_task(**{name: x, "measured_qubits": 0}), low, name)
+        for name, low in (("qubits", 1), ("depth", 1), ("two_qubit_gates", 0), ("shots", 1))
+    },
+    "TaskSpec.measured_qubits": (lambda x: make_task(measured_qubits=x), 0, "measured_qubits"),
+    "NetworkParams.switch_count": (lambda x: NetworkParams(switch_count=x), 0, "switch_count"),
+    **{
+        f"WorkloadSpec.{name}": (lambda x, name=name: WorkloadSpec(**{name: x}), 1, name)
+        for name in ("batch_size", "tasks_per_group", "tasks_per_group_min", "shots_default")
+    },
+    "WorkloadSpec.qubit_range.low": (lambda x: WorkloadSpec(qubit_range=(x, 100)), 1, "qubit_range low end"),
+    "WorkloadSpec.qubit_range.high": (lambda x: WorkloadSpec(qubit_range=(5, x)), 5, "qubit_range high end"),
+    "TopologySpec.node_count": (lambda x: TopologySpec(node_count=x), 1, "node_count"),
+    **{
+        f"ExperimentConfig.{name}": (lambda x, name=name: ExperimentConfig(**{name: x}), low, name)
+        for name, low in (
+            ("repetitions", 1), ("retry_limit", 0), ("trial_multiplier", 1), ("workers", 1), ("catalog_size", 1)
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("field", list(COUNT_FIELDS))
+def test_count_field_takes_only_whole_numbers(field):
+    """A bool, NaN, an infinite, a fractional or a too-small value is
+    rejected, naming the field; the least value passes, also as a float."""
+    build, low, name = COUNT_FIELDS[field]
+    for bad in (True, False, math.nan, math.inf, low + 0.5, low - 1):
+        with pytest.raises(ValueError, match=name):
+            build(bad)
+    build(low)
+    build(float(low))
 
 
 class TestWorkflow:

@@ -173,6 +173,18 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError, match="depth must be a finite whole number, got inf"):
             import_workload(path)
 
+    def test_imported_boolean_depth_rejected(self, tmp_path):
+        catalog = generate_catalog(40, seed=4)
+        workload = generate_workload(WorkloadSpec(batch_size=3, tasks_per_group=2, seed=5), catalog)
+        path = tmp_path / "w.json"
+        export_workload(workload, path)
+        payload = json.loads(path.read_text())
+        payload["workflows"][1]["tasks"][0]["depth"] = True
+        path.write_text(json.dumps(payload))
+        assert '"depth": true' in path.read_text()
+        with pytest.raises(ValueError, match="depth must be a whole number, not a bool"):
+            import_workload(path)
+
     def test_qubit_filter_enforced(self):
         catalog = generate_catalog(40, qubit_range=(5, 100), seed=4)
         spec = WorkloadSpec(batch_size=10, tasks_per_group=2, qubit_range=(5, 20), seed=6)
