@@ -28,10 +28,12 @@ every candidate, block or trial from it.
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
 which changes during a run. Each :class:`ResourceNetwork` therefore keeps
-them in a term cache keyed by ``(TaskSpec, NetworkParams)``, evaluated on a
-task's first decision and read by every later one: at most distinct tasks x
-nodes terms of each kind per parameter set. A table computes only the
-availability column and the bounds; its edges are the workflow's skeleton.
+them in a term cache keyed by ``(TaskSpec, NetworkParams)``. :func:`task_terms`
+evaluates a task's terms on its first use, once per calibration class of the
+network (nodes with equal calibration have equal terms), expands them to
+every node, and serves every later decision and the simulator's execution
+from the cache. A table computes only the availability column and the
+bounds; its edges are the workflow's skeleton.
 """
 
 from __future__ import annotations
@@ -256,15 +258,23 @@ class TaskTerms:
     all_max: tuple[float, float, float]
 
 
-def _task_terms(task: TaskSpec, nodes: Sequence[QpuNode], params: NetworkParams) -> TaskTerms:
-    err = [error_cost(task, n) for n in nodes]
-    run = [runtime_cost(task, n) for n in nodes]
-    qlink = [quantum_link_cost(task, n, params) for n in nodes]
+def task_terms(tasks: Sequence[TaskSpec], network: ResourceNetwork, params: NetworkParams) -> list[TaskTerms]:
+    """Each task's :class:`TaskTerms` on ``network`` under ``params``, read
+    from the network's term cache (:meth:`ResourceNetwork.term_cache`) and
+    evaluated there on the task's first use."""
+    cache = network.term_cache(params)  # ``or`` is safe: a TaskTerms is never false
+    return [cache.get(t) or cache.setdefault(t, _task_terms(t, network, params)) for t in tasks]
+
+
+def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams) -> TaskTerms:
+    # one evaluation per calibration class, expanded by each node's class
+    reps, _, of_node = network.calibration_classes
+    per_class = [(error_cost(task, n), runtime_cost(task, n), quantum_link_cost(task, n, params)) for n in reps]
     clink = classical_link_cost(task, params)
-    rows = [(err[k], run[k], qlink[k] + clink) for k in range(len(nodes))]
-    fits = [row for row, n in zip(rows, nodes) if task.qubits <= n.qubits]
+    rows = [(e, r, q + clink) for e, r, q in per_class]
+    fits = [row for row, n in zip(rows, reps) if task.qubits <= n.qubits]
     return TaskTerms(
-        *((*row, min(row)) for row in (err, run, qlink)), clink,
+        *((*map(col.__getitem__, of_node), min(col)) for col in zip(*per_class)), clink,
         fit_max=tuple(map(max, zip(*fits))) if fits else None,
         all_max=tuple(map(max, zip(*rows))),
     )
@@ -300,13 +310,7 @@ class DecisionTable:
         params: NetworkParams,
         sim_time: float = 0.0,
     ):
-        cache = network.term_cache(params)
-        terms = []
-        for task in workflow.tasks:
-            entry = cache.get(task)
-            if entry is None:
-                entry = cache[task] = _task_terms(task, network.nodes, params)
-            terms.append(entry)
+        terms = task_terms(workflow.tasks, network, params)
         self.err = [t.err for t in terms]
         self.run = [t.run for t in terms]
         self.qlink = [t.qlink for t in terms]

@@ -15,7 +15,9 @@ mappings that the qubit constraint would reject anyway. As in VF2++
 (Juttner and Madarasi, 2018) and bitset subgraph solvers (McCreesh and
 Prosser, 2015), each vertex's candidate domain is a bitmask of hosts fixed
 once and, at each depth, narrowed by the neighbour masks of the hosts of
-its already-mapped pattern neighbours and by the mask of used hosts.
+its already-mapped pattern neighbours and by the mask of used hosts. The
+visit order and the per-depth lists depend only on the skeleton, so they
+are cached per pattern; the masks come from the network's cached views.
 
 The search yields groups. With ``u`` and ``v`` the last two vertices in
 visit order, all mappings that differ only in the hosts of ``u`` and ``v``
@@ -33,6 +35,7 @@ the groups unrolled, in the same order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 
 from .model import ResourceNetwork, Workflow, neighbour_lists
 
@@ -57,21 +60,30 @@ def mask_hosts(mask: int) -> list[int]:
 def pattern_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """Visit order of pattern vertices: highest degree first, then BFS.
     ``edges`` lists each undirected pattern edge once."""
-    return _visit_order(neighbour_lists(n, edges))
+    return list(_search_plan(n, tuple(edges))[0])
 
 
-def _visit_order(adj: list[list[int]]) -> list[int]:
-    root = max(range(len(adj)), key=lambda v: (len(adj[v]), -v))
-    order = [root]
-    seen = {root}
+@lru_cache(maxsize=512)
+def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
+    """The skeleton-only part of the search, derived once per pattern and
+    kept in a bounded cache: the visit order; per depth, the pattern
+    neighbours mapped at earlier depths; whether the last vertex ``v``
+    neighbours the one before it, ``u``; and ``v``'s earlier neighbours
+    other than ``u``."""
+    adj = neighbour_lists(n, edges)
+    order = [max(range(n), key=lambda v: (len(adj[v]), -v))]
+    seen = set(order)
     for u in order:  # grows while walked: a breadth-first search
         for v in adj[u]:
             if v not in seen:
                 seen.add(v)
                 order.append(v)
-    if len(order) != len(adj):
+    if len(order) != n:
         raise ValueError("pattern skeleton must be connected")
-    return order
+    depth_of = {w: d for d, w in enumerate(order)}
+    earlier = tuple(tuple(p for p in adj[w] if depth_of[p] < d) for d, w in enumerate(order))
+    u = order[-2] if n > 1 else None
+    return tuple(order), earlier, u in adj[order[-1]], tuple(p for p in earlier[-1] if p != u)
 
 
 def enumerate_monomorphism_groups(
@@ -99,26 +111,20 @@ def enumerate_monomorphism_groups(
     """
     if pattern_size < 1:
         raise ValueError("pattern must be nonempty")
-    adj = neighbour_lists(pattern_size, pattern_edges)
-    order = _visit_order(adj)
-
-    # Search tables as host bitmasks: qubit-feasible hosts per pattern
-    # vertex and neighbours per host; per depth, the pattern neighbours
-    # mapped at earlier depths.
+    order, earlier, v_on_u, v_earlier = _search_plan(pattern_size, tuple(pattern_edges))
+    # Qubit-feasible hosts per pattern vertex as a bitmask: the OR of the
+    # calibration classes whose representative fits.
+    reps, masks, _ = host.calibration_classes
     domain = [
-        sum(1 << h for h, node in enumerate(host.nodes) if min_qubits is None or node.qubits >= min_qubits[v])
+        sum(m for rep, m in zip(reps, masks) if min_qubits is None or rep.qubits >= min_qubits[v])
         for v in range(pattern_size)
     ]
     v = order[-1]
     if pattern_size == 1:
         return iter([({}, None, v, [(None, domain[v])])] if domain[v] else [])
-    neighbours = [sum(1 << k for k in adjacent) for adjacent in host.adjacency()]
-    depth_of = {w: d for d, w in enumerate(order)}
-    earlier = [[p for p in adj[w] if depth_of[p] < d] for d, w in enumerate(order)]
+    neighbours = host.neighbour_masks
     last = pattern_size - 2  # the depth of u
     u = order[last]
-    v_on_u = u in adj[v]
-    v_earlier = [p for p in earlier[-1] if p != u]
     mapping: CandidateMapping = {}
 
     def extend(depth: int, used: int) -> Iterator[MappingGroup]:

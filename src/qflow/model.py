@@ -3,16 +3,17 @@
 All types are immutable value records except :class:`QpuNode`, whose queue
 state (``next_available_time`` and ``queue``) is mutated by the simulation
 engine only. A node's calibration is never mutated after its network is
-built: each :class:`ResourceNetwork` caches the cost terms derived from it
-(:meth:`ResourceNetwork.term_cache`), and the cache relies on that. Freezing
-the node, with availability held by the simulator, waits on the benchmark,
+built: each :class:`ResourceNetwork` groups its nodes into calibration
+classes and caches the cost terms derived from them
+(:meth:`ResourceNetwork.term_cache`), and both rely on that. Freezing the
+node, with availability held by the simulator, waits on the benchmark,
 which reads the queue fields. A single simulation run is single-threaded;
 independent runs may share nothing and can execute in parallel.
 
 The graph helpers at the end (:func:`neighbour_lists`, :func:`components`,
 :func:`kahn_order`) build the neighbour lists, components and topological
 orders every module uses; each workflow and network derives its views from
-them once.
+them once, a network's neighbour bitmasks included.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import attrgetter
 
 PROGRAM_FAMILIES = (
     "ghz",
@@ -141,6 +143,12 @@ class Workflow:
         return self._order
 
 
+# A QpuNode's ten calibration fields are its qubits, these error rates and these positive figures.
+_ERROR_RATES = ("readout_error", "one_qubit_error", "two_qubit_error")
+_POSITIVE = ("one_qubit_runtime", "two_qubit_runtime", "readout_runtime", "t1", "t2", "d1cps")
+_calibration = attrgetter("qubits", *_ERROR_RATES, *_POSITIVE)
+
+
 @dataclass
 class QpuNode:
     """One quantum device with calibration data and live queue state.
@@ -169,20 +177,12 @@ class QpuNode:
     queue: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.qubits < 1:
-            raise ValueError(f"node {self.id}: qubits must be >= 1")
-        for name in ("readout_error", "one_qubit_error", "two_qubit_error"):
+        check_count(f"node {self.id}: qubits", self.qubits, 1)
+        for name in _ERROR_RATES:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"node {self.id}: {name} must be in [0, 1), got {v}")
-        for name in (
-            "one_qubit_runtime",
-            "two_qubit_runtime",
-            "readout_runtime",
-            "t1",
-            "t2",
-            "d1cps",
-        ):
+        for name in _POSITIVE:
             v = getattr(self, name)
             if not v > 0:
                 raise ValueError(f"node {self.id}: {name} must be > 0, got {v}")
@@ -219,6 +219,23 @@ class ResourceNetwork:
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, neighbour_lists(len(self.nodes), self.links)))
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Each node's neighbours as a host bitmask, bit k for node k."""
+        return tuple(sum(1 << k for k in adjacent) for adjacent in self.adjacency())
+
+    @cached_property
+    def calibration_classes(self) -> tuple[tuple[QpuNode, ...], tuple[int, ...], tuple[int, ...]]:
+        """The nodes grouped by their ten calibration fields (``id`` and the
+        queue state are not part of the key), in order of first appearance:
+        one representative node and one host bitmask per class, then each
+        node's class index. Nodes of a class have equal cost terms."""
+        index: dict[tuple, int] = {}
+        of_node = tuple(index.setdefault(_calibration(node), len(index)) for node in self.nodes)
+        reps = tuple(self.nodes[of_node.index(c)] for c in range(len(index)))
+        masks = tuple(sum(1 << k for k, d in enumerate(of_node) if d == c) for c in range(len(index)))
+        return reps, masks, of_node
 
     def dfs_order(self) -> tuple[int, ...]:
         """Depth-first traversal order, built once: start at the node with

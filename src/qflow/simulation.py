@@ -23,7 +23,7 @@ from time import perf_counter
 from typing import Protocol
 
 from .allocators import AllocationOutcome
-from .costs import edge_communication_cost, fidelity, runtime_cost, workflow_network_cost
+from .costs import task_terms
 from .model import NetworkParams, ResourceNetwork, Workflow, neighbour_lists
 
 DEFAULT_RETRY_LIMIT = 3
@@ -150,33 +150,31 @@ def _execute(
     dependency_gating: bool,
     gate_comm_latency: bool,
 ) -> None:
-    """Enqueue an allocated workflow's tasks and advance node queue state."""
+    """Enqueue an allocated workflow's tasks and advance node queue state.
+    Runtimes, fidelities and edge costs are read off the network's cached
+    terms and added as ``qflow.costs`` adds them, so every float is equal."""
     allocation = outcome.allocation
     assert allocation is not None
     network = state.network
     assignment = allocation.assignment
+    terms = task_terms(workflow.tasks, network, params)
     finish_times: dict[int, float] = {}
     preds = neighbour_lists(len(workflow.tasks), [(b, a) for a, b in workflow.edges], directed=True)
 
     for j in workflow.topological_order():
-        task = workflow.tasks[j]
         node_index = assignment[j]
         node = network.nodes[node_index]
+        t = terms[j]
         ready = now
         if dependency_gating:
             for p in preds[j]:
                 gate = finish_times[p]
                 if gate_comm_latency:
-                    gate += edge_communication_cost(
-                        workflow.tasks[p],
-                        network.nodes[assignment[p]],
-                        task,
-                        node,
-                        params,
-                    )
+                    tp = terms[p]
+                    gate += (tp.qlink[assignment[p]] + t.qlink[node_index]) / 2.0 + (tp.clink + t.clink) / 2.0
                 ready = max(ready, gate)
         start = max(node.next_available_time, ready)
-        duration = runtime_cost(task, node)
+        duration = t.run[node_index]
         finish = start + duration
         finish_times[j] = finish
         node.next_available_time = finish
@@ -186,12 +184,16 @@ def _execute(
             TaskExecution(workflow_id=workflow.id, task_index=j, node_index=node_index, start=start, finish=finish)
         )
         state.metrics.wait_time += start - workflow.arrival_time
-        state.metrics.fidelity_sum += fidelity(task, node)
+        state.metrics.fidelity_sum += 1.0 - t.err[node_index]
         state.metrics.tasks_allocated += 1
 
-    state.metrics.communication_overhead += workflow_network_cost(
-        workflow, assignment, network, params, require_links=True
-    )
+    net = 0.0
+    for a, b in workflow.skeleton():
+        ka, kb = assignment[a], assignment[b]
+        if not network.has_link(ka, kb):
+            raise ValueError(f"workflow {workflow.id}: edge ({a},{b}) maps to non-linked nodes ({ka},{kb})")
+        net += (terms[a].qlink[ka] + terms[b].qlink[kb]) / 2.0 + (terms[a].clink + terms[b].clink) / 2.0
+    state.metrics.communication_overhead += net
 
 
 def qpu_time_distribution(state: SimState) -> list[float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from decimal import Decimal, getcontext
@@ -25,7 +26,7 @@ from qflow.costs import (
     workflow_network_cost,
 )
 from qflow.matcher import mask_hosts, workflow_monomorphism_groups
-from qflow.model import NetworkParams, WeightConfig, Workflow
+from qflow.model import NetworkParams, QpuNode, ResourceNetwork, WeightConfig, Workflow
 
 from .conftest import chain_workflow, make_network, make_node, make_task
 
@@ -406,6 +407,38 @@ class TestTermCache:
                 for k, w in enumerate([wf, *others])
             ]
             yield workflows, network
+        # one calibration class: nodes equal but for their id (0.0 == -0.0)
+        same = [make_node(f"s{k}", 9, 0.004, 0.01, -0.0 if k % 2 else 0.0) for k in range(6)]
+        # eleven classes: every b node is one class, and d_k differs from
+        # b_k in exactly one field
+        base = dict(qubits=6, e1=0.004, e2=0.01, er=0.02, rt1=60e-9, rt2=660e-9, rtr=1600e-9,
+                    t1=220e-6, t2=120e-6, d1cps=180000.0)
+        pairs = [make_node("b0", **base)]
+        for k, (name, value) in enumerate(base.items(), 1):
+            changed = value + 3 if name == "qubits" else value * 1.5
+            pairs += [make_node(f"b{k}", **base), make_node(f"d{k}", **{**base, name: changed})]
+        for nodes in (same, pairs):
+            network = ResourceNetwork(tuple(nodes), frozenset(itertools.combinations(range(len(nodes)), 2)))
+            workflows = [
+                dataclasses.replace(random_small_instance(rng, max_tasks=5)[0], id=f"cal{k}", arrival_time=0.1 * k)
+                for k in range(6)
+            ]
+            yield workflows, network
+
+    @staticmethod
+    def assert_classes(network):
+        """Two nodes share a calibration class exactly when their fields
+        other than id and queue state are equal; each class's
+        representative is one of its nodes."""
+        names = [f.name for f in dataclasses.fields(QpuNode) if f.name not in ("id", "next_available_time", "queue")]
+        assert len(names) == 10
+        key = [tuple(getattr(node, name) for name in names) for node in network.nodes]
+        reps, masks, of_node = network.calibration_classes
+        for j, k in itertools.combinations(range(len(key)), 2):
+            assert (of_node[j] == of_node[k]) == (key[j] == key[k])
+        assert [c for c, mask in enumerate(masks) for _ in mask_hosts(mask)] == sorted(of_node)
+        assert all(of_node[k] == c for c, mask in enumerate(masks) for k in mask_hosts(mask))
+        assert all(any(network.nodes[k] is rep for k in mask_hosts(mask)) for rep, mask in zip(reps, masks))
 
     def test_rows_and_bounds_equal_fresh_evaluation(self):
         from qflow.allocators import SoftIsoConfig
@@ -419,6 +452,7 @@ class TestTermCache:
         )
         tables = 0
         for workflows, network in self.networks(rng):
+            self.assert_classes(network)
             allocator = make_allocator("soft_iso", WeightConfig(), run_params, SoftIsoConfig(counter_cap_base=2))
             state = run_simulation(workflows, network, allocator, run_params)
             assert state.completed and network.term_cache(run_params)

@@ -9,6 +9,7 @@ import pytest
 
 from qflow.allocators import SoftIsoConfig
 from qflow.matcher import (
+    _search_plan,
     enumerate_monomorphism_groups,
     enumerate_monomorphisms,
     mask_hosts,
@@ -315,6 +316,55 @@ class TestDeterminism:
         assert sorted(order) == [0, 1, 2, 3]
         # chain: middle vertex of a 3-chain has degree 2
         assert pattern_order(3, [(0, 1), (1, 2)])[0] == 1
+
+
+class TestSearchPlan:
+    """The skeleton-only plan is cached across workflows and networks; the
+    qubit domains come from the network's calibration classes."""
+
+    @staticmethod
+    def groups(wf, network):
+        return [
+            (list(prefix.items()), u, v, list(pairs))
+            for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network)
+        ]
+
+    def test_cached_plans_give_the_groups_of_fresh_plans(self):
+        instances = [scenario_instances("LP-LR", seed, 40) for seed in range(2)]
+        hits = _search_plan.cache_info().hits
+        warm = [self.groups(wf, network) for workflows, _ in instances for _, network in instances for wf in workflows]
+        # both networks run every skeleton, so at least the second reads each plan
+        assert _search_plan.cache_info().hits - hits >= 80
+        fresh = []
+        for workflows, _ in instances:
+            for _, network in instances:
+                for wf in workflows:
+                    _search_plan.cache_clear()
+                    fresh.append(self.groups(wf, network))
+        assert warm == fresh
+        assert sum(map(len, fresh)) > 100
+
+    def test_plan_cache_is_bounded(self):
+        maxsize = _search_plan.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 32
+        path = [(k, k + 1) for k in range(6)]
+        for edges in itertools.islice(itertools.permutations(path), maxsize + 10):
+            assert pattern_order(7, edges) == [1, 0, 2, 3, 4, 5, 6]
+        assert _search_plan.cache_info().currsize == maxsize
+
+    def test_class_mask_domains_equal_per_node_filter(self):
+        rng = random.Random(31)
+        networks = [random_small_instance(rng, max_nodes=8)[1] for _ in range(20)]
+        networks += [scenario_instances(s, seed, 1)[1] for s in ("LP-LR", "LP-MR") for seed in range(2)]
+        networks.append(make_network([5, 3, 5, 5, 3], [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        for network in networks:
+            assert len(network.calibration_classes[0]) <= len(network.nodes)
+            everything = (1 << len(network.nodes)) - 1
+            assert list(enumerate_monomorphism_groups(1, [], network)) == [({}, None, 0, [(None, everything)])]
+            for q in {0, 1} | {node.qubits + d for node in network.nodes for d in (-1, 0, 1)}:
+                fits = sum(1 << k for k, node in enumerate(network.nodes) if node.qubits >= q)
+                groups = list(enumerate_monomorphism_groups(1, [], network, min_qubits=[q]))
+                assert groups == ([({}, None, 0, [(None, fits)])] if fits else [])
 
 
 class TestMappingFeasible:

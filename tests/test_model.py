@@ -166,6 +166,12 @@ class TestQpuNode:
         with pytest.raises(ValueError, match=rf"{field} must be > 0"):
             make_node(**{kwarg: value})
 
+    @pytest.mark.parametrize("qubits", [math.nan, math.inf, 2.5, True], ids=["nan", "inf", "fractional", "bool"])
+    def test_non_whole_qubits_rejected_naming_the_node(self, qubits):
+        # a NaN node would fit no task: every qubit comparison with NaN is false
+        with pytest.raises(ValueError, match=r"^node x: qubits must be"):
+            make_node(node_id="x", qubits=qubits)
+
 
 def reference_kahn(n, edges):
     """Kahn's algorithm over a sorted ready list, the least index first."""

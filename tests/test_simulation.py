@@ -9,9 +9,9 @@ import pytest
 
 from qflow import simulation
 from qflow.allocators import AllocationOutcome, greedy_dfs
-from qflow.costs import edge_communication_cost, fidelity, runtime_cost
+from qflow.costs import edge_communication_cost, fidelity, runtime_cost, workflow_network_cost
 from qflow.model import Allocation, NetworkParams, WeightConfig, Workflow
-from qflow.simulation import make_allocator, qpu_time_distribution, run_simulation
+from qflow.simulation import TaskExecution, make_allocator, qpu_time_distribution, run_simulation
 
 from .conftest import chain_workflow, make_network, make_task
 
@@ -301,14 +301,49 @@ class TestCallSequence:
         assert (total_calls > total_workflows) == (retry_limit > 0)
 
 
+def fresh_execute(workflow, outcome, state, params, now, dependency_gating, gate_comm_latency):
+    """The simulator's execution step evaluating every runtime, fidelity and
+    edge cost afresh from the cost functions."""
+    network = state.network
+    assignment = outcome.allocation.assignment
+    finish_times = {}
+    for j in workflow.topological_order():
+        task = workflow.tasks[j]
+        node_index = assignment[j]
+        node = network.nodes[node_index]
+        ready = now
+        if dependency_gating:
+            for p in sorted(a for a, b in workflow.edges if b == j):
+                gate = finish_times[p]
+                if gate_comm_latency:
+                    gate += edge_communication_cost(
+                        workflow.tasks[p], network.nodes[assignment[p]], task, node, params
+                    )
+                ready = max(ready, gate)
+        start = max(node.next_available_time, ready)
+        duration = runtime_cost(task, node)
+        finish = start + duration
+        finish_times[j] = finish
+        node.next_available_time = finish
+        node.queue.append((workflow.id, j))
+        state.busy_seconds[node_index] += duration
+        state.executions.append(
+            TaskExecution(workflow_id=workflow.id, task_index=j, node_index=node_index, start=start, finish=finish)
+        )
+        state.metrics.wait_time += start - workflow.arrival_time
+        state.metrics.fidelity_sum += fidelity(task, node)
+        state.metrics.tasks_allocated += 1
+    state.metrics.communication_overhead += workflow_network_cost(
+        workflow, assignment, network, params, require_links=True
+    )
+
+
 class TestMetrics:
     def test_fidelity_average_over_allocated_tasks(self):
         net = make_network([127], [])
         wf = chain_workflow([5], wf_id="w", arrival=0.0)
         state = run_simulation([wf], net, fixed_allocator({"w": {0: 0}}), PARAMS)
-        assert state.metrics.avg_fidelity == pytest.approx(
-            fidelity(wf.tasks[0], net.nodes[0]), rel=1e-12
-        )
+        assert state.metrics.avg_fidelity == fidelity(wf.tasks[0], net.nodes[0])
 
     def test_makespan_bounds_single_task_runtime(self):
         rng = random.Random(11)
@@ -326,13 +361,29 @@ class TestMetrics:
         assert state.metrics.completion_pct == 100.0
 
     def test_comm_overhead_sums_workflow_network_costs(self):
-        from qflow.costs import workflow_network_cost
-
         net = make_network([127, 127], [(0, 1)])
         wf = chain_workflow([5, 7], wf_id="w", arrival=0.0)
         state = run_simulation([wf], net, fixed_allocator({"w": {0: 0, 1: 1}}), PARAMS)
         expected = workflow_network_cost(wf, {0: 0, 1: 1}, net, PARAMS)
-        assert state.metrics.communication_overhead == pytest.approx(expected, rel=1e-12)
+        assert state.metrics.communication_overhead == expected
+
+    @pytest.mark.parametrize("name", ["soft_iso", "greedy_dfs"])
+    def test_execution_equals_fresh_cost_functions(self, monkeypatch, name):
+        # the simulator reads the network's cached terms; every record and
+        # float metric must be what the cost functions give afresh
+        from .conftest import scenario_instances
+
+        runs = {}
+        for label, execute in (("cached", simulation._execute), ("fresh", fresh_execute)):
+            monkeypatch.setattr(simulation, "_execute", execute)
+            runs[label] = []
+            for seed in range(3):
+                workflows, network = scenario_instances("LP-LR", seed, 80)
+                state = run_simulation(workflows, network, make_allocator(name, WEIGHTS, PARAMS), PARAMS)
+                m = state.metrics
+                runs[label].append((state.executions, m.wait_time, m.fidelity_sum, m.communication_overhead))
+        assert runs["cached"] == runs["fresh"]
+        assert sum(len(executions) for executions, *_ in runs["fresh"]) > 50
 
     @pytest.mark.parametrize("failures", [0, 1, 3])
     def test_decision_time_counts_every_invocation(self, monkeypatch, failures):
