@@ -1,8 +1,9 @@
 """Allocation strategies mapping one workflow onto the QPU network.
 
-Every strategy is a pure function of its inputs: it reads the network and
-returns an :class:`AllocationOutcome` value, and keeps no clock (the
-simulator times each call). Four strategies share one outcome record:
+Every strategy is a pure function of its inputs, the cost-aware ones of the
+simulator's backlog vector too (``None``: an idle network). It returns an
+:class:`AllocationOutcome` value and keeps no clock (the simulator times
+each call). Four strategies share one outcome record:
 
 * :func:`soft_iso` walks the lazy monomorphism stream block by block,
   scores each block of candidates from a per-decision term table, and
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .costs import CostBreakdown, DecisionTable, aggregate_cost, compute_bounds
@@ -95,7 +97,7 @@ def soft_iso(
     weights: WeightConfig,
     params: NetworkParams,
     config: SoftIsoConfig | None = None,
-    sim_time: float = 0.0,
+    backlog: Sequence[float] | None = None,
 ) -> AllocationOutcome:
     """Cost-aware embedding search with soft early stopping.
 
@@ -136,7 +138,7 @@ def soft_iso(
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
-    table = DecisionTable(workflow, network, params, sim_time)
+    table = DecisionTable(workflow, network, params, backlog)
     score = None
     bounded = math.inf in (config.thres_max, config.thres_prev)
 
@@ -214,7 +216,7 @@ def random_aware(
     weights: WeightConfig,
     params: NetworkParams,
     rng_seed: int = 0,
-    sim_time: float = 0.0,
+    backlog: Sequence[float] | None = None,
     trial_multiplier: int = 1,
 ) -> AllocationOutcome:
     """Randomized placement: per trial, assign tasks in ascending qubit
@@ -233,7 +235,7 @@ def random_aware(
     """
     rng = random.Random(rng_seed)
     tasks = workflow.tasks
-    table = DecisionTable(workflow, network, params, sim_time)
+    table = DecisionTable(workflow, network, params, backlog)
     order = sorted(range(len(tasks)), key=lambda j: (tasks[j].qubits, j))
     fits = [[k for k, node in enumerate(network.nodes) if node.qubits >= task.qubits] for task in tasks]
 
@@ -282,11 +284,7 @@ def _outcome(
     return AllocationOutcome(allocation, examined, tuple(history))
 
 
-def greedy_dfs(
-    workflow: Workflow,
-    network: ResourceNetwork,
-    sim_time: float = 0.0,
-) -> AllocationOutcome:
+def greedy_dfs(workflow: Workflow, network: ResourceNetwork) -> AllocationOutcome:
     """Constraint-only baseline: qubit-sorted tasks walk the DFS node order
     and each task takes the next node large enough to hold it.
 
@@ -318,7 +316,7 @@ def exhaustive_oracle(
     network: ResourceNetwork,
     weights: WeightConfig,
     params: NetworkParams,
-    sim_time: float = 0.0,
+    backlog: Sequence[float] | None = None,
 ) -> AllocationOutcome:
     """Exact minimum-cost assignment by full enumeration.
 
@@ -337,7 +335,7 @@ def exhaustive_oracle(
             f"oracle guard: instance {n_tasks} tasks x {n_nodes} nodes exceeds "
             f"{ORACLE_MAX_TASKS} x {ORACLE_MAX_NODES}"
         )
-    bounds = compute_bounds(workflow, network, params, sim_time)
+    bounds = compute_bounds(workflow, network, params, backlog)
 
     best = None
     best_cost = math.inf
@@ -347,7 +345,7 @@ def exhaustive_oracle(
         if not mapping_feasible(tup, workflow, network):
             continue
         examined += 1
-        breakdown = aggregate_cost(workflow, list(tup), network, weights, params, bounds, sim_time)
+        breakdown = aggregate_cost(workflow, list(tup), network, weights, params, bounds, backlog)
         if breakdown.total < best_cost:
             best_cost = breakdown.total
             best = tup

@@ -32,8 +32,8 @@ them in a term cache keyed by ``(TaskSpec, NetworkParams)``. :func:`task_terms`
 evaluates a task's terms on its first use, once per calibration class of the
 network (nodes with equal calibration have equal terms), expands them to
 every node, and serves every later decision and the simulator's execution
-from the cache. A table computes only the availability column and the
-bounds; its edges are the workflow's skeleton.
+from the cache. A table takes its availability column (the backlog) as
+given and computes only the bounds; its edges are the workflow's skeleton.
 """
 
 from __future__ import annotations
@@ -165,11 +165,11 @@ def compute_bounds(
     workflow: Workflow,
     network: ResourceNetwork,
     params: NetworkParams,
-    sim_time: float = 0.0,
+    backlog: Sequence[float] | None = None,
 ) -> NormalizationBounds:
     """Upper bounds on the raw cost components of any assignment of this
     workflow: the bounds of its :class:`DecisionTable`."""
-    return DecisionTable(workflow, network, params, sim_time).bounds
+    return DecisionTable(workflow, network, params, backlog).bounds
 
 
 def aggregate_cost(
@@ -179,25 +179,26 @@ def aggregate_cost(
     weights: WeightConfig,
     params: NetworkParams,
     bounds: NormalizationBounds,
-    sim_time: float = 0.0,
+    backlog: Sequence[float] | None = None,
 ) -> CostBreakdown:
     """Evaluate the weighted objective of assigning task j to
     ``candidate_nodes[j]``.
 
-    Availability is the worst queue backlog among the chosen nodes relative
-    to the current simulation time (idle machines contribute zero). The
-    constraints are not checked here; scoring is total on any injective
-    candidate.
+    Availability is the worst backlog among the chosen nodes, where
+    ``backlog[k]`` is how long node k stays busy with work already placed
+    and ``None`` means an idle network. The constraints are not checked here;
+    scoring is total on any injective candidate.
     """
     if len(candidate_nodes) != len(workflow.tasks):
         raise ValueError("candidate_nodes must pair one node per task")
+    backlog = [0.0] * len(network.nodes) if backlog is None else backlog
 
     availability = 0.0
     err = 0.0
     runtime = 0.0
-    for j, task in enumerate(workflow.tasks):
-        node = network.nodes[candidate_nodes[j]]
-        availability = max(availability, max(node.next_available_time - sim_time, 0.0))
+    for task, k in zip(workflow.tasks, candidate_nodes):
+        node = network.nodes[k]
+        availability = max(availability, backlog[k])
         err += error_cost(task, node)
         runtime += runtime_cost(task, node)
     assignment = {j: candidate_nodes[j] for j in range(len(workflow.tasks))}
@@ -284,23 +285,23 @@ class DecisionTable:
     """Every cost term of one decision.
 
     Holds the error, runtime and quantum-link terms per (task, node), the
-    classical term per task, the clipped availability per node, the
-    workflow's skeleton (sorted), and the :class:`NormalizationBounds` taken from those same
-    floats. The error and runtime bounds are the worst qubit-feasible
-    (task, node) term times the task count; the network bound is the worst
-    per-endpoint quantum-plus-classical term times the edge count; the
-    availability bound is the largest backlog. When no pair satisfies the
-    qubit constraint the worst cases range over all pairs, and every bound
-    is floored at ``BOUND_FLOOR`` so normalization never divides by zero.
+    classical term per task, the backlog per node (zeros when none is given),
+    the workflow's skeleton (sorted), and the :class:`NormalizationBounds`
+    taken from those same floats. The error and runtime bounds are the worst
+    qubit-feasible (task, node) term times the task count; the network bound
+    is the worst per-endpoint quantum-plus-classical term times the edge
+    count; the availability bound is the largest backlog. When no pair
+    satisfies the qubit constraint the worst cases range over all pairs, and
+    every bound is floored at ``BOUND_FLOOR`` so normalization never divides
+    by zero.
 
     The per-task rows, each ending with its minimum on the sentinel host
     ``n`` (the node count), and the maxima depend only on the task, the
     node calibration and the link parameters, so they come from the
     network's term cache (:meth:`ResourceNetwork.term_cache`), keyed by
     ``(NetworkParams, TaskSpec)``: one :class:`TaskTerms` per distinct
-    task. Only the availability column and the bounds (maxima of the
-    per-task maxima, the same floats as maxima over the pairs) are computed
-    per decision.
+    task. Only the bounds (maxima of the per-task maxima, the same floats as
+    maxima over the pairs) are computed per decision.
     """
 
     def __init__(
@@ -308,14 +309,16 @@ class DecisionTable:
         workflow: Workflow,
         network: ResourceNetwork,
         params: NetworkParams,
-        sim_time: float = 0.0,
+        backlog: Sequence[float] | None = None,
     ):
+        if backlog is not None and len(backlog) != len(network.nodes):
+            raise ValueError(f"backlog has {len(backlog)} entries for {len(network.nodes)} nodes")
         terms = task_terms(workflow.tasks, network, params)
         self.err = [t.err for t in terms]
         self.run = [t.run for t in terms]
         self.qlink = [t.qlink for t in terms]
         self.clink = [t.clink for t in terms]
-        self.avail = [max(n.next_available_time - sim_time, 0.0) for n in network.nodes]
+        self.avail = [0.0] * len(network.nodes) if backlog is None else backlog
         self.edges = workflow.skeleton()
 
         worst = [t.fit_max for t in terms if t.fit_max is not None] or [t.all_max for t in terms]

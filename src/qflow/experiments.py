@@ -85,7 +85,7 @@ class ExperimentConfig:
         counts = {"repetitions": 1, "retry_limit": 0, "trial_multiplier": 1, "workers": 1, "catalog_size": 1}
         try:
             for name, minimum in counts.items():
-                check_count(name, getattr(self, name), minimum)
+                object.__setattr__(self, name, check_count(name, getattr(self, name), minimum))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -1,14 +1,12 @@
 """Core domain types: tasks, workflows, QPU nodes, networks, and allocations.
 
-All types are immutable value records except :class:`QpuNode`, whose queue
-state (``next_available_time`` and ``queue``) is mutated by the simulation
-engine only. A node's calibration is never mutated after its network is
-built: each :class:`ResourceNetwork` groups its nodes into calibration
-classes and caches the cost terms derived from them
-(:meth:`ResourceNetwork.term_cache`), and both rely on that. Freezing the
-node, with availability held by the simulator, waits on the benchmark,
-which reads the queue fields. A single simulation run is single-threaded;
-independent runs may share nothing and can execute in parallel.
+All types are immutable value records. A :class:`QpuNode` holds calibration
+only; availability is simulation state
+(:class:`qflow.simulation.SimState`), so runs and decisions may share a
+network, and the calibration classes and cost terms each
+:class:`ResourceNetwork` caches (:meth:`ResourceNetwork.term_cache`) stay
+valid for its life. A simulation run is single-threaded; independent runs
+can execute in parallel.
 
 The graph helpers at the end (:func:`neighbour_lists`, :func:`components`,
 :func:`kahn_order`) build the neighbour lists, components and topological
@@ -42,16 +40,17 @@ PROGRAM_FAMILIES = (
 )
 
 
-def check_count(name: str, value: float, minimum: int) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a whole number
-    ``>= minimum``. A bool, NaN, an infinite or a fractional value fails;
-    an integral float such as ``6.0`` passes."""
+def check_count(name: str, value: float, minimum: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a whole
+    number ``>= minimum``. A bool, NaN, an infinite or a fractional value
+    fails; an integral float such as ``6.0`` passes and returns ``6``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a whole number, not a bool, got {value}")
     if not value >= minimum:  # NaN fails here
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if value % 1:  # inf % 1 is NaN, which is true
         raise ValueError(f"{name} must be a finite whole number, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -149,17 +148,14 @@ _POSITIVE = ("one_qubit_runtime", "two_qubit_runtime", "readout_runtime", "t1", 
 _calibration = attrgetter("qubits", *_ERROR_RATES, *_POSITIVE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QpuNode:
-    """One quantum device with calibration data and live queue state.
+    """One quantum device: its id and its ten calibration fields.
 
     Error rates are probabilities in [0, 1); runtimes and coherence times are
     seconds; ``d1cps`` is depth-1 circuit layers per second (the device speed
-    figure). ``next_available_time`` is monotonically nondecreasing over a
-    simulation run. The calibration fields must not change once the node
-    is in a network, whose term cache was evaluated from them; only the
-    queue state is live. The class is not frozen only because of that
-    queue state.
+    figure). The node is frozen, so the cost terms its network caches stay
+    valid; the simulator holds each node's free time.
     """
 
     id: str
@@ -173,8 +169,9 @@ class QpuNode:
     t1: float
     t2: float
     d1cps: float
-    next_available_time: float = 0.0
-    queue: list = field(default_factory=list)
+    # Class attributes, not fields: read only by perfbench/run.py:check_idle.
+    next_available_time = 0.0
+    queue = ()
 
     def __post_init__(self):
         check_count(f"node {self.id}: qubits", self.qubits, 1)
@@ -227,8 +224,8 @@ class ResourceNetwork:
 
     @cached_property
     def calibration_classes(self) -> tuple[tuple[QpuNode, ...], tuple[int, ...], tuple[int, ...]]:
-        """The nodes grouped by their ten calibration fields (``id`` and the
-        queue state are not part of the key), in order of first appearance:
+        """The nodes grouped by their ten calibration fields (``id`` is not
+        part of the key), in order of first appearance:
         one representative node and one host bitmask per class, then each
         node's class index. Nodes of a class have equal cost terms."""
         index: dict[tuple, int] = {}
@@ -269,8 +266,7 @@ class ResourceNetwork:
         """The store, keyed by :class:`TaskSpec`, in which
         :class:`qflow.costs.DecisionTable` keeps the static cost terms of
         tasks on these nodes under ``params``; created empty on first use
-        and kept for the network's life. Sound because node calibration is
-        never mutated after the network is built."""
+        and kept for the network's life. Sound because nodes are frozen."""
         return self._term_caches.setdefault(params, {})
 
     @cached_property

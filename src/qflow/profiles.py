@@ -60,7 +60,7 @@ def node_from_profile(
     profiles: dict[str, dict[str, float]],
     node_id: str | None = None,
 ) -> QpuNode:
-    """Instantiate an idle QPU node from a named profile."""
+    """Instantiate a QPU node from a named profile."""
     if profile_name not in profiles:
         raise KeyError(f"unknown profile {profile_name!r}; have {sorted(profiles)}")
     rec = profiles[profile_name]

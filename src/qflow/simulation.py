@@ -3,13 +3,14 @@
 Decision instants are event-driven: every distinct arrival time triggers a
 pass in which all arrived, still-pending workflows are offered to the
 allocator in FCFS order (ties broken by total qubit requirement, then user
-priority). A successful allocation enqueues each task on its QPU's FIFO
-queue; a failed one is retried at later decision instants a bounded number
-of times and then recorded as failed.
+priority). A successful allocation books each task on its QPU, first come
+first served; a failed one is retried at later decision instants a bounded
+number of times and then recorded as failed.
 
-Task start times respect both the QPU queue and, by default, the workflow's
-dependency edges including the per-edge communication delay. Both gating
-behaviours can be switched off to replicate the fully asynchronous reading.
+Task start times respect both the QPU's earlier bookings and, by default,
+the workflow's dependency edges including the per-edge communication delay.
+Both gating behaviours can be switched off to replicate the fully
+asynchronous reading.
 
 The simulator owns the decision clock: it times every allocator call with
 ``time.perf_counter``, so allocators stay pure functions of their inputs.
@@ -30,7 +31,7 @@ DEFAULT_RETRY_LIMIT = 3
 
 
 class Allocator(Protocol):
-    def __call__(self, workflow: Workflow, network: ResourceNetwork, sim_time: float) -> AllocationOutcome: ...
+    def __call__(self, workflow: Workflow, network: ResourceNetwork, backlog: list[float]) -> AllocationOutcome: ...
 
 
 @dataclass
@@ -80,6 +81,7 @@ class SimState:
     metrics: MetricsAccumulator = field(default_factory=MetricsAccumulator)
     executions: list[TaskExecution] = field(default_factory=list)
     busy_seconds: dict[int, float] = field(default_factory=dict)
+    free_at: list[float] = field(default_factory=list)  # when each node finishes its booked tasks
 
 
 def run_simulation(
@@ -93,10 +95,10 @@ def run_simulation(
 ) -> SimState:
     """Run one workload through the pipeline and return the final state.
 
-    The passed network's queue state is mutated in place; hand each run its
-    own network. Its calibration is not touched, so the cost terms the
-    allocators cache on the network stay valid across the run's decisions
-    and retries, and only availability is read afresh at each decision.
+    The network is only read. Each node's free time lives in
+    ``state.free_at``, and an allocator call at decision time ``t`` gets the
+    backlog ``max(free_at[k] - t, 0.0)`` per node. So runs may share a
+    network, and the cost terms the allocators cache on it stay valid.
 
     Metrics follow the evaluation conventions: execution time is the
     workload makespan, wait time sums per-task (start - arrival), fidelity
@@ -105,8 +107,8 @@ def run_simulation(
     (``time.perf_counter``) of every allocator invocation, failed attempts
     included, measured here around each call.
     """
-    state = SimState(clock=0.0, network=network)
-    state.busy_seconds = {k: 0.0 for k in range(len(network.nodes))}
+    n = len(network.nodes)
+    state = SimState(clock=0.0, network=network, busy_seconds=dict.fromkeys(range(n), 0.0), free_at=[0.0] * n)
     state.metrics.tasks_total = sum(len(wf.tasks) for wf in workload)
     order = sorted(workload, key=lambda wf: (wf.arrival_time, wf.total_qubits, wf.priority, wf.id))
     instants = itertools.groupby(order, key=lambda wf: wf.arrival_time)
@@ -125,8 +127,9 @@ def run_simulation(
         retrying = []
         for wf in offered:
             attempts[wf.id] += 1
+            backlog = [max(f - t, 0.0) for f in state.free_at]
             started = perf_counter()
-            outcome = allocator(wf, network, t)
+            outcome = allocator(wf, network, backlog)
             state.metrics.decision_time += perf_counter() - started
             if outcome.succeeded:
                 _execute(wf, outcome, state, params, t, dependency_gating, gate_comm_latency)
@@ -150,12 +153,14 @@ def _execute(
     dependency_gating: bool,
     gate_comm_latency: bool,
 ) -> None:
-    """Enqueue an allocated workflow's tasks and advance node queue state.
-    Runtimes, fidelities and edge costs are read off the network's cached
-    terms and added as ``qflow.costs`` adds them, so every float is equal."""
+    """Book an allocated workflow's tasks on their nodes and advance the
+    nodes' free times. Runtimes, fidelities and edge costs are read off the
+    network's cached terms and added as ``qflow.costs`` adds them, so every
+    float is equal."""
     allocation = outcome.allocation
     assert allocation is not None
     network = state.network
+    free_at = state.free_at
     assignment = allocation.assignment
     terms = task_terms(workflow.tasks, network, params)
     finish_times: dict[int, float] = {}
@@ -163,7 +168,6 @@ def _execute(
 
     for j in workflow.topological_order():
         node_index = assignment[j]
-        node = network.nodes[node_index]
         t = terms[j]
         ready = now
         if dependency_gating:
@@ -173,12 +177,11 @@ def _execute(
                     tp = terms[p]
                     gate += (tp.qlink[assignment[p]] + t.qlink[node_index]) / 2.0 + (tp.clink + t.clink) / 2.0
                 ready = max(ready, gate)
-        start = max(node.next_available_time, ready)
+        start = max(free_at[node_index], ready)
         duration = t.run[node_index]
         finish = start + duration
         finish_times[j] = finish
-        node.next_available_time = finish
-        node.queue.append((workflow.id, j))
+        free_at[node_index] = finish
         state.busy_seconds[node_index] += duration
         state.executions.append(
             TaskExecution(workflow_id=workflow.id, task_index=j, node_index=node_index, start=start, finish=finish)
@@ -215,7 +218,7 @@ def make_allocator(
     base_seed: int = 0,
     trial_multiplier: int = 1,
 ) -> Allocator:
-    """Bind an allocator name to a uniform (workflow, network, sim_time)
+    """Bind an allocator name to a uniform (workflow, network, backlog)
     callable for the simulation loop.
 
     The random strategy derives a fresh seed per invocation from the base
@@ -225,23 +228,23 @@ def make_allocator(
     from . import allocators as alg
 
     if name == "soft_iso":
-        def call(workflow, network, sim_time):
-            return alg.soft_iso(workflow, network, weights, params, soft_config, sim_time)
+        def call(workflow, network, backlog):
+            return alg.soft_iso(workflow, network, weights, params, soft_config, backlog)
     elif name == "random_aware":
         counter = [0]
 
-        def call(workflow, network, sim_time):
+        def call(workflow, network, backlog):
             counter[0] += 1
             seed = base_seed * 1_000_003 + counter[0]
             return alg.random_aware(
-                workflow, network, weights, params, seed, sim_time, trial_multiplier
+                workflow, network, weights, params, seed, backlog, trial_multiplier
             )
     elif name == "greedy_dfs":
-        def call(workflow, network, sim_time):
-            return alg.greedy_dfs(workflow, network, sim_time)
+        def call(workflow, network, backlog):
+            return alg.greedy_dfs(workflow, network)
     elif name == "exhaustive_oracle":
-        def call(workflow, network, sim_time):
-            return alg.exhaustive_oracle(workflow, network, weights, params, sim_time)
+        def call(workflow, network, backlog):
+            return alg.exhaustive_oracle(workflow, network, weights, params, backlog)
     else:
         raise ValueError(f"unknown allocator {name!r}")
     return call

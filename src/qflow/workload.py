@@ -53,14 +53,14 @@ class WorkloadSpec:
 
     def __post_init__(self):
         for name in ("batch_size", "tasks_per_group", "tasks_per_group_min", "shots_default"):
-            check_count(name, getattr(self, name), 1)
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         if self.tasks_per_group > 5:
             raise ValueError("tasks_per_group must be in [1, 5]")
         if self.tasks_per_group_min > self.tasks_per_group:
             raise ValueError("tasks_per_group_min must be in [1, tasks_per_group]")
         lo, hi = self.qubit_range
-        check_count("qubit_range low end", lo, 1)
-        check_count("qubit_range high end", hi, lo)
+        lo = check_count("qubit_range low end", lo, 1)
+        object.__setattr__(self, "qubit_range", (lo, check_count("qubit_range high end", hi, lo)))
         if self.arrival_rate is not None and not self.arrival_rate > 0:
             raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
 
@@ -79,7 +79,7 @@ class TopologySpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_count("node_count", self.node_count, 1)
+        object.__setattr__(self, "node_count", check_count("node_count", self.node_count, 1))
         if not 0.0 <= self.link_probability <= 1.0:
             raise ValueError("link_probability must be in [0, 1]")
         if not self.profile_pool:

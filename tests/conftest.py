@@ -52,7 +52,7 @@ def make_task(
 
 
 def make_node(node_id="n", qubits=127, e1=0.0, e2=0.0, er=0.0, rt1=60e-9, rt2=660e-9,
-              rtr=1600e-9, t1=220e-6, t2=120e-6, d1cps=180000.0, nat=0.0):
+              rtr=1600e-9, t1=220e-6, t2=120e-6, d1cps=180000.0):
     return QpuNode(
         id=node_id,
         qubits=qubits,
@@ -65,7 +65,6 @@ def make_node(node_id="n", qubits=127, e1=0.0, e2=0.0, er=0.0, rt1=60e-9, rt2=66
         t1=t1,
         t2=t2,
         d1cps=d1cps,
-        next_available_time=nat,
     )
 
 
@@ -83,8 +82,16 @@ def chain_workflow(task_qubits, wf_id="wf", arrival=0.0, shots=1000):
     return Workflow(id=wf_id, tasks=tasks, edges=edges, arrival_time=arrival)
 
 
+def backlog_at(free_at, t):
+    """The backlog vector the simulator passes at time ``t`` when node k is
+    free from ``free_at[k]``."""
+    return [max(f - t, 0.0) for f in free_at]
+
+
 def random_small_instance(rng: random.Random, max_tasks=4, max_nodes=6):
-    """Random workflow + network pair within the oracle guard."""
+    """Random workflow and network within the oracle guard, and a drawn free
+    time per node (zero on about half of them), which is also the backlog at
+    time 0."""
     n_tasks = rng.randint(1, max_tasks)
     n_nodes = rng.randint(max(2, n_tasks), max_nodes)
     tasks = tuple(
@@ -121,21 +128,22 @@ def random_small_instance(rng: random.Random, max_tasks=4, max_nodes=6):
                 edges.add((i, j))
     workflow = Workflow(id="wf", tasks=tasks, edges=frozenset(edges))
 
-    nodes = tuple(
-        make_node(
-            node_id=f"n{k}",
-            qubits=rng.randint(4, 10),
-            e1=rng.uniform(0, 0.01),
-            e2=rng.uniform(0, 0.02),
-            er=rng.uniform(0, 0.05),
-            rt2=rng.uniform(50e-9, 700e-9),
-            t1=rng.uniform(100e-6, 250e-6),
-            t2=rng.uniform(80e-6, 200e-6),
-            d1cps=rng.uniform(1e5, 3e5),
-            nat=rng.choice([0.0, rng.uniform(0, 2.0)]),
+    nodes, free_at = [], []
+    for k in range(n_nodes):
+        nodes.append(
+            make_node(
+                node_id=f"n{k}",
+                qubits=rng.randint(4, 10),
+                e1=rng.uniform(0, 0.01),
+                e2=rng.uniform(0, 0.02),
+                er=rng.uniform(0, 0.05),
+                rt2=rng.uniform(50e-9, 700e-9),
+                t1=rng.uniform(100e-6, 250e-6),
+                t2=rng.uniform(80e-6, 200e-6),
+                d1cps=rng.uniform(1e5, 3e5),
+            )
         )
-        for k in range(n_nodes)
-    )
+        free_at.append(rng.choice([0.0, rng.uniform(0, 2.0)]))
     links = set()
     for a in range(n_nodes):
         for b in range(a + 1, n_nodes):
@@ -145,13 +153,13 @@ def random_small_instance(rng: random.Random, max_tasks=4, max_nodes=6):
     for k in range(1, n_nodes):
         if not any(k in pair for pair in links):
             links.add((rng.randrange(k), k))
-    network = ResourceNetwork(nodes=nodes, links=frozenset(links))
-    return workflow, network
+    network = ResourceNetwork(nodes=tuple(nodes), links=frozenset(links))
+    return workflow, network, free_at
 
 
 def scenario_instances(scenario, seed, n_workflows, node_count=None):
     """Workflows and a network drawn the way a scenario repetition draws
-    them, with a seeded backlog on about half of the nodes."""
+    them, and a seeded free time per node (zero on about half of them)."""
     topology = {} if node_count is None else {"node_count": node_count}
     config = scenario_config(scenario, "soft_iso", workload={"batch_size": n_workflows}, topology=topology)
     catalog = generate_catalog(
@@ -161,6 +169,5 @@ def scenario_instances(scenario, seed, n_workflows, node_count=None):
     workflows = generate_workload(dataclasses.replace(config.workload, seed=4 * seed + 1), catalog)
     network = generate_network(dataclasses.replace(config.topology, seed=4 * seed + 2), load_profiles())
     rng = random.Random(seed)
-    for node in network.nodes:
-        node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 2.0)])
-    return workflows, network
+    free_at = [rng.choice([0.0, rng.uniform(0.0, 2.0)]) for _ in network.nodes]
+    return workflows, network, free_at

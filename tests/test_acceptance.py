@@ -65,7 +65,7 @@ from qflow.model import Allocation, NetworkParams, WeightConfig, validate_alloca
 from qflow.simulation import AllocationOutcome, qpu_time_distribution, run_simulation
 from qflow.workload import TopologySpec, WorkloadSpec
 
-from .conftest import chain_workflow, make_network, make_task, random_small_instance
+from .conftest import backlog_at, chain_workflow, make_network, make_task, random_small_instance
 
 getcontext().prec = 50
 
@@ -140,10 +140,10 @@ def test_criterion_2_oracle_equivalence():
     instances = 0
     feasible = 0
     for _ in range(250):
-        wf, net = random_small_instance(rng, max_tasks=4, max_nodes=6)
+        wf, net, backlog = random_small_instance(rng, max_tasks=4, max_nodes=6)
         instances += 1
-        soft = soft_iso(wf, net, WEIGHTS, PARAMS, EXHAUSTIVE)
-        oracle = exhaustive_oracle(wf, net, WEIGHTS, PARAMS)
+        soft = soft_iso(wf, net, WEIGHTS, PARAMS, EXHAUSTIVE, backlog)
+        oracle = exhaustive_oracle(wf, net, WEIGHTS, PARAMS, backlog)
         assert soft.succeeded == oracle.succeeded, f"instance {instances}"
         if soft.succeeded:
             feasible += 1
@@ -170,20 +170,20 @@ def fuzz_corpus():
     records = []
     per_algorithm = 2500
     for i in range(per_algorithm):
-        wf, net = random_small_instance(rng, max_tasks=4, max_nodes=6)
-        sim_time = rng.choice([0.0, rng.uniform(0.0, 3.0)])
-        records.append(("soft_iso", wf, net, soft_iso(wf, net, WEIGHTS, PARAMS, sim_time=sim_time)))
+        wf, net, free_at = random_small_instance(rng, max_tasks=4, max_nodes=6)
+        backlog = backlog_at(free_at, rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+        records.append(("soft_iso", wf, net, soft_iso(wf, net, WEIGHTS, PARAMS, backlog=backlog)))
         records.append(
             (
                 "random_aware",
                 wf,
                 net,
-                random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=i, sim_time=sim_time),
+                random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=i, backlog=backlog),
             )
         )
-        records.append(("greedy_dfs", wf, net, greedy_dfs(wf, net, sim_time)))
+        records.append(("greedy_dfs", wf, net, greedy_dfs(wf, net)))
         records.append(
-            ("exhaustive_oracle", wf, net, exhaustive_oracle(wf, net, WEIGHTS, PARAMS, sim_time))
+            ("exhaustive_oracle", wf, net, exhaustive_oracle(wf, net, WEIGHTS, PARAMS, backlog))
         )
     return records
 
@@ -452,7 +452,7 @@ def test_criterion_7_determinism(tmp_path):
 # ---------------------------------------------------------------- criterion 8
 
 def _fixed_allocator(assignments):
-    def call(workflow, network, sim_time):
+    def call(workflow, network, backlog):
         mapping = assignments.get(workflow.id)
         allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
         return AllocationOutcome(allocation=allocation, candidates_examined=1)

@@ -20,7 +20,7 @@ from qflow.costs import aggregate_cost, compute_bounds
 from qflow.matcher import workflow_monomorphisms
 from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 
-from .conftest import chain_workflow, make_network, random_small_instance, scenario_instances
+from .conftest import backlog_at, chain_workflow, make_network, random_small_instance, scenario_instances
 
 WEIGHTS = WeightConfig()
 PARAMS = NetworkParams()
@@ -49,9 +49,9 @@ class TestSoftIso:
         rng = random.Random(101)
         checked = 0
         for _ in range(120):
-            wf, net = random_small_instance(rng)
-            soft = soft_iso(wf, net, WEIGHTS, PARAMS, EXHAUSTIVE)
-            oracle = exhaustive_oracle(wf, net, WEIGHTS, PARAMS)
+            wf, net, backlog = random_small_instance(rng)
+            soft = soft_iso(wf, net, WEIGHTS, PARAMS, EXHAUSTIVE, backlog)
+            oracle = exhaustive_oracle(wf, net, WEIGHTS, PARAMS, backlog)
             assert soft.succeeded == oracle.succeeded
             if soft.succeeded:
                 checked += 1
@@ -72,18 +72,18 @@ class TestSoftIso:
     def test_cap_never_exceeded_on_random_instances(self):
         rng = random.Random(55)
         for _ in range(100):
-            wf, net = random_small_instance(rng)
-            outcome = soft_iso(wf, net, WEIGHTS, PARAMS)
+            wf, net, backlog = random_small_instance(rng)
+            outcome = soft_iso(wf, net, WEIGHTS, PARAMS, backlog=backlog)
             assert outcome.candidates_examined <= 10 ** len(wf.tasks)
 
     def test_strict_pseudocode_mode_runs_and_matches_default_when_exhaustive(self):
         rng = random.Random(7)
-        wf, net = random_small_instance(rng)
+        wf, net, backlog = random_small_instance(rng)
         strict = SoftIsoConfig(
             thres_max=math.inf, thres_prev=math.inf, counter_cap_base=math.inf, strict_pseudocode=True
         )
-        a = soft_iso(wf, net, WEIGHTS, PARAMS, EXHAUSTIVE)
-        b = soft_iso(wf, net, WEIGHTS, PARAMS, strict)
+        a = soft_iso(wf, net, WEIGHTS, PARAMS, EXHAUSTIVE, backlog)
+        b = soft_iso(wf, net, WEIGHTS, PARAMS, strict, backlog)
         assert a.succeeded == b.succeeded
         if a.succeeded:
             assert a.allocation.assignment == b.allocation.assignment
@@ -96,15 +96,14 @@ class TestSoftIso:
         # frozen zero reference 0.39 > 0.03 is, so only strict mode stops.
         wf = chain_workflow([5])
         net = make_network([127] * 4, [(0, 1), (1, 2), (2, 3)])
-        for k, nat in enumerate([0.5, 0.42, 0.39, 1.0]):
-            net.nodes[k].next_available_time = nat
+        backlog = [0.5, 0.42, 0.39, 1.0]
         weights = WeightConfig(zeta=1.0)
         config = SoftIsoConfig(thres_max=0.1, thres_prev=0.03)
-        default = soft_iso(wf, net, weights, PARAMS, config, sim_time=0.0)
+        default = soft_iso(wf, net, weights, PARAMS, config, backlog)
         strict = soft_iso(
             wf, net, weights, PARAMS,
             SoftIsoConfig(thres_max=0.1, thres_prev=0.03, strict_pseudocode=True),
-            sim_time=0.0,
+            backlog,
         )
         assert strict.candidates_examined == 3
         assert default.candidates_examined == 4
@@ -113,28 +112,28 @@ class TestSoftIso:
     def test_incumbent_costs_strictly_decreasing(self):
         rng = random.Random(23)
         for _ in range(40):
-            wf, net = random_small_instance(rng)
-            outcome = soft_iso(wf, net, WEIGHTS, PARAMS, EXHAUSTIVE)
+            wf, net, backlog = random_small_instance(rng)
+            outcome = soft_iso(wf, net, WEIGHTS, PARAMS, EXHAUSTIVE, backlog)
             costs = outcome.incumbent_costs
             assert all(costs[i + 1] < costs[i] for i in range(len(costs) - 1))
 
     def test_every_success_validates(self):
         rng = random.Random(77)
         for _ in range(150):
-            wf, net = random_small_instance(rng)
-            outcome = soft_iso(wf, net, WEIGHTS, PARAMS)
+            wf, net, backlog = random_small_instance(rng)
+            outcome = soft_iso(wf, net, WEIGHTS, PARAMS, backlog=backlog)
             if outcome.succeeded:
                 assert validate_allocation(wf, net, outcome.allocation)
 
 
-def reference_soft_iso(workflow, network, weights, params, config, sim_time):
+def reference_soft_iso(workflow, network, weights, params, config, backlog):
     """soft_iso's search loop scoring every candidate with aggregate_cost.
 
     Returns (assignment, candidates examined, incumbent costs, breakdown).
     """
     n_tasks = len(workflow.tasks)
     cap = config.cap(n_tasks)
-    bounds = compute_bounds(workflow, network, params, sim_time)
+    bounds = compute_bounds(workflow, network, params, backlog)
     mincost, maxcost, prevcost = math.inf, -math.inf, 0.0
     examined = 0
     incumbent = incumbent_breakdown = None
@@ -144,7 +143,7 @@ def reference_soft_iso(workflow, network, weights, params, config, sim_time):
             break
         examined += 1
         candidate = [mapping[j] for j in range(n_tasks)]
-        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, sim_time)
+        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, backlog)
         cost = breakdown.total
         maxcost = max(cost, maxcost)
         if cost < mincost:
@@ -196,13 +195,13 @@ class TestSoftIsoReference:
     def test_matches_aggregate_cost_loop(self, scenario, node_count, config, seeds):
         placed = 0
         for seed in range(seeds):
-            workflows, network = scenario_instances(scenario, seed, 4, node_count)
+            workflows, network, free_at = scenario_instances(scenario, seed, 4, node_count)
             for wf in workflows:
-                sim_time = wf.arrival_time + 0.5
+                backlog = backlog_at(free_at, wf.arrival_time + 0.5)
                 assignment, examined, history, breakdown = reference_soft_iso(
-                    wf, network, WEIGHTS, PARAMS, config, sim_time
+                    wf, network, WEIGHTS, PARAMS, config, backlog
                 )
-                outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, sim_time)
+                outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog)
                 assert outcome == reference_outcome(wf, assignment, examined, history, breakdown)
                 placed += assignment is not None
         assert placed >= 4
@@ -240,9 +239,9 @@ class TestSoftIsoReference:
 
         monkeypatch.setattr(qflow.allocators, "workflow_monomorphism_groups", counting_groups)
         monkeypatch.setattr(qflow.costs.DecisionTable, "block_scorer", counting)
-        workflows, network = scenario_instances("LP-MR", 0, 4)
+        workflows, network, free_at = scenario_instances("LP-MR", 0, 4)
         for wf in workflows:
-            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, THRESHOLDS_OFF, wf.arrival_time + 0.5)
+            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, THRESHOLDS_OFF, backlog_at(free_at, wf.arrival_time + 0.5))
             assert outcome.candidates_examined == 10**4
         return calls
 
@@ -282,14 +281,13 @@ class TestSoftIsoStopRule:
         rng = random.Random(808)
         stopped_early = 0
         for _ in range(250):
-            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
-            for node in network.nodes:
-                node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 2.0)])
-            sim_time = rng.uniform(0.0, 1.0)
+            wf, network, _ = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            free_at = [rng.choice([0.0, rng.uniform(0.0, 2.0)]) for _ in network.nodes]
+            backlog = backlog_at(free_at, rng.uniform(0.0, 1.0))
             assignment, examined, history, breakdown = reference_soft_iso(
-                wf, network, WEIGHTS, PARAMS, config, sim_time
+                wf, network, WEIGHTS, PARAMS, config, backlog
             )
-            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, sim_time)
+            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog)
             assert outcome == reference_outcome(wf, assignment, examined, history, breakdown)
             if assignment is not None:
                 assert list(outcome.allocation.assignment) == list(assignment)
@@ -316,9 +314,9 @@ class TestRandomAware:
     def test_fixed_seed_replays_identically(self):
         rng = random.Random(13)
         for _ in range(30):
-            wf, net = random_small_instance(rng)
-            a = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=99)
-            b = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=99)
+            wf, net, backlog = random_small_instance(rng)
+            a = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=99, backlog=backlog)
+            b = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=99, backlog=backlog)
             assert a.succeeded == b.succeeded
             assert a.candidates_examined == b.candidates_examined
             assert a.incumbent_costs == b.incumbent_costs
@@ -328,8 +326,10 @@ class TestRandomAware:
     def test_incumbent_costs_nonincreasing(self):
         rng = random.Random(31)
         for _ in range(80):
-            wf, net = random_small_instance(rng)
-            outcome = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=rng.randrange(1 << 30), trial_multiplier=5)
+            wf, net, backlog = random_small_instance(rng)
+            outcome = random_aware(
+                wf, net, WEIGHTS, PARAMS, rng_seed=rng.randrange(1 << 30), backlog=backlog, trial_multiplier=5
+            )
             costs = outcome.incumbent_costs
             assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
 
@@ -344,13 +344,13 @@ class TestRandomAware:
     def test_every_success_validates(self):
         rng = random.Random(41)
         for _ in range(150):
-            wf, net = random_small_instance(rng)
-            outcome = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=rng.randrange(1 << 30))
+            wf, net, backlog = random_small_instance(rng)
+            outcome = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=rng.randrange(1 << 30), backlog=backlog)
             if outcome.succeeded:
                 assert validate_allocation(wf, net, outcome.allocation)
 
 
-def reference_random_aware(workflow, network, weights, params, rng_seed, sim_time, trial_multiplier):
+def reference_random_aware(workflow, network, weights, params, rng_seed, backlog, trial_multiplier):
     """random_aware's trial loop scoring every trial with aggregate_cost and
     keeping that trial's breakdown.
 
@@ -358,7 +358,7 @@ def reference_random_aware(workflow, network, weights, params, rng_seed, sim_tim
     """
     rng = random.Random(rng_seed)
     n_tasks = len(workflow.tasks)
-    bounds = compute_bounds(workflow, network, params, sim_time)
+    bounds = compute_bounds(workflow, network, params, backlog)
     order = sorted(range(n_tasks), key=lambda j: (workflow.tasks[j].qubits, j))
     mincost = math.inf
     incumbent = incumbent_breakdown = None
@@ -384,7 +384,7 @@ def reference_random_aware(workflow, network, weights, params, rng_seed, sim_tim
             aborts += 1
             continue
         candidate = [assignment[j] for j in range(n_tasks)]
-        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, sim_time)
+        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, backlog)
         cost = breakdown.total
         if cost < mincost and mapping_feasible(assignment, workflow, network):
             mincost = cost
@@ -404,17 +404,17 @@ class TestRandomAwareReference:
         instances = [random_small_instance(rng, max_tasks=5, max_nodes=8) for _ in range(200)]
         for scenario in ("LP-LR", "LP-MR"):
             for seed in range(2):
-                workflows, network = scenario_instances(scenario, seed, 10)
-                instances += [(wf, network) for wf in workflows]
+                workflows, network, free_at = scenario_instances(scenario, seed, 10)
+                instances += [(wf, network, free_at) for wf in workflows]
         placed = aborted = 0
-        for wf, network in instances:
-            sim_time = rng.uniform(0.05, 1.5)
+        for wf, network, free_at in instances:
+            backlog = backlog_at(free_at, rng.uniform(0.05, 1.5))
             seed = rng.randrange(1 << 30)
             assignment, trials, history, breakdown, aborts = reference_random_aware(
-                wf, network, WEIGHTS, PARAMS, seed, sim_time, trial_multiplier
+                wf, network, WEIGHTS, PARAMS, seed, backlog, trial_multiplier
             )
             outcome = random_aware(
-                wf, network, WEIGHTS, PARAMS, rng_seed=seed, sim_time=sim_time,
+                wf, network, WEIGHTS, PARAMS, rng_seed=seed, backlog=backlog,
                 trial_multiplier=trial_multiplier,
             )
             aborted += aborts
@@ -479,9 +479,9 @@ class TestGreedyDfs:
     def test_outcomes_match_reference_on_preset_draws(self, scenario):
         placed = 0
         for seed in range(3):
-            workflows, network = scenario_instances(scenario, seed, 40)
+            workflows, network, _ = scenario_instances(scenario, seed, 40)
             for wf in workflows:
-                outcome = greedy_dfs(wf, network, wf.arrival_time)
+                outcome = greedy_dfs(wf, network)
                 assignment = reference_greedy_dfs(wf, network)
                 assert outcome.candidates_examined == 1
                 if assignment is None:
@@ -522,7 +522,7 @@ class TestGreedyDfs:
     def test_outcome_independent_of_weights(self):
         rng = random.Random(19)
         for _ in range(30):
-            wf, net = random_small_instance(rng)
+            wf, net, _ = random_small_instance(rng)
             a = greedy_dfs(wf, net)
             b = greedy_dfs(wf, net)  # greedy takes no weight argument at all
             assert a.succeeded == b.succeeded
@@ -533,7 +533,7 @@ class TestGreedyDfs:
     def test_every_success_validates(self):
         rng = random.Random(47)
         for _ in range(150):
-            wf, net = random_small_instance(rng)
+            wf, net, _ = random_small_instance(rng)
             outcome = greedy_dfs(wf, net)
             if outcome.succeeded:
                 assert validate_allocation(wf, net, outcome.allocation)

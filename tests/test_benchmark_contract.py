@@ -5,7 +5,8 @@
 workflow_monomorphisms}``, and ``perfbench/run.py`` times input builds and
 records simulations by replacing names in ``qflow.experiments``. A change
 that drops one of these imports breaks ``--trace 1`` and the set-up timing
-while every other test stays green.
+while every other test stays green. ``perfbench/run.py:check_idle`` also
+reads ``next_available_time`` and ``queue`` of every node.
 """
 
 from __future__ import annotations
@@ -35,3 +36,10 @@ def test_module_binds_swapped_name(module, name, home):
     bound = getattr(module, name, None)
     assert callable(bound), f"{module.__name__} no longer binds {name}"
     assert bound is getattr(home, name)
+
+
+def test_nodes_read_idle_to_the_benchmark():
+    # QpuNode keeps these two names as class attributes only for check_idle
+    node = profiles.node_from_profile("brisbane", profiles.load_profiles())
+    assert node.next_available_time == 0.0
+    assert not node.queue

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
+
 from qflow.cli import main
 
 
@@ -59,6 +61,32 @@ class TestExitCodes:
             assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
             assert "retry_limit" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path, extra, want",
+        [
+            ("repetitions", {"repetitions": 2.0}, 2),
+            ("catalog_size", {"catalog_size": 64.0}, 64),
+            ("retry_limit", {"retry_limit": 1.0}, 1),
+            ("workers", {"workers": 1.0}, 1),
+            ("trial_multiplier", {"trial_multiplier": 2.0, "algorithm": "random_aware"}, 2),
+            ("workload.batch_size", {"workload": {"batch_size": 5.0, "tasks_per_group": 2}}, 5),
+            ("workload.tasks_per_group", {"workload": {"batch_size": 5, "tasks_per_group": 2.0}}, 2),
+            ("workload.tasks_per_group_min", {"workload": {"batch_size": 5, "tasks_per_group_min": 1.0}}, 1),
+            ("workload.shots_default", {"workload": {"batch_size": 5, "shots_default": 100.0}}, 100),
+            ("workload.qubit_range", {"workload": {"batch_size": 5, "qubit_range": [5.0, 20.0]}}, [5, 20]),
+            ("topology.node_count", {"topology": {"node_count": 5.0, "link_probability": 0.7}}, 5),
+        ],
+    )
+    def test_integral_float_count_runs_and_is_recorded_as_int(self, tmp_path, path, extra, want):
+        cfg = write_config(tmp_path, **extra)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "--no-timing"]) == 0
+        got = json.loads((out / "summary.json").read_text())["config"]
+        for key in path.split("."):
+            got = got[key]
+        assert got == want
+        assert all(type(v) is int for v in (got if isinstance(got, list) else [got]))
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["--frobnicate"]) == 1

@@ -28,12 +28,12 @@ from qflow.costs import (
 from qflow.matcher import mask_hosts, workflow_monomorphism_groups
 from qflow.model import NetworkParams, QpuNode, ResourceNetwork, WeightConfig, Workflow
 
-from .conftest import chain_workflow, make_network, make_node, make_task
+from .conftest import backlog_at, chain_workflow, make_network, make_node, make_task
 
 getcontext().prec = 50
 
 
-def fresh_terms(wf, network, params, sim_time):
+def fresh_terms(wf, network, params, backlog):
     """One decision's terms and bounds evaluated afresh from the term
     functions, the bounds taken over the qubit-feasible (task, node) pairs,
     or over all pairs when none fits: what a cached table must equal."""
@@ -42,7 +42,7 @@ def fresh_terms(wf, network, params, sim_time):
     run = [tuple(runtime_cost(t, n) for n in nodes) for t in tasks]
     qlink = [tuple(quantum_link_cost(t, n, params) for n in nodes) for t in tasks]
     clink = [classical_link_cost(t, params) for t in tasks]
-    avail = [max(n.next_available_time - sim_time, 0.0) for n in nodes]
+    avail = [0.0] * len(nodes) if backlog is None else backlog
     pairs = [
         (j, k) for j, t in enumerate(tasks) for k, n in enumerate(nodes) if t.qubits <= n.qubits
     ] or [(j, k) for j in range(len(tasks)) for k in range(len(nodes))]
@@ -57,10 +57,10 @@ def fresh_terms(wf, network, params, sim_time):
     return err, run, qlink, clink, avail, bounds
 
 
-def assert_fresh(table, wf, network, params, sim_time):
+def assert_fresh(table, wf, network, params, backlog):
     """The cached rows are the fresh rows, each followed by its minimum on
     the sentinel host; the bounds range over the real nodes only."""
-    err, run, qlink, clink, avail, bounds = fresh_terms(wf, network, params, sim_time)
+    err, run, qlink, clink, avail, bounds = fresh_terms(wf, network, params, backlog)
     assert table.err == [row + (min(row),) for row in err]
     assert table.run == [row + (min(row),) for row in run]
     assert table.qlink == [row + (min(row),) for row in qlink]
@@ -268,13 +268,12 @@ class TestWorkflowNetworkCost:
 class TestAggregateCost:
     def test_zeta_one_reduces_to_availability(self):
         network = make_network([127, 127], [(0, 1)])
-        network.nodes[0].next_available_time = 4.0
-        network.nodes[1].next_available_time = 1.0
+        backlog = [4.0, 1.0]
         wf = chain_workflow([5, 5])
         weights = WeightConfig(zeta=1.0)
         params = NetworkParams()
-        bounds = compute_bounds(wf, network, params, sim_time=0.0)
-        got = aggregate_cost(wf, [0, 1], network, weights, params, bounds, sim_time=0.0)
+        bounds = compute_bounds(wf, network, params, backlog)
+        got = aggregate_cost(wf, [0, 1], network, weights, params, bounds, backlog)
         assert got.total == pytest.approx(got.availability, rel=1e-12)
         assert got.availability_raw == 4.0
 
@@ -282,8 +281,10 @@ class TestAggregateCost:
         network = make_network([127, 127], [(0, 1)])
         wf = chain_workflow([5, 5])
         params = NetworkParams()
-        bounds = compute_bounds(wf, network, params, sim_time=10.0)
-        got = aggregate_cost(wf, [0, 1], network, WeightConfig(), params, bounds, sim_time=10.0)
+        backlog = backlog_at([0.0, 0.0], 10.0)
+        bounds = compute_bounds(wf, network, params, backlog)
+        got = aggregate_cost(wf, [0, 1], network, WeightConfig(), params, bounds, backlog)
+        assert got == aggregate_cost(wf, [0, 1], network, WeightConfig(), params, compute_bounds(wf, network, params))
         assert got.availability_raw == 0.0
         assert got.availability == 0.0
 
@@ -316,15 +317,13 @@ class TestAggregateCost:
         wf = chain_workflow([5, 5])
         params = NetworkParams()
         weights = WeightConfig(zeta=0.0)
-        idle = make_network([127, 127], [(0, 1)])
-        busy = make_network([127, 127], [(0, 1)])
-        busy.nodes[0].next_available_time = 99.0
-        busy.nodes[1].next_available_time = 5.0
+        network = make_network([127, 127], [(0, 1)])
+        busy = [99.0, 5.0]
         total_idle = aggregate_cost(
-            wf, [0, 1], idle, weights, params, compute_bounds(wf, idle, params)
+            wf, [0, 1], network, weights, params, compute_bounds(wf, network, params)
         ).total
         total_busy = aggregate_cost(
-            wf, [0, 1], busy, weights, params, compute_bounds(wf, busy, params)
+            wf, [0, 1], network, weights, params, compute_bounds(wf, network, params, busy), busy
         ).total
         assert total_idle == pytest.approx(total_busy, rel=1e-12)
 
@@ -335,12 +334,13 @@ class TestAggregateCost:
         from .conftest import random_small_instance
 
         for _ in range(200):
-            wf, network = random_small_instance(rng)
-            bounds = compute_bounds(wf, network, params, sim_time=0.5)
+            wf, network, free_at = random_small_instance(rng)
+            backlog = backlog_at(free_at, 0.5)
+            bounds = compute_bounds(wf, network, params, backlog)
             nodes = list(range(len(network.nodes)))
             rng.shuffle(nodes)
             candidate = nodes[: len(wf.tasks)]
-            got = aggregate_cost(wf, candidate, network, weights, params, bounds, sim_time=0.5)
+            got = aggregate_cost(wf, candidate, network, weights, params, bounds, backlog)
             for value in (got.availability, got.error, got.runtime, got.network):
                 assert 0.0 <= value <= 1.0
             assert 0.0 <= got.total <= 1.0
@@ -356,10 +356,9 @@ class TestCandidateScorer:
         rng = random.Random(2024)
         clipped = 0
         for _ in range(300):
-            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            wf, network, _ = random_small_instance(rng, max_tasks=5, max_nodes=8)
             sim_time = rng.uniform(0.05, 1.5)
-            for node in network.nodes:
-                node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+            backlog = backlog_at([rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in network.nodes], sim_time)
             params = NetworkParams(
                 success_probability=rng.uniform(0.1, 1.0),
                 transmission_efficiency=rng.uniform(0.2, 1.0),
@@ -371,13 +370,13 @@ class TestCandidateScorer:
             weights = WeightConfig(
                 zeta=rng.choice([0.0, 0.5, 1.0]), alpha=alpha, beta=beta, gamma=1.0 - alpha - beta
             )
-            table = DecisionTable(wf, network, params, sim_time)
-            assert_fresh(table, wf, network, params, sim_time)
+            table = DecisionTable(wf, network, params, backlog)
+            assert_fresh(table, wf, network, params, backlog)
             bounds = table.bounds
             for _ in range(20):
                 # any injective candidate: links and qubit capacity are ignored
                 candidate = rng.sample(range(len(network.nodes)), len(wf.tasks))
-                ref = aggregate_cost(wf, candidate, network, weights, params, bounds, sim_time)
+                ref = aggregate_cost(wf, candidate, network, weights, params, bounds, backlog)
                 assert table.breakdown(candidate, weights) == ref
                 assert table.breakdown(dict(enumerate(candidate)), weights) == ref
                 clipped += (
@@ -390,7 +389,7 @@ class TestCandidateScorer:
 
 class TestTermCache:
     """A network's cached terms stay what a fresh evaluation gives, after a
-    run has advanced its queues and under every link-parameter set."""
+    run on it and under every link-parameter set."""
 
     @staticmethod
     def networks(rng):
@@ -398,9 +397,9 @@ class TestTermCache:
 
         for scenario in ("LP-LR", "LP-MR"):
             for seed in range(2):
-                yield scenario_instances(scenario, seed, 12)
+                yield scenario_instances(scenario, seed, 12)[:2]
         for i in range(40):
-            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            wf, network, _ = random_small_instance(rng, max_tasks=5, max_nodes=8)
             others = [random_small_instance(rng, max_tasks=5)[0] for _ in range(5)]
             workflows = [
                 dataclasses.replace(w, id=f"wf{i}-{k}", arrival_time=0.1 * k)
@@ -428,9 +427,9 @@ class TestTermCache:
     @staticmethod
     def assert_classes(network):
         """Two nodes share a calibration class exactly when their fields
-        other than id and queue state are equal; each class's
-        representative is one of its nodes."""
-        names = [f.name for f in dataclasses.fields(QpuNode) if f.name not in ("id", "next_available_time", "queue")]
+        other than id are equal; each class's representative is one of its
+        nodes."""
+        names = [f.name for f in dataclasses.fields(QpuNode) if f.name != "id"]
         assert len(names) == 10
         key = [tuple(getattr(node, name) for name in names) for node in network.nodes]
         reps, masks, of_node = network.calibration_classes
@@ -463,11 +462,11 @@ class TestTermCache:
             )
             for params in (run_params, other_params, run_params):
                 for wf in [*workflows, homeless]:
-                    sim_time = rng.uniform(0.0, state.clock + 1.0)
-                    table = DecisionTable(wf, network, params, sim_time)
-                    assert_fresh(table, wf, network, params, sim_time)
+                    backlog = backlog_at(state.free_at, rng.uniform(0.0, state.clock + 1.0))
+                    table = DecisionTable(wf, network, params, backlog)
+                    assert_fresh(table, wf, network, params, backlog)
                     assert all(type(row) is tuple for row in (*table.err, *table.run, *table.qlink))
-                    again = DecisionTable(wf, network, params, sim_time)
+                    again = DecisionTable(wf, network, params, backlog)
                     assert all(a is b for a, b in zip(again.err, table.err))  # read, not re-evaluated
                     tables += 1
             distinct = {t for wf in [*workflows, homeless] for t in wf.tasks}
@@ -487,11 +486,11 @@ class TestBlockScorer:
 
         for scenario in ("LP-LR", "LP-MR"):
             for seed in range(2):
-                workflows, network = scenario_instances(scenario, seed, 3)
+                workflows, network, free_at = scenario_instances(scenario, seed, 3)
                 for wf in workflows:
-                    yield wf, network, NetworkParams(), WeightConfig(), wf.arrival_time + 0.5
+                    yield wf, network, NetworkParams(), WeightConfig(), free_at, wf.arrival_time + 0.5
         for _ in range(120):
-            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            wf, network, free_at = random_small_instance(rng, max_tasks=5, max_nodes=8)
             params = NetworkParams(
                 success_probability=rng.uniform(0.1, 1.0),
                 transmission_efficiency=rng.uniform(0.2, 1.0),
@@ -503,7 +502,7 @@ class TestBlockScorer:
             weights = WeightConfig(
                 zeta=rng.choice([0.0, 0.5, 1.0]), alpha=alpha, beta=beta, gamma=1.0 - alpha - beta
             )
-            yield wf, network, params, weights, rng.uniform(0.05, 1.5)
+            yield wf, network, params, weights, free_at, rng.uniform(0.05, 1.5)
 
     @staticmethod
     def blocks(rng, wf, network):
@@ -545,8 +544,9 @@ class TestBlockScorer:
         rng = random.Random(515)
         leaves = clipped = 0
         last_vertices = set()
-        for wf, network, params, weights, sim_time in self.decisions(rng):
-            table = DecisionTable(wf, network, params, sim_time)
+        for wf, network, params, weights, free_at, sim_time in self.decisions(rng):
+            backlog = backlog_at(free_at, sim_time)
+            table = DecisionTable(wf, network, params, backlog)
             bounds = self.scale_bounds(table, shrink)
             scorers = [table.block_scorer(weights, v) for v in range(len(wf.tasks))]
             for prefix, v, mask in self.blocks(rng, wf, network):
@@ -555,7 +555,7 @@ class TestBlockScorer:
                 assert len(costs) == len(hosts)
                 for h, cost in zip(hosts, costs):
                     candidate = [h if j == v else prefix[j] for j in range(len(wf.tasks))]
-                    ref = aggregate_cost(wf, candidate, network, weights, params, bounds, sim_time)
+                    ref = aggregate_cost(wf, candidate, network, weights, params, bounds, backlog)
                     assert cost == ref.total
                     leaves += 1
                     clipped += (
@@ -579,8 +579,8 @@ class TestBlockScorer:
         block (an incumbent) and a uniform draw."""
         rng = random.Random(2718)
         skipped = scored = 0
-        for wf, network, params, weights, sim_time in self.decisions(rng):
-            table = DecisionTable(wf, network, params, sim_time)
+        for wf, network, params, weights, free_at, sim_time in self.decisions(rng):
+            table = DecisionTable(wf, network, params, backlog_at(free_at, sim_time))
             self.scale_bounds(table, shrink)
             scorers = [table.block_scorer(weights, v) for v in range(len(wf.tasks))]
             incumbent = math.inf
@@ -635,12 +635,12 @@ class TestBlockScorer:
         exactly."""
         rng = random.Random(1618)
         skipped = kept = random_skipped = random_kept = leaves = clipped = 0
-        for wf, network, params, weights, sim_time in self.decisions(rng):
+        for wf, network, params, weights, _, sim_time in self.decisions(rng):
             if len(wf.tasks) < 2:
                 continue
-            for node in network.nodes:
-                node.next_available_time = rng.choice([0.0, rng.uniform(0.0, 2.0)])
-            table = DecisionTable(wf, network, params, sim_time)
+            free_at = [rng.choice([0.0, rng.uniform(0.0, 2.0)]) for _ in network.nodes]
+            backlog = backlog_at(free_at, sim_time)
+            table = DecisionTable(wf, network, params, backlog)
             bounds = self.scale_bounds(table, shrink)
             sentinel = len(network.nodes)
             scorers = {}
@@ -655,7 +655,7 @@ class TestBlockScorer:
                     costs = score(prefix, mask)
                     for k, cost in zip(mask_hosts(mask), costs):
                         candidate = [k if j == v else prefix[j] for j in range(len(wf.tasks))]
-                        ref = aggregate_cost(wf, candidate, network, weights, params, bounds, sim_time)
+                        ref = aggregate_cost(wf, candidate, network, weights, params, bounds, backlog)
                         assert cost == ref.total
                         clipped += (
                             ref.error_raw > bounds.max_task_error_sum
@@ -720,15 +720,14 @@ class TestComputeBounds:
 
         fallbacks = busy = 0
         for i in range(200):
-            wf, network = random_small_instance(rng, max_tasks=3, max_nodes=3)
-            for node in network.nodes:
-                node.next_available_time = rng.choice([0.0, 0.1, rng.uniform(0.0, 2.0)])
+            wf, network, _ = random_small_instance(rng, max_tasks=3, max_nodes=3)
+            free_at = [rng.choice([0.0, 0.1, rng.uniform(0.0, 2.0)]) for _ in network.nodes]
             if i % 4 == 0:  # every task outgrows every node (at most 10 qubits)
                 tasks = tuple(dataclasses.replace(t, qubits=t.qubits + 10) for t in wf.tasks)
                 wf = dataclasses.replace(wf, tasks=tasks)
                 fallbacks += 1
-            busy += any(n.next_available_time > 0.25 for n in network.nodes)
-            bounds = compute_bounds(wf, network, params, sim_time=0.25)
+            busy += any(f > 0.25 for f in free_at)
+            bounds = compute_bounds(wf, network, params, backlog_at(free_at, 0.25))
             pairs = [
                 (t, n) for t in wf.tasks for n in network.nodes if t.qubits <= n.qubits
             ] or [(t, n) for t in wf.tasks for n in network.nodes]
@@ -738,14 +737,23 @@ class TestComputeBounds:
                 quantum_link_cost(t, n, params) + classical_link_cost(t, params)
                 for t, n in pairs
             )
-            exp_nat = max(
-                [max(n.next_available_time - 0.25, 0.0) for n in network.nodes] + [0.0]
-            )
+            exp_nat = max([max(f - 0.25, 0.0) for f in free_at] + [0.0])
             assert bounds.max_task_error_sum == max(exp_err, 1e-12)
             assert bounds.max_task_runtime_sum == max(exp_rt, 1e-12)
             assert bounds.max_network_sum == max(exp_net, 1e-12)
             assert bounds.max_nat == max(exp_nat, 1e-12)
         assert fallbacks == 50 and busy > 50
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_backlog_of_another_length_is_refused(self, length):
+        # a longer vector would raise the availability bound, a shorter one
+        # fail mid-search: one entry per node or nothing
+        network = make_network([50, 50, 50], [(0, 1), (1, 2)])
+        wf = chain_workflow([3, 7])
+        with pytest.raises(ValueError, match="backlog"):
+            compute_bounds(wf, network, NetworkParams(), [1.0] * length)
+        with pytest.raises(ValueError, match="backlog"):
+            DecisionTable(wf, network, NetworkParams(), [1.0] * length)
 
 
 class TestFidelity:

@@ -151,7 +151,7 @@ class TestOracleEquivalence:
     def test_no_duplicates_and_injective(self):
         rng = random.Random(1)
         for _ in range(50):
-            wf, network = random_small_instance(rng)
+            wf, network, _ = random_small_instance(rng)
             seen = set()
             for m in enumerate_monomorphisms(len(wf.tasks), wf.skeleton(), network):
                 key = tuple(sorted(m.items()))
@@ -168,11 +168,11 @@ class TestFlatStream:
     def instances():
         rng = random.Random(77)
         for _ in range(150):
-            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            wf, network, _ = random_small_instance(rng, max_tasks=5, max_nodes=8)
             yield wf, network, None
         for scenario in ("LP-LR", "LP-MR"):
             for seed in range(2):
-                workflows, network = scenario_instances(scenario, seed, 4)
+                workflows, network, _ = scenario_instances(scenario, seed, 4)
                 for wf in workflows:
                     yield wf, network, 30_000
 
@@ -227,7 +227,7 @@ class TestGroupStream:
     def patterns():
         rng = random.Random(404)
         for _ in range(200):
-            wf, network = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            wf, network, _ = random_small_instance(rng, max_tasks=5, max_nodes=8)
             yield len(wf.tasks), wf.skeleton(), network, [t.qubits for t in wf.tasks]
         k6 = make_network([9, 4, 9, 9, 2, 9], [(a, b) for a in range(6) for b in range(a + 1, 6)])
         # star around 1, visited 1, 0, 2, 3: u = 2 and v = 3 are not adjacent
@@ -304,7 +304,7 @@ class TestDeterminism:
     def test_two_runs_identical_sequence(self):
         rng = random.Random(9)
         for _ in range(25):
-            wf, network = random_small_instance(rng)
+            wf, network, _ = random_small_instance(rng)
             first = list(workflow_monomorphisms(wf, network))
             second = list(workflow_monomorphisms(wf, network))
             assert first == second
@@ -330,7 +330,7 @@ class TestSearchPlan:
         ]
 
     def test_cached_plans_give_the_groups_of_fresh_plans(self):
-        instances = [scenario_instances("LP-LR", seed, 40) for seed in range(2)]
+        instances = [scenario_instances("LP-LR", seed, 40)[:2] for seed in range(2)]
         hits = _search_plan.cache_info().hits
         warm = [self.groups(wf, network) for workflows, _ in instances for _, network in instances for wf in workflows]
         # both networks run every skeleton, so at least the second reads each plan
@@ -372,10 +372,10 @@ class TestMappingFeasible:
         # soft_iso accepts stream mappings unchecked, so every one up to its
         # default budget must be injective and feasible on the preset draws
         rng = random.Random(5)
-        instances = [(wf, network, 20) for wf, network in (random_small_instance(rng) for _ in range(30))]
+        instances = [(wf, network, 20) for wf, network, _ in (random_small_instance(rng) for _ in range(30))]
         for scenario in ("LP-LR", "LP-MR"):
             for seed in range(3):
-                workflows, network = scenario_instances(scenario, seed, 5)
+                workflows, network, _ = scenario_instances(scenario, seed, 5)
                 instances += [(wf, network, SoftIsoConfig().cap(len(wf.tasks))) for wf in workflows]
         for wf, network, cap in instances:
             for m in itertools.islice(workflow_monomorphisms(wf, network), int(cap)):
@@ -393,7 +393,7 @@ class TestMappingFeasible:
     def test_in_search_pruning_preserves_feasible_set(self):
         rng = random.Random(17)
         for _ in range(60):
-            wf, network = random_small_instance(rng)
+            wf, network, _ = random_small_instance(rng)
             pruned = [
                 tuple(sorted(m.items())) for m in workflow_monomorphisms(wf, network)
             ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -12,6 +13,7 @@ from qflow.experiments import ExperimentConfig
 from qflow.model import (
     Allocation,
     NetworkParams,
+    QpuNode,
     WeightConfig,
     Workflow,
     components,
@@ -171,6 +173,15 @@ class TestQpuNode:
         # a NaN node would fit no task: every qubit comparison with NaN is false
         with pytest.raises(ValueError, match=r"^node x: qubits must be"):
             make_node(node_id="x", qubits=qubits)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(QpuNode)] + ["next_available_time"])
+    def test_every_field_is_frozen(self, name):
+        # the network's term cache and calibration classes were derived from
+        # the fields, and availability is the simulator's, not the node's
+        node = make_node(node_id="x", qubits=7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, 0.0)
+        assert len(dataclasses.fields(QpuNode)) == 11  # id and ten calibration fields
 
 
 def reference_kahn(n, edges):
@@ -367,8 +378,7 @@ class TestProfiles:
         node = node_from_profile("torino", profiles, "torino-3")
         assert node.id == "torino-3"
         assert node.qubits == 133
-        assert node.next_available_time == 0.0
-        assert node.queue == []
+        assert node.d1cps == profiles["torino"]["d1cps"]
 
     def test_env_var_override(self, tmp_path, monkeypatch, profiles):
         custom = {"tiny": dict(profiles["brisbane"], qubits=7)}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import random
 
@@ -22,7 +24,7 @@ WEIGHTS = WeightConfig()
 def fixed_allocator(assignments: dict[str, dict[int, int]]):
     """Allocator stub that returns a pinned assignment per workflow id."""
 
-    def call(workflow, network, sim_time):
+    def call(workflow, network, backlog):
         mapping = assignments.get(workflow.id)
         allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
         return AllocationOutcome(allocation=allocation, candidates_examined=1)
@@ -132,15 +134,31 @@ class TestFcfsDiscipline:
             starts = [e.start for e in events]
             assert starts == sorted(starts)
 
-    def test_nat_equals_last_finish(self):
-        net = make_network([127], [])
-        workload = [chain_workflow([5], wf_id=f"w{i}", arrival=0.0) for i in range(4)]
-        allocator = fixed_allocator({f"w{i}": {0: 0} for i in range(4)})
+    def test_free_at_equals_last_finish(self):
+        net = make_network([127, 127, 127], [(0, 1), (1, 2)])
+        workload = [chain_workflow([5], wf_id=f"w{i}", arrival=0.1 * (i // 2)) for i in range(5)]
+        allocator = fixed_allocator({f"w{i}": {0: i % 2} for i in range(5)})
         state = run_simulation(workload, net, allocator, PARAMS)
-        assert net.nodes[0].next_available_time == pytest.approx(
-            max(e.finish for e in state.executions), abs=1e-12
-        )
-        assert len(net.nodes[0].queue) == 4
+        assert sorted(e.node_index for e in state.executions) == [0, 0, 0, 1, 1]
+        for k in range(3):
+            finishes = [e.finish for e in state.executions if e.node_index == k]
+            assert state.free_at[k] == max(finishes, default=0.0)
+
+    def test_allocator_sees_the_backlog_at_each_decision(self):
+        # w0 and w1 queue on node 0 at t=0; w2 arrives at t=0.05 while both run
+        net = make_network([127, 127], [(0, 1)])
+        workload = [chain_workflow([5], wf_id=f"w{i}", arrival=0.05 * (i // 2)) for i in range(3)]
+        seen = []
+        pinned = fixed_allocator({f"w{i}": {0: 0} for i in range(3)})
+
+        def recording(workflow, network, backlog):
+            seen.append(backlog)
+            return pinned(workflow, network, backlog)
+
+        state = run_simulation(workload, net, recording, PARAMS)
+        d = runtime_cost(workload[0].tasks[0], net.nodes[0])
+        assert seen == [[0.0, 0.0], [d, 0.0], [max(2 * d - 0.05, 0.0), 0.0]]
+        assert state.free_at == [3 * d, 0.0]
 
     def test_same_instant_ties_break_by_total_qubits_then_priority(self):
         net = make_network([127], [])
@@ -165,9 +183,9 @@ class TestFailuresAndRetries:
         wf = chain_workflow([5, 5], wf_id="w", arrival=0.0)
         calls = []
 
-        def counting(workflow, network, sim_time):
-            calls.append(sim_time)
-            return greedy_dfs(workflow, network, sim_time)
+        def counting(workflow, network, backlog):
+            calls.append(backlog)
+            return greedy_dfs(workflow, network)
 
         state = run_simulation([wf], net, counting, PARAMS, retry_limit=2)
         assert len(calls) == 3  # initial attempt + two retries
@@ -181,9 +199,9 @@ class TestFailuresAndRetries:
         wf = chain_workflow([5, 5], wf_id="w", arrival=0.0)
         calls = []
 
-        def counting(workflow, network, sim_time):
-            calls.append(sim_time)
-            return greedy_dfs(workflow, network, sim_time)
+        def counting(workflow, network, backlog):
+            calls.append(backlog)
+            return greedy_dfs(workflow, network)
 
         run_simulation([wf], net, counting, PARAMS, retry_limit=0)
         assert len(calls) == 1
@@ -193,11 +211,11 @@ class TestFailuresAndRetries:
         net = make_network([127, 127], [(0, 1)])
         blocked = chain_workflow([5, 5], wf_id="blocked", arrival=0.0)
         late = chain_workflow([5], wf_id="late", arrival=1.0)
-        seen: list[tuple[str, float]] = []
+        seen: list[str] = []
         outcomes = {"blocked": [None, {0: 0, 1: 1}], "late": [{0: 0}]}
 
-        def scripted(workflow, network, sim_time):
-            seen.append((workflow.id, sim_time))
+        def scripted(workflow, network, backlog):
+            seen.append(workflow.id)
             script = outcomes[workflow.id]
             mapping = script.pop(0)
             allocation = (
@@ -206,7 +224,9 @@ class TestFailuresAndRetries:
             return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
         state = run_simulation([blocked, late], net, scripted, PARAMS, retry_limit=3)
-        assert ("blocked", 0.0) in seen and ("blocked", 1.0) in seen
+        assert seen == ["blocked", "blocked", "late"]
+        # placed at its retry, at t=1: its first task starts then
+        assert min(e.start for e in state.executions if e.workflow_id == "blocked") == 1.0
         assert len(state.completed) == 2
 
     def test_completion_accounting_partitions_tasks(self):
@@ -226,12 +246,12 @@ class TestFailuresAndRetries:
 
 
 def coin_allocator(seed: int, calls: list):
-    """Allocator stub that records (workflow id, sim_time) per call and fails
-    at random; successes pin task j on node j."""
+    """Allocator stub that records the workflow id per call and fails at
+    random; successes pin task j on node j."""
     rng = random.Random(seed)
 
-    def call(workflow, network, sim_time):
-        calls.append((workflow.id, sim_time))
+    def call(workflow, network, backlog):
+        calls.append(workflow.id)
         mapping = {j: j for j in range(len(workflow.tasks))} if rng.random() < 0.4 else None
         allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
         return AllocationOutcome(allocation=allocation, candidates_examined=1)
@@ -243,17 +263,19 @@ def rescan_reference(workload, allocator, retry_limit):
     """The documented rule as a rescan: at every distinct arrival time, offer
     each arrived, pending workflow in (arrival, total qubits, priority, id)
     order; after the last arrival, pass again at that time until every
-    workflow is placed or out of retries. Returns (completed, failed) ids."""
+    workflow is placed or out of retries. Returns (completed, failed) ids
+    and the (id, decision time) of each placement."""
     key = lambda wf: (wf.arrival_time, wf.total_qubits, wf.priority, wf.id)
     attempts = {wf.id: 0 for wf in workload}
-    pending, completed, failed = list(workload), [], []
+    pending, completed, failed, placed = list(workload), [], [], []
     instants = sorted({wf.arrival_time for wf in workload})
 
     def decision_pass(t):
         for wf in sorted((wf for wf in pending if wf.arrival_time <= t), key=key):
             attempts[wf.id] += 1
-            if allocator(wf, None, t).succeeded:
+            if allocator(wf, None, None).succeeded:
                 completed.append(wf.id)
+                placed.append((wf.id, t))
                 pending.remove(wf)
             elif attempts[wf.id] > retry_limit:
                 failed.append(wf.id)
@@ -263,12 +285,22 @@ def rescan_reference(workload, allocator, retry_limit):
         decision_pass(t)
     while pending:
         decision_pass(instants[-1])
-    return completed, failed
+    return (completed, failed), placed
 
 
 class TestCallSequence:
     @pytest.mark.parametrize("retry_limit", [0, 1, 3])
-    def test_calls_and_outcomes_match_rescan_reference(self, retry_limit):
+    def test_calls_and_outcomes_match_rescan_reference(self, monkeypatch, retry_limit):
+        # the decision clock reaches the run as the `now` each placement is
+        # executed at, so every placement's (id, now) is checked too
+        placed = []
+        execute = simulation._execute
+
+        def recording(workflow, outcome, state, params, now, *gates):
+            placed.append((workflow.id, now))
+            return execute(workflow, outcome, state, params, now, *gates)
+
+        monkeypatch.setattr(simulation, "_execute", recording)
         rng = random.Random(100 + retry_limit)
         net = make_network([127, 127, 127], [(0, 1), (0, 2), (1, 2)])
         total_calls = total_workflows = 0
@@ -289,11 +321,15 @@ class TestCallSequence:
                 )
             seed = rng.randrange(2**32)
             calls, expected_calls = [], []
+            placed.clear()
             state = run_simulation(
                 workload, net, coin_allocator(seed, calls), PARAMS, retry_limit=retry_limit
             )
-            expected = rescan_reference(workload, coin_allocator(seed, expected_calls), retry_limit)
+            expected, expected_placed = rescan_reference(
+                workload, coin_allocator(seed, expected_calls), retry_limit
+            )
             assert calls == expected_calls
+            assert placed == expected_placed
             assert ([wf.id for wf in state.completed], [wf.id for wf in state.failed]) == expected
             total_calls += len(calls)
             total_workflows += len(workload)
@@ -305,6 +341,7 @@ def fresh_execute(workflow, outcome, state, params, now, dependency_gating, gate
     """The simulator's execution step evaluating every runtime, fidelity and
     edge cost afresh from the cost functions."""
     network = state.network
+    free_at = state.free_at
     assignment = outcome.allocation.assignment
     finish_times = {}
     for j in workflow.topological_order():
@@ -320,12 +357,11 @@ def fresh_execute(workflow, outcome, state, params, now, dependency_gating, gate
                         workflow.tasks[p], network.nodes[assignment[p]], task, node, params
                     )
                 ready = max(ready, gate)
-        start = max(node.next_available_time, ready)
+        start = max(free_at[node_index], ready)
         duration = runtime_cost(task, node)
         finish = start + duration
         finish_times[j] = finish
-        node.next_available_time = finish
-        node.queue.append((workflow.id, j))
+        free_at[node_index] = finish
         state.busy_seconds[node_index] += duration
         state.executions.append(
             TaskExecution(workflow_id=workflow.id, task_index=j, node_index=node_index, start=start, finish=finish)
@@ -378,7 +414,7 @@ class TestMetrics:
             monkeypatch.setattr(simulation, "_execute", execute)
             runs[label] = []
             for seed in range(3):
-                workflows, network = scenario_instances("LP-LR", seed, 80)
+                workflows, network, _ = scenario_instances("LP-LR", seed, 80)
                 state = run_simulation(workflows, network, make_allocator(name, WEIGHTS, PARAMS), PARAMS)
                 m = state.metrics
                 runs[label].append((state.executions, m.wait_time, m.fidelity_sum, m.communication_overhead))
@@ -394,7 +430,7 @@ class TestMetrics:
         wf = chain_workflow([5], wf_id="w", arrival=0.0)
         script = [None] * failures + [{0: 0}]
 
-        def flaky(workflow, network, sim_time):
+        def flaky(workflow, network, backlog):
             mapping = script.pop(0)
             allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
             return AllocationOutcome(allocation=allocation, candidates_examined=1)
@@ -402,6 +438,42 @@ class TestMetrics:
         state = run_simulation([wf], net, flaky, PARAMS, retry_limit=failures)
         assert state.completed == [wf]
         assert state.metrics.decision_time == failures + 1
+
+
+class TestNetworkIsOnlyRead:
+    """A run keeps its availability to itself, so runs may share a network."""
+
+    @staticmethod
+    def draws(seed):
+        from .conftest import scenario_instances
+
+        workflows, network, _ = scenario_instances("LP-LR", seed, 60)
+        return workflows, network
+
+    @pytest.mark.parametrize("name", ["soft_iso", "random_aware", "greedy_dfs"])
+    def test_run_leaves_its_network_unchanged(self, name):
+        for seed in range(2):
+            workflows, network = self.draws(seed)
+            before = copy.deepcopy(network)
+            state = run_simulation(workflows, network, make_allocator(name, WEIGHTS, PARAMS, base_seed=seed), PARAMS)
+            assert state.completed and state.executions
+            assert network == before
+            assert [vars(node) for node in network.nodes] == [vars(node) for node in before.nodes]
+
+    @pytest.mark.parametrize("name", ["soft_iso", "random_aware", "greedy_dfs"])
+    def test_two_runs_on_one_network_are_identical(self, name):
+        for seed in range(2):
+            workflows, network = self.draws(seed)
+            first, second = (
+                run_simulation(workflows, network, make_allocator(name, WEIGHTS, PARAMS, base_seed=seed), PARAMS)
+                for _ in range(2)
+            )
+            assert first.executions and first.executions == second.executions
+            assert [wf.id for wf in first.completed] == [wf.id for wf in second.completed]
+            assert [wf.id for wf in first.failed] == [wf.id for wf in second.failed]
+            assert first.free_at == second.free_at
+            untimed = lambda m: dataclasses.replace(m, decision_time=0.0)
+            assert untimed(first.metrics) == untimed(second.metrics)
 
 
 class TestQpuTimeDistribution:

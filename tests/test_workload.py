@@ -233,4 +233,3 @@ class TestGenerateNetwork:
         names = {n.id.rsplit("-", 1)[0] for n in net.nodes}
         assert names <= {"brisbane", "torino", "marrakesh"}
         assert len(net.nodes) == 20
-        assert all(n.next_available_time == 0.0 for n in net.nodes)
