@@ -37,8 +37,6 @@ from .experiments import (
 from .matcher import (
     CandidateMapping,
     MappingGroup,
-    enumerate_monomorphism_groups,
-    enumerate_monomorphisms,
     mask_hosts,
     workflow_monomorphism_groups,
     workflow_monomorphisms,

@@ -139,22 +139,15 @@ def workflow_network_cost(
     assignment: dict[int, int],
     network: ResourceNetwork,
     params: NetworkParams,
-    require_links: bool = True,
 ) -> float:
     """Sum of per-edge communication costs over the workflow's edges.
 
-    With ``require_links`` (the default) a workflow edge mapped onto a
-    non-linked node pair raises ValueError. Candidate scoring before the
-    feasibility check passes ``require_links=False``; the per-edge value
-    depends only on the endpoints' tasks and nodes.
+    The per-edge value depends only on the endpoints' tasks and nodes, so
+    links are not checked here: :func:`qflow.model.mapping_feasible` does.
     """
     total = 0.0
     for a, b in workflow.skeleton():
         ka, kb = assignment[a], assignment[b]
-        if require_links and not network.has_link(ka, kb):
-            raise ValueError(
-                f"workflow {workflow.id}: edge ({a},{b}) maps to non-linked nodes ({ka},{kb})"
-            )
         total += edge_communication_cost(
             workflow.tasks[a], network.nodes[ka], workflow.tasks[b], network.nodes[kb], params
         )
@@ -202,7 +195,7 @@ def aggregate_cost(
         err += error_cost(task, node)
         runtime += runtime_cost(task, node)
     assignment = {j: candidate_nodes[j] for j in range(len(workflow.tasks))}
-    net = workflow_network_cost(workflow, assignment, network, params, require_links=False)
+    net = workflow_network_cost(workflow, assignment, network, params)
 
     return _normalized(availability, err, runtime, net, bounds, weights)
 

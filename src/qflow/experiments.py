@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import statistics
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -82,7 +83,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALLOCATOR_NAMES:
             raise ConfigError(f"algorithm: unknown value {self.algorithm!r}, expected one of {ALLOCATOR_NAMES}")
-        counts = {"repetitions": 1, "retry_limit": 0, "trial_multiplier": 1, "workers": 1, "catalog_size": 1}
+        counts = {
+            "repetitions": 1, "retry_limit": 0, "trial_multiplier": 1, "workers": 1, "catalog_size": 1,
+            "base_seed": -math.inf,  # any whole seed, negative ones included
+        }
         try:
             for name, minimum in counts.items():
                 object.__setattr__(self, name, check_count(name, getattr(self, name), minimum))

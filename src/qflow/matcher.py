@@ -6,18 +6,18 @@ node index such that every workflow edge lands on a network link; extra
 links among the chosen nodes are allowed (monomorphism semantics, since
 surplus physical connectivity cannot hurt execution).
 
-Enumeration is one deterministic backtracking search: pattern vertices are
-visited highest-degree first then breadth-first, and host candidates are
-tried in ascending node index, so the stream is sorted by the hosts of the
-vertices in visit order. An optional per-vertex capacity requirement
-prunes host nodes with too few qubits before the search, which drops only
-mappings that the qubit constraint would reject anyway. As in VF2++
-(Juttner and Madarasi, 2018) and bitset subgraph solvers (McCreesh and
-Prosser, 2015), each vertex's candidate domain is a bitmask of hosts fixed
-once and, at each depth, narrowed by the neighbour masks of the hosts of
-its already-mapped pattern neighbours and by the mask of used hosts. The
-visit order and the per-depth lists depend only on the skeleton, so they
-are cached per pattern; the masks come from the network's cached views.
+Enumeration is one deterministic backtracking search: pattern vertices (the
+tasks) are visited highest-degree first then breadth-first, and host
+candidates are tried in ascending node index, so the stream is sorted by the
+hosts of the vertices in visit order. Each task's domain holds only the
+nodes with enough qubits for it, so every mapping also meets the qubit
+constraint. As in VF2++ (Juttner and Madarasi, 2018) and bitset subgraph
+solvers (McCreesh and Prosser, 2015), each vertex's candidate domain is a
+bitmask of hosts fixed once and, at each depth, narrowed by the neighbour
+masks of the hosts of its already-mapped pattern neighbours and by the mask
+of used hosts. The visit order and the per-depth lists depend only on the
+skeleton, so they are cached per skeleton; the masks come from the
+network's cached views.
 
 The search yields groups. With ``u`` and ``v`` the last two vertices in
 visit order, all mappings that differ only in the hosts of ``u`` and ``v``
@@ -34,7 +34,7 @@ the groups unrolled, in the same order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .model import ResourceNetwork, Workflow, neighbour_lists
@@ -57,19 +57,14 @@ def mask_hosts(mask: int) -> list[int]:
     return hosts
 
 
-def pattern_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Visit order of pattern vertices: highest degree first, then BFS.
-    ``edges`` lists each undirected pattern edge once."""
-    return list(_search_plan(n, tuple(edges))[0])
-
-
 @lru_cache(maxsize=512)
 def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     """The skeleton-only part of the search, derived once per pattern and
     kept in a bounded cache: the visit order; per depth, the pattern
     neighbours mapped at earlier depths; whether the last vertex ``v``
     neighbours the one before it, ``u``; and ``v``'s earlier neighbours
-    other than ``u``."""
+    other than ``u``. The skeleton is connected (:class:`Workflow` rejects
+    any other), so the breadth-first walk reaches every vertex."""
     adj = neighbour_lists(n, edges)
     order = [max(range(n), key=lambda v: (len(adj[v]), -v))]
     seen = set(order)
@@ -78,52 +73,38 @@ def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
             if v not in seen:
                 seen.add(v)
                 order.append(v)
-    if len(order) != n:
-        raise ValueError("pattern skeleton must be connected")
     depth_of = {w: d for d, w in enumerate(order)}
     earlier = tuple(tuple(p for p in adj[w] if depth_of[p] < d) for d, w in enumerate(order))
     u = order[-2] if n > 1 else None
     return tuple(order), earlier, u in adj[order[-1]], tuple(p for p in earlier[-1] if p != u)
 
 
-def enumerate_monomorphism_groups(
-    pattern_size: int,
-    pattern_edges: Iterable[tuple[int, int]],
-    host: ResourceNetwork,
-    min_qubits: Sequence[int] | None = None,
-) -> Iterator[MappingGroup]:
-    """Yield every injective, adjacency-preserving mapping of the pattern
-    into the host, in groups, lazily and in a deterministic order.
+def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingGroup]:
+    """Yield every injective mapping of the workflow's tasks onto network
+    nodes that puts each skeleton edge on a link and each task on a node
+    with enough qubits, in groups, lazily and in a deterministic order.
 
-    With ``u`` and ``v`` the last two pattern vertices in visit order, a
-    group ``(prefix, u, v, pairs)`` stands for the mappings ``prefix`` plus
+    With ``u`` and ``v`` the last two tasks in visit order, a group
+    ``(prefix, u, v, pairs)`` stands for the mappings ``prefix`` plus
     ``u -> hu`` plus ``v -> h``, for each ``(hu, mask)`` in ``pairs`` (hosts
     of ``u`` ascending, masks nonzero) and each ``h`` in
-    ``mask_hosts(mask)``. ``prefix`` maps every vertex before ``u``, keyed
-    in visit order; it is the search's live mapping, valid only until the
-    next group is requested. A consumer may set ``prefix[u]``, which the search drops
-    before the next group. A one-vertex pattern gives at most the group
-    ``({}, None, v, [(None, mask)])``.
-
-    ``pattern_edges`` lists each undirected pattern edge once, as a
-    workflow skeleton does. ``min_qubits[v]`` (optional) prunes host nodes
-    whose qubit count cannot host pattern vertex ``v``.
+    ``mask_hosts(mask)``. ``prefix`` maps every task before ``u``, keyed in
+    visit order; it is the search's live mapping, valid only until the next
+    group is requested. A consumer may set ``prefix[u]``, which the search
+    drops before the next group. A one-task workflow gives at most the
+    group ``({}, None, v, [(None, mask)])``.
     """
-    if pattern_size < 1:
-        raise ValueError("pattern must be nonempty")
-    order, earlier, v_on_u, v_earlier = _search_plan(pattern_size, tuple(pattern_edges))
-    # Qubit-feasible hosts per pattern vertex as a bitmask: the OR of the
-    # calibration classes whose representative fits.
-    reps, masks, _ = host.calibration_classes
-    domain = [
-        sum(m for rep, m in zip(reps, masks) if min_qubits is None or rep.qubits >= min_qubits[v])
-        for v in range(pattern_size)
-    ]
+    n = len(workflow.tasks)
+    order, earlier, v_on_u, v_earlier = _search_plan(n, workflow.skeleton())
+    # Qubit-feasible hosts per task as a bitmask: the OR of the calibration
+    # classes whose representative fits.
+    reps, masks, _ = network.calibration_classes
+    domain = [sum(m for rep, m in zip(reps, masks) if rep.qubits >= task.qubits) for task in workflow.tasks]
     v = order[-1]
-    if pattern_size == 1:
+    if n == 1:
         return iter([({}, None, v, [(None, domain[v])])] if domain[v] else [])
-    neighbours = host.neighbour_masks
-    last = pattern_size - 2  # the depth of u
+    neighbours = network.neighbour_masks
+    last = n - 2  # the depth of u
     u = order[last]
     mapping: CandidateMapping = {}
 
@@ -162,19 +143,10 @@ def enumerate_monomorphism_groups(
     return extend(0, 0)
 
 
-def enumerate_monomorphisms(
-    pattern_size: int,
-    pattern_edges: Iterable[tuple[int, int]],
-    host: ResourceNetwork,
-    min_qubits: Sequence[int] | None = None,
-) -> Iterator[CandidateMapping]:
-    """The mappings of :func:`enumerate_monomorphism_groups`, one dict
-    each, keyed in visit order."""
-    return _flatten(enumerate_monomorphism_groups(pattern_size, pattern_edges, host, min_qubits))
-
-
-def _flatten(groups: Iterator[MappingGroup]) -> Iterator[CandidateMapping]:
-    for prefix, u, v, pairs in groups:
+def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[CandidateMapping]:
+    """The mappings of :func:`workflow_monomorphism_groups`, one dict each,
+    keyed in visit order."""
+    for prefix, u, v, pairs in workflow_monomorphism_groups(workflow, network):
         for h, mask in pairs:
             if u is not None:
                 prefix[u] = h
@@ -182,15 +154,3 @@ def _flatten(groups: Iterator[MappingGroup]) -> Iterator[CandidateMapping]:
                 mapping = prefix.copy()
                 mapping[v] = k
                 yield mapping
-
-
-def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingGroup]:
-    """Enumerate embeddings of a workflow's undirected skeleton into the
-    network in groups, pruning nodes too small for the candidate task."""
-    caps = [t.qubits for t in workflow.tasks]
-    return enumerate_monomorphism_groups(len(workflow.tasks), workflow.skeleton(), network, min_qubits=caps)
-
-
-def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[CandidateMapping]:
-    """The mappings of :func:`workflow_monomorphism_groups`, one dict each."""
-    return _flatten(workflow_monomorphism_groups(workflow, network))

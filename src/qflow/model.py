@@ -40,7 +40,7 @@ PROGRAM_FAMILIES = (
 )
 
 
-def check_count(name: str, value: float, minimum: int) -> int:
+def check_count(name: str, value: float, minimum: float) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is a whole
     number ``>= minimum``. A bool, NaN, an infinite or a fractional value
     fails; an integral float such as ``6.0`` passes and returns ``6``."""
@@ -72,9 +72,10 @@ class TaskSpec:
 
     def __post_init__(self):
         counts = (("qubits", 1), ("depth", 1), ("shots", 1), ("two_qubit_gates", 0), ("measured_qubits", 0))
+        fields = self.__dict__  # the checked ints are stored directly: cheaper than object.__setattr__
         try:
             for name, minimum in counts:
-                check_count(name, getattr(self, name), minimum)
+                fields[name] = check_count(name, fields[name], minimum)
         except ValueError as exc:
             raise ValueError(f"task {self.id}: {exc}") from None
         if self.measured_qubits > self.qubits:
@@ -174,7 +175,7 @@ class QpuNode:
     queue = ()
 
     def __post_init__(self):
-        check_count(f"node {self.id}: qubits", self.qubits, 1)
+        object.__setattr__(self, "qubits", check_count(f"node {self.id}: qubits", self.qubits, 1))
         for name in _ERROR_RATES:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:

@@ -15,22 +15,11 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .model import QpuNode
+from .model import _ERROR_RATES, _POSITIVE, QpuNode
 
 PROFILES_ENV_VAR = "QFLOW_PROFILES"
 
-_REQUIRED_KEYS = (
-    "qubits",
-    "d1cps",
-    "one_qubit_runtime",
-    "two_qubit_runtime",
-    "readout_runtime",
-    "t1",
-    "t2",
-    "readout_error",
-    "one_qubit_error",
-    "two_qubit_error",
-)
+_REQUIRED_KEYS = ("qubits", *_ERROR_RATES, *_POSITIVE)
 
 
 def load_profiles(path: str | Path | None = None) -> dict[str, dict[str, float]]:
@@ -64,16 +53,6 @@ def node_from_profile(
     if profile_name not in profiles:
         raise KeyError(f"unknown profile {profile_name!r}; have {sorted(profiles)}")
     rec = profiles[profile_name]
-    return QpuNode(
-        id=node_id or profile_name,
-        qubits=int(rec["qubits"]),
-        readout_error=float(rec["readout_error"]),
-        one_qubit_error=float(rec["one_qubit_error"]),
-        two_qubit_error=float(rec["two_qubit_error"]),
-        one_qubit_runtime=float(rec["one_qubit_runtime"]),
-        two_qubit_runtime=float(rec["two_qubit_runtime"]),
-        readout_runtime=float(rec["readout_runtime"]),
-        t1=float(rec["t1"]),
-        t2=float(rec["t2"]),
-        d1cps=float(rec["d1cps"]),
-    )
+    # qubits goes through unconverted, so QpuNode's whole-number check sees it
+    floats = {name: float(rec[name]) for name in _ERROR_RATES + _POSITIVE}
+    return QpuNode(id=node_id or profile_name, qubits=rec["qubits"], **floats)

@@ -25,7 +25,7 @@ from typing import Protocol
 
 from .allocators import AllocationOutcome
 from .costs import task_terms
-from .model import NetworkParams, ResourceNetwork, Workflow, neighbour_lists
+from .model import NetworkParams, ResourceNetwork, Workflow, neighbour_lists, validate_allocation
 
 DEFAULT_RETRY_LIMIT = 3
 
@@ -99,6 +99,9 @@ def run_simulation(
     ``state.free_at``, and an allocator call at decision time ``t`` gets the
     backlog ``max(free_at[k] - t, 0.0)`` per node. So runs may share a
     network, and the cost terms the allocators cache on it stay valid.
+    A successful outcome whose placement fails
+    :func:`qflow.model.validate_allocation` raises ValueError naming the
+    workflow, before any of its tasks is booked.
 
     Metrics follow the evaluation conventions: execution time is the
     workload makespan, wait time sums per-task (start - arrival), fidelity
@@ -132,6 +135,8 @@ def run_simulation(
             outcome = allocator(wf, network, backlog)
             state.metrics.decision_time += perf_counter() - started
             if outcome.succeeded:
+                if not validate_allocation(wf, network, outcome.allocation):
+                    raise ValueError(f"workflow {wf.id}: the allocator returned an invalid placement")
                 _execute(wf, outcome, state, params, t, dependency_gating, gate_comm_latency)
                 state.completed.append(wf)
             elif attempts[wf.id] > retry_limit:
@@ -193,8 +198,6 @@ def _execute(
     net = 0.0
     for a, b in workflow.skeleton():
         ka, kb = assignment[a], assignment[b]
-        if not network.has_link(ka, kb):
-            raise ValueError(f"workflow {workflow.id}: edge ({a},{b}) maps to non-linked nodes ({ka},{kb})")
         net += (terms[a].qlink[ka] + terms[b].qlink[kb]) / 2.0 + (terms[a].clink + terms[b].clink) / 2.0
     state.metrics.communication_overhead += net
 

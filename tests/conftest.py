@@ -82,6 +82,15 @@ def chain_workflow(task_qubits, wf_id="wf", arrival=0.0, shots=1000):
     return Workflow(id=wf_id, tasks=tasks, edges=edges, arrival_time=arrival)
 
 
+def pattern_workflow(n, edges, qubits=None, wf_id="pattern"):
+    """A workflow of ``n`` tasks whose skeleton is the undirected ``edges``,
+    each oriented low to high; task v needs ``qubits[v]`` qubits, or 1, which
+    every node fits, when ``qubits`` is None."""
+    qubits = [1] * n if qubits is None else qubits
+    tasks = tuple(make_task(task_id=f"{wf_id}-t{v}", qubits=q, measured_qubits=q) for v, q in enumerate(qubits))
+    return Workflow(id=wf_id, tasks=tasks, edges=frozenset((min(a, b), max(a, b)) for a, b in edges))
+
+
 def backlog_at(free_at, t):
     """The backlog vector the simulator passes at time ``t`` when node k is
     free from ``free_at[k]``."""

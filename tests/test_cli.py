@@ -76,6 +76,7 @@ class TestExitCodes:
             ("workload.shots_default", {"workload": {"batch_size": 5, "shots_default": 100.0}}, 100),
             ("workload.qubit_range", {"workload": {"batch_size": 5, "qubit_range": [5.0, 20.0]}}, [5, 20]),
             ("topology.node_count", {"topology": {"node_count": 5.0, "link_probability": 0.7}}, 5),
+            ("base_seed", {"base_seed": -7.0}, -7),
         ],
     )
     def test_integral_float_count_runs_and_is_recorded_as_int(self, tmp_path, path, extra, want):

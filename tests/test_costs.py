@@ -255,14 +255,12 @@ class TestWorkflowNetworkCost:
         got = workflow_network_cost(wf, assignment, network, params)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_non_link_edge_raises(self):
+    def test_non_link_edge_is_costed(self):
+        # scoring is total: an edge off the links costs what its endpoints give
         wf = chain_workflow([5, 5])
         network = make_network([127, 127, 127], [(0, 1)])
-        with pytest.raises(ValueError, match="non-linked"):
-            workflow_network_cost(wf, {0: 0, 1: 2}, network, NetworkParams())
-        # scoring mode tolerates it
-        val = workflow_network_cost(wf, {0: 0, 1: 2}, network, NetworkParams(), require_links=False)
-        assert val > 0.0
+        val = workflow_network_cost(wf, {0: 0, 1: 2}, network, NetworkParams())
+        assert val == workflow_network_cost(wf, {0: 0, 1: 1}, network, NetworkParams()) > 0.0
 
 
 class TestAggregateCost:

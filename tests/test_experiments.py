@@ -19,8 +19,9 @@ from qflow.experiments import (
     run_experiment,
     run_scenario,
     scenario_config,
+    _derive_seed,
 )
-from qflow.workload import TopologySpec, WorkloadSpec
+from qflow.workload import TopologySpec, WorkloadSpec, export_task_catalog, generate_catalog
 
 
 def small_config(**kwargs) -> ExperimentConfig:
@@ -72,6 +73,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="soft_config"):
             ExperimentConfig.from_dict({"soft_config": {field: math.nan}})
 
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, 7.5, True], ids=["nan", "inf", "fractional", "bool"])
+    def test_base_seed_must_be_whole(self, seed):
+        # a NaN seed hashes per object, so its runs would differ on every rerun
+        with pytest.raises(ConfigError, match="base_seed"):
+            ExperimentConfig.from_dict({"base_seed": seed})
+
+    def test_whole_base_seed_is_stored_as_int(self):
+        assert [ExperimentConfig(base_seed=s).base_seed for s in (7.0, -3, 0)] == [7, -3, 0]
+        assert type(ExperimentConfig(base_seed=7.0).base_seed) is int
+
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="algorithm"):
             ExperimentConfig.from_dict({"algorithm": "simulated_annealing"})
@@ -113,6 +124,26 @@ class TestRunExperiment:
         drop = rows_a[0].index("decision_time")
         stripped = lambda rows: [[c for i, c in enumerate(r) if i != drop] for r in rows]
         assert stripped(rows_a) == stripped(rows_b)
+
+    def test_negative_base_seed_labels_rows(self, tmp_path):
+        run_experiment(small_config(base_seed=-3, repetitions=2), out_dir=tmp_path)
+        rows = list(csv.DictReader((tmp_path / "results.csv").open()))
+        assert [r["seed"] for r in rows[:2]] == ["-3", "-2"]
+
+    def test_catalog_path_replaces_the_generated_catalog(self, tmp_path):
+        # the catalog repetition 0 generates, read back from a file, gives
+        # byte-identical results
+        config = small_config(repetitions=1)
+        catalog = generate_catalog(
+            config.catalog_size, qubit_range=config.workload.qubit_range,
+            seed=_derive_seed(config.base_seed, 0, 3), shots=config.workload.shots_default,
+        )
+        export_task_catalog(catalog, tmp_path / "catalog.csv")
+        generated, imported = tmp_path / "generated", tmp_path / "imported"
+        run_experiment(config, out_dir=generated)
+        run_experiment(small_config(repetitions=1, catalog_path=str(tmp_path / "catalog.csv")), out_dir=imported)
+        for name in ("results.csv", "qpu_shares.csv"):
+            assert (generated / name).read_bytes() == (imported / name).read_bytes()
 
     def test_worker_pool_matches_serial(self, tmp_path):
         serial = run_experiment(small_config())

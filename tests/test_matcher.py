@@ -5,50 +5,46 @@ from __future__ import annotations
 import itertools
 import random
 
-import pytest
-
 from qflow.allocators import SoftIsoConfig
-from qflow.matcher import (
-    _search_plan,
-    enumerate_monomorphism_groups,
-    enumerate_monomorphisms,
-    mask_hosts,
-    pattern_order,
-    workflow_monomorphism_groups,
-    workflow_monomorphisms,
-)
+from qflow.matcher import _search_plan, mask_hosts, workflow_monomorphism_groups, workflow_monomorphisms
 from qflow.model import mapping_feasible
 
-from .conftest import chain_workflow, make_network, random_small_instance, scenario_instances
+from .conftest import chain_workflow, make_network, pattern_workflow, random_small_instance, scenario_instances
 
 
-def brute_force_monomorphisms(pattern_size, pattern_edges, network, min_qubits=None):
-    """Oracle: filter all injective index tuples by adjacency preservation."""
-    edges = {(min(a, b), max(a, b)) for a, b in pattern_edges}
+def visit_order(wf):
+    """The search's visit order of the workflow's tasks."""
+    return list(_search_plan(len(wf.tasks), wf.skeleton())[0])
+
+
+def uncapped(wf):
+    """The workflow's skeleton with 1-qubit tasks, which every node fits."""
+    return pattern_workflow(len(wf.tasks), wf.skeleton())
+
+
+def brute_force_monomorphisms(wf, network):
+    """Oracle: filter all injective index tuples by adjacency preservation
+    and qubit capacity."""
+    n = len(wf.tasks)
     found = []
-    for tup in itertools.permutations(range(len(network.nodes)), pattern_size):
-        ok = all(network.has_link(tup[a], tup[b]) for a, b in edges)
-        if ok and min_qubits is not None:
-            ok = all(network.nodes[tup[v]].qubits >= min_qubits[v] for v in range(pattern_size))
-        if ok:
-            found.append({v: tup[v] for v in range(pattern_size)})
+    for tup in itertools.permutations(range(len(network.nodes)), n):
+        ok = all(network.has_link(tup[a], tup[b]) for a, b in wf.skeleton())
+        if ok and all(network.nodes[tup[v]].qubits >= wf.tasks[v].qubits for v in range(n)):
+            found.append({v: tup[v] for v in range(n)})
     return found
 
 
-def reference_monomorphisms(pattern_size, pattern_edges, host, min_qubits=None):
+def reference_monomorphisms(wf, host):
     """Reference for the group search: a plain list-domain backtracker that
     yields one dict per leaf, keyed in visit order, with hosts ascending
     along the visit order."""
-    edges = {(min(a, b), max(a, b)) for a, b in pattern_edges}
-    order = pattern_order(pattern_size, edges)
+    pattern_size = len(wf.tasks)
+    order = visit_order(wf)
     adj = {i: set() for i in range(pattern_size)}
-    for a, b in edges:
+    for a, b in wf.skeleton():
         adj[a].add(b)
         adj[b].add(a)
-    domain = [
-        [h for h, node in enumerate(host.nodes) if min_qubits is None or node.qubits >= min_qubits[v]]
-        for v in range(pattern_size)
-    ]
+    domain = [[h for h, node in enumerate(host.nodes) if node.qubits >= task.qubits] for task in wf.tasks]
     adjacency = host.adjacency()
     neighbours = [frozenset(adjacency[h]) for h in range(len(host.nodes))]
     depth_of = {v: d for d, v in enumerate(order)}
@@ -85,33 +81,29 @@ def reference_monomorphisms(pattern_size, pattern_edges, host, min_qubits=None):
 class TestExamples:
     def test_two_node_path_into_triangle_gives_six(self):
         k3 = make_network([10, 10, 10], [(0, 1), (0, 2), (1, 2)])
-        got = list(enumerate_monomorphisms(2, [(0, 1)], k3))
+        wf = pattern_workflow(2, [(0, 1)])
+        got = list(workflow_monomorphisms(wf, k3))
         assert len(got) == 6
-        assert got == brute_force_monomorphisms(2, [(0, 1)], k3) or sorted(
+        assert got == brute_force_monomorphisms(wf, k3) or sorted(
             tuple(sorted(m.items())) for m in got
-        ) == sorted(tuple(sorted(m.items())) for m in brute_force_monomorphisms(2, [(0, 1)], k3))
+        ) == sorted(tuple(sorted(m.items())) for m in brute_force_monomorphisms(wf, k3))
 
     def test_single_vertex_pattern_yields_every_node(self):
         host = make_network([5, 5, 5, 5], [(0, 1), (1, 2), (2, 3)])
-        got = list(enumerate_monomorphisms(1, [], host))
+        got = list(workflow_monomorphisms(pattern_workflow(1, []), host))
         assert got == [{0: 0}, {0: 1}, {0: 2}, {0: 3}]
 
     def test_triangle_into_path_yields_nothing(self):
         path = make_network([5, 5, 5], [(0, 1), (1, 2)])
-        got = list(enumerate_monomorphisms(3, [(0, 1), (1, 2), (0, 2)], path))
+        got = list(workflow_monomorphisms(pattern_workflow(3, [(0, 1), (1, 2), (0, 2)]), path))
         assert got == []
 
     def test_monomorphism_allows_extra_host_links(self):
         # pattern path 0-1-2 embeds into K3 even though the images carry an
         # extra link
         k3 = make_network([5, 5, 5], [(0, 1), (0, 2), (1, 2)])
-        loose = list(enumerate_monomorphisms(3, [(0, 1), (1, 2)], k3))
+        loose = list(workflow_monomorphisms(pattern_workflow(3, [(0, 1), (1, 2)]), k3))
         assert len(loose) == 6
-
-    def test_disconnected_pattern_rejected(self):
-        host = make_network([5, 5], [(0, 1)])
-        with pytest.raises(ValueError, match="connected"):
-            list(enumerate_monomorphisms(2, [], host))
 
 
 class TestOracleEquivalence:
@@ -135,16 +127,17 @@ class TestOracleEquivalence:
                     if rng.random() < 0.3:
                         pat_edges.add((i, j))
             caps = [rng.randint(1, 9) for _ in range(n_pat)] if rng.random() < 0.5 else None
-            got = list(enumerate_monomorphisms(n_pat, pat_edges, host, min_qubits=caps))
-            expected = brute_force_monomorphisms(n_pat, pat_edges, host, caps)
+            wf = pattern_workflow(n_pat, pat_edges, caps)
+            got = list(workflow_monomorphisms(wf, host))
+            expected = brute_force_monomorphisms(wf, host)
             key = lambda m: tuple(sorted(m.items()))
             assert sorted(map(key, got)) == sorted(map(key, expected))
             assert len(got) == len(expected)  # exhaustive, no duplicates
             # with the set fixed, this pins the exact sequence: hosts ascend
             # lexicographically along the pattern visit order
-            order = pattern_order(n_pat, pat_edges)
+            order = visit_order(wf)
             visit = lambda m: tuple(m[v] for v in order)
-            unpruned = list(enumerate_monomorphisms(n_pat, pat_edges, host))
+            unpruned = list(workflow_monomorphisms(uncapped(wf), host))
             for stream in (got, unpruned):
                 assert [visit(m) for m in stream] == sorted(visit(m) for m in stream)
 
@@ -153,7 +146,7 @@ class TestOracleEquivalence:
         for _ in range(50):
             wf, network, _ = random_small_instance(rng)
             seen = set()
-            for m in enumerate_monomorphisms(len(wf.tasks), wf.skeleton(), network):
+            for m in workflow_monomorphisms(uncapped(wf), network):
                 key = tuple(sorted(m.items()))
                 assert key not in seen
                 seen.add(key)
@@ -179,15 +172,9 @@ class TestFlatStream:
     def test_equals_reference_stream(self):
         compared = 0
         for wf, network, limit in self.instances():
-            caps = [t.qubits for t in wf.tasks]
-            for got, ref in (
-                (workflow_monomorphisms(wf, network),
-                 reference_monomorphisms(len(wf.tasks), wf.skeleton(), network, caps)),
-                (enumerate_monomorphisms(len(wf.tasks), wf.skeleton(), network),
-                 reference_monomorphisms(len(wf.tasks), wf.skeleton(), network)),
-            ):
-                got = list(itertools.islice(got, limit))
-                ref = list(itertools.islice(ref, limit))
+            for pattern in (wf, uncapped(wf)):
+                got = list(itertools.islice(workflow_monomorphisms(pattern, network), limit))
+                ref = list(itertools.islice(reference_monomorphisms(pattern, network), limit))
                 assert got == ref
                 assert [list(m) for m in got] == [list(m) for m in ref]
                 compared += len(ref)
@@ -228,33 +215,33 @@ class TestGroupStream:
         rng = random.Random(404)
         for _ in range(200):
             wf, network, _ = random_small_instance(rng, max_tasks=5, max_nodes=8)
-            yield len(wf.tasks), wf.skeleton(), network, [t.qubits for t in wf.tasks]
+            yield wf, network
         k6 = make_network([9, 4, 9, 9, 2, 9], [(a, b) for a in range(6) for b in range(a + 1, 6)])
         # star around 1, visited 1, 0, 2, 3: u = 2 and v = 3 are not adjacent
-        yield 4, [(0, 1), (1, 2), (1, 3)], k6, None
-        yield 2, [(0, 1)], k6, [5, 3]
-        yield 1, [], k6, [3]
+        yield pattern_workflow(4, [(0, 1), (1, 2), (1, 3)]), k6
+        yield pattern_workflow(2, [(0, 1)], [5, 3]), k6
+        yield pattern_workflow(1, [], [3]), k6
 
     def test_unrolled_groups_equal_blocks_and_flat_stream(self):
         leaves = 0
-        for n, edges, network, caps in self.patterns():
-            groups = unrolled(enumerate_monomorphism_groups(n, edges, network, caps))
-            ref = list(reference_monomorphisms(n, edges, network, caps))
-            expected = reference_blocks(ref, pattern_order(n, edges)[-1])
+        for wf, network in self.patterns():
+            groups = unrolled(workflow_monomorphism_groups(wf, network))
+            ref = list(reference_monomorphisms(wf, network))
+            expected = reference_blocks(ref, visit_order(wf)[-1])
             assert groups == expected
             assert [list(prefix) for prefix, _, _ in groups] == [list(prefix) for prefix, _, _ in expected]
-            flat = list(enumerate_monomorphisms(n, edges, network, caps))
+            flat = list(workflow_monomorphisms(wf, network))
             assert flat == ref and [list(m) for m in flat] == [list(m) for m in ref]
             leaves += len(ref)
         assert leaves > 4_000
 
     def test_pairs_ascend_with_nonzero_masks(self):
         groups = 0
-        for n, edges, network, caps in self.patterns():
-            order = pattern_order(n, edges)
-            for prefix, u, v, pairs in enumerate_monomorphism_groups(n, edges, network, caps):
+        for wf, network in self.patterns():
+            order = visit_order(wf)
+            for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network):
                 assert v == order[-1]
-                if n == 1:
+                if len(wf.tasks) == 1:
                     assert (prefix, u, [h for h, _ in pairs]) == ({}, None, [None])
                 else:
                     assert u == order[-2] and list(prefix) == order[:-2]
@@ -269,13 +256,13 @@ class TestGroupStream:
         # on a path host, the star's leaves 2 and 3 both hang off 1's host,
         # so 3's leaf hosts are never linked to 2's host
         path = make_network([5] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        edges = [(0, 1), (1, 2), (1, 3)]
-        assert pattern_order(4, edges) == [1, 0, 2, 3]
-        assert list(enumerate_monomorphism_groups(4, edges, path)) == []
+        wf = pattern_workflow(4, [(0, 1), (1, 2), (1, 3)])
+        assert visit_order(wf) == [1, 0, 2, 3]
+        assert list(workflow_monomorphism_groups(wf, path)) == []
         star = make_network([5] * 5, [(0, k) for k in range(1, 5)])
         groups = [
             (dict(prefix), u, v, [(h, mask_hosts(mask)) for h, mask in pairs])
-            for prefix, u, v, pairs in enumerate_monomorphism_groups(4, edges, star)
+            for prefix, u, v, pairs in workflow_monomorphism_groups(wf, star)
         ]
         assert groups[0] == ({1: 0, 0: 1}, 2, 3, [(2, [3, 4]), (3, [2, 4]), (4, [2, 3])])
         assert len(groups) == 4 and sum(len(hosts) for g in groups for _, hosts in g[3]) == 24
@@ -286,18 +273,13 @@ class TestGroupStream:
         def decoded(groups):
             return [(dict(p), u, v, [(h, mask_hosts(m)) for h, m in pairs]) for p, u, v, pairs in groups]
 
-        assert decoded(enumerate_monomorphism_groups(1, [], host)) == [({}, None, 0, [(None, [0, 1, 2, 3])])]
-        assert decoded(enumerate_monomorphism_groups(1, [], host, min_qubits=[4])) == [
-            ({}, None, 0, [(None, [0, 2, 3])])
-        ]
-        assert decoded(enumerate_monomorphism_groups(1, [], host, min_qubits=[6])) == []
-        assert decoded(enumerate_monomorphism_groups(2, [(0, 1)], host, min_qubits=[4, 1])) == [
-            ({}, 0, 1, [(0, [1]), (2, [1, 3]), (3, [2])])
-        ]
-        wf = chain_workflow([4, 1])
-        assert decoded(workflow_monomorphism_groups(wf, host)) == decoded(
-            enumerate_monomorphism_groups(2, [(0, 1)], host, min_qubits=[4, 1])
-        )
+        def groups(qubits):
+            return decoded(workflow_monomorphism_groups(chain_workflow(qubits), host))
+
+        assert groups([1]) == [({}, None, 0, [(None, [0, 1, 2, 3])])]
+        assert groups([4]) == [({}, None, 0, [(None, [0, 2, 3])])]
+        assert groups([6]) == []
+        assert groups([4, 1]) == [({}, 0, 1, [(0, [1]), (2, [1, 3]), (3, [2])])]
 
 
 class TestDeterminism:
@@ -311,11 +293,11 @@ class TestDeterminism:
 
     def test_pattern_order_highest_degree_root_then_bfs(self):
         # star: vertex 1 has degree 3
-        order = pattern_order(4, [(0, 1), (1, 2), (1, 3)])
+        order = _search_plan(4, ((0, 1), (1, 2), (1, 3)))[0]
         assert order[0] == 1
         assert sorted(order) == [0, 1, 2, 3]
         # chain: middle vertex of a 3-chain has degree 2
-        assert pattern_order(3, [(0, 1), (1, 2)])[0] == 1
+        assert _search_plan(3, ((0, 1), (1, 2)))[0][0] == 1
 
 
 class TestSearchPlan:
@@ -349,7 +331,7 @@ class TestSearchPlan:
         assert maxsize is not None and maxsize >= 32
         path = [(k, k + 1) for k in range(6)]
         for edges in itertools.islice(itertools.permutations(path), maxsize + 10):
-            assert pattern_order(7, edges) == [1, 0, 2, 3, 4, 5, 6]
+            assert _search_plan(7, edges)[0] == (1, 0, 2, 3, 4, 5, 6)
         assert _search_plan.cache_info().currsize == maxsize
 
     def test_class_mask_domains_equal_per_node_filter(self):
@@ -360,10 +342,12 @@ class TestSearchPlan:
         for network in networks:
             assert len(network.calibration_classes[0]) <= len(network.nodes)
             everything = (1 << len(network.nodes)) - 1
-            assert list(enumerate_monomorphism_groups(1, [], network)) == [({}, None, 0, [(None, everything)])]
-            for q in {0, 1} | {node.qubits + d for node in network.nodes for d in (-1, 0, 1)}:
+            assert list(workflow_monomorphism_groups(pattern_workflow(1, []), network)) == [
+                ({}, None, 0, [(None, everything)])
+            ]
+            for q in {1} | {node.qubits + d for node in network.nodes for d in (-1, 0, 1)} - {0}:
                 fits = sum(1 << k for k, node in enumerate(network.nodes) if node.qubits >= q)
-                groups = list(enumerate_monomorphism_groups(1, [], network, min_qubits=[q]))
+                groups = list(workflow_monomorphism_groups(pattern_workflow(1, [], [q]), network))
                 assert groups == ([({}, None, 0, [(None, fits)])] if fits else [])
 
 
@@ -399,7 +383,7 @@ class TestMappingFeasible:
             ]
             unpruned_feasible = [
                 tuple(sorted(m.items()))
-                for m in enumerate_monomorphisms(len(wf.tasks), wf.skeleton(), network)
+                for m in workflow_monomorphisms(uncapped(wf), network)
                 if mapping_feasible(m, wf, network)
             ]
             assert sorted(pruned) == sorted(unpruned_feasible)

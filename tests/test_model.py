@@ -61,7 +61,11 @@ class TestTaskSpec:
             make_task(**kwargs)
 
     def test_integral_float_count_accepted(self):
-        assert make_task(depth=6.0).depth == 6
+        # stored as ints, so an exported catalog writes "6", not "6.0"
+        task = make_task(qubits=5.0, depth=6.0, two_qubit_gates=4.0, measured_qubits=5.0, shots=1000.0)
+        counts = (task.qubits, task.depth, task.two_qubit_gates, task.measured_qubits, task.shots)
+        assert counts == (5, 6, 4, 5, 1000)
+        assert all(type(c) is int for c in counts)
 
 
 # Every whole-count field: a builder from the value, the least valid value
@@ -173,6 +177,10 @@ class TestQpuNode:
         # a NaN node would fit no task: every qubit comparison with NaN is false
         with pytest.raises(ValueError, match=r"^node x: qubits must be"):
             make_node(node_id="x", qubits=qubits)
+
+    def test_integral_float_qubits_stored_as_int(self):
+        node = make_node(qubits=127.0)
+        assert node.qubits == 127 and type(node.qubits) is int
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(QpuNode)] + ["next_available_time"])
     def test_every_field_is_frozen(self, name):
@@ -395,6 +403,14 @@ class TestProfiles:
         path.write_text(json.dumps({"broken": dict(profiles["brisbane"], **{field: math.nan})}))
         assert f'"{field}": NaN' in path.read_text()
         with pytest.raises(ValueError, match=rf"{field} must be > 0, got nan"):
+            node_from_profile("broken", load_profiles(path))
+
+    @pytest.mark.parametrize("qubits", [127.9, True], ids=["fractional", "bool"])
+    def test_non_whole_qubit_count_in_file_rejected(self, tmp_path, profiles, qubits):
+        # converting would hide it: int(127.9) is 127 and int(True) is 1
+        path = tmp_path / "bad-qubits.json"
+        path.write_text(json.dumps({"broken": dict(profiles["brisbane"], qubits=qubits)}))
+        with pytest.raises(ValueError, match=r"^node broken: qubits must be a"):
             node_from_profile("broken", load_profiles(path))
 
     def test_missing_field_rejected(self, tmp_path):

@@ -288,6 +288,33 @@ def rescan_reference(workload, allocator, retry_limit):
     return (completed, failed), placed
 
 
+class TestInvalidPlacements:
+    """A placement that breaks a constraint raises before any of its tasks
+    is booked: nodes 0-1-2 form a path and node 2 has 3 qubits."""
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 0, 1: 2}],
+        ids=["shared-node", "too-small-node", "edge-off-links"],
+    )
+    def test_is_refused_before_booking(self, monkeypatch, assignment):
+        net = make_network([127, 127, 3], [(0, 1), (1, 2)])
+        ok = chain_workflow([5, 5], wf_id="ok", arrival=0.0)
+        bad = chain_workflow([5, 5], wf_id="bad", arrival=1.0)
+        booked = []
+        execute = simulation._execute
+
+        def recording_execute(workflow, *args):
+            booked.append(workflow.id)
+            execute(workflow, *args)
+
+        monkeypatch.setattr(simulation, "_execute", recording_execute)
+        allocator = fixed_allocator({"ok": {0: 0, 1: 1}, "bad": assignment})
+        with pytest.raises(ValueError, match="workflow bad: "):
+            run_simulation([ok, bad], net, allocator, PARAMS)
+        assert booked == ["ok"]
+
+
 class TestCallSequence:
     @pytest.mark.parametrize("retry_limit", [0, 1, 3])
     def test_calls_and_outcomes_match_rescan_reference(self, monkeypatch, retry_limit):
@@ -369,9 +396,7 @@ def fresh_execute(workflow, outcome, state, params, now, dependency_gating, gate
         state.metrics.wait_time += start - workflow.arrival_time
         state.metrics.fidelity_sum += fidelity(task, node)
         state.metrics.tasks_allocated += 1
-    state.metrics.communication_overhead += workflow_network_cost(
-        workflow, assignment, network, params, require_links=True
-    )
+    state.metrics.communication_overhead += workflow_network_cost(workflow, assignment, network, params)
 
 
 class TestMetrics:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from qflow.model import PROGRAM_FAMILIES
+from qflow.model import PROGRAM_FAMILIES, TaskSpec
 from qflow.workload import (
     TopologySpec,
     WorkloadSpec,
@@ -70,6 +70,13 @@ class TestCatalogRoundTrip:
         export_task_catalog(catalog, path)
         loaded = import_task_catalog(path)
         assert loaded == catalog
+
+    def test_integral_float_counts_round_trip(self, tmp_path):
+        task = TaskSpec(id="t", qubits=5.0, depth=6.0, two_qubit_gates=4.0, measured_qubits=2.0, shots=100.0)
+        path = tmp_path / "catalog.csv"
+        export_task_catalog([task], path)
+        assert path.read_text().splitlines()[1] == "t,randomcircuit,5,6,4,2,100"
+        assert import_task_catalog(path) == [task]
 
     def test_header_only_file_gives_empty_catalog(self, tmp_path):
         path = tmp_path / "empty.csv"
