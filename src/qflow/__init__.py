@@ -31,7 +31,6 @@ from .experiments import (
     ExperimentResult,
     emit_failure_histogram,
     run_experiment,
-    run_scenario,
     scenario_config,
 )
 from .matcher import (

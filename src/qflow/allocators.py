@@ -207,7 +207,7 @@ def soft_iso(
             break
 
     best = table.breakdown(incumbent, weights) if incumbent is not None else None
-    return _outcome(workflow, incumbent, best, examined, history)
+    return _outcome(incumbent, best, examined, history)
 
 
 def random_aware(
@@ -266,21 +266,15 @@ def random_aware(
             best = cost
             history.append(mincost)
 
-    return _outcome(workflow, incumbent, best, trials, history)
+    return _outcome(incumbent, best, trials, history)
 
 
 def _outcome(
-    workflow: Workflow,
-    incumbent: dict[int, int] | None,
-    breakdown: CostBreakdown | None,
-    examined: int,
-    history: list[float],
+    incumbent: dict[int, int] | None, breakdown: CostBreakdown | None, examined: int, history: list[float]
 ) -> AllocationOutcome:
     """The outcome of a table-scored search: the incumbent, if any, with its
     breakdown."""
-    allocation = None
-    if incumbent is not None:
-        allocation = Allocation(workflow_id=workflow.id, assignment=incumbent, cost_breakdown=breakdown)
+    allocation = None if incumbent is None else Allocation(incumbent, breakdown)
     return AllocationOutcome(allocation, examined, tuple(history))
 
 
@@ -305,7 +299,7 @@ def greedy_dfs(workflow: Workflow, network: ResourceNetwork) -> AllocationOutcom
             pending.pop(0)
     allocation = None
     if not pending:
-        candidate = Allocation(workflow_id=workflow.id, assignment=assignment)
+        candidate = Allocation(assignment)
         if validate_allocation(workflow, network, candidate):
             allocation = candidate
     return AllocationOutcome(allocation, candidates_examined=1)
@@ -353,9 +347,5 @@ def exhaustive_oracle(
 
     allocation = None
     if best is not None:
-        allocation = Allocation(
-            workflow_id=workflow.id,
-            assignment={j: best[j] for j in range(n_tasks)},
-            cost_breakdown=best_breakdown,
-        )
+        allocation = Allocation(dict(enumerate(best)), best_breakdown)
     return AllocationOutcome(allocation, examined)

@@ -21,7 +21,6 @@ from .experiments import (
     SWEEP_ALIASES,
     ConfigError,
     ExperimentConfig,
-    ScenarioResult,
     apply_sweep_value,
     emit_failure_histogram,
     run_experiment,
@@ -136,7 +135,10 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args)
         if args.scenario:
             result = run_experiment(config, out_dir=args.out)
-            print(ScenarioResult.of(args.scenario, result).table_row())
+            print(
+                f"{config.algorithm:>14s}  {args.scenario}: completion {round(result.mean('completion_pct'))}%  "
+                f"decision {result.mean('decision_time'):.4f} s"
+            )
             return 0
         if args.sweep:
             if not args.out:

@@ -30,6 +30,7 @@ from .profiles import load_profiles
 from .simulation import (
     ALLOCATOR_NAMES,
     DEFAULT_RETRY_LIMIT,
+    MetricsAccumulator,
     make_allocator,
     qpu_time_distribution,
     run_simulation,
@@ -97,16 +98,9 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Build a config from a plain dict (the JSON config file schema),
         reporting bad fields with their dotted paths."""
-        nested = {
-            "workload": WorkloadSpec,
-            "topology": TopologySpec,
-            "weights": WeightConfig,
-            "params": NetworkParams,
-            "soft_config": SoftIsoConfig,
-        }
         kwargs = {}
         for key, value in raw.items():
-            if key in nested:
+            if key in _SECTIONS:
                 if not isinstance(value, dict):
                     raise ConfigError(f"{key}: expected an object")
                 sub = dict(value)
@@ -114,7 +108,7 @@ class ExperimentConfig:
                     if tuple_field in sub and isinstance(sub[tuple_field], list):
                         sub[tuple_field] = tuple(sub[tuple_field])
                 try:
-                    kwargs[key] = nested[key](**sub)
+                    kwargs[key] = _SECTIONS[key](**sub)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
             else:
@@ -131,17 +125,20 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
+# The nested config sections by field name: every field whose type is a
+# dataclass.
+_SECTIONS = {
+    name: kind for name, kind in typing.get_type_hints(ExperimentConfig).items() if dataclasses.is_dataclass(kind)
+}
+
+
 @dataclass
 class RunResult:
-    """Metrics row of one seeded run plus the per-node busy shares."""
+    """One seeded run: the simulator's metrics, read by the names in
+    ``METRIC_FIELDS``, and the per-node busy shares."""
 
     seed: int
-    execution_time: float
-    wait_time: float
-    avg_fidelity: float
-    comm_overhead: float
-    decision_time: float
-    completion_pct: float
+    metrics: MetricsAccumulator
     qpu_shares: list[float]
     node_ids: list[str]
 
@@ -185,18 +182,8 @@ def run_single(config: ExperimentConfig, index: int) -> RunResult:
         dependency_gating=config.dependency_gating,
         gate_comm_latency=config.gate_comm_latency,
     )
-    m = state.metrics
-    return RunResult(
-        seed=run_seed,
-        execution_time=m.execution_time,
-        wait_time=m.wait_time,
-        avg_fidelity=m.avg_fidelity,
-        comm_overhead=m.communication_overhead,
-        decision_time=m.decision_time if config.measure_timing else 0.0,
-        completion_pct=m.completion_pct,
-        qpu_shares=qpu_time_distribution(state),
-        node_ids=[node.id for node in state.network.nodes],
-    )
+    metrics = state.metrics if config.measure_timing else dataclasses.replace(state.metrics, decision_time=0.0)
+    return RunResult(run_seed, metrics, qpu_time_distribution(state), [node.id for node in network.nodes])
 
 
 @dataclass
@@ -205,7 +192,7 @@ class ExperimentResult:
     runs: list[RunResult]
 
     def metric_values(self, name: str) -> list[float]:
-        return [getattr(r, name) for r in self.runs]
+        return [getattr(r.metrics, name) for r in self.runs]
 
     def mean(self, name: str) -> float:
         return statistics.fmean(self.metric_values(name))
@@ -216,15 +203,14 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Run all repetitions (optionally across a process pool), ordered by
-    seed, and write the result tables when an output directory is given."""
+    """Run all repetitions (optionally across a process pool), in seed
+    order, and write the result tables when an output directory is given."""
     indices = list(range(config.repetitions))
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             runs = list(pool.map(run_single, [config] * len(indices), indices))
     else:
         runs = [run_single(config, i) for i in indices]
-    runs.sort(key=lambda r: r.seed)
     result = ExperimentResult(config=config, runs=runs)
     if out_dir is not None:
         write_outputs(result, Path(out_dir))
@@ -256,7 +242,7 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> dict[str, Path]:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in result.runs:
-            writer.writerow(row(r.seed, (getattr(r, name) for name in METRIC_FIELDS)))
+            writer.writerow(row(r.seed, (getattr(r.metrics, name) for name in METRIC_FIELDS)))
         for label, fn in (("mean", result.mean), ("std", result.std)):
             writer.writerow(row(label, map(fn, METRIC_FIELDS)))
 
@@ -333,44 +319,6 @@ def scenario_config(
     )
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    name: str
-    algorithm: str
-    completion_pct: float
-    completion_tablev: int
-    decision_time: float
-
-    @classmethod
-    def of(cls, name: str, result: ExperimentResult) -> "ScenarioResult":
-        """Table entry of scenario ``name`` from its experiment result."""
-        completion = result.mean("completion_pct")
-        return cls(
-            name=name,
-            algorithm=result.config.algorithm,
-            completion_pct=completion,
-            completion_tablev=round(completion),
-            decision_time=result.mean("decision_time"),
-        )
-
-    def table_row(self) -> str:
-        return f"{self.algorithm:>14s}  {self.name}: completion {self.completion_tablev}%  decision {self.decision_time:.4f} s"
-
-
-def run_scenario(
-    name: str,
-    algorithm: str,
-    base_seed: int = 0,
-    repetitions: int = 10,
-    out_dir: str | Path | None = None,
-    **overrides,
-) -> ScenarioResult:
-    """Run one scenario preset and report completion and decision time in
-    the integer-percent scenario-table format."""
-    config = scenario_config(name, algorithm, base_seed=base_seed, repetitions=repetitions, **overrides)
-    return ScenarioResult.of(name, run_experiment(config, out_dir=out_dir))
-
-
 def emit_failure_histogram(
     results: list[ExperimentResult], path: str | Path, bin_width: float = 5.0
 ) -> list[tuple[str, float, float, int]]:
@@ -405,7 +353,7 @@ def apply_sweep_value(config: ExperimentConfig, key: str, value: str) -> Experim
     parts = key.split(".")
     if len(parts) == 1:
         return _replace_field(config, parts[0], value)
-    if len(parts) == 2 and parts[0] in ("workload", "topology", "weights", "params", "soft_config"):
+    if len(parts) == 2 and parts[0] in _SECTIONS:
         sub = getattr(config, parts[0])
         new_sub = _replace_field(sub, parts[1], value)
         return dataclasses.replace(config, **{parts[0]: new_sub})

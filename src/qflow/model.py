@@ -46,7 +46,9 @@ def check_count(name: str, value: float, minimum: float) -> int:
     fails; an integral float such as ``6.0`` passes and returns ``6``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a whole number, not a bool, got {value}")
-    if not value >= minimum:  # NaN fails here
+    if value != value:  # NaN
+        raise ValueError(f"{name} must be a whole number, got nan")
+    if not value >= minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if value % 1:  # inf % 1 is NaN, which is true
         raise ValueError(f"{name} must be a finite whole number, got {value}")
@@ -350,7 +352,6 @@ class WeightConfig:
 class Allocation:
     """Injective task-index -> node-index assignment for one workflow."""
 
-    workflow_id: str
     assignment: dict[int, int]
     cost_breakdown: "CostBreakdown | None" = None
 

@@ -36,12 +36,13 @@ class Allocator(Protocol):
 
 @dataclass
 class MetricsAccumulator:
-    """Running totals of the six evaluation metrics."""
+    """Running totals of the six evaluation metrics, one attribute or
+    property per name in :data:`qflow.experiments.METRIC_FIELDS`."""
 
     execution_time: float = 0.0
     wait_time: float = 0.0
     fidelity_sum: float = 0.0
-    communication_overhead: float = 0.0
+    comm_overhead: float = 0.0
     decision_time: float = 0.0
     tasks_allocated: int = 0
     tasks_total: int = 0
@@ -80,7 +81,7 @@ class SimState:
     failed: list[Workflow] = field(default_factory=list)
     metrics: MetricsAccumulator = field(default_factory=MetricsAccumulator)
     executions: list[TaskExecution] = field(default_factory=list)
-    busy_seconds: dict[int, float] = field(default_factory=dict)
+    busy_seconds: list[float] = field(default_factory=list)  # summed task durations per node
     free_at: list[float] = field(default_factory=list)  # when each node finishes its booked tasks
 
 
@@ -100,8 +101,9 @@ def run_simulation(
     backlog ``max(free_at[k] - t, 0.0)`` per node. So runs may share a
     network, and the cost terms the allocators cache on it stay valid.
     A successful outcome whose placement fails
-    :func:`qflow.model.validate_allocation` raises ValueError naming the
-    workflow, before any of its tasks is booked.
+    :func:`qflow.model.validate_allocation`, or references a task or node
+    index out of range, raises ValueError naming the workflow, before any
+    of its tasks is booked.
 
     Metrics follow the evaluation conventions: execution time is the
     workload makespan, wait time sums per-task (start - arrival), fidelity
@@ -111,7 +113,7 @@ def run_simulation(
     included, measured here around each call.
     """
     n = len(network.nodes)
-    state = SimState(clock=0.0, network=network, busy_seconds=dict.fromkeys(range(n), 0.0), free_at=[0.0] * n)
+    state = SimState(clock=0.0, network=network, busy_seconds=[0.0] * n, free_at=[0.0] * n)
     state.metrics.tasks_total = sum(len(wf.tasks) for wf in workload)
     order = sorted(workload, key=lambda wf: (wf.arrival_time, wf.total_qubits, wf.priority, wf.id))
     instants = itertools.groupby(order, key=lambda wf: wf.arrival_time)
@@ -135,7 +137,11 @@ def run_simulation(
             outcome = allocator(wf, network, backlog)
             state.metrics.decision_time += perf_counter() - started
             if outcome.succeeded:
-                if not validate_allocation(wf, network, outcome.allocation):
+                try:
+                    valid = validate_allocation(wf, network, outcome.allocation)
+                except IndexError as exc:
+                    raise ValueError(f"workflow {wf.id}: {exc}") from exc
+                if not valid:
                     raise ValueError(f"workflow {wf.id}: the allocator returned an invalid placement")
                 _execute(wf, outcome, state, params, t, dependency_gating, gate_comm_latency)
                 state.completed.append(wf)
@@ -199,18 +205,14 @@ def _execute(
     for a, b in workflow.skeleton():
         ka, kb = assignment[a], assignment[b]
         net += (terms[a].qlink[ka] + terms[b].qlink[kb]) / 2.0 + (terms[a].clink + terms[b].clink) / 2.0
-    state.metrics.communication_overhead += net
+    state.metrics.comm_overhead += net
 
 
 def qpu_time_distribution(state: SimState) -> list[float]:
     """Percentage of total busy time spent on each node; zeros when the run
     executed nothing."""
-    total = sum(state.busy_seconds.values())
-    shares = []
-    for k in range(len(state.network.nodes)):
-        busy = state.busy_seconds.get(k, 0.0)
-        shares.append(100.0 * busy / total if total > 0 else 0.0)
-    return shares
+    total = sum(state.busy_seconds)
+    return [100.0 * busy / total if total > 0 else 0.0 for busy in state.busy_seconds]
 
 
 def make_allocator(

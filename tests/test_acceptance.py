@@ -60,7 +60,7 @@ from qflow.costs import (
     runtime_cost,
     workflow_network_cost,
 )
-from qflow.experiments import ExperimentConfig, run_experiment, run_scenario, scenario_config
+from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
 from qflow.model import Allocation, NetworkParams, WeightConfig, validate_allocation
 from qflow.simulation import AllocationOutcome, qpu_time_distribution, run_simulation
 from qflow.workload import TopologySpec, WorkloadSpec
@@ -274,24 +274,22 @@ def test_criterion_4_small_program_scenarios(simulated):
     rows = {}
     for name in ("SP-LR", "SP-MR"):
         for algo in ("soft_iso", "greedy_dfs", "random_aware"):
-            rows[(name, algo)] = run_scenario(name, algo, base_seed=0, repetitions=SP_REPS)
+            rows[(name, algo)] = run_experiment(scenario_config(name, algo, base_seed=0, repetitions=SP_REPS))
             if (name, algo) == ("SP-LR", "random_aware"):
                 placed, expected, sd = random_chain_placement(simulated)
             simulated.clear()
     z = (placed - expected) / sd
-    full = {key: res for key, res in rows.items() if key != ("SP-LR", "random_aware")}
-    detail = "; ".join(
-        f"{name}/{algo}={res.completion_tablev}%" for (name, algo), res in full.items()
-    )
-    ok = all(res.completion_tablev == 100 for res in full.values()) and abs(z) <= 3
+    full = {key: res.mean("completion_pct") for key, res in rows.items() if key != ("SP-LR", "random_aware")}
+    detail = "; ".join(f"{name}/{algo}={round(pct)}%" for (name, algo), pct in full.items())
+    ok = all(round(pct) == 100 for pct in full.values()) and abs(z) <= 3
     report(
         "4 (SP completion)",
         ok,
         f"{detail}; SP-LR/random_aware placed {placed} vs expected {expected:.1f} +- {sd:.1f} "
         f"(z {z:+.2f}, needs |z| <= 3)",
     )
-    for (name, algo), res in full.items():
-        assert res.completion_tablev == 100, f"{name} {algo}: {res.completion_pct:.2f}%"
+    for (name, algo), pct in full.items():
+        assert round(pct) == 100, f"{name} {algo}: {pct:.2f}%"
     assert abs(z) <= 3, (
         f"SP-LR random_aware placed {placed} workflows, expected {expected:.1f} +- {sd:.1f} "
         f"from its documented draw rate (z {z:+.2f}); see the module docstring"
@@ -375,7 +373,7 @@ def test_criterion_5_comm_overhead_trends(simulated):
         assert workload == greedy_workload
         soft_costs = placed_network_costs(soft_state)
         greedy_costs = placed_network_costs(greedy_state)
-        assert math.isclose(sum(soft_costs.values()), soft_state.metrics.communication_overhead)
+        assert math.isclose(sum(soft_costs.values()), soft_state.metrics.comm_overhead)
         for wf_id in sorted(soft_costs.keys() & greedy_costs.keys()):
             paired += 1
             soft_sum += soft_costs[wf_id]
@@ -454,7 +452,7 @@ def test_criterion_7_determinism(tmp_path):
 def _fixed_allocator(assignments):
     def call(workflow, network, backlog):
         mapping = assignments.get(workflow.id)
-        allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
+        allocation = Allocation(assignment=mapping) if mapping else None
         return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
     return call
@@ -468,7 +466,7 @@ def test_criterion_8_simulation_timeline_oracle():
     state = run_simulation([], net, _fixed_allocator({}), PARAMS)
     assert state.metrics.execution_time == 0.0
     assert state.metrics.wait_time == 0.0
-    assert state.metrics.communication_overhead == 0.0
+    assert state.metrics.comm_overhead == 0.0
     assert state.metrics.completion_pct == 0.0
 
     # 2: one task on an idle node -> no wait, makespan is the task runtime

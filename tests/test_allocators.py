@@ -162,11 +162,11 @@ def reference_soft_iso(workflow, network, weights, params, config, backlog):
     return incumbent, examined, tuple(history), incumbent_breakdown
 
 
-def reference_outcome(workflow, assignment, examined, history, breakdown):
+def reference_outcome(assignment, examined, history, breakdown):
     """The whole outcome a reference loop's results describe."""
     allocation = None
     if assignment is not None:
-        allocation = Allocation(workflow_id=workflow.id, assignment=assignment, cost_breakdown=breakdown)
+        allocation = Allocation(assignment=assignment, cost_breakdown=breakdown)
     return AllocationOutcome(allocation=allocation, candidates_examined=examined, incumbent_costs=history)
 
 
@@ -202,7 +202,7 @@ class TestSoftIsoReference:
                     wf, network, WEIGHTS, PARAMS, config, backlog
                 )
                 outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog)
-                assert outcome == reference_outcome(wf, assignment, examined, history, breakdown)
+                assert outcome == reference_outcome(assignment, examined, history, breakdown)
                 placed += assignment is not None
         assert placed >= 4
 
@@ -288,7 +288,7 @@ class TestSoftIsoStopRule:
                 wf, network, WEIGHTS, PARAMS, config, backlog
             )
             outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog)
-            assert outcome == reference_outcome(wf, assignment, examined, history, breakdown)
+            assert outcome == reference_outcome(assignment, examined, history, breakdown)
             if assignment is not None:
                 assert list(outcome.allocation.assignment) == list(assignment)
             stopped_early += examined < len(list(workflow_monomorphisms(wf, network)))
@@ -418,7 +418,7 @@ class TestRandomAwareReference:
                 trial_multiplier=trial_multiplier,
             )
             aborted += aborts
-            assert outcome == reference_outcome(wf, assignment, trials, history, breakdown)
+            assert outcome == reference_outcome(assignment, trials, history, breakdown)
             placed += assignment is not None
         assert placed >= 100 and aborted >= 20
 
@@ -487,7 +487,7 @@ class TestGreedyDfs:
                 if assignment is None:
                     assert outcome.allocation is None
                 else:
-                    assert outcome.allocation == Allocation(workflow_id=wf.id, assignment=assignment)
+                    assert outcome.allocation == Allocation(assignment=assignment)
                     assert list(outcome.allocation.assignment) == list(assignment)
                     placed += 1
         assert placed >= 5

@@ -48,7 +48,7 @@ class TestTaskSpec:
 
     @pytest.mark.parametrize("field", ["qubits", "depth", "two_qubit_gates", "shots"])
     def test_nan_count_rejected(self, field):
-        with pytest.raises(ValueError, match=rf"{field} must be >= \d, got nan"):
+        with pytest.raises(ValueError, match=rf"{field} must be a whole number, got nan"):
             make_task(**{field: math.nan})
 
     @pytest.mark.parametrize("field", ["qubits", "depth", "two_qubit_gates", "measured_qubits", "shots"])
@@ -333,37 +333,37 @@ class TestValidateAllocation:
     def test_single_task_no_edges_true(self):
         wf = chain_workflow([5])
         net = make_network([127], [])
-        assert validate_allocation(wf, net, Allocation("wf", {0: 0}))
+        assert validate_allocation(wf, net, Allocation({0: 0}))
 
     def test_non_adjacent_chain_false(self):
         wf = chain_workflow([5, 5])
         net = make_network([127, 127, 127], [(0, 1), (1, 2)])
-        assert not validate_allocation(wf, net, Allocation("wf", {0: 0, 1: 2}))
+        assert not validate_allocation(wf, net, Allocation({0: 0, 1: 2}))
 
     def test_qubit_capacity_false_by_direct_comparison(self):
         wf = chain_workflow([5, 150])
         net = make_network([127, 133], [(0, 1)])
         # direct oracle: 150 > 133 on the only adjacent option
         assert wf.tasks[1].qubits > net.nodes[1].qubits
-        assert not validate_allocation(wf, net, Allocation("wf", {0: 0, 1: 1}))
+        assert not validate_allocation(wf, net, Allocation({0: 0, 1: 1}))
 
     def test_non_injective_false(self):
         wf = chain_workflow([5, 5])
         net = make_network([127, 127], [(0, 1)])
-        assert not validate_allocation(wf, net, Allocation("wf", {0: 0, 1: 0}))
+        assert not validate_allocation(wf, net, Allocation({0: 0, 1: 0}))
 
     def test_incomplete_assignment_false(self):
         wf = chain_workflow([5, 5])
         net = make_network([127, 127], [(0, 1)])
-        assert not validate_allocation(wf, net, Allocation("wf", {0: 0}))
+        assert not validate_allocation(wf, net, Allocation({0: 0}))
 
     def test_structural_index_error_distinct_from_false(self):
         wf = chain_workflow([5])
         net = make_network([127], [])
         with pytest.raises(IndexError):
-            validate_allocation(wf, net, Allocation("wf", {0: 5}))
+            validate_allocation(wf, net, Allocation({0: 5}))
         with pytest.raises(IndexError):
-            validate_allocation(wf, net, Allocation("wf", {7: 0}))
+            validate_allocation(wf, net, Allocation({7: 0}))
 
 
 class TestProfiles:

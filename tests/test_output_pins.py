@@ -1,0 +1,102 @@
+"""Output pins: sha256 digests of what a set of configs writes and decides.
+
+Each pinned config runs through :func:`qflow.experiments.run_experiment`
+with timing capture off. Its three result files are digested, and so is
+its decision stream: per allocator call, the workflow id, the attempt
+number, the sorted assignment (or ``None``), ``candidates_examined`` and
+``incumbent_costs``. The stream is recorded by wrapping the allocator that
+``run_simulation`` receives. A change that keeps every output keeps every
+digest; one that changes outputs re-records them and says why.
+
+Re-record (from the repository root)::
+
+    PYTHONPATH=src python tests/test_output_pins.py
+"""
+
+from __future__ import annotations
+
+import collections
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qflow import experiments
+from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
+from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
+
+PINS_PATH = Path(__file__).with_name("output_pins.json")
+OUTPUT_FILES = ("results.csv", "qpu_shares.csv", "summary.json")
+
+
+def _default(algorithm: str, **overrides) -> ExperimentConfig:
+    return ExperimentConfig(algorithm=algorithm, repetitions=2, measure_timing=False, **overrides)
+
+
+def _scenario(name: str, batch: int, repetitions: int, **overrides) -> ExperimentConfig:
+    return scenario_config(
+        name, "soft_iso", repetitions=repetitions, measure_timing=False, workload={"batch_size": batch}, **overrides
+    )
+
+
+CONFIGS = {
+    **{f"default-{algo}": (lambda algo=algo: _default(algo))
+       for algo in ("soft_iso", "random_aware", "greedy_dfs", "exhaustive_oracle")},
+    "SP-LR": lambda: _scenario("SP-LR", 10, 3),
+    "SP-MR": lambda: _scenario("SP-MR", 10, 3),
+    "LP-LR": lambda: _scenario("LP-LR", 20, 2),
+    "LP-MR": lambda: _scenario("LP-MR", 20, 2),
+    "strict-pseudocode": lambda: _default("soft_iso", soft_config=SoftIsoConfig(strict_pseudocode=True)),
+    "no-dep-gating": lambda: _default("soft_iso", dependency_gating=False),
+    "LP-MR-exhaustive": lambda: _scenario("LP-MR", 10, 1, soft_config=EXHAUSTIVE),
+}
+
+
+def digests(config: ExperimentConfig, out_dir: Path) -> dict[str, str]:
+    """Run ``config`` into ``out_dir`` and return the sha256 of each result
+    file and of the decision stream."""
+    stream = hashlib.sha256()
+    run_simulation = experiments.run_simulation
+
+    def recording(workload, network, allocator, params, **kwargs):
+        attempts: collections.Counter = collections.Counter()
+
+        def call(workflow, network, backlog):
+            outcome = allocator(workflow, network, backlog)
+            attempts[workflow.id] += 1
+            allocation = outcome.allocation
+            placed = None if allocation is None else sorted(allocation.assignment.items())
+            line = f"{workflow.id} {attempts[workflow.id]} {placed} {outcome.candidates_examined} {outcome.incumbent_costs!r}\n"
+            stream.update(line.encode())
+            return outcome
+
+        return run_simulation(workload, network, call, params, **kwargs)
+
+    experiments.run_simulation = recording
+    try:
+        run_experiment(config, out_dir)
+    finally:
+        experiments.run_simulation = run_simulation
+    found = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUT_FILES}
+    found["decisions"] = stream.hexdigest()
+    return found
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_outputs_match_pins(name, tmp_path):
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    assert digests(CONFIGS[name](), tmp_path) == pins[name]
+
+
+def record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = {name: digests(build(), Path(tmp) / name) for name, build in CONFIGS.items()}
+    PINS_PATH.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(pins)} pins to {PINS_PATH}")
+
+
+if __name__ == "__main__":
+    sys.exit(record())

@@ -26,7 +26,7 @@ def fixed_allocator(assignments: dict[str, dict[int, int]]):
 
     def call(workflow, network, backlog):
         mapping = assignments.get(workflow.id)
-        allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
+        allocation = Allocation(assignment=mapping) if mapping else None
         return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
     return call
@@ -42,7 +42,7 @@ class TestTimelineOracles:
         assert m.execution_time == 0.0
         assert m.wait_time == 0.0
         assert m.avg_fidelity == 0.0
-        assert m.communication_overhead == 0.0
+        assert m.comm_overhead == 0.0
         assert m.decision_time == 0.0
         assert m.completion_pct == 0.0
         assert qpu_time_distribution(state) == [0.0]
@@ -219,7 +219,7 @@ class TestFailuresAndRetries:
             script = outcomes[workflow.id]
             mapping = script.pop(0)
             allocation = (
-                Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
+                Allocation(assignment=mapping) if mapping else None
             )
             return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
@@ -253,7 +253,7 @@ def coin_allocator(seed: int, calls: list):
     def call(workflow, network, backlog):
         calls.append(workflow.id)
         mapping = {j: j for j in range(len(workflow.tasks))} if rng.random() < 0.4 else None
-        allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
+        allocation = Allocation(assignment=mapping) if mapping else None
         return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
     return call
@@ -294,8 +294,8 @@ class TestInvalidPlacements:
 
     @pytest.mark.parametrize(
         "assignment",
-        [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 0, 1: 2}],
-        ids=["shared-node", "too-small-node", "edge-off-links"],
+        [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 0, 1: 2}, {0: 0, 1: 7}, {0: 0, 7: 1}],
+        ids=["shared-node", "too-small-node", "edge-off-links", "node-out-of-range", "task-out-of-range"],
     )
     def test_is_refused_before_booking(self, monkeypatch, assignment):
         net = make_network([127, 127, 3], [(0, 1), (1, 2)])
@@ -396,7 +396,7 @@ def fresh_execute(workflow, outcome, state, params, now, dependency_gating, gate
         state.metrics.wait_time += start - workflow.arrival_time
         state.metrics.fidelity_sum += fidelity(task, node)
         state.metrics.tasks_allocated += 1
-    state.metrics.communication_overhead += workflow_network_cost(workflow, assignment, network, params)
+    state.metrics.comm_overhead += workflow_network_cost(workflow, assignment, network, params)
 
 
 class TestMetrics:
@@ -426,7 +426,7 @@ class TestMetrics:
         wf = chain_workflow([5, 7], wf_id="w", arrival=0.0)
         state = run_simulation([wf], net, fixed_allocator({"w": {0: 0, 1: 1}}), PARAMS)
         expected = workflow_network_cost(wf, {0: 0, 1: 1}, net, PARAMS)
-        assert state.metrics.communication_overhead == expected
+        assert state.metrics.comm_overhead == expected
 
     @pytest.mark.parametrize("name", ["soft_iso", "greedy_dfs"])
     def test_execution_equals_fresh_cost_functions(self, monkeypatch, name):
@@ -442,7 +442,7 @@ class TestMetrics:
                 workflows, network, _ = scenario_instances("LP-LR", seed, 80)
                 state = run_simulation(workflows, network, make_allocator(name, WEIGHTS, PARAMS), PARAMS)
                 m = state.metrics
-                runs[label].append((state.executions, m.wait_time, m.fidelity_sum, m.communication_overhead))
+                runs[label].append((state.executions, m.wait_time, m.fidelity_sum, m.comm_overhead))
         assert runs["cached"] == runs["fresh"]
         assert sum(len(executions) for executions, *_ in runs["fresh"]) > 50
 
@@ -457,7 +457,7 @@ class TestMetrics:
 
         def flaky(workflow, network, backlog):
             mapping = script.pop(0)
-            allocation = Allocation(workflow_id=workflow.id, assignment=mapping) if mapping else None
+            allocation = Allocation(assignment=mapping) if mapping else None
             return AllocationOutcome(allocation=allocation, candidates_examined=1)
 
         state = run_simulation([wf], net, flaky, PARAMS, retry_limit=failures)

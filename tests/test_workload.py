@@ -165,7 +165,7 @@ class TestGenerateWorkload:
         payload["workflows"][1]["tasks"][0]["depth"] = math.nan
         path.write_text(json.dumps(payload))
         assert '"depth": NaN' in path.read_text()
-        with pytest.raises(ValueError, match="depth must be >= 1, got nan"):
+        with pytest.raises(ValueError, match="depth must be a whole number, got nan"):
             import_workload(path)
 
     def test_imported_infinite_depth_rejected(self, tmp_path):
