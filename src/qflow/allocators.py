@@ -229,9 +229,10 @@ def random_aware(
 
     Each task's pool of qubit-fitting nodes is listed once per decision,
     and a trial draws from it the nodes not used yet, in ascending order.
-    Trials are scored by the :meth:`DecisionTable.breakdown` of one
-    per-decision table, which also supplies the normalization bounds; the
-    incumbent keeps its trial's breakdown.
+    Only trials that satisfy the constraint are scored, by the
+    :meth:`DecisionTable.breakdown` of one per-decision table, which also
+    supplies the normalization bounds; the incumbent keeps its trial's
+    breakdown.
     """
     rng = random.Random(rng_seed)
     tasks = workflow.tasks
@@ -257,10 +258,10 @@ def random_aware(
             pick = rng.choice(pool)
             assignment[j] = pick
             used.add(pick)
-        if aborted:
+        if aborted or not mapping_feasible(assignment, workflow, network):
             continue
         cost = table.breakdown(assignment, weights)
-        if cost.total < mincost and mapping_feasible(assignment, workflow, network):
+        if cost.total < mincost:
             mincost = cost.total
             incumbent = assignment
             best = cost

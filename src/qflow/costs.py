@@ -18,9 +18,11 @@ component. :class:`DecisionTable` holds one decision's terms; the
 normalization bounds are read off it. Its :meth:`~DecisionTable.breakdown`
 returns a candidate's breakdown and its block scorer the totals of
 candidates that differ in one task's host, each equal as a float to
-``aggregate_cost(...)``'s; given a floor, the scorer first checks an exact
-float lower bound on the block and returns ``None`` if no total can be
-below the floor. With a second task on a sentinel host, the same
+``aggregate_cost(...)``'s: one evaluation per calibration class present in
+the block's host mask, then one compare and add per host (the hosts of a
+class differ only in availability). Given a floor, the scorer first checks
+an exact float lower bound on the block and returns ``None`` if no total
+can be below the floor. With a second task on a sentinel host, the same
 expression bounds a group of blocks that differ in the hosts of both
 tasks. The cost-aware allocators build one table per decision and score
 every candidate, block or trial from it.
@@ -279,8 +281,9 @@ class DecisionTable:
 
     Holds the error, runtime and quantum-link terms per (task, node), the
     classical term per task, the backlog per node (zeros when none is given),
-    the workflow's skeleton (sorted), and the :class:`NormalizationBounds`
-    taken from those same floats. The error and runtime bounds are the worst
+    the workflow's skeleton (sorted), the network's calibration classes
+    (for the block scorer), and the :class:`NormalizationBounds` taken from
+    those same floats. The error and runtime bounds are the worst
     qubit-feasible (task, node) term times the task count; the network bound
     is the worst per-endpoint quantum-plus-classical term times the edge
     count; the availability bound is the largest backlog. When no pair
@@ -313,6 +316,7 @@ class DecisionTable:
         self.clink = [t.clink for t in terms]
         self.avail = [0.0] * len(network.nodes) if backlog is None else backlog
         self.edges = workflow.skeleton()
+        self.classes = network.calibration_classes
 
         worst = [t.fit_max for t in terms if t.fit_max is not None] or [t.all_max for t in terms]
         max_err, max_run, max_net = map(max, zip(*worst))
@@ -360,9 +364,13 @@ class DecisionTable:
         ``prefix`` maps every task but ``v``. The terms that do not depend on
         ``v``'s host are folded once per call: the availability maximum over
         the prefix, the error and runtime sums of the tasks before ``v``,
-        the terms of the tasks after ``v`` and the edge sum up to the first
-        sorted edge that touches ``v``. Per host only the remaining
-        additions run, in :meth:`breakdown`'s order, so every float is equal.
+        and the edge sum up to the first sorted edge that touches ``v``.
+        Hosts of one calibration class have equal error, runtime and
+        quantum-link terms, so the remaining additions, in
+        :meth:`breakdown`'s order, run as one evaluation per class present
+        in the mask (``v`` on the class's first node) of the weighted
+        non-availability part ``rest * (...)``, then one compare and add per
+        host, ``max(wait[h], w) + rest * (...)``; every float is equal.
         Availability is folded after normalizing, since
         ``f(max(a, b)) == max(f(a), f(b))`` for the monotone
         ``f(x) = zeta * clip(x / max_nat)``.
@@ -376,8 +384,8 @@ class DecisionTable:
         the clip are each monotone non-decreasing in ``x`` as floats, the
         weights and ``1 - zeta`` are nonnegative and the bounds positive, so
         the bound is ``<=`` every host's total as a float. When it is
-        ``>= floor`` the call returns ``None`` without decoding ``mask`` or
-        computing any per-host cost.
+        ``>= floor`` the call returns ``None`` without evaluating any class
+        or decoding ``mask``.
 
         ``prefix`` may put another task ``u`` on the sentinel too: then
         ``score(prefix, 0, floor)`` evaluates the group bound, with the host
@@ -408,7 +416,10 @@ class DecisionTable:
             (q_b, b, c, None, None) if a == v else (q_a, a, c, None, None) if b == v else (q_a, a, c, q_b, b)
             for q_a, q_b, a, b, c in edges[split:]
         ]
-        first, others = (tail[0], tail[1:]) if tail else (None, [])  # no edge: a one-task workflow
+        _, masks, of_node = self.classes
+        # each class: its index, its host mask and its first node
+        classes = [(i, m, (m & -m).bit_length() - 1) for i, m in enumerate(masks)]
+        n_classes = len(masks)
 
         def score(prefix: Mapping[int, int], mask: int, floor: float | None = None) -> list[float] | None:
             w = 0.0
@@ -444,54 +455,35 @@ class DecisionTable:
                 )
                 if bound >= floor:
                     return None
-            # the mask decoded inline: a call per block costs about 1% of
-            # a short LP-LR search
-            hosts = []
-            while mask:
-                low = mask & -mask
-                hosts.append(low.bit_length() - 1)
-                mask ^= low
-            if first is None:
-                nets = [net] * len(hosts)
-            else:
-                q_a, a, c, _, _ = first
-                q = q_a[prefix[a]]
-                nets = [net + ((q + qlink_v[h]) / 2.0 + c) for h in hosts]
-            for q_a, a, c, q_b, b in others:
-                q = q_a[prefix[a]]
-                if q_b is None:
-                    nets = [x + ((q + qlink_v[h]) / 2.0 + c) for x, h in zip(nets, hosts)]
-                else:
-                    t = (q + q_b[prefix[b]]) / 2.0 + c
-                    nets = [x + t for x in nets]
-            if not after:
-                # v is the last task, so its terms are the last additions
-                return [
-                    (x if (x := wait[h]) > w else w)
-                    + rest * (
-                        alpha * (0.0 if (x := (e + err_v[h]) / max_err) < 0.0 else 1.0 if x > 1.0 else x)
-                        + beta * (0.0 if (x := (r + run_v[h]) / max_run) < 0.0 else 1.0 if x > 1.0 else x)
-                        + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
-                    )
-                    for h, x_n in zip(hosts, nets)
-                ]
-            errs = [e + err_v[h] for h in hosts]
-            runs = [r + run_v[h] for h in hosts]
-            for err_j, run_j, j in after:
-                k = prefix[j]
-                e = err_j[k]
-                r = run_j[k]
-                errs = [x + e for x in errs]
-                runs = [x + r for x in runs]
-            return [
-                (x if (x := wait[h]) > w else w)
-                + rest * (
+            # One evaluation per calibration class present in the mask, with
+            # v on the class's first node: hosts of a class have equal terms.
+            per_class = [0.0] * n_classes
+            for i, hosts, h in classes:
+                if not mask & hosts:
+                    continue
+                x_n = net
+                for q_a, a, c, q_b, b in tail:
+                    x_n += (q_a[prefix[a]] + (qlink_v[h] if q_b is None else q_b[prefix[b]])) / 2.0 + c
+                x_e = e + err_v[h]
+                x_r = r + run_v[h]
+                for err_j, run_j, j in after:
+                    k = prefix[j]
+                    x_e += err_j[k]
+                    x_r += run_j[k]
+                per_class[i] = rest * (
                     alpha * (0.0 if (x := x_e / max_err) < 0.0 else 1.0 if x > 1.0 else x)
                     + beta * (0.0 if (x := x_r / max_run) < 0.0 else 1.0 if x > 1.0 else x)
                     + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
                 )
-                for h, x_e, x_r, x_n in zip(hosts, errs, runs, nets)
-            ]
+            # the mask decoded inline: a call per block costs about 1% of
+            # a short LP-LR search
+            costs = []
+            while mask:
+                low = mask & -mask
+                h = low.bit_length() - 1
+                costs.append((x if (x := wait[h]) > w else w) + per_class[of_node[h]])
+                mask ^= low
+            return costs
 
         return score
 

@@ -174,28 +174,36 @@ class TestSoftIsoReference:
     """Table scoring keeps every decision of the aggregate_cost loop."""
 
     @pytest.mark.parametrize(
-        "scenario, node_count, config, seeds",
+        "scenario, node_count, config, seeds, batch",
         [
             # most LP-MR decisions spend the full budget of 10**4 candidates
-            ("LP-MR", None, SoftIsoConfig(), 2),
-            ("LP-MR", 8, EXHAUSTIVE, 4),
-            ("LP-LR", None, SoftIsoConfig(), 4),
-            ("LP-LR", None, EXHAUSTIVE, 4),
+            ("LP-MR", None, SoftIsoConfig(), 2, 4),
+            ("LP-MR", 8, EXHAUSTIVE, 4, 4),
+            ("LP-LR", None, SoftIsoConfig(), 4, 4),
+            ("LP-LR", None, EXHAUSTIVE, 4, 4),
+            # the preset thresholds with the previous cost frozen at zero:
+            # blocks that do not improve update the maximum only. On LP-LR
+            # at 20 workflows a stop (seeds 1 and 4) reads a maximum and a
+            # previous cost set by such blocks; at a batch of 4 none did in
+            # 16 seeds.
+            ("LP-MR", None, SoftIsoConfig(strict_pseudocode=True), 2, 4),
+            ("LP-LR", None, SoftIsoConfig(strict_pseudocode=True), 6, 20),
             # thresholds off, budget 10**4: soft_iso skips blocks by their bound
-            ("LP-MR", None, THRESHOLDS_OFF, 2),
+            ("LP-MR", None, THRESHOLDS_OFF, 2, 4),
             # one infinite threshold is enough for the skip
-            ("LP-MR", None, SoftIsoConfig(thres_max=math.inf, thres_prev=0.03), 1),
-            ("LP-MR", None, SoftIsoConfig(thres_max=math.inf, thres_prev=0.03, strict_pseudocode=True), 1),
+            ("LP-MR", None, SoftIsoConfig(thres_max=math.inf, thres_prev=0.03), 1, 4),
+            ("LP-MR", None, SoftIsoConfig(thres_max=math.inf, thres_prev=0.03, strict_pseudocode=True), 1, 4),
         ],
         ids=[
             "lpmr-default", "lpmr8-exhaustive", "lplr-default", "lplr-exhaustive",
+            "lpmr-default-strict", "lplr-default-strict",
             "lpmr-thresholds-off", "lpmr-max-off", "lpmr-max-off-strict",
         ],
     )
-    def test_matches_aggregate_cost_loop(self, scenario, node_count, config, seeds):
+    def test_matches_aggregate_cost_loop(self, scenario, node_count, config, seeds, batch):
         placed = 0
         for seed in range(seeds):
-            workflows, network, free_at = scenario_instances(scenario, seed, 4, node_count)
+            workflows, network, free_at = scenario_instances(scenario, seed, batch, node_count)
             for wf in workflows:
                 backlog = backlog_at(free_at, wf.arrival_time + 0.5)
                 assignment, examined, history, breakdown = reference_soft_iso(

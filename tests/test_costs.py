@@ -501,6 +501,16 @@ class TestBlockScorer:
                 zeta=rng.choice([0.0, 0.5, 1.0]), alpha=alpha, beta=beta, gamma=1.0 - alpha - beta
             )
             yield wf, network, params, weights, free_at, rng.uniform(0.05, 1.5)
+        # one calibration class, each node with its own nonzero backlog: only
+        # availability separates the hosts of a block
+        for _ in range(20):
+            wf = random_small_instance(rng, max_tasks=5, max_nodes=8)[0]
+            n_nodes = rng.randint(max(2, len(wf.tasks)), 8)
+            nodes = tuple(make_node(f"s{k}", 10, 0.004, 0.01, 0.02) for k in range(n_nodes))
+            links = frozenset(pair for pair in itertools.combinations(range(n_nodes), 2) if rng.random() < 0.7)
+            sim_time = rng.uniform(0.05, 1.5)
+            free_at = [sim_time + 0.1 * k for k in rng.sample(range(1, n_nodes + 1), n_nodes)]
+            yield wf, ResourceNetwork(nodes, links), NetworkParams(), WeightConfig(), free_at, sim_time
 
     @staticmethod
     def blocks(rng, wf, network):
@@ -539,18 +549,26 @@ class TestBlockScorer:
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_equals_aggregate_cost_total_on_every_leaf(self, shrink):
+        """On the scenario networks (about three calibration classes), on
+        random networks whose every node is a class of its own, and on
+        networks of one class whose nodes differ only in their backlogs."""
         rng = random.Random(515)
-        leaves = clipped = 0
+        leaves = clipped = one_class_blocks = 0
         last_vertices = set()
         for wf, network, params, weights, free_at, sim_time in self.decisions(rng):
             backlog = backlog_at(free_at, sim_time)
             table = DecisionTable(wf, network, params, backlog)
             bounds = self.scale_bounds(table, shrink)
             scorers = [table.block_scorer(weights, v) for v in range(len(wf.tasks))]
+            one_class = len(network.calibration_classes[0]) == 1
+            if one_class:
+                assert 0.0 not in backlog and len(set(backlog)) == len(backlog)
             for prefix, v, mask in self.blocks(rng, wf, network):
                 hosts = mask_hosts(mask)
                 costs = scorers[v](prefix, mask)
                 assert len(costs) == len(hosts)
+                # one class: the totals of a block differ, by availability alone
+                one_class_blocks += one_class and len(set(costs)) > 1
                 for h, cost in zip(hosts, costs):
                     candidate = [h if j == v else prefix[j] for j in range(len(wf.tasks))]
                     ref = aggregate_cost(wf, candidate, network, weights, params, bounds, backlog)
@@ -564,6 +582,8 @@ class TestBlockScorer:
                     )
                 last_vertices.add((len(wf.tasks), v))
         assert leaves > 8_000
+        # fewer under halved bounds, where the larger backlogs clip to one
+        assert one_class_blocks > 30
         assert {(5, v) for v in range(5)} <= last_vertices
         if shrink < 1.0:
             assert clipped > leaves // 2  # the clip branch is exercised, not just the interior
