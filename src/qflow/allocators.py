@@ -66,7 +66,11 @@ class SoftIsoConfig:
             raise ValueError("counter_cap_base must be >= 1, not NaN")
 
     def cap(self, n_tasks: int) -> float:
-        return self.counter_cap_base ** n_tasks
+        """The candidate budget, ``inf`` where the power overflows a float."""
+        try:
+            return self.counter_cap_base ** n_tasks
+        except OverflowError:
+            return math.inf
 
 
 EXHAUSTIVE = SoftIsoConfig(thres_max=math.inf, thres_prev=math.inf, counter_cap_base=math.inf)
@@ -113,15 +117,15 @@ def soft_iso(
     The stream arrives in groups of blocks. A block holds the candidates
     that differ only in the host of the last task in visit order, ``v``; a
     group holds the blocks that differ only in the hosts of ``v`` and of
-    the task before it, ``u``. Each block is scored in one call
-    of a :meth:`DecisionTable.block_scorer`, built at the first block from
-    the per-decision table, whose floats equal :func:`aggregate_cost`'s.
-    The last block is cut to the budget. A block none of whose costs beats
-    the incumbent cannot stop the search, so it only updates the maximum
-    and previous costs; any other block is walked candidate by candidate
-    with the rule above. The outcome, including the incumbent's key order,
-    is that of a walk over single candidates. The final incumbent's
-    breakdown is read from the same table.
+    the task before it, ``u``. The :meth:`DecisionTable.block_scorer` of
+    the per-decision table, built at the first group, folds each group's
+    prefix once and scores each block in one call, with floats equal to
+    :func:`aggregate_cost`'s. The last block is cut to the budget. A block
+    none of whose costs beats the incumbent cannot stop the search, so it
+    only updates the maximum and previous costs; any other block is walked
+    candidate by candidate with the rule above. The outcome, including the
+    incumbent's key order, is that of a walk over single candidates. The
+    final incumbent's breakdown is read from the same table.
 
     When a threshold is infinite, ``abs(cost - maxcost) > thres_max`` or
     ``abs(cost - prevcost) > thres_prev`` is never true, so only the budget
@@ -153,25 +157,22 @@ def soft_iso(
         if examined >= cap:
             break
         if score is None:
-            score = table.block_scorer(weights, v)
-        if bounded and u is not None:
-            prefix[u] = len(network.nodes)  # u's sentinel host: its least terms
-            if score(prefix, 0, mincost) is None:
-                # no block of the group has a cost below mincost
-                size = sum(mask.bit_count() for _, mask in pairs)
-                examined += size if examined + size <= cap else math.ceil(cap - examined)
-                continue
+            fold, score = table.block_scorer(weights, u, v)
+        fold(prefix)
+        if bounded and u is not None and score(len(network.nodes), 0, mincost) is None:
+            # u on the sentinel host: no block of the group has a cost below mincost
+            size = sum(mask.bit_count() for _, mask in pairs)
+            examined += size if examined + size <= cap else math.ceil(cap - examined)
+            continue
         stop = False
         for h, mask in pairs:
             if examined >= cap:
                 break
-            if u is not None:
-                prefix[u] = h
             size = mask.bit_count()
             if examined + size > cap:
                 size = math.ceil(cap - examined)
                 mask = sum(1 << k for k in mask_hosts(mask)[:size])
-            costs = score(prefix, mask, mincost if bounded else None)
+            costs = score(h, mask, mincost if bounded else None)
             if costs is None:
                 # every cost of the block is >= mincost, and nothing else is read
                 examined += size
@@ -191,6 +192,8 @@ def soft_iso(
                 if cost < mincost:
                     mincost = cost
                     incumbent = prefix.copy()
+                    if u is not None:
+                        incumbent[u] = h
                     incumbent[v] = low.bit_length() - 1
                     history.append(cost)
                     if (

@@ -16,16 +16,16 @@ comparable under lazy enumeration with early stopping.
 :func:`aggregate_cost` is the reference objective and returns every
 component. :class:`DecisionTable` holds one decision's terms; the
 normalization bounds are read off it. Its :meth:`~DecisionTable.breakdown`
-returns a candidate's breakdown and its block scorer the totals of
-candidates that differ in one task's host, each equal as a float to
-``aggregate_cost(...)``'s: one evaluation per calibration class present in
-the block's host mask, then one compare and add per host (the hosts of a
-class differ only in availability). Given a floor, the scorer first checks
-an exact float lower bound on the block and returns ``None`` if no total
-can be below the floor. With a second task on a sentinel host, the same
-expression bounds a group of blocks that differ in the hosts of both
-tasks. The cost-aware allocators build one table per decision and score
-every candidate, block or trial from it.
+returns a candidate's breakdown and its block scorer the totals of a group
+of candidates that differ in the hosts of two tasks, each equal as a float
+to ``aggregate_cost(...)``'s: the rest of the candidate is folded once per
+group, the two hosts' terms are evaluated once per pair of their
+calibration classes, and each host then costs one compare and add (the
+hosts of a class differ only in availability). Given a floor, the scorer
+first checks an exact float lower bound, a task on a sentinel host, and
+returns ``None`` if no total can be below the floor. The cost-aware
+allocators build one table per decision and score every candidate, group
+or trial from it.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -354,45 +354,47 @@ class DecisionTable:
             net += (qlink[a][candidate[a]] + qlink[b][candidate[b]]) / 2.0 + (clink[a] + clink[b]) / 2.0
         return _normalized(availability, e, r, net, self.bounds, weights)
 
-    def block_scorer(self, weights: WeightConfig, v: int) -> Callable[..., list[float] | None]:
-        """``score(prefix, mask, floor=None)`` lists, for each host ``h``
-        whose bit is set in ``mask``, ascending, the total :meth:`breakdown`
-        returns for ``prefix`` plus task ``v`` on ``h``. Given a ``floor``,
-        it returns ``None`` instead when it can prove that no such total is
-        below ``floor``.
+    def block_scorer(
+        self, weights: WeightConfig, u: int | None, v: int
+    ) -> tuple[Callable[[Mapping[int, int]], None], Callable[..., list[float] | None]]:
+        """``(fold, score)`` for groups of candidates that differ only in
+        the hosts of tasks ``u`` and ``v`` (``u`` is ``None`` for a one-task
+        workflow). ``fold(prefix)`` takes a group's ``prefix``, which maps
+        every other task. Then ``score(hu, mask, floor=None)`` lists, for
+        each host ``h`` whose bit is set in ``mask``, ascending, the total
+        :meth:`breakdown` returns for ``prefix`` plus ``u`` on ``hu`` (``None``
+        when ``u`` is) plus ``v`` on ``h``. Given a ``floor``, it returns
+        ``None`` instead when it can prove that no such total is below it.
 
-        ``prefix`` maps every task but ``v``. The terms that do not depend on
-        ``v``'s host are folded once per call: the availability maximum over
-        the prefix, the error and runtime sums of the tasks before ``v``,
-        and the edge sum up to the first sorted edge that touches ``v``.
-        Hosts of one calibration class have equal error, runtime and
-        quantum-link terms, so the remaining additions, in
-        :meth:`breakdown`'s order, run as one evaluation per class present
-        in the mask (``v`` on the class's first node) of the weighted
-        non-availability part ``rest * (...)``, then one compare and add per
-        host, ``max(wait[h], w) + rest * (...)``; every float is equal.
+        ``fold`` adds up, once per group, the terms that depend on neither
+        host: the availability maximum over the prefix, the error and
+        runtime sums of the tasks below ``min(u, v)``, and the edge sum up
+        to the first sorted edge that touches ``u`` or ``v``; it also clears
+        the group's memo. Hosts of one calibration class have equal error,
+        runtime and quantum-link terms, so the weighted non-availability
+        part ``R = rest * (alpha·… + beta·… + gamma·…)`` depends on the two
+        hosts only through their classes: ``score`` evaluates it once per
+        (``u``-class, ``v``-class) pair the group uses, with the remaining
+        additions in :meth:`breakdown`'s order, and keeps it in the memo.
+        Each host then costs one compare and one add,
+        ``max(wait[h], max(w, wait[hu])) + R``; every float is equal.
         Availability is folded after normalizing, since
         ``f(max(a, b)) == max(f(a), f(b))`` for the monotone
         ``f(x) = zeta * clip(x / max_nat)``.
 
-        Given a ``floor``, the folded prefix first goes through the
-        per-host expression once more, in the same order, with ``v`` on the
-        sentinel host ``n`` (the node count), whose normalized availability,
-        error, runtime and quantum-link terms are the minima over all nodes.
-        That bound needs no epsilon: under round-to-nearest, ``a + x``,
-        ``x / d`` for ``d > 0``, ``w * x`` for ``w >= 0``, ``max(x, a)`` and
-        the clip are each monotone non-decreasing in ``x`` as floats, the
-        weights and ``1 - zeta`` are nonnegative and the bounds positive, so
-        the bound is ``<=`` every host's total as a float. When it is
-        ``>= floor`` the call returns ``None`` without evaluating any class
-        or decoding ``mask``.
-
-        ``prefix`` may put another task ``u`` on the sentinel too: then
-        ``score(prefix, 0, floor)`` evaluates the group bound, with the host
-        terms of both ``u`` and ``v`` at their minima. By the same
-        monotonicity it is ``<=`` the floor of every block that puts ``u``
-        on a real node, so ``<=`` each of their totals; the call returns
-        ``None`` when it is ``>= floor`` and ``[]`` otherwise.
+        The sentinel host ``n`` (the node count) is one more class, whose
+        normalized availability, error, runtime and quantum-link terms are
+        the minima over all nodes. Given a ``floor``, ``score`` first puts
+        ``v`` on it. That bound needs no epsilon: under round-to-nearest,
+        ``a + x``, ``x / d`` for ``d > 0``, ``w * x`` for ``w >= 0``,
+        ``max(x, a)`` and the clip are each monotone non-decreasing in ``x``
+        as floats, the weights and ``1 - zeta`` are nonnegative and the
+        bounds positive, so the bound is ``<=`` every host's total as a
+        float. When it is ``>= floor`` the call returns ``None`` without
+        decoding ``mask``. ``score(n, 0, floor)`` puts ``u`` on the sentinel
+        too: by the same monotonicity, this group bound is ``<=`` the floor
+        of every block of the group, so the call returns ``None`` when it is
+        ``>= floor`` and ``[]`` otherwise.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -401,91 +403,91 @@ class DecisionTable:
         max_net = bounds.max_network_sum
         zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
         rest = 1.0 - zeta
+        n = len(self.avail)
         wait = [zeta * _clip01(a / bounds.max_nat) for a in self.avail]
         wait.append(min(wait))  # the sentinel host, as in the term rows
-        err_v, run_v, qlink_v = err[v], run[v], qlink[v]
-        low_wait, low_err, low_run, low_qlink = wait[-1], err_v[-1], run_v[-1], qlink_v[-1]
-        before = [(err[j], run[j], j) for j in range(v)]
-        after = [(err[j], run[j], j) for j in range(v + 1, len(err))]
-        edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]
-        split = next((i for i, (a, b) in enumerate(self.edges) if v in (a, b)), len(edges))
-        head = edges[:split]
-        # From the first edge touching v on, each edge either touches v
-        # (kept: the other endpoint's row and task) or is a prefix constant.
-        tail = [
-            (q_b, b, c, None, None) if a == v else (q_a, a, c, None, None) if b == v else (q_a, a, c, q_b, b)
-            for q_a, q_b, a, b, c in edges[split:]
-        ]
+        low_wait = wait[n]
         _, masks, of_node = self.classes
-        # each class: its index, its host mask and its first node
-        classes = [(i, m, (m & -m).bit_length() - 1) for i, m in enumerate(masks)]
-        n_classes = len(masks)
+        sentinel = len(masks)  # the sentinel host's class
+        of_node = [*of_node, sentinel]
+        stride = sentinel + 1
+        lo = v if u is None else min(u, v)
+        before = [(err[j], run[j], j) for j in range(lo)]
+        after = [(err[j], run[j], j) for j in range(lo, len(err))]
+        edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]
+        split = next((i for i, edge in enumerate(self.edges) if u in edge or v in edge), len(edges))
+        head, tail = edges[:split], edges[split:]
+        cand = [0] * len(err)  # the prefix, then the pair being evaluated
+        blank = [None] * (stride * stride)
+        memo = blank.copy()  # R per (u-class, v-class), row-major
+        w = e = r = net = 0.0
 
-        def score(prefix: Mapping[int, int], mask: int, floor: float | None = None) -> list[float] | None:
+        def fold(prefix: Mapping[int, int]) -> None:
+            nonlocal w, e, r, net
             w = 0.0
-            for k in prefix.values():
+            for j, k in prefix.items():
+                cand[j] = k
                 x = wait[k]
                 if x > w:
                     w = x
             e = 0.0
             r = 0.0
             for err_j, run_j, j in before:
-                k = prefix[j]
+                k = cand[j]
                 e += err_j[k]
                 r += run_j[k]
             net = 0.0
             for q_a, q_b, a, b, c in head:
-                net += (q_a[prefix[a]] + q_b[prefix[b]]) / 2.0 + c
-            # _clip01 is inlined below: a call per term costs as much as the
-            # rest of the pass.
+                net += (q_a[cand[a]] + q_b[cand[b]]) / 2.0 + c
+            memo[:] = blank
+
+        def evaluate(hu: int | None, h: int, key: int) -> float:
+            # R with u on hu and v on h; _clip01 is inlined, as a call per
+            # term costs as much as the rest of the evaluation
+            if u is not None:
+                cand[u] = hu
+            cand[v] = h
+            x_e = e
+            x_r = r
+            for err_j, run_j, j in after:
+                k = cand[j]
+                x_e += err_j[k]
+                x_r += run_j[k]
+            x_n = net
+            for q_a, q_b, a, b, c in tail:
+                x_n += (q_a[cand[a]] + q_b[cand[b]]) / 2.0 + c
+            memo[key] = cost = rest * (
+                alpha * (0.0 if (x := x_e / max_err) < 0.0 else 1.0 if x > 1.0 else x)
+                + beta * (0.0 if (x := x_r / max_run) < 0.0 else 1.0 if x > 1.0 else x)
+                + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
+            )
+            return cost
+
+        def score(hu: int | None, mask: int, floor: float | None = None) -> list[float] | None:
+            if hu is None:
+                wu = w
+                row = 0
+            else:
+                wu = x if (x := wait[hu]) > w else w
+                row = of_node[hu] * stride
             if floor is not None:
-                x_n = net
-                for q_a, a, c, q_b, b in tail:
-                    x_n += (q_a[prefix[a]] + (low_qlink if q_b is None else q_b[prefix[b]])) / 2.0 + c
-                x_e = e + low_err
-                x_r = r + low_run
-                for err_j, run_j, j in after:
-                    k = prefix[j]
-                    x_e += err_j[k]
-                    x_r += run_j[k]
-                bound = (low_wait if low_wait > w else w) + rest * (
-                    alpha * (0.0 if (x := x_e / max_err) < 0.0 else 1.0 if x > 1.0 else x)
-                    + beta * (0.0 if (x := x_r / max_run) < 0.0 else 1.0 if x > 1.0 else x)
-                    + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
-                )
-                if bound >= floor:
+                if (cost := memo[key := row + sentinel]) is None:
+                    cost = evaluate(hu, n, key)
+                if (low_wait if low_wait > wu else wu) + cost >= floor:
                     return None
-            # One evaluation per calibration class present in the mask, with
-            # v on the class's first node: hosts of a class have equal terms.
-            per_class = [0.0] * n_classes
-            for i, hosts, h in classes:
-                if not mask & hosts:
-                    continue
-                x_n = net
-                for q_a, a, c, q_b, b in tail:
-                    x_n += (q_a[prefix[a]] + (qlink_v[h] if q_b is None else q_b[prefix[b]])) / 2.0 + c
-                x_e = e + err_v[h]
-                x_r = r + run_v[h]
-                for err_j, run_j, j in after:
-                    k = prefix[j]
-                    x_e += err_j[k]
-                    x_r += run_j[k]
-                per_class[i] = rest * (
-                    alpha * (0.0 if (x := x_e / max_err) < 0.0 else 1.0 if x > 1.0 else x)
-                    + beta * (0.0 if (x := x_r / max_run) < 0.0 else 1.0 if x > 1.0 else x)
-                    + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
-                )
             # the mask decoded inline: a call per block costs about 1% of
             # a short LP-LR search
             costs = []
             while mask:
                 low = mask & -mask
                 h = low.bit_length() - 1
-                costs.append((x if (x := wait[h]) > w else w) + per_class[of_node[h]])
+                if (cost := memo[key := row + of_node[h]]) is None:
+                    cost = evaluate(hu, h, key)
+                costs.append((x if (x := wait[h]) > wu else wu) + cost)
                 mask ^= low
             return costs
 
-        return score
+        return fold, score
 
 
 def _clip01(x: float) -> float:

@@ -24,9 +24,9 @@ visit order, all mappings that differ only in the hosts of ``u`` and ``v``
 share one prefix; at the depth of ``u`` the search lists, per host of
 ``u``, the leaf hosts of ``v`` as one bitmask, with mask operations alone.
 A group's blocks are its ``(host of u, leaf mask)`` pairs: all mappings
-that differ only in the host of ``v``. A consumer can evaluate the prefix
-once per group and once more per block (soft_iso bounds a whole group and
-scores a whole block per call), and decodes a leaf mask with
+that differ only in the host of ``v``. A consumer can fold the prefix once
+per group (soft_iso bounds a whole group and scores a whole block per
+call), and decodes a leaf mask with
 :func:`mask_hosts` only where it needs the hosts one by one, so a group or
 block it can rule out as a whole costs only popcounts. The flat stream is
 the groups unrolled, in the same order.

@@ -16,8 +16,8 @@ from qflow.allocators import (
     random_aware,
     soft_iso,
 )
-from qflow.costs import aggregate_cost, compute_bounds
-from qflow.matcher import workflow_monomorphisms
+from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
+from qflow.matcher import mask_hosts, workflow_monomorphisms
 from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 
 from .conftest import backlog_at, chain_workflow, make_network, random_small_instance, scenario_instances
@@ -68,6 +68,23 @@ class TestSoftIso:
         outcome = soft_iso(wf, net, WEIGHTS, PARAMS, tight)
         assert outcome.candidates_examined <= 2 ** 3
         assert outcome.succeeded  # first candidate is always feasible
+
+    def test_budget_saturates_where_the_power_overflows(self):
+        """A base whose power overflows a float gives an unlimited budget,
+        as a base of ``inf`` does, instead of an ``OverflowError``."""
+        huge = SoftIsoConfig(counter_cap_base=1e100)
+        assert huge.cap(4) == math.inf
+        unlimited = SoftIsoConfig(counter_cap_base=math.inf)
+        rng = random.Random(404)
+        checked = 0
+        for _ in range(80):
+            wf, net, backlog = random_small_instance(rng, max_tasks=5, max_nodes=8)
+            if len(wf.tasks) >= 4:
+                assert soft_iso(wf, net, WEIGHTS, PARAMS, huge, backlog) == soft_iso(
+                    wf, net, WEIGHTS, PARAMS, unlimited, backlog
+                )
+                checked += 1
+        assert checked > 10
 
     def test_cap_never_exceeded_on_random_instances(self):
         rng = random.Random(55)
@@ -126,14 +143,17 @@ class TestSoftIso:
                 assert validate_allocation(wf, net, outcome.allocation)
 
 
-def reference_soft_iso(workflow, network, weights, params, config, backlog):
-    """soft_iso's search loop scoring every candidate with aggregate_cost.
+def reference_soft_iso(workflow, network, weights, params, config, backlog, by_table=False):
+    """soft_iso's search loop scoring every candidate with aggregate_cost,
+    or, ``by_table``, with the ``DecisionTable.breakdown`` that
+    tests/test_costs.py pins to it float for float (several times faster).
 
     Returns (assignment, candidates examined, incumbent costs, breakdown).
     """
     n_tasks = len(workflow.tasks)
     cap = config.cap(n_tasks)
-    bounds = compute_bounds(workflow, network, params, backlog)
+    table = DecisionTable(workflow, network, params, backlog)
+    bounds = table.bounds
     mincost, maxcost, prevcost = math.inf, -math.inf, 0.0
     examined = 0
     incumbent = incumbent_breakdown = None
@@ -142,8 +162,11 @@ def reference_soft_iso(workflow, network, weights, params, config, backlog):
         if examined >= cap:
             break
         examined += 1
-        candidate = [mapping[j] for j in range(n_tasks)]
-        breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, backlog)
+        if by_table:
+            breakdown = table.breakdown(mapping, weights)
+        else:
+            candidate = [mapping[j] for j in range(n_tasks)]
+            breakdown = aggregate_cost(workflow, candidate, network, weights, params, bounds, backlog)
         cost = breakdown.total
         maxcost = max(cost, maxcost)
         if cost < mincost:
@@ -214,15 +237,39 @@ class TestSoftIsoReference:
                 placed += assignment is not None
         assert placed >= 4
 
+    def test_strict_non_improving_blocks_match_the_breakdown_loop(self):
+        """Under ``strict_pseudocode`` a block that does not improve updates
+        the maximum and leaves the previous cost at zero. On LP-MR, seeds 2
+        and 3 at 20 workflows reach a stop that reads such a block's
+        maximum and previous cost; at a batch of 4 (``lpmr-default-strict``)
+        none does. The reference scores with ``DecisionTable.breakdown``, as
+        the ``aggregate_cost`` loop takes about 0.2 s per decision here."""
+        config = SoftIsoConfig(strict_pseudocode=True)
+        placed = 0
+        for seed in (2, 3):
+            workflows, network, free_at = scenario_instances("LP-MR", seed, 20)
+            for wf in workflows:
+                backlog = backlog_at(free_at, wf.arrival_time + 0.5)
+                assignment, examined, history, breakdown = reference_soft_iso(
+                    wf, network, WEIGHTS, PARAMS, config, backlog, by_table=True
+                )
+                outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog)
+                assert outcome == reference_outcome(assignment, examined, history, breakdown)
+                placed += assignment is not None
+        assert placed >= 30
+
     @staticmethod
-    def count_lpmr_search(monkeypatch):
-        """Run soft_iso with the thresholds off on LP-MR draws and count the
-        groups and blocks the matcher yields, the groups whose bound skips
-        them and the blocks the scorer scores."""
+    def count_lpmr_search(monkeypatch, config=THRESHOLDS_OFF):
+        """Run soft_iso on LP-MR draws and count the groups and blocks the
+        matcher yields, the groups whose bound skips them, the blocks the
+        scorer scores and the candidates each decision examines. Per group
+        folded, also count the scorer's pair evaluations (one read of
+        ``v``'s error row each) and the calibration classes of the hosts of
+        ``u`` and ``v`` its blocks use."""
         import qflow.allocators
         import qflow.costs
 
-        calls = {"groups": 0, "groups_skipped": 0, "blocks": 0, "scored": 0}
+        calls = {"groups": 0, "groups_skipped": 0, "blocks": 0, "scored": 0, "examined": [], "folded": []}
         groups = qflow.allocators.workflow_monomorphism_groups
         block_scorer = qflow.costs.DecisionTable.block_scorer
 
@@ -232,25 +279,45 @@ class TestSoftIsoReference:
                 calls["blocks"] += len(group[3])
                 yield group
 
-        def counting(table, weights, v):
-            score = block_scorer(table, weights, v)
+        def counting(table, weights, u, v):
+            reads = [0]
 
-            def counted(prefix, mask, floor=None):
-                costs = score(prefix, mask, floor)
+            class Row(tuple):
+                def __getitem__(self, k):
+                    reads[0] += 1
+                    return tuple.__getitem__(self, k)
+
+            table.err = [*table.err]
+            table.err[v] = Row(table.err[v])
+            fold, score = block_scorer(table, weights, u, v)
+            of_node = table.classes[2]
+
+            def counted_fold(prefix):
+                # pair evaluations, classes of u's hosts, classes of v's hosts
+                calls["folded"].append([0, set(), set()])
+                fold(prefix)
+
+            def counted(hu, mask, floor=None):
+                group = calls["folded"][-1]
+                before = reads[0]
+                costs = score(hu, mask, floor)
+                group[0] += reads[0] - before
                 if mask:
                     calls["scored"] += costs is not None
+                    group[1].add(of_node[hu])
+                    group[2].update(of_node[h] for h in mask_hosts(mask))
                 else:
                     calls["groups_skipped"] += costs is None
                 return costs
 
-            return counted
+            return counted_fold, counted
 
         monkeypatch.setattr(qflow.allocators, "workflow_monomorphism_groups", counting_groups)
         monkeypatch.setattr(qflow.costs.DecisionTable, "block_scorer", counting)
         workflows, network, free_at = scenario_instances("LP-MR", 0, 4)
         for wf in workflows:
-            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, THRESHOLDS_OFF, backlog_at(free_at, wf.arrival_time + 0.5))
-            assert outcome.candidates_examined == 10**4
+            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog_at(free_at, wf.arrival_time + 0.5))
+            calls["examined"].append(outcome.candidates_examined)
         return calls
 
     def test_thresholds_off_leaves_most_blocks_unscored(self, monkeypatch):
@@ -258,6 +325,7 @@ class TestSoftIsoReference:
         soft_iso scores only the blocks whose bound is below the incumbent;
         on LP-MR draws at least half of all blocks go unscored."""
         calls = self.count_lpmr_search(monkeypatch)
+        assert calls["examined"] == [10**4] * 4
         assert calls["blocks"] > 1_000
         assert calls["scored"] <= calls["blocks"] // 2
 
@@ -265,8 +333,20 @@ class TestSoftIsoReference:
         """With the thresholds off soft_iso rules out whole groups by their
         bound; on LP-MR draws at least half of all groups are skipped."""
         calls = self.count_lpmr_search(monkeypatch)
+        assert calls["examined"] == [10**4] * 4
         assert calls["groups"] > 100
         assert calls["groups_skipped"] >= calls["groups"] / 2
+
+    @pytest.mark.parametrize("config", [THRESHOLDS_OFF, SoftIsoConfig()], ids=["thresholds-off", "preset"])
+    def test_a_group_evaluates_each_class_pair_at_most_once(self, monkeypatch, config):
+        """On LP-MR draws a group whose blocks are scored makes at most
+        (its ``u`` classes + 1) x (its ``v`` classes + 1) pair evaluations,
+        the sentinel host counting as one more class of each: not one per
+        block, nor one per host."""
+        calls = self.count_lpmr_search(monkeypatch, config)
+        scored = [(evals, len(us), len(vs)) for evals, us, vs in calls["folded"] if us]
+        assert len(scored) > 50
+        assert all(evals <= (n_u + 1) * (n_v + 1) for evals, n_u, n_v in scored)
 
 
 class TestSoftIsoStopRule:

@@ -513,28 +513,29 @@ class TestBlockScorer:
             yield wf, ResourceNetwork(nodes, links), NetworkParams(), WeightConfig(), free_at, sim_time
 
     @staticmethod
-    def blocks(rng, wf, network):
-        """The blocks of the matcher's own groups (last vertex in visit
-        order), then for every task v random injective prefixes with every
-        free node as a host; prefix keys are shuffled, since scoring must
-        not read them in order."""
+    def groups(rng, wf, network):
+        """The matcher's own groups (last two vertices in visit order), then
+        for every ordered pair of tasks (u, v) a random injective prefix
+        with every free node as a host of u and every other free node as a
+        host of v (a one-task workflow: every node as a host of v). The
+        random prefixes' keys are shuffled, since scoring must not read them
+        in order."""
         leaves = 0
         for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network):
-            for h, mask in pairs:
-                if u is not None:
-                    prefix[u] = h
-                yield dict(prefix), v, mask
-                leaves += mask.bit_count()
+            yield dict(prefix), u, v, pairs
+            leaves += sum(mask.bit_count() for _, mask in pairs)
             if leaves >= 300:
                 break
-        n_nodes = len(network.nodes)
-        for v in range(len(wf.tasks)):
-            for _ in range(3):
-                nodes = rng.sample(range(n_nodes), len(wf.tasks))
-                others = [j for j in range(len(wf.tasks)) if j != v]
-                rng.shuffle(others)
-                prefix = {j: nodes[j] for j in others}
-                yield prefix, v, sum(1 << h for h in set(range(n_nodes)) - set(prefix.values()))
+        n_tasks, n_nodes = len(wf.tasks), len(network.nodes)
+        if n_tasks == 1:
+            yield {}, None, 0, [(None, (1 << n_nodes) - 1)]
+        for u, v in itertools.permutations(range(n_tasks), 2):
+            others = [j for j in range(n_tasks) if j not in (u, v)]
+            rng.shuffle(others)
+            nodes = rng.sample(range(n_nodes), len(others))
+            prefix = dict(zip(others, nodes))
+            free = sum(1 << h for h in set(range(n_nodes)) - set(nodes))
+            yield prefix, u, v, [(h, free & ~(1 << h)) for h in mask_hosts(free)]
 
     @staticmethod
     def scale_bounds(table, shrink):
@@ -547,50 +548,76 @@ class TestBlockScorer:
         )
         return table.bounds
 
+    @staticmethod
+    def scorer(scorers, table, weights, u, v):
+        """The ``(fold, score)`` pair of ``(u, v)``, built once per table."""
+        if (u, v) not in scorers:
+            scorers[u, v] = table.block_scorer(weights, u, v)
+        return scorers[u, v]
+
+    @staticmethod
+    def candidate(prefix, u, hu, v, h):
+        """Task j's node at index j: ``prefix``, ``u`` on ``hu``, ``v`` on ``h``."""
+        mapping = {**prefix, v: h} if u is None else {**prefix, u: hu, v: h}
+        return [mapping[j] for j in range(len(mapping))]
+
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_equals_aggregate_cost_total_on_every_leaf(self, shrink):
         """On the scenario networks (about three calibration classes), on
         random networks whose every node is a class of its own, and on
-        networks of one class whose nodes differ only in their backlogs."""
+        networks of one class whose nodes differ only in their backlogs;
+        with the hosts of both ``u`` and ``v`` varying across classes
+        within a group, and groups of the same ``(u, v)`` scored in turn by
+        one scorer."""
         rng = random.Random(515)
-        leaves = clipped = one_class_blocks = 0
+        leaves = clipped = one_class_blocks = mixed_groups = 0
         last_vertices = set()
         for wf, network, params, weights, free_at, sim_time in self.decisions(rng):
             backlog = backlog_at(free_at, sim_time)
             table = DecisionTable(wf, network, params, backlog)
             bounds = self.scale_bounds(table, shrink)
-            scorers = [table.block_scorer(weights, v) for v in range(len(wf.tasks))]
+            of_node = network.calibration_classes[2]
+            scorers = {}
             one_class = len(network.calibration_classes[0]) == 1
             if one_class:
                 assert 0.0 not in backlog and len(set(backlog)) == len(backlog)
-            for prefix, v, mask in self.blocks(rng, wf, network):
-                hosts = mask_hosts(mask)
-                costs = scorers[v](prefix, mask)
-                assert len(costs) == len(hosts)
-                # one class: the totals of a block differ, by availability alone
-                one_class_blocks += one_class and len(set(costs)) > 1
-                for h, cost in zip(hosts, costs):
-                    candidate = [h if j == v else prefix[j] for j in range(len(wf.tasks))]
-                    ref = aggregate_cost(wf, candidate, network, weights, params, bounds, backlog)
-                    assert cost == ref.total
-                    leaves += 1
-                    clipped += (
-                        ref.availability_raw > bounds.max_nat
-                        or ref.error_raw > bounds.max_task_error_sum
-                        or ref.runtime_raw > bounds.max_task_runtime_sum
-                        or ref.network_raw > bounds.max_network_sum
-                    )
-                last_vertices.add((len(wf.tasks), v))
-        assert leaves > 8_000
+            for prefix, u, v, pairs in self.groups(rng, wf, network):
+                fold, score = self.scorer(scorers, table, weights, u, v)
+                fold(prefix)
+                u_classes = set()
+                for hu, mask in pairs:
+                    hosts = mask_hosts(mask)
+                    costs = score(hu, mask)
+                    assert len(costs) == len(hosts)
+                    # one class: the totals of a block differ, by availability alone
+                    one_class_blocks += one_class and len(set(costs)) > 1
+                    for h, cost in zip(hosts, costs):
+                        candidate = self.candidate(prefix, u, hu, v, h)
+                        ref = aggregate_cost(wf, candidate, network, weights, params, bounds, backlog)
+                        assert cost == ref.total
+                        leaves += 1
+                        clipped += (
+                            ref.availability_raw > bounds.max_nat
+                            or ref.error_raw > bounds.max_task_error_sum
+                            or ref.runtime_raw > bounds.max_task_runtime_sum
+                            or ref.network_raw > bounds.max_network_sum
+                        )
+                    if u is not None:
+                        u_classes.add(of_node[hu])
+                mixed_groups += len(u_classes) > 1
+                last_vertices.add((len(wf.tasks), u, v))
+        assert leaves > 40_000
         # fewer under halved bounds, where the larger backlogs clip to one
         assert one_class_blocks > 30
-        assert {(5, v) for v in range(5)} <= last_vertices
+        assert mixed_groups > 1_000
+        assert {(5, u, v) for u, v in itertools.permutations(range(5), 2)} <= last_vertices
+        assert {(1, None, 0)} <= last_vertices
         if shrink < 1.0:
             assert clipped > leaves // 2  # the clip branch is exercised, not just the interior
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_floor_skips_only_blocks_with_no_total_below_it(self, shrink):
-        """``score(prefix, mask, f)`` returns ``None`` only when every total
+        """``score(hu, mask, f)`` returns ``None`` only when every total
         of the unfloored call is ``>= f`` as a float, and otherwise the very
         totals of the unfloored call. The floors are each block's least
         total, one ulp either side of it, the least total of the previous
@@ -600,57 +627,37 @@ class TestBlockScorer:
         for wf, network, params, weights, free_at, sim_time in self.decisions(rng):
             table = DecisionTable(wf, network, params, backlog_at(free_at, sim_time))
             self.scale_bounds(table, shrink)
-            scorers = [table.block_scorer(weights, v) for v in range(len(wf.tasks))]
+            scorers = {}
             incumbent = math.inf
-            for prefix, v, mask in self.blocks(rng, wf, network):
-                costs = scorers[v](prefix, mask)
-                low = min(costs)
-                floors = (
-                    low, math.nextafter(low, -math.inf), math.nextafter(low, math.inf),
-                    incumbent, rng.random(),
-                )
-                for floor in floors:
-                    got = scorers[v](prefix, mask, floor)
-                    if got is None:
-                        assert all(cost >= floor for cost in costs)
-                        skipped += 1
-                    else:
-                        assert got == costs
-                        scored += 1
-                incumbent = low
-        assert skipped > 1_000 and scored > 1_000
-
-
-    @staticmethod
-    def groups(rng, wf, network):
-        """The matcher's own groups (last two vertices in visit order), then
-        for every ordered pair of tasks (u, v) random injective prefixes
-        with every free node as a host of u and every other free node as a
-        host of v."""
-        leaves = 0
-        for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network):
-            yield prefix, u, v, pairs
-            leaves += sum(mask.bit_count() for _, mask in pairs)
-            if leaves >= 300:
-                break
-        n_nodes = len(network.nodes)
-        for u in range(len(wf.tasks)):
-            for v in range(len(wf.tasks)):
-                if u == v:
-                    continue
-                nodes = rng.sample(range(n_nodes), len(wf.tasks) - 2)
-                prefix = dict(zip([j for j in range(len(wf.tasks)) if j not in (u, v)], nodes))
-                free = sum(1 << h for h in set(range(n_nodes)) - set(nodes))
-                yield prefix, u, v, [(h, free & ~(1 << h)) for h in mask_hosts(free)]
+            for prefix, u, v, pairs in self.groups(rng, wf, network):
+                fold, score = self.scorer(scorers, table, weights, u, v)
+                fold(prefix)
+                for hu, mask in pairs:
+                    costs = score(hu, mask)
+                    low = min(costs)
+                    floors = (
+                        low, math.nextafter(low, -math.inf), math.nextafter(low, math.inf),
+                        incumbent, rng.random(),
+                    )
+                    for floor in floors:
+                        got = score(hu, mask, floor)
+                        if got is None:
+                            assert all(cost >= floor for cost in costs)
+                            skipped += 1
+                        else:
+                            assert got == costs
+                            scored += 1
+                    incumbent = low
+        assert skipped > 10_000 and scored > 10_000
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_group_bound_is_below_every_total_of_its_group(self, shrink):
-        """With ``u`` on the sentinel host, ``score(prefix, 0, f)`` returns
+        """With ``u`` on the sentinel host, ``score(n, 0, f)`` returns
         ``None`` only when every total of the group is ``>= f``, and
         ``[]`` otherwise. The bound is ``<=`` the group's least total as a
-        float: it never reaches one ulp above it. The same scorer puts
-        ``v`` on the sentinel for each block's floor and scores every block
-        exactly."""
+        float: it never reaches one ulp above it. It is asked both before
+        and after the group's blocks are scored, and the blocks are scored
+        exactly either way."""
         rng = random.Random(1618)
         skipped = kept = random_skipped = random_kept = leaves = clipped = 0
         for wf, network, params, weights, _, sim_time in self.decisions(rng):
@@ -664,15 +671,14 @@ class TestBlockScorer:
             scorers = {}
             incumbent = math.inf
             for prefix, u, v, pairs in self.groups(rng, wf, network):
-                if (u, v) not in scorers:
-                    scorers[u, v] = table.block_scorer(weights, v)
-                score = scorers[u, v]
+                fold, score = self.scorer(scorers, table, weights, u, v)
+                fold(prefix)
+                first = score(sentinel, 0, incumbent)  # as soft_iso asks it
                 totals = []
-                for h, mask in pairs:
-                    prefix[u] = h
-                    costs = score(prefix, mask)
-                    for k, cost in zip(mask_hosts(mask), costs):
-                        candidate = [k if j == v else prefix[j] for j in range(len(wf.tasks))]
+                for hu, mask in pairs:
+                    costs = score(hu, mask)
+                    for h, cost in zip(mask_hosts(mask), costs):
+                        candidate = self.candidate(prefix, u, hu, v, h)
                         ref = aggregate_cost(wf, candidate, network, weights, params, bounds, backlog)
                         assert cost == ref.total
                         clipped += (
@@ -683,10 +689,10 @@ class TestBlockScorer:
                     totals += costs
                 leaves += len(totals)
                 low = min(totals)
-                prefix[u] = sentinel
-                assert score(prefix, 0, math.nextafter(low, math.inf)) == []
+                assert first == [] or (first is None and low >= incumbent)
+                assert score(sentinel, 0, math.nextafter(low, math.inf)) == []
                 for floor in (low, math.nextafter(low, -math.inf), incumbent):
-                    got = score(prefix, 0, floor)
+                    got = score(sentinel, 0, floor)
                     if got is None:
                         assert low >= floor
                         skipped += 1
@@ -694,14 +700,14 @@ class TestBlockScorer:
                         assert got == []
                         kept += 1
                 floor = rng.random()
-                got = score(prefix, 0, floor)
+                got = score(sentinel, 0, floor)
                 assert got == [] or (got is None and low >= floor)
                 random_skipped += got is None
                 random_kept += got is not None
                 incumbent = low
-        assert leaves > 20_000
-        assert skipped > 500 and kept > 500
-        assert random_skipped > 100 and random_kept > 100
+        assert leaves > 40_000
+        assert skipped > 2_000 and kept > 2_000
+        assert random_skipped > 500 and random_kept > 500
         if shrink < 1.0:
             assert clipped > leaves // 4  # the > 1 clip is exercised
 

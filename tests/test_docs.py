@@ -9,9 +9,9 @@ from pathlib import Path
 import qflow
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# Inline calls that name no qflow callable: the scorer's returned closure
+# Inline calls that name no qflow callable: the scorer's returned closures
 # and a builtin.
-NOT_QFLOW = {"score", "len"}
+NOT_QFLOW = {"fold", "score", "len"}
 CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`\n]*)\)`")
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 
@@ -65,7 +65,7 @@ def test_readme_signatures_match_the_code():
 
 
 def test_a_stale_or_unknown_signature_is_reported():
-    stale = "`block_scorer(weights, v, u=None)` and `breakdown(candidate, weights)`"
-    assert mismatches(stale) == ["`block_scorer(weights, v, u=None)`: the code takes (weights, v)"]
-    assert mismatches("`block_scorer(weights, v)` then `score(prefix, mask, floor)`") == []
+    stale = "`block_scorer(weights, v)` and `breakdown(candidate, weights)`"
+    assert mismatches(stale) == ["`block_scorer(weights, v)`: the code takes (weights, u, v)"]
+    assert mismatches("`block_scorer(weights, u, v)` then `fold(prefix)`, `score(hu, mask, floor)`") == []
     assert mismatches("`frobnicate(x)`") == ["`frobnicate(x)`: names 0 qflow callables, not one"]
