@@ -11,7 +11,6 @@ Exit codes: 0 on success, 1 on configuration errors, 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ from .experiments import (
     ExperimentConfig,
     apply_sweep_value,
     emit_failure_histogram,
+    replace_fields,
     run_experiment,
     scenario_config,
 )
@@ -86,27 +86,17 @@ def load_config(args) -> ExperimentConfig:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}")
         config = ExperimentConfig.from_dict(raw)
-    replacements = {}
-    if args.algo:
-        replacements["algorithm"] = args.algo
-    if args.seed is not None:
-        replacements["base_seed"] = args.seed
-    if args.reps is not None:
-        replacements["repetitions"] = args.reps
-    if args.profiles:
-        replacements["profiles_path"] = str(args.profiles)
-    if args.strict_pseudocode:
-        replacements["soft_config"] = dataclasses.replace(config.soft_config, strict_pseudocode=True)
-    if args.no_dep_gating:
-        replacements["dependency_gating"] = False
-    if args.no_timing:
-        replacements["measure_timing"] = False
-    if replacements:
-        try:
-            config = dataclasses.replace(config, **replacements)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    return config
+    # a flag left out is None and keeps the config's value
+    flags = {
+        "algorithm": args.algo,
+        "base_seed": args.seed,
+        "repetitions": args.reps,
+        "profiles_path": args.profiles and str(args.profiles),
+        "soft_config": {"strict_pseudocode": True} if args.strict_pseudocode else None,
+        "dependency_gating": False if args.no_dep_gating else None,
+        "measure_timing": False if args.no_timing else None,
+    }
+    return replace_fields(config, {name: value for name, value in flags.items() if value is not None})
 
 
 def _run_sweep(config: ExperimentConfig, sweep: str, out: Path) -> None:

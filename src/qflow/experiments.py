@@ -94,35 +94,40 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+        for name, kind in _SECTIONS.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name}: expected an object")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        """Build a config from a plain dict (the JSON config file schema),
-        reporting bad fields with their dotted paths."""
-        kwargs = {}
-        for key, value in raw.items():
-            if key in _SECTIONS:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{key}: expected an object")
-                sub = dict(value)
-                for tuple_field in ("qubit_range", "profile_pool"):
-                    if tuple_field in sub and isinstance(sub[tuple_field], list):
-                        sub[tuple_field] = tuple(sub[tuple_field])
-                try:
-                    kwargs[key] = _SECTIONS[key](**sub)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
-            else:
-                kwargs[key] = value
-        allowed = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(kwargs) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        try:
-            return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        """Build a config from a plain dict (the JSON config file schema)."""
+        return replace_fields(cls(), raw)
+
+
+def replace_fields(obj, values: dict, path: str = ""):
+    """Return the dataclass ``obj`` with the fields named in ``values``
+    replaced; a dict given for a field that holds a dataclass is applied to
+    that dataclass's fields in turn. An unknown key or a bad value raises a
+    ``ConfigError`` naming its dotted path (``path`` prefixes it)."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'config'}: expected an object, got {type(values).__name__}")
+    unknown = set(values) - {f.name for f in dataclasses.fields(obj)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(path + name for name in sorted(unknown))}")
+    changes = {}
+    for name, value in values.items():
+        current = getattr(obj, name)
+        if isinstance(value, dict) and dataclasses.is_dataclass(current):
+            value = replace_fields(current, value, f"{path}{name}.")
+        changes[name] = value
+    try:
+        return dataclasses.replace(obj, **changes)
+    except ConfigError:  # ExperimentConfig's own checks name their field
+        raise
+    except (TypeError, ValueError) as exc:
+        # one changed field is the culprit; with several, the section is
+        where = path + next(iter(changes)) if len(changes) == 1 else path.rstrip(".")
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 # The nested config sections by field name: every field whose type is a
@@ -295,38 +300,38 @@ def scenario_config(
     pinned to the preset's task count so that the scenario stresses exactly
     the advertised program size, and failed allocations are terminal
     (retry_limit 0): scenario completion percentages measure pure
-    first-attempt allocation power.
+    first-attempt allocation power. ``overrides`` are applied to the preset
+    with :func:`replace_fields`, so a dict given for any section
+    (``workload={"batch_size": 20}``, ``weights={"zeta": 0.0}``) replaces
+    only the fields it names.
     """
     if name not in SCENARIO_NAMES:
         raise ConfigError(f"scenario: unknown name {name!r}, expected one of {SCENARIO_NAMES}")
     program, resources = name.split("-")
     tasks, batch = _PROGRAM_PRESETS[program]
     rho, nodes = _RESOURCE_PRESETS[resources]
-    workload_kwargs = dict(batch_size=batch, tasks_per_group=tasks, tasks_per_group_min=tasks)
-    workload_kwargs.update(overrides.pop("workload", {}))
-    topology_kwargs = dict(node_count=nodes, link_probability=rho)
-    topology_kwargs.update(overrides.pop("topology", {}))
-    overrides.setdefault("retry_limit", 0)
-    workload = WorkloadSpec(**workload_kwargs)
-    topology = TopologySpec(**topology_kwargs)
-    return ExperimentConfig(
+    preset = ExperimentConfig(
         algorithm=algorithm,
-        workload=workload,
-        topology=topology,
+        workload=WorkloadSpec(batch_size=batch, tasks_per_group=tasks, tasks_per_group_min=tasks),
+        topology=TopologySpec(node_count=nodes, link_probability=rho),
         base_seed=base_seed,
         repetitions=repetitions,
-        **overrides,
+        retry_limit=0,
     )
+    return replace_fields(preset, overrides)
 
 
 def emit_failure_histogram(
     results: list[ExperimentResult], path: str | Path, bin_width: float = 5.0
 ) -> list[tuple[str, float, float, int]]:
     """Bin experiments by unfulfilled-task percentage, one series per
-    algorithm; bins partition [0, 100] and rows sum to the experiment count."""
+    algorithm; bins partition [0, 100] (the last one ends at 100 even when
+    ``bin_width`` does not divide it) and rows sum to the experiment count."""
     if not results:
         raise ValueError("need at least one completed experiment")
-    n_bins = int(100.0 / bin_width)
+    if not 0 < bin_width < math.inf:  # NaN too
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
+    n_bins = math.ceil(100.0 / bin_width)
     rows = []
     by_algorithm: dict[str, list[float]] = {}
     for res in results:
@@ -338,7 +343,7 @@ def emit_failure_histogram(
             idx = min(int(value / bin_width), n_bins - 1)
             counts[idx] += 1
         for b in range(n_bins):
-            rows.append((algorithm, b * bin_width, (b + 1) * bin_width, counts[b]))
+            rows.append((algorithm, b * bin_width, min((b + 1) * bin_width, 100.0), counts[b]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "bin_lower_pct", "bin_upper_pct", "experiments"])
@@ -348,16 +353,21 @@ def emit_failure_histogram(
 
 
 def apply_sweep_value(config: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
-    """Return a copy of the config with one dotted-path field replaced,
-    coercing the string value to the field's type."""
-    parts = key.split(".")
-    if len(parts) == 1:
-        return _replace_field(config, parts[0], value)
-    if len(parts) == 2 and parts[0] in _SECTIONS:
-        sub = getattr(config, parts[0])
-        new_sub = _replace_field(sub, parts[1], value)
-        return dataclasses.replace(config, **{parts[0]: new_sub})
-    raise ConfigError(f"sweep key {key!r} is not a config field")
+    """Return a copy of the config with one dotted-path field set from a
+    string, coerced to the field's type."""
+    *sections, name = key.split(".")
+    owner = config
+    for section in sections:
+        owner = getattr(owner, section, None)
+    if not (dataclasses.is_dataclass(owner) and name in {f.name for f in dataclasses.fields(owner)}):
+        raise ConfigError(f"sweep key {key!r} names no field of the config")
+    try:
+        changes = {name: _coerce(owner, name, value)}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    for section in reversed(sections):
+        changes = {section: changes}
+    return replace_fields(config, changes)
 
 
 # Short sweep aliases matching the result-table column names.
@@ -378,24 +388,17 @@ _BOOL_WORDS = {
 }
 
 
-def _replace_field(obj, name: str, raw_value: str):
-    matching = [f for f in dataclasses.fields(obj) if f.name == name]
-    if not matching:
-        raise ConfigError(f"{type(obj).__name__} has no field {name!r}")
+def _coerce(obj, name: str, raw_value: str):
+    """``raw_value`` as the type of ``obj``'s field ``name``: a bool word,
+    an int, a float, or the string itself."""
     kind = type(getattr(obj, name))
     if kind is type(None):  # a field annotated ``X | None`` left at None takes X
         kind = next(a for a in typing.get_args(typing.get_type_hints(type(obj))[name]) if a is not kind)
-    value: object
-    try:
-        if kind is bool:
-            word = raw_value.strip().lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"expected one of {'/'.join(_BOOL_WORDS)}, got {raw_value!r}")
-            value = _BOOL_WORDS[word]
-        elif kind in (int, float):
-            value = kind(raw_value)
-        else:
-            value = raw_value
-        return dataclasses.replace(obj, **{name: value})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    if kind is bool:
+        word = raw_value.strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"expected one of {'/'.join(_BOOL_WORDS)}, got {raw_value!r}")
+        return _BOOL_WORDS[word]
+    if kind in (int, float):
+        return kind(raw_value)
+    return raw_value

@@ -82,6 +82,9 @@ class TopologySpec:
         object.__setattr__(self, "node_count", check_count("node_count", self.node_count, 1))
         if not 0.0 <= self.link_probability <= 1.0:
             raise ValueError("link_probability must be in [0, 1]")
+        if isinstance(self.profile_pool, str):
+            raise ValueError(f"profile_pool must be a list of profile names, not the string {self.profile_pool!r}")
+        object.__setattr__(self, "profile_pool", tuple(self.profile_pool))
         if not self.profile_pool:
             raise ValueError("profile_pool must be nonempty")
 

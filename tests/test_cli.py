@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from qflow.cli import main
+from qflow.cli import build_parser, load_config, main
+from qflow.experiments import ExperimentConfig, apply_sweep_value, scenario_config
 
 
 def write_config(tmp_path, **extra):
@@ -88,6 +89,22 @@ class TestExitCodes:
             got = got[key]
         assert got == want
         assert all(type(v) is int for v in (got if isinstance(got, list) else [got]))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([1, 2], "expected an object, got list"),
+            ({"topology": {"profile_pool": "torino"}}, "topology.profile_pool"),
+            ({"weights": {"zeta": 0.5, "nope": 1}}, "unknown config keys: weights.nope"),
+        ],
+        ids=["list", "string-pool", "nested-unknown"],
+    )
+    def test_malformed_config_file_is_config_error(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["--config", str(path), "--reps", "1", "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["--frobnicate"]) == 1
@@ -181,6 +198,12 @@ class TestSweepMode:
         assert "config error" in err and "dependency_gating" in err
         assert not (tmp_path / "b").exists()
 
+    def test_sweep_of_a_section_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["--algo", "greedy_dfs", "--reps", "1", "--sweep", "workload=5", "--out", str(out)]) == 1
+        assert "config error: workload: expected an object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_rejects_nan(self, tmp_path, capsys):
         # a NaN cost or weight beats no incumbent, a NaN threshold never stops
         # the search and a NaN rate makes every arrival time NaN, so each run
@@ -198,6 +221,38 @@ class TestSweepMode:
             err = capsys.readouterr().err
             assert "config error" in err and key.split(".")[1] in err
             assert not out.exists()
+
+
+class TestOneFieldPath:
+    @pytest.mark.parametrize(
+        "path, value, flag, word",
+        [
+            ("soft_config.strict_pseudocode", True, "--strict-pseudocode", "true"),
+            ("dependency_gating", False, "--no-dep-gating", "off"),
+            ("measure_timing", False, "--no-timing", "0"),
+        ],
+    )
+    def test_every_path_sets_the_same_value(self, path, value, flag, word):
+        # the config file, a scenario override, a flag and a sweep all go
+        # through one replace, so each sets the field alike
+        *sections, name = path.split(".")
+        nested = {name: value}
+        for section in reversed(sections):
+            nested = {section: nested}
+        configs = {
+            "file": ExperimentConfig.from_dict(nested),
+            "scenario": scenario_config("SP-MR", "soft_iso", **nested),
+            "flag": load_config(build_parser().parse_args([flag])),
+            "scenario flag": load_config(build_parser().parse_args(["--scenario", "SP-MR", flag])),
+            "sweep": apply_sweep_value(ExperimentConfig(), path, word),
+        }
+        for how, config in configs.items():
+            got = config
+            for part in path.split("."):
+                got = getattr(got, part)
+            assert got is value, how
+        assert configs["file"] == configs["flag"] == configs["sweep"]
+        assert configs["scenario"] == configs["scenario flag"]
 
 
 class TestReproducibility:

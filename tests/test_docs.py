@@ -1,12 +1,16 @@
-"""The README's inline call signatures name the parameters of the code."""
+"""The README's inline call signatures name the parameters of the code,
+and its config file schema lists every config field with its default."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import json
 import re
 from pathlib import Path
 
 import qflow
+from qflow.experiments import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # Inline calls that name no qflow callable: the scorer's returned closures
@@ -14,6 +18,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 NOT_QFLOW = {"fold", "score", "len"}
 CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`\n]*)\)`")
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+SCHEMA = re.compile(r"^## Config file schema$.*?^```json$(.*?)^```$", re.MULTILINE | re.DOTALL)
 
 
 def callables(name: str) -> list:
@@ -69,3 +74,9 @@ def test_a_stale_or_unknown_signature_is_reported():
     assert mismatches(stale) == ["`block_scorer(weights, v)`: the code takes (weights, u, v)"]
     assert mismatches("`block_scorer(weights, u, v)` then `fold(prefix)`, `score(hu, mask, floor)`") == []
     assert mismatches("`frobnicate(x)`") == ["`frobnicate(x)`: names 0 qflow callables, not one"]
+
+
+def test_config_schema_lists_every_field_with_its_default():
+    block = SCHEMA.search(README.read_text(encoding="utf-8")).group(1)
+    defaults = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
+    assert json.loads(block) == defaults

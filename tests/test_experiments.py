@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import statistics
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,12 +15,15 @@ from qflow.experiments import (
     RESULT_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    ExperimentResult,
+    RunResult,
     apply_sweep_value,
     emit_failure_histogram,
     run_experiment,
     scenario_config,
     _derive_seed,
 )
+from qflow.model import WeightConfig
 from qflow.workload import TopologySpec, WorkloadSpec, export_task_catalog, generate_catalog
 
 
@@ -94,6 +98,43 @@ class TestConfig:
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="algorithm"):
             ExperimentConfig.from_dict({"algorithm": "simulated_annealing"})
+
+    @pytest.mark.parametrize("section", ["workload", "topology", "weights", "params", "soft_config"])
+    def test_section_must_be_its_dataclass(self, section):
+        # a dict stored as a section used to fail only when a run read it
+        with pytest.raises(ConfigError, match=f"^{section}: expected an object$"):
+            ExperimentConfig(**{section: {}})
+
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"workload": {"nope": 1}}, "workload.nope"),
+            ({"soft_config": {"thres_max": 0.2, "thres": 0.1}}, "soft_config.thres"),
+            ({"bogus": 1, "weights": {"zeta": 0.5}}, "bogus"),
+        ],
+    )
+    def test_unknown_key_reported_by_dotted_path(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {path}$"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_bad_value_names_its_dotted_path(self):
+        with pytest.raises(ConfigError, match=r"^soft_config\.thres_max: "):
+            ExperimentConfig.from_dict({"soft_config": {"thres_max": -1.0}})
+        # a rule over several given fields names their section
+        with pytest.raises(ConfigError, match="^weights: alpha"):
+            ExperimentConfig.from_dict({"weights": {"alpha": 0.5, "beta": 0.1}})
+
+    @pytest.mark.parametrize("raw", [[1, 2], "soft_iso", None])
+    def test_top_level_must_be_an_object(self, raw):
+        with pytest.raises(ConfigError, match="expected an object"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_profile_pool_is_a_tuple_of_names(self):
+        cfg = ExperimentConfig.from_dict({"topology": {"profile_pool": ["torino", "brisbane"]}})
+        assert cfg.topology.profile_pool == ("torino", "brisbane")
+        # a bare string used to be split into one-letter profile names
+        with pytest.raises(ConfigError, match="^topology.profile_pool: .*not the string 'torino'"):
+            ExperimentConfig.from_dict({"topology": {"profile_pool": "torino"}})
 
 
 class TestRunExperiment:
@@ -192,6 +233,26 @@ class TestScenarios:
         assert cfg.workload.batch_size == 20
         assert cfg.retry_limit == 2
 
+    def test_dict_override_works_for_every_section(self):
+        # weights, params and soft_config dicts used to be stored as dicts,
+        # and the run died reading them
+        cfg = scenario_config(
+            "SP-MR", "soft_iso", repetitions=1,
+            workload={"batch_size": 3}, weights={"zeta": 0.0}, params={"classical_latency": 0.05},
+            soft_config={"thres_max": 0.2}, measure_timing=False,
+        )
+        assert (cfg.weights.zeta, cfg.weights.alpha) == (0.0, WeightConfig().alpha)
+        assert cfg.params.classical_latency == 0.05
+        assert (cfg.soft_config.thres_max, cfg.soft_config.thres_prev) == (0.2, SoftIsoConfig().thres_prev)
+        assert cfg.workload.tasks_per_group_min == 2  # the preset's fields stay
+        assert len(run_experiment(cfg).runs) == 1
+
+    def test_override_errors_name_their_path(self):
+        with pytest.raises(ConfigError, match="^unknown config keys: params.nope$"):
+            scenario_config("SP-LR", "soft_iso", params={"nope": 1})
+        with pytest.raises(ConfigError, match="^workload.tasks_per_group: "):
+            scenario_config("LP-LR", "soft_iso", workload={"tasks_per_group": 2})
+
     def test_greedy_decides_faster_than_embedding_search(self):
         # medians over repetitions, so one descheduling spike cannot flip it
         greedy, soft = (
@@ -231,6 +292,45 @@ class TestFailureHistogram:
     def test_requires_results(self, tmp_path):
         with pytest.raises(ValueError):
             emit_failure_histogram([], tmp_path / "h.csv")
+
+    @staticmethod
+    def fake_results(unfulfilled: list[float]) -> list[ExperimentResult]:
+        config = small_config()
+        return [
+            ExperimentResult(config, [RunResult(0, SimpleNamespace(completion_pct=100.0 - u), [], [])])
+            for u in unfulfilled
+        ]
+
+    def test_default_width_bytes(self, tmp_path):
+        path = tmp_path / "h.csv"
+        rows = emit_failure_histogram(self.fake_results([0.0, 7.5, 100.0]), path)
+        counts = [0] * 20
+        counts[0] = counts[1] = counts[19] = 1
+        edges = [(repr(5.0 * b), repr(5.0 * (b + 1))) for b in range(20)]
+        expected = ["algorithm,bin_lower_pct,bin_upper_pct,experiments"]
+        expected += [f"greedy_dfs,{lo},{hi},{n}" for (lo, hi), n in zip(edges, counts)]
+        assert path.read_text().splitlines() == expected
+        assert rows[-1] == ("greedy_dfs", 95.0, 100.0, 1)
+
+    @pytest.mark.parametrize(
+        "width, bins",
+        [
+            (30.0, [(0.0, 30.0, 1), (30.0, 60.0, 0), (60.0, 90.0, 0), (90.0, 100.0, 2)]),
+            (150.0, [(0.0, 100.0, 3)]),
+            (100.0, [(0.0, 100.0, 3)]),
+        ],
+    )
+    def test_bins_partition_0_to_100_for_any_width(self, tmp_path, width, bins):
+        # 95% unfulfilled used to land in [60, 90) at width 30, and width 150
+        # raised IndexError
+        rows = emit_failure_histogram(self.fake_results([0.0, 95.0, 100.0]), tmp_path / "h.csv", bin_width=width)
+        assert [row[1:] for row in rows] == bins
+
+    @pytest.mark.parametrize("width", [0.0, -5.0, math.nan, math.inf])
+    def test_width_must_be_positive_and_finite(self, tmp_path, width):
+        with pytest.raises(ValueError, match="bin_width must be finite and > 0"):
+            emit_failure_histogram(self.fake_results([0.0]), tmp_path / "h.csv", bin_width=width)
+        assert not (tmp_path / "h.csv").exists()
 
     def test_embedding_search_mass_sits_near_zero_failures(self, tmp_path):
         # under a constrained topology the embedding search keeps failure
