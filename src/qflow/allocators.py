@@ -142,7 +142,6 @@ def soft_iso(
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
-    table = DecisionTable(workflow, network, params, backlog)
     score = None
     bounded = math.inf in (config.thres_max, config.thres_prev)
 
@@ -157,6 +156,7 @@ def soft_iso(
         if examined >= cap:
             break
         if score is None:
+            table = DecisionTable(workflow, network, params, backlog)
             fold, score = table.block_scorer(weights, u, v)
         fold(prefix)
         if bounded and u is not None and score(len(network.nodes), 0, mincost) is None:
@@ -286,7 +286,7 @@ def greedy_dfs(workflow: Workflow, network: ResourceNetwork) -> AllocationOutcom
     """Constraint-only baseline: qubit-sorted tasks walk the DFS node order
     and each task takes the next node large enough to hold it.
 
-    The walk is the network's :meth:`~ResourceNetwork.dfs_order`, derived
+    The walk is the network's :attr:`~ResourceNetwork.dfs_order`, derived
     once per network. Never evaluates costs, so the outcome is independent
     of the weight configuration. Fails when the walk runs out of nodes or
     the resulting assignment violates workflow connectivity.
@@ -294,7 +294,7 @@ def greedy_dfs(workflow: Workflow, network: ResourceNetwork) -> AllocationOutcom
     order = sorted(range(len(workflow.tasks)), key=lambda j: (workflow.tasks[j].qubits, j))
     assignment: dict[int, int] = {}
     pending = list(order)
-    for k in network.dfs_order():
+    for k in network.dfs_order:
         if not pending:
             break
         j = pending[0]

@@ -148,7 +148,7 @@ def workflow_network_cost(
     links are not checked here: :func:`qflow.model.mapping_feasible` does.
     """
     total = 0.0
-    for a, b in workflow.skeleton():
+    for a, b in workflow.skeleton:
         ka, kb = assignment[a], assignment[b]
         total += edge_communication_cost(
             workflow.tasks[a], network.nodes[ka], workflow.tasks[b], network.nodes[kb], params
@@ -315,7 +315,7 @@ class DecisionTable:
         self.qlink = [t.qlink for t in terms]
         self.clink = [t.clink for t in terms]
         self.avail = [0.0] * len(network.nodes) if backlog is None else backlog
-        self.edges = workflow.skeleton()
+        self.edges = workflow.skeleton
         self.classes = network.calibration_classes
 
         worst = [t.fit_max for t in terms if t.fit_max is not None] or [t.all_max for t in terms]

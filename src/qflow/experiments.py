@@ -203,8 +203,7 @@ class ExperimentResult:
         return statistics.fmean(self.metric_values(name))
 
     def std(self, name: str) -> float:
-        values = self.metric_values(name)
-        return statistics.pstdev(values) if len(values) > 1 else 0.0
+        return statistics.pstdev(self.metric_values(name))
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
@@ -262,9 +261,7 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> dict[str, Path]:
         for k in range(n_nodes):
             series = [r.qpu_shares[k] for r in result.runs]
             writer.writerow(["mean", k, result.runs[0].node_ids[k], _fmt(statistics.fmean(series))])
-            writer.writerow(
-                ["std", k, result.runs[0].node_ids[k], _fmt(statistics.pstdev(series) if len(series) > 1 else 0.0)]
-            )
+            writer.writerow(["std", k, result.runs[0].node_ids[k], _fmt(statistics.pstdev(series))])
 
     summary_path = out_dir / "summary.json"
     summary = {
@@ -390,8 +387,10 @@ _BOOL_WORDS = {
 
 def _coerce(obj, name: str, raw_value: str):
     """``raw_value`` as the type of ``obj``'s field ``name``: a bool word,
-    an int, a float, or the string itself."""
+    an int, a float, or the string itself. A tuple field is rejected."""
     kind = type(getattr(obj, name))
+    if kind is tuple:
+        raise ValueError("a tuple field cannot be swept; set it in a config file")
     if kind is type(None):  # a field annotated ``X | None`` left at None takes X
         kind = next(a for a in typing.get_args(typing.get_type_hints(type(obj))[name]) if a is not kind)
     if kind is bool:

@@ -95,7 +95,7 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
     group ``({}, None, v, [(None, mask)])``.
     """
     n = len(workflow.tasks)
-    order, earlier, v_on_u, v_earlier = _search_plan(n, workflow.skeleton())
+    order, earlier, v_on_u, v_earlier = _search_plan(n, workflow.skeleton)
     # Qubit-feasible hosts per task as a bitmask: the OR of the calibration
     # classes whose representative fits.
     reps, masks, _ = network.calibration_classes

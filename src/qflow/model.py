@@ -10,8 +10,11 @@ can execute in parallel.
 
 The graph helpers at the end (:func:`neighbour_lists`, :func:`components`,
 :func:`kahn_order`) build the neighbour lists, components and topological
-orders every module uses; each workflow and network derives its views from
-them once, a network's neighbour bitmasks included.
+orders every module uses. Each workflow and network derives its views from
+them once and holds them as plain attributes (``skeleton``,
+``topological_order``, ``adjacency``, ``neighbour_masks``, ``dfs_order``);
+the neighbour bitmasks answer the link half of :func:`mapping_feasible`,
+as they do for the matcher's search.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ class Workflow:
     ``edges`` are directed (dependency order, used for execution gating);
     constraint checking uses the undirected skeleton. The skeleton must be
     connected and the directed graph acyclic. Validation keeps the
-    topological order it computes; the skeleton is derived on first use.
+    topological order it computes (:attr:`topological_order`: task indices
+    in dependency order, the least ready index first); the skeleton is
+    derived on first use.
     """
 
     id: str
@@ -104,7 +109,7 @@ class Workflow:
     edges: frozenset[tuple[int, int]] = frozenset()
     arrival_time: float = 0.0
     priority: int = 0
-    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    topological_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.tasks)
@@ -125,24 +130,17 @@ class Workflow:
             raise ValueError(f"workflow {self.id}: task graph has a cycle")
         if n > 1 and len(components(n, self.edges)) > 1:
             raise ValueError(f"workflow {self.id}: task graph skeleton is disconnected")
-        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "topological_order", tuple(order))
 
     @property
     def total_qubits(self) -> int:
         return sum(t.qubits for t in self.tasks)
 
+    @cached_property
     def skeleton(self) -> tuple[tuple[int, int], ...]:
         """Undirected edges as ascending index pairs, in sorted order."""
-        return self._skeleton
-
-    @cached_property
-    def _skeleton(self) -> tuple[tuple[int, int], ...]:
         # an acyclic graph has no pair of opposite edges, so no pair repeats
         return tuple(sorted((a, b) if a < b else (b, a) for a, b in self.edges))
-
-    def topological_order(self) -> tuple[int, ...]:
-        """Task indices in dependency order, the least ready index first."""
-        return self._order
 
 
 # A QpuNode's ten calibration fields are its qubits, these error rates and these positive figures.
@@ -209,21 +207,15 @@ class ResourceNetwork:
             norm.add((min(a, b), max(a, b)))
         object.__setattr__(self, "links", frozenset(norm))
 
-    def has_link(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.links
-
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour indices per node, ascending; built once."""
-        return self._adjacency
-
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour indices per node, ascending."""
         return tuple(map(tuple, neighbour_lists(len(self.nodes), self.links)))
 
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """Each node's neighbours as a host bitmask, bit k for node k."""
-        return tuple(sum(1 << k for k in adjacent) for adjacent in self.adjacency())
+        return tuple(sum(1 << k for k in adjacent) for adjacent in self.adjacency)
 
     @cached_property
     def calibration_classes(self) -> tuple[tuple[QpuNode, ...], tuple[int, ...], tuple[int, ...]]:
@@ -237,17 +229,14 @@ class ResourceNetwork:
         masks = tuple(sum(1 << k for k, d in enumerate(of_node) if d == c) for c in range(len(index)))
         return reps, masks, of_node
 
-    def dfs_order(self) -> tuple[int, ...]:
-        """Depth-first traversal order, built once: start at the node with
-        the fewest qubits, visit neighbours in ascending qubit order, and
-        restart from the next unvisited minimum-qubit node if the graph is a
-        forest. Ties in qubits go to the lower index."""
-        return self._dfs_order
-
     @cached_property
-    def _dfs_order(self) -> tuple[int, ...]:
+    def dfs_order(self) -> tuple[int, ...]:
+        """Depth-first traversal order: start at the node with the fewest
+        qubits, visit neighbours in ascending qubit order, and restart from
+        the next unvisited minimum-qubit node if the graph is a forest. Ties
+        in qubits go to the lower index."""
         key = lambda k: (self.nodes[k].qubits, k)
-        adjacency = self.adjacency()
+        adjacency = self.adjacency
         visited: list[int] = []
         seen: set[int] = set()
         for start in sorted(range(len(self.nodes)), key=key):
@@ -365,8 +354,9 @@ def mapping_feasible(
     """True iff every workflow edge lands on a network link and every task
     fits its node's qubit capacity; ``mapping[j]`` is task j's node index.
     Injectivity is not checked here."""
-    for a, b in workflow.skeleton():
-        if not network.has_link(mapping[a], mapping[b]):
+    masks = network.neighbour_masks
+    for a, b in workflow.skeleton:
+        if not masks[mapping[a]] >> mapping[b] & 1:
             return False
     for j, task in enumerate(workflow.tasks):
         if task.qubits > network.nodes[mapping[j]].qubits:

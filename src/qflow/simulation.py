@@ -177,7 +177,7 @@ def _execute(
     finish_times: dict[int, float] = {}
     preds = neighbour_lists(len(workflow.tasks), [(b, a) for a, b in workflow.edges], directed=True)
 
-    for j in workflow.topological_order():
+    for j in workflow.topological_order:
         node_index = assignment[j]
         t = terms[j]
         ready = now
@@ -202,7 +202,7 @@ def _execute(
         state.metrics.tasks_allocated += 1
 
     net = 0.0
-    for a, b in workflow.skeleton():
+    for a, b in workflow.skeleton:
         ka, kb = assignment[a], assignment[b]
         net += (terms[a].qlink[ka] + terms[b].qlink[kb]) / 2.0 + (terms[a].clink + terms[b].clink) / 2.0
     state.metrics.comm_overhead += net

@@ -31,6 +31,9 @@ RANDOM_CIRCUIT_DEPTH_BAND = (5, 50)
 GRAPH_STATE_CHORD_PROB = 0.1
 WORKFLOW_CHORD_PROB = 0.2
 CATALOG_COLUMNS = ("id", "family", "qubits", "depth", "two_qubit_gates", "measured_qubits", "shots")
+# The TaskSpec attribute each catalog column (a CSV header cell, a task key
+# of the workload JSON) holds.
+_TASK_ATTRS = {column: "program_family" if column == "family" else column for column in CATALOG_COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,6 @@ def generate_task(
     rng: random.Random,
     shots: int = 1000,
     task_id: str | None = None,
-    depth_band: tuple[int, int] = RANDOM_CIRCUIT_DEPTH_BAND,
 ) -> TaskSpec:
     """Build task metadata from the family's closed-form size model.
 
@@ -127,7 +129,7 @@ def generate_task(
         depth = 2 + math.ceil(2 * g2 / n)
         mq = n
     elif family == "randomcircuit":
-        depth = rng.randint(depth_band[0], depth_band[1])
+        depth = rng.randint(*RANDOM_CIRCUIT_DEPTH_BAND)
         g2, mq = depth * n // 2, n
     elif family == "grover":
         depth, g2, mq = 2 * n + 4, 2 * (n - 1), n
@@ -162,17 +164,26 @@ def generate_catalog(
     size: int,
     qubit_range: tuple[int, int] = DEFAULT_QUBIT_RANGE,
     seed: int = 0,
-    families: tuple[str, ...] = PROGRAM_FAMILIES,
     shots: int = 1000,
 ) -> list[TaskSpec]:
     """Sample a catalog of tasks with uniform families and qubit counts."""
     rng = random.Random(seed)
     catalog = []
     for i in range(size):
-        family = rng.choice(list(families))
+        family = rng.choice(PROGRAM_FAMILIES)
         qubits = rng.randint(qubit_range[0], qubit_range[1])
         catalog.append(generate_task(family, qubits, rng, shots=shots, task_id=f"{family}-{qubits}-{i}"))
     return catalog
+
+
+def _task_record(task: TaskSpec) -> dict:
+    """The task's catalog columns, in column order."""
+    return {column: getattr(task, attr) for column, attr in _TASK_ATTRS.items()}
+
+
+def _task_from_record(record: dict) -> TaskSpec:
+    """The task whose catalog columns ``record`` holds."""
+    return TaskSpec(**{attr: record[column] for column, attr in _TASK_ATTRS.items()})
 
 
 def export_task_catalog(catalog: list[TaskSpec], path: str | Path) -> None:
@@ -180,9 +191,7 @@ def export_task_catalog(catalog: list[TaskSpec], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CATALOG_COLUMNS)
         for t in catalog:
-            writer.writerow(
-                [t.id, t.program_family, t.qubits, t.depth, t.two_qubit_gates, t.measured_qubits, t.shots]
-            )
+            writer.writerow(_task_record(t).values())
 
 
 def import_task_catalog(path: str | Path) -> list[TaskSpec]:
@@ -200,15 +209,8 @@ def import_task_catalog(path: str | Path) -> list[TaskSpec]:
             if len(row) != len(CATALOG_COLUMNS):
                 raise ValueError(f"{path}: line {lineno}: expected {len(CATALOG_COLUMNS)} fields")
             try:
-                task = TaskSpec(
-                    id=row[0].strip(),
-                    program_family=row[1].strip().lower(),
-                    qubits=int(row[2]),
-                    depth=int(row[3]),
-                    two_qubit_gates=int(row[4]),
-                    measured_qubits=int(row[5]),
-                    shots=int(row[6]),
-                )
+                task_id, family, *counts = (cell.strip() for cell in row)
+                task = _task_from_record(dict(zip(CATALOG_COLUMNS, (task_id, family.lower(), *map(int, counts)))))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             catalog.append(task)
@@ -264,18 +266,7 @@ def export_workload(workflows: list[Workflow], path: str | Path) -> None:
                 "arrival_time": wf.arrival_time,
                 "priority": wf.priority,
                 "edges": sorted(list(e) for e in wf.edges),
-                "tasks": [
-                    {
-                        "id": t.id,
-                        "family": t.program_family,
-                        "qubits": t.qubits,
-                        "depth": t.depth,
-                        "two_qubit_gates": t.two_qubit_gates,
-                        "measured_qubits": t.measured_qubits,
-                        "shots": t.shots,
-                    }
-                    for t in wf.tasks
-                ],
+                "tasks": [_task_record(t) for t in wf.tasks],
             }
             for wf in workflows
         ]
@@ -287,22 +278,10 @@ def import_workload(path: str | Path) -> list[Workflow]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     workflows = []
     for rec in payload["workflows"]:
-        tasks = tuple(
-            TaskSpec(
-                id=t["id"],
-                program_family=t["family"],
-                qubits=t["qubits"],
-                depth=t["depth"],
-                two_qubit_gates=t["two_qubit_gates"],
-                measured_qubits=t["measured_qubits"],
-                shots=t["shots"],
-            )
-            for t in rec["tasks"]
-        )
         workflows.append(
             Workflow(
                 id=rec["id"],
-                tasks=tasks,
+                tasks=tuple(_task_from_record(t) for t in rec["tasks"]),
                 edges=frozenset(tuple(e) for e in rec["edges"]),
                 arrival_time=rec["arrival_time"],
                 priority=rec.get("priority", 0),

@@ -261,7 +261,7 @@ def random_chain_placement(runs) -> tuple[int, float, float]:
         network = state.network
         hit = len(network.links) / math.comb(len(network.nodes), 2)
         for wf in workload:
-            assert len(wf.tasks) == 2 and len(wf.skeleton()) == 1, wf.id
+            assert len(wf.tasks) == 2 and len(wf.skeleton) == 1, wf.id
             assert all(node.qubits >= t.qubits for node in network.nodes for t in wf.tasks)
             p = 1 - (1 - hit) ** len(wf.tasks)
             expected += p

@@ -20,7 +20,14 @@ from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
 from qflow.matcher import mask_hosts, workflow_monomorphisms
 from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 
-from .conftest import backlog_at, chain_workflow, make_network, random_small_instance, scenario_instances
+from .conftest import (
+    backlog_at,
+    chain_workflow,
+    make_network,
+    pattern_workflow,
+    random_small_instance,
+    scenario_instances,
+)
 
 WEIGHTS = WeightConfig()
 PARAMS = NetworkParams()
@@ -44,6 +51,21 @@ class TestSoftIso:
         outcome = soft_iso(wf, tree, WEIGHTS, PARAMS)
         assert not outcome.succeeded
         assert outcome.allocation is None
+
+    def test_decision_table_is_built_at_the_first_group(self, monkeypatch):
+        built = []
+
+        def counting_table(*args):
+            built.append(args)
+            return DecisionTable(*args)
+
+        monkeypatch.setattr("qflow.allocators.DecisionTable", counting_table)
+        path = make_network([127, 127, 127], [(0, 1), (1, 2)])
+        triangle = pattern_workflow(3, [(0, 1), (1, 2), (0, 2)], qubits=[5, 5, 5])
+        outcome = soft_iso(triangle, path, WEIGHTS, PARAMS)
+        assert (outcome.succeeded, outcome.candidates_examined, len(built)) == (False, 0, 0)
+        outcome = soft_iso(chain_workflow([5, 5]), path, WEIGHTS, PARAMS)
+        assert outcome.succeeded and len(built) == 1
 
     def test_disabled_stopping_matches_oracle(self):
         rng = random.Random(101)
@@ -515,7 +537,7 @@ def reference_dfs_node_order(network):
     """The DFS walk greedy_dfs used to recompute at every decision."""
     n = len(network.nodes)
     key = lambda k: (network.nodes[k].qubits, k)
-    adjacency = network.adjacency()
+    adjacency = network.adjacency
     visited = []
     seen = set()
     for start in sorted(range(n), key=key):
@@ -558,8 +580,8 @@ class TestGreedyDfs:
             p = rng.choice([0.0, 0.15, 0.4, 0.9])
             links = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
             network = make_network(qubits, links)
-            assert network.dfs_order() == tuple(reference_dfs_node_order(network))
-            assert network.dfs_order() is network.dfs_order()
+            assert network.dfs_order == tuple(reference_dfs_node_order(network))
+            assert network.dfs_order is network.dfs_order
             forests += not network.is_connected()
         assert forests >= 50
 

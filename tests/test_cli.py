@@ -204,6 +204,14 @@ class TestSweepMode:
         assert "config error: workload: expected an object" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["workload.qubit_range", "topology.profile_pool"])
+    def test_sweep_of_a_tuple_field_is_config_error(self, tmp_path, capsys, key):
+        out = tmp_path / "s"
+        assert main(["--algo", "greedy_dfs", "--reps", "1", "--sweep", f"{key}=12", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key}: a tuple field cannot be swept; set it in a config file" in err
+        assert not out.exists()
+
     def test_sweep_rejects_nan(self, tmp_path, capsys):
         # a NaN cost or weight beats no incumbent, a NaN threshold never stops
         # the search and a NaN rate makes every arrival time NaN, so each run

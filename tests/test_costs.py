@@ -51,7 +51,7 @@ def fresh_terms(wf, network, params, backlog):
         max_task_error_sum=max(len(tasks) * max(err[j][k] for j, k in pairs), 1e-12),
         max_task_runtime_sum=max(len(tasks) * max(run[j][k] for j, k in pairs), 1e-12),
         max_network_sum=max(
-            len(wf.skeleton()) * max(qlink[j][k] + clink[j] for j, k in pairs), 1e-12
+            len(wf.skeleton) * max(qlink[j][k] + clink[j] for j, k in pairs), 1e-12
         ),
     )
     return err, run, qlink, clink, avail, bounds
@@ -66,7 +66,7 @@ def assert_fresh(table, wf, network, params, backlog):
     assert table.qlink == [row + (min(row),) for row in qlink]
     assert table.clink == clink
     assert table.avail == avail
-    assert table.edges == tuple(sorted(wf.skeleton()))
+    assert table.edges == tuple(sorted(wf.skeleton))
     assert table.bounds == bounds
 
 
@@ -757,7 +757,7 @@ class TestComputeBounds:
             ] or [(t, n) for t in wf.tasks for n in network.nodes]
             exp_err = len(wf.tasks) * max(error_cost(t, n) for t, n in pairs)
             exp_rt = len(wf.tasks) * max(runtime_cost(t, n) for t, n in pairs)
-            exp_net = len(wf.skeleton()) * max(
+            exp_net = len(wf.skeleton) * max(
                 quantum_link_cost(t, n, params) + classical_link_cost(t, params)
                 for t, n in pairs
             )

@@ -14,21 +14,22 @@ from .conftest import chain_workflow, make_network, pattern_workflow, random_sma
 
 def visit_order(wf):
     """The search's visit order of the workflow's tasks."""
-    return list(_search_plan(len(wf.tasks), wf.skeleton())[0])
+    return list(_search_plan(len(wf.tasks), wf.skeleton)[0])
 
 
 def uncapped(wf):
     """The workflow's skeleton with 1-qubit tasks, which every node fits."""
-    return pattern_workflow(len(wf.tasks), wf.skeleton())
+    return pattern_workflow(len(wf.tasks), wf.skeleton)
 
 
 def brute_force_monomorphisms(wf, network):
     """Oracle: filter all injective index tuples by adjacency preservation
-    and qubit capacity."""
+    and qubit capacity. Edges are looked up in ``network.links``, not in the
+    neighbour masks that the matcher and ``mapping_feasible`` search with."""
     n = len(wf.tasks)
     found = []
     for tup in itertools.permutations(range(len(network.nodes)), n):
-        ok = all(network.has_link(tup[a], tup[b]) for a, b in wf.skeleton())
+        ok = all((min(tup[a], tup[b]), max(tup[a], tup[b])) in network.links for a, b in wf.skeleton)
         if ok and all(network.nodes[tup[v]].qubits >= wf.tasks[v].qubits for v in range(n)):
             found.append({v: tup[v] for v in range(n)})
     return found
@@ -41,11 +42,11 @@ def reference_monomorphisms(wf, host):
     pattern_size = len(wf.tasks)
     order = visit_order(wf)
     adj = {i: set() for i in range(pattern_size)}
-    for a, b in wf.skeleton():
+    for a, b in wf.skeleton:
         adj[a].add(b)
         adj[b].add(a)
     domain = [[h for h, node in enumerate(host.nodes) if node.qubits >= task.qubits] for task in wf.tasks]
-    adjacency = host.adjacency()
+    adjacency = host.adjacency
     neighbours = [frozenset(adjacency[h]) for h in range(len(host.nodes))]
     depth_of = {v: d for d, v in enumerate(order)}
     earlier = [[p for p in adj[v] if depth_of[p] < d] for d, v in enumerate(order)]

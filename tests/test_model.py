@@ -18,10 +18,11 @@ from qflow.model import (
     Workflow,
     components,
     kahn_order,
+    mapping_feasible,
     validate_allocation,
 )
 from qflow.profiles import PROFILES_ENV_VAR, load_profiles, node_from_profile
-from qflow.workload import TopologySpec, WorkloadSpec, random_connected_dag
+from qflow.workload import TopologySpec, WorkloadSpec, generate_network, random_connected_dag
 
 from .conftest import chain_workflow, make_network, make_node, make_task
 
@@ -127,7 +128,7 @@ class TestWorkflow:
 
     def test_single_task_has_empty_skeleton(self):
         wf = chain_workflow([5])
-        assert wf.skeleton() == () and wf.topological_order() == (0,)
+        assert wf.skeleton == () and wf.topological_order == (0,)
 
     def test_nan_arrival_rejected(self):
         with pytest.raises(ValueError, match="arrival"):
@@ -136,7 +137,7 @@ class TestWorkflow:
     def test_topological_order_respects_edges(self):
         tasks = tuple(make_task(task_id=f"t{i}") for i in range(4))
         wf = Workflow(id="w", tasks=tasks, edges=frozenset({(0, 2), (1, 2), (2, 3), (0, 1)}))
-        order = wf.topological_order()
+        order = wf.topological_order
         pos = {j: i for i, j in enumerate(order)}
         for a, b in wf.edges:
             assert pos[a] < pos[b]
@@ -153,7 +154,7 @@ class TestResourceNetwork:
 
     def test_links_normalized_symmetric(self):
         net = make_network([127, 127], [(1, 0)])
-        assert net.has_link(0, 1) and net.has_link(1, 0)
+        assert net.neighbour_masks == (0b10, 0b01)
         assert net.links == frozenset({(0, 1)})
 
     def test_connectivity_check(self):
@@ -234,8 +235,8 @@ class TestGraphLayer:
             rng.shuffle(labels)  # so that index order is not a topological order
             edges = frozenset((labels[a], labels[b]) for a, b in random_connected_dag(n, rng))
             wf = Workflow(id="w", tasks=tuple(make_task(task_id=f"t{i}") for i in range(n)), edges=edges)
-            assert wf.topological_order() == tuple(reference_kahn(n, edges))
-            assert wf.skeleton() == tuple(sorted({tuple(sorted(e)) for e in edges}))
+            assert wf.topological_order == tuple(reference_kahn(n, edges))
+            assert wf.skeleton == tuple(sorted({tuple(sorted(e)) for e in edges}))
 
     def test_kahn_order_matches_reference_and_is_short_on_cycles(self):
         rng = random.Random(21)
@@ -260,9 +261,61 @@ class TestGraphLayer:
             assert components(n, links) == reference_components(n, links)
             net = make_network([5] * n, links)
             assert net.is_connected() == (len(reference_components(n, links)) == 1)
-            assert net.adjacency() == tuple(
+            assert net.adjacency == tuple(
                 tuple(sorted({b for a, b in links if a == v} | {a for a, b in links if b == v})) for v in range(n)
             )
+
+
+def random_and_generated_networks():
+    """Random networks of mixed sizes, then ``generate_network`` networks."""
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        p = rng.random() * 0.6
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        links = {(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs}  # either orientation
+        yield make_network([rng.choice((5, 20, 127)) for _ in range(n)], links)
+    profiles = load_profiles()
+    for seed in range(30):
+        spec = TopologySpec(node_count=3 + seed % 10, link_probability=0.1 + 0.03 * seed, seed=seed)
+        yield generate_network(spec, profiles)
+
+
+def links_feasible(mapping, workflow, network):
+    """Reference for ``mapping_feasible`` that looks edges up in ``links``."""
+    on_links = all((min(mapping[a], mapping[b]), max(mapping[a], mapping[b])) in network.links for a, b in workflow.edges)
+    return on_links and all(task.qubits <= network.nodes[mapping[j]].qubits for j, task in enumerate(workflow.tasks))
+
+
+class TestNeighbourMasks:
+    def test_mask_bits_are_the_links(self):
+        for net in random_and_generated_networks():
+            n = len(net.nodes)
+            for a in range(n):
+                for b in range(n):
+                    assert bool(net.neighbour_masks[a] >> b & 1) == ((min(a, b), max(a, b)) in net.links)
+
+    def test_mapping_feasible_matches_links_reference(self):
+        rng = random.Random(24)
+        linked = {True: 0, False: 0}  # verdicts on workflows with at least one edge
+        for net in random_and_generated_networks():
+            n = len(net.nodes)
+            for _ in range(20):
+                size = rng.randint(1, n)
+                qubits = [rng.choice((1, 5, 27)) for _ in range(size)]
+                tasks = tuple(make_task(task_id=f"t{i}", qubits=q, measured_qubits=1) for i, q in enumerate(qubits))
+                wf = Workflow(id="w", tasks=tasks, edges=random_connected_dag(size, rng))
+                if rng.random() < 0.5:
+                    mapping = rng.sample(range(n), size)
+                else:  # a walk along links, so that feasible mappings are common
+                    mapping = [rng.randrange(n)]
+                    for _ in range(1, size):
+                        mapping.append(rng.choice(net.adjacency[mapping[-1]] or (mapping[-1],)))
+                verdict = mapping_feasible(mapping, wf, net)
+                assert verdict == links_feasible(mapping, wf, net)
+                if wf.edges:
+                    linked[verdict] += 1
+        assert min(linked.values()) > 100, linked
 
 
 class TestWeightConfig:

@@ -371,7 +371,7 @@ def fresh_execute(workflow, outcome, state, params, now, dependency_gating, gate
     free_at = state.free_at
     assignment = outcome.allocation.assignment
     finish_times = {}
-    for j in workflow.topological_order():
+    for j in workflow.topological_order:
         task = workflow.tasks[j]
         node_index = assignment[j]
         node = network.nodes[node_index]
