@@ -36,6 +36,7 @@ from .experiments import (
 from .matcher import (
     CandidateMapping,
     MappingGroup,
+    group_blocks,
     mask_hosts,
     workflow_monomorphism_groups,
     workflow_monomorphisms,

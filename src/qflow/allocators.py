@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .costs import CostBreakdown, DecisionTable, aggregate_cost, compute_bounds
 # workflow_monomorphisms is not called here; it stays bound because
 # perfbench's tracer times the matcher by swapping this name.
-from .matcher import mask_hosts, workflow_monomorphism_groups, workflow_monomorphisms
+from .matcher import group_blocks, group_size, mask_hosts, workflow_monomorphism_groups, workflow_monomorphisms
 from .model import (
     Allocation,
     NetworkParams,
@@ -131,14 +131,14 @@ def soft_iso(
     ``abs(cost - prevcost) > thres_prev`` is never true, so only the budget
     stops the search and the maximum and previous costs go unread. The
     scorer then gets the incumbent's cost as its floor, and a block whose
-    exact lower bound is not below it is counted without being scored or
-    having its host mask decoded. One level up, ``u`` is put on the
-    table's sentinel host first: a group whose exact lower bound (the
-    host terms of ``u`` and ``v`` at their minima) is not below the
-    incumbent is counted by the popcounts of its leaf masks, cut to the
-    budget, and skipped. Every block of such a group would have been
-    skipped one by one with the incumbent unchanged, so the count and the
-    budget cut are those of the block-by-block walk.
+    exact lower bounds (``v`` on the sentinel host, then per class) are
+    not below it is counted without being scored or decoded. One level up,
+    ``u`` is put on the table's sentinel host first: a group whose exact
+    lower bound (the host terms of ``u`` and ``v`` at their minima) is not
+    below the incumbent is counted by :func:`group_size`, cut to the
+    budget, and skipped without listing its blocks. Every block of such a
+    group would have been skipped one by one with the incumbent unchanged,
+    so the count and the budget cut are those of the block-by-block walk.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
@@ -152,7 +152,7 @@ def soft_iso(
     incumbent: dict[int, int] | None = None
     history: list[float] = []
 
-    for prefix, u, v, pairs in workflow_monomorphism_groups(workflow, network):
+    for prefix, u, v, hosts, leaves, links in workflow_monomorphism_groups(workflow, network):
         if examined >= cap:
             break
         if score is None:
@@ -161,11 +161,11 @@ def soft_iso(
         fold(prefix)
         if bounded and u is not None and score(len(network.nodes), 0, mincost) is None:
             # u on the sentinel host: no block of the group has a cost below mincost
-            size = sum(mask.bit_count() for _, mask in pairs)
+            size = group_size(hosts, leaves, links)
             examined += size if examined + size <= cap else math.ceil(cap - examined)
             continue
         stop = False
-        for h, mask in pairs:
+        for h, mask in group_blocks(hosts, leaves, links):
             if examined >= cap:
                 break
             size = mask.bit_count()

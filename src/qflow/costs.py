@@ -22,10 +22,10 @@ to ``aggregate_cost(...)``'s: the rest of the candidate is folded once per
 group, the two hosts' terms are evaluated once per pair of their
 calibration classes, and each host then costs one compare and add (the
 hosts of a class differ only in availability). Given a floor, the scorer
-first checks an exact float lower bound, a task on a sentinel host, and
-returns ``None`` if no total can be below the floor. The cost-aware
-allocators build one table per decision and score every candidate, group
-or trial from it.
+first checks exact float lower bounds (a task on a sentinel host, then on
+each class at its least wait) and returns ``None`` if no total can be
+below the floor. The cost-aware allocators build one table per decision
+and score every candidate, group or trial from it.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .model import NetworkParams, QpuNode, ResourceNetwork, TaskSpec, WeightConfig, Workflow
 
@@ -269,8 +270,10 @@ def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams)
     clink = classical_link_cost(task, params)
     rows = [(e, r, q + clink) for e, r, q in per_class]
     fits = [row for row, n in zip(rows, reps) if task.qubits <= n.qubits]
+    # a column with its minimum appended -> the row, that minimum at index n
+    expand = itemgetter(*of_node, len(reps))
     return TaskTerms(
-        *((*map(col.__getitem__, of_node), min(col)) for col in zip(*per_class)), clink,
+        *(expand((*col, min(col))) for col in zip(*per_class)), clink,
         fit_max=tuple(map(max, zip(*fits))) if fits else None,
         all_max=tuple(map(max, zip(*rows))),
     )
@@ -391,10 +394,14 @@ class DecisionTable:
         as floats, the weights and ``1 - zeta`` are nonnegative and the
         bounds positive, so the bound is ``<=`` every host's total as a
         float. When it is ``>= floor`` the call returns ``None`` without
-        decoding ``mask``. ``score(n, 0, floor)`` puts ``u`` on the sentinel
-        too: by the same monotonicity, this group bound is ``<=`` the floor
-        of every block of the group, so the call returns ``None`` when it is
-        ``>= floor`` and ``[]`` otherwise.
+        decoding ``mask``. Else it bounds each class the mask meets by ``v``
+        on the class's first host at the class's least wait: its hosts share
+        that ``R`` and wait no less, so the bound is ``<=`` their totals, and
+        the call returns ``None`` when every such bound is ``>= floor``.
+        ``score(n, 0, floor)`` puts ``u`` on the sentinel too: by the same
+        monotonicity, this group bound is ``<=`` the floor of every block of
+        the group, so the call returns ``None`` when it is ``>= floor`` and
+        ``[]`` otherwise.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -420,6 +427,7 @@ class DecisionTable:
         cand = [0] * len(err)  # the prefix, then the pair being evaluated
         blank = [None] * (stride * stride)
         memo = blank.copy()  # R per (u-class, v-class), row-major
+        class_lows = []  # per class: index, mask, first host, least wait; filled at the first class check
         w = e = r = net = 0.0
 
         def fold(prefix: Mapping[int, int]) -> None:
@@ -475,6 +483,18 @@ class DecisionTable:
                     cost = evaluate(hu, n, key)
                 if (low_wait if low_wait > wu else wu) + cost >= floor:
                     return None
+                if mask:  # v on each class of the mask, at the least wait of its hosts
+                    if not class_lows:
+                        least = [min(x for x, d in zip(wait, of_node) if d == c) for c in range(sentinel)]
+                        class_lows.extend(zip(range(sentinel), masks, map(of_node.index, range(sentinel)), least))
+                    for c, m, first, x in class_lows:
+                        if mask & m:
+                            if (cost := memo[key := row + c]) is None:
+                                cost = evaluate(hu, first, key)
+                            if (x if x > wu else wu) + cost < floor:
+                                break
+                    else:
+                        return None
             # the mask decoded inline: a call per block costs about 1% of
             # a short LP-LR search
             costs = []

@@ -21,15 +21,14 @@ network's cached views.
 
 The search yields groups. With ``u`` and ``v`` the last two vertices in
 visit order, all mappings that differ only in the hosts of ``u`` and ``v``
-share one prefix; at the depth of ``u`` the search lists, per host of
-``u``, the leaf hosts of ``v`` as one bitmask, with mask operations alone.
-A group's blocks are its ``(host of u, leaf mask)`` pairs: all mappings
-that differ only in the host of ``v``. A consumer can fold the prefix once
-per group (soft_iso bounds a whole group and scores a whole block per
-call), and decodes a leaf mask with
-:func:`mask_hosts` only where it needs the hosts one by one, so a group or
-block it can rule out as a whole costs only popcounts. The flat stream is
-the groups unrolled, in the same order.
+share one prefix, and a group carries the hosts of ``u`` and the leaf hosts
+of ``v`` as two bitmasks. Its blocks, listed by :func:`group_blocks`, are
+its ``(host of u, leaf mask)`` pairs: all mappings that differ only in the
+host of ``v``. No group is empty. A consumer can fold the prefix once per
+group (soft_iso bounds a whole group and scores a whole block per call),
+count a group it rules out from the two masks with :func:`group_size`, and
+decode a leaf mask with :func:`mask_hosts` only where it needs the hosts
+one by one. The flat stream is the groups unrolled, in the same order.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ from .model import ResourceNetwork, Workflow, neighbour_lists
 # A candidate mapping: workflow task index -> network node index, injective.
 CandidateMapping = dict[int, int]
 # A group of mappings that differ only in the hosts of the last two visited
-# pattern vertices u and v: (prefix, u, v, [(host of u, leaf mask of v)]),
-# bit h of a leaf mask set for host h.
-MappingGroup = tuple[CandidateMapping, int | None, int, list[tuple[int | None, int]]]
+# pattern vertices u and v: (prefix, u, v, hosts of u, leaf hosts of v,
+# links), links being the neighbour masks when v neighbours u, else None.
+MappingGroup = tuple[CandidateMapping, int | None, int, int | None, int, tuple[int, ...] | None]
 
 
 def mask_hosts(mask: int) -> list[int]:
@@ -55,6 +54,35 @@ def mask_hosts(mask: int) -> list[int]:
         hosts.append(low.bit_length() - 1)
         mask ^= low
     return hosts
+
+
+def group_blocks(hosts: int | None, leaves: int, links: tuple[int, ...] | None) -> list[tuple[int | None, int]]:
+    """Each host of ``u`` ascending with its nonzero leaf mask of ``v``: the
+    leaves off that host, and on its neighbours given ``links``. A one-task
+    group (``hosts`` ``None``) has the one block ``(None, leaves)``."""
+    if hosts is None:
+        return [(None, leaves)]
+    blocks = []
+    while hosts:
+        low = hosts & -hosts
+        hosts ^= low
+        h = low.bit_length() - 1
+        if mask := (leaves & ~low if links is None else leaves & links[h]):  # no self-links
+            blocks.append((h, mask))
+    return blocks
+
+
+def group_size(hosts: int, leaves: int, links: tuple[int, ...] | None) -> int:
+    """The summed popcounts of :func:`group_blocks` for a group of two or
+    more tasks, without listing them."""
+    if links is None:
+        return hosts.bit_count() * leaves.bit_count() - (hosts & leaves).bit_count()
+    size = 0
+    while hosts:
+        low = hosts & -hosts
+        hosts ^= low
+        size += (leaves & links[low.bit_length() - 1]).bit_count()
+    return size
 
 
 @lru_cache(maxsize=512)
@@ -85,14 +113,14 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
     with enough qubits, in groups, lazily and in a deterministic order.
 
     With ``u`` and ``v`` the last two tasks in visit order, a group
-    ``(prefix, u, v, pairs)`` stands for the mappings ``prefix`` plus
-    ``u -> hu`` plus ``v -> h``, for each ``(hu, mask)`` in ``pairs`` (hosts
-    of ``u`` ascending, masks nonzero) and each ``h`` in
-    ``mask_hosts(mask)``. ``prefix`` maps every task before ``u``, keyed in
-    visit order; it is the search's live mapping, valid only until the next
-    group is requested. A consumer may set ``prefix[u]``, which the search
-    drops before the next group. A one-task workflow gives at most the
-    group ``({}, None, v, [(None, mask)])``.
+    ``(prefix, u, v, hosts, leaves, links)`` stands for the mappings
+    ``prefix`` plus ``u -> hu`` plus ``v -> h``, for each ``(hu, mask)`` in
+    ``group_blocks(hosts, leaves, links)`` and each ``h`` in
+    ``mask_hosts(mask)``; none is empty. ``prefix`` maps every task before
+    ``u``, keyed in visit order; it is the search's live mapping, valid only
+    until the next group is requested. A consumer may set ``prefix[u]``,
+    which the search drops before the next group. A one-task workflow gives
+    at most the group ``({}, None, v, None, mask, None)``.
     """
     n = len(workflow.tasks)
     order, earlier, v_on_u, v_earlier = _search_plan(n, workflow.skeleton)
@@ -102,8 +130,9 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
     domain = [sum(m for rep, m in zip(reps, masks) if rep.qubits >= task.qubits) for task in workflow.tasks]
     v = order[-1]
     if n == 1:
-        return iter([({}, None, v, [(None, domain[v])])] if domain[v] else [])
+        return iter([({}, None, v, None, domain[v], None)] if domain[v] else [])
     neighbours = network.neighbour_masks
+    links = neighbours if v_on_u else None
     last = n - 2  # the depth of u
     u = order[last]
     mapping: CandidateMapping = {}
@@ -122,23 +151,21 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
                 mapping[w] = low.bit_length() - 1
                 yield from extend(depth + 1, used | low)
             return
-        # w is u: v's pool without u's host, narrowed per host of u
+        # w is u: v's pool without the prefix's hosts
         leaves = domain[v] & ~used
         for p in v_earlier:
             leaves &= neighbours[mapping[p]]
-        pairs = []
-        while pool and leaves:
-            low = pool & -pool
-            pool ^= low
-            h = low.bit_length() - 1
-            mask = leaves & ~low
-            if v_on_u:
-                mask &= neighbours[h]
-            if mask:
-                pairs.append((h, mask))
-        if pairs:
+        # yield no empty group: u's one host is v's one leaf or, when v
+        # neighbours u, no host of u neighbours a leaf
+        hosts = pool if leaves else 0
+        if links is None:
+            hosts = hosts if hosts != leaves or hosts & (hosts - 1) else 0
+        else:
+            while hosts and not leaves & links[(hosts & -hosts).bit_length() - 1]:
+                hosts &= hosts - 1
+        if hosts:
             mapping.pop(u, None)
-            yield mapping, u, v, pairs
+            yield mapping, u, v, pool, leaves, links
 
     return extend(0, 0)
 
@@ -146,8 +173,8 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
 def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[CandidateMapping]:
     """The mappings of :func:`workflow_monomorphism_groups`, one dict each,
     keyed in visit order."""
-    for prefix, u, v, pairs in workflow_monomorphism_groups(workflow, network):
-        for h, mask in pairs:
+    for prefix, u, v, hosts, leaves, links in workflow_monomorphism_groups(workflow, network):
+        for h, mask in group_blocks(hosts, leaves, links):
             if u is not None:
                 prefix[u] = h
             for k in mask_hosts(mask):

@@ -20,6 +20,7 @@ as they do for the matcher's search.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -278,8 +279,8 @@ class NetworkParams:
     ``eta_in_db`` to interpret the value as decibels instead: any finite
     value, 0 dB being lossless and a loss negative. NaN is rejected in
     either mode, as it is for ``classical_latency``, and so is a value
-    whose attenuation ``eta_linear ** switch_count`` overflows or
-    underflows to zero.
+    whose attenuation ``eta_linear ** switch_count`` overflows or falls
+    below the least normal float (a subnormal one overflows the link cost).
     """
 
     success_probability: float = 0.5
@@ -301,8 +302,8 @@ class NetworkParams:
             attenuation = self.eta_linear ** self.switch_count
         except OverflowError:
             attenuation = math.inf
-        if not 0.0 < attenuation < math.inf:
-            raise ValueError("transmission_efficiency ** switch_count must be a positive finite float")
+        if not sys.float_info.min <= attenuation < math.inf:
+            raise ValueError("transmission_efficiency ** switch_count must be a normal positive finite float")
         if not self.classical_latency >= 0:
             raise ValueError("classical_latency must be >= 0")
 

@@ -17,7 +17,7 @@ from qflow.allocators import (
     soft_iso,
 )
 from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
-from qflow.matcher import mask_hosts, workflow_monomorphisms
+from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
 from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 
 from .conftest import (
@@ -283,22 +283,24 @@ class TestSoftIsoReference:
     @staticmethod
     def count_lpmr_search(monkeypatch, config=THRESHOLDS_OFF):
         """Run soft_iso on LP-MR draws and count the groups and blocks the
-        matcher yields, the groups whose bound skips them, the blocks the
-        scorer scores and the candidates each decision examines. Per group
-        folded, also count the scorer's pair evaluations (one read of
-        ``v``'s error row each) and the calibration classes of the hosts of
-        ``u`` and ``v`` its blocks use."""
+        matcher yields, the groups whose bound skips them, the blocks
+        handed to the scorer, those it scores and the candidates each
+        decision examines. Per group folded, also count the scorer's pair
+        evaluations (one read of ``v``'s error row each) and the calibration
+        classes of the hosts of ``u`` and ``v`` its blocks use."""
         import qflow.allocators
         import qflow.costs
 
-        calls = {"groups": 0, "groups_skipped": 0, "blocks": 0, "scored": 0, "examined": [], "folded": []}
+        calls = {
+            "groups": 0, "groups_skipped": 0, "blocks": 0, "block_calls": 0, "scored": 0, "examined": [], "folded": [],
+        }
         groups = qflow.allocators.workflow_monomorphism_groups
         block_scorer = qflow.costs.DecisionTable.block_scorer
 
         def counting_groups(workflow, network):
             for group in groups(workflow, network):
                 calls["groups"] += 1
-                calls["blocks"] += len(group[3])
+                calls["blocks"] += len(group_blocks(*group[3:]))
                 yield group
 
         def counting(table, weights, u, v):
@@ -325,6 +327,7 @@ class TestSoftIsoReference:
                 costs = score(hu, mask, floor)
                 group[0] += reads[0] - before
                 if mask:
+                    calls["block_calls"] += 1
                     calls["scored"] += costs is not None
                     group[1].add(of_node[hu])
                     group[2].update(of_node[h] for h in mask_hosts(mask))
@@ -350,6 +353,16 @@ class TestSoftIsoReference:
         assert calls["examined"] == [10**4] * 4
         assert calls["blocks"] > 1_000
         assert calls["scored"] <= calls["blocks"] // 2
+
+    def test_thresholds_off_scores_few_of_the_blocks_it_bounds(self, monkeypatch):
+        """Of the blocks handed to the scorer with a floor, the sentinel
+        and class-wise bounds rule out all but a fifth: 28 of 1,150 are
+        scored on these draws, and the sentinel bound alone let 425
+        through."""
+        calls = self.count_lpmr_search(monkeypatch)
+        assert calls["examined"] == [10**4] * 4
+        assert calls["block_calls"] > 200
+        assert calls["scored"] <= calls["block_calls"] / 5
 
     def test_thresholds_off_skips_most_groups(self, monkeypatch):
         """With the thresholds off soft_iso rules out whole groups by their

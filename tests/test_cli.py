@@ -96,8 +96,11 @@ class TestExitCodes:
             ([1, 2], "expected an object, got list"),
             ({"topology": {"profile_pool": "torino"}}, "topology.profile_pool"),
             ({"weights": {"zeta": 0.5, "nope": 1}}, "unknown config keys: weights.nope"),
+            # subnormal attenuations: the link cost divides by zero or overflows
+            ({"params": {"transmission_efficiency": 5e-324}}, "params.transmission_efficiency"),
+            ({"params": {"transmission_efficiency": 1e-310}}, "params.transmission_efficiency"),
         ],
-        ids=["list", "string-pool", "nested-unknown"],
+        ids=["list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency"],
     )
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, raw, message):
         path = tmp_path / "config.json"

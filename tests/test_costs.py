@@ -25,7 +25,7 @@ from qflow.costs import (
     runtime_cost,
     workflow_network_cost,
 )
-from qflow.matcher import mask_hosts, workflow_monomorphism_groups
+from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphism_groups
 from qflow.model import NetworkParams, QpuNode, ResourceNetwork, WeightConfig, Workflow
 
 from .conftest import backlog_at, chain_workflow, make_network, make_node, make_task
@@ -521,7 +521,8 @@ class TestBlockScorer:
         random prefixes' keys are shuffled, since scoring must not read them
         in order."""
         leaves = 0
-        for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network):
+        for prefix, u, v, *masks in workflow_monomorphism_groups(wf, network):
+            pairs = group_blocks(*masks)
             yield dict(prefix), u, v, pairs
             leaves += sum(mask.bit_count() for _, mask in pairs)
             if leaves >= 300:
@@ -621,12 +622,20 @@ class TestBlockScorer:
         of the unfloored call is ``>= f`` as a float, and otherwise the very
         totals of the unfloored call. The floors are each block's least
         total, one ulp either side of it, the least total of the previous
-        block (an incumbent) and a uniform draw."""
+        block (an incumbent) and a uniform draw. On scenario networks and
+        on networks of a class per node many blocks pass the sentinel bound
+        (``score(hu, 0, f) == []``) and are ruled out by the class-wise
+        bounds, each class at the least wait of its hosts. On one class that
+        bound is the sentinel's, so a class bound that took a wait above the
+        least would skip a block with a total below the floor there."""
         rng = random.Random(2718)
         skipped = scored = 0
+        class_skipped = {"scenario": 0, "class per node": 0, "one class": 0}
         for wf, network, params, weights, free_at, sim_time in self.decisions(rng):
             table = DecisionTable(wf, network, params, backlog_at(free_at, sim_time))
             self.scale_bounds(table, shrink)
+            n_classes = len(network.calibration_classes[0])
+            kind = {1: "one class", len(network.nodes): "class per node"}.get(n_classes, "scenario")
             scorers = {}
             incumbent = math.inf
             for prefix, u, v, pairs in self.groups(rng, wf, network):
@@ -644,11 +653,13 @@ class TestBlockScorer:
                         if got is None:
                             assert all(cost >= floor for cost in costs)
                             skipped += 1
+                            class_skipped[kind] += score(hu, 0, floor) == []
                         else:
                             assert got == costs
                             scored += 1
                     incumbent = low
         assert skipped > 10_000 and scored > 10_000
+        assert class_skipped["scenario"] > 500 and class_skipped["class per node"] > 5_000, class_skipped
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_group_bound_is_below_every_total_of_its_group(self, shrink):

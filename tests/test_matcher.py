@@ -6,7 +6,14 @@ import itertools
 import random
 
 from qflow.allocators import SoftIsoConfig
-from qflow.matcher import _search_plan, mask_hosts, workflow_monomorphism_groups, workflow_monomorphisms
+from qflow.matcher import (
+    _search_plan,
+    group_blocks,
+    group_size,
+    mask_hosts,
+    workflow_monomorphism_groups,
+    workflow_monomorphisms,
+)
 from qflow.model import mapping_feasible
 
 from .conftest import chain_workflow, make_network, pattern_workflow, random_small_instance, scenario_instances
@@ -195,11 +202,17 @@ def reference_blocks(mappings, v):
     return blocks
 
 
+def blocks_of(group):
+    """A group's (host of u, leaf mask) blocks."""
+    return group_blocks(*group[3:])
+
+
 def unrolled(groups):
     """Groups unrolled by hand into (prefix copy, v, hosts) blocks."""
     blocks = []
-    for prefix, u, v, pairs in groups:
-        for h, mask in pairs:
+    for group in groups:
+        prefix, u, v = group[:3]
+        for h, mask in blocks_of(group):
             if u is not None:
                 prefix[u] = h
             blocks.append((dict(prefix), v, mask_hosts(mask)))
@@ -240,7 +253,9 @@ class TestGroupStream:
         groups = 0
         for wf, network in self.patterns():
             order = visit_order(wf)
-            for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network):
+            for group in workflow_monomorphism_groups(wf, network):
+                prefix, u, v = group[:3]
+                pairs = blocks_of(group)
                 assert v == order[-1]
                 if len(wf.tasks) == 1:
                     assert (prefix, u, [h for h, _ in pairs]) == ({}, None, [None])
@@ -262,8 +277,8 @@ class TestGroupStream:
         assert list(workflow_monomorphism_groups(wf, path)) == []
         star = make_network([5] * 5, [(0, k) for k in range(1, 5)])
         groups = [
-            (dict(prefix), u, v, [(h, mask_hosts(mask)) for h, mask in pairs])
-            for prefix, u, v, pairs in workflow_monomorphism_groups(wf, star)
+            (dict(group[0]), *group[1:3], [(h, mask_hosts(mask)) for h, mask in blocks_of(group)])
+            for group in workflow_monomorphism_groups(wf, star)
         ]
         assert groups[0] == ({1: 0, 0: 1}, 2, 3, [(2, [3, 4]), (3, [2, 4]), (4, [2, 3])])
         assert len(groups) == 4 and sum(len(hosts) for g in groups for _, hosts in g[3]) == 24
@@ -272,7 +287,7 @@ class TestGroupStream:
         host = make_network([5, 3, 5, 5], [(0, 1), (1, 2), (2, 3)])
 
         def decoded(groups):
-            return [(dict(p), u, v, [(h, mask_hosts(m)) for h, m in pairs]) for p, u, v, pairs in groups]
+            return [(dict(g[0]), *g[1:3], [(h, mask_hosts(m)) for h, m in blocks_of(g)]) for g in groups]
 
         def groups(qubits):
             return decoded(workflow_monomorphism_groups(chain_workflow(qubits), host))
@@ -281,6 +296,40 @@ class TestGroupStream:
         assert groups([4]) == [({}, None, 0, [(None, [0, 2, 3])])]
         assert groups([6]) == []
         assert groups([4, 1]) == [({}, 0, 1, [(0, [1]), (2, [1, 3]), (3, [2])])]
+
+
+class TestGroupInvariants:
+    """With ``v`` linked to ``u`` and not: a group's closed-form size is the
+    summed popcount of its listed blocks, and no yielded group lists zero
+    blocks."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(606)
+        for _ in range(300):
+            n_nodes = rng.randint(2, 9)
+            density = rng.choice([0.2, 0.5, 0.8])
+            links = {(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes) if rng.random() < density}
+            network = make_network([rng.randint(1, 9) for _ in range(n_nodes)], links)
+            n_tasks = rng.randint(2, 5)
+            edges = {(rng.randrange(i), i) for i in range(1, n_tasks)}
+            edges |= {(i, j) for i in range(n_tasks) for j in range(i + 1, n_tasks) if rng.random() < 0.3}
+            qubits = [rng.randint(1, 9) for _ in range(n_tasks)] if rng.random() < 0.5 else None
+            yield pattern_workflow(n_tasks, edges, qubits), network
+        for scenario in ("LP-LR", "LP-MR"):
+            workflows, network, _ = scenario_instances(scenario, 0, 10)
+            for wf in workflows:
+                yield wf, network
+
+    def test_closed_form_size_and_no_empty_group(self):
+        groups = {True: 0, False: 0}
+        for wf, network in self.instances():
+            for group in itertools.islice(workflow_monomorphism_groups(wf, network), 2_000):
+                blocks = blocks_of(group)
+                assert blocks, "a yielded group lists no block"
+                assert group_size(*group[3:]) == sum(mask.bit_count() for _, mask in blocks)
+                groups[group[5] is not None] += 1
+        assert groups[True] > 1_000 and groups[False] > 1_000
 
 
 class TestDeterminism:
@@ -308,8 +357,8 @@ class TestSearchPlan:
     @staticmethod
     def groups(wf, network):
         return [
-            (list(prefix.items()), u, v, list(pairs))
-            for prefix, u, v, pairs in workflow_monomorphism_groups(wf, network)
+            (list(group[0].items()), *group[1:5], blocks_of(group))
+            for group in workflow_monomorphism_groups(wf, network)
         ]
 
     def test_cached_plans_give_the_groups_of_fresh_plans(self):
@@ -344,12 +393,12 @@ class TestSearchPlan:
             assert len(network.calibration_classes[0]) <= len(network.nodes)
             everything = (1 << len(network.nodes)) - 1
             assert list(workflow_monomorphism_groups(pattern_workflow(1, []), network)) == [
-                ({}, None, 0, [(None, everything)])
+                ({}, None, 0, None, everything, None)
             ]
             for q in {1} | {node.qubits + d for node in network.nodes for d in (-1, 0, 1)} - {0}:
                 fits = sum(1 << k for k, node in enumerate(network.nodes) if node.qubits >= q)
                 groups = list(workflow_monomorphism_groups(pattern_workflow(1, [], [q]), network))
-                assert groups == ([({}, None, 0, [(None, fits)])] if fits else [])
+                assert groups == ([({}, None, 0, None, fits, None)] if fits else [])
 
 
 class TestMappingFeasible:

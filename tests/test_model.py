@@ -369,11 +369,14 @@ class TestNetworkParams:
             {"transmission_efficiency": -4000.0, "eta_in_db": True},
             {"transmission_efficiency": 4000.0, "eta_in_db": True},
             {"transmission_efficiency": 1e-200, "switch_count": 2},
+            {"transmission_efficiency": 5e-324},
+            {"transmission_efficiency": 1e-310},
             {"classical_latency": math.nan},
         ],
         ids=[
             "linear-zero", "linear-negative", "linear-nan", "db-nan", "db-inf",
-            "db-underflow", "db-overflow", "attenuation-underflow", "latency-nan",
+            "db-underflow", "db-overflow", "attenuation-underflow", "attenuation-least-subnormal",
+            "attenuation-subnormal", "latency-nan",
         ],
     )
     def test_rejects_out_of_range_and_nan(self, kwargs):
