@@ -20,6 +20,7 @@ each call). Four strategies share one outcome record:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Sequence
@@ -47,11 +48,12 @@ ORACLE_MAX_NODES = 8
 class SoftIsoConfig:
     """Early-stopping knobs of :func:`soft_iso`.
 
-    The candidate budget is ``counter_cap_base ** n_tasks``. Set both
-    thresholds to ``inf`` and the base to ``inf`` to disable stopping, in
-    which case the search degenerates to an exhaustive scan of the
-    monomorphism stream. ``strict_pseudocode`` freezes the previous-cost
-    reference at zero instead of updating it every iteration.
+    The candidate budget is ``counter_cap_base ** n_tasks``, rounded up to
+    a whole count. Set both thresholds to ``inf`` and the base to ``inf``
+    to disable stopping, in which case the search degenerates to an
+    exhaustive scan of the monomorphism stream. ``strict_pseudocode``
+    freezes the previous-cost reference at zero instead of updating it
+    every iteration.
     """
 
     thres_max: float = 0.1
@@ -65,10 +67,11 @@ class SoftIsoConfig:
         if not self.counter_cap_base >= 1:
             raise ValueError("counter_cap_base must be >= 1, not NaN")
 
-    def cap(self, n_tasks: int) -> float:
-        """The candidate budget, ``inf`` where the power overflows a float."""
+    def cap(self, n_tasks: int) -> int | float:
+        """The candidate budget as an int, ``inf`` where the power is
+        infinite or overflows a float."""
         try:
-            return self.counter_cap_base ** n_tasks
+            return math.ceil(self.counter_cap_base ** n_tasks)
         except OverflowError:
             return math.inf
 
@@ -107,10 +110,11 @@ def soft_iso(
 
     Iterates candidate embeddings from the monomorphism stream; tracks the
     maximum cost seen; whenever a candidate beats the incumbent it replaces
-    it, and the stop rule is evaluated: break once the cost deviates from
-    both the maximum and the previous cost by more than the configured
-    thresholds, or once the candidate budget is spent. The budget is also
-    enforced at the top of the loop so the number of scored candidates
+    it, and the stop rule is evaluated: the search returns once the cost
+    deviates from both the maximum and the previous cost by more than the
+    configured thresholds. It also ends once the candidate budget is spent,
+    which is checked after each block and after each group; the block that
+    reaches the budget is cut to it, so the number of scored candidates
     never exceeds it. The stream yields only injective, qubit-fitting,
     edge-preserving mappings, so no candidate needs a feasibility check.
 
@@ -120,12 +124,13 @@ def soft_iso(
     the task before it, ``u``. The :meth:`DecisionTable.block_scorer` of
     the per-decision table, built at the first group, folds each group's
     prefix once and scores each block in one call, with floats equal to
-    :func:`aggregate_cost`'s. The last block is cut to the budget. A block
-    none of whose costs beats the incumbent cannot stop the search, so it
-    only updates the maximum and previous costs; any other block is walked
-    candidate by candidate with the rule above. The outcome, including the
-    incumbent's key order, is that of a walk over single candidates. The
-    final incumbent's breakdown is read from the same table.
+    :func:`aggregate_cost`'s. A block none of whose costs beats the
+    incumbent cannot stop the search, so it only updates the maximum and
+    previous costs (when it was scored at all, see below); any other block
+    is walked candidate by candidate with the rule above. The outcome,
+    including the incumbent's key order, is that of a walk over single
+    candidates. The final incumbent's breakdown is read from the same
+    table.
 
     When a threshold is infinite, ``abs(cost - maxcost) > thres_max`` or
     ``abs(cost - prevcost) > thres_prev`` is never true, so only the budget
@@ -153,60 +158,45 @@ def soft_iso(
     history: list[float] = []
 
     for prefix, u, v, hosts, leaves, links in workflow_monomorphism_groups(workflow, network):
-        if examined >= cap:
-            break
         if score is None:
             table = DecisionTable(workflow, network, params, backlog)
             fold, score = table.block_scorer(weights, u, v)
         fold(prefix)
         if bounded and u is not None and score(len(network.nodes), 0, mincost) is None:
             # u on the sentinel host: no block of the group has a cost below mincost
-            size = group_size(hosts, leaves, links)
-            examined += size if examined + size <= cap else math.ceil(cap - examined)
-            continue
-        stop = False
-        for h, mask in group_blocks(hosts, leaves, links):
-            if examined >= cap:
-                break
-            size = mask.bit_count()
-            if examined + size > cap:
-                size = math.ceil(cap - examined)
-                mask = sum(1 << k for k in mask_hosts(mask)[:size])
-            costs = score(h, mask, mincost if bounded else None)
-            if costs is None:
-                # every cost of the block is >= mincost, and nothing else is read
-                examined += size
-                continue
-            if min(costs) >= mincost:
-                # no candidate of the block improves, so none can stop the search
-                examined += size
-                maxcost = max(maxcost, max(costs))
-                if not config.strict_pseudocode:
-                    prevcost = costs[-1]
-                continue
-            for cost in costs:
-                low = mask & -mask  # this cost's host: the lowest bit left
-                mask ^= low
-                examined += 1
-                maxcost = max(cost, maxcost)
-                if cost < mincost:
-                    mincost = cost
-                    incumbent = prefix.copy()
-                    if u is not None:
-                        incumbent[u] = h
-                    incumbent[v] = low.bit_length() - 1
-                    history.append(cost)
-                    if (
-                        abs(cost - maxcost) > config.thres_max
-                        and abs(cost - prevcost) > config.thres_prev
-                    ) or examined >= cap:
-                        stop = True
-                        break
-                if not config.strict_pseudocode:
-                    prevcost = cost
-            if stop:
-                break
-        if stop:
+            examined = min(examined + group_size(hosts, leaves, links), cap)
+        else:
+            for h, mask in group_blocks(hosts, leaves, links):
+                size = mask.bit_count()
+                if size > cap - examined:
+                    size = cap - examined
+                    mask = sum(1 << k for k in mask_hosts(mask)[:size])
+                costs = score(h, mask, mincost if bounded else None)
+                if costs is None or min(costs) >= mincost:
+                    # no candidate of the block improves, so none can stop the search
+                    examined += size
+                    if costs is not None:
+                        maxcost = max(maxcost, max(costs))
+                        if not config.strict_pseudocode:
+                            prevcost = costs[-1]
+                else:
+                    for cost, k in zip(costs, mask_hosts(mask)):
+                        examined += 1
+                        maxcost = max(cost, maxcost)
+                        if cost < mincost:
+                            mincost = cost
+                            incumbent = prefix.copy()
+                            if u is not None:
+                                incumbent[u] = h
+                            incumbent[v] = k
+                            history.append(cost)
+                            if abs(cost - maxcost) > config.thres_max and abs(cost - prevcost) > config.thres_prev:
+                                return _outcome(incumbent, table.breakdown(incumbent, weights), examined, history)
+                        if not config.strict_pseudocode:
+                            prevcost = cost
+                if examined >= cap:
+                    break
+        if examined >= cap:
             break
 
     best = table.breakdown(incumbent, weights) if incumbent is not None else None
@@ -247,21 +237,18 @@ def random_aware(
     incumbent: dict[int, int] | None = None
     best = None
     history: list[float] = []
-    trials = 0
-    for _ in range(len(tasks) * trial_multiplier):
-        trials += 1
+    trials = len(tasks) * trial_multiplier
+    for _ in range(trials):
         assignment: dict[int, int] = {}
         used: set[int] = set()
-        aborted = False
         for j in order:
             pool = [k for k in fits[j] if k not in used]
             if not pool:
-                aborted = True
                 break
             pick = rng.choice(pool)
             assignment[j] = pick
             used.add(pick)
-        if aborted or not mapping_feasible(assignment, workflow, network):
+        if len(assignment) < len(tasks) or not mapping_feasible(assignment, workflow, network):
             continue
         cost = table.breakdown(assignment, weights)
         if cost.total < mincost:
@@ -291,22 +278,16 @@ def greedy_dfs(workflow: Workflow, network: ResourceNetwork) -> AllocationOutcom
     of the weight configuration. Fails when the walk runs out of nodes or
     the resulting assignment violates workflow connectivity.
     """
-    order = sorted(range(len(workflow.tasks)), key=lambda j: (workflow.tasks[j].qubits, j))
+    pending = sorted(range(len(workflow.tasks)), key=lambda j: (workflow.tasks[j].qubits, j))
     assignment: dict[int, int] = {}
-    pending = list(order)
     for k in network.dfs_order:
         if not pending:
             break
-        j = pending[0]
-        if network.nodes[k].qubits >= workflow.tasks[j].qubits:
-            assignment[j] = k
-            pending.pop(0)
-    allocation = None
-    if not pending:
-        candidate = Allocation(assignment)
-        if validate_allocation(workflow, network, candidate):
-            allocation = candidate
-    return AllocationOutcome(allocation, candidates_examined=1)
+        if network.nodes[k].qubits >= workflow.tasks[pending[0]].qubits:
+            assignment[pending.pop(0)] = k
+    candidate = Allocation(assignment)
+    placed = not pending and validate_allocation(workflow, network, candidate)
+    return AllocationOutcome(candidate if placed else None, candidates_examined=1)
 
 
 def exhaustive_oracle(
@@ -324,8 +305,6 @@ def exhaustive_oracle(
     :func:`aggregate_cost` and shares no search or scoring table with
     :func:`soft_iso`.
     """
-    import itertools
-
     n_tasks = len(workflow.tasks)
     n_nodes = len(network.nodes)
     if n_tasks > ORACLE_MAX_TASKS or n_nodes > ORACLE_MAX_NODES:
@@ -346,10 +325,6 @@ def exhaustive_oracle(
         breakdown = aggregate_cost(workflow, list(tup), network, weights, params, bounds, backlog)
         if breakdown.total < best_cost:
             best_cost = breakdown.total
-            best = tup
+            best = dict(enumerate(tup))
             best_breakdown = breakdown
-
-    allocation = None
-    if best is not None:
-        allocation = Allocation(dict(enumerate(best)), best_breakdown)
-    return AllocationOutcome(allocation, examined)
+    return _outcome(best, best_breakdown, examined, [])

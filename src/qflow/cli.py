@@ -5,13 +5,15 @@ a named stress scenario, or a sweep over one config field with a failure
 histogram across the swept experiments. The same flags override the config
 in every mode.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 on runtime failures.
+Exit codes: 0 on success, 1 on configuration errors (a missing or malformed
+input file the config names included), 2 on runtime failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,7 +28,9 @@ from .experiments import (
     run_experiment,
     scenario_config,
 )
+from .profiles import PROFILES_ENV_VAR, load_profiles, node_from_profile
 from .simulation import ALLOCATOR_NAMES
+from .workload import import_task_catalog
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,6 +103,23 @@ def load_config(args) -> ExperimentConfig:
     return replace_fields(config, {name: value for name, value in flags.items() if value is not None})
 
 
+def check_inputs(config: ExperimentConfig) -> None:
+    """Load the input files ``config`` names and build one node per pooled
+    profile: a bad input is a configuration error before anything runs."""
+    where = f"profiles file {config.profiles_path or os.environ.get(PROFILES_ENV_VAR) or '(bundled)'}"
+    try:
+        profiles = load_profiles(config.profiles_path)
+        where = "topology.profile_pool"
+        for name in config.topology.profile_pool:
+            node_from_profile(name, profiles)
+        where = "catalog_path"
+        if config.catalog_path:
+            import_task_catalog(config.catalog_path)
+    except (OSError, ValueError, KeyError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{where}: {detail}") from exc
+
+
 def _run_sweep(config: ExperimentConfig, sweep: str, out: Path) -> None:
     if "=" not in sweep:
         raise ConfigError("--sweep expects KEY=V1,V2,...")
@@ -109,6 +130,8 @@ def _run_sweep(config: ExperimentConfig, sweep: str, out: Path) -> None:
         raise ConfigError("--sweep needs at least one value")
     # every value is checked before the first sub-run writes anything
     variants = [(value, apply_sweep_value(config, key, value)) for value in values]
+    for _, variant in variants:
+        check_inputs(variant)
     results = []
     for value, variant in variants:
         sub_dir = out / f"{key.replace('.', '_')}={value}"
@@ -123,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args)
+        if not args.sweep:  # a sweep checks each of its variants
+            check_inputs(config)
         if args.scenario:
             result = run_experiment(config, out_dir=args.out)
             print(

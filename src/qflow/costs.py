@@ -257,9 +257,10 @@ class TaskTerms:
 
 def task_terms(tasks: Sequence[TaskSpec], network: ResourceNetwork, params: NetworkParams) -> list[TaskTerms]:
     """Each task's :class:`TaskTerms` on ``network`` under ``params``, read
-    from the network's term cache (:meth:`ResourceNetwork.term_cache`) and
-    evaluated there on the task's first use."""
-    cache = network.term_cache(params)  # ``or`` is safe: a TaskTerms is never false
+    from the network's term cache for ``params``
+    (:attr:`ResourceNetwork.term_caches`) and evaluated there on the task's
+    first use."""
+    cache = network.term_caches.setdefault(params, {})  # ``or`` is safe: a TaskTerms is never false
     return [cache.get(t) or cache.setdefault(t, _task_terms(t, network, params)) for t in tasks]
 
 
@@ -297,7 +298,7 @@ class DecisionTable:
     The per-task rows, each ending with its minimum on the sentinel host
     ``n`` (the node count), and the maxima depend only on the task, the
     node calibration and the link parameters, so they come from the
-    network's term cache (:meth:`ResourceNetwork.term_cache`), keyed by
+    network's term caches (:attr:`ResourceNetwork.term_caches`), keyed by
     ``(NetworkParams, TaskSpec)``: one :class:`TaskTerms` per distinct
     task. Only the bounds (maxima of the per-task maxima, the same floats as
     maxima over the pairs) are computed per decision.

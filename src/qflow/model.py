@@ -4,7 +4,7 @@ All types are immutable value records. A :class:`QpuNode` holds calibration
 only; availability is simulation state
 (:class:`qflow.simulation.SimState`), so runs and decisions may share a
 network, and the calibration classes and cost terms each
-:class:`ResourceNetwork` caches (:meth:`ResourceNetwork.term_cache`) stay
+:class:`ResourceNetwork` caches (:attr:`ResourceNetwork.term_caches`) stay
 valid for its life. A simulation run is single-threaded; independent runs
 can execute in parallel.
 
@@ -255,19 +255,13 @@ class ResourceNetwork:
                         stack.append(v)
         return tuple(visited)
 
-    def term_cache(self, params: NetworkParams) -> dict:
-        """The store, keyed by :class:`TaskSpec`, in which
-        :class:`qflow.costs.DecisionTable` keeps the static cost terms of
-        tasks on these nodes under ``params``; created empty on first use
-        and kept for the network's life. Sound because nodes are frozen."""
-        return self._term_caches.setdefault(params, {})
-
     @cached_property
-    def _term_caches(self) -> dict[NetworkParams, dict]:
+    def term_caches(self) -> dict[NetworkParams, dict]:
+        """Per :class:`NetworkParams`, the store, keyed by :class:`TaskSpec`,
+        in which :func:`qflow.costs.task_terms` keeps the static cost terms
+        of tasks on these nodes; kept for the network's life. Sound because
+        nodes are frozen."""
         return {}
-
-    def is_connected(self) -> bool:
-        return len(components(len(self.nodes), self.links)) == 1
 
 
 @dataclass(frozen=True)

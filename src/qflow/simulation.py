@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Protocol
 
+from . import allocators as alg
 from .allocators import AllocationOutcome
 from .costs import task_terms
 from .model import NetworkParams, ResourceNetwork, Workflow, neighbour_lists, validate_allocation
@@ -103,7 +104,8 @@ def run_simulation(
     A successful outcome whose placement fails
     :func:`qflow.model.validate_allocation`, or references a task or node
     index out of range, raises ValueError naming the workflow, before any
-    of its tasks is booked.
+    of its tasks is booked. A workflow id that appears twice in
+    ``workload`` raises ValueError before the first allocator call.
 
     Metrics follow the evaluation conventions: execution time is the
     workload makespan, wait time sums per-task (start - arrival), fidelity
@@ -117,7 +119,11 @@ def run_simulation(
     state.metrics.tasks_total = sum(len(wf.tasks) for wf in workload)
     order = sorted(workload, key=lambda wf: (wf.arrival_time, wf.total_qubits, wf.priority, wf.id))
     instants = itertools.groupby(order, key=lambda wf: wf.arrival_time)
-    attempts: dict[str, int] = {wf.id: 0 for wf in workload}
+    attempts: dict[str, int] = {}  # allocator calls per workflow id
+    for wf in workload:
+        if wf.id in attempts:
+            raise ValueError(f"workflow id {wf.id!r} is repeated; the retry count is kept per id")
+        attempts[wf.id] = 0
     retrying: list[Workflow] = []
     # One pass per distinct arrival time offers the retry list, then that
     # instant's arrivals. Both are in FCFS order and every retry arrived
@@ -230,8 +236,6 @@ def make_allocator(
     seed and an invocation counter, so retries draw new trials while the
     whole run stays reproducible.
     """
-    from . import allocators as alg
-
     if name == "soft_iso":
         def call(workflow, network, backlog):
             return alg.soft_iso(workflow, network, weights, params, soft_config, backlog)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qflow.experiments import scenario_config
-from qflow.model import QpuNode, ResourceNetwork, TaskSpec, Workflow
+from qflow.model import QpuNode, ResourceNetwork, TaskSpec, Workflow, components
 from qflow.profiles import load_profiles, node_from_profile
 from qflow.workload import generate_catalog, generate_network, generate_workload
 
@@ -71,6 +71,10 @@ def make_node(node_id="n", qubits=127, e1=0.0, e2=0.0, er=0.0, rt1=60e-9, rt2=66
 def make_network(qubit_list, links):
     nodes = tuple(make_node(node_id=f"n{k}", qubits=q) for k, q in enumerate(qubit_list))
     return ResourceNetwork(nodes=nodes, links=frozenset(links))
+
+
+def is_connected(network: ResourceNetwork) -> bool:
+    return len(components(len(network.nodes), network.links)) == 1
 
 
 def chain_workflow(task_qubits, wf_id="wf", arrival=0.0, shots=1000):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from qflow import allocators
 from qflow.allocators import (
     EXHAUSTIVE,
     AllocationOutcome,
@@ -23,6 +24,7 @@ from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasibl
 from .conftest import (
     backlog_at,
     chain_workflow,
+    is_connected,
     make_network,
     pattern_workflow,
     random_small_instance,
@@ -90,6 +92,12 @@ class TestSoftIso:
         outcome = soft_iso(wf, net, WEIGHTS, PARAMS, tight)
         assert outcome.candidates_examined <= 2 ** 3
         assert outcome.succeeded  # first candidate is always feasible
+
+    def test_budget_is_a_whole_count(self):
+        cap = SoftIsoConfig(counter_cap_base=2.5).cap(2)
+        assert cap == 7 and type(cap) is int
+        assert SoftIsoConfig(counter_cap_base=10.0).cap(3) == 1000
+        assert SoftIsoConfig(counter_cap_base=math.inf).cap(3) == math.inf
 
     def test_budget_saturates_where_the_power_overflows(self):
         """A base whose power overflows a float gives an unlimited budget,
@@ -397,8 +405,9 @@ class TestSoftIsoStopRule:
             SoftIsoConfig(thres_max=0.02, thres_prev=0.002),
             SoftIsoConfig(thres_max=0.02, thres_prev=0.002, strict_pseudocode=True),
             SoftIsoConfig(thres_max=math.inf, thres_prev=math.inf, counter_cap_base=2.5),
+            SoftIsoConfig(thres_max=0.02, thres_prev=0.002, counter_cap_base=2.5),
         ],
-        ids=["default", "tight", "tight-strict", "fractional-cap"],
+        ids=["default", "tight", "tight-strict", "fractional-cap", "tight-fractional-cap"],
     )
     def test_matches_aggregate_cost_loop_on_random_instances(self, config):
         rng = random.Random(808)
@@ -433,6 +442,22 @@ class TestRandomAware:
         outcome = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=3)
         assert not outcome.succeeded
         assert outcome.candidates_examined == 2  # both trials attempted
+
+    def test_aborted_and_complete_trials_all_count(self, monkeypatch):
+        # the 5-qubit task goes first: on the 127-qubit node it leaves the 100-qubit task no pool
+        wf = chain_workflow([100, 5])
+        net = make_network([127, 5], [(0, 1)])
+        complete = []
+
+        def counting(assignment, workflow, network):
+            complete.append(dict(assignment))
+            return mapping_feasible(assignment, workflow, network)
+
+        monkeypatch.setattr(allocators, "mapping_feasible", counting)
+        outcome = random_aware(wf, net, WEIGHTS, PARAMS, rng_seed=5, trial_multiplier=4)
+        assert outcome.candidates_examined == 2 * 4
+        assert 0 < len(complete) < 2 * 4  # some trials aborted, some completed
+        assert outcome.allocation.assignment == {1: 1, 0: 0}
 
     def test_fixed_seed_replays_identically(self):
         rng = random.Random(13)
@@ -595,7 +620,7 @@ class TestGreedyDfs:
             network = make_network(qubits, links)
             assert network.dfs_order == tuple(reference_dfs_node_order(network))
             assert network.dfs_order is network.dfs_order
-            forests += not network.is_connected()
+            forests += not is_connected(network)
         assert forests >= 50
 
     @pytest.mark.parametrize("scenario", ["SP-LR", "SP-MR", "LP-LR", "LP-MR"])

@@ -9,6 +9,7 @@ import pytest
 
 from qflow.cli import build_parser, load_config, main
 from qflow.experiments import ExperimentConfig, apply_sweep_value, scenario_config
+from qflow.profiles import PROFILES_ENV_VAR, load_profiles
 
 
 def write_config(tmp_path, **extra):
@@ -113,9 +114,45 @@ class TestExitCodes:
         assert main(["--frobnicate"]) == 1
 
     def test_runtime_failure_is_exit_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, profiles_path=str(tmp_path / "missing-profiles.json"))
-        assert main(["--config", str(cfg)]) == 2
+        cfg = write_config(tmp_path)
+        (tmp_path / "file").write_text("")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "file" / "out")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, flags, env, where",
+        [
+            ({}, ["--profiles", "missing.json"], None, "missing.json"),
+            ({}, [], "missing.json", "missing.json"),
+            ({}, ["--profiles", "empty.json"], None, "empty.json"),
+            ({}, ["--profiles", "lacks.json"], None, "lacks.json"),
+            ({"profiles_path": "notjson.json"}, [], None, "notjson.json"),
+            ({"topology": {"profile_pool": ["nope"]}}, [], None, "topology.profile_pool"),
+            ({"catalog_path": "missing.csv"}, [], None, "catalog_path"),
+            ({"catalog_path": "header.csv"}, [], None, "catalog_path"),
+            ({}, ["--sweep", "profiles_path=good.json,empty.json"], None, "empty.json"),
+        ],
+        ids=[
+            "missing-profiles", "missing-profiles-env", "empty-profiles", "profile-lacks-fields",
+            "profiles-not-json", "unknown-pooled-profile", "missing-catalog", "catalog-header", "swept-profiles",
+        ],
+    )
+    def test_bad_input_file_is_config_error_before_any_output(
+        self, tmp_path, capsys, monkeypatch, extra, flags, env, where
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.json").write_text(json.dumps(load_profiles()))
+        (tmp_path / "empty.json").write_text("{}")
+        (tmp_path / "lacks.json").write_text('{"x": {"qubits": 5}}')
+        (tmp_path / "notjson.json").write_text("{not json")
+        (tmp_path / "header.csv").write_text("id,family\n")
+        if env:
+            monkeypatch.setenv(PROFILES_ENV_VAR, env)
+        cfg = write_config(tmp_path, **extra)
+        assert main(["--config", str(cfg), "--out", "out", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and where in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOverrides:

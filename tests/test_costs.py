@@ -452,7 +452,7 @@ class TestTermCache:
             self.assert_classes(network)
             allocator = make_allocator("soft_iso", WeightConfig(), run_params, SoftIsoConfig(counter_cap_base=2))
             state = run_simulation(workflows, network, allocator, run_params)
-            assert state.completed and network.term_cache(run_params)
+            assert state.completed and network.term_caches[run_params]
             # no node can host any task of this one: its bounds fall back to all pairs
             biggest = max(n.qubits for n in network.nodes)
             homeless = dataclasses.replace(
@@ -468,8 +468,8 @@ class TestTermCache:
                     assert all(a is b for a, b in zip(again.err, table.err))  # read, not re-evaluated
                     tables += 1
             distinct = {t for wf in [*workflows, homeless] for t in wf.tasks}
-            assert len(network.term_cache(run_params)) <= len(distinct)
-            assert len(network.term_cache(other_params)) <= len(distinct)
+            assert len(network.term_caches[run_params]) <= len(distinct)
+            assert len(network.term_caches[other_params]) <= len(distinct)
         assert tables > 500
 
 

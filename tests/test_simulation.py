@@ -206,6 +206,20 @@ class TestFailuresAndRetries:
         run_simulation([wf], net, counting, PARAMS, retry_limit=0)
         assert len(calls) == 1
 
+    def test_repeated_workflow_id_is_refused_before_any_call(self):
+        # one retry count per id would give the two workflows 5 calls between them, not 8
+        net = make_network([127, 127], [])
+        twins = [chain_workflow([5, 5], wf_id="w", arrival=0.0), chain_workflow([5, 5], wf_id="w", arrival=1.0)]
+        calls = []
+
+        def counting(workflow, network, backlog):
+            calls.append(workflow.id)
+            return greedy_dfs(workflow, network)
+
+        with pytest.raises(ValueError, match="'w'"):
+            run_simulation(twins, net, counting, PARAMS, retry_limit=3)
+        assert calls == []
+
     def test_retry_happens_at_next_decision_instant(self):
         # workflow A fails at t=0; a later arrival at t=1 triggers its retry
         net = make_network([127, 127], [(0, 1)])

@@ -22,6 +22,8 @@ from qflow.workload import (
     import_workload,
 )
 
+from .conftest import is_connected
+
 
 class TestGenerateTask:
     def test_ghz5_matches_reference_circuit(self):
@@ -220,12 +222,12 @@ class TestGenerateNetwork:
         spec = TopologySpec(node_count=8, link_probability=0.0, seed=2)
         net = generate_network(spec, profiles)
         assert len(net.links) == 7
-        assert net.is_connected()
+        assert is_connected(net)
 
     def test_always_connected(self, profiles):
         for seed in range(40):
             spec = TopologySpec(node_count=9, link_probability=0.15, seed=seed)
-            assert generate_network(spec, profiles).is_connected()
+            assert is_connected(generate_network(spec, profiles))
 
     def test_replay_determinism(self, profiles):
         spec = TopologySpec(node_count=5, link_probability=0.5, seed=123)
