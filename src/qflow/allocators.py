@@ -120,17 +120,17 @@ def soft_iso(
 
     The stream arrives in groups of blocks. A block holds the candidates
     that differ only in the host of the last task in visit order, ``v``; a
-    group holds the blocks that differ only in the hosts of ``v`` and of
-    the task before it, ``u``. The :meth:`DecisionTable.block_scorer` of
-    the per-decision table, built at the first group, folds each group's
-    prefix once and scores each block in one call, with floats equal to
-    :func:`aggregate_cost`'s. A block none of whose costs beats the
-    incumbent cannot stop the search, so it only updates the maximum and
-    previous costs (when it was scored at all, see below); any other block
-    is walked candidate by candidate with the rule above. The outcome,
-    including the incumbent's key order, is that of a walk over single
-    candidates. The final incumbent's breakdown is read from the same
-    table.
+    group holds the blocks that differ only in the hosts of ``v`` and of the
+    task before it, ``u`` (one task: ``v`` itself, on the sentinel host).
+    The :meth:`DecisionTable.block_scorer` of the per-decision table, built
+    at the first group, folds each group's prefix once and scores each block
+    in one call, with floats equal to :func:`aggregate_cost`'s. A block none
+    of whose costs beats the incumbent cannot stop the search, so it only
+    updates the maximum and previous costs (when it was scored at all, see
+    below); any other block is walked candidate by candidate with the rule
+    above. The outcome, including the incumbent's key order, is that of a
+    walk over single candidates. The final incumbent's breakdown is read
+    from the same table.
 
     When a threshold is infinite, ``abs(cost - maxcost) > thres_max`` or
     ``abs(cost - prevcost) > thres_prev`` is never true, so only the budget
@@ -162,7 +162,7 @@ def soft_iso(
             table = DecisionTable(workflow, network, params, backlog)
             fold, score = table.block_scorer(weights, u, v)
         fold(prefix)
-        if bounded and u is not None and score(len(network.nodes), 0, mincost) is None:
+        if bounded and score(len(network.nodes), 0, mincost) is None:
             # u on the sentinel host: no block of the group has a cost below mincost
             examined = min(examined + group_size(hosts, leaves, links), cap)
         else:
@@ -186,8 +186,7 @@ def soft_iso(
                         if cost < mincost:
                             mincost = cost
                             incumbent = prefix.copy()
-                            if u is not None:
-                                incumbent[u] = h
+                            incumbent[u] = h
                             incumbent[v] = k
                             history.append(cost)
                             if abs(cost - maxcost) > config.thres_max and abs(cost - prevcost) > config.thres_prev:

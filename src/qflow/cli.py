@@ -104,8 +104,10 @@ def load_config(args) -> ExperimentConfig:
 
 
 def check_inputs(config: ExperimentConfig) -> None:
-    """Load the input files ``config`` names and build one node per pooled
-    profile: a bad input is a configuration error before anything runs."""
+    """Load the input files ``config`` names, build one node per pooled
+    profile and require an imported catalog to hold a task within
+    ``workload.qubit_range``: a bad input is a configuration error before
+    anything runs."""
     where = f"profiles file {config.profiles_path or os.environ.get(PROFILES_ENV_VAR) or '(bundled)'}"
     try:
         profiles = load_profiles(config.profiles_path)
@@ -114,7 +116,9 @@ def check_inputs(config: ExperimentConfig) -> None:
             node_from_profile(name, profiles)
         where = "catalog_path"
         if config.catalog_path:
-            import_task_catalog(config.catalog_path)
+            lo, hi = config.workload.qubit_range
+            if not any(lo <= task.qubits <= hi for task in import_task_catalog(config.catalog_path)):
+                raise ValueError(f"{config.catalog_path} has no task within workload.qubit_range [{lo}, {hi}]")
     except (OSError, ValueError, KeyError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) else exc
         raise ConfigError(f"{where}: {detail}") from exc

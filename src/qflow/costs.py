@@ -359,16 +359,16 @@ class DecisionTable:
         return _normalized(availability, e, r, net, self.bounds, weights)
 
     def block_scorer(
-        self, weights: WeightConfig, u: int | None, v: int
+        self, weights: WeightConfig, u: int, v: int
     ) -> tuple[Callable[[Mapping[int, int]], None], Callable[..., list[float] | None]]:
         """``(fold, score)`` for groups of candidates that differ only in
-        the hosts of tasks ``u`` and ``v`` (``u`` is ``None`` for a one-task
+        the hosts of tasks ``u`` and ``v`` (``u`` is ``v`` for a one-task
         workflow). ``fold(prefix)`` takes a group's ``prefix``, which maps
         every other task. Then ``score(hu, mask, floor=None)`` lists, for
         each host ``h`` whose bit is set in ``mask``, ascending, the total
-        :meth:`breakdown` returns for ``prefix`` plus ``u`` on ``hu`` (``None``
-        when ``u`` is) plus ``v`` on ``h``. Given a ``floor``, it returns
-        ``None`` instead when it can prove that no such total is below it.
+        :meth:`breakdown` returns for ``prefix`` plus ``u`` on ``hu`` plus
+        ``v`` on ``h``. Given a ``floor``, it returns ``None`` instead when it
+        can prove that no such total is below it.
 
         ``fold`` adds up, once per group, the terms that depend on neither
         host: the availability maximum over the prefix, the error and
@@ -402,7 +402,10 @@ class DecisionTable:
         ``score(n, 0, floor)`` puts ``u`` on the sentinel too: by the same
         monotonicity, this group bound is ``<=`` the floor of every block of
         the group, so the call returns ``None`` when it is ``>= floor`` and
-        ``[]`` otherwise.
+        ``[]`` otherwise. A one-task workflow scores with ``hu = n``, exactly:
+        ``cand[u]`` is ``cand[v]``, so ``R`` reads ``v``'s terms alone, and
+        ``w = 0.0`` (an empty prefix) with ``wait[n] = min(wait)`` makes each
+        ``max(wait[h], wu)`` equal ``max(wait[h], 0.0)`` as a float.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -419,7 +422,7 @@ class DecisionTable:
         sentinel = len(masks)  # the sentinel host's class
         of_node = [*of_node, sentinel]
         stride = sentinel + 1
-        lo = v if u is None else min(u, v)
+        lo = min(u, v)
         before = [(err[j], run[j], j) for j in range(lo)]
         after = [(err[j], run[j], j) for j in range(lo, len(err))]
         edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]
@@ -450,11 +453,10 @@ class DecisionTable:
                 net += (q_a[cand[a]] + q_b[cand[b]]) / 2.0 + c
             memo[:] = blank
 
-        def evaluate(hu: int | None, h: int, key: int) -> float:
+        def evaluate(hu: int, h: int, key: int) -> float:
             # R with u on hu and v on h; _clip01 is inlined, as a call per
             # term costs as much as the rest of the evaluation
-            if u is not None:
-                cand[u] = hu
+            cand[u] = hu
             cand[v] = h
             x_e = e
             x_r = r
@@ -472,13 +474,9 @@ class DecisionTable:
             )
             return cost
 
-        def score(hu: int | None, mask: int, floor: float | None = None) -> list[float] | None:
-            if hu is None:
-                wu = w
-                row = 0
-            else:
-                wu = x if (x := wait[hu]) > w else w
-                row = of_node[hu] * stride
+        def score(hu: int, mask: int, floor: float | None = None) -> list[float] | None:
+            wu = x if (x := wait[hu]) > w else w
+            row = of_node[hu] * stride
             if floor is not None:
                 if (cost := memo[key := row + sentinel]) is None:
                     cost = evaluate(hu, n, key)

@@ -208,13 +208,19 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run all repetitions (optionally across a process pool), in seed
-    order, and write the result tables when an output directory is given."""
+    order, and write the result tables when an output directory is given.
+    A run with a non-finite metric raises ValueError before anything is
+    written."""
     indices = list(range(config.repetitions))
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             runs = list(pool.map(run_single, [config] * len(indices), indices))
     else:
         runs = [run_single(config, i) for i in indices]
+    for run in runs:
+        for name in METRIC_FIELDS:
+            if not math.isfinite(value := getattr(run.metrics, name)):
+                raise ValueError(f"metric {name} is {value} in the run of seed {run.seed}")
     result = ExperimentResult(config=config, runs=runs)
     if out_dir is not None:
         write_outputs(result, Path(out_dir))

@@ -20,15 +20,16 @@ skeleton, so they are cached per skeleton; the masks come from the
 network's cached views.
 
 The search yields groups. With ``u`` and ``v`` the last two vertices in
-visit order, all mappings that differ only in the hosts of ``u`` and ``v``
-share one prefix, and a group carries the hosts of ``u`` and the leaf hosts
-of ``v`` as two bitmasks. Its blocks, listed by :func:`group_blocks`, are
-its ``(host of u, leaf mask)`` pairs: all mappings that differ only in the
-host of ``v``. No group is empty. A consumer can fold the prefix once per
-group (soft_iso bounds a whole group and scores a whole block per call),
-count a group it rules out from the two masks with :func:`group_size`, and
-decode a leaf mask with :func:`mask_hosts` only where it needs the hosts
-one by one. The flat stream is the groups unrolled, in the same order.
+visit order (for one task, ``u`` is ``v`` on the host ``N``, the node
+count), all mappings that differ only in the hosts of ``u`` and ``v`` share
+one prefix, and a group carries the hosts of ``u`` and the leaf hosts of
+``v`` as two bitmasks. Its blocks, listed by :func:`group_blocks`, are its
+``(host of u, leaf mask)`` pairs: all mappings that differ only in the host
+of ``v``. No group is empty. A consumer can fold the prefix once per group
+(soft_iso bounds a whole group and scores a whole block per call), count a
+group it rules out from the two masks with :func:`group_size`, and decode a
+leaf mask with :func:`mask_hosts` only where it needs the hosts one by one.
+The flat stream is the groups unrolled, in the same order.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ CandidateMapping = dict[int, int]
 # A group of mappings that differ only in the hosts of the last two visited
 # pattern vertices u and v: (prefix, u, v, hosts of u, leaf hosts of v,
 # links), links being the neighbour masks when v neighbours u, else None.
-MappingGroup = tuple[CandidateMapping, int | None, int, int | None, int, tuple[int, ...] | None]
+MappingGroup = tuple[CandidateMapping, int, int, int, int, tuple[int, ...] | None]
 
 
 def mask_hosts(mask: int) -> list[int]:
@@ -56,12 +57,10 @@ def mask_hosts(mask: int) -> list[int]:
     return hosts
 
 
-def group_blocks(hosts: int | None, leaves: int, links: tuple[int, ...] | None) -> list[tuple[int | None, int]]:
+def group_blocks(hosts: int, leaves: int, links: tuple[int, ...] | None) -> list[tuple[int, int]]:
     """Each host of ``u`` ascending with its nonzero leaf mask of ``v``: the
     leaves off that host, and on its neighbours given ``links``. A one-task
-    group (``hosts`` ``None``) has the one block ``(None, leaves)``."""
-    if hosts is None:
-        return [(None, leaves)]
+    group, whose one host ``N`` is no leaf, gives ``[(N, leaves)]``."""
     blocks = []
     while hosts:
         low = hosts & -hosts
@@ -73,8 +72,7 @@ def group_blocks(hosts: int | None, leaves: int, links: tuple[int, ...] | None) 
 
 
 def group_size(hosts: int, leaves: int, links: tuple[int, ...] | None) -> int:
-    """The summed popcounts of :func:`group_blocks` for a group of two or
-    more tasks, without listing them."""
+    """The summed popcounts of :func:`group_blocks`, without listing them."""
     if links is None:
         return hosts.bit_count() * leaves.bit_count() - (hosts & leaves).bit_count()
     size = 0
@@ -120,7 +118,8 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
     ``u``, keyed in visit order; it is the search's live mapping, valid only
     until the next group is requested. A consumer may set ``prefix[u]``,
     which the search drops before the next group. A one-task workflow gives
-    at most the group ``({}, None, v, None, mask, None)``.
+    at most ``({}, v, v, 1 << N, mask, None)``, ``N`` the node count; a
+    consumer's ``prefix[u] = N`` is overwritten by ``v``'s own host.
     """
     n = len(workflow.tasks)
     order, earlier, v_on_u, v_earlier = _search_plan(n, workflow.skeleton)
@@ -130,7 +129,7 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
     domain = [sum(m for rep, m in zip(reps, masks) if rep.qubits >= task.qubits) for task in workflow.tasks]
     v = order[-1]
     if n == 1:
-        return iter([({}, None, v, None, domain[v], None)] if domain[v] else [])
+        return iter([({}, v, v, 1 << len(network.nodes), domain[v], None)] if domain[v] else [])
     neighbours = network.neighbour_masks
     links = neighbours if v_on_u else None
     last = n - 2  # the depth of u
@@ -175,9 +174,5 @@ def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iter
     keyed in visit order."""
     for prefix, u, v, hosts, leaves, links in workflow_monomorphism_groups(workflow, network):
         for h, mask in group_blocks(hosts, leaves, links):
-            if u is not None:
-                prefix[u] = h
             for k in mask_hosts(mask):
-                mapping = prefix.copy()
-                mapping[v] = k
-                yield mapping
+                yield {**prefix, u: h, v: k}

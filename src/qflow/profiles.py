@@ -23,7 +23,9 @@ _REQUIRED_KEYS = ("qubits", *_ERROR_RATES, *_POSITIVE)
 
 
 def load_profiles(path: str | Path | None = None) -> dict[str, dict[str, float]]:
-    """Load calibration profiles, honouring ``QFLOW_PROFILES`` when no path given."""
+    """Load calibration profiles, honouring ``QFLOW_PROFILES`` when no path
+    given. A file other than an object of records, each an object whose ten
+    fields are ints or floats (not bools), raises ValueError."""
     if path is None:
         env = os.environ.get(PROFILES_ENV_VAR)
         if env:
@@ -33,12 +35,19 @@ def load_profiles(path: str | Path | None = None) -> dict[str, dict[str, float]]
     else:
         text = Path(path).read_text(encoding="utf-8")
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError("profile file must be a JSON object of machine records")
     profiles = {}
     for name, record in raw.items():
+        if not isinstance(record, dict):
+            raise ValueError(f"profile {name!r} must be a JSON object")
         missing = [k for k in _REQUIRED_KEYS if k not in record]
         if missing:
             raise ValueError(f"profile {name!r} is missing fields: {', '.join(missing)}")
         profiles[name] = {k: record[k] for k in _REQUIRED_KEYS}
+        for k, value in profiles[name].items():
+            if type(value) not in (int, float):  # a bool is no number here
+                raise ValueError(f"profile {name!r}: {k} must be an int or float, got {value!r}")
     if not profiles:
         raise ValueError("profile file defines no machines")
     return profiles

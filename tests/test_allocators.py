@@ -18,7 +18,7 @@ from qflow.allocators import (
     soft_iso,
 )
 from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
-from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
+from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphism_groups, workflow_monomorphisms
 from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 
 from .conftest import (
@@ -45,6 +45,38 @@ class TestSoftIso:
         assert outcome.succeeded
         assert outcome.allocation.assignment == {0: 0}
         assert outcome.candidates_examined >= 1
+
+    def test_one_task_is_never_placed_on_host_n(self):
+        """A one-task group's ``u`` is ``v`` on host ``N``, the node count:
+        its one block is ``(N, domain)``, yet no flat-stream mapping and no
+        soft_iso allocation holds ``N``, under the preset thresholds (plain
+        and strict), with the thresholds off and exhaustively; the
+        exhaustive search places the task where the oracle does."""
+        rng = random.Random(1207)
+        configs = (SoftIsoConfig(), SoftIsoConfig(strict_pseudocode=True), THRESHOLDS_OFF, EXHAUSTIVE)
+        placed = unplaceable = 0
+        for _ in range(150):
+            network, free_at = random_small_instance(rng, max_nodes=8)[1:]
+            n = len(network.nodes)
+            q = rng.randint(1, 11)
+            wf = pattern_workflow(1, [], [q])
+            domain = sum(1 << k for k, node in enumerate(network.nodes) if node.qubits >= q)
+            groups = workflow_monomorphism_groups(wf, network)
+            assert [group_blocks(*group[3:]) for group in groups] == ([[(n, domain)]] if domain else [])
+            assert list(workflow_monomorphisms(wf, network)) == [{0: k} for k in mask_hosts(domain)]
+            backlog = backlog_at(free_at, rng.uniform(0.0, 1.0))
+            for config in configs:
+                allocation = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog).allocation
+                if not domain:
+                    assert allocation is None
+                    unplaceable += 1
+                    continue
+                assert list(allocation.assignment) == [0] and domain >> allocation.assignment[0] & 1
+                placed += 1
+            if domain:
+                oracle = exhaustive_oracle(wf, network, WEIGHTS, PARAMS, backlog).allocation
+                assert allocation.assignment == oracle.assignment
+        assert placed > 300 and unplaceable > 20
 
     def test_triangle_workflow_into_tree_fails(self):
         wf = chain_workflow([5, 5, 5])

@@ -119,6 +119,16 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "file" / "out")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_metric_is_exit_two_before_any_output(self, tmp_path, capsys):
+        # a tiny but normal efficiency: on the default config the link terms
+        # overflow to inf at run time
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"params": {"transmission_efficiency": 1e-307}}))
+        assert main(["--config", str(cfg), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "metric wait_time is inf in the run of seed 0" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "extra, flags, env, where",
         [
@@ -131,10 +141,24 @@ class TestExitCodes:
             ({"catalog_path": "missing.csv"}, [], None, "catalog_path"),
             ({"catalog_path": "header.csv"}, [], None, "catalog_path"),
             ({}, ["--sweep", "profiles_path=good.json,empty.json"], None, "empty.json"),
+            ({}, ["--profiles", "list.json"], None, "list.json"),
+            ({}, ["--profiles", "number.json"], None, "profile 'a' must be a JSON object"),
+            ({}, ["--profiles", "text-qubits.json"], None, "profile 'brisbane': qubits must be an int or float"),
+            ({}, ["--profiles", "bool-t1.json"], None, "profile 'brisbane': t1 must be an int or float, got True"),
+            (
+                {"catalog_path": "header-only.csv"}, [], None,
+                "catalog_path: header-only.csv has no task within workload.qubit_range [5, 100]",
+            ),
+            (
+                {"catalog_path": "too-large.csv"}, [], None,
+                "catalog_path: too-large.csv has no task within workload.qubit_range [5, 100]",
+            ),
         ],
         ids=[
             "missing-profiles", "missing-profiles-env", "empty-profiles", "profile-lacks-fields",
             "profiles-not-json", "unknown-pooled-profile", "missing-catalog", "catalog-header", "swept-profiles",
+            "profiles-list", "profile-not-object", "profile-text-qubits", "profile-bool-t1",
+            "catalog-header-only", "catalog-out-of-range",
         ],
     )
     def test_bad_input_file_is_config_error_before_any_output(
@@ -146,6 +170,15 @@ class TestExitCodes:
         (tmp_path / "lacks.json").write_text('{"x": {"qubits": 5}}')
         (tmp_path / "notjson.json").write_text("{not json")
         (tmp_path / "header.csv").write_text("id,family\n")
+        (tmp_path / "list.json").write_text("[]")
+        (tmp_path / "number.json").write_text('{"a": 5}')
+        for name, field, value in (("text-qubits", "qubits", "x"), ("bool-t1", "t1", True)):
+            profiles = load_profiles()
+            profiles["brisbane"][field] = value
+            (tmp_path / f"{name}.json").write_text(json.dumps(profiles))
+        columns = "id,family,qubits,depth,two_qubit_gates,measured_qubits,shots\n"
+        (tmp_path / "header-only.csv").write_text(columns)
+        (tmp_path / "too-large.csv").write_text(columns + "big,qft,200,10,5,200,1000\n")
         if env:
             monkeypatch.setenv(PROFILES_ENV_VAR, env)
         cfg = write_config(tmp_path, **extra)

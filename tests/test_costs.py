@@ -517,9 +517,9 @@ class TestBlockScorer:
         """The matcher's own groups (last two vertices in visit order), then
         for every ordered pair of tasks (u, v) a random injective prefix
         with every free node as a host of u and every other free node as a
-        host of v (a one-task workflow: every node as a host of v). The
-        random prefixes' keys are shuffled, since scoring must not read them
-        in order."""
+        host of v (a one-task workflow: u is v, on the host n_nodes, and
+        every node a host of v). The random prefixes' keys are shuffled,
+        since scoring must not read them in order."""
         leaves = 0
         for prefix, u, v, *masks in workflow_monomorphism_groups(wf, network):
             pairs = group_blocks(*masks)
@@ -529,7 +529,7 @@ class TestBlockScorer:
                 break
         n_tasks, n_nodes = len(wf.tasks), len(network.nodes)
         if n_tasks == 1:
-            yield {}, None, 0, [(None, (1 << n_nodes) - 1)]
+            yield {}, 0, 0, [(n_nodes, (1 << n_nodes) - 1)]
         for u, v in itertools.permutations(range(n_tasks), 2):
             others = [j for j in range(n_tasks) if j not in (u, v)]
             rng.shuffle(others)
@@ -559,7 +559,7 @@ class TestBlockScorer:
     @staticmethod
     def candidate(prefix, u, hu, v, h):
         """Task j's node at index j: ``prefix``, ``u`` on ``hu``, ``v`` on ``h``."""
-        mapping = {**prefix, v: h} if u is None else {**prefix, u: hu, v: h}
+        mapping = {**prefix, u: hu, v: h}
         return [mapping[j] for j in range(len(mapping))]
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
@@ -603,7 +603,7 @@ class TestBlockScorer:
                             or ref.runtime_raw > bounds.max_task_runtime_sum
                             or ref.network_raw > bounds.max_network_sum
                         )
-                    if u is not None:
+                    if u != v:
                         u_classes.add(of_node[hu])
                 mixed_groups += len(u_classes) > 1
                 last_vertices.add((len(wf.tasks), u, v))
@@ -612,7 +612,7 @@ class TestBlockScorer:
         assert one_class_blocks > 30
         assert mixed_groups > 1_000
         assert {(5, u, v) for u, v in itertools.permutations(range(5), 2)} <= last_vertices
-        assert {(1, None, 0)} <= last_vertices
+        assert {(1, 0, 0)} <= last_vertices
         if shrink < 1.0:
             assert clipped > leaves // 2  # the clip branch is exercised, not just the interior
 

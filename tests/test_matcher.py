@@ -208,14 +208,15 @@ def blocks_of(group):
 
 
 def unrolled(groups):
-    """Groups unrolled by hand into (prefix copy, v, hosts) blocks."""
+    """Groups unrolled by hand into (prefix copy, v, hosts) blocks. A
+    one-task group's ``u`` is ``v``, whose host the block varies, so ``v`` is
+    left out of the copy."""
     blocks = []
     for group in groups:
         prefix, u, v = group[:3]
         for h, mask in blocks_of(group):
-            if u is not None:
-                prefix[u] = h
-            blocks.append((dict(prefix), v, mask_hosts(mask)))
+            prefix[u] = h
+            blocks.append(({w: k for w, k in prefix.items() if w != v}, v, mask_hosts(mask)))
     return blocks
 
 
@@ -258,7 +259,7 @@ class TestGroupStream:
                 pairs = blocks_of(group)
                 assert v == order[-1]
                 if len(wf.tasks) == 1:
-                    assert (prefix, u, [h for h, _ in pairs]) == ({}, None, [None])
+                    assert (prefix, u, [h for h, _ in pairs]) == ({}, v, [len(network.nodes)])
                 else:
                     assert u == order[-2] and list(prefix) == order[:-2]
                     hosts = [h for h, _ in pairs]
@@ -292,8 +293,8 @@ class TestGroupStream:
         def groups(qubits):
             return decoded(workflow_monomorphism_groups(chain_workflow(qubits), host))
 
-        assert groups([1]) == [({}, None, 0, [(None, [0, 1, 2, 3])])]
-        assert groups([4]) == [({}, None, 0, [(None, [0, 2, 3])])]
+        assert groups([1]) == [({}, 0, 0, [(4, [0, 1, 2, 3])])]
+        assert groups([4]) == [({}, 0, 0, [(4, [0, 2, 3])])]
         assert groups([6]) == []
         assert groups([4, 1]) == [({}, 0, 1, [(0, [1]), (2, [1, 3]), (3, [2])])]
 
@@ -393,12 +394,12 @@ class TestSearchPlan:
             assert len(network.calibration_classes[0]) <= len(network.nodes)
             everything = (1 << len(network.nodes)) - 1
             assert list(workflow_monomorphism_groups(pattern_workflow(1, []), network)) == [
-                ({}, None, 0, None, everything, None)
+                ({}, 0, 0, 1 << len(network.nodes), everything, None)
             ]
             for q in {1} | {node.qubits + d for node in network.nodes for d in (-1, 0, 1)} - {0}:
                 fits = sum(1 << k for k, node in enumerate(network.nodes) if node.qubits >= q)
                 groups = list(workflow_monomorphism_groups(pattern_workflow(1, [], [q]), network))
-                assert groups == ([({}, None, 0, None, fits, None)] if fits else [])
+                assert groups == ([({}, 0, 0, 1 << len(network.nodes), fits, None)] if fits else [])
 
 
 class TestMappingFeasible:

@@ -461,12 +461,17 @@ class TestProfiles:
         with pytest.raises(ValueError, match=rf"{field} must be > 0, got nan"):
             node_from_profile("broken", load_profiles(path))
 
-    @pytest.mark.parametrize("qubits", [127.9, True], ids=["fractional", "bool"])
-    def test_non_whole_qubit_count_in_file_rejected(self, tmp_path, profiles, qubits):
-        # converting would hide it: int(127.9) is 127 and int(True) is 1
+    @pytest.mark.parametrize(
+        "qubits, message",
+        [(127.9, r"^node broken: qubits must be a"), (True, r"^profile 'broken': qubits must be an int or float")],
+        ids=["fractional", "bool"],
+    )
+    def test_non_whole_qubit_count_in_file_rejected(self, tmp_path, profiles, qubits, message):
+        # converting would hide it: int(127.9) is 127 and int(True) is 1; the
+        # node rejects a fraction, and loading the file already rejects a bool
         path = tmp_path / "bad-qubits.json"
         path.write_text(json.dumps({"broken": dict(profiles["brisbane"], qubits=qubits)}))
-        with pytest.raises(ValueError, match=r"^node broken: qubits must be a"):
+        with pytest.raises(ValueError, match=message):
             node_from_profile("broken", load_profiles(path))
 
     def test_missing_field_rejected(self, tmp_path):

@@ -52,6 +52,7 @@ CONFIGS = {
     "strict-pseudocode": lambda: _default("soft_iso", soft_config=SoftIsoConfig(strict_pseudocode=True)),
     "no-dep-gating": lambda: _default("soft_iso", dependency_gating=False),
     "LP-MR-exhaustive": lambda: _scenario("LP-MR", 10, 1, soft_config=EXHAUSTIVE),
+    "default-exhaustive": lambda: _default("soft_iso", soft_config=EXHAUSTIVE),
 }
 
 
