@@ -64,13 +64,11 @@ from .workload import (
     TopologySpec,
     WorkloadSpec,
     export_task_catalog,
-    export_workload,
     generate_catalog,
     generate_network,
     generate_task,
     generate_workload,
     import_task_catalog,
-    import_workload,
 )
 
 __version__ = "0.1.0"

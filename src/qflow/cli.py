@@ -119,9 +119,8 @@ def check_inputs(config: ExperimentConfig) -> None:
             lo, hi = config.workload.qubit_range
             if not any(lo <= task.qubits <= hi for task in import_task_catalog(config.catalog_path)):
                 raise ValueError(f"{config.catalog_path} has no task within workload.qubit_range [{lo}, {hi}]")
-    except (OSError, ValueError, KeyError) as exc:
-        detail = exc.args[0] if isinstance(exc, KeyError) else exc
-        raise ConfigError(f"{where}: {detail}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _run_sweep(config: ExperimentConfig, sweep: str, out: Path) -> None:

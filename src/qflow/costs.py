@@ -468,9 +468,9 @@ class DecisionTable:
             for q_a, q_b, a, b, c in tail:
                 x_n += (q_a[cand[a]] + q_b[cand[b]]) / 2.0 + c
             memo[key] = cost = rest * (
-                alpha * (0.0 if (x := x_e / max_err) < 0.0 else 1.0 if x > 1.0 else x)
-                + beta * (0.0 if (x := x_r / max_run) < 0.0 else 1.0 if x > 1.0 else x)
-                + gamma * (0.0 if (x := x_n / max_net) < 0.0 else 1.0 if x > 1.0 else x)
+                alpha * (1.0 if (x := x_e / max_err) > 1.0 else x)
+                + beta * (1.0 if (x := x_r / max_run) > 1.0 else x)
+                + gamma * (1.0 if (x := x_n / max_net) > 1.0 else x)
             )
             return cost
 
@@ -510,8 +510,10 @@ class DecisionTable:
 
 
 def _clip01(x: float) -> float:
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        return 1.0
-    return x
+    # No lower clip: every raw sum is >= 0 (error terms are 1 - survival,
+    # runtimes > 0, link terms >= 0, availability starts at 0.0) and every
+    # bound is > 0. A negative backlog entry gives the block scorer a negative
+    # wait, which each total reads as max(wait[h], wu) with wu >= 0.0. The
+    # upper clip stays: under a caller's bounds, aggregate_cost's sums can
+    # exceed them.
+    return 1.0 if x > 1.0 else x

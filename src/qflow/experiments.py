@@ -50,6 +50,7 @@ METRIC_FIELDS = (
 RESULT_COLUMNS = ("algorithm", "seed", "batch", "nodes", "tasks_per_group", "rho_q", *METRIC_FIELDS)
 
 SCENARIO_NAMES = ("SP-LR", "SP-MR", "LP-LR", "LP-MR")
+FAILURE_BIN_PCT = 5.0  # width of the failure histogram's bins, in percent; divides 100
 
 # (tasks per group, batch size) presets; small-program vs large-program.
 _PROGRAM_PRESETS = {"SP": (2, 10), "LP": (4, 500)}
@@ -324,17 +325,13 @@ def scenario_config(
     return replace_fields(preset, overrides)
 
 
-def emit_failure_histogram(
-    results: list[ExperimentResult], path: str | Path, bin_width: float = 5.0
-) -> list[tuple[str, float, float, int]]:
+def emit_failure_histogram(results: list[ExperimentResult], path: str | Path) -> list[tuple[str, float, float, int]]:
     """Bin experiments by unfulfilled-task percentage, one series per
-    algorithm; bins partition [0, 100] (the last one ends at 100 even when
-    ``bin_width`` does not divide it) and rows sum to the experiment count."""
+    algorithm, in ``FAILURE_BIN_PCT``-wide bins that partition [0, 100]
+    (100% falls in the last bin); rows sum to the experiment count."""
     if not results:
         raise ValueError("need at least one completed experiment")
-    if not 0 < bin_width < math.inf:  # NaN too
-        raise ValueError(f"bin_width must be finite and > 0, got {bin_width}")
-    n_bins = math.ceil(100.0 / bin_width)
+    n_bins = math.ceil(100.0 / FAILURE_BIN_PCT)
     rows = []
     by_algorithm: dict[str, list[float]] = {}
     for res in results:
@@ -343,10 +340,10 @@ def emit_failure_histogram(
     for algorithm in sorted(by_algorithm):
         counts = [0] * n_bins
         for value in by_algorithm[algorithm]:
-            idx = min(int(value / bin_width), n_bins - 1)
+            idx = min(int(value / FAILURE_BIN_PCT), n_bins - 1)
             counts[idx] += 1
         for b in range(n_bins):
-            rows.append((algorithm, b * bin_width, min((b + 1) * bin_width, 100.0), counts[b]))
+            rows.append((algorithm, b * FAILURE_BIN_PCT, (b + 1) * FAILURE_BIN_PCT, counts[b]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "bin_lower_pct", "bin_upper_pct", "experiments"])

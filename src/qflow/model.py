@@ -362,17 +362,17 @@ def mapping_feasible(
 def validate_allocation(workflow: Workflow, network: ResourceNetwork, allocation: Allocation) -> bool:
     """Check injectivity, link coverage of workflow edges, and qubit capacity.
 
-    Returns False on a constraint violation. Malformed index references are a
-    structural error and raise IndexError instead.
+    Returns False on a constraint violation; a task or node index out of
+    range is a structural error and raises ValueError naming the workflow.
     """
     n_tasks = len(workflow.tasks)
     n_nodes = len(network.nodes)
     assignment = allocation.assignment
     for j, k in assignment.items():
         if not 0 <= j < n_tasks:
-            raise IndexError(f"allocation references task index {j} out of range")
+            raise ValueError(f"workflow {workflow.id}: allocation references task index {j} out of range")
         if not 0 <= k < n_nodes:
-            raise IndexError(f"allocation references node index {k} out of range")
+            raise ValueError(f"workflow {workflow.id}: allocation references node index {k} out of range")
     if len(assignment) != n_tasks:
         return False
     if len(set(assignment.values())) != n_tasks:

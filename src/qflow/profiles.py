@@ -58,9 +58,10 @@ def node_from_profile(
     profiles: dict[str, dict[str, float]],
     node_id: str | None = None,
 ) -> QpuNode:
-    """Instantiate a QPU node from a named profile."""
+    """Instantiate a QPU node from a named profile; an unknown name raises
+    ValueError."""
     if profile_name not in profiles:
-        raise KeyError(f"unknown profile {profile_name!r}; have {sorted(profiles)}")
+        raise ValueError(f"unknown profile {profile_name!r}; have {sorted(profiles)}")
     rec = profiles[profile_name]
     # qubits goes through unconverted, so QpuNode's whole-number check sees it
     floats = {name: float(rec[name]) for name in _ERROR_RATES + _POSITIVE}

@@ -100,12 +100,12 @@ def run_simulation(
     The network is only read. Each node's free time lives in
     ``state.free_at``, and an allocator call at decision time ``t`` gets the
     backlog ``max(free_at[k] - t, 0.0)`` per node. So runs may share a
-    network, and the cost terms the allocators cache on it stay valid.
-    A successful outcome whose placement fails
-    :func:`qflow.model.validate_allocation`, or references a task or node
-    index out of range, raises ValueError naming the workflow, before any
-    of its tasks is booked. A workflow id that appears twice in
-    ``workload`` raises ValueError before the first allocator call.
+    network, and the cost terms the allocators cache on it stay valid. A
+    successful outcome whose placement fails
+    :func:`qflow.model.validate_allocation`, an index out of range
+    included, raises ValueError naming the workflow before any of its tasks
+    is booked; so does a workflow id repeated in ``workload``, before the
+    first allocator call.
 
     Metrics follow the evaluation conventions: execution time is the
     workload makespan, wait time sums per-task (start - arrival), fidelity
@@ -143,11 +143,7 @@ def run_simulation(
             outcome = allocator(wf, network, backlog)
             state.metrics.decision_time += perf_counter() - started
             if outcome.succeeded:
-                try:
-                    valid = validate_allocation(wf, network, outcome.allocation)
-                except IndexError as exc:
-                    raise ValueError(f"workflow {wf.id}: {exc}") from exc
-                if not valid:
+                if not validate_allocation(wf, network, outcome.allocation):
                     raise ValueError(f"workflow {wf.id}: the allocator returned an invalid placement")
                 _execute(wf, outcome, state, params, t, dependency_gating, gate_comm_latency)
                 state.completed.append(wf)

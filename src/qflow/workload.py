@@ -9,14 +9,13 @@ each link independently and are repaired to connectivity with a uniform
 random spanning tree over the components.
 
 Everything is driven by explicit ``random.Random`` instances, so identical
-seeds reproduce identical objects byte-for-byte on export.
+seeds reproduce equal objects.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -31,9 +30,8 @@ RANDOM_CIRCUIT_DEPTH_BAND = (5, 50)
 GRAPH_STATE_CHORD_PROB = 0.1
 WORKFLOW_CHORD_PROB = 0.2
 CATALOG_COLUMNS = ("id", "family", "qubits", "depth", "two_qubit_gates", "measured_qubits", "shots")
-# The TaskSpec attribute each catalog column (a CSV header cell, a task key
-# of the workload JSON) holds.
-_TASK_ATTRS = {column: "program_family" if column == "family" else column for column in CATALOG_COLUMNS}
+# The TaskSpec attribute each catalog column holds, in column order.
+_TASK_ATTRS = tuple("program_family" if column == "family" else column for column in CATALOG_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,11 @@ def generate_task(
     quadratic n(n-1)/2 controlled-rotation count; variational families use
     fixed layer counts; modular-arithmetic circuits grow quadratically.
     Randomness enters only for graph-state chord draws and the random-circuit
-    depth band.
+    depth band. An unknown family draws nothing, and :class:`TaskSpec`
+    rejects it with a ValueError naming the task.
     """
     family = family.strip().lower()
     n = qubits
-    if family not in PROGRAM_FAMILIES:
-        raise ValueError(f"unknown program family {family!r}")
     if family == "ghz":
         depth, g2, mq = n + 1, n - 1, n
     elif family == "qft":
@@ -176,22 +173,12 @@ def generate_catalog(
     return catalog
 
 
-def _task_record(task: TaskSpec) -> dict:
-    """The task's catalog columns, in column order."""
-    return {column: getattr(task, attr) for column, attr in _TASK_ATTRS.items()}
-
-
-def _task_from_record(record: dict) -> TaskSpec:
-    """The task whose catalog columns ``record`` holds."""
-    return TaskSpec(**{attr: record[column] for column, attr in _TASK_ATTRS.items()})
-
-
 def export_task_catalog(catalog: list[TaskSpec], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CATALOG_COLUMNS)
         for t in catalog:
-            writer.writerow(_task_record(t).values())
+            writer.writerow([getattr(t, attr) for attr in _TASK_ATTRS])
 
 
 def import_task_catalog(path: str | Path) -> list[TaskSpec]:
@@ -210,7 +197,7 @@ def import_task_catalog(path: str | Path) -> list[TaskSpec]:
                 raise ValueError(f"{path}: line {lineno}: expected {len(CATALOG_COLUMNS)} fields")
             try:
                 task_id, family, *counts = (cell.strip() for cell in row)
-                task = _task_from_record(dict(zip(CATALOG_COLUMNS, (task_id, family.lower(), *map(int, counts)))))
+                task = TaskSpec(**dict(zip(_TASK_ATTRS, (task_id, family.lower(), *map(int, counts)))))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             catalog.append(task)
@@ -257,45 +244,10 @@ def generate_workload(spec: WorkloadSpec, catalog: list[TaskSpec]) -> list[Workf
     return workflows
 
 
-def export_workload(workflows: list[Workflow], path: str | Path) -> None:
-    """Round-trippable JSON dump of a workload."""
-    payload = {
-        "workflows": [
-            {
-                "id": wf.id,
-                "arrival_time": wf.arrival_time,
-                "priority": wf.priority,
-                "edges": sorted(list(e) for e in wf.edges),
-                "tasks": [_task_record(t) for t in wf.tasks],
-            }
-            for wf in workflows
-        ]
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-
-
-def import_workload(path: str | Path) -> list[Workflow]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    workflows = []
-    for rec in payload["workflows"]:
-        workflows.append(
-            Workflow(
-                id=rec["id"],
-                tasks=tuple(_task_from_record(t) for t in rec["tasks"]),
-                edges=frozenset(tuple(e) for e in rec["edges"]),
-                arrival_time=rec["arrival_time"],
-                priority=rec.get("priority", 0),
-            )
-        )
-    return workflows
-
-
 def _uniform_spanning_tree_edges(m: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Uniform random labelled tree on m vertices via a Prufer sequence."""
-    if m == 1:
-        return []
-    if m == 2:
-        return [(0, 1)]
+    """Uniform random labelled tree on m >= 2 vertices via a Prufer
+    sequence; for m == 2 the sequence is empty, so no draw is made and the
+    tree is the edge (0, 1)."""
     prufer = [rng.randrange(m) for _ in range(m - 2)]
     degree = [1] * m
     for v in prufer:

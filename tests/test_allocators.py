@@ -719,6 +719,36 @@ class TestGreedyDfs:
                 assert validate_allocation(wf, net, outcome.allocation)
 
 
+class TestNegativeBacklog:
+    def test_negative_entries_score_as_idle_nodes(self):
+        """A caller's negative backlog entry scores as 0.0: soft_iso (the
+        presets, plain and strict, with the thresholds off and exhaustively)
+        and the oracle return, float for float and key for key, what they
+        return with the negative entries raised to 0.0. The cost functions
+        clip no value below 0: each total reads ``max(wait[h], wu)`` with
+        ``wu >= 0.0``, and the availability sums start at 0.0."""
+        rng = random.Random(4242)
+        configs = (SoftIsoConfig(), SoftIsoConfig(strict_pseudocode=True), THRESHOLDS_OFF, EXHAUSTIVE)
+
+        def observed(outcome):
+            allocation = outcome.allocation
+            placement = allocation and (list(allocation.assignment.items()), allocation.cost_breakdown)
+            return placement, outcome.candidates_examined, outcome.incumbent_costs
+
+        placed = 0
+        for _ in range(400):
+            wf, net, _ = random_small_instance(rng)
+            backlog = [rng.uniform(-3.0, 3.0) for _ in net.nodes]
+            raised = [max(x, 0.0) for x in backlog]
+            for config in configs:
+                got, want = (soft_iso(wf, net, WEIGHTS, PARAMS, config, b) for b in (backlog, raised))
+                assert observed(got) == observed(want)
+            got, want = (exhaustive_oracle(wf, net, WEIGHTS, PARAMS, b) for b in (backlog, raised))
+            assert observed(got) == observed(want)
+            placed += got.succeeded
+        assert placed > 150
+
+
 class TestExhaustiveOracle:
     def test_guard_raises_on_oversized_instances(self):
         wf = chain_workflow([5] * 2)

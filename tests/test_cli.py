@@ -271,6 +271,17 @@ class TestSweepMode:
         assert "config error" in err and "dependency_gating" in err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [("batch", "--sweep expects KEY=V1,V2,..."), ("batch=", "--sweep needs at least one value")],
+        ids=["no-equals", "no-value"],
+    )
+    def test_malformed_sweep_is_config_error(self, tmp_path, capsys, sweep, message):
+        out = tmp_path / "s"
+        assert main(["--algo", "greedy_dfs", "--reps", "1", "--sweep", sweep, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_sweep_of_a_section_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "s"
         assert main(["--algo", "greedy_dfs", "--reps", "1", "--sweep", "workload=5", "--out", str(out)]) == 1

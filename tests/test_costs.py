@@ -325,6 +325,15 @@ class TestAggregateCost:
         ).total
         assert total_idle == pytest.approx(total_busy, rel=1e-12)
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_candidate_of_another_length_is_refused(self, length):
+        network = make_network([127, 127, 127], [(0, 1), (1, 2)])
+        wf = chain_workflow([5, 5])
+        params = NetworkParams()
+        bounds = compute_bounds(wf, network, params)
+        with pytest.raises(ValueError, match="^candidate_nodes must pair one node per task$"):
+            aggregate_cost(wf, list(range(length)), network, WeightConfig(), params, bounds)
+
     def test_normalized_components_in_unit_interval(self):
         rng = random.Random(3)
         params = NetworkParams()
@@ -778,6 +787,13 @@ class TestComputeBounds:
             assert bounds.max_network_sum == max(exp_net, 1e-12)
             assert bounds.max_nat == max(exp_nat, 1e-12)
         assert fallbacks == 50 and busy > 50
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NormalizationBounds)])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nonpositive_bound_refused(self, field, value):
+        values = {f.name: 1.0 for f in dataclasses.fields(NormalizationBounds)}
+        with pytest.raises(ValueError, match=rf"^{field} must be > 0 \(apply the 1e-12 floor\)$"):
+            NormalizationBounds(**{**values, field: value})
 
     @pytest.mark.parametrize("length", [2, 4])
     def test_backlog_of_another_length_is_refused(self, length):

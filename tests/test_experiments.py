@@ -312,26 +312,6 @@ class TestFailureHistogram:
         assert path.read_text().splitlines() == expected
         assert rows[-1] == ("greedy_dfs", 95.0, 100.0, 1)
 
-    @pytest.mark.parametrize(
-        "width, bins",
-        [
-            (30.0, [(0.0, 30.0, 1), (30.0, 60.0, 0), (60.0, 90.0, 0), (90.0, 100.0, 2)]),
-            (150.0, [(0.0, 100.0, 3)]),
-            (100.0, [(0.0, 100.0, 3)]),
-        ],
-    )
-    def test_bins_partition_0_to_100_for_any_width(self, tmp_path, width, bins):
-        # 95% unfulfilled used to land in [60, 90) at width 30, and width 150
-        # raised IndexError
-        rows = emit_failure_histogram(self.fake_results([0.0, 95.0, 100.0]), tmp_path / "h.csv", bin_width=width)
-        assert [row[1:] for row in rows] == bins
-
-    @pytest.mark.parametrize("width", [0.0, -5.0, math.nan, math.inf])
-    def test_width_must_be_positive_and_finite(self, tmp_path, width):
-        with pytest.raises(ValueError, match="bin_width must be finite and > 0"):
-            emit_failure_histogram(self.fake_results([0.0]), tmp_path / "h.csv", bin_width=width)
-        assert not (tmp_path / "h.csv").exists()
-
     def test_embedding_search_mass_sits_near_zero_failures(self, tmp_path):
         # under a constrained topology the embedding search keeps failure
         # rates low while the baselines shed most multi-task workflows

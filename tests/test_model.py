@@ -121,6 +121,16 @@ class TestWorkflow:
         with pytest.raises(ValueError):
             Workflow(id="w", tasks=())
 
+    @pytest.mark.parametrize(
+        "edge, message",
+        [((0, 2), r"edge \(0,2\) out of range"), ((-1, 0), r"edge \(-1,0\) out of range"), ((1, 1), "self-loop on task 1")],
+        ids=["past-end", "negative", "self-loop"],
+    )
+    def test_bad_edge_rejected(self, edge, message):
+        tasks = tuple(make_task(task_id=f"t{i}") for i in range(2))
+        with pytest.raises(ValueError, match=rf"^workflow w: {message}$"):
+            Workflow(id="w", tasks=tasks, edges=frozenset({(0, 1), edge}))
+
     def test_cycle_reported_before_disconnection(self):
         tasks = tuple(make_task(task_id=f"t{i}") for i in range(4))
         with pytest.raises(ValueError, match="cycle"):
@@ -152,6 +162,15 @@ class TestResourceNetwork:
         with pytest.raises(ValueError, match="self-loop"):
             make_network([127, 127], [(0, 0)])
 
+    @pytest.mark.parametrize(
+        "qubit_list, links, message",
+        [([], [], "network needs at least one node"), ([127, 127], [(0, 2)], r"link \(0,2\) out of range")],
+        ids=["no-nodes", "link-out-of-range"],
+    )
+    def test_empty_network_and_stray_link_rejected(self, qubit_list, links, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            make_network(qubit_list, links)
+
     def test_links_normalized_symmetric(self):
         net = make_network([127, 127], [(1, 0)])
         assert net.neighbour_masks == (0b10, 0b01)
@@ -172,6 +191,12 @@ class TestQpuNode:
     def test_nonpositive_and_nan_calibration_rejected(self, kwarg, field, value):
         with pytest.raises(ValueError, match=rf"{field} must be > 0"):
             make_node(**{kwarg: value})
+
+    @pytest.mark.parametrize("kwarg, field", [("er", "readout_error"), ("e1", "one_qubit_error"), ("e2", "two_qubit_error")])
+    @pytest.mark.parametrize("value", [-0.1, 1.0, math.nan])
+    def test_error_rate_outside_unit_interval_rejected(self, kwarg, field, value):
+        with pytest.raises(ValueError, match=rf"^node x: {field} must be in \[0, 1\), got {value}$"):
+            make_node(node_id="x", **{kwarg: value})
 
     @pytest.mark.parametrize("qubits", [math.nan, math.inf, 2.5, True], ids=["nan", "inf", "fractional", "bool"])
     def test_non_whole_qubits_rejected_naming_the_node(self, qubits):
@@ -416,9 +441,9 @@ class TestValidateAllocation:
     def test_structural_index_error_distinct_from_false(self):
         wf = chain_workflow([5])
         net = make_network([127], [])
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"^workflow wf: allocation references node index 5 out of range$"):
             validate_allocation(wf, net, Allocation({0: 5}))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"^workflow wf: allocation references task index 7 out of range$"):
             validate_allocation(wf, net, Allocation({7: 0}))
 
 

@@ -307,11 +307,17 @@ class TestInvalidPlacements:
     is booked: nodes 0-1-2 form a path and node 2 has 3 qubits."""
 
     @pytest.mark.parametrize(
-        "assignment",
-        [{0: 1, 1: 1}, {0: 1, 1: 2}, {0: 0, 1: 2}, {0: 0, 1: 7}, {0: 0, 7: 1}],
+        "assignment, message",
+        [
+            ({0: 1, 1: 1}, "the allocator returned an invalid placement"),
+            ({0: 1, 1: 2}, "the allocator returned an invalid placement"),
+            ({0: 0, 1: 2}, "the allocator returned an invalid placement"),
+            ({0: 0, 1: 7}, "allocation references node index 7 out of range"),
+            ({0: 0, 7: 1}, "allocation references task index 7 out of range"),
+        ],
         ids=["shared-node", "too-small-node", "edge-off-links", "node-out-of-range", "task-out-of-range"],
     )
-    def test_is_refused_before_booking(self, monkeypatch, assignment):
+    def test_is_refused_before_booking(self, monkeypatch, assignment, message):
         net = make_network([127, 127, 3], [(0, 1), (1, 2)])
         ok = chain_workflow([5, 5], wf_id="ok", arrival=0.0)
         bad = chain_workflow([5, 5], wf_id="bad", arrival=1.0)
@@ -324,9 +330,16 @@ class TestInvalidPlacements:
 
         monkeypatch.setattr(simulation, "_execute", recording_execute)
         allocator = fixed_allocator({"ok": {0: 0, 1: 1}, "bad": assignment})
-        with pytest.raises(ValueError, match="workflow bad: "):
+        with pytest.raises(ValueError, match=f"^workflow bad: {message}$"):
             run_simulation([ok, bad], net, allocator, PARAMS)
         assert booked == ["ok"]
+
+
+class TestMakeAllocator:
+    @pytest.mark.parametrize("name", ["bogus", "Soft_Iso"])
+    def test_unknown_name_refused(self, name):
+        with pytest.raises(ValueError, match=f"^unknown allocator '{name}'$"):
+            make_allocator(name, WEIGHTS, PARAMS)
 
 
 class TestCallSequence:

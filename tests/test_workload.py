@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 
@@ -13,13 +12,11 @@ from qflow.workload import (
     TopologySpec,
     WorkloadSpec,
     export_task_catalog,
-    export_workload,
     generate_catalog,
     generate_network,
     generate_task,
     generate_workload,
     import_task_catalog,
-    import_workload,
 )
 
 from .conftest import is_connected
@@ -48,8 +45,12 @@ class TestGenerateTask:
         assert generate_task("qft", 10, rng).two_qubit_gates == 45
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown program family"):
-            generate_task("teleport", 5, random.Random(0))
+        # TaskSpec makes the check, naming the task, and no draw is made first
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=r"^task teleport-5: unknown program family 'teleport'$"):
+            generate_task("teleport", 5, rng)
+        assert rng.getstate() == state
 
     def test_all_families_produce_valid_tasks(self):
         rng = random.Random(1)
@@ -103,11 +104,45 @@ class TestCatalogRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             import_task_catalog(path)
 
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(
+            "id,family,qubits,depth,two_qubit_gates,measured_qubits,shots\n"
+            "\n"
+            "a,ghz,5,6,4,5,1000\n"
+            " , ,,,,,\n"
+            "b,qft,3,6,3,3,100\n"
+        )
+        assert [t.id for t in import_task_catalog(path)] == ["a", "b"]
+
+    @pytest.mark.parametrize("row", ["x,ghz,5,6,4,5", "x,ghz,5,6,4,5,1000,7"], ids=["short", "long"])
+    def test_wrong_field_count_reports_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,family,qubits,depth,two_qubit_gates,measured_qubits,shots\n\n" + row + "\n")
+        with pytest.raises(ValueError, match=r"bad.csv: line 3: expected 7 fields$"):
+            import_task_catalog(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n")
         with pytest.raises(ValueError, match="line 1"):
             import_task_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: WorkloadSpec(tasks_per_group=6), r"tasks_per_group must be in \[1, 5\]"),
+        (lambda: TopologySpec(link_probability=-0.1), r"link_probability must be in \[0, 1\]"),
+        (lambda: TopologySpec(link_probability=1.5), r"link_probability must be in \[0, 1\]"),
+        (lambda: TopologySpec(link_probability=math.nan), r"link_probability must be in \[0, 1\]"),
+        (lambda: TopologySpec(profile_pool=()), "profile_pool must be nonempty"),
+    ],
+    ids=["six-tasks", "negative-rho", "rho-above-one", "nan-rho", "empty-pool"],
+)
+def test_spec_out_of_range_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 class TestGenerateWorkload:
@@ -141,58 +176,10 @@ class TestGenerateWorkload:
                 assert 1 <= len(wf.tasks) <= 5
                 # Workflow construction enforces DAG + connected skeleton
 
-    def test_seed_determinism_byte_for_byte(self, tmp_path):
+    def test_seed_determinism_byte_for_byte(self):
         catalog = generate_catalog(40, seed=4)
         spec = WorkloadSpec(batch_size=15, tasks_per_group=4, seed=77)
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        export_workload(generate_workload(spec, catalog), a)
-        export_workload(generate_workload(spec, catalog), b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_workload_roundtrip(self, tmp_path):
-        catalog = generate_catalog(40, seed=4)
-        spec = WorkloadSpec(batch_size=12, tasks_per_group=3, seed=5)
-        workload = generate_workload(spec, catalog)
-        path = tmp_path / "w.json"
-        export_workload(workload, path)
-        assert import_workload(path) == workload
-
-    def test_imported_nan_depth_rejected(self, tmp_path):
-        catalog = generate_catalog(40, seed=4)
-        workload = generate_workload(WorkloadSpec(batch_size=3, tasks_per_group=2, seed=5), catalog)
-        path = tmp_path / "w.json"
-        export_workload(workload, path)
-        payload = json.loads(path.read_text())
-        payload["workflows"][1]["tasks"][0]["depth"] = math.nan
-        path.write_text(json.dumps(payload))
-        assert '"depth": NaN' in path.read_text()
-        with pytest.raises(ValueError, match="depth must be a whole number, got nan"):
-            import_workload(path)
-
-    def test_imported_infinite_depth_rejected(self, tmp_path):
-        catalog = generate_catalog(40, seed=4)
-        workload = generate_workload(WorkloadSpec(batch_size=3, tasks_per_group=2, seed=5), catalog)
-        path = tmp_path / "w.json"
-        export_workload(workload, path)
-        payload = json.loads(path.read_text())
-        payload["workflows"][1]["tasks"][0]["depth"] = math.inf
-        path.write_text(json.dumps(payload))
-        assert '"depth": Infinity' in path.read_text()
-        with pytest.raises(ValueError, match="depth must be a finite whole number, got inf"):
-            import_workload(path)
-
-    def test_imported_boolean_depth_rejected(self, tmp_path):
-        catalog = generate_catalog(40, seed=4)
-        workload = generate_workload(WorkloadSpec(batch_size=3, tasks_per_group=2, seed=5), catalog)
-        path = tmp_path / "w.json"
-        export_workload(workload, path)
-        payload = json.loads(path.read_text())
-        payload["workflows"][1]["tasks"][0]["depth"] = True
-        path.write_text(json.dumps(payload))
-        assert '"depth": true' in path.read_text()
-        with pytest.raises(ValueError, match="depth must be a whole number, not a bool"):
-            import_workload(path)
+        assert generate_workload(spec, catalog) == generate_workload(spec, catalog)
 
     def test_qubit_filter_enforced(self):
         catalog = generate_catalog(40, qubit_range=(5, 100), seed=4)
