@@ -123,8 +123,9 @@ def soft_iso(
     group holds the blocks that differ only in the hosts of ``v`` and of the
     task before it, ``u`` (one task: ``v`` itself, on the sentinel host).
     The :meth:`DecisionTable.block_scorer` of the per-decision table, built
-    at the first group, folds each group's prefix once and scores each block
-    in one call, with floats equal to :func:`aggregate_cost`'s. A block none
+    at the first group, folds each group's prefix, adding up its terms once
+    per decision for each class tuple of its hosts, and scores each block in
+    one call, with floats equal to :func:`aggregate_cost`'s. A block none
     of whose costs beats the incumbent cannot stop the search, so it only
     updates the maximum and previous costs (when it was scored at all, see
     below); any other block is walked candidate by candidate with the rule

@@ -18,14 +18,15 @@ component. :class:`DecisionTable` holds one decision's terms; the
 normalization bounds are read off it. Its :meth:`~DecisionTable.breakdown`
 returns a candidate's breakdown and its block scorer the totals of a group
 of candidates that differ in the hosts of two tasks, each equal as a float
-to ``aggregate_cost(...)``'s: the rest of the candidate is folded once per
-group, the two hosts' terms are evaluated once per pair of their
-calibration classes, and each host then costs one compare and add (the
-hosts of a class differ only in availability). Given a floor, the scorer
-first checks exact float lower bounds (a task on a sentinel host, then on
-each class at its least wait) and returns ``None`` if no total can be
-below the floor. The cost-aware allocators build one table per decision
-and score every candidate, group or trial from it.
+to ``aggregate_cost(...)``'s: the rest of the candidate is added up once
+per decision for each tuple of its hosts' calibration classes, the two
+hosts' terms once per such tuple and pair of their own classes, and each
+host then costs one compare and add (the hosts of a class differ only in
+availability). Given a floor, the scorer first checks exact float lower
+bounds (a task on a sentinel host, then on each class at its least wait)
+and returns ``None`` if no total can be below the floor. The cost-aware
+allocators build one table per decision and score every candidate, group
+or trial from it.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -76,7 +77,7 @@ class NormalizationBounds:
 
     def __post_init__(self):
         for name in ("max_nat", "max_task_error_sum", "max_task_runtime_sum", "max_network_sum"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be > 0 (apply the {BOUND_FLOOR} floor)")
 
 
@@ -370,19 +371,23 @@ class DecisionTable:
         ``v`` on ``h``. Given a ``floor``, it returns ``None`` instead when it
         can prove that no such total is below it.
 
-        ``fold`` adds up, once per group, the terms that depend on neither
-        host: the availability maximum over the prefix, the error and
-        runtime sums of the tasks below ``min(u, v)``, and the edge sum up
-        to the first sorted edge that touches ``u`` or ``v``; it also clears
-        the group's memo. Hosts of one calibration class have equal error,
-        runtime and quantum-link terms, so the weighted non-availability
-        part ``R = rest * (alpha·… + beta·… + gamma·…)`` depends on the two
-        hosts only through their classes: ``score`` evaluates it once per
-        (``u``-class, ``v``-class) pair the group uses, with the remaining
-        additions in :meth:`breakdown`'s order, and keeps it in the memo.
-        Each host then costs one compare and one add,
-        ``max(wait[h], max(w, wait[hu])) + R``; every float is equal.
-        Availability is folded after normalizing, since
+        ``fold`` takes the availability maximum ``w`` over the prefix once
+        per group. Every other term is a per-class value expanded to the
+        nodes (``_task_terms``), so the rest of what ``fold`` adds up (the
+        error and runtime sums of the tasks below ``min(u, v)`` and the edge
+        sum up to the first sorted edge that touches ``u`` or ``v``) depends
+        on the prefix only through its class tuple: its hosts' classes in
+        task order, not in the prefix's key order. ``fold`` adds them up
+        only for a class tuple the decision has not met, and otherwise
+        reuses the sums and the memo kept for it. Likewise the weighted
+        non-availability part ``R = rest * (alpha·… + beta·… + gamma·…)``
+        depends on the two hosts only through their classes: ``score``
+        evaluates it once per (class tuple, ``u``-class, ``v``-class) the
+        decision meets, with the remaining additions in :meth:`breakdown`'s
+        order, and keeps it in the memo. A reused float is the one a fresh
+        evaluation would add up in the same order. Each host then costs one
+        compare and one add, ``max(wait[h], max(w, wait[hu])) + R``; every
+        float is equal. Availability is folded after normalizing, since
         ``f(max(a, b)) == max(f(a), f(b))`` for the monotone
         ``f(x) = zeta * clip(x / max_nat)``.
 
@@ -429,19 +434,24 @@ class DecisionTable:
         split = next((i for i, edge in enumerate(self.edges) if u in edge or v in edge), len(edges))
         head, tail = edges[:split], edges[split:]
         cand = [0] * len(err)  # the prefix, then the pair being evaluated
-        blank = [None] * (stride * stride)
-        memo = blank.copy()  # R per (u-class, v-class), row-major
+        others = [j for j in range(len(err)) if j != u and j != v]  # the prefix's tasks, in task order
+        memos = {}  # per class tuple of the prefix's hosts: its e, r, net and memo
+        memo = []  # the prefix's R per (u-class, v-class), row-major
         class_lows = []  # per class: index, mask, first host, least wait; filled at the first class check
         w = e = r = net = 0.0
 
         def fold(prefix: Mapping[int, int]) -> None:
-            nonlocal w, e, r, net
+            nonlocal w, e, r, net, memo
             w = 0.0
             for j, k in prefix.items():
                 cand[j] = k
                 x = wait[k]
                 if x > w:
                     w = x
+            key = tuple([of_node[cand[j]] for j in others])
+            if (sums := memos.get(key)) is not None:
+                e, r, net, memo = sums
+                return
             e = 0.0
             r = 0.0
             for err_j, run_j, j in before:
@@ -451,7 +461,8 @@ class DecisionTable:
             net = 0.0
             for q_a, q_b, a, b, c in head:
                 net += (q_a[cand[a]] + q_b[cand[b]]) / 2.0 + c
-            memo[:] = blank
+            memo = [None] * (stride * stride)
+            memos[key] = e, r, net, memo
 
         def evaluate(hu: int, h: int, key: int) -> float:
             # R with u on hu and v on h; _clip01 is inlined, as a call per

@@ -327,12 +327,16 @@ class TestSoftIsoReference:
         handed to the scorer, those it scores and the candidates each
         decision examines. Per group folded, also count the scorer's pair
         evaluations (one read of ``v``'s error row each) and the calibration
-        classes of the hosts of ``u`` and ``v`` its blocks use."""
+        classes of the hosts of ``u`` and ``v`` its blocks use. Per decision,
+        count the pair evaluations, the groups folded and the keys (class
+        tuple of the prefix's hosts in task order, ``u``-class, ``v``-class)
+        the scorer may evaluate, the sentinel host a class of its own."""
         import qflow.allocators
         import qflow.costs
 
         calls = {
             "groups": 0, "groups_skipped": 0, "blocks": 0, "block_calls": 0, "scored": 0, "examined": [], "folded": [],
+            "decisions": [],
         }
         groups = qflow.allocators.workflow_monomorphism_groups
         block_scorer = qflow.costs.DecisionTable.block_scorer
@@ -355,10 +359,15 @@ class TestSoftIsoReference:
             table.err[v] = Row(table.err[v])
             fold, score = block_scorer(table, weights, u, v)
             of_node = table.classes[2]
+            sentinel = len(table.classes[1])
+            decision = {"evals": 0, "groups": 0, "keys": set(), "prefix": ()}
+            calls["decisions"].append(decision)
 
             def counted_fold(prefix):
                 # pair evaluations, classes of u's hosts, classes of v's hosts
                 calls["folded"].append([0, set(), set()])
+                decision["groups"] += 1
+                decision["prefix"] = tuple(of_node[prefix[j]] for j in sorted(prefix))
                 fold(prefix)
 
             def counted(hu, mask, floor=None):
@@ -366,6 +375,10 @@ class TestSoftIsoReference:
                 before = reads[0]
                 costs = score(hu, mask, floor)
                 group[0] += reads[0] - before
+                decision["evals"] += reads[0] - before
+                u_class = of_node[hu] if hu < len(of_node) else sentinel
+                v_classes = {of_node[h] for h in mask_hosts(mask)} | ({sentinel} if floor is not None else set())
+                decision["keys"].update((decision["prefix"], u_class, c) for c in v_classes)
                 if mask:
                     calls["block_calls"] += 1
                     calls["scored"] += costs is not None
@@ -422,6 +435,18 @@ class TestSoftIsoReference:
         scored = [(evals, len(us), len(vs)) for evals, us, vs in calls["folded"] if us]
         assert len(scored) > 50
         assert all(evals <= (n_u + 1) * (n_v + 1) for evals, n_u, n_v in scored)
+
+    def test_a_decision_evaluates_each_class_key_at_most_once(self, monkeypatch):
+        """With the thresholds off, as in lpmr-search, a decision's scorer
+        evaluates ``R`` at most once per (prefix class tuple, ``u``-class,
+        ``v``-class) it meets: its memo lasts the whole decision. The
+        groups of an LP-MR decision repeat few class tuples, so a memo
+        cleared at every group would evaluate most keys many times."""
+        calls = self.count_lpmr_search(monkeypatch)
+        assert len(calls["decisions"]) == 4
+        for decision in calls["decisions"]:
+            assert 0 < decision["evals"] <= len(decision["keys"])
+            assert len({prefix for prefix, _, _ in decision["keys"]}) < decision["groups"] / 5
 
 
 class TestSoftIsoStopRule:

@@ -625,6 +625,90 @@ class TestBlockScorer:
         if shrink < 1.0:
             assert clipped > leaves // 2  # the clip branch is exercised, not just the interior
 
+    @staticmethod
+    def twin(rng, prefix, network):
+        """A prefix of the same tasks on hosts of the same calibration
+        classes, drawn afresh within each class, its keys shuffled."""
+        _, masks, of_node = network.calibration_classes
+        tasks = list(prefix)
+        rng.shuffle(tasks)
+        twin = {}
+        for c in {of_node[prefix[j]] for j in tasks}:
+            of_class = [j for j in tasks if of_node[prefix[j]] == c]
+            twin.update(zip(of_class, rng.sample(mask_hosts(masks[c]), len(of_class))))
+        return twin
+
+    @pytest.mark.parametrize("floored", [False, True], ids=["no-floor", "floor"])
+    @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
+    def test_prefixes_of_one_class_tuple_share_their_sums(self, shrink, floored):
+        """One scorer per ``(u, v)`` scores a shuffled stream of groups: per
+        drawn prefix, the same tasks listed in another key order and two
+        prefixes whose hosts have the same classes but are drawn afresh
+        within them (other hosts, other waits), interleaved with the groups
+        of the other draws' class tuples. Every total equals
+        ``aggregate_cost``'s, and every ``None``, for a block or (``u`` on
+        the sentinel) for a group, is confirmed by brute force. On the
+        scenario and one-class networks many groups meet a class tuple
+        already met on other hosts; on a class per node only the reordered
+        prefixes do."""
+        rng = random.Random(4669)
+        leaves = skipped = scored = 0
+        met_elsewhere = {"scenario": 0, "class per node": 0, "one class": 0}
+        for wf, network, params, weights, _, _ in self.decisions(rng):
+            n_tasks, n_nodes = len(wf.tasks), len(network.nodes)
+            backlog = [rng.uniform(0.0, 2.0) for _ in network.nodes]  # every host its own wait
+            table = DecisionTable(wf, network, params, backlog)
+            bounds = self.scale_bounds(table, shrink)
+            _, masks, of_node = network.calibration_classes
+            kind = {1: "one class", n_nodes: "class per node"}.get(len(masks), "scenario")
+            pairs = list(itertools.permutations(range(n_tasks), 2)) or [(0, 0)]
+            for u, v in rng.sample(pairs, min(3, len(pairs))):
+                fold, score = table.block_scorer(weights, u, v)
+                others = [j for j in range(n_tasks) if j not in (u, v)]
+                stream = []
+                for _ in range(3):
+                    prefix = dict(zip(others, rng.sample(range(n_nodes), len(others))))
+                    reordered = {j: prefix[j] for j in reversed(list(prefix))}
+                    stream += [prefix, reordered, self.twin(rng, prefix, network), self.twin(rng, prefix, network)]
+                rng.shuffle(stream)
+                met = {}  # class tuple -> host tuples of its prefixes
+                incumbent = math.inf
+                for prefix in stream:
+                    fold(prefix)
+                    hosts = tuple(prefix[j] for j in others)
+                    classes = tuple(of_node[h] for h in hosts)
+                    met_elsewhere[kind] += bool(met.get(classes, {hosts}) - {hosts})
+                    met.setdefault(classes, set()).add(hosts)
+                    free = sum(1 << h for h in range(n_nodes) if h not in hosts)
+                    group_floor = incumbent if floored else None
+                    group_bound = score(n_nodes, 0, group_floor) if u != v and floored else []
+                    blocks = [(n_nodes, free)] if u == v else [(h, free & ~(1 << h)) for h in mask_hosts(free)]
+                    totals = []
+                    for hu, mask in blocks:
+                        refs = [
+                            aggregate_cost(
+                                wf, self.candidate(prefix, u, hu, v, h), network, weights, params, bounds, backlog
+                            ).total
+                            for h in mask_hosts(mask)
+                        ]
+                        floor = rng.choice([incumbent, min(refs, default=0.0), rng.random()]) if floored else None
+                        got = score(hu, mask, floor)
+                        if got is None:
+                            assert floored and all(total >= floor for total in refs)
+                            skipped += 1
+                        else:
+                            assert got == refs
+                            scored += 1
+                        totals += refs
+                        leaves += len(refs)
+                    if group_bound is None:
+                        assert all(total >= group_floor for total in totals)
+                    incumbent = min([incumbent, *totals])
+        assert leaves > 30_000 and scored > 1_000
+        if floored:
+            assert skipped > 1_000
+        assert met_elsewhere["scenario"] > 100 and met_elsewhere["one class"] > 100, met_elsewhere
+
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_floor_skips_only_blocks_with_no_total_below_it(self, shrink):
         """``score(hu, mask, f)`` returns ``None`` only when every total
@@ -789,11 +873,19 @@ class TestComputeBounds:
         assert fallbacks == 50 and busy > 50
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NormalizationBounds)])
-    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])  # nan <= 0 is false, so NaN needs the "> 0" test
     def test_nonpositive_bound_refused(self, field, value):
         values = {f.name: 1.0 for f in dataclasses.fields(NormalizationBounds)}
         with pytest.raises(ValueError, match=rf"^{field} must be > 0 \(apply the 1e-12 floor\)$"):
             NormalizationBounds(**{**values, field: value})
+
+    def test_nan_first_backlog_entry_is_refused(self):
+        # max() keeps a leading NaN, so the availability bound would be NaN
+        # and every total the table scores NaN
+        network = make_network([50, 50, 50], [(0, 1), (1, 2)])
+        wf = chain_workflow([3, 7])
+        with pytest.raises(ValueError, match=r"^max_nat must be > 0"):
+            DecisionTable(wf, network, NetworkParams(), [math.nan, 1.0, 0.5])
 
     @pytest.mark.parametrize("length", [2, 4])
     def test_backlog_of_another_length_is_refused(self, length):
