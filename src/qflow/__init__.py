@@ -38,7 +38,6 @@ from .matcher import (
     MappingGroup,
     group_blocks,
     mask_hosts,
-    workflow_monomorphism_groups,
     workflow_monomorphisms,
 )
 from .model import (

@@ -27,9 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .costs import CostBreakdown, DecisionTable, aggregate_cost, compute_bounds
-# workflow_monomorphisms is not called here; it stays bound because
-# perfbench's tracer times the matcher by swapping this name.
-from .matcher import group_blocks, group_size, mask_hosts, workflow_monomorphism_groups, workflow_monomorphisms
+from .matcher import group_blocks, group_size, mask_hosts, workflow_monomorphisms
 from .model import (
     Allocation,
     NetworkParams,
@@ -118,10 +116,11 @@ def soft_iso(
     never exceeds it. The stream yields only injective, qubit-fitting,
     edge-preserving mappings, so no candidate needs a feasibility check.
 
-    The stream arrives in groups of blocks. A block holds the candidates
-    that differ only in the host of the last task in visit order, ``v``; a
-    group holds the blocks that differ only in the hosts of ``v`` and of the
-    task before it, ``u`` (one task: ``v`` itself, on the sentinel host).
+    The stream (this module's ``workflow_monomorphisms``, read at each
+    call) yields groups of blocks. A block holds the candidates that differ
+    only in the host of the last task in visit order, ``v``; a group holds
+    the blocks that differ only in the hosts of ``v`` and of the task
+    before it, ``u`` (one task: ``v`` itself, on the sentinel host).
     The :meth:`DecisionTable.block_scorer` of the per-decision table, built
     at the first group, folds each group's prefix, adding up its terms once
     per decision for each class tuple of its hosts, and scores each block in
@@ -158,7 +157,7 @@ def soft_iso(
     incumbent: dict[int, int] | None = None
     history: list[float] = []
 
-    for prefix, u, v, hosts, leaves, links in workflow_monomorphism_groups(workflow, network):
+    for prefix, u, v, hosts, leaves, links in workflow_monomorphisms(workflow, network):
         if score is None:
             table = DecisionTable(workflow, network, params, backlog)
             fold, score = table.block_scorer(weights, u, v)

@@ -98,6 +98,9 @@ class ExperimentConfig:
         for name, kind in _SECTIONS.items():
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name}: expected an object")
+        for name in ("catalog_path", "profiles_path"):
+            if not isinstance(value := getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name}: expected a string or null, got {value!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -108,8 +111,9 @@ class ExperimentConfig:
 def replace_fields(obj, values: dict, path: str = ""):
     """Return the dataclass ``obj`` with the fields named in ``values``
     replaced; a dict given for a field that holds a dataclass is applied to
-    that dataclass's fields in turn. An unknown key or a bad value raises a
-    ``ConfigError`` naming its dotted path (``path`` prefixes it)."""
+    that dataclass's fields in turn. An unknown key, a bool given for a field
+    that holds a float or None, or a bad value raises a ``ConfigError``
+    naming its dotted path (``path`` prefixes it)."""
     if not isinstance(values, dict):
         raise ConfigError(f"{path.rstrip('.') or 'config'}: expected an object, got {type(values).__name__}")
     unknown = set(values) - {f.name for f in dataclasses.fields(obj)}
@@ -120,6 +124,9 @@ def replace_fields(obj, values: dict, path: str = ""):
         current = getattr(obj, name)
         if isinstance(value, dict) and dataclasses.is_dataclass(current):
             value = replace_fields(current, value, f"{path}{name}.")
+        elif isinstance(value, bool) and (current is None or type(current) is float):
+            # a bool is an int, so a real-valued field would take it as 0 or 1
+            raise ConfigError(f"{path}{name}: a bool is not accepted, got {value!r}")
         changes[name] = value
     try:
         return dataclasses.replace(obj, **changes)

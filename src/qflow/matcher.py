@@ -29,7 +29,6 @@ of ``v``. No group is empty. A consumer can fold the prefix once per group
 (soft_iso bounds a whole group and scores a whole block per call), count a
 group it rules out from the two masks with :func:`group_size`, and decode a
 leaf mask with :func:`mask_hosts` only where it needs the hosts one by one.
-The flat stream is the groups unrolled, in the same order.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     return tuple(order), earlier, u in adj[order[-1]], tuple(p for p in earlier[-1] if p != u)
 
 
-def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingGroup]:
+def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingGroup]:
     """Yield every injective mapping of the workflow's tasks onto network
     nodes that puts each skeleton edge on a link and each task on a node
     with enough qubits, in groups, lazily and in a deterministic order.
@@ -168,11 +167,3 @@ def workflow_monomorphism_groups(workflow: Workflow, network: ResourceNetwork) -
 
     return extend(0, 0)
 
-
-def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[CandidateMapping]:
-    """The mappings of :func:`workflow_monomorphism_groups`, one dict each,
-    keyed in visit order."""
-    for prefix, u, v, hosts, leaves, links in workflow_monomorphism_groups(workflow, network):
-        for h, mask in group_blocks(hosts, leaves, links):
-            for k in mask_hosts(mask):
-                yield {**prefix, u: h, v: k}

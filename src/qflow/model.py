@@ -183,8 +183,8 @@ class QpuNode:
                 raise ValueError(f"node {self.id}: {name} must be in [0, 1), got {v}")
         for name in _POSITIVE:
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"node {self.id}: {name} must be > 0, got {v}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"node {self.id}: {name} must be > 0 and finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -272,9 +272,10 @@ class NetworkParams:
     (1.0 makes the switch attenuation term vanish) and must be > 0. Set
     ``eta_in_db`` to interpret the value as decibels instead: any finite
     value, 0 dB being lossless and a loss negative. NaN is rejected in
-    either mode, as it is for ``classical_latency``, and so is a value
-    whose attenuation ``eta_linear ** switch_count`` overflows or falls
-    below the least normal float (a subnormal one overflows the link cost).
+    either mode, as are NaN and infinity for ``classical_latency``, and so
+    is a value whose attenuation ``eta_linear ** switch_count`` overflows
+    or falls below the least normal float (a subnormal one overflows the
+    link cost).
     """
 
     success_probability: float = 0.5
@@ -298,8 +299,8 @@ class NetworkParams:
             attenuation = math.inf
         if not sys.float_info.min <= attenuation < math.inf:
             raise ValueError("transmission_efficiency ** switch_count must be a normal positive finite float")
-        if not self.classical_latency >= 0:
-            raise ValueError("classical_latency must be >= 0")
+        if not 0 <= self.classical_latency < math.inf:
+            raise ValueError("classical_latency must be >= 0 and finite")
 
     @property
     def eta_linear(self) -> float:

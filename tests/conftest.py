@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qflow.experiments import scenario_config
+from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
 from qflow.model import QpuNode, ResourceNetwork, TaskSpec, Workflow, components
 from qflow.profiles import load_profiles, node_from_profile
 from qflow.workload import generate_catalog, generate_network, generate_workload
@@ -93,6 +94,15 @@ def pattern_workflow(n, edges, qubits=None, wf_id="pattern"):
     qubits = [1] * n if qubits is None else qubits
     tasks = tuple(make_task(task_id=f"{wf_id}-t{v}", qubits=q, measured_qubits=q) for v, q in enumerate(qubits))
     return Workflow(id=wf_id, tasks=tasks, edges=frozenset((min(a, b), max(a, b)) for a, b in edges))
+
+
+def unrolled(workflow, network):
+    """Reference unrolling of the matcher's groups: one dict per mapping,
+    keyed in visit order, in stream order."""
+    for prefix, u, v, hosts, leaves, links in workflow_monomorphisms(workflow, network):
+        for h, mask in group_blocks(hosts, leaves, links):
+            for k in mask_hosts(mask):
+                yield {**prefix, u: h, v: k}
 
 
 def backlog_at(free_at, t):

@@ -18,7 +18,7 @@ from qflow.allocators import (
     soft_iso,
 )
 from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
-from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphism_groups, workflow_monomorphisms
+from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
 from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 
 from .conftest import (
@@ -29,6 +29,7 @@ from .conftest import (
     pattern_workflow,
     random_small_instance,
     scenario_instances,
+    unrolled,
 )
 
 WEIGHTS = WeightConfig()
@@ -48,7 +49,7 @@ class TestSoftIso:
 
     def test_one_task_is_never_placed_on_host_n(self):
         """A one-task group's ``u`` is ``v`` on host ``N``, the node count:
-        its one block is ``(N, domain)``, yet no flat-stream mapping and no
+        its one block is ``(N, domain)``, yet no unrolled mapping and no
         soft_iso allocation holds ``N``, under the preset thresholds (plain
         and strict), with the thresholds off and exhaustively; the
         exhaustive search places the task where the oracle does."""
@@ -61,9 +62,9 @@ class TestSoftIso:
             q = rng.randint(1, 11)
             wf = pattern_workflow(1, [], [q])
             domain = sum(1 << k for k, node in enumerate(network.nodes) if node.qubits >= q)
-            groups = workflow_monomorphism_groups(wf, network)
+            groups = workflow_monomorphisms(wf, network)
             assert [group_blocks(*group[3:]) for group in groups] == ([[(n, domain)]] if domain else [])
-            assert list(workflow_monomorphisms(wf, network)) == [{0: k} for k in mask_hosts(domain)]
+            assert list(unrolled(wf, network)) == [{0: k} for k in mask_hosts(domain)]
             backlog = backlog_at(free_at, rng.uniform(0.0, 1.0))
             for config in configs:
                 allocation = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog).allocation
@@ -220,7 +221,7 @@ def reference_soft_iso(workflow, network, weights, params, config, backlog, by_t
     examined = 0
     incumbent = incumbent_breakdown = None
     history = []
-    for mapping in workflow_monomorphisms(workflow, network):
+    for mapping in unrolled(workflow, network):
         if examined >= cap:
             break
         examined += 1
@@ -338,7 +339,7 @@ class TestSoftIsoReference:
             "groups": 0, "groups_skipped": 0, "blocks": 0, "block_calls": 0, "scored": 0, "examined": [], "folded": [],
             "decisions": [],
         }
-        groups = qflow.allocators.workflow_monomorphism_groups
+        groups = qflow.allocators.workflow_monomorphisms
         block_scorer = qflow.costs.DecisionTable.block_scorer
 
         def counting_groups(workflow, network):
@@ -390,7 +391,7 @@ class TestSoftIsoReference:
 
             return counted_fold, counted
 
-        monkeypatch.setattr(qflow.allocators, "workflow_monomorphism_groups", counting_groups)
+        monkeypatch.setattr(qflow.allocators, "workflow_monomorphisms", counting_groups)
         monkeypatch.setattr(qflow.costs.DecisionTable, "block_scorer", counting)
         workflows, network, free_at = scenario_instances("LP-MR", 0, 4)
         for wf in workflows:
@@ -480,7 +481,7 @@ class TestSoftIsoStopRule:
             assert outcome == reference_outcome(assignment, examined, history, breakdown)
             if assignment is not None:
                 assert list(outcome.allocation.assignment) == list(assignment)
-            stopped_early += examined < len(list(workflow_monomorphisms(wf, network)))
+            stopped_early += examined < len(list(unrolled(wf, network)))
         assert stopped_early >= 25
 
 

@@ -5,8 +5,11 @@
 workflow_monomorphisms}``, and ``perfbench/run.py`` times input builds and
 records simulations by replacing names in ``qflow.experiments``. A change
 that drops one of these imports breaks ``--trace 1`` and the set-up timing
-while every other test stays green. ``perfbench/run.py:check_idle`` also
-reads ``next_available_time`` and ``queue`` of every node.
+while every other test stays green. Each swapped ``qflow.allocators`` name
+is one that some allocator calls, so the swap times real work:
+``workflow_monomorphisms`` is the group stream soft_iso walks, and wrapping
+it changes no outcome. ``perfbench/run.py:check_idle`` also reads
+``next_available_time`` and ``queue`` of every node.
 """
 
 from __future__ import annotations
@@ -14,6 +17,10 @@ from __future__ import annotations
 import pytest
 
 from qflow import allocators, costs, experiments, matcher, model, profiles, simulation, workload
+from qflow.experiments import ExperimentConfig, run_experiment
+from qflow.model import NetworkParams, WeightConfig
+
+from .conftest import chain_workflow, make_network
 
 SWAPPED = [
     (allocators, "aggregate_cost", costs),
@@ -36,6 +43,71 @@ def test_module_binds_swapped_name(module, name, home):
     bound = getattr(module, name, None)
     assert callable(bound), f"{module.__name__} no longer binds {name}"
     assert bound is getattr(home, name)
+
+
+@pytest.mark.parametrize("name", [name for module, name, _ in SWAPPED if module is allocators])
+def test_some_allocator_calls_swapped_name(monkeypatch, name):
+    calls = []
+    bound = getattr(allocators, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(allocators, name, counting)
+    wf = chain_workflow([5, 5])
+    network = make_network([127] * 3, [(0, 1), (0, 2), (1, 2)])
+    weights, params = WeightConfig(), NetworkParams()
+    for outcome in (
+        allocators.soft_iso(wf, network, weights, params),
+        allocators.random_aware(wf, network, weights, params),
+        allocators.greedy_dfs(wf, network),
+        allocators.exhaustive_oracle(wf, network, weights, params),
+    ):
+        assert outcome.succeeded
+    assert calls, f"no allocator calls qflow.allocators.{name}, so swapping it times nothing"
+
+
+def default_soft_iso_outcomes(monkeypatch):
+    """Run soft_iso on the default config; return the runs and, per
+    allocator call, its outcome."""
+    outcomes = []
+
+    def recording(workload, network, allocator, params, **kwargs):
+        def call(workflow, network, backlog):
+            outcomes.append(allocator(workflow, network, backlog))
+            return outcomes[-1]
+
+        return simulation.run_simulation(workload, network, call, params, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_simulation", recording)
+    result = run_experiment(ExperimentConfig(algorithm="soft_iso", repetitions=2, measure_timing=False))
+    return result.runs, outcomes
+
+
+def test_wrapped_stream_reaches_soft_iso_and_changes_nothing(monkeypatch):
+    """Wrapped as the tracer's ``stream()`` wraps it, the matcher stream is
+    called once per soft_iso decision, yields the groups soft_iso walks, and
+    leaves every outcome as it was."""
+    plain = default_soft_iso_outcomes(monkeypatch)
+    counts = {"streams": 0, "groups": 0}
+    stream = allocators.workflow_monomorphisms
+
+    def counted(iterator):
+        for group in iterator:
+            counts["groups"] += 1
+            yield group
+
+    def wrapper(*args, **kwargs):
+        counts["streams"] += 1
+        return counted(stream(*args, **kwargs))
+
+    monkeypatch.setattr(allocators, "workflow_monomorphisms", wrapper)
+    runs, outcomes = default_soft_iso_outcomes(monkeypatch)
+    assert (runs, outcomes) == plain
+    assert counts["streams"] == len(outcomes) > 100
+    # every placed workflow came from at least one group
+    assert counts["groups"] >= sum(outcome.succeeded for outcome in outcomes) > 0
 
 
 def test_nodes_read_idle_to_the_benchmark():

@@ -100,8 +100,25 @@ class TestExitCodes:
             # subnormal attenuations: the link cost divides by zero or overflows
             ({"params": {"transmission_efficiency": 5e-324}}, "params.transmission_efficiency"),
             ({"params": {"transmission_efficiency": 1e-310}}, "params.transmission_efficiency"),
+            # an infinite latency made every cost bound infinite at run time
+            ({"params": {"classical_latency": math.inf}}, "params.classical_latency"),
+            # a bool is an int: it would run as 0 or 1 and be recorded as true
+            ({"weights": {"zeta": True}}, "weights.zeta: a bool is not accepted, got True"),
+            ({"topology": {"link_probability": True}}, "topology.link_probability: a bool is not accepted"),
+            ({"soft_config": {"counter_cap_base": True}}, "soft_config.counter_cap_base: a bool is not accepted"),
+            ({"workload": {"arrival_rate": False}}, "workload.arrival_rate: a bool is not accepted"),
+            # a number would be opened as a file descriptor, or skipped when 0
+            ({"catalog_path": True}, "catalog_path: a bool is not accepted"),
+            ({"catalog_path": 1}, "catalog_path: expected a string or null, got 1"),
+            ({"catalog_path": 0}, "catalog_path: expected a string or null, got 0"),
+            ({"profiles_path": True}, "profiles_path: a bool is not accepted"),
+            ({"profiles_path": 2.5}, "profiles_path: expected a string or null, got 2.5"),
         ],
-        ids=["list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency"],
+        ids=[
+            "list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency",
+            "infinite-latency", "bool-weight", "bool-link-probability", "bool-cap-base", "bool-arrival-rate",
+            "bool-catalog-path", "fd-catalog-path", "zero-catalog-path", "bool-profiles-path", "number-profiles-path",
+        ],
     )
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, raw, message):
         path = tmp_path / "config.json"
@@ -153,12 +170,13 @@ class TestExitCodes:
                 {"catalog_path": "too-large.csv"}, [], None,
                 "catalog_path: too-large.csv has no task within workload.qubit_range [5, 100]",
             ),
+            ({}, ["--profiles", "inf-t1.json"], None, "node brisbane: t1 must be > 0 and finite, got inf"),
         ],
         ids=[
             "missing-profiles", "missing-profiles-env", "empty-profiles", "profile-lacks-fields",
             "profiles-not-json", "unknown-pooled-profile", "missing-catalog", "catalog-header", "swept-profiles",
             "profiles-list", "profile-not-object", "profile-text-qubits", "profile-bool-t1",
-            "catalog-header-only", "catalog-out-of-range",
+            "catalog-header-only", "catalog-out-of-range", "profile-inf-t1",
         ],
     )
     def test_bad_input_file_is_config_error_before_any_output(
@@ -172,7 +190,8 @@ class TestExitCodes:
         (tmp_path / "header.csv").write_text("id,family\n")
         (tmp_path / "list.json").write_text("[]")
         (tmp_path / "number.json").write_text('{"a": 5}')
-        for name, field, value in (("text-qubits", "qubits", "x"), ("bool-t1", "t1", True)):
+        bad_fields = (("text-qubits", "qubits", "x"), ("bool-t1", "t1", True), ("inf-t1", "t1", math.inf))
+        for name, field, value in bad_fields:
             profiles = load_profiles()
             profiles["brisbane"][field] = value
             (tmp_path / f"{name}.json").write_text(json.dumps(profiles))

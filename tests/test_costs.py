@@ -25,7 +25,7 @@ from qflow.costs import (
     runtime_cost,
     workflow_network_cost,
 )
-from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphism_groups
+from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
 from qflow.model import NetworkParams, QpuNode, ResourceNetwork, WeightConfig, Workflow
 
 from .conftest import backlog_at, chain_workflow, make_network, make_node, make_task
@@ -530,7 +530,7 @@ class TestBlockScorer:
         every node a host of v). The random prefixes' keys are shuffled,
         since scoring must not read them in order."""
         leaves = 0
-        for prefix, u, v, *masks in workflow_monomorphism_groups(wf, network):
+        for prefix, u, v, *masks in workflow_monomorphisms(wf, network):
             pairs = group_blocks(*masks)
             yield dict(prefix), u, v, pairs
             leaves += sum(mask.bit_count() for _, mask in pairs)

@@ -11,12 +11,18 @@ from qflow.matcher import (
     group_blocks,
     group_size,
     mask_hosts,
-    workflow_monomorphism_groups,
     workflow_monomorphisms,
 )
 from qflow.model import mapping_feasible
 
-from .conftest import chain_workflow, make_network, pattern_workflow, random_small_instance, scenario_instances
+from .conftest import (
+    chain_workflow,
+    make_network,
+    pattern_workflow,
+    random_small_instance,
+    scenario_instances,
+    unrolled,
+)
 
 
 def visit_order(wf):
@@ -90,7 +96,7 @@ class TestExamples:
     def test_two_node_path_into_triangle_gives_six(self):
         k3 = make_network([10, 10, 10], [(0, 1), (0, 2), (1, 2)])
         wf = pattern_workflow(2, [(0, 1)])
-        got = list(workflow_monomorphisms(wf, k3))
+        got = list(unrolled(wf, k3))
         assert len(got) == 6
         assert got == brute_force_monomorphisms(wf, k3) or sorted(
             tuple(sorted(m.items())) for m in got
@@ -98,19 +104,19 @@ class TestExamples:
 
     def test_single_vertex_pattern_yields_every_node(self):
         host = make_network([5, 5, 5, 5], [(0, 1), (1, 2), (2, 3)])
-        got = list(workflow_monomorphisms(pattern_workflow(1, []), host))
+        got = list(unrolled(pattern_workflow(1, []), host))
         assert got == [{0: 0}, {0: 1}, {0: 2}, {0: 3}]
 
     def test_triangle_into_path_yields_nothing(self):
         path = make_network([5, 5, 5], [(0, 1), (1, 2)])
-        got = list(workflow_monomorphisms(pattern_workflow(3, [(0, 1), (1, 2), (0, 2)]), path))
+        got = list(unrolled(pattern_workflow(3, [(0, 1), (1, 2), (0, 2)]), path))
         assert got == []
 
     def test_monomorphism_allows_extra_host_links(self):
         # pattern path 0-1-2 embeds into K3 even though the images carry an
         # extra link
         k3 = make_network([5, 5, 5], [(0, 1), (0, 2), (1, 2)])
-        loose = list(workflow_monomorphisms(pattern_workflow(3, [(0, 1), (1, 2)]), k3))
+        loose = list(unrolled(pattern_workflow(3, [(0, 1), (1, 2)]), k3))
         assert len(loose) == 6
 
 
@@ -136,7 +142,7 @@ class TestOracleEquivalence:
                         pat_edges.add((i, j))
             caps = [rng.randint(1, 9) for _ in range(n_pat)] if rng.random() < 0.5 else None
             wf = pattern_workflow(n_pat, pat_edges, caps)
-            got = list(workflow_monomorphisms(wf, host))
+            got = list(unrolled(wf, host))
             expected = brute_force_monomorphisms(wf, host)
             key = lambda m: tuple(sorted(m.items()))
             assert sorted(map(key, got)) == sorted(map(key, expected))
@@ -145,7 +151,7 @@ class TestOracleEquivalence:
             # lexicographically along the pattern visit order
             order = visit_order(wf)
             visit = lambda m: tuple(m[v] for v in order)
-            unpruned = list(workflow_monomorphisms(uncapped(wf), host))
+            unpruned = list(unrolled(uncapped(wf), host))
             for stream in (got, unpruned):
                 assert [visit(m) for m in stream] == sorted(visit(m) for m in stream)
 
@@ -154,7 +160,7 @@ class TestOracleEquivalence:
         for _ in range(50):
             wf, network, _ = random_small_instance(rng)
             seen = set()
-            for m in workflow_monomorphisms(uncapped(wf), network):
+            for m in unrolled(uncapped(wf), network):
                 key = tuple(sorted(m.items()))
                 assert key not in seen
                 seen.add(key)
@@ -162,7 +168,7 @@ class TestOracleEquivalence:
 
 
 class TestFlatStream:
-    """The group search, flattened, is the reference backtracker's stream,
+    """The group stream, unrolled, is the reference backtracker's stream,
     down to the key order of every dict."""
 
     @staticmethod
@@ -181,7 +187,7 @@ class TestFlatStream:
         compared = 0
         for wf, network, limit in self.instances():
             for pattern in (wf, uncapped(wf)):
-                got = list(itertools.islice(workflow_monomorphisms(pattern, network), limit))
+                got = list(itertools.islice(unrolled(pattern, network), limit))
                 ref = list(itertools.islice(reference_monomorphisms(pattern, network), limit))
                 assert got == ref
                 assert [list(m) for m in got] == [list(m) for m in ref]
@@ -207,7 +213,7 @@ def blocks_of(group):
     return group_blocks(*group[3:])
 
 
-def unrolled(groups):
+def unrolled_blocks(groups):
     """Groups unrolled by hand into (prefix copy, v, hosts) blocks. A
     one-task group's ``u`` is ``v``, whose host the block varies, so ``v`` is
     left out of the copy."""
@@ -222,7 +228,7 @@ def unrolled(groups):
 
 class TestGroupStream:
     """Groups share all but the hosts of the last two visited vertices;
-    unrolled, they are the reference stream's blocks and the flat stream,
+    unrolled, they are the reference stream's blocks and its mappings,
     in order and down to key order."""
 
     @staticmethod
@@ -240,12 +246,12 @@ class TestGroupStream:
     def test_unrolled_groups_equal_blocks_and_flat_stream(self):
         leaves = 0
         for wf, network in self.patterns():
-            groups = unrolled(workflow_monomorphism_groups(wf, network))
+            groups = unrolled_blocks(workflow_monomorphisms(wf, network))
             ref = list(reference_monomorphisms(wf, network))
             expected = reference_blocks(ref, visit_order(wf)[-1])
             assert groups == expected
             assert [list(prefix) for prefix, _, _ in groups] == [list(prefix) for prefix, _, _ in expected]
-            flat = list(workflow_monomorphisms(wf, network))
+            flat = list(unrolled(wf, network))
             assert flat == ref and [list(m) for m in flat] == [list(m) for m in ref]
             leaves += len(ref)
         assert leaves > 4_000
@@ -254,7 +260,7 @@ class TestGroupStream:
         groups = 0
         for wf, network in self.patterns():
             order = visit_order(wf)
-            for group in workflow_monomorphism_groups(wf, network):
+            for group in workflow_monomorphisms(wf, network):
                 prefix, u, v = group[:3]
                 pairs = blocks_of(group)
                 assert v == order[-1]
@@ -275,11 +281,11 @@ class TestGroupStream:
         path = make_network([5] * 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         wf = pattern_workflow(4, [(0, 1), (1, 2), (1, 3)])
         assert visit_order(wf) == [1, 0, 2, 3]
-        assert list(workflow_monomorphism_groups(wf, path)) == []
+        assert list(workflow_monomorphisms(wf, path)) == []
         star = make_network([5] * 5, [(0, k) for k in range(1, 5)])
         groups = [
             (dict(group[0]), *group[1:3], [(h, mask_hosts(mask)) for h, mask in blocks_of(group)])
-            for group in workflow_monomorphism_groups(wf, star)
+            for group in workflow_monomorphisms(wf, star)
         ]
         assert groups[0] == ({1: 0, 0: 1}, 2, 3, [(2, [3, 4]), (3, [2, 4]), (4, [2, 3])])
         assert len(groups) == 4 and sum(len(hosts) for g in groups for _, hosts in g[3]) == 24
@@ -291,7 +297,7 @@ class TestGroupStream:
             return [(dict(g[0]), *g[1:3], [(h, mask_hosts(m)) for h, m in blocks_of(g)]) for g in groups]
 
         def groups(qubits):
-            return decoded(workflow_monomorphism_groups(chain_workflow(qubits), host))
+            return decoded(workflow_monomorphisms(chain_workflow(qubits), host))
 
         assert groups([1]) == [({}, 0, 0, [(4, [0, 1, 2, 3])])]
         assert groups([4]) == [({}, 0, 0, [(4, [0, 2, 3])])]
@@ -325,7 +331,7 @@ class TestGroupInvariants:
     def test_closed_form_size_and_no_empty_group(self):
         groups = {True: 0, False: 0}
         for wf, network in self.instances():
-            for group in itertools.islice(workflow_monomorphism_groups(wf, network), 2_000):
+            for group in itertools.islice(workflow_monomorphisms(wf, network), 2_000):
                 blocks = blocks_of(group)
                 assert blocks, "a yielded group lists no block"
                 assert group_size(*group[3:]) == sum(mask.bit_count() for _, mask in blocks)
@@ -338,8 +344,8 @@ class TestDeterminism:
         rng = random.Random(9)
         for _ in range(25):
             wf, network, _ = random_small_instance(rng)
-            first = list(workflow_monomorphisms(wf, network))
-            second = list(workflow_monomorphisms(wf, network))
+            first = list(unrolled(wf, network))
+            second = list(unrolled(wf, network))
             assert first == second
 
     def test_pattern_order_highest_degree_root_then_bfs(self):
@@ -359,7 +365,7 @@ class TestSearchPlan:
     def groups(wf, network):
         return [
             (list(group[0].items()), *group[1:5], blocks_of(group))
-            for group in workflow_monomorphism_groups(wf, network)
+            for group in workflow_monomorphisms(wf, network)
         ]
 
     def test_cached_plans_give_the_groups_of_fresh_plans(self):
@@ -393,12 +399,12 @@ class TestSearchPlan:
         for network in networks:
             assert len(network.calibration_classes[0]) <= len(network.nodes)
             everything = (1 << len(network.nodes)) - 1
-            assert list(workflow_monomorphism_groups(pattern_workflow(1, []), network)) == [
+            assert list(workflow_monomorphisms(pattern_workflow(1, []), network)) == [
                 ({}, 0, 0, 1 << len(network.nodes), everything, None)
             ]
             for q in {1} | {node.qubits + d for node in network.nodes for d in (-1, 0, 1)} - {0}:
                 fits = sum(1 << k for k, node in enumerate(network.nodes) if node.qubits >= q)
-                groups = list(workflow_monomorphism_groups(pattern_workflow(1, [], [q]), network))
+                groups = list(workflow_monomorphisms(pattern_workflow(1, [], [q]), network))
                 assert groups == ([({}, 0, 0, 1 << len(network.nodes), fits, None)] if fits else [])
 
 
@@ -413,7 +419,7 @@ class TestMappingFeasible:
                 workflows, network, _ = scenario_instances(scenario, seed, 5)
                 instances += [(wf, network, SoftIsoConfig().cap(len(wf.tasks))) for wf in workflows]
         for wf, network, cap in instances:
-            for m in itertools.islice(workflow_monomorphisms(wf, network), int(cap)):
+            for m in itertools.islice(unrolled(wf, network), int(cap)):
                 assert len(set(m.values())) == len(wf.tasks)
                 assert mapping_feasible(m, wf, network)
 
@@ -430,11 +436,11 @@ class TestMappingFeasible:
         for _ in range(60):
             wf, network, _ = random_small_instance(rng)
             pruned = [
-                tuple(sorted(m.items())) for m in workflow_monomorphisms(wf, network)
+                tuple(sorted(m.items())) for m in unrolled(wf, network)
             ]
             unpruned_feasible = [
                 tuple(sorted(m.items()))
-                for m in workflow_monomorphisms(uncapped(wf), network)
+                for m in unrolled(uncapped(wf), network)
                 if mapping_feasible(m, wf, network)
             ]
             assert sorted(pruned) == sorted(unpruned_feasible)

@@ -187,9 +187,9 @@ class TestQpuNode:
         [("rt1", "one_qubit_runtime"), ("rt2", "two_qubit_runtime"), ("rtr", "readout_runtime"),
          ("t1", "t1"), ("t2", "t2"), ("d1cps", "d1cps")],
     )
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_and_nan_calibration_rejected(self, kwarg, field, value):
-        with pytest.raises(ValueError, match=rf"{field} must be > 0"):
+        with pytest.raises(ValueError, match=rf"{field} must be > 0 and finite, got {value}$"):
             make_node(**{kwarg: value})
 
     @pytest.mark.parametrize("kwarg, field", [("er", "readout_error"), ("e1", "one_qubit_error"), ("e2", "two_qubit_error")])
@@ -397,11 +397,12 @@ class TestNetworkParams:
             {"transmission_efficiency": 5e-324},
             {"transmission_efficiency": 1e-310},
             {"classical_latency": math.nan},
+            {"classical_latency": math.inf},
         ],
         ids=[
             "linear-zero", "linear-negative", "linear-nan", "db-nan", "db-inf",
             "db-underflow", "db-overflow", "attenuation-underflow", "attenuation-least-subnormal",
-            "attenuation-subnormal", "latency-nan",
+            "attenuation-subnormal", "latency-nan", "latency-inf",
         ],
     )
     def test_rejects_out_of_range_and_nan(self, kwargs):
@@ -483,7 +484,7 @@ class TestProfiles:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({"broken": dict(profiles["brisbane"], **{field: math.nan})}))
         assert f'"{field}": NaN' in path.read_text()
-        with pytest.raises(ValueError, match=rf"{field} must be > 0, got nan"):
+        with pytest.raises(ValueError, match=rf"{field} must be > 0 and finite, got nan"):
             node_from_profile("broken", load_profiles(path))
 
     @pytest.mark.parametrize(
