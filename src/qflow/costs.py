@@ -44,7 +44,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
+from typing import NamedTuple
 
 from .model import NetworkParams, QpuNode, ResourceNetwork, TaskSpec, WeightConfig, Workflow
 
@@ -234,8 +236,7 @@ def _normalized(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class TaskTerms:
+class TaskTerms(NamedTuple):
     """The static cost terms of one task on every node of one network under
     one :class:`NetworkParams`.
 
@@ -268,17 +269,23 @@ def task_terms(tasks: Sequence[TaskSpec], network: ResourceNetwork, params: Netw
 def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams) -> TaskTerms:
     # one evaluation per calibration class, expanded by each node's class
     reps, _, of_node = network.calibration_classes
-    per_class = [(error_cost(task, n), runtime_cost(task, n), quantum_link_cost(task, n, params)) for n in reps]
+    err, run, qlink, fits = [], [], [], []
+    for node in reps:
+        err.append(error_cost(task, node))
+        run.append(runtime_cost(task, node))
+        qlink.append(quantum_link_cost(task, node, params))
+        fits.append(task.qubits <= node.qubits)
     clink = classical_link_cost(task, params)
-    rows = [(e, r, q + clink) for e, r, q in per_class]
-    fits = [row for row, n in zip(rows, reps) if task.qubits <= n.qubits]
-    # a column with its minimum appended -> the row, that minimum at index n
-    expand = itemgetter(*of_node, len(reps))
-    return TaskTerms(
-        *(expand((*col, min(col))) for col in zip(*per_class)), clink,
-        fit_max=tuple(map(max, zip(*fits))) if fits else None,
-        all_max=tuple(map(max, zip(*rows))),
+    # max(q) + clink is the maximum of q + clink: rounding is monotone
+    all_max = (max(err), max(run), max(qlink) + clink)
+    fit_max = (
+        (max(compress(err, fits)), max(compress(run, fits)), max(compress(qlink, fits)) + clink) if any(fits) else None
     )
+    # each row with its minimum appended -> the row per node, that minimum at index n
+    expand = itemgetter(*of_node, len(reps))
+    for row in err, run, qlink:
+        row.append(min(row))
+    return TaskTerms(expand(err), expand(run), expand(qlink), clink, fit_max, all_max)
 
 
 class DecisionTable:

@@ -11,13 +11,15 @@ tasks) are visited highest-degree first then breadth-first, and host
 candidates are tried in ascending node index, so the stream is sorted by the
 hosts of the vertices in visit order. Each task's domain holds only the
 nodes with enough qubits for it, so every mapping also meets the qubit
-constraint. As in VF2++ (Juttner and Madarasi, 2018) and bitset subgraph
-solvers (McCreesh and Prosser, 2015), each vertex's candidate domain is a
-bitmask of hosts fixed once and, at each depth, narrowed by the neighbour
-masks of the hosts of its already-mapped pattern neighbours and by the mask
-of used hosts. The visit order and the per-depth lists depend only on the
-skeleton, so they are cached per skeleton; the masks come from the
-network's cached views.
+constraint, and with at least as many neighbours as the task has in the
+skeleton, since no mapping can use a node with fewer. As in VF2++ (Juttner
+and Madarasi, 2018) and bitset subgraph solvers (McCreesh and Prosser,
+2015), each vertex's candidate domain is a bitmask of hosts fixed once and,
+at each depth, narrowed by the neighbour masks of the hosts of its
+already-mapped pattern neighbours and by the mask of used hosts. The visit
+order, the per-depth lists and the degrees depend only on the skeleton, so
+they are cached per skeleton; the masks come from the network's cached
+views.
 
 The search yields groups. With ``u`` and ``v`` the last two vertices in
 visit order (for one task, ``u`` is ``v`` on the host ``N``, the node
@@ -29,6 +31,12 @@ of ``v``. No group is empty. A consumer can fold the prefix once per group
 (soft_iso bounds a whole group and scores a whole block per call), count a
 group it rules out from the two masks with :func:`group_size`, and decode a
 leaf mask with :func:`mask_hosts` only where it needs the hosts one by one.
+
+A stream depends only on the skeleton and the domains, and decisions on one
+network meet the same few keys again and again, so the network stores a
+complete stream of at most ``REPLAY_MAX_GROUPS`` groups at its second read
+and replays it from then on. Its prefixes are snapshots that every later
+read shares, so a consumer reads a prefix and never writes it.
 """
 
 from __future__ import annotations
@@ -44,6 +52,10 @@ CandidateMapping = dict[int, int]
 # pattern vertices u and v: (prefix, u, v, hosts of u, leaf hosts of v,
 # links), links being the neighbour masks when v neighbours u, else None.
 MappingGroup = tuple[CandidateMapping, int, int, int, int, tuple[int, ...] | None]
+# The most groups a network stores for one stream, which bounds the memory of
+# a replay: a complete LP-LR stream of four tasks holds 16 groups in the
+# median and a few dozen at most, an LP-MR one hundreds.
+REPLAY_MAX_GROUPS = 64
 
 
 def mask_hosts(mask: int) -> list[int]:
@@ -87,9 +99,10 @@ def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     """The skeleton-only part of the search, derived once per pattern and
     kept in a bounded cache: the visit order; per depth, the pattern
     neighbours mapped at earlier depths; whether the last vertex ``v``
-    neighbours the one before it, ``u``; and ``v``'s earlier neighbours
-    other than ``u``. The skeleton is connected (:class:`Workflow` rejects
-    any other), so the breadth-first walk reaches every vertex."""
+    neighbours the one before it, ``u``; ``v``'s earlier neighbours other
+    than ``u``; and each vertex's degree, by vertex. The skeleton is
+    connected (:class:`Workflow` rejects any other), so the breadth-first
+    walk reaches every vertex."""
     adj = neighbour_lists(n, edges)
     order = [max(range(n), key=lambda v: (len(adj[v]), -v))]
     seen = set(order)
@@ -101,7 +114,22 @@ def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     depth_of = {w: d for d, w in enumerate(order)}
     earlier = tuple(tuple(p for p in adj[w] if depth_of[p] < d) for d, w in enumerate(order))
     u = order[-2] if n > 1 else None
-    return tuple(order), earlier, u in adj[order[-1]], tuple(p for p in earlier[-1] if p != u)
+    v_earlier = tuple(p for p in earlier[-1] if p != u)
+    return tuple(order), earlier, u in adj[order[-1]], v_earlier, tuple(map(len, adj))
+
+
+def task_domains(workflow: Workflow, network: ResourceNetwork) -> list[int]:
+    """Each task's candidate hosts as a bitmask: the OR of the calibration
+    classes whose representative has enough qubits for it, less the nodes
+    with fewer neighbours than the task has in the skeleton, which no
+    monomorphism can use."""
+    reps, masks, _ = network.calibration_classes
+    at_least = network.degree_masks
+    degrees = _search_plan(len(workflow.tasks), workflow.skeleton)[4]
+    return [
+        sum(m for rep, m in zip(reps, masks) if rep.qubits >= task.qubits) & at_least[d] if d < len(at_least) else 0
+        for task, d in zip(workflow.tasks, degrees)
+    ]
 
 
 def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iterator[MappingGroup]:
@@ -114,18 +142,51 @@ def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iter
     ``prefix`` plus ``u -> hu`` plus ``v -> h``, for each ``(hu, mask)`` in
     ``group_blocks(hosts, leaves, links)`` and each ``h`` in
     ``mask_hosts(mask)``; none is empty. ``prefix`` maps every task before
-    ``u``, keyed in visit order; it is the search's live mapping, valid only
-    until the next group is requested. A consumer may set ``prefix[u]``,
-    which the search drops before the next group. A one-task workflow gives
-    at most ``({}, v, v, 1 << N, mask, None)``, ``N`` the node count; a
-    consumer's ``prefix[u] = N`` is overwritten by ``v``'s own host.
+    ``u``, keyed in visit order. It is read-only: it may be the search's
+    live mapping, valid only until the next group is requested, or a
+    snapshot that later reads of the stream share. A one-task workflow
+    gives at most ``({}, v, v, 1 << N, mask, None)``, ``N`` the node count.
+
+    The stream is a function of the skeleton and the :func:`task_domains`,
+    so the network keeps it (:attr:`ResourceNetwork.group_streams`) under
+    that key: the first read of a key only marks it, the second snapshots
+    each group and stores the list if the stream runs dry within
+    ``REPLAY_MAX_GROUPS`` groups, and every later read replays the list. A
+    stream its reader abandons is not stored, so a key is stored at the
+    first read that runs dry after the first; an empty stream is stored too.
     """
+    domain = task_domains(workflow, network)
+    streams = network.group_streams
+    key = (workflow.skeleton, *domain)
+    stored = streams.get(key)
+    if stored is None:  # the key's first read: mark it
+        streams[key] = False
+        return _groups(workflow, network, domain)
+    if stored is False:  # read before, not stored yet
+        return _recorded(_groups(workflow, network, domain), streams, key)
+    return iter(stored)
+
+
+def _recorded(groups: Iterator[MappingGroup], streams: dict, key: tuple) -> Iterator[MappingGroup]:
+    """``groups``, each with its prefix copied, stored under ``key`` once
+    they run dry; past ``REPLAY_MAX_GROUPS`` groups the rest pass through
+    uncopied and nothing is stored."""
+    kept = []
+    for group in groups:
+        if len(kept) == REPLAY_MAX_GROUPS:
+            yield group
+            yield from groups
+            return
+        group = (dict(group[0]), *group[1:])
+        kept.append(group)
+        yield group
+    streams[key] = kept
+
+
+def _groups(workflow: Workflow, network: ResourceNetwork, domain: list[int]) -> Iterator[MappingGroup]:
+    """The search itself, over the hosts of ``domain``."""
     n = len(workflow.tasks)
-    order, earlier, v_on_u, v_earlier = _search_plan(n, workflow.skeleton)
-    # Qubit-feasible hosts per task as a bitmask: the OR of the calibration
-    # classes whose representative fits.
-    reps, masks, _ = network.calibration_classes
-    domain = [sum(m for rep, m in zip(reps, masks) if rep.qubits >= task.qubits) for task in workflow.tasks]
+    order, earlier, v_on_u, v_earlier, _ = _search_plan(n, workflow.skeleton)
     v = order[-1]
     if n == 1:
         return iter([({}, v, v, 1 << len(network.nodes), domain[v], None)] if domain[v] else [])
@@ -162,8 +223,6 @@ def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iter
             while hosts and not leaves & links[(hosts & -hosts).bit_length() - 1]:
                 hosts &= hosts - 1
         if hosts:
-            mapping.pop(u, None)
             yield mapping, u, v, pool, leaves, links
 
     return extend(0, 0)
-

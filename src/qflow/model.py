@@ -3,18 +3,19 @@
 All types are immutable value records. A :class:`QpuNode` holds calibration
 only; availability is simulation state
 (:class:`qflow.simulation.SimState`), so runs and decisions may share a
-network, and the calibration classes and cost terms each
-:class:`ResourceNetwork` caches (:attr:`ResourceNetwork.term_caches`) stay
-valid for its life. A simulation run is single-threaded; independent runs
-can execute in parallel.
+network, and the calibration classes, cost terms and group streams each
+:class:`ResourceNetwork` caches (:attr:`ResourceNetwork.term_caches`,
+:attr:`ResourceNetwork.group_streams`) stay valid for its life. A
+simulation run is single-threaded; independent runs can execute in
+parallel.
 
 The graph helpers at the end (:func:`neighbour_lists`, :func:`components`,
 :func:`kahn_order`) build the neighbour lists, components and topological
 orders every module uses. Each workflow and network derives its views from
 them once and holds them as plain attributes (``skeleton``,
-``topological_order``, ``adjacency``, ``neighbour_masks``, ``dfs_order``);
-the neighbour bitmasks answer the link half of :func:`mapping_feasible`,
-as they do for the matcher's search.
+``topological_order``, ``adjacency``, ``neighbour_masks``,
+``degree_masks``, ``dfs_order``); the neighbour bitmasks answer the link
+half of :func:`mapping_feasible`, as they do for the matcher's search.
 """
 
 from __future__ import annotations
@@ -91,6 +92,13 @@ class TaskSpec:
             )
         if self.program_family not in PROGRAM_FAMILIES:
             raise ValueError(f"task {self.id}: unknown program family {self.program_family!r}")
+
+    def __hash__(self) -> int:
+        # Equal specs have equal ids, so hashing the id alone agrees with
+        # ``__eq__`` and costs one str hash instead of a tuple of all seven
+        # fields per term-cache lookup. It is computed per call, so a pickled
+        # spec hashes with the receiving process's str hashes.
+        return hash(self.id)
 
 
 @dataclass(frozen=True)
@@ -256,11 +264,26 @@ class ResourceNetwork:
         return tuple(visited)
 
     @cached_property
+    def degree_masks(self) -> tuple[int, ...]:
+        """Per degree d from 0 to the greatest node degree, the nodes with at
+        least d neighbours as a host bitmask."""
+        degrees = [len(adjacent) for adjacent in self.adjacency]
+        return tuple(sum(1 << k for k, deg in enumerate(degrees) if deg >= d) for d in range(max(degrees) + 1))
+
+    @cached_property
     def term_caches(self) -> dict[NetworkParams, dict]:
         """Per :class:`NetworkParams`, the store, keyed by :class:`TaskSpec`,
         in which :func:`qflow.costs.task_terms` keeps the static cost terms
         of tasks on these nodes; kept for the network's life. Sound because
         nodes are frozen."""
+        return {}
+
+    @cached_property
+    def group_streams(self) -> dict[tuple, list | bool]:
+        """The store in which :func:`qflow.matcher.workflow_monomorphisms`
+        keeps the complete group streams it replays on these nodes, keyed by
+        skeleton and task domains; kept for the network's life. Sound
+        because a stream depends only on its key and the links."""
         return {}
 
 

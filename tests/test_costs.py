@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -23,6 +24,7 @@ from qflow.costs import (
     fidelity,
     quantum_link_cost,
     runtime_cost,
+    task_terms,
     workflow_network_cost,
 )
 from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
@@ -480,6 +482,23 @@ class TestTermCache:
             assert len(network.term_caches[run_params]) <= len(distinct)
             assert len(network.term_caches[other_params]) <= len(distinct)
         assert tables > 500
+
+    def test_task_spec_hash_keys_one_entry_per_equal_spec(self):
+        network = make_network([5, 9, 9], [(0, 1), (1, 2)])
+        params = NetworkParams()
+        spec = make_task("t", qubits=7, depth=6)
+        twin = make_task("t", qubits=7, depth=6)
+        assert spec == twin and spec is not twin and hash(spec) == hash(twin)
+        (terms,) = task_terms([spec], network, params)
+        # a spec sent to another process and back is the same key
+        (again,) = task_terms([pickle.loads(pickle.dumps(spec))], network, params)
+        assert again is terms and list(network.term_caches[params]) == [spec]
+        # an equal id does not make equal specs
+        deeper = make_task("t", qubits=7, depth=60)
+        assert hash(deeper) == hash(spec) and deeper != spec
+        (other,) = task_terms([deeper], network, params)
+        assert other is not terms and other.run != terms.run
+        assert len(network.term_caches[params]) == 2
 
 
 class TestBlockScorer:

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from qflow.allocators import SoftIsoConfig
+from qflow import allocators, matcher
+from qflow.allocators import EXHAUSTIVE, SoftIsoConfig, soft_iso
 from qflow.matcher import (
+    REPLAY_MAX_GROUPS,
+    _groups,
     _search_plan,
     group_blocks,
     group_size,
     mask_hosts,
+    task_domains,
     workflow_monomorphisms,
 )
-from qflow.model import mapping_feasible
+from qflow.model import NetworkParams, WeightConfig, mapping_feasible
 
 from .conftest import (
     chain_workflow,
@@ -214,15 +219,14 @@ def blocks_of(group):
 
 
 def unrolled_blocks(groups):
-    """Groups unrolled by hand into (prefix copy, v, hosts) blocks. A
-    one-task group's ``u`` is ``v``, whose host the block varies, so ``v`` is
-    left out of the copy."""
+    """Groups unrolled by hand into (prefix copy, v, hosts) blocks, leaving
+    the read-only prefix as it is. A one-task group's ``u`` is ``v``, whose
+    host the block varies, so ``v`` is left out of the copy."""
     blocks = []
     for group in groups:
         prefix, u, v = group[:3]
         for h, mask in blocks_of(group):
-            prefix[u] = h
-            blocks.append(({w: k for w, k in prefix.items() if w != v}, v, mask_hosts(mask)))
+            blocks.append(({w: k for w, k in {**prefix, u: h}.items() if w != v}, v, mask_hosts(mask)))
     return blocks
 
 
@@ -444,3 +448,167 @@ class TestMappingFeasible:
                 if mapping_feasible(m, wf, network)
             ]
             assert sorted(pruned) == sorted(unpruned_feasible)
+
+
+def described(group):
+    """A group as plain values: its prefix items in key order, ``u``, ``v``
+    and its blocks."""
+    return list(group[0].items()), *group[1:3], blocks_of(group)
+
+
+def spied(groups, seen):
+    """``groups`` passed through, each described into ``seen`` as it is
+    yielded; ``seen`` ends with ``"dry"`` once they run dry."""
+    for group in groups:
+        seen.append(described(group))
+        yield group
+    seen.append("dry")
+
+
+def stream_key(wf, network):
+    return (wf.skeleton, *task_domains(wf, network))
+
+
+class TestReplay:
+    """A network stores a stream at its second read if it runs dry within
+    ``REPLAY_MAX_GROUPS`` groups, and replays it from then on; no consumer
+    can tell the reads apart."""
+
+    @staticmethod
+    def instances():
+        yield from TestGroupStream.patterns()
+        for scenario, n in (("LP-LR", 12), ("LP-MR", 2)):
+            for seed in range(2):
+                workflows, network, _ = scenario_instances(scenario, seed, n)
+                for wf in workflows:
+                    yield wf, network
+
+    def test_fresh_recording_and_replayed_reads_are_equal(self, monkeypatch):
+        weights, params = WeightConfig(), NetworkParams()
+        stored = {"one-task": 0, "empty": 0, "longer": 0, "long": 0}
+        for wf, network in self.instances():
+            network.group_streams.clear()
+            key = stream_key(wf, network)
+            fresh, recording = [], []
+            unrolled_blocks(spied(workflow_monomorphisms(wf, network), fresh))  # the live search
+            assert network.group_streams[key] is False
+            # soft_iso reads the whole stream when nothing stops it
+            live = allocators.workflow_monomorphisms
+            monkeypatch.setattr(allocators, "workflow_monomorphisms", lambda w, n: spied(live(w, n), recording))
+            first = soft_iso(wf, network, weights, params, EXHAUSTIVE)
+            monkeypatch.setattr(allocators, "workflow_monomorphisms", live)
+            replayed = [described(group) for group in workflow_monomorphisms(wf, network)]
+            assert fresh == recording and fresh[-1] == "dry"
+            assert replayed == fresh[:-1]
+            if len(replayed) > REPLAY_MAX_GROUPS:
+                assert network.group_streams[key] is False
+                stored["long"] += 1
+                continue
+            assert [described(group) for group in network.group_streams[key]] == replayed
+            # a replay scores as the live search did, and leaves the stored list as it was
+            again = soft_iso(wf, network, weights, params, EXHAUSTIVE)
+            assert again == first
+            assert [described(group) for group in network.group_streams[key]] == replayed
+            stored["one-task" if len(wf.tasks) == 1 else "empty" if not replayed else "longer"] += 1
+        assert stored["one-task"] >= 1 and stored["empty"] >= 20 and stored["longer"] >= 100 and stored["long"] >= 4
+
+    def test_streams_sharing_a_skeleton_replay_their_own_groups(self):
+        # one network, one chain skeleton, domains that differ by qubits
+        k6 = make_network([9, 4, 9, 9, 2, 9], [(a, b) for a in range(6) for b in range(a + 1, 6)])
+        path = make_network([5, 3, 5, 5, 3, 5], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
+        patterns = [pattern_workflow(3, [(0, 1), (1, 2)], q) for q in itertools.product([1, 3, 5], repeat=3)]
+        for network in (k6, path):
+            expected = [[described(g) for g in _groups(wf, network, task_domains(wf, network))] for wf in patterns]
+            assert len({repr(e) for e in expected}) > 5
+            for _ in range(3):
+                for wf, groups in zip(patterns, expected):
+                    assert [described(g) for g in workflow_monomorphisms(wf, network)] == groups
+            assert len(network.group_streams) == len({stream_key(wf, network) for wf in patterns})
+            assert all(isinstance(entry, list) for entry in network.group_streams.values())
+
+    def test_abandoned_streams_are_not_stored(self, monkeypatch):
+        weights, params = WeightConfig(), NetworkParams()
+        configs = (SoftIsoConfig(), SoftIsoConfig(thres_max=math.inf, thres_prev=math.inf, counter_cap_base=2.0))
+        live = allocators.workflow_monomorphisms
+        cuts = {"stop rule": 0, "budget": 0, "dry": 0}
+        for config in configs:
+            for wf, network in self.instances():
+                if len(wf.tasks) > 3 and len(network.nodes) > 10:
+                    continue  # LP-MR: too long to store in any case
+                network.group_streams.clear()
+                key = stream_key(wf, network)
+                dry = []
+                for _ in range(3):
+                    seen = []
+                    monkeypatch.setattr(allocators, "workflow_monomorphisms", lambda w, n: spied(live(w, n), seen))
+                    outcome = soft_iso(wf, network, weights, params, config)
+                    ran_dry = seen[-1:] == ["dry"]
+                    dry.append(ran_dry and len(seen) <= REPLAY_MAX_GROUPS + 1)
+                    entry = network.group_streams[key]
+                    # stored once a read after the first runs dry within the limit, and never else
+                    assert isinstance(entry, list) == any(dry[1:])
+                    if not ran_dry:
+                        budget = outcome.candidates_examined == config.cap(len(wf.tasks))
+                        cuts["budget" if budget else "stop rule"] += 1
+                cuts["dry"] += dry[-1]
+        assert min(cuts.values()) >= 20
+
+    def test_streams_longer_than_the_limit_are_not_stored(self, monkeypatch):
+        monkeypatch.setattr(matcher, "REPLAY_MAX_GROUPS", 3)
+        lengths = set()
+        for wf, network in TestGroupStream.patterns():
+            network.group_streams.clear()
+            key = stream_key(wf, network)
+            reads = [[described(g) for g in workflow_monomorphisms(wf, network)] for _ in range(3)]
+            assert reads[0] == reads[1] == reads[2]
+            entry = network.group_streams[key]
+            if len(reads[0]) > 3:
+                assert entry is False
+            else:
+                assert [described(g) for g in entry] == reads[0]
+            lengths.add(min(len(reads[0]), 4))
+        assert lengths == {0, 1, 2, 3, 4}
+
+    def test_exhaustive_lp_mr_decisions_store_no_stream(self):
+        weights, params = WeightConfig(), NetworkParams()
+        workflows, network, free_at = scenario_instances("LP-MR", 0, 3)
+        for _ in range(2):
+            for wf in workflows:
+                assert soft_iso(wf, network, weights, params, EXHAUSTIVE, free_at).succeeded
+        assert len(network.group_streams) == len({stream_key(wf, network) for wf in workflows})
+        assert not any(network.group_streams.values())
+
+
+class TestDegreePruning:
+    """A task's domain drops the hosts with fewer neighbours than the task
+    has in the skeleton; the streams stay those of the qubit domains."""
+
+    def test_a_four_task_domain_loses_a_host_on_lp_lr(self):
+        lost = 0
+        for seed in range(3):
+            workflows, network, _ = scenario_instances("LP-LR", seed, 10)
+            reps, masks, _ = network.calibration_classes
+            degrees = [len(adjacent) for adjacent in network.adjacency]
+            for wf in workflows:
+                assert len(wf.tasks) == 4
+                task_degree = _search_plan(4, wf.skeleton)[4]
+                for task, d, domain in zip(wf.tasks, task_degree, task_domains(wf, network)):
+                    fits = sum(m for rep, m in zip(reps, masks) if rep.qubits >= task.qubits)
+                    assert domain == sum(1 << k for k in mask_hosts(fits) if degrees[k] >= d)
+                    lost += domain != fits
+                # every host a group names, mapped or not, is in its task's pruned domain
+                domains = task_domains(wf, network)
+                for group in workflow_monomorphisms(wf, network):
+                    prefix, u, v, hosts, leaves, _ = group
+                    assert all(domains[w] >> h & 1 for w, h in prefix.items())
+                    assert hosts & ~domains[u] == 0 and leaves & ~domains[v] == 0
+        assert lost >= 10
+
+    def test_degree_masks(self):
+        star = make_network([5] * 5, [(0, k) for k in range(1, 5)])
+        assert star.degree_masks == (0b11111, 0b11111, 1, 1, 1)
+        lone = make_network([5], [])
+        assert lone.degree_masks == (1,)
+        # a task with more neighbours than any node has no host
+        path = make_network([5] * 4, [(0, 1), (1, 2), (2, 3)])
+        assert task_domains(pattern_workflow(5, [(0, k) for k in range(1, 5)]), path)[0] == 0

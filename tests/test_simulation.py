@@ -9,11 +9,14 @@ import random
 
 import pytest
 
-from qflow import simulation
+from qflow import matcher, simulation
 from qflow.allocators import AllocationOutcome, greedy_dfs
 from qflow.costs import edge_communication_cost, fidelity, runtime_cost, workflow_network_cost
+from qflow.experiments import ExperimentConfig
 from qflow.model import Allocation, NetworkParams, WeightConfig, Workflow
+from qflow.profiles import load_profiles
 from qflow.simulation import TaskExecution, make_allocator, qpu_time_distribution, run_simulation
+from qflow.workload import generate_catalog, generate_network, generate_workload
 
 from .conftest import chain_workflow, make_network, make_task
 
@@ -242,6 +245,51 @@ class TestFailuresAndRetries:
         # placed at its retry, at t=1: its first task starts then
         assert min(e.start for e in state.executions if e.workflow_id == "blocked") == 1.0
         assert len(state.completed) == 2
+
+    def test_soft_iso_retries_replay_the_stored_empty_stream(self, monkeypatch):
+        # the default config keeps retry_limit 3 and draws three 3-task
+        # workflows that no monomorphism places on its 5-node network
+        config = ExperimentConfig(algorithm="soft_iso")
+        assert config.retry_limit >= 2
+        catalog = generate_catalog(
+            config.catalog_size, qubit_range=config.workload.qubit_range, seed=3, shots=config.workload.shots_default
+        )
+        workload = generate_workload(dataclasses.replace(config.workload, seed=1), catalog)
+        allocator = make_allocator("soft_iso", config.weights, config.params, config.soft_config)
+        searches = []
+        search = matcher._groups
+        monkeypatch.setattr(matcher, "_groups", lambda wf, *args: searches.append(wf.id) or search(wf, *args))
+
+        def run(forget: bool):
+            network = generate_network(dataclasses.replace(config.topology, seed=2), load_profiles())
+            decisions = []
+
+            def call(workflow, net, backlog):
+                if forget:
+                    net.group_streams.clear()
+                outcome = allocator(workflow, net, backlog)
+                key = (workflow.skeleton, *matcher.task_domains(workflow, net))
+                decisions.append((workflow.id, outcome, net.group_streams.get(key)))
+                return outcome
+
+            state = run_simulation(workload, network, call, config.params, config.retry_limit)
+            return state, decisions
+
+        searches.clear()
+        state, decisions = run(forget=False)
+        memo_searches = list(searches)
+        searches.clear()
+        fresh_state, fresh_decisions = run(forget=True)
+        assert len(state.failed) == 3
+        assert [(wf_id, outcome) for wf_id, outcome, _ in decisions] == [
+            (wf_id, outcome) for wf_id, outcome, _ in fresh_decisions
+        ]
+        assert state.metrics.completion_pct == fresh_state.metrics.completion_pct
+        for wf in state.failed:
+            attempts = [entry for wf_id, _, entry in decisions if wf_id == wf.id]
+            assert len(attempts) == config.retry_limit + 1
+            assert attempts[1:] == [[]] * config.retry_limit  # stored at the second attempt at the latest
+            assert memo_searches.count(wf.id) <= 2 and searches.count(wf.id) == config.retry_limit + 1
 
     def test_completion_accounting_partitions_tasks(self):
         rng = random.Random(3)
