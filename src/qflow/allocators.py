@@ -219,18 +219,19 @@ def random_aware(
     trials buy better placements at linear extra cost. A trial whose
     candidate pool runs empty counts as an infeasible trial.
 
-    Each task's pool of qubit-fitting nodes is listed once per decision,
-    and a trial draws from it the nodes not used yet, in ascending order.
-    Only trials that satisfy the constraint are scored, by the
+    A trial draws each task from the network's :meth:`~ResourceNetwork.qubit_mask`
+    for its qubit count less the nodes used so far, listed ascending. Only
+    trials that satisfy the constraint are scored, by the
     :meth:`DecisionTable.breakdown` of one per-decision table, which also
-    supplies the normalization bounds; the incumbent keeps its trial's
-    breakdown.
+    supplies the normalization bounds and is built at the first such trial,
+    so a decision none of whose trials is feasible builds none; the
+    incumbent keeps its trial's breakdown.
     """
     rng = random.Random(rng_seed)
     tasks = workflow.tasks
-    table = DecisionTable(workflow, network, params, backlog)
     order = sorted(range(len(tasks)), key=lambda j: (tasks[j].qubits, j))
-    fits = [[k for k, node in enumerate(network.nodes) if node.qubits >= task.qubits] for task in tasks]
+    fits = [(j, network.qubit_mask(tasks[j].qubits)) for j in order]
+    table = None
 
     mincost = math.inf
     incumbent: dict[int, int] | None = None
@@ -239,16 +240,18 @@ def random_aware(
     trials = len(tasks) * trial_multiplier
     for _ in range(trials):
         assignment: dict[int, int] = {}
-        used: set[int] = set()
-        for j in order:
-            pool = [k for k in fits[j] if k not in used]
+        used = 0
+        for j, fit in fits:
+            pool = mask_hosts(fit & ~used)
             if not pool:
                 break
             pick = rng.choice(pool)
             assignment[j] = pick
-            used.add(pick)
+            used |= 1 << pick
         if len(assignment) < len(tasks) or not mapping_feasible(assignment, workflow, network):
             continue
+        if table is None:
+            table = DecisionTable(workflow, network, params, backlog)
         cost = table.breakdown(assignment, weights)
         if cost.total < mincost:
             mincost = cost.total

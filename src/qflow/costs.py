@@ -25,8 +25,8 @@ host then costs one compare and add (the hosts of a class differ only in
 availability). Given a floor, the scorer first checks exact float lower
 bounds (a task on a sentinel host, then on each class at its least wait)
 and returns ``None`` if no total can be below the floor. The cost-aware
-allocators build one table per decision and score every candidate, group
-or trial from it.
+allocators build at most one table per decision, at its first group or
+feasible trial, and score every later one from it.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -321,18 +321,15 @@ class DecisionTable:
     ):
         if backlog is not None and len(backlog) != len(network.nodes):
             raise ValueError(f"backlog has {len(backlog)} entries for {len(network.nodes)} nodes")
-        terms = task_terms(workflow.tasks, network, params)
-        self.err = [t.err for t in terms]
-        self.run = [t.run for t in terms]
-        self.qlink = [t.qlink for t in terms]
-        self.clink = [t.clink for t in terms]
+        err, run, qlink, clink, fit_max, all_max = zip(*task_terms(workflow.tasks, network, params))
+        self.err, self.run, self.qlink, self.clink = list(err), list(run), list(qlink), list(clink)
         self.avail = [0.0] * len(network.nodes) if backlog is None else backlog
         self.edges = workflow.skeleton
         self.classes = network.calibration_classes
 
-        worst = [t.fit_max for t in terms if t.fit_max is not None] or [t.all_max for t in terms]
+        worst = [m for m in fit_max if m is not None] or all_max
         max_err, max_run, max_net = map(max, zip(*worst))
-        n_tasks = len(terms)
+        n_tasks = len(err)
         self.bounds = NormalizationBounds(
             max_nat=max(max(self.avail, default=0.0), BOUND_FLOOR),
             max_task_error_sum=max(n_tasks * max_err, BOUND_FLOOR),

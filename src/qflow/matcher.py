@@ -119,15 +119,14 @@ def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
 
 
 def task_domains(workflow: Workflow, network: ResourceNetwork) -> list[int]:
-    """Each task's candidate hosts as a bitmask: the OR of the calibration
-    classes whose representative has enough qubits for it, less the nodes
+    """Each task's candidate hosts as a bitmask: the network's
+    :meth:`~ResourceNetwork.qubit_mask` for its qubit count, less the nodes
     with fewer neighbours than the task has in the skeleton, which no
     monomorphism can use."""
-    reps, masks, _ = network.calibration_classes
     at_least = network.degree_masks
     degrees = _search_plan(len(workflow.tasks), workflow.skeleton)[4]
     return [
-        sum(m for rep, m in zip(reps, masks) if rep.qubits >= task.qubits) & at_least[d] if d < len(at_least) else 0
+        network.qubit_mask(task.qubits) & at_least[d] if d < len(at_least) else 0
         for task, d in zip(workflow.tasks, degrees)
     ]
 

@@ -15,7 +15,9 @@ orders every module uses. Each workflow and network derives its views from
 them once and holds them as plain attributes (``skeleton``,
 ``topological_order``, ``adjacency``, ``neighbour_masks``,
 ``degree_masks``, ``dfs_order``); the neighbour bitmasks answer the link
-half of :func:`mapping_feasible`, as they do for the matcher's search.
+half of :func:`mapping_feasible`, as they do for the matcher's search. A
+network also keeps the hosts with at least q qubits per count q
+(:meth:`ResourceNetwork.qubit_mask`), filled at each count's first read.
 """
 
 from __future__ import annotations
@@ -269,6 +271,19 @@ class ResourceNetwork:
         least d neighbours as a host bitmask."""
         degrees = [len(adjacent) for adjacent in self.adjacency]
         return tuple(sum(1 << k for k, deg in enumerate(degrees) if deg >= d) for d in range(max(degrees) + 1))
+
+    @cached_property
+    def _qubit_masks(self) -> dict[int, int]:
+        return {}
+
+    def qubit_mask(self, qubits: int) -> int:
+        """The nodes with at least ``qubits`` qubits as a host bitmask,
+        computed at the count's first read and kept for the network's
+        life."""
+        mask = self._qubit_masks.get(qubits)
+        if mask is None:  # a mask of 0 is kept too, not recomputed
+            mask = self._qubit_masks[qubits] = sum(1 << k for k, node in enumerate(self.nodes) if node.qubits >= qubits)
+        return mask
 
     @cached_property
     def term_caches(self) -> dict[NetworkParams, dict]:

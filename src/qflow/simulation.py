@@ -26,7 +26,7 @@ from typing import Protocol
 from . import allocators as alg
 from .allocators import AllocationOutcome
 from .costs import task_terms
-from .model import NetworkParams, ResourceNetwork, Workflow, neighbour_lists, validate_allocation
+from .model import NetworkParams, ResourceNetwork, Workflow, validate_allocation
 
 DEFAULT_RETRY_LIMIT = 3
 
@@ -177,7 +177,9 @@ def _execute(
     assignment = allocation.assignment
     terms = task_terms(workflow.tasks, network, params)
     finish_times: dict[int, float] = {}
-    preds = neighbour_lists(len(workflow.tasks), [(b, a) for a, b in workflow.edges], directed=True)
+    preds: list[list[int]] = [[] for _ in terms]
+    for a, b in workflow.edges:  # unsorted: only the maximum gate is read
+        preds[b].append(a)
 
     for j in workflow.topological_order:
         node_index = assignment[j]

@@ -612,9 +612,11 @@ class TestRandomAwareReference:
             for seed in range(2):
                 workflows, network, free_at = scenario_instances(scenario, seed, 10)
                 instances += [(wf, network, free_at) for wf in workflows]
-        placed = aborted = 0
-        for wf, network, free_at in instances:
+        placed = aborted = placed_idle = 0
+        for i, (wf, network, free_at) in enumerate(instances):
             backlog = backlog_at(free_at, rng.uniform(0.05, 1.5))
+            if i % 4 == 0:
+                backlog = None  # an idle network
             seed = rng.randrange(1 << 30)
             assignment, trials, history, breakdown, aborts = reference_random_aware(
                 wf, network, WEIGHTS, PARAMS, seed, backlog, trial_multiplier
@@ -625,8 +627,30 @@ class TestRandomAwareReference:
             )
             aborted += aborts
             assert outcome == reference_outcome(assignment, trials, history, breakdown)
-            placed += assignment is not None
-        assert placed >= 100 and aborted >= 20
+            if assignment is not None:
+                assert list(outcome.allocation.assignment) == list(assignment)  # qubit order
+                placed += 1
+                placed_idle += backlog is None
+        assert placed >= 100 and aborted >= 20 and placed_idle >= 25
+
+    def test_decision_table_is_built_at_the_first_feasible_trial(self, monkeypatch):
+        built = []
+
+        def counting_table(*args):
+            built.append(args)
+            return DecisionTable(*args)
+
+        monkeypatch.setattr("qflow.allocators.DecisionTable", counting_table)
+        path = make_network([127, 127, 127], [(0, 1), (1, 2)])
+        triangle = pattern_workflow(3, [(0, 1), (1, 2), (0, 2)], qubits=[5, 5, 5])
+        too_large = chain_workflow([200, 5])  # the first task fits no node
+        # every trial fails the link check, or aborts
+        for wf, trials in (triangle, 9), (too_large, 6):
+            outcome = random_aware(wf, path, WEIGHTS, PARAMS, rng_seed=1, trial_multiplier=3)
+            assert (outcome.succeeded, outcome.candidates_examined, len(built)) == (False, trials, 0)
+        complete = make_network([127] * 4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+        outcome = random_aware(chain_workflow([5, 5, 5]), complete, WEIGHTS, PARAMS, rng_seed=1, trial_multiplier=3)
+        assert outcome.succeeded and len(built) == 1  # nine feasible trials, one table
 
 
 def reference_dfs_node_order(network):

@@ -19,6 +19,7 @@ from qflow.matcher import (
     workflow_monomorphisms,
 )
 from qflow.model import NetworkParams, WeightConfig, mapping_feasible
+from qflow.workload import random_connected_dag
 
 from .conftest import (
     chain_workflow,
@@ -603,6 +604,25 @@ class TestDegreePruning:
                     assert all(domains[w] >> h & 1 for w, h in prefix.items())
                     assert hosts & ~domains[u] == 0 and leaves & ~domains[v] == 0
         assert lost >= 10
+
+    def test_domains_equal_the_class_definition_on_random_networks(self):
+        rng = random.Random(29)
+        too_large = no_degree = 0
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
+            network = make_network([rng.choice((5, 20, 127)) for _ in range(n)], pairs)
+            size = rng.randint(1, 5)
+            qubits = [rng.choice((1, 5, 20, 127, 200)) for _ in range(size)]  # 200 fits no node
+            wf = pattern_workflow(size, random_connected_dag(size, rng), qubits)
+            reps, masks, _ = network.calibration_classes
+            at_least = network.degree_masks
+            for task, d, domain in zip(wf.tasks, _search_plan(size, wf.skeleton)[4], task_domains(wf, network)):
+                fits = sum(m for rep, m in zip(reps, masks) if rep.qubits >= task.qubits)
+                assert domain == (fits & at_least[d] if d < len(at_least) else 0)
+                too_large += fits == 0
+                no_degree += d >= len(at_least)
+        assert too_large >= 50 and no_degree >= 20
 
     def test_degree_masks(self):
         star = make_network([5] * 5, [(0, k) for k in range(1, 5)])

@@ -180,6 +180,21 @@ class TestResourceNetwork:
         assert is_connected(make_network([1, 1, 1], [(0, 1), (1, 2)]))
         assert not is_connected(make_network([1, 1, 1], [(0, 1)]))
 
+    def test_qubit_mask_holds_the_nodes_with_enough_qubits(self):
+        for net in random_and_generated_networks():
+            top = max(node.qubits for node in net.nodes)
+            for q in range(top + 2):
+                expected = sum(1 << k for k in [k for k, node in enumerate(net.nodes) if node.qubits >= q])
+                assert net.qubit_mask(q) == expected
+                assert net.qubit_mask(q) is net.qubit_mask(q)  # read, not recomputed
+            assert net.qubit_mask(top + 1) == 0
+
+    def test_a_qubit_mask_of_zero_is_kept(self):
+        net = make_network([5, 20], [(0, 1)])
+        assert net.qubit_mask(21) == 0
+        object.__setattr__(net, "nodes", (make_node("big", 127),) * 2)  # a recomputation would read these
+        assert (net.qubit_mask(21), net.qubit_mask(1)) == (0, 0b11)
+
 
 class TestQpuNode:
     @pytest.mark.parametrize(
