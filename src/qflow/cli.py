@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
+from .costs import quantum_link_cost
 from .experiments import (
     SCENARIO_NAMES,
     SWEEP_ALIASES,
@@ -28,7 +29,8 @@ from .experiments import (
     run_experiment,
     scenario_config,
 )
-from .profiles import PROFILES_ENV_VAR, load_profiles, node_from_profile
+from .model import TaskSpec
+from .profiles import load_profiles, node_from_profile
 from .simulation import ALLOCATOR_NAMES
 from .workload import import_task_catalog
 
@@ -53,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep one config field (e.g. tasks_per_group=1,2,3,4,5)",
     )
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--profiles", type=Path, help="calibration profile file (or set QFLOW_PROFILES)")
+    parser.add_argument("--profiles", type=Path, help="calibration profile file")
     parser.add_argument(
         "--strict-pseudocode",
         action="store_true",
@@ -105,21 +107,31 @@ def load_config(args) -> ExperimentConfig:
 
 def check_inputs(config: ExperimentConfig) -> None:
     """Load the input files ``config`` names, build one node per pooled
-    profile and require an imported catalog to hold a task within
+    profile, require each one's link cost to stay finite in a repetition's
+    sums and an imported catalog to hold a task within
     ``workload.qubit_range``: a bad input is a configuration error before
     anything runs."""
-    where = f"profiles file {config.profiles_path or os.environ.get(PROFILES_ENV_VAR) or '(bundled)'}"
+    where = f"profiles file {config.profiles_path or '(bundled)'}"
     try:
         profiles = load_profiles(config.profiles_path)
         where = "topology.profile_pool"
-        for name in config.topology.profile_pool:
-            node_from_profile(name, profiles)
+        nodes = [node_from_profile(name, profiles) for name in config.topology.profile_pool]
+        lo, hi = config.workload.qubit_range
+        # a repetition adds a link term into each of its `tasks` start times
+        # through at most `tasks * (per_group - 1) / 2` gates, and the term is
+        # linear in qubits, so the largest task on each profile bounds the sums
+        tasks = config.workload.batch_size * config.workload.tasks_per_group
+        terms = tasks * tasks * (config.workload.tasks_per_group - 1) // 2
+        largest = TaskSpec("largest", hi, 1, 0, 0)
+        for node in nodes:
+            where = f"params.transmission_efficiency on profile {node.id}"
+            if not quantum_link_cost(largest, node, config.params) * terms < math.inf:
+                raise ValueError(f"the quantum link cost of a {hi}-qubit task overflows a run")
         where = "catalog_path"
         if config.catalog_path:
-            lo, hi = config.workload.qubit_range
             if not any(lo <= task.qubits <= hi for task in import_task_catalog(config.catalog_path)):
                 raise ValueError(f"{config.catalog_path} has no task within workload.qubit_range [{lo}, {hi}]")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:  # the coherence-time mean can underflow to 0
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -3,38 +3,28 @@
 A profile file is a JSON object keyed by machine name, each record carrying
 the ten device properties consumed by :class:`~qflow.model.QpuNode`. The
 bundled file covers three superconducting machines (brisbane, torino,
-marrakesh) with published median calibration values. An alternative file can
-be supplied via the ``QFLOW_PROFILES`` environment variable or the library
-argument.
+marrakesh) with published median calibration values. Another file is named
+only by the config's ``profiles_path`` (the ``--profiles`` flag), so the
+recorded config names every input of a run.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 from pathlib import Path
 
 from .model import _ERROR_RATES, _POSITIVE, QpuNode
 
-PROFILES_ENV_VAR = "QFLOW_PROFILES"
-
 _REQUIRED_KEYS = ("qubits", *_ERROR_RATES, *_POSITIVE)
 
 
 def load_profiles(path: str | Path | None = None) -> dict[str, dict[str, float]]:
-    """Load calibration profiles, honouring ``QFLOW_PROFILES`` when no path
-    given. A file other than an object of records, each an object whose ten
-    fields are ints or floats (not bools), raises ValueError."""
-    if path is None:
-        env = os.environ.get(PROFILES_ENV_VAR)
-        if env:
-            path = env
-    if path is None:
-        text = resources.files("qflow").joinpath("data/profiles.json").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    raw = json.loads(text)
+    """Load calibration profiles from ``path``, or the bundled file when it
+    is None. A file other than an object of records, each an object whose
+    ten fields are ints or floats (not bools), raises ValueError."""
+    source = resources.files("qflow").joinpath("data/profiles.json") if path is None else Path(path)
+    raw = json.loads(source.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("profile file must be a JSON object of machine records")
     profiles = {}

@@ -67,10 +67,6 @@ class TaskExecution:
     start: float
     finish: float
 
-    @property
-    def duration(self) -> float:
-        return self.finish - self.start
-
 
 @dataclass
 class SimState:

@@ -9,7 +9,7 @@ import pytest
 
 from qflow.cli import build_parser, load_config, main
 from qflow.experiments import ExperimentConfig, apply_sweep_value, scenario_config
-from qflow.profiles import PROFILES_ENV_VAR, load_profiles
+from qflow.profiles import load_profiles
 
 
 def write_config(tmp_path, **extra):
@@ -100,6 +100,11 @@ class TestExitCodes:
             # subnormal attenuations: the link cost divides by zero or overflows
             ({"params": {"transmission_efficiency": 5e-324}}, "params.transmission_efficiency"),
             ({"params": {"transmission_efficiency": 1e-310}}, "params.transmission_efficiency"),
+            # a tiny but normal efficiency: the link terms overflow the run's sums
+            (
+                {"params": {"transmission_efficiency": 1e-307}},
+                "params.transmission_efficiency on profile brisbane: the quantum link cost of a 100-qubit task",
+            ),
             # an infinite latency made every cost bound infinite at run time
             ({"params": {"classical_latency": math.inf}}, "params.classical_latency"),
             # a bool is an int: it would run as 0 or 1 and be recorded as true
@@ -116,8 +121,9 @@ class TestExitCodes:
         ],
         ids=[
             "list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency",
-            "infinite-latency", "bool-weight", "bool-link-probability", "bool-cap-base", "bool-arrival-rate",
-            "bool-catalog-path", "fd-catalog-path", "zero-catalog-path", "bool-profiles-path", "number-profiles-path",
+            "overflowing-link-cost", "infinite-latency", "bool-weight", "bool-link-probability", "bool-cap-base",
+            "bool-arrival-rate", "bool-catalog-path", "fd-catalog-path", "zero-catalog-path", "bool-profiles-path",
+            "number-profiles-path",
         ],
     )
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, raw, message):
@@ -136,52 +142,41 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "file" / "out")]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_non_finite_metric_is_exit_two_before_any_output(self, tmp_path, capsys):
-        # a tiny but normal efficiency: on the default config the link terms
-        # overflow to inf at run time
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"params": {"transmission_efficiency": 1e-307}}))
-        assert main(["--config", str(cfg), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "metric wait_time is inf in the run of seed 0" in err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize(
-        "extra, flags, env, where",
+        "extra, flags, where",
         [
-            ({}, ["--profiles", "missing.json"], None, "missing.json"),
-            ({}, [], "missing.json", "missing.json"),
-            ({}, ["--profiles", "empty.json"], None, "empty.json"),
-            ({}, ["--profiles", "lacks.json"], None, "lacks.json"),
-            ({"profiles_path": "notjson.json"}, [], None, "notjson.json"),
-            ({"topology": {"profile_pool": ["nope"]}}, [], None, "topology.profile_pool"),
-            ({"catalog_path": "missing.csv"}, [], None, "catalog_path"),
-            ({"catalog_path": "header.csv"}, [], None, "catalog_path"),
-            ({}, ["--sweep", "profiles_path=good.json,empty.json"], None, "empty.json"),
-            ({}, ["--profiles", "list.json"], None, "list.json"),
-            ({}, ["--profiles", "number.json"], None, "profile 'a' must be a JSON object"),
-            ({}, ["--profiles", "text-qubits.json"], None, "profile 'brisbane': qubits must be an int or float"),
-            ({}, ["--profiles", "bool-t1.json"], None, "profile 'brisbane': t1 must be an int or float, got True"),
+            ({}, ["--profiles", "missing.json"], "missing.json"),
+            ({}, ["--profiles", "empty.json"], "empty.json"),
+            ({}, ["--profiles", "lacks.json"], "lacks.json"),
+            ({"profiles_path": "notjson.json"}, [], "notjson.json"),
+            ({"topology": {"profile_pool": ["nope"]}}, [], "topology.profile_pool"),
+            ({"catalog_path": "missing.csv"}, [], "catalog_path"),
+            ({"catalog_path": "header.csv"}, [], "catalog_path"),
+            ({}, ["--sweep", "profiles_path=good.json,empty.json"], "empty.json"),
+            ({}, ["--profiles", "list.json"], "list.json"),
+            ({}, ["--profiles", "number.json"], "profile 'a' must be a JSON object"),
+            ({}, ["--profiles", "text-qubits.json"], "profile 'brisbane': qubits must be an int or float"),
+            ({}, ["--profiles", "bool-t1.json"], "profile 'brisbane': t1 must be an int or float, got True"),
             (
-                {"catalog_path": "header-only.csv"}, [], None,
+                {"catalog_path": "header-only.csv"}, [],
                 "catalog_path: header-only.csv has no task within workload.qubit_range [5, 100]",
             ),
             (
-                {"catalog_path": "too-large.csv"}, [], None,
+                {"catalog_path": "too-large.csv"}, [],
                 "catalog_path: too-large.csv has no task within workload.qubit_range [5, 100]",
             ),
-            ({}, ["--profiles", "inf-t1.json"], None, "node brisbane: t1 must be > 0 and finite, got inf"),
+            ({}, ["--profiles", "inf-t1.json"], "node brisbane: t1 must be > 0 and finite, got inf"),
+            # 2 * t1 * t2 underflows, so the link cost divides by zero
+            ({}, ["--profiles", "tiny-coherence.json"], "on profile brisbane: float division by zero"),
         ],
         ids=[
-            "missing-profiles", "missing-profiles-env", "empty-profiles", "profile-lacks-fields",
+            "missing-profiles", "empty-profiles", "profile-lacks-fields",
             "profiles-not-json", "unknown-pooled-profile", "missing-catalog", "catalog-header", "swept-profiles",
             "profiles-list", "profile-not-object", "profile-text-qubits", "profile-bool-t1",
-            "catalog-header-only", "catalog-out-of-range", "profile-inf-t1",
+            "catalog-header-only", "catalog-out-of-range", "profile-inf-t1", "profile-tiny-coherence",
         ],
     )
-    def test_bad_input_file_is_config_error_before_any_output(
-        self, tmp_path, capsys, monkeypatch, extra, flags, env, where
-    ):
+    def test_bad_input_file_is_config_error_before_any_output(self, tmp_path, capsys, monkeypatch, extra, flags, where):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "good.json").write_text(json.dumps(load_profiles()))
         (tmp_path / "empty.json").write_text("{}")
@@ -190,21 +185,35 @@ class TestExitCodes:
         (tmp_path / "header.csv").write_text("id,family\n")
         (tmp_path / "list.json").write_text("[]")
         (tmp_path / "number.json").write_text('{"a": 5}')
-        bad_fields = (("text-qubits", "qubits", "x"), ("bool-t1", "t1", True), ("inf-t1", "t1", math.inf))
-        for name, field, value in bad_fields:
+        bad_fields = (
+            ("text-qubits", {"qubits": "x"}),
+            ("bool-t1", {"t1": True}),
+            ("inf-t1", {"t1": math.inf}),
+            ("tiny-coherence", {"t1": 1e-300, "t2": 1e-300}),
+        )
+        for name, fields in bad_fields:
             profiles = load_profiles()
-            profiles["brisbane"][field] = value
+            profiles["brisbane"].update(fields)
             (tmp_path / f"{name}.json").write_text(json.dumps(profiles))
         columns = "id,family,qubits,depth,two_qubit_gates,measured_qubits,shots\n"
         (tmp_path / "header-only.csv").write_text(columns)
         (tmp_path / "too-large.csv").write_text(columns + "big,qft,200,10,5,200,1000\n")
-        if env:
-            monkeypatch.setenv(PROFILES_ENV_VAR, env)
         cfg = write_config(tmp_path, **extra)
         assert main(["--config", str(cfg), "--out", "out", *flags]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and where in err
         assert not (tmp_path / "out").exists()
+
+    def test_profiles_env_var_is_no_input(self, tmp_path, monkeypatch):
+        # the recorded config names every input: an exported QFLOW_PROFILES
+        # changes nothing, not even when it names a missing file
+        monkeypatch.chdir(tmp_path)
+        args = ["--algo", "soft_iso", "--reps", "2", "--no-timing", "--out"]
+        assert main([*args, "plain"]) == 0
+        monkeypatch.setenv("QFLOW_PROFILES", "missing.json")
+        assert main([*args, "env"]) == 0
+        for name in ("results.csv", "qpu_shares.csv", "summary.json"):
+            assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 class TestOverrides:

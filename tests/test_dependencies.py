@@ -1,4 +1,4 @@
-"""qflow runs on the standard library alone.
+"""qflow runs on the standard library alone, and reads no environment.
 
 The benchmark bounds ``peak_rss_mb`` at 15% over the parent commit, and
 importing numpy adds about 12 MB of resident memory (the peak of a process
@@ -32,6 +32,17 @@ def test_import_loads_no_numpy():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_no_module_reads_the_environment():
+    # the recorded config is a run's only input: an environment lookup would
+    # be a hidden one that no summary.json records
+    readers = [
+        path.name
+        for path in sorted((ROOT / "src" / "qflow").rglob("*.py"))
+        if "os.environ" in (text := path.read_text(encoding="utf-8")) or "getenv" in text
+    ]
+    assert readers == []
 
 
 def test_pyproject_declares_no_runtime_dependency():

@@ -200,6 +200,14 @@ class TestRunExperiment:
         for name in ("execution_time", "wait_time", "avg_fidelity", "comm_overhead", "completion_pct"):
             assert serial.metric_values(name) == parallel.metric_values(name)
 
+    def test_non_finite_metric_raises_before_any_output(self, tmp_path):
+        # a tiny but normal efficiency: on the default config the link terms
+        # overflow to inf at run time (the CLI rejects it before any run)
+        config = ExperimentConfig.from_dict({"params": {"transmission_efficiency": 1e-307}, "repetitions": 2})
+        with pytest.raises(ValueError, match="metric wait_time is inf in the run of seed 0"):
+            run_experiment(config, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_summary_records_config_and_normalization(self, tmp_path):
         run_experiment(small_config(), out_dir=tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())

@@ -21,7 +21,7 @@ from qflow.model import (
     mapping_feasible,
     validate_allocation,
 )
-from qflow.profiles import PROFILES_ENV_VAR, load_profiles, node_from_profile
+from qflow.profiles import load_profiles, node_from_profile
 from qflow.workload import TopologySpec, WorkloadSpec, generate_network, random_connected_dag
 
 from .conftest import chain_workflow, is_connected, make_network, make_node, make_task
@@ -485,14 +485,14 @@ class TestProfiles:
         assert node.qubits == 133
         assert node.d1cps == profiles["torino"]["d1cps"]
 
-    def test_env_var_override(self, tmp_path, monkeypatch, profiles):
+    def test_env_var_is_not_read(self, tmp_path, monkeypatch, profiles):
+        # only an explicit path replaces the bundled file
         custom = {"tiny": dict(profiles["brisbane"], qubits=7)}
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(custom))
-        monkeypatch.setenv(PROFILES_ENV_VAR, str(path))
-        loaded = load_profiles()
-        assert sorted(loaded) == ["tiny"]
-        assert loaded["tiny"]["qubits"] == 7
+        monkeypatch.setenv("QFLOW_PROFILES", str(path))
+        assert load_profiles() == profiles
+        assert load_profiles(path)["tiny"]["qubits"] == 7
 
     @pytest.mark.parametrize("field", ["one_qubit_runtime", "t1", "d1cps"])
     def test_nan_calibration_in_file_rejected(self, tmp_path, profiles, field):

@@ -491,7 +491,7 @@ class TestMetrics:
         workload.sort(key=lambda w: w.arrival_time)
         allocator = make_allocator("soft_iso", WEIGHTS, PARAMS)
         state = run_simulation(workload, net, allocator, PARAMS)
-        longest = max(e.duration for e in state.executions)
+        longest = max(e.finish - e.start for e in state.executions)
         assert state.metrics.execution_time >= longest - 1e-12
         assert state.metrics.wait_time >= 0.0
         assert state.metrics.completion_pct == 100.0
