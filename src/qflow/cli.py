@@ -131,7 +131,7 @@ def check_inputs(config: ExperimentConfig) -> None:
         if config.catalog_path:
             if not any(lo <= task.qubits <= hi for task in import_task_catalog(config.catalog_path)):
                 raise ValueError(f"{config.catalog_path} has no task within workload.qubit_range [{lo}, {hi}]")
-    except (OSError, ValueError, ZeroDivisionError) as exc:  # the coherence-time mean can underflow to 0
+    except (OSError, ValueError, ZeroDivisionError) as exc:  # coherence mean times attenuation can underflow to 0
         raise ConfigError(f"{where}: {exc}") from exc
 
 

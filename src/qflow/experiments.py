@@ -96,8 +96,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
         for name, kind in _SECTIONS.items():
-            if not isinstance(getattr(self, name), kind):
+            if not isinstance(section := getattr(self, name), kind):
                 raise ConfigError(f"{name}: expected an object")
+            if getattr(section, "seed", 0) != 0:  # workload and topology hold a seed
+                raise ConfigError(f"{name}.seed: must be 0, got {section.seed!r}; repetitions derive it from base_seed")
         for name in ("catalog_path", "profiles_path"):
             if not isinstance(value := getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name}: expected a string or null, got {value!r}")

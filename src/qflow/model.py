@@ -13,11 +13,11 @@ The graph helpers at the end (:func:`neighbour_lists`, :func:`components`,
 :func:`kahn_order`) build the neighbour lists, components and topological
 orders every module uses. Each workflow and network derives its views from
 them once and holds them as plain attributes (``skeleton``,
-``topological_order``, ``adjacency``, ``neighbour_masks``,
-``degree_masks``, ``dfs_order``); the neighbour bitmasks answer the link
-half of :func:`mapping_feasible`, as they do for the matcher's search. A
-network also keeps the hosts with at least q qubits per count q
-(:meth:`ResourceNetwork.qubit_mask`), filled at each count's first read.
+``topological_order``, ``neighbour_masks``, ``degree_masks``, ``dfs_order``);
+the neighbour bitmasks answer the link half of :func:`mapping_feasible`, as
+they do for the matcher's search. A network also keeps the hosts with at
+least q qubits per count q (:meth:`ResourceNetwork.qubit_mask`), filled at
+each count's first read.
 """
 
 from __future__ import annotations
@@ -154,17 +154,17 @@ class Workflow:
         return tuple(sorted((a, b) if a < b else (b, a) for a, b in self.edges))
 
 
-# A QpuNode's ten calibration fields are its qubits, these error rates and these positive figures.
+# A QpuNode's eight calibration fields are its qubits, these error rates and these positive figures.
 _ERROR_RATES = ("readout_error", "one_qubit_error", "two_qubit_error")
-_POSITIVE = ("one_qubit_runtime", "two_qubit_runtime", "readout_runtime", "t1", "t2", "d1cps")
+_POSITIVE = ("two_qubit_runtime", "t1", "t2", "d1cps")
 _calibration = attrgetter("qubits", *_ERROR_RATES, *_POSITIVE)
 
 
 @dataclass(frozen=True)
 class QpuNode:
-    """One quantum device: its id and its ten calibration fields.
+    """One quantum device: its id and its eight calibration fields.
 
-    Error rates are probabilities in [0, 1); runtimes and coherence times are
+    Error rates are probabilities in [0, 1); the gate and coherence times are
     seconds; ``d1cps`` is depth-1 circuit layers per second (the device speed
     figure). The node is frozen, so the cost terms its network caches stay
     valid; the simulator holds each node's free time.
@@ -175,9 +175,7 @@ class QpuNode:
     readout_error: float
     one_qubit_error: float
     two_qubit_error: float
-    one_qubit_runtime: float
     two_qubit_runtime: float
-    readout_runtime: float
     t1: float
     t2: float
     d1cps: float
@@ -195,6 +193,9 @@ class QpuNode:
             v = getattr(self, name)
             if not 0 < v < math.inf:
                 raise ValueError(f"node {self.id}: {name} must be > 0 and finite, got {v}")
+        hm = 2.0 * self.t1 * self.t2 / (self.t1 + self.t2)  # as costs.quantum_link_cost takes it
+        if not hm >= sys.float_info.min:
+            raise ValueError(f"node {self.id}: 2 * t1 * t2 / (t1 + t2) must be >= {sys.float_info.min}, got {hm}")
 
 
 @dataclass(frozen=True)
@@ -219,18 +220,13 @@ class ResourceNetwork:
         object.__setattr__(self, "links", frozenset(norm))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour indices per node, ascending."""
-        return tuple(map(tuple, neighbour_lists(len(self.nodes), self.links)))
-
-    @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """Each node's neighbours as a host bitmask, bit k for node k."""
-        return tuple(sum(1 << k for k in adjacent) for adjacent in self.adjacency)
+        return tuple(sum(1 << k for k in adjacent) for adjacent in neighbour_lists(len(self.nodes), self.links))
 
     @cached_property
     def calibration_classes(self) -> tuple[tuple[QpuNode, ...], tuple[int, ...], tuple[int, ...]]:
-        """The nodes grouped by their ten calibration fields (``id`` is not
+        """The nodes grouped by their eight calibration fields (``id`` is not
         part of the key), in order of first appearance:
         one representative node and one host bitmask per class, then each
         node's class index. Nodes of a class have equal cost terms."""
@@ -247,7 +243,7 @@ class ResourceNetwork:
         the next unvisited minimum-qubit node if the graph is a forest. Ties
         in qubits go to the lower index."""
         key = lambda k: (self.nodes[k].qubits, k)
-        adjacency = self.adjacency
+        adjacency = neighbour_lists(len(self.nodes), self.links)
         visited: list[int] = []
         seen: set[int] = set()
         for start in sorted(range(len(self.nodes)), key=key):
@@ -269,7 +265,7 @@ class ResourceNetwork:
     def degree_masks(self) -> tuple[int, ...]:
         """Per degree d from 0 to the greatest node degree, the nodes with at
         least d neighbours as a host bitmask."""
-        degrees = [len(adjacent) for adjacent in self.adjacency]
+        degrees = [mask.bit_count() for mask in self.neighbour_masks]
         return tuple(sum(1 << k for k, deg in enumerate(degrees) if deg >= d) for d in range(max(degrees) + 1))
 
     @cached_property

@@ -1,7 +1,8 @@
 """Calibration profiles for the simulated QPU fleet.
 
 A profile file is a JSON object keyed by machine name, each record carrying
-the ten device properties consumed by :class:`~qflow.model.QpuNode`. The
+the eight device properties :class:`~qflow.model.QpuNode` reads; other keys,
+such as the bundled one-qubit and readout gate times, are ignored. The
 bundled file covers three superconducting machines (brisbane, torino,
 marrakesh) with published median calibration values. Another file is named
 only by the config's ``profiles_path`` (the ``--profiles`` flag), so the
@@ -20,9 +21,9 @@ _REQUIRED_KEYS = ("qubits", *_ERROR_RATES, *_POSITIVE)
 
 
 def load_profiles(path: str | Path | None = None) -> dict[str, dict[str, float]]:
-    """Load calibration profiles from ``path``, or the bundled file when it
-    is None. A file other than an object of records, each an object whose
-    ten fields are ints or floats (not bools), raises ValueError."""
+    """Load each record's eight fields from ``path``, or the bundled file
+    when it is None. A file other than an object of records, each an object
+    whose eight fields are ints or floats (not bools), raises ValueError."""
     source = resources.files("qflow").joinpath("data/profiles.json") if path is None else Path(path)
     raw = json.loads(source.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):

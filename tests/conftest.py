@@ -52,17 +52,14 @@ def make_task(
     )
 
 
-def make_node(node_id="n", qubits=127, e1=0.0, e2=0.0, er=0.0, rt1=60e-9, rt2=660e-9,
-              rtr=1600e-9, t1=220e-6, t2=120e-6, d1cps=180000.0):
+def make_node(node_id="n", qubits=127, e1=0.0, e2=0.0, er=0.0, rt2=660e-9, t1=220e-6, t2=120e-6, d1cps=180000.0):
     return QpuNode(
         id=node_id,
         qubits=qubits,
         readout_error=er,
         one_qubit_error=e1,
         two_qubit_error=e2,
-        one_qubit_runtime=rt1,
         two_qubit_runtime=rt2,
-        readout_runtime=rtr,
         t1=t1,
         t2=t2,
         d1cps=d1cps,

@@ -118,12 +118,15 @@ class TestExitCodes:
             ({"catalog_path": 0}, "catalog_path: expected a string or null, got 0"),
             ({"profiles_path": True}, "profiles_path: a bool is not accepted"),
             ({"profiles_path": 2.5}, "profiles_path: expected a string or null, got 2.5"),
+            # every repetition derives both seeds from base_seed
+            ({"workload": {"seed": 5}}, "workload.seed: must be 0, got 5"),
+            ({"topology": {"seed": 9}}, "topology.seed: must be 0, got 9"),
         ],
         ids=[
             "list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency",
             "overflowing-link-cost", "infinite-latency", "bool-weight", "bool-link-probability", "bool-cap-base",
             "bool-arrival-rate", "bool-catalog-path", "fd-catalog-path", "zero-catalog-path", "bool-profiles-path",
-            "number-profiles-path",
+            "number-profiles-path", "workload-seed", "topology-seed",
         ],
     )
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, raw, message):
@@ -166,14 +169,22 @@ class TestExitCodes:
                 "catalog_path: too-large.csv has no task within workload.qubit_range [5, 100]",
             ),
             ({}, ["--profiles", "inf-t1.json"], "node brisbane: t1 must be > 0 and finite, got inf"),
-            # 2 * t1 * t2 underflows, so the link cost divides by zero
-            ({}, ["--profiles", "tiny-coherence.json"], "on profile brisbane: float division by zero"),
+            (
+                {}, ["--profiles", "tiny-coherence.json"],
+                "topology.profile_pool: node brisbane: 2 * t1 * t2 / (t1 + t2) must be >=",
+            ),
+            # each factor is normal, their product underflows: the link cost divides by zero
+            (
+                {"params": {"transmission_efficiency": 1e-200}}, ["--profiles", "small-coherence.json"],
+                "params.transmission_efficiency on profile brisbane: float division by zero",
+            ),
         ],
         ids=[
             "missing-profiles", "empty-profiles", "profile-lacks-fields",
             "profiles-not-json", "unknown-pooled-profile", "missing-catalog", "catalog-header", "swept-profiles",
             "profiles-list", "profile-not-object", "profile-text-qubits", "profile-bool-t1",
             "catalog-header-only", "catalog-out-of-range", "profile-inf-t1", "profile-tiny-coherence",
+            "profile-underflowing-link-cost",
         ],
     )
     def test_bad_input_file_is_config_error_before_any_output(self, tmp_path, capsys, monkeypatch, extra, flags, where):
@@ -190,6 +201,7 @@ class TestExitCodes:
             ("bool-t1", {"t1": True}),
             ("inf-t1", {"t1": math.inf}),
             ("tiny-coherence", {"t1": 1e-300, "t2": 1e-300}),
+            ("small-coherence", {"t1": 1e-150, "t2": 1e-150}),
         )
         for name, fields in bad_fields:
             profiles = load_profiles()
@@ -278,6 +290,13 @@ class TestSweepMode:
                      "--out", str(out)]) == 0
         summary = json.loads((out / "workload_arrival_rate=10" / "summary.json").read_text())
         assert summary["config"]["workload"]["arrival_rate"] == 10.0
+
+    def test_sweep_of_a_section_seed_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        assert main(["--config", str(cfg), "--sweep", "workload.seed=1,2", "--out", str(out)]) == 1
+        assert "config error: workload.seed: must be 0, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_requires_out(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -417,10 +417,9 @@ class TestTermCache:
             yield workflows, network
         # one calibration class: nodes equal but for their id (0.0 == -0.0)
         same = [make_node(f"s{k}", 9, 0.004, 0.01, -0.0 if k % 2 else 0.0) for k in range(6)]
-        # eleven classes: every b node is one class, and d_k differs from
+        # nine classes: every b node is one class, and d_k differs from
         # b_k in exactly one field
-        base = dict(qubits=6, e1=0.004, e2=0.01, er=0.02, rt1=60e-9, rt2=660e-9, rtr=1600e-9,
-                    t1=220e-6, t2=120e-6, d1cps=180000.0)
+        base = dict(qubits=6, e1=0.004, e2=0.01, er=0.02, rt2=660e-9, t1=220e-6, t2=120e-6, d1cps=180000.0)
         pairs = [make_node("b0", **base)]
         for k, (name, value) in enumerate(base.items(), 1):
             changed = value + 3 if name == "qubits" else value * 1.5
@@ -439,7 +438,7 @@ class TestTermCache:
         other than id are equal; each class's representative is one of its
         nodes."""
         names = [f.name for f in dataclasses.fields(QpuNode) if f.name != "id"]
-        assert len(names) == 10
+        assert len(names) == 8
         key = [tuple(getattr(node, name) for name in names) for node in network.nodes]
         reps, masks, of_node = network.calibration_classes
         for j, k in itertools.combinations(range(len(key)), 2):
@@ -499,6 +498,18 @@ class TestTermCache:
         (other,) = task_terms([deeper], network, params)
         assert other is not terms and other.run != terms.run
         assert len(network.term_caches[params]) == 2
+
+
+class TestCalibrationFields:
+    def test_every_calibration_field_changes_a_task_term(self):
+        # a field that no term reads would still split calibration classes
+        probe = make_task("probe", qubits=5, depth=6, two_qubit_gates=4, measured_qubits=5)
+        base = dataclasses.asdict(make_node("a", e1=0.004, e2=0.01, er=0.02))
+        for name in (f.name for f in dataclasses.fields(QpuNode) if f.name != "id"):
+            changed = {**base, name: 3 if name == "qubits" else base[name] * 1.5}  # 3 qubits fit no probe
+            terms = [task_terms([probe], ResourceNetwork((QpuNode(**fields),)), NetworkParams())[0]
+                     for fields in (base, changed)]
+            assert terms[0] != terms[1], name
 
 
 class TestBlockScorer:

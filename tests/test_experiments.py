@@ -95,6 +95,16 @@ class TestConfig:
         assert [ExperimentConfig(base_seed=s).base_seed for s in (7.0, -3, 0)] == [7, -3, 0]
         assert type(ExperimentConfig(base_seed=7.0).base_seed) is int
 
+    @pytest.mark.parametrize(
+        "raw, path", [({"workload": {"seed": 5}}, "workload.seed"), ({"topology": {"seed": 9}}, "topology.seed")]
+    )
+    def test_section_seed_other_than_zero_rejected(self, raw, path):
+        # run_single derives both seeds from base_seed in every repetition
+        with pytest.raises(ConfigError, match=rf"^{path}: must be 0, got \d; repetitions derive it from base_seed$"):
+            ExperimentConfig.from_dict(raw)
+        # zero, the value every recorded summary.json holds, stays valid
+        assert ExperimentConfig.from_dict({"workload": {"seed": 0}, "topology": {"seed": 0}}) == ExperimentConfig()
+
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="algorithm"):
             ExperimentConfig.from_dict({"algorithm": "simulated_annealing"})

@@ -18,7 +18,7 @@ from qflow.matcher import (
     task_domains,
     workflow_monomorphisms,
 )
-from qflow.model import NetworkParams, WeightConfig, mapping_feasible
+from qflow.model import NetworkParams, WeightConfig, mapping_feasible, neighbour_lists
 from qflow.workload import random_connected_dag
 
 from .conftest import (
@@ -65,8 +65,7 @@ def reference_monomorphisms(wf, host):
         adj[a].add(b)
         adj[b].add(a)
     domain = [[h for h, node in enumerate(host.nodes) if node.qubits >= task.qubits] for task in wf.tasks]
-    adjacency = host.adjacency
-    neighbours = [frozenset(adjacency[h]) for h in range(len(host.nodes))]
+    neighbours = [frozenset(adjacent) for adjacent in neighbour_lists(len(host.nodes), host.links)]
     depth_of = {v: d for d, v in enumerate(order)}
     earlier = [[p for p in adj[v] if depth_of[p] < d] for d, v in enumerate(order)]
     last = pattern_size - 1
@@ -589,7 +588,7 @@ class TestDegreePruning:
         for seed in range(3):
             workflows, network, _ = scenario_instances("LP-LR", seed, 10)
             reps, masks, _ = network.calibration_classes
-            degrees = [len(adjacent) for adjacent in network.adjacency]
+            degrees = [len(adjacent) for adjacent in neighbour_lists(len(network.nodes), network.links)]
             for wf in workflows:
                 assert len(wf.tasks) == 4
                 task_degree = _search_plan(4, wf.skeleton)[4]
