@@ -5,10 +5,10 @@ simulator's backlog vector too (``None``: an idle network). It returns an
 :class:`AllocationOutcome` value and keeps no clock (the simulator times
 each call). Four strategies share one outcome record:
 
-* :func:`soft_iso` walks the lazy monomorphism stream block by block,
-  scores each block of candidates from a per-decision term table, and
-  stops early once the cost signal stabilizes or a candidate budget is
-  exhausted.
+* :func:`soft_iso` walks the lazy monomorphism stream, scores its blocks
+  of candidates from a per-decision term table, a run of blocks that
+  cannot improve at a time, and stops early once the cost signal
+  stabilizes or a candidate budget is exhausted.
 * :func:`random_aware` draws a few random capacity-respecting assignments,
   scores them from the same kind of table, and keeps the cheapest one that
   satisfies the connectivity constraint.
@@ -121,34 +121,38 @@ def soft_iso(
     only in the host of the last task in visit order, ``v``; a group holds
     the blocks that differ only in the hosts of ``v`` and of the task
     before it, ``u`` (one task: ``v`` itself, on the sentinel host).
-    The :meth:`DecisionTable.block_scorer` of the per-decision table, built
+    The :meth:`DecisionTable.group_scorer` of the per-decision table, built
     at the first group, folds each group's prefix, adding up its terms once
-    per decision for each class tuple of its hosts, and scores each block in
-    one call, with floats equal to :func:`aggregate_cost`'s. A block none
-    of whose costs beats the incumbent cannot stop the search, so it only
-    updates the maximum and previous costs (when it was scored at all, see
-    below); any other block is walked candidate by candidate with the rule
-    above. The outcome, including the incumbent's key order, is that of a
-    walk over single candidates. The final incumbent's breakdown is read
-    from the same table.
+    per decision for each class tuple of its hosts, with floats equal to
+    :func:`aggregate_cost`'s. A block none of whose costs beats the
+    incumbent cannot stop the search, so it only moves the maximum and
+    previous costs. One ``walk`` call takes a run of such blocks at once
+    (their count, maximum and last cost) and returns the block after it,
+    which is walked candidate by candidate with the rule above; the next
+    call starts past that block, so no block after the one where the
+    search stops is scored. The outcome, including the incumbent's key
+    order, is that of a walk over single candidates. The final incumbent's
+    breakdown is read from the same table.
 
     When a threshold is infinite, ``abs(cost - maxcost) > thres_max`` or
     ``abs(cost - prevcost) > thres_prev`` is never true, so only the budget
-    stops the search and the maximum and previous costs go unread. The
-    scorer then gets the incumbent's cost as its floor, and a block whose
-    exact lower bounds (``v`` on the sentinel host, then per class) are
-    not below it is counted without being scored or decoded. One level up,
-    ``u`` is put on the table's sentinel host first: a group whose exact
-    lower bound (the host terms of ``u`` and ``v`` at their minima) is not
-    below the incumbent is counted by :func:`group_size`, cut to the
-    budget, and skipped without listing its blocks. Every block of such a
-    group would have been skipped one by one with the incumbent unchanged,
-    so the count and the budget cut are those of the block-by-block walk.
+    stops the search, and the maximum and previous costs, never read, are
+    not kept. Each block then goes to ``score`` with the incumbent's cost
+    as its floor, and a block whose exact lower bounds (``v`` on the
+    sentinel host, then per class) are not below it is counted without
+    being scored or decoded. One level up, ``u`` is put on the table's
+    sentinel host first: a group whose exact lower bound (the host terms
+    of ``u`` and ``v`` at their minima) is not below the incumbent is
+    counted by :func:`group_size`, cut to the budget, and skipped without
+    listing its blocks. Every block of such a group would have been
+    skipped one by one with the incumbent unchanged, so the count and the
+    budget cut are those of the block-by-block walk.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
     score = None
-    bounded = math.inf in (config.thres_max, config.thres_prev)
+    thres_max, thres_prev, strict = config.thres_max, config.thres_prev, config.strict_pseudocode
+    bounded = math.inf in (thres_max, thres_prev)
 
     mincost = math.inf
     maxcost = -math.inf
@@ -160,41 +164,50 @@ def soft_iso(
     for prefix, u, v, hosts, leaves, links in workflow_monomorphisms(workflow, network):
         if score is None:
             table = DecisionTable(workflow, network, params, backlog)
-            fold, score = table.block_scorer(weights, u, v)
+            fold, score, walk = table.group_scorer(weights, u, v)
         fold(prefix)
         if bounded and score(len(network.nodes), 0, mincost) is None:
             # u on the sentinel host: no block of the group has a cost below mincost
             examined = min(examined + group_size(hosts, leaves, links), cap)
-        else:
+        elif bounded:
             for h, mask in group_blocks(hosts, leaves, links):
-                size = mask.bit_count()
-                if size > cap - examined:
-                    size = cap - examined
-                    mask = sum(1 << k for k in mask_hosts(mask)[:size])
-                costs = score(h, mask, mincost if bounded else None)
-                if costs is None or min(costs) >= mincost:
-                    # no candidate of the block improves, so none can stop the search
-                    examined += size
-                    if costs is not None:
-                        maxcost = max(maxcost, max(costs))
-                        if not config.strict_pseudocode:
-                            prevcost = costs[-1]
-                else:
+                if mask.bit_count() > cap - examined:
+                    mask = sum(1 << k for k in mask_hosts(mask)[: cap - examined])
+                examined += mask.bit_count()
+                costs = score(h, mask, mincost)
+                if costs is not None and min(costs) < mincost:
                     for cost, k in zip(costs, mask_hosts(mask)):
-                        examined += 1
-                        maxcost = max(cost, maxcost)
                         if cost < mincost:
                             mincost = cost
-                            incumbent = prefix.copy()
-                            incumbent[u] = h
-                            incumbent[v] = k
+                            incumbent = {**prefix, u: h, v: k}
                             history.append(cost)
-                            if abs(cost - maxcost) > config.thres_max and abs(cost - prevcost) > config.thres_prev:
-                                return _outcome(incumbent, table.breakdown(incumbent, weights), examined, history)
-                        if not config.strict_pseudocode:
-                            prevcost = cost
                 if examined >= cap:
                     break
+        else:
+            while examined < cap and hosts:
+                size, top, last, h, mask, costs = walk(hosts, leaves, links, mincost, cap - examined)
+                if size:
+                    # a run of blocks none of whose candidates improves, so none can stop the search
+                    examined += size
+                    if top > maxcost:
+                        maxcost = top
+                    if not strict:
+                        prevcost = last
+                if costs is None:
+                    break
+                for cost, k in zip(costs, mask_hosts(mask)):
+                    examined += 1
+                    if cost > maxcost:
+                        maxcost = cost
+                    if cost < mincost:
+                        mincost = cost
+                        incumbent = {**prefix, u: h, v: k}
+                        history.append(cost)
+                        if abs(cost - maxcost) > thres_max and abs(cost - prevcost) > thres_prev:
+                            return _outcome(incumbent, table.breakdown(incumbent, weights), examined, history)
+                    if not strict:
+                        prevcost = cost
+                hosts &= -2 << h  # the hosts of u after h
         if examined >= cap:
             break
 

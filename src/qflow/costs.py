@@ -16,7 +16,7 @@ comparable under lazy enumeration with early stopping.
 :func:`aggregate_cost` is the reference objective and returns every
 component. :class:`DecisionTable` holds one decision's terms; the
 normalization bounds are read off it. Its :meth:`~DecisionTable.breakdown`
-returns a candidate's breakdown and its block scorer the totals of a group
+returns a candidate's breakdown and its group scorer the totals of a group
 of candidates that differ in the hosts of two tasks, each equal as a float
 to ``aggregate_cost(...)``'s: the rest of the candidate is added up once
 per decision for each tuple of its hosts' calibration classes, the two
@@ -24,7 +24,9 @@ hosts' terms once per such tuple and pair of their own classes, and each
 host then costs one compare and add (the hosts of a class differ only in
 availability). Given a floor, the scorer first checks exact float lower
 bounds (a task on a sentinel host, then on each class at its least wait)
-and returns ``None`` if no total can be below the floor. The cost-aware
+and returns ``None`` if no total can be below the floor; or it walks a
+run of blocks with no total below the floor in one call, summarising a
+large block by the least and greatest wait of each class. The cost-aware
 allocators build at most one table per decision, at its first group or
 feasible trial, and score every later one from it.
 
@@ -51,6 +53,10 @@ from typing import NamedTuple
 from .model import NetworkParams, QpuNode, ResourceNetwork, TaskSpec, WeightConfig, Workflow
 
 BOUND_FLOOR = 1e-12
+# A group scorer's walk summarises a block by calibration class only if the
+# block has more than SUMMARY_MIN_HOSTS hosts and SUMMARY_HOSTS_PER_CLASS per class.
+SUMMARY_MIN_HOSTS = 8
+SUMMARY_HOSTS_PER_CLASS = 2
 
 
 @dataclass(frozen=True)
@@ -363,10 +369,12 @@ class DecisionTable:
             net += (qlink[a][candidate[a]] + qlink[b][candidate[b]]) / 2.0 + (clink[a] + clink[b]) / 2.0
         return _normalized(availability, e, r, net, self.bounds, weights)
 
-    def block_scorer(
-        self, weights: WeightConfig, u: int, v: int
-    ) -> tuple[Callable[[Mapping[int, int]], None], Callable[..., list[float] | None]]:
-        """``(fold, score)`` for groups of candidates that differ only in
+    def block_scorer(self, weights: WeightConfig, u: int, v: int) -> tuple[Callable, Callable]:
+        """The ``(fold, score)`` of :meth:`group_scorer`."""
+        return self.group_scorer(weights, u, v)[:2]
+
+    def group_scorer(self, weights: WeightConfig, u: int, v: int) -> tuple[Callable, Callable, Callable]:
+        """``(fold, score, walk)`` for groups of candidates that differ only in
         the hosts of tasks ``u`` and ``v`` (``u`` is ``v`` for a one-task
         workflow). ``fold(prefix)`` takes a group's ``prefix``, which maps
         every other task. Then ``score(hu, mask, floor=None)`` lists, for
@@ -415,6 +423,21 @@ class DecisionTable:
         ``cand[u]`` is ``cand[v]``, so ``R`` reads ``v``'s terms alone, and
         ``w = 0.0`` (an empty prefix) with ``wait[n] = min(wait)`` makes each
         ``max(wait[h], wu)`` equal ``max(wait[h], 0.0)`` as a float.
+
+        ``walk(hosts, leaves, links, floor, budget)`` goes through a group's
+        blocks for the hosts of ``u`` in ``hosts``, ascending. It returns
+        ``(size, top, last, hu, mask, costs)``: the candidate count, greatest
+        and last total of the run of blocks with no total below ``floor``,
+        then the next block with ``score``'s totals (``0, 0, None`` at the
+        group's or the ``budget``'s end; the block that reaches the budget
+        is cut to it). A listed block keeps no list: its greatest and last
+        totals are kept as it goes, and its first total below ``floor`` ends
+        the call. A block with more hosts than ``SUMMARY_MIN_HOSTS``
+        and than ``SUMMARY_HOSTS_PER_CLASS`` per class is summarised, once a
+        remaining budget of ``n**2`` candidates warrants sorting each class's
+        hosts by wait: ``max(x, wu) + R`` is non-decreasing in ``x``, so a
+        class's least and greatest wait in the mask give its exact least and
+        greatest totals, and the highest host the last total.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -424,7 +447,8 @@ class DecisionTable:
         zeta, alpha, beta, gamma = weights.zeta, weights.alpha, weights.beta, weights.gamma
         rest = 1.0 - zeta
         n = len(self.avail)
-        wait = [zeta * _clip01(a / bounds.max_nat) for a in self.avail]
+        max_nat = bounds.max_nat
+        wait = [zeta * (1.0 if (x := a / max_nat) > 1.0 else x) for a in self.avail]
         wait.append(min(wait))  # the sentinel host, as in the term rows
         low_wait = wait[n]
         _, masks, of_node = self.classes
@@ -441,8 +465,10 @@ class DecisionTable:
         others = [j for j in range(len(err)) if j != u and j != v]  # the prefix's tasks, in task order
         memos = {}  # per class tuple of the prefix's hosts: its e, r, net and memo
         memo = []  # the prefix's R per (u-class, v-class), row-major
-        class_lows = []  # per class: index, mask, first host, least wait; filled at the first class check
+        by_class = []  # by classes(): per class, its index, mask, least wait, (wait, bit) by wait, greatest, reversed
         w = e = r = net = 0.0
+        inf = math.inf
+        large = max(SUMMARY_MIN_HOSTS, SUMMARY_HOSTS_PER_CLASS * len(masks))
 
         def fold(prefix: Mapping[int, int]) -> None:
             nonlocal w, e, r, net, memo
@@ -498,19 +524,14 @@ class DecisionTable:
                 if (low_wait if low_wait > wu else wu) + cost >= floor:
                     return None
                 if mask:  # v on each class of the mask, at the least wait of its hosts
-                    if not class_lows:
-                        least = [min(x for x, d in zip(wait, of_node) if d == c) for c in range(sentinel)]
-                        class_lows.extend(zip(range(sentinel), masks, map(of_node.index, range(sentinel)), least))
-                    for c, m, first, x in class_lows:
+                    for c, m, x, _, _, _ in by_class or classes():
                         if mask & m:
                             if (cost := memo[key := row + c]) is None:
-                                cost = evaluate(hu, first, key)
+                                cost = evaluate(hu, (m & -m).bit_length() - 1, key)
                             if (x if x > wu else wu) + cost < floor:
                                 break
                     else:
                         return None
-            # the mask decoded inline: a call per block costs about 1% of
-            # a short LP-LR search
             costs = []
             while mask:
                 low = mask & -mask
@@ -521,7 +542,69 @@ class DecisionTable:
                 mask ^= low
             return costs
 
-        return fold, score
+        def classes() -> list[tuple]:
+            by_wait = [[] for _ in masks]
+            for h in sorted(range(n), key=wait.__getitem__):
+                by_wait[of_node[h]].append((wait[h], 1 << h))
+            by_class.extend((c, masks[c], up[0][0], up, up[-1][0], up[::-1]) for c, up in enumerate(by_wait))
+            return by_class
+
+        def walk(hosts: int, leaves: int, links: tuple[int, ...] | None, floor: float, budget: float) -> tuple:
+            size, top, last = 0, -inf, 0.0
+            while hosts:
+                low = hosts & -hosts
+                hosts ^= low
+                hu = low.bit_length() - 1
+                if not (mask := leaves & ~low if links is None else leaves & links[hu]):
+                    continue
+                if (count := mask.bit_count()) > budget - size:  # the block that spends the budget, cut to it
+                    for _ in range(count - budget + size):
+                        mask ^= 1 << mask.bit_length() - 1
+                    count = budget - size
+                wu = x if (x := wait[hu]) > w else w
+                row = of_node[hu] * stride
+                high = -inf
+                if count > large and (by_class or budget - size >= n * n):
+                    for c, m, least, up, greatest, down in by_class or classes():
+                        if not mask & m:
+                            continue
+                        if (cost := memo[key := row + c]) is None:
+                            cost = evaluate(hu, (m & -m).bit_length() - 1, key)
+                        if (least if least > wu else wu) + cost < floor:
+                            for least, bit in up:  # the least wait of the class in the mask
+                                if mask & bit:
+                                    break
+                            if (least if least > wu else wu) + cost < floor:  # a host of the block improves
+                                return size, top, last, hu, mask, score(hu, mask)
+                        if greatest > wu:
+                            for greatest, bit in down:  # the greatest wait of the class in the mask
+                                if mask & bit:
+                                    break
+                        if (cost := (greatest if greatest > wu else wu) + cost) > high:
+                            high = cost
+                    h = mask.bit_length() - 1
+                    last = (x if (x := wait[h]) > wu else wu) + memo[row + of_node[h]]
+                else:
+                    m = mask
+                    while m:
+                        bit = m & -m
+                        h = bit.bit_length() - 1
+                        if (cost := memo[key := row + of_node[h]]) is None:
+                            cost = evaluate(hu, h, key)
+                        if (cost := (x if (x := wait[h]) > wu else wu) + cost) < floor:
+                            return size, top, last, hu, mask, score(hu, mask)
+                        if cost > high:
+                            high = cost
+                        m ^= bit
+                    last = cost
+                size += count
+                if high > top:
+                    top = high
+                if size >= budget:
+                    break
+            return size, top, last, 0, 0, None
+
+        return fold, score, walk
 
 
 def _clip01(x: float) -> float:

@@ -279,11 +279,31 @@ class TestSoftIsoReference:
             # one infinite threshold is enough for the skip
             ("LP-MR", None, SoftIsoConfig(thres_max=math.inf, thres_prev=0.03), 1, 4),
             ("LP-MR", None, SoftIsoConfig(thres_max=math.inf, thres_prev=0.03, strict_pseudocode=True), 1, 4),
+            # one group of large blocks per decision; the stop rule fires
+            # partway through it in 19 of these 40 SP-MR decisions, and the
+            # budget of 100 cuts a listed block in 21
+            ("SP-MR", None, SoftIsoConfig(), 4, 10),
+            ("SP-MR", None, SoftIsoConfig(strict_pseudocode=True), 4, 10),
+            ("SP-LR", None, SoftIsoConfig(), 4, 10),
+            ("SP-LR", None, SoftIsoConfig(strict_pseudocode=True), 4, 10),
+            # a budget of 625, at least the n**2 = 400 of a 20-node network, so
+            # walk summarises blocks: about 10 per SP-MR decision, in the one
+            # group the stop rule ends
+            ("SP-MR", None, SoftIsoConfig(counter_cap_base=25.0), 4, 10),
+            ("SP-MR", None, SoftIsoConfig(counter_cap_base=25.0, strict_pseudocode=True), 4, 10),
+            # small LP-MR budgets: 81, below n**2, cuts listed blocks only; 625
+            # cuts 9 listed and 7 summarised blocks in 20 decisions
+            ("LP-MR", None, SoftIsoConfig(counter_cap_base=3.0), 2, 10),
+            ("LP-MR", None, SoftIsoConfig(counter_cap_base=5.0), 2, 10),
+            ("LP-MR", None, SoftIsoConfig(counter_cap_base=5.0, strict_pseudocode=True), 2, 10),
         ],
         ids=[
             "lpmr-default", "lpmr8-exhaustive", "lplr-default", "lplr-exhaustive",
             "lpmr-default-strict", "lplr-default-strict",
             "lpmr-thresholds-off", "lpmr-max-off", "lpmr-max-off-strict",
+            "spmr-default", "spmr-default-strict", "splr-default", "splr-default-strict",
+            "spmr-budget-625", "spmr-budget-625-strict",
+            "lpmr-budget-81", "lpmr-budget-625", "lpmr-budget-625-strict",
         ],
     )
     def test_matches_aggregate_cost_loop(self, scenario, node_count, config, seeds, batch):
@@ -322,30 +342,38 @@ class TestSoftIsoReference:
         assert placed >= 30
 
     @staticmethod
-    def count_lpmr_search(monkeypatch, config=THRESHOLDS_OFF):
-        """Run soft_iso on LP-MR draws and count the groups and blocks the
-        matcher yields, the groups whose bound skips them, the blocks
-        handed to the scorer, those it scores and the candidates each
-        decision examines. Per group folded, also count the scorer's pair
-        evaluations (one read of ``v``'s error row each) and the calibration
-        classes of the hosts of ``u`` and ``v`` its blocks use. Per decision,
-        count the pair evaluations, the groups folded and the keys (class
-        tuple of the prefix's hosts in task order, ``u``-class, ``v``-class)
-        the scorer may evaluate, the sentinel host a class of its own."""
+    def count_search(monkeypatch, config=THRESHOLDS_OFF, scenario="LP-MR", seeds=(0,), batch=4):
+        """Run soft_iso on a scenario's draws (LP-MR, seed 0, 4 workflows by
+        default) and count the groups and blocks the matcher yields, the
+        groups whose bound skips them, the blocks handed to ``score``, those
+        it scores and the candidates each decision examines. Per group
+        folded, also count the scorer's pair evaluations (one read of ``v``'s
+        error row each), the calibration classes of the hosts of ``u`` and
+        ``v`` its blocks use, and those blocks' (``u``-class, ``v``-class)
+        pairs. A block used by ``walk`` is one of its run of blocks, as far
+        as the run's candidate count reaches, or the improving block it
+        returns. Per decision, count the pair evaluations, the groups folded
+        and the keys (class tuple of the prefix's hosts in task order,
+        ``u``-class, ``v``-class) the scorer may evaluate, the sentinel host
+        a class of its own, and the candidates of the blocks ``walk`` used
+        and of the last block it returned."""
         import qflow.allocators
         import qflow.costs
 
         calls = {
             "groups": 0, "groups_skipped": 0, "blocks": 0, "block_calls": 0, "scored": 0, "examined": [], "folded": [],
-            "decisions": [],
+            "decisions": [], "group_pairs": [],
         }
         groups = qflow.allocators.workflow_monomorphisms
-        block_scorer = qflow.costs.DecisionTable.block_scorer
+        group_scorer = qflow.costs.DecisionTable.group_scorer
 
         def counting_groups(workflow, network):
+            of_node = network.calibration_classes[2]
             for group in groups(workflow, network):
                 calls["groups"] += 1
-                calls["blocks"] += len(group_blocks(*group[3:]))
+                blocks = group_blocks(*group[3:])
+                calls["blocks"] += len(blocks)
+                calls["group_pairs"].append({(of_node[hu], of_node[h]) for hu, mask in blocks for h in mask_hosts(mask)})
                 yield group
 
         def counting(table, weights, u, v):
@@ -358,15 +386,26 @@ class TestSoftIsoReference:
 
             table.err = [*table.err]
             table.err[v] = Row(table.err[v])
-            fold, score = block_scorer(table, weights, u, v)
+            fold, score, walk = group_scorer(table, weights, u, v)
             of_node = table.classes[2]
             sentinel = len(table.classes[1])
-            decision = {"evals": 0, "groups": 0, "keys": set(), "prefix": ()}
+            decision = {"evals": 0, "groups": 0, "keys": set(), "prefix": (), "walked": 0, "last_block": 0}
             calls["decisions"].append(decision)
 
+            def class_of(h):
+                return of_node[h] if h < len(of_node) else sentinel
+
+            def used(hu, hosts):
+                # the block's classes, pairs and key, in the group's and the decision's counts
+                group = calls["folded"][-1]
+                group[1].add(class_of(hu))
+                group[2].update(of_node[h] for h in hosts)
+                group[3].update((class_of(hu), of_node[h]) for h in hosts)
+                decision["keys"].update((decision["prefix"], class_of(hu), of_node[h]) for h in hosts)
+
             def counted_fold(prefix):
-                # pair evaluations, classes of u's hosts, classes of v's hosts
-                calls["folded"].append([0, set(), set()])
+                # pair evaluations, classes of u's hosts, classes of v's hosts, their pairs
+                calls["folded"].append([0, set(), set(), set()])
                 decision["groups"] += 1
                 decision["prefix"] = tuple(of_node[prefix[j]] for j in sorted(prefix))
                 fold(prefix)
@@ -377,33 +416,50 @@ class TestSoftIsoReference:
                 costs = score(hu, mask, floor)
                 group[0] += reads[0] - before
                 decision["evals"] += reads[0] - before
-                u_class = of_node[hu] if hu < len(of_node) else sentinel
-                v_classes = {of_node[h] for h in mask_hosts(mask)} | ({sentinel} if floor is not None else set())
-                decision["keys"].update((decision["prefix"], u_class, c) for c in v_classes)
+                if floor is not None:
+                    decision["keys"].add((decision["prefix"], class_of(hu), sentinel))
                 if mask:
                     calls["block_calls"] += 1
                     calls["scored"] += costs is not None
-                    group[1].add(of_node[hu])
-                    group[2].update(of_node[h] for h in mask_hosts(mask))
+                    used(hu, mask_hosts(mask))
                 else:
                     calls["groups_skipped"] += costs is None
                 return costs
 
-            return counted_fold, counted
+            def counted_walk(hosts, leaves, links, floor, budget):
+                before = reads[0]
+                result = walk(hosts, leaves, links, floor, budget)
+                calls["folded"][-1][0] += reads[0] - before
+                decision["evals"] += reads[0] - before
+                size, _, _, hu, mask, costs = result
+                for h, run_mask in group_blocks(hosts, leaves, links):
+                    if size <= 0:
+                        break
+                    used(h, mask_hosts(run_mask)[:size])
+                    size -= run_mask.bit_count()
+                decision["walked"] += result[0]
+                if costs is not None:
+                    used(hu, mask_hosts(mask))
+                    decision["walked"] += len(costs)
+                    decision["last_block"] = len(costs)
+                return result
+
+            return counted_fold, counted, counted_walk
 
         monkeypatch.setattr(qflow.allocators, "workflow_monomorphisms", counting_groups)
-        monkeypatch.setattr(qflow.costs.DecisionTable, "block_scorer", counting)
-        workflows, network, free_at = scenario_instances("LP-MR", 0, 4)
-        for wf in workflows:
-            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog_at(free_at, wf.arrival_time + 0.5))
-            calls["examined"].append(outcome.candidates_examined)
+        monkeypatch.setattr(qflow.costs.DecisionTable, "group_scorer", counting)
+        for seed in seeds:
+            workflows, network, free_at = scenario_instances(scenario, seed, batch)
+            for wf in workflows:
+                outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog_at(free_at, wf.arrival_time + 0.5))
+                calls["examined"].append(outcome.candidates_examined)
         return calls
 
     def test_thresholds_off_leaves_most_blocks_unscored(self, monkeypatch):
         """With the thresholds off only the budget stops the search, so
         soft_iso scores only the blocks whose bound is below the incumbent;
         on LP-MR draws at least half of all blocks go unscored."""
-        calls = self.count_lpmr_search(monkeypatch)
+        calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
         assert calls["blocks"] > 1_000
         assert calls["scored"] <= calls["blocks"] // 2
@@ -413,7 +469,7 @@ class TestSoftIsoReference:
         and class-wise bounds rule out all but a fifth: 28 of 1,150 are
         scored on these draws, and the sentinel bound alone let 425
         through."""
-        calls = self.count_lpmr_search(monkeypatch)
+        calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
         assert calls["block_calls"] > 200
         assert calls["scored"] <= calls["block_calls"] / 5
@@ -421,7 +477,7 @@ class TestSoftIsoReference:
     def test_thresholds_off_skips_most_groups(self, monkeypatch):
         """With the thresholds off soft_iso rules out whole groups by their
         bound; on LP-MR draws at least half of all groups are skipped."""
-        calls = self.count_lpmr_search(monkeypatch)
+        calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
         assert calls["groups"] > 100
         assert calls["groups_skipped"] >= calls["groups"] / 2
@@ -432,10 +488,33 @@ class TestSoftIsoReference:
         (its ``u`` classes + 1) x (its ``v`` classes + 1) pair evaluations,
         the sentinel host counting as one more class of each: not one per
         block, nor one per host."""
-        calls = self.count_lpmr_search(monkeypatch, config)
-        scored = [(evals, len(us), len(vs)) for evals, us, vs in calls["folded"] if us]
+        calls = self.count_search(monkeypatch, config)
+        scored = [(evals, len(us), len(vs)) for evals, us, vs, _ in calls["folded"] if us]
         assert len(scored) > 50
         assert all(evals <= (n_u + 1) * (n_v + 1) for evals, n_u, n_v in scored)
+
+    def test_a_walk_lists_nothing_past_the_block_where_the_stop_rule_fired(self, monkeypatch):
+        """An SP-MR decision is one group of large blocks, and at the preset
+        thresholds the stop rule fires partway through it on about half of
+        these draws. The candidates such a decision examines end in the last
+        block ``walk`` returned, and the scorer evaluates only the
+        (``u``-class, ``v``-class) pairs of the blocks walked up to there. A
+        walk that listed the whole group before returning would keep every
+        outcome, but would evaluate the pairs of the group's later blocks
+        too, and on many of these decisions those are pairs the walked
+        blocks do not hold."""
+        calls = self.count_search(monkeypatch, SoftIsoConfig(), "SP-MR", seeds=range(4), batch=10)
+        assert len(calls["decisions"]) == len(calls["examined"]) == calls["groups"] == 40
+        stopped = fewer_pairs = 0
+        for decision, (evals, _, _, pairs), group_pairs, examined in zip(
+            calls["decisions"], calls["folded"], calls["group_pairs"], calls["examined"]
+        ):
+            assert evals <= len(pairs)
+            if examined < 100:  # the stop rule fired, in the last block returned
+                stopped += 1
+                assert decision["walked"] - decision["last_block"] < examined <= decision["walked"]
+                fewer_pairs += len(pairs) < len(group_pairs)
+        assert stopped >= 15 and fewer_pairs >= 10
 
     def test_a_decision_evaluates_each_class_key_at_most_once(self, monkeypatch):
         """With the thresholds off, as in lpmr-search, a decision's scorer
@@ -443,7 +522,7 @@ class TestSoftIsoReference:
         ``v``-class) it meets: its memo lasts the whole decision. The
         groups of an LP-MR decision repeat few class tuples, so a memo
         cleared at every group would evaluate most keys many times."""
-        calls = self.count_lpmr_search(monkeypatch)
+        calls = self.count_search(monkeypatch)
         assert len(calls["decisions"]) == 4
         for decision in calls["decisions"]:
             assert 0 < decision["evals"] <= len(decision["keys"])

@@ -845,6 +845,107 @@ class TestBlockScorer:
         if shrink < 1.0:
             assert clipped > leaves // 4  # the > 1 clip is exercised
 
+    @staticmethod
+    def summary_networks(rng):
+        """Networks of 10 to 16 nodes at link probability 0.8 with one
+        calibration class, three, or one per node, each with a backlog that
+        ties (three values), one that does not, and one that rises with the
+        node index, so that a host of ``u`` waits less than the higher hosts
+        of its block."""
+        for kind in ("one class", "three classes", "class per node"):
+            for _ in range(6):
+                n_nodes = rng.randint(10, 16)
+                e1 = {
+                    "one class": lambda k: 0.004,
+                    "three classes": lambda k: rng.choice([0.002, 0.004, 0.006]),
+                    "class per node": lambda k: 0.001 * (k + 1),
+                }[kind]
+                nodes = tuple(make_node(f"n{k}", 127, e1(k), 0.01, 0.02) for k in range(n_nodes))
+                links = frozenset(pair for pair in itertools.combinations(range(n_nodes), 2) if rng.random() < 0.8)
+                network = ResourceNetwork(nodes, links)
+                assert len(network.calibration_classes[0]) == {"one class": 1, "class per node": n_nodes}.get(
+                    kind, len(network.calibration_classes[0])
+                )
+                yield kind, network, [rng.choice([0.0, 0.5, 1.0]) for _ in nodes]
+                yield kind, network, [rng.uniform(0.0, 2.0) for _ in nodes]
+                yield kind, network, [0.1 * k + rng.uniform(0.0, 0.05) for k in range(n_nodes)]
+
+    @pytest.mark.parametrize("gates", ["default", "every-block"])
+    def test_walk_summary_equals_the_listed_costs(self, monkeypatch, gates):
+        """``walk`` over one block returns the block and its listed costs
+        when one is below the floor, and otherwise the listed costs'
+        ``len``, ``max`` and ``[-1]``, equal under ``==``. With the gates at
+        zero every block is summarised by class; at the defaults only
+        blocks with more than 8 hosts and 2 per class are, so none on a
+        class per node. The floors are the block's least cost, one
+        ulp either side of it, its greatest cost and a draw between. The
+        hosts of ``u`` wait more than every host of the block, less than
+        each, and in between."""
+        import qflow.costs
+
+        if gates == "every-block":
+            monkeypatch.setattr(qflow.costs, "SUMMARY_MIN_HOSTS", 0)
+            monkeypatch.setattr(qflow.costs, "SUMMARY_HOSTS_PER_CLASS", 0)
+        rng = random.Random(3141)
+        weights, params = WeightConfig(), NetworkParams()
+        verdicts = {kind: [0, 0] for kind in ("one class", "three classes", "class per node")}
+        waits = {"above": 0, "below": 0, "between": 0}
+        summarised = 0  # blocks past the gates, each walked at five floors
+        for kind, network, backlog in self.summary_networks(rng):
+            n_classes = len(network.calibration_classes[0])
+            large = max(qflow.costs.SUMMARY_MIN_HOSTS, qflow.costs.SUMMARY_HOSTS_PER_CLASS * n_classes)
+            for n_tasks in (2, 3):
+                wf = chain_workflow([5] * n_tasks)
+                table = DecisionTable(wf, network, params, backlog)
+                for number, (prefix, u, v, *masks) in enumerate(workflow_monomorphisms(wf, network)):
+                    if number == 0:
+                        fold, score, walk = table.group_scorer(weights, u, v)
+                    fold(prefix)
+                    w = max((backlog[k] for k in prefix.values()), default=0.0)
+                    for hu, mask in group_blocks(*masks):
+                        listed = score(hu, mask)
+                        hosts = [backlog[h] for h in mask_hosts(mask)]
+                        wu = max(w, backlog[hu])
+                        waits["above" if wu >= max(hosts) else "below" if wu < min(hosts) else "between"] += 1
+                        summarised += len(hosts) > large
+                        low, high = min(listed), max(listed)
+                        floors = (low, math.nextafter(low, -math.inf), math.nextafter(low, math.inf), high,
+                                  rng.uniform(low, high))
+                        for floor in floors:
+                            got = walk(1 << hu, mask, None, floor, math.inf)
+                            if low < floor:
+                                assert got == (0, -math.inf, 0.0, hu, mask, listed)
+                            else:
+                                assert got == (len(listed), high, listed[-1], 0, 0, None)
+                            verdicts[kind][low < floor] += 1
+        assert all(kept > 2_000 and improving > 2_000 for kept, improving in verdicts.values()), verdicts
+        assert min(waits.values()) > 100, waits
+        assert summarised > 2_000
+
+    def test_walk_cuts_its_run_to_the_budget(self):
+        """A walk over a whole group with the floor below every cost returns
+        the run of every block, cut to the budget: the candidates counted,
+        their greatest cost and the last one, as the listing gives them."""
+        rng = random.Random(2024)
+        weights, params = WeightConfig(), NetworkParams()
+        cuts = 0
+        for _, network, backlog in self.summary_networks(rng):
+            wf = chain_workflow([5, 5, 5])
+            table = DecisionTable(wf, network, params, backlog)
+            for number, (prefix, u, v, hosts, leaves, links) in enumerate(workflow_monomorphisms(wf, network)):
+                if number == 0:
+                    fold, score, walk = table.group_scorer(weights, u, v)
+                if number % 11:
+                    continue
+                fold(prefix)
+                listed = [cost for hu, mask in group_blocks(hosts, leaves, links) for cost in score(hu, mask)]
+                for budget in (1, rng.randint(2, len(listed)), len(listed), math.inf):
+                    size = min(budget, len(listed))
+                    got = walk(hosts, leaves, links, -math.inf, budget)
+                    assert got == (size, max(listed[:size]), listed[size - 1], 0, 0, None)
+                    cuts += size < len(listed)
+        assert cuts > 100
+
 
 class TestComputeBounds:
     def test_single_pair_bounds_equal_raw_values(self, brisbane):

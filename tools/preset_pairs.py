@@ -1,0 +1,147 @@
+"""Time soft_iso's decisions in process for two source trees, in pairs.
+
+Usage::
+
+    python tools/preset_pairs.py BASE_SRC NEW_SRC [--pairs 3] [--calls 5]
+
+``BASE_SRC`` and ``NEW_SRC`` are directories that hold a ``qflow`` package
+(a checkout's ``src``). Each pair runs one measuring process per tree,
+alternating which tree goes first, so that drift of the host falls on both
+sides alike. A measuring process times, ``--calls`` times each:
+
+* the four scenario presets through ``run_experiment`` (3 repetitions of
+  100 workflows each, ``measure_timing`` off), soft_iso at the preset's
+  thresholds;
+* the many-class probe: three 20-node networks at link probability 0.9
+  with node k's ``t1`` scaled by ``1 + 1e-6 * k``, so that every node is a
+  calibration class of its own, each deciding 20 workflows of 4 (and of 5)
+  tasks at the preset thresholds against a seeded random backlog.
+
+A call's figure is the summed time of its soft_iso calls over their number,
+in ms per decision; a process reports the median of its calls. The script
+prints each pair and, per row, the median over pairs, the change and the
+number of pairs the new tree won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SCENARIOS = ("LP-MR", "LP-LR", "SP-LR", "SP-MR")
+PROBE_SEEDS = (0, 1, 2)
+PROBE_WORKFLOWS = 20
+
+
+def probe_cases():
+    """The many-class probe's decisions: (network, workflow, backlog) per
+    task count, each network rebuilt with a calibration class per node."""
+    import dataclasses
+    import random
+
+    from qflow.model import ResourceNetwork
+    from qflow.profiles import load_profiles
+    from qflow.workload import TopologySpec, WorkloadSpec, generate_catalog, generate_network, generate_workload
+
+    profiles = load_profiles()
+    cases = {}
+    for tasks in (4, 5):
+        decisions = []
+        for seed in PROBE_SEEDS:
+            drawn = generate_network(TopologySpec(node_count=20, link_probability=0.9, seed=seed), profiles)
+            nodes = tuple(
+                dataclasses.replace(node, t1=node.t1 * (1 + 1e-6 * k)) for k, node in enumerate(drawn.nodes)
+            )
+            network = ResourceNetwork(nodes, drawn.links)
+            assert len(network.calibration_classes[0]) == len(nodes)
+            catalog = generate_catalog(128, seed=seed)
+            spec = WorkloadSpec(batch_size=PROBE_WORKFLOWS, tasks_per_group=tasks, tasks_per_group_min=tasks, seed=seed)
+            rng = random.Random(seed)
+            for wf in generate_workload(spec, catalog):
+                decisions.append((network, wf, [rng.uniform(0.0, 2.0) for _ in nodes]))
+        cases[f"20-class, {tasks} tasks"] = decisions
+    return cases
+
+
+def measure(calls: int) -> dict[str, float]:
+    """Median ms per soft_iso decision for each row, over ``calls`` calls."""
+    import qflow.allocators as alg
+    from qflow.allocators import SoftIsoConfig
+    from qflow.experiments import run_experiment, scenario_config
+    from qflow.model import NetworkParams, WeightConfig
+
+    soft_iso = alg.soft_iso
+    spent = [0.0, 0]
+
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        outcome = soft_iso(*args, **kwargs)
+        spent[0] += time.perf_counter() - started
+        spent[1] += 1
+        return outcome
+
+    alg.soft_iso = timed  # the simulator's allocator looks it up at each call
+    rows: dict[str, list[float]] = {}
+    for _ in range(calls):
+        for name in SCENARIOS:
+            config = scenario_config(
+                name, "soft_iso", repetitions=3, workload={"batch_size": 100}, measure_timing=False
+            )
+            spent[:] = [0.0, 0]
+            run_experiment(config)
+            rows.setdefault(name, []).append(1e3 * spent[0] / spent[1])
+        weights, params, config = WeightConfig(), NetworkParams(), SoftIsoConfig()
+        for name, decisions in probe_cases().items():
+            spent[:] = [0.0, 0]
+            for network, wf, backlog in decisions:
+                timed(wf, network, weights, params, config, backlog)
+            rows.setdefault(name, []).append(1e3 * spent[0] / spent[1])
+    return {name: statistics.median(values) for name, values in rows.items()}
+
+
+def run_tree(src: Path, calls: int) -> dict[str, float]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, __file__, "--measure", "--calls", str(calls)]
+    done = subprocess.run(command, env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", nargs="?", type=Path, help="the reference tree's src directory")
+    parser.add_argument("new", nargs="?", type=Path, help="the changed tree's src directory")
+    parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--calls", type=int, default=5)
+    parser.add_argument("--measure", action="store_true", help="measure the qflow on PYTHONPATH and print JSON")
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.calls)))
+        return 0
+    if args.base is None or args.new is None:
+        parser.error("give the base and new src directories")
+    pairs = []
+    for i in range(args.pairs):
+        order = ("base", "new") if i % 2 == 0 else ("new", "base")
+        pair = {side: run_tree(getattr(args, side), args.calls) for side in order}
+        pairs.append(pair)
+        print(f"pair {i + 1} ({' then '.join(order)}):")
+        for name, base in pair["base"].items():
+            new = pair["new"][name]
+            print(f"  {name:18} {base:9.4f} -> {new:9.4f} ms/decision ({100 * (new / base - 1):+.1f}%)")
+    print("medians over pairs:")
+    for name in pairs[0]["base"]:
+        base = statistics.median(p["base"][name] for p in pairs)
+        new = statistics.median(p["new"][name] for p in pairs)
+        won = sum(p["new"][name] < p["base"][name] for p in pairs)
+        print(f"  {name:18} {base:9.4f} -> {new:9.4f} ms/decision ({100 * (new / base - 1):+.1f}%, won {won} of {len(pairs)})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
