@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .costs import CostBreakdown, DecisionTable, aggregate_cost, compute_bounds
-from .matcher import group_blocks, group_size, mask_hosts, workflow_monomorphisms
+from .matcher import mask_hosts, workflow_monomorphisms
 from .model import (
     Allocation,
     NetworkParams,
@@ -126,33 +126,24 @@ def soft_iso(
     per decision for each class tuple of its hosts, with floats equal to
     :func:`aggregate_cost`'s. A block none of whose costs beats the
     incumbent cannot stop the search, so it only moves the maximum and
-    previous costs. One ``walk`` call takes a run of such blocks at once
-    (their count, maximum and last cost) and returns the block after it,
-    which is walked candidate by candidate with the rule above; the next
-    call starts past that block, so no block after the one where the
-    search stops is scored. The outcome, including the incumbent's key
-    order, is that of a walk over single candidates. The final incumbent's
-    breakdown is read from the same table.
+    previous costs. One call of the scorer's run closure takes a run of
+    such blocks at once (their count, maximum and last cost) and returns
+    the block after it, which is walked candidate by candidate with the
+    rule above; the next call starts past that block, so no block after
+    the one where the search stops is scored. The outcome, including the
+    incumbent's key order, is that of a walk over single candidates. The
+    final incumbent's breakdown is read from the same table.
 
-    When a threshold is infinite, ``abs(cost - maxcost) > thres_max`` or
-    ``abs(cost - prevcost) > thres_prev`` is never true, so only the budget
-    stops the search, and the maximum and previous costs, never read, are
-    not kept. Each block then goes to ``score`` with the incumbent's cost
-    as its floor, and a block whose exact lower bounds (``v`` on the
-    sentinel host, then per class) are not below it is counted without
-    being scored or decoded. One level up, ``u`` is put on the table's
-    sentinel host first: a group whose exact lower bound (the host terms
-    of ``u`` and ``v`` at their minima) is not below the incumbent is
-    counted by :func:`group_size`, cut to the budget, and skipped without
-    listing its blocks. Every block of such a group would have been
-    skipped one by one with the incumbent unchanged, so the count and the
-    budget cut are those of the block-by-block walk.
+    The run closure is ``walk``, or ``skim`` when a threshold is infinite:
+    then ``abs(cost - maxcost) > thres_max`` or ``abs(cost - prevcost) >
+    thres_prev`` is never true, so only the budget stops the search, and
+    ``skim`` counts a group or block that its exact lower bounds rule out
+    without listing it, leaving out the maximum and last cost, never read.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
-    score = None
+    step = None
     thres_max, thres_prev, strict = config.thres_max, config.thres_prev, config.strict_pseudocode
-    bounded = math.inf in (thres_max, thres_prev)
 
     mincost = math.inf
     maxcost = -math.inf
@@ -162,52 +153,35 @@ def soft_iso(
     history: list[float] = []
 
     for prefix, u, v, hosts, leaves, links in workflow_monomorphisms(workflow, network):
-        if score is None:
+        if step is None:
             table = DecisionTable(workflow, network, params, backlog)
-            fold, score, walk = table.group_scorer(weights, u, v)
+            fold, _, walk, skim = table.group_scorer(weights, u, v)
+            step = skim if math.inf in (thres_max, thres_prev) else walk
         fold(prefix)
-        if bounded and score(len(network.nodes), 0, mincost) is None:
-            # u on the sentinel host: no block of the group has a cost below mincost
-            examined = min(examined + group_size(hosts, leaves, links), cap)
-        elif bounded:
-            for h, mask in group_blocks(hosts, leaves, links):
-                if mask.bit_count() > cap - examined:
-                    mask = sum(1 << k for k in mask_hosts(mask)[: cap - examined])
-                examined += mask.bit_count()
-                costs = score(h, mask, mincost)
-                if costs is not None and min(costs) < mincost:
-                    for cost, k in zip(costs, mask_hosts(mask)):
-                        if cost < mincost:
-                            mincost = cost
-                            incumbent = {**prefix, u: h, v: k}
-                            history.append(cost)
-                if examined >= cap:
-                    break
-        else:
-            while examined < cap and hosts:
-                size, top, last, h, mask, costs = walk(hosts, leaves, links, mincost, cap - examined)
-                if size:
-                    # a run of blocks none of whose candidates improves, so none can stop the search
-                    examined += size
-                    if top > maxcost:
-                        maxcost = top
-                    if not strict:
-                        prevcost = last
-                if costs is None:
-                    break
-                for cost, k in zip(costs, mask_hosts(mask)):
-                    examined += 1
-                    if cost > maxcost:
-                        maxcost = cost
-                    if cost < mincost:
-                        mincost = cost
-                        incumbent = {**prefix, u: h, v: k}
-                        history.append(cost)
-                        if abs(cost - maxcost) > thres_max and abs(cost - prevcost) > thres_prev:
-                            return _outcome(incumbent, table.breakdown(incumbent, weights), examined, history)
-                    if not strict:
-                        prevcost = cost
-                hosts &= -2 << h  # the hosts of u after h
+        while examined < cap and hosts:
+            size, top, last, h, mask, costs = step(hosts, leaves, links, mincost, cap - examined)
+            if size:
+                # a run of blocks none of whose candidates improves, so none can stop the search
+                examined += size
+                if top > maxcost:
+                    maxcost = top
+                if not strict:
+                    prevcost = last
+            if costs is None:
+                break
+            for cost, k in zip(costs, mask_hosts(mask)):
+                examined += 1
+                if cost > maxcost:
+                    maxcost = cost
+                if cost < mincost:
+                    mincost = cost
+                    incumbent = {**prefix, u: h, v: k}
+                    history.append(cost)
+                    if abs(cost - maxcost) > thres_max and abs(cost - prevcost) > thres_prev:
+                        return _outcome(incumbent, table.breakdown(incumbent, weights), examined, history)
+                if not strict:
+                    prevcost = cost
+            hosts &= -2 << h  # the hosts of u after h
         if examined >= cap:
             break
 

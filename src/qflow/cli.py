@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .costs import quantum_link_cost
+from .costs import classical_link_cost, quantum_link_cost
 from .experiments import (
     SCENARIO_NAMES,
     SWEEP_ALIASES,
@@ -107,10 +107,10 @@ def load_config(args) -> ExperimentConfig:
 
 def check_inputs(config: ExperimentConfig) -> None:
     """Load the input files ``config`` names, build one node per pooled
-    profile, require each one's link cost to stay finite in a repetition's
-    sums and an imported catalog to hold a task within
-    ``workload.qubit_range``: a bad input is a configuration error before
-    anything runs."""
+    profile, require each one's link cost, quantum and then with the
+    classical term, to stay finite in a repetition's sums and an imported
+    catalog to hold a task within ``workload.qubit_range``: a bad input is
+    a configuration error before anything runs."""
     where = f"profiles file {config.profiles_path or '(bundled)'}"
     try:
         profiles = load_profiles(config.profiles_path)
@@ -119,14 +119,18 @@ def check_inputs(config: ExperimentConfig) -> None:
         lo, hi = config.workload.qubit_range
         # a repetition adds a link term into each of its `tasks` start times
         # through at most `tasks * (per_group - 1) / 2` gates, and the term is
-        # linear in qubits, so the largest task on each profile bounds the sums
+        # linear in qubits, so the largest task measuring every qubit on each
+        # profile bounds the sums
         tasks = config.workload.batch_size * config.workload.tasks_per_group
         terms = tasks * tasks * (config.workload.tasks_per_group - 1) // 2
-        largest = TaskSpec("largest", hi, 1, 0, 0)
+        largest = TaskSpec("largest", hi, 1, 0, hi)
         for node in nodes:
             where = f"params.transmission_efficiency on profile {node.id}"
-            if not quantum_link_cost(largest, node, config.params) * terms < math.inf:
+            if not (quantum := quantum_link_cost(largest, node, config.params)) * terms < math.inf:
                 raise ValueError(f"the quantum link cost of a {hi}-qubit task overflows a run")
+            where = "params.classical_latency"
+            if not (quantum + classical_link_cost(largest, config.params)) * terms < math.inf:
+                raise ValueError(f"the link cost of a {hi}-qubit task measuring every qubit overflows a run")
         where = "catalog_path"
         if config.catalog_path:
             if not any(lo <= task.qubits <= hi for task in import_task_catalog(config.catalog_path)):

@@ -22,13 +22,13 @@ to ``aggregate_cost(...)``'s: the rest of the candidate is added up once
 per decision for each tuple of its hosts' calibration classes, the two
 hosts' terms once per such tuple and pair of their own classes, and each
 host then costs one compare and add (the hosts of a class differ only in
-availability). Given a floor, the scorer first checks exact float lower
-bounds (a task on a sentinel host, then on each class at its least wait)
-and returns ``None`` if no total can be below the floor; or it walks a
-run of blocks with no total below the floor in one call, summarising a
-large block by the least and greatest wait of each class. The cost-aware
-allocators build at most one table per decision, at its first group or
-feasible trial, and score every later one from it.
+availability). Given a floor, the scorer walks a run of blocks with no
+total below it in one call, summarising a large block by the least and
+greatest wait of each class or, when the stop rule cannot fire, ruling
+out a group or block by exact float lower bounds (tasks on a sentinel
+host, then on each class at its least wait) without listing it. The
+cost-aware allocators build at most one table per decision, at its first
+group or feasible trial, and score every later one from it.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -50,6 +50,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
+from .matcher import group_size
 from .model import NetworkParams, QpuNode, ResourceNetwork, TaskSpec, WeightConfig, Workflow
 
 BOUND_FLOOR = 1e-12
@@ -300,14 +301,15 @@ class DecisionTable:
     Holds the error, runtime and quantum-link terms per (task, node), the
     classical term per task, the backlog per node (zeros when none is given),
     the workflow's skeleton (sorted), the network's calibration classes
-    (for the block scorer), and the :class:`NormalizationBounds` taken from
+    (for the group scorer), and the :class:`NormalizationBounds` taken from
     those same floats. The error and runtime bounds are the worst
     qubit-feasible (task, node) term times the task count; the network bound
     is the worst per-endpoint quantum-plus-classical term times the edge
-    count; the availability bound is the largest backlog. When no pair
-    satisfies the qubit constraint the worst cases range over all pairs, and
-    every bound is floored at ``BOUND_FLOOR`` so normalization never divides
-    by zero.
+    count (none for an edge-free workflow, whose network bound is the floor
+    even where that term is infinite); the availability bound is the
+    largest backlog. When no pair satisfies the qubit constraint the worst
+    cases range over all pairs, and every bound is floored at
+    ``BOUND_FLOOR`` so normalization never divides by zero.
 
     The per-task rows, each ending with its minimum on the sentinel host
     ``n`` (the node count), and the maxima depend only on the task, the
@@ -340,7 +342,7 @@ class DecisionTable:
             max_nat=max(max(self.avail, default=0.0), BOUND_FLOOR),
             max_task_error_sum=max(n_tasks * max_err, BOUND_FLOOR),
             max_task_runtime_sum=max(n_tasks * max_run, BOUND_FLOOR),
-            max_network_sum=max(len(self.edges) * max_net, BOUND_FLOOR),
+            max_network_sum=max(len(self.edges) * max_net, BOUND_FLOOR) if self.edges else BOUND_FLOOR,
         )
 
     def breakdown(self, candidate: Sequence[int] | Mapping[int, int], weights: WeightConfig) -> CostBreakdown:
@@ -369,19 +371,14 @@ class DecisionTable:
             net += (qlink[a][candidate[a]] + qlink[b][candidate[b]]) / 2.0 + (clink[a] + clink[b]) / 2.0
         return _normalized(availability, e, r, net, self.bounds, weights)
 
-    def block_scorer(self, weights: WeightConfig, u: int, v: int) -> tuple[Callable, Callable]:
-        """The ``(fold, score)`` of :meth:`group_scorer`."""
-        return self.group_scorer(weights, u, v)[:2]
-
-    def group_scorer(self, weights: WeightConfig, u: int, v: int) -> tuple[Callable, Callable, Callable]:
-        """``(fold, score, walk)`` for groups of candidates that differ only in
-        the hosts of tasks ``u`` and ``v`` (``u`` is ``v`` for a one-task
-        workflow). ``fold(prefix)`` takes a group's ``prefix``, which maps
-        every other task. Then ``score(hu, mask, floor=None)`` lists, for
+    def group_scorer(self, weights: WeightConfig, u: int, v: int) -> tuple[Callable, Callable, Callable, Callable]:
+        """``(fold, score, walk, skim)`` for groups of candidates that differ
+        only in the hosts of tasks ``u`` and ``v`` (``u`` is ``v`` for a
+        one-task workflow). ``fold(prefix)`` takes a group's ``prefix``,
+        which maps every other task. Then ``score(hu, mask)`` lists, for
         each host ``h`` whose bit is set in ``mask``, ascending, the total
         :meth:`breakdown` returns for ``prefix`` plus ``u`` on ``hu`` plus
-        ``v`` on ``h``. Given a ``floor``, it returns ``None`` instead when it
-        can prove that no such total is below it.
+        ``v`` on ``h``.
 
         ``fold`` takes the availability maximum ``w`` over the prefix once
         per group. Every other term is a per-class value expanded to the
@@ -405,24 +402,11 @@ class DecisionTable:
 
         The sentinel host ``n`` (the node count) is one more class, whose
         normalized availability, error, runtime and quantum-link terms are
-        the minima over all nodes. Given a ``floor``, ``score`` first puts
-        ``v`` on it. That bound needs no epsilon: under round-to-nearest,
-        ``a + x``, ``x / d`` for ``d > 0``, ``w * x`` for ``w >= 0``,
-        ``max(x, a)`` and the clip are each monotone non-decreasing in ``x``
-        as floats, the weights and ``1 - zeta`` are nonnegative and the
-        bounds positive, so the bound is ``<=`` every host's total as a
-        float. When it is ``>= floor`` the call returns ``None`` without
-        decoding ``mask``. Else it bounds each class the mask meets by ``v``
-        on the class's first host at the class's least wait: its hosts share
-        that ``R`` and wait no less, so the bound is ``<=`` their totals, and
-        the call returns ``None`` when every such bound is ``>= floor``.
-        ``score(n, 0, floor)`` puts ``u`` on the sentinel too: by the same
-        monotonicity, this group bound is ``<=`` the floor of every block of
-        the group, so the call returns ``None`` when it is ``>= floor`` and
-        ``[]`` otherwise. A one-task workflow scores with ``hu = n``, exactly:
-        ``cand[u]`` is ``cand[v]``, so ``R`` reads ``v``'s terms alone, and
-        ``w = 0.0`` (an empty prefix) with ``wait[n] = min(wait)`` makes each
-        ``max(wait[h], wu)`` equal ``max(wait[h], 0.0)`` as a float.
+        the minima over all nodes. A one-task workflow scores with
+        ``hu = n``, exactly: ``cand[u]`` is ``cand[v]``, so ``R`` reads
+        ``v``'s terms alone, and ``w = 0.0`` (an empty prefix) with
+        ``wait[n] = min(wait)`` makes each ``max(wait[h], wu)`` equal
+        ``max(wait[h], 0.0)`` as a float.
 
         ``walk(hosts, leaves, links, floor, budget)`` goes through a group's
         blocks for the hosts of ``u`` in ``hosts``, ascending. It returns
@@ -438,6 +422,23 @@ class DecisionTable:
         hosts by wait: ``max(x, wu) + R`` is non-decreasing in ``x``, so a
         class's least and greatest wait in the mask give its exact least and
         greatest totals, and the highest host the last total.
+
+        ``skim`` takes ``walk``'s arguments and returns its shape, the
+        greatest and last totals left at ``-inf`` and ``0.0``, and lists no
+        block whose exact float lower bounds are not below ``floor``. It
+        first puts ``u`` and ``v`` on the sentinel host and, when that bound
+        is ``>= floor``, counts the group's candidates (:func:`group_size`,
+        cut to the budget) without going through its blocks. Else it bounds
+        each block by ``v`` on the sentinel host, then by ``v`` on each class
+        of the mask at the class's least wait (its hosts share that ``R``
+        and wait no less), and lists it only when such a bound is below
+        ``floor``; a listed block with a total below ``floor`` ends the
+        call, as in ``walk``. No bound needs an epsilon: under
+        round-to-nearest, ``a + x``, ``x / d`` for ``d > 0``, ``w * x`` for
+        ``w >= 0``, ``max(x, a)`` and the clip are each monotone
+        non-decreasing in ``x`` as floats, the weights and ``1 - zeta`` are
+        nonnegative and the bounds positive, so each bound is ``<=`` every
+        total it covers.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -450,7 +451,6 @@ class DecisionTable:
         max_nat = bounds.max_nat
         wait = [zeta * (1.0 if (x := a / max_nat) > 1.0 else x) for a in self.avail]
         wait.append(min(wait))  # the sentinel host, as in the term rows
-        low_wait = wait[n]
         _, masks, of_node = self.classes
         sentinel = len(masks)  # the sentinel host's class
         of_node = [*of_node, sentinel]
@@ -515,23 +515,9 @@ class DecisionTable:
             )
             return cost
 
-        def score(hu: int, mask: int, floor: float | None = None) -> list[float] | None:
+        def score(hu: int, mask: int) -> list[float]:
             wu = x if (x := wait[hu]) > w else w
             row = of_node[hu] * stride
-            if floor is not None:
-                if (cost := memo[key := row + sentinel]) is None:
-                    cost = evaluate(hu, n, key)
-                if (low_wait if low_wait > wu else wu) + cost >= floor:
-                    return None
-                if mask:  # v on each class of the mask, at the least wait of its hosts
-                    for c, m, x, _, _, _ in by_class or classes():
-                        if mask & m:
-                            if (cost := memo[key := row + c]) is None:
-                                cost = evaluate(hu, (m & -m).bit_length() - 1, key)
-                            if (x if x > wu else wu) + cost < floor:
-                                break
-                    else:
-                        return None
             costs = []
             while mask:
                 low = mask & -mask
@@ -604,13 +590,48 @@ class DecisionTable:
                     break
             return size, top, last, 0, 0, None
 
-        return fold, score, walk
+        def skim(hosts: int, leaves: int, links: tuple[int, ...] | None, floor: float, budget: float) -> tuple:
+            wu = x if (x := wait[n]) > w else w
+            if (cost := memo[key := sentinel * stride + sentinel]) is None:
+                cost = evaluate(n, n, key)
+            if wu + cost >= floor:  # u and v on the sentinel host: the group's bound
+                return min(group_size(hosts, leaves, links), budget), -inf, 0.0, 0, 0, None
+            size = 0
+            while hosts:
+                low = hosts & -hosts
+                hosts ^= low
+                hu = low.bit_length() - 1
+                if not (mask := leaves & ~low if links is None else leaves & links[hu]):
+                    continue
+                if (count := mask.bit_count()) > budget - size:  # the block that spends the budget, cut to it
+                    for _ in range(count - budget + size):
+                        mask ^= 1 << mask.bit_length() - 1
+                    count = budget - size
+                wu = x if (x := wait[hu]) > w else w
+                row = of_node[hu] * stride
+                if (cost := memo[key := row + sentinel]) is None:
+                    cost = evaluate(hu, n, key)
+                if wu + cost < floor:  # v on the sentinel host, then on each class of the mask at its least wait
+                    for c, m, x, _, _, _ in by_class or classes():
+                        if mask & m:
+                            if (cost := memo[key := row + c]) is None:
+                                cost = evaluate(hu, (m & -m).bit_length() - 1, key)
+                            if (x if x > wu else wu) + cost < floor:
+                                if min(costs := score(hu, mask)) < floor:
+                                    return size, -inf, 0.0, hu, mask, costs
+                                break
+                size += count
+                if size >= budget:
+                    break
+            return size, -inf, 0.0, 0, 0, None
+
+        return fold, score, walk, skim
 
 
 def _clip01(x: float) -> float:
     # No lower clip: every raw sum is >= 0 (error terms are 1 - survival,
     # runtimes > 0, link terms >= 0, availability starts at 0.0) and every
-    # bound is > 0. A negative backlog entry gives the block scorer a negative
+    # bound is > 0. A negative backlog entry gives the group scorer a negative
     # wait, which each total reads as max(wait[h], wu) with wu >= 0.0. The
     # upper clip stays: under a caller's bounds, aggregate_cost's sums can
     # exceed them.

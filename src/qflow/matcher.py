@@ -28,9 +28,9 @@ one prefix, and a group carries the hosts of ``u`` and the leaf hosts of
 ``v`` as two bitmasks. Its blocks, listed by :func:`group_blocks`, are its
 ``(host of u, leaf mask)`` pairs: all mappings that differ only in the host
 of ``v``. No group is empty. A consumer can fold the prefix once per group
-(soft_iso bounds a whole group and scores a whole block per call), count a
-group it rules out from the two masks with :func:`group_size`, and decode a
-leaf mask with :func:`mask_hosts` only where it needs the hosts one by one.
+and go through a run of blocks per call (as soft_iso's scorer does), count
+a group it rules out from the two masks with :func:`group_size`, and decode
+a leaf mask with :func:`mask_hosts` only where it needs the hosts one by one.
 
 A stream depends only on the skeleton and the domains, and decisions on one
 network meet the same few keys again and again, so the network stores a

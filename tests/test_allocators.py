@@ -25,6 +25,7 @@ from .conftest import (
     backlog_at,
     chain_workflow,
     is_connected,
+    listings,
     make_network,
     pattern_workflow,
     random_small_instance,
@@ -345,18 +346,22 @@ class TestSoftIsoReference:
     def count_search(monkeypatch, config=THRESHOLDS_OFF, scenario="LP-MR", seeds=(0,), batch=4):
         """Run soft_iso on a scenario's draws (LP-MR, seed 0, 4 workflows by
         default) and count the groups and blocks the matcher yields, the
-        groups whose bound skips them, the blocks handed to ``score``, those
-        it scores and the candidates each decision examines. Per group
-        folded, also count the scorer's pair evaluations (one read of ``v``'s
-        error row each), the calibration classes of the hosts of ``u`` and
-        ``v`` its blocks use, and those blocks' (``u``-class, ``v``-class)
-        pairs. A block used by ``walk`` is one of its run of blocks, as far
-        as the run's candidate count reaches, or the improving block it
-        returns. Per decision, count the pair evaluations, the groups folded
-        and the keys (class tuple of the prefix's hosts in task order,
-        ``u``-class, ``v``-class) the scorer may evaluate, the sentinel host
-        a class of its own, and the candidates of the blocks ``walk`` used
-        and of the last block it returned."""
+        groups ``skim`` rules out as a whole (a call of ``group_size`` on
+        the group's own hosts of ``u``), the blocks ``skim`` bounds one by
+        one, the blocks ``score`` lists (its calls, told apart by their
+        code object) and the candidates each decision examines. Per group
+        folded, also count the scorer's pair evaluations (one read of
+        ``v``'s error row each), the calibration classes of the hosts of
+        ``u`` and ``v`` its blocks use, and those blocks' (``u``-class,
+        ``v``-class) pairs. A block used by a run closure (``walk`` or
+        ``skim``) is one of its run of blocks, as far as the run's candidate
+        count reaches, or the improving block it returns; a call that rules
+        out the rest of a group as a whole uses none. Per decision, count
+        the pair evaluations, the groups folded and the keys (class tuple
+        of the prefix's hosts in task order, ``u``-class, ``v``-class) the
+        scorer may evaluate, the sentinel host a class of its own, and the
+        candidates of the blocks ``walk`` used and of the last block it
+        returned."""
         import qflow.allocators
         import qflow.costs
 
@@ -366,6 +371,9 @@ class TestSoftIsoReference:
         }
         groups = qflow.allocators.workflow_monomorphisms
         group_scorer = qflow.costs.DecisionTable.group_scorer
+        group_size = qflow.costs.group_size
+        sized = []  # the hosts of u of each group_size call
+        current = [0]  # the hosts of u of the group yielded last
 
         def counting_groups(workflow, network):
             of_node = network.calibration_classes[2]
@@ -374,7 +382,12 @@ class TestSoftIsoReference:
                 blocks = group_blocks(*group[3:])
                 calls["blocks"] += len(blocks)
                 calls["group_pairs"].append({(of_node[hu], of_node[h]) for hu, mask in blocks for h in mask_hosts(mask)})
+                current[0] = group[3]
                 yield group
+
+        def counting_size(hosts, leaves, links):
+            sized.append(hosts)
+            return group_size(hosts, leaves, links)
 
         def counting(table, weights, u, v):
             reads = [0]
@@ -386,7 +399,7 @@ class TestSoftIsoReference:
 
             table.err = [*table.err]
             table.err[v] = Row(table.err[v])
-            fold, score, walk = group_scorer(table, weights, u, v)
+            fold, score, walk, skim = group_scorer(table, weights, u, v)
             of_node = table.classes[2]
             sentinel = len(table.classes[1])
             decision = {"evals": 0, "groups": 0, "keys": set(), "prefix": (), "walked": 0, "last_block": 0}
@@ -395,13 +408,16 @@ class TestSoftIsoReference:
             def class_of(h):
                 return of_node[h] if h < len(of_node) else sentinel
 
-            def used(hu, hosts):
+            def used(hu, hosts, bounded):
                 # the block's classes, pairs and key, in the group's and the decision's counts
                 group = calls["folded"][-1]
                 group[1].add(class_of(hu))
                 group[2].update(of_node[h] for h in hosts)
                 group[3].update((class_of(hu), of_node[h]) for h in hosts)
                 decision["keys"].update((decision["prefix"], class_of(hu), of_node[h]) for h in hosts)
+                if bounded:  # skim bounds the block with v on the sentinel host first
+                    calls["block_calls"] += 1
+                    decision["keys"].add((decision["prefix"], class_of(hu), sentinel))
 
             def counted_fold(prefix):
                 # pair evaluations, classes of u's hosts, classes of v's hosts, their pairs
@@ -410,44 +426,41 @@ class TestSoftIsoReference:
                 decision["prefix"] = tuple(of_node[prefix[j]] for j in sorted(prefix))
                 fold(prefix)
 
-            def counted(hu, mask, floor=None):
-                group = calls["folded"][-1]
-                before = reads[0]
-                costs = score(hu, mask, floor)
-                group[0] += reads[0] - before
-                decision["evals"] += reads[0] - before
-                if floor is not None:
-                    decision["keys"].add((decision["prefix"], class_of(hu), sentinel))
-                if mask:
-                    calls["block_calls"] += 1
-                    calls["scored"] += costs is not None
-                    used(hu, mask_hosts(mask))
-                else:
-                    calls["groups_skipped"] += costs is None
-                return costs
+            def counted(step, bounded):
+                def run(hosts, leaves, links, floor, budget):
+                    before, skips = reads[0], len(sized)
+                    with listings(score) as listed:
+                        result = step(hosts, leaves, links, floor, budget)
+                    calls["folded"][-1][0] += reads[0] - before
+                    decision["evals"] += reads[0] - before
+                    calls["scored"] += len(listed)
+                    size, _, _, hu, mask, costs = result
+                    if bounded:  # skim bounds the group with u and v on the sentinel host first
+                        decision["keys"].add((decision["prefix"], sentinel, sentinel))
+                    if sized[skips:]:  # the rest of the group ruled out as a whole
+                        assert sized[skips:] == [hosts] and costs is None
+                        calls["groups_skipped"] += hosts == current[0]
+                        return result
+                    run_size = size
+                    for h, run_mask in group_blocks(hosts, leaves, links):
+                        if run_size <= 0:
+                            break
+                        used(h, mask_hosts(run_mask)[:run_size], bounded)
+                        run_size -= run_mask.bit_count()
+                    decision["walked"] += size
+                    if costs is not None:
+                        used(hu, mask_hosts(mask), bounded)
+                        decision["walked"] += len(costs)
+                        decision["last_block"] = len(costs)
+                    return result
 
-            def counted_walk(hosts, leaves, links, floor, budget):
-                before = reads[0]
-                result = walk(hosts, leaves, links, floor, budget)
-                calls["folded"][-1][0] += reads[0] - before
-                decision["evals"] += reads[0] - before
-                size, _, _, hu, mask, costs = result
-                for h, run_mask in group_blocks(hosts, leaves, links):
-                    if size <= 0:
-                        break
-                    used(h, mask_hosts(run_mask)[:size])
-                    size -= run_mask.bit_count()
-                decision["walked"] += result[0]
-                if costs is not None:
-                    used(hu, mask_hosts(mask))
-                    decision["walked"] += len(costs)
-                    decision["last_block"] = len(costs)
-                return result
+                return run
 
-            return counted_fold, counted, counted_walk
+            return counted_fold, score, counted(walk, False), counted(skim, True)
 
         monkeypatch.setattr(qflow.allocators, "workflow_monomorphisms", counting_groups)
         monkeypatch.setattr(qflow.costs.DecisionTable, "group_scorer", counting)
+        monkeypatch.setattr(qflow.costs, "group_size", counting_size)
         for seed in seeds:
             workflows, network, free_at = scenario_instances(scenario, seed, batch)
             for wf in workflows:
@@ -457,25 +470,24 @@ class TestSoftIsoReference:
 
     def test_thresholds_off_leaves_most_blocks_unscored(self, monkeypatch):
         """With the thresholds off only the budget stops the search, so
-        soft_iso scores only the blocks whose bound is below the incumbent;
-        on LP-MR draws at least half of all blocks go unscored."""
+        ``skim`` lists only the blocks whose bound is below the incumbent;
+        on LP-MR draws at least half of all blocks go unlisted."""
         calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
         assert calls["blocks"] > 1_000
         assert calls["scored"] <= calls["blocks"] // 2
 
     def test_thresholds_off_scores_few_of_the_blocks_it_bounds(self, monkeypatch):
-        """Of the blocks handed to the scorer with a floor, the sentinel
-        and class-wise bounds rule out all but a fifth: 28 of 1,150 are
-        scored on these draws, and the sentinel bound alone let 425
-        through."""
+        """Of the blocks ``skim`` bounds one by one, the sentinel and
+        class-wise bounds rule out all but a fifth: 28 of 1,150 are listed
+        on these draws, and the sentinel bound alone let 425 through."""
         calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
         assert calls["block_calls"] > 200
         assert calls["scored"] <= calls["block_calls"] / 5
 
     def test_thresholds_off_skips_most_groups(self, monkeypatch):
-        """With the thresholds off soft_iso rules out whole groups by their
+        """With the thresholds off ``skim`` rules out whole groups by their
         bound; on LP-MR draws at least half of all groups are skipped."""
         calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
@@ -543,8 +555,10 @@ class TestSoftIsoStopRule:
             SoftIsoConfig(thres_max=0.02, thres_prev=0.002, strict_pseudocode=True),
             SoftIsoConfig(thres_max=math.inf, thres_prev=math.inf, counter_cap_base=2.5),
             SoftIsoConfig(thres_max=0.02, thres_prev=0.002, counter_cap_base=2.5),
+            # only thres_prev infinite: skim with a finite thres_max, its budget cut mid-run
+            SoftIsoConfig(thres_prev=math.inf, counter_cap_base=2.5),
         ],
-        ids=["default", "tight", "tight-strict", "fractional-cap", "tight-fractional-cap"],
+        ids=["default", "tight", "tight-strict", "fractional-cap", "tight-fractional-cap", "prev-off-fractional-cap"],
     )
     def test_matches_aggregate_cost_loop_on_random_instances(self, config):
         rng = random.Random(808)

@@ -107,6 +107,16 @@ class TestExitCodes:
             ),
             # an infinite latency made every cost bound infinite at run time
             ({"params": {"classical_latency": math.inf}}, "params.classical_latency"),
+            # a finite latency whose term overflows for a task measuring every
+            # qubit, or whose sums overflow a run
+            (
+                {"params": {"classical_latency": 1e308}},
+                "params.classical_latency: the link cost of a 100-qubit task measuring every qubit overflows",
+            ),
+            (
+                {"params": {"classical_latency": 1e306}},
+                "params.classical_latency: the link cost of a 100-qubit task measuring every qubit overflows",
+            ),
             # a bool is an int: it would run as 0 or 1 and be recorded as true
             ({"weights": {"zeta": True}}, "weights.zeta: a bool is not accepted, got True"),
             ({"topology": {"link_probability": True}}, "topology.link_probability: a bool is not accepted"),
@@ -124,7 +134,8 @@ class TestExitCodes:
         ],
         ids=[
             "list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency",
-            "overflowing-link-cost", "infinite-latency", "bool-weight", "bool-link-probability", "bool-cap-base",
+            "overflowing-link-cost", "infinite-latency", "overflowing-latency", "overflowing-latency-sums",
+            "bool-weight", "bool-link-probability", "bool-cap-base",
             "bool-arrival-rate", "bool-catalog-path", "fd-catalog-path", "zero-catalog-path", "bool-profiles-path",
             "number-profiles-path", "workload-seed", "topology-seed",
         ],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow.costs import (
+    BOUND_FLOOR,
     DecisionTable,
     NormalizationBounds,
     aggregate_cost,
@@ -30,7 +32,7 @@ from qflow.costs import (
 from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
 from qflow.model import NetworkParams, QpuNode, ResourceNetwork, WeightConfig, Workflow
 
-from .conftest import backlog_at, chain_workflow, make_network, make_node, make_task
+from .conftest import backlog_at, chain_workflow, listings, make_network, make_node, make_task
 
 getcontext().prec = 50
 
@@ -513,9 +515,11 @@ class TestCalibrationFields:
 
 
 class TestBlockScorer:
-    """Every float of ``block_scorer`` is the very float ``aggregate_cost``
-    returns for the same candidate, because soft_iso compares them with a
-    strict ``<`` and its digests cover the chosen assignments."""
+    """Every float that ``group_scorer``'s ``score`` lists is the very float
+    ``aggregate_cost`` returns for the same candidate, because soft_iso
+    compares them with a strict ``<`` and its digests cover the chosen
+    assignments; its run closures ``walk`` and ``skim`` return what a walk
+    over the listed floats gives."""
 
     @staticmethod
     def decisions(rng):
@@ -557,25 +561,26 @@ class TestBlockScorer:
         for every ordered pair of tasks (u, v) a random injective prefix
         with every free node as a host of u and every other free node as a
         host of v (a one-task workflow: u is v, on the host n_nodes, and
-        every node a host of v). The random prefixes' keys are shuffled,
-        since scoring must not read them in order."""
+        every node a host of v), each as its prefix, u, v and the masks
+        ``(hosts, leaves, links)`` of the stream's groups. The random
+        prefixes' keys are shuffled, since scoring must not read them in
+        order."""
         leaves = 0
         for prefix, u, v, *masks in workflow_monomorphisms(wf, network):
-            pairs = group_blocks(*masks)
-            yield dict(prefix), u, v, pairs
-            leaves += sum(mask.bit_count() for _, mask in pairs)
+            yield dict(prefix), u, v, tuple(masks)
+            leaves += sum(mask.bit_count() for _, mask in group_blocks(*masks))
             if leaves >= 300:
                 break
         n_tasks, n_nodes = len(wf.tasks), len(network.nodes)
         if n_tasks == 1:
-            yield {}, 0, 0, [(n_nodes, (1 << n_nodes) - 1)]
+            yield {}, 0, 0, (1 << n_nodes, (1 << n_nodes) - 1, None)
         for u, v in itertools.permutations(range(n_tasks), 2):
             others = [j for j in range(n_tasks) if j not in (u, v)]
             rng.shuffle(others)
             nodes = rng.sample(range(n_nodes), len(others))
             prefix = dict(zip(others, nodes))
             free = sum(1 << h for h in set(range(n_nodes)) - set(nodes))
-            yield prefix, u, v, [(h, free & ~(1 << h)) for h in mask_hosts(free)]
+            yield prefix, u, v, (free, free, None)
 
     @staticmethod
     def scale_bounds(table, shrink):
@@ -590,10 +595,39 @@ class TestBlockScorer:
 
     @staticmethod
     def scorer(scorers, table, weights, u, v):
-        """The ``(fold, score)`` pair of ``(u, v)``, built once per table."""
+        """The ``(fold, score, walk, skim)`` of ``(u, v)``, built once per
+        table."""
         if (u, v) not in scorers:
-            scorers[u, v] = table.block_scorer(weights, u, v)
+            scorers[u, v] = table.group_scorer(weights, u, v)
         return scorers[u, v]
+
+    @staticmethod
+    def skimmed(blocks, floor, budget=math.inf):
+        """What ``skim`` returns for a group whose blocks are ``blocks``,
+        each ``(hu, mask, listed costs)``, in host order: the candidate
+        count of the blocks before the first that holds a cost below
+        ``floor``, then that block, each cut to ``budget``."""
+        size = 0
+        for hu, mask, costs in blocks:
+            if len(costs) > budget - size:
+                costs = costs[: budget - size]
+                mask = sum(1 << h for h in mask_hosts(mask)[: len(costs)])
+            if min(costs) < floor:
+                return size, -math.inf, 0.0, hu, mask, costs
+            size += len(costs)
+            if size >= budget:
+                break
+        return size, -math.inf, 0.0, 0, 0, None
+
+    @staticmethod
+    def sentinel_bound(table, weights, prefix, u, hu, v):
+        """The total with ``u`` on ``hu`` and ``v`` on the sentinel host
+        ``n``, whose terms are each row's least and whose wait is the
+        least: the breakdown of a copy of the table whose availability
+        column gains that wait at ``n``."""
+        probe = copy.copy(table)
+        probe.avail = [*table.avail, min(table.avail)]
+        return probe.breakdown({**prefix, u: hu, v: len(table.avail)}, weights).total
 
     @staticmethod
     def candidate(prefix, u, hu, v, h):
@@ -621,11 +655,11 @@ class TestBlockScorer:
             one_class = len(network.calibration_classes[0]) == 1
             if one_class:
                 assert 0.0 not in backlog and len(set(backlog)) == len(backlog)
-            for prefix, u, v, pairs in self.groups(rng, wf, network):
-                fold, score = self.scorer(scorers, table, weights, u, v)
+            for prefix, u, v, masks in self.groups(rng, wf, network):
+                fold, score, _, _ = self.scorer(scorers, table, weights, u, v)
                 fold(prefix)
                 u_classes = set()
-                for hu, mask in pairs:
+                for hu, mask in group_blocks(*masks):
                     hosts = mask_hosts(mask)
                     costs = score(hu, mask)
                     assert len(costs) == len(hosts)
@@ -676,9 +710,10 @@ class TestBlockScorer:
         prefixes whose hosts have the same classes but are drawn afresh
         within them (other hosts, other waits), interleaved with the groups
         of the other draws' class tuples. Every total equals
-        ``aggregate_cost``'s, and every ``None``, for a block or (``u`` on
-        the sentinel) for a group, is confirmed by brute force. On the
-        scenario and one-class networks many groups meet a class tuple
+        ``aggregate_cost``'s. Given floors, ``skim`` goes through each
+        block alone and through the whole group (the incumbent its floor),
+        and returns the walk over the brute-forced totals each time. On
+        the scenario and one-class networks many groups meet a class tuple
         already met on other hosts; on a class per node only the reordered
         prefixes do."""
         rng = random.Random(4669)
@@ -693,7 +728,7 @@ class TestBlockScorer:
             kind = {1: "one class", n_nodes: "class per node"}.get(len(masks), "scenario")
             pairs = list(itertools.permutations(range(n_tasks), 2)) or [(0, 0)]
             for u, v in rng.sample(pairs, min(3, len(pairs))):
-                fold, score = table.block_scorer(weights, u, v)
+                fold, score, _, skim = table.group_scorer(weights, u, v)
                 others = [j for j in range(n_tasks) if j not in (u, v)]
                 stream = []
                 for _ in range(3):
@@ -710,30 +745,30 @@ class TestBlockScorer:
                     met_elsewhere[kind] += bool(met.get(classes, {hosts}) - {hosts})
                     met.setdefault(classes, set()).add(hosts)
                     free = sum(1 << h for h in range(n_nodes) if h not in hosts)
-                    group_floor = incumbent if floored else None
-                    group_bound = score(n_nodes, 0, group_floor) if u != v and floored else []
-                    blocks = [(n_nodes, free)] if u == v else [(h, free & ~(1 << h)) for h in mask_hosts(free)]
-                    totals = []
-                    for hu, mask in blocks:
+                    group = (1 << n_nodes if u == v else free, free, None)
+                    blocks = []
+                    for hu, mask in group_blocks(*group):
                         refs = [
                             aggregate_cost(
                                 wf, self.candidate(prefix, u, hu, v, h), network, weights, params, bounds, backlog
                             ).total
                             for h in mask_hosts(mask)
                         ]
-                        floor = rng.choice([incumbent, min(refs, default=0.0), rng.random()]) if floored else None
-                        got = score(hu, mask, floor)
-                        if got is None:
-                            assert floored and all(total >= floor for total in refs)
-                            skipped += 1
+                        if floored:
+                            floor = rng.choice([incumbent, min(refs), rng.random()])
+                            with listings(score) as listed:
+                                got = skim(1 << hu, mask, None, floor, math.inf)
+                            assert got == self.skimmed([(hu, mask, refs)], floor)
+                            skipped += not listed  # ruled out by its bounds
+                            scored += bool(listed)
                         else:
-                            assert got == refs
+                            assert score(hu, mask) == refs
                             scored += 1
-                        totals += refs
+                        blocks.append((hu, mask, refs))
                         leaves += len(refs)
-                    if group_bound is None:
-                        assert all(total >= group_floor for total in totals)
-                    incumbent = min([incumbent, *totals])
+                    if floored:
+                        assert skim(*group, incumbent, math.inf) == self.skimmed(blocks, incumbent)
+                    incumbent = min([incumbent, *(total for *_, refs in blocks for total in refs)])
         assert leaves > 30_000 and scored > 1_000
         if floored:
             assert skipped > 1_000
@@ -741,16 +776,17 @@ class TestBlockScorer:
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_floor_skips_only_blocks_with_no_total_below_it(self, shrink):
-        """``score(hu, mask, f)`` returns ``None`` only when every total
-        of the unfloored call is ``>= f`` as a float, and otherwise the very
-        totals of the unfloored call. The floors are each block's least
-        total, one ulp either side of it, the least total of the previous
-        block (an incumbent) and a uniform draw. On scenario networks and
-        on networks of a class per node many blocks pass the sentinel bound
-        (``score(hu, 0, f) == []``) and are ruled out by the class-wise
-        bounds, each class at the least wait of its hosts. On one class that
-        bound is the sentinel's, so a class bound that took a wait above the
-        least would skip a block with a total below the floor there."""
+        """``skim`` over one block returns it with the totals ``score``
+        lists when one of them is below the floor, and otherwise counts it,
+        listing it only when its bounds let it through. The floors are each
+        block's least total, one ulp either side of it, the least total of
+        the previous block (an incumbent) and a uniform draw. On scenario
+        networks and on networks of a class per node many blocks pass the
+        sentinel bound (``v`` on the sentinel host, brute-forced by
+        :meth:`sentinel_bound`) and are ruled out by the class-wise bounds,
+        each class at the least wait of its hosts. On one class that bound
+        is the sentinel's, so a class bound that took a wait above the least
+        would miss a block with a total below the floor there."""
         rng = random.Random(2718)
         skipped = scored = 0
         class_skipped = {"scenario": 0, "class per node": 0, "one class": 0}
@@ -761,37 +797,50 @@ class TestBlockScorer:
             kind = {1: "one class", len(network.nodes): "class per node"}.get(n_classes, "scenario")
             scorers = {}
             incumbent = math.inf
-            for prefix, u, v, pairs in self.groups(rng, wf, network):
-                fold, score = self.scorer(scorers, table, weights, u, v)
+            for prefix, u, v, masks in self.groups(rng, wf, network):
+                fold, score, _, skim = self.scorer(scorers, table, weights, u, v)
                 fold(prefix)
-                for hu, mask in pairs:
+                for hu, mask in group_blocks(*masks):
                     costs = score(hu, mask)
                     low = min(costs)
+                    bound = self.sentinel_bound(table, weights, prefix, u, hu, v)
+                    assert bound <= low
                     floors = (
                         low, math.nextafter(low, -math.inf), math.nextafter(low, math.inf),
                         incumbent, rng.random(),
                     )
                     for floor in floors:
-                        got = score(hu, mask, floor)
-                        if got is None:
-                            assert all(cost >= floor for cost in costs)
-                            skipped += 1
-                            class_skipped[kind] += score(hu, 0, floor) == []
-                        else:
-                            assert got == costs
+                        with listings(score) as listed:
+                            got = skim(1 << hu, mask, None, floor, math.inf)
+                        assert got == self.skimmed([(hu, mask, costs)], floor)
+                        if listed:
                             scored += 1
+                        else:
+                            skipped += 1
+                            class_skipped[kind] += bound < floor
                     incumbent = low
         assert skipped > 10_000 and scored > 10_000
         assert class_skipped["scenario"] > 500 and class_skipped["class per node"] > 5_000, class_skipped
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
-    def test_group_bound_is_below_every_total_of_its_group(self, shrink):
-        """With ``u`` on the sentinel host, ``score(n, 0, f)`` returns
-        ``None`` only when every total of the group is ``>= f``, and
-        ``[]`` otherwise. The bound is ``<=`` the group's least total as a
-        float: it never reaches one ulp above it. It is asked both before
-        and after the group's blocks are scored, and the blocks are scored
-        exactly either way."""
+    def test_group_bound_is_below_every_total_of_its_group(self, monkeypatch, shrink):
+        """``skim`` rules out a whole group, counting it by ``group_size``,
+        only when every total of the group is ``>= f``, and returns the walk
+        over the brute-forced totals either way. Its bound, ``u`` and ``v``
+        on the sentinel host, is ``<=`` the group's least total as a float:
+        it never rules the group out at one ulp above it. It is asked both
+        before and after the group's blocks are listed, and the blocks are
+        listed exactly either way."""
+        import qflow.costs
+
+        sized = []
+        group_size = qflow.costs.group_size
+
+        def counting_size(*masks):
+            sized.append(masks)
+            return group_size(*masks)
+
+        monkeypatch.setattr(qflow.costs, "group_size", counting_size)
         rng = random.Random(1618)
         skipped = kept = random_skipped = random_kept = leaves = clipped = 0
         for wf, network, params, weights, _, sim_time in self.decisions(rng):
@@ -801,15 +850,14 @@ class TestBlockScorer:
             backlog = backlog_at(free_at, sim_time)
             table = DecisionTable(wf, network, params, backlog)
             bounds = self.scale_bounds(table, shrink)
-            sentinel = len(network.nodes)
             scorers = {}
             incumbent = math.inf
-            for prefix, u, v, pairs in self.groups(rng, wf, network):
-                fold, score = self.scorer(scorers, table, weights, u, v)
+            for prefix, u, v, masks in self.groups(rng, wf, network):
+                fold, score, _, skim = self.scorer(scorers, table, weights, u, v)
                 fold(prefix)
-                first = score(sentinel, 0, incumbent)  # as soft_iso asks it
-                totals = []
-                for hu, mask in pairs:
+                first = skim(*masks, incumbent, math.inf)  # as soft_iso asks it
+                blocks = []
+                for hu, mask in group_blocks(*masks):
                     costs = score(hu, mask)
                     for h, cost in zip(mask_hosts(mask), costs):
                         candidate = self.candidate(prefix, u, hu, v, h)
@@ -820,24 +868,28 @@ class TestBlockScorer:
                             or ref.runtime_raw > bounds.max_task_runtime_sum
                             or ref.network_raw > bounds.max_network_sum
                         )
-                    totals += costs
-                leaves += len(totals)
-                low = min(totals)
-                assert first == [] or (first is None and low >= incumbent)
-                assert score(sentinel, 0, math.nextafter(low, math.inf)) == []
+                    blocks.append((hu, mask, costs))
+                low = min(cost for *_, costs in blocks for cost in costs)
+                leaves += sum(len(costs) for *_, costs in blocks)
+                assert first == self.skimmed(blocks, incumbent)
+
+                def ruled_out(floor):
+                    sized.clear()
+                    assert skim(*masks, floor, math.inf) == self.skimmed(blocks, floor)
+                    assert sized in ([], [masks])
+                    assert not sized or low >= floor
+                    return bool(sized)
+
+                assert not ruled_out(math.nextafter(low, math.inf))
                 for floor in (low, math.nextafter(low, -math.inf), incumbent):
-                    got = score(sentinel, 0, floor)
-                    if got is None:
-                        assert low >= floor
+                    if ruled_out(floor):
                         skipped += 1
                     else:
-                        assert got == []
                         kept += 1
-                floor = rng.random()
-                got = score(sentinel, 0, floor)
-                assert got == [] or (got is None and low >= floor)
-                random_skipped += got is None
-                random_kept += got is not None
+                if ruled_out(rng.random()):
+                    random_skipped += 1
+                else:
+                    random_kept += 1
                 incumbent = low
         assert leaves > 40_000
         assert skipped > 2_000 and kept > 2_000
@@ -899,7 +951,7 @@ class TestBlockScorer:
                 table = DecisionTable(wf, network, params, backlog)
                 for number, (prefix, u, v, *masks) in enumerate(workflow_monomorphisms(wf, network)):
                     if number == 0:
-                        fold, score, walk = table.group_scorer(weights, u, v)
+                        fold, score, walk, _ = table.group_scorer(weights, u, v)
                     fold(prefix)
                     w = max((backlog[k] for k in prefix.values()), default=0.0)
                     for hu, mask in group_blocks(*masks):
@@ -925,29 +977,45 @@ class TestBlockScorer:
     def test_walk_cuts_its_run_to_the_budget(self):
         """A walk over a whole group with the floor below every cost returns
         the run of every block, cut to the budget: the candidates counted,
-        their greatest cost and the last one, as the listing gives them."""
+        their greatest cost and the last one, as the listing gives them.
+        ``skim`` cuts its run and the block it returns alike, at floors
+        below every cost, at the least, between and above every cost."""
         rng = random.Random(2024)
         weights, params = WeightConfig(), NetworkParams()
-        cuts = 0
+        cuts = skim_cuts = 0
         for _, network, backlog in self.summary_networks(rng):
             wf = chain_workflow([5, 5, 5])
             table = DecisionTable(wf, network, params, backlog)
             for number, (prefix, u, v, hosts, leaves, links) in enumerate(workflow_monomorphisms(wf, network)):
                 if number == 0:
-                    fold, score, walk = table.group_scorer(weights, u, v)
+                    fold, score, walk, skim = table.group_scorer(weights, u, v)
                 if number % 11:
                     continue
                 fold(prefix)
-                listed = [cost for hu, mask in group_blocks(hosts, leaves, links) for cost in score(hu, mask)]
+                blocks = [(hu, mask, score(hu, mask)) for hu, mask in group_blocks(hosts, leaves, links)]
+                listed = [cost for *_, costs in blocks for cost in costs]
                 for budget in (1, rng.randint(2, len(listed)), len(listed), math.inf):
                     size = min(budget, len(listed))
                     got = walk(hosts, leaves, links, -math.inf, budget)
                     assert got == (size, max(listed[:size]), listed[size - 1], 0, 0, None)
                     cuts += size < len(listed)
-        assert cuts > 100
-
+                    for floor in (-math.inf, min(listed), (min(listed) + max(listed)) / 2, math.inf):
+                        got = skim(hosts, leaves, links, floor, budget)
+                        assert got == self.skimmed(blocks, floor, budget)
+                        skim_cuts += got[5] is not None and got[4] != next(m for h, m, _ in blocks if h == got[3])
+        assert cuts > 100 and skim_cuts > 100
 
 class TestComputeBounds:
+    def test_edge_free_workflow_takes_the_floor_as_its_network_bound(self, brisbane):
+        """A one-task workflow has no edge, so its network bound is the
+        floor even where the per-endpoint link term overflows to ``inf``
+        (zero edges times ``inf`` would be NaN)."""
+        params = NetworkParams(classical_latency=1e308)
+        wf = chain_workflow([5])
+        assert math.isinf(classical_link_cost(wf.tasks[0], params))
+        table = DecisionTable(wf, ResourceNetwork((brisbane,)), params)
+        assert table.bounds.max_network_sum == BOUND_FLOOR
+
     def test_single_pair_bounds_equal_raw_values(self, brisbane):
         from qflow.model import ResourceNetwork
 

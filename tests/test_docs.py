@@ -15,7 +15,7 @@ from qflow.experiments import ExperimentConfig
 README = Path(__file__).resolve().parents[1] / "README.md"
 # Inline calls that name no qflow callable: the scorer's returned closures
 # and a builtin.
-NOT_QFLOW = {"fold", "score", "walk", "len"}
+NOT_QFLOW = {"fold", "score", "walk", "skim", "len"}
 CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`\n]*)\)`")
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 SCHEMA = re.compile(r"^## Config file schema$.*?^```json$(.*?)^```$", re.MULTILINE | re.DOTALL)
@@ -70,9 +70,9 @@ def test_readme_signatures_match_the_code():
 
 
 def test_a_stale_or_unknown_signature_is_reported():
-    stale = "`block_scorer(weights, v)` and `breakdown(candidate, weights)`"
-    assert mismatches(stale) == ["`block_scorer(weights, v)`: the code takes (weights, u, v)"]
-    assert mismatches("`block_scorer(weights, u, v)` then `fold(prefix)`, `score(hu, mask, floor)`") == []
+    stale = "`group_scorer(weights, v)` and `breakdown(candidate, weights)`"
+    assert mismatches(stale) == ["`group_scorer(weights, v)`: the code takes (weights, u, v)"]
+    assert mismatches("`group_scorer(weights, u, v)` then `fold(prefix)`, `score(hu, mask)`") == []
     assert mismatches("`frobnicate(x)`") == ["`frobnicate(x)`: names 0 qflow callables, not one"]
 
 

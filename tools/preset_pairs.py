@@ -12,6 +12,9 @@ sides alike. A measuring process times, ``--calls`` times each:
 * the four scenario presets through ``run_experiment`` (3 repetitions of
   100 workflows each, ``measure_timing`` off), soft_iso at the preset's
   thresholds;
+* the same runs of LP-MR, SP-MR and LP-LR with soft_iso under
+  ``EXHAUSTIVE`` (stopping off, the path of ``skim``), rows named
+  ``<scenario> exhaustive``;
 * the many-class probe: three 20-node networks at link probability 0.9
   with node k's ``t1`` scaled by ``1 + 1e-6 * k``, so that every node is a
   calibration class of its own, each deciding 20 workflows of 4 (and of 5)
@@ -35,6 +38,7 @@ import time
 from pathlib import Path
 
 SCENARIOS = ("LP-MR", "LP-LR", "SP-LR", "SP-MR")
+EXHAUSTIVE_SCENARIOS = ("LP-MR", "SP-MR", "LP-LR")
 PROBE_SEEDS = (0, 1, 2)
 PROBE_WORKFLOWS = 20
 
@@ -71,8 +75,10 @@ def probe_cases():
 
 def measure(calls: int) -> dict[str, float]:
     """Median ms per soft_iso decision for each row, over ``calls`` calls."""
+    import dataclasses
+
     import qflow.allocators as alg
-    from qflow.allocators import SoftIsoConfig
+    from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
     from qflow.experiments import run_experiment, scenario_config
     from qflow.model import NetworkParams, WeightConfig
 
@@ -88,14 +94,17 @@ def measure(calls: int) -> dict[str, float]:
 
     alg.soft_iso = timed  # the simulator's allocator looks it up at each call
     rows: dict[str, list[float]] = {}
+    runs = [(name, name, {}) for name in SCENARIOS]
+    runs += [(f"{name} exhaustive", name, dataclasses.asdict(EXHAUSTIVE)) for name in EXHAUSTIVE_SCENARIOS]
     for _ in range(calls):
-        for name in SCENARIOS:
+        for row, name, soft_config in runs:
             config = scenario_config(
-                name, "soft_iso", repetitions=3, workload={"batch_size": 100}, measure_timing=False
+                name, "soft_iso", repetitions=3, workload={"batch_size": 100}, measure_timing=False,
+                soft_config=soft_config,
             )
             spent[:] = [0.0, 0]
             run_experiment(config)
-            rows.setdefault(name, []).append(1e3 * spent[0] / spent[1])
+            rows.setdefault(row, []).append(1e3 * spent[0] / spent[1])
         weights, params, config = WeightConfig(), NetworkParams(), SoftIsoConfig()
         for name, decisions in probe_cases().items():
             spent[:] = [0.0, 0]
