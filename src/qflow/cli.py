@@ -126,10 +126,12 @@ def check_inputs(config: ExperimentConfig) -> None:
         largest = TaskSpec("largest", hi, 1, 0, hi)
         for node in nodes:
             where = f"params.transmission_efficiency on profile {node.id}"
-            if not (quantum := quantum_link_cost(largest, node, config.params)) * terms < math.inf:
+            # taken with no gate too, as a run takes every task's term; only a gate adds it into a sum
+            quantum = quantum_link_cost(largest, node, config.params)
+            if terms and not quantum * terms < math.inf:
                 raise ValueError(f"the quantum link cost of a {hi}-qubit task overflows a run")
             where = "params.classical_latency"
-            if not (quantum + classical_link_cost(largest, config.params)) * terms < math.inf:
+            if terms and not (quantum + classical_link_cost(largest, config.params)) * terms < math.inf:
                 raise ValueError(f"the link cost of a {hi}-qubit task measuring every qubit overflows a run")
         where = "catalog_path"
         if config.catalog_path:

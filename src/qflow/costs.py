@@ -35,10 +35,12 @@ on the task, the node calibration and the :class:`NetworkParams`, none of
 which changes during a run. Each :class:`ResourceNetwork` therefore keeps
 them in a term cache keyed by ``(TaskSpec, NetworkParams)``. :func:`task_terms`
 evaluates a task's terms on its first use, once per calibration class of the
-network (nodes with equal calibration have equal terms), expands them to
-every node, and serves every later decision and the simulator's execution
-from the cache. A table takes its availability column (the backlog) as
-given and computes only the bounds; its edges are the workflow's skeleton.
+network (nodes with equal calibration have equal terms), in one loop that
+writes the term functions' expressions inline with the task's own factors
+taken once, so every float is theirs; it expands them to every node and
+serves every later decision and the simulator's execution from the cache.
+A table takes its availability column (the backlog) as given and computes
+only the bounds; its edges are the workflow's skeleton.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -274,20 +275,41 @@ def task_terms(tasks: Sequence[TaskSpec], network: ResourceNetwork, params: Netw
 
 
 def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams) -> TaskTerms:
-    # one evaluation per calibration class, expanded by each node's class
+    # one evaluation per calibration class, expanded by each node's class: the expressions of error_cost,
+    # runtime_cost and quantum_link_cost, the task's factors taken once as their left-to-right products
     reps, _, of_node = network.calibration_classes
-    err, run, qlink, fits = [], [], [], []
+    depth, qubits = task.depth, task.qubits
+    root, layers = math.sqrt(task.two_qubit_gates), depth * task.shots
+    weight, attenuation = params.success_probability * 10.0 * qubits, params.eta_linear ** params.switch_count
+    err, run, qlink = [], [], []
+    fits = False
     for node in reps:
-        err.append(error_cost(task, node))
-        run.append(runtime_cost(task, node))
-        qlink.append(quantum_link_cost(task, node, params))
-        fits.append(task.qubits <= node.qubits)
-    clink = classical_link_cost(task, params)
+        e = 1.0 - (
+            (1.0 - node.one_qubit_error) ** depth
+            * (1.0 - node.two_qubit_error) ** root
+            * (1.0 - node.readout_error) ** qubits
+        )
+        r = layers / node.d1cps
+        t1, t2 = node.t1, node.t2
+        q = weight * node.two_qubit_runtime / (2.0 * t1 * t2 / (t1 + t2) * attenuation)
+        err.append(e)
+        run.append(r)
+        qlink.append(q)
+        if qubits > node.qubits:
+            continue
+        if not fits:  # the maxima over the fitting classes, kept as max() keeps them
+            fits, e_max, r_max, q_max = True, e, r, q
+            continue
+        if e > e_max:
+            e_max = e
+        if r > r_max:
+            r_max = r
+        if q > q_max:
+            q_max = q
+    clink = params.classical_latency * task.measured_qubits
     # max(q) + clink is the maximum of q + clink: rounding is monotone
     all_max = (max(err), max(run), max(qlink) + clink)
-    fit_max = (
-        (max(compress(err, fits)), max(compress(run, fits)), max(compress(qlink, fits)) + clink) if any(fits) else None
-    )
+    fit_max = (e_max, r_max, q_max + clink) if fits else None
     # each row with its minimum appended -> the row per node, that minimum at index n
     expand = itemgetter(*of_node, len(reps))
     for row in err, run, qlink:

@@ -33,10 +33,12 @@ a group it rules out from the two masks with :func:`group_size`, and decode
 a leaf mask with :func:`mask_hosts` only where it needs the hosts one by one.
 
 A stream depends only on the skeleton and the domains, and decisions on one
-network meet the same few keys again and again, so the network stores a
-complete stream of at most ``REPLAY_MAX_GROUPS`` groups at its second read
-and replays it from then on. Its prefixes are snapshots that every later
-read shares, so a consumer reads a prefix and never writes it.
+network meet the same few keys again and again. So at a key's first read
+the search bounds the stream's group count from the domains and, if the
+bound is at most ``REPLAY_MAX_GROUPS``, runs once to the end into the
+network's store, which every read then replays; its prefixes are snapshots
+that every read shares, so a consumer reads a prefix and never writes it.
+A key over the bound is searched lazily at every read, no prefix copied.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ CandidateMapping = dict[int, int]
 # pattern vertices u and v: (prefix, u, v, hosts of u, leaf hosts of v,
 # links), links being the neighbour masks when v neighbours u, else None.
 MappingGroup = tuple[CandidateMapping, int, int, int, int, tuple[int, ...] | None]
-# The most groups a network stores for one stream, which bounds the memory of
-# a replay: a complete LP-LR stream of four tasks holds 16 groups in the
-# median and a few dozen at most, an LP-MR one hundreds.
+# The greatest group bound of a stream a network stores, which bounds the memory
+# of a replay: an LP-LR read of four tasks meets 17 groups in the median (bound
+# 28, at most 54 over 1,000 reads), an LP-MR one hundreds (bound 380).
 REPLAY_MAX_GROUPS = 64
 
 
@@ -148,38 +150,38 @@ def workflow_monomorphisms(workflow: Workflow, network: ResourceNetwork) -> Iter
 
     The stream is a function of the skeleton and the :func:`task_domains`,
     so the network keeps it (:attr:`ResourceNetwork.group_streams`) under
-    that key: the first read of a key only marks it, the second snapshots
-    each group and stores the list if the stream runs dry within
-    ``REPLAY_MAX_GROUPS`` groups, and every later read replays the list. A
-    stream its reader abandons is not stored, so a key is stored at the
-    first read that runs dry after the first; an empty stream is stored too.
+    that key. At the key's first read, a stream whose :func:`_group_bound`
+    is at most ``REPLAY_MAX_GROUPS`` is searched whole, each group with its
+    prefix copied, and stored, an empty one too; every read replays the
+    stored list. A key over the bound is marked and searched lazily at
+    every read.
     """
     domain = task_domains(workflow, network)
     streams = network.group_streams
     key = (workflow.skeleton, *domain)
     stored = streams.get(key)
-    if stored is None:  # the key's first read: mark it
-        streams[key] = False
-        return _groups(workflow, network, domain)
-    if stored is False:  # read before, not stored yet
-        return _recorded(_groups(workflow, network, domain), streams, key)
-    return iter(stored)
+    if stored is None:  # the key's first read: the whole stream if its bound fits, else False
+        stored = streams[key] = _group_bound(workflow, network, domain) <= REPLAY_MAX_GROUPS and [
+            (dict(group[0]), *group[1:]) for group in _groups(workflow, network, domain)
+        ]
+    return _groups(workflow, network, domain) if stored is False else iter(stored)
 
 
-def _recorded(groups: Iterator[MappingGroup], streams: dict, key: tuple) -> Iterator[MappingGroup]:
-    """``groups``, each with its prefix copied, stored under ``key`` once
-    they run dry; past ``REPLAY_MAX_GROUPS`` groups the rest pass through
-    uncopied and nothing is stored."""
-    kept = []
-    for group in groups:
-        if len(kept) == REPLAY_MAX_GROUPS:
-            yield group
-            yield from groups
-            return
-        group = (dict(group[0]), *group[1:])
-        kept.append(group)
-        yield group
-    streams[key] = kept
+def _group_bound(workflow: Workflow, network: ResourceNetwork, domain: list[int]) -> int:
+    """An upper bound on the stream's group count, one group per prefix:
+    the hosts of the first task in visit order times, per later depth of
+    the prefix, the most hosts of the task's domain that one node
+    neighbours (every task after the first has an earlier neighbour in the
+    breadth-first visit order); 1 for one or two tasks, whose prefix is
+    empty."""
+    order = _search_plan(len(workflow.tasks), workflow.skeleton)[0]
+    if len(order) <= 2:
+        return 1
+    neighbours = network.neighbour_masks
+    bound = domain[order[0]].bit_count()
+    for w in order[1:-2]:
+        bound *= max((mask & domain[w]).bit_count() for mask in neighbours)
+    return bound
 
 
 def _groups(workflow: Workflow, network: ResourceNetwork, domain: list[int]) -> Iterator[MappingGroup]:

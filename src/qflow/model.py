@@ -292,9 +292,11 @@ class ResourceNetwork:
     @cached_property
     def group_streams(self) -> dict[tuple, list | bool]:
         """The store in which :func:`qflow.matcher.workflow_monomorphisms`
-        keeps the complete group streams it replays on these nodes, keyed by
-        skeleton and task domains; kept for the network's life. Sound
-        because a stream depends only on its key and the links."""
+        keeps, keyed by skeleton and task domains, the complete group
+        streams it searched at a key's first read and replays on these
+        nodes, and ``False`` for a key whose group bound is over
+        ``REPLAY_MAX_GROUPS``; kept for the network's life. Sound because a
+        stream depends only on its key and the links."""
         return {}
 
 

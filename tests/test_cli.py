@@ -147,6 +147,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_latency_with_one_task_per_workflow_runs(self, tmp_path):
+        # one task per workflow: no gate, so no link term enters a sum
+        # (0 gates times an infinite term is no overflow)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "params": {"classical_latency": 1e308}, "workload": {"tasks_per_group": 1, "tasks_per_group_min": 1},
+        }))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--reps", "1", "--out", str(out)]) == 0
+        for name in ("results.csv", "qpu_shares.csv", "summary.json"):
+            assert (out / name).exists()
+
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["--frobnicate"]) == 1
 

@@ -74,6 +74,37 @@ def assert_fresh(table, wf, network, params, backlog):
     assert table.bounds == bounds
 
 
+def fresh_maxima(task, network, params):
+    """A task's (error, runtime, quantum plus classical link) maxima over
+    the nodes that fit its qubits, ``None`` when none does, and over every
+    node, evaluated afresh from the term functions."""
+    clink = classical_link_cost(task, params)
+
+    def maxima(nodes):
+        return (
+            max(error_cost(task, n) for n in nodes),
+            max(runtime_cost(task, n) for n in nodes),
+            max(quantum_link_cost(task, n, params) + clink for n in nodes),
+        )
+
+    fitting = [n for n in network.nodes if task.qubits <= n.qubits]
+    return maxima(fitting) if fitting else None, maxima(network.nodes)
+
+
+def random_params(rng):
+    """Link parameters drawn from ``rng``: success probability 0, 1 or
+    between, 0 to 4 switches, an efficiency in dB or linear, and a
+    classical latency of 0 or between 0 and 0.1."""
+    in_db = rng.random() < 0.5
+    return NetworkParams(
+        success_probability=rng.choice([0.0, 1.0, rng.random()]),
+        transmission_efficiency=rng.uniform(-6.0, 0.0) if in_db else rng.uniform(0.2, 1.5),
+        switch_count=rng.randint(0, 4),
+        classical_latency=rng.choice([0.0, rng.uniform(0.0, 0.1)]),
+        eta_in_db=in_db,
+    )
+
+
 def decimal_error(e1: str, e2: str, er: str, depth: int, g2: int, qubits: int) -> Decimal:
     """Independent 50-digit evaluation of the execution-error formula."""
     survival = (
@@ -459,7 +490,12 @@ class TestTermCache:
             success_probability=0.9, transmission_efficiency=-3.0, eta_in_db=True,
             switch_count=2, classical_latency=0.05,
         )
-        tables = 0
+        # seeded random link parameters reach every factor _task_terms takes
+        # once per task: a success probability of 0 and 1, 0 to 4 switches,
+        # efficiencies in dB and linear, and no classical latency
+        draw = random.Random(809)
+        drawn = []
+        tables = homeless_terms = 0
         for workflows, network in self.networks(rng):
             self.assert_classes(network)
             allocator = make_allocator("soft_iso", WeightConfig(), run_params, SoftIsoConfig(counter_cap_base=2))
@@ -470,19 +506,29 @@ class TestTermCache:
             homeless = dataclasses.replace(
                 workflows[0], tasks=tuple(dataclasses.replace(t, qubits=biggest + 1) for t in workflows[0].tasks)
             )
-            for params in (run_params, other_params, run_params):
+            drawn[len(drawn):] = random_params(draw), random_params(draw)
+            for i, params in enumerate((run_params, other_params, run_params, *drawn[-2:])):
+                # a drawn set takes its backlogs from its own generator, so every other draw stays
+                times = rng if i < 3 else draw
                 for wf in [*workflows, homeless]:
-                    backlog = backlog_at(state.free_at, rng.uniform(0.0, state.clock + 1.0))
+                    backlog = backlog_at(state.free_at, times.uniform(0.0, state.clock + 1.0))
                     table = DecisionTable(wf, network, params, backlog)
                     assert_fresh(table, wf, network, params, backlog)
                     assert all(type(row) is tuple for row in (*table.err, *table.run, *table.qlink))
                     again = DecisionTable(wf, network, params, backlog)
                     assert all(a is b for a, b in zip(again.err, table.err))  # read, not re-evaluated
+                    for task, terms in zip(wf.tasks, task_terms(wf.tasks, network, params)):
+                        assert (terms.fit_max, terms.all_max) == fresh_maxima(task, network, params)
+                        homeless_terms += terms.fit_max is None
                     tables += 1
             distinct = {t for wf in [*workflows, homeless] for t in wf.tasks}
             assert len(network.term_caches[run_params]) <= len(distinct)
             assert len(network.term_caches[other_params]) <= len(distinct)
-        assert tables > 500
+        assert tables > 500 and homeless_terms > 100
+        assert {p.success_probability for p in drawn} >= {0.0, 1.0}
+        assert {p.switch_count for p in drawn} == {0, 1, 2, 3, 4}
+        assert {p.eta_in_db for p in drawn} == {False, True}
+        assert 0.0 in {p.classical_latency for p in drawn}
 
     def test_task_spec_hash_keys_one_entry_per_equal_spec(self):
         network = make_network([5, 9, 9], [(0, 1), (1, 2)])

@@ -10,6 +10,7 @@ from qflow import allocators, matcher
 from qflow.allocators import EXHAUSTIVE, SoftIsoConfig, soft_iso
 from qflow.matcher import (
     REPLAY_MAX_GROUPS,
+    _group_bound,
     _groups,
     _search_plan,
     group_blocks,
@@ -469,10 +470,16 @@ def stream_key(wf, network):
     return (wf.skeleton, *task_domains(wf, network))
 
 
+def searched(wf, network):
+    """The live search of the workflow's stream, past the network's store."""
+    return _groups(wf, network, task_domains(wf, network))
+
+
 class TestReplay:
-    """A network stores a stream at its second read if it runs dry within
-    ``REPLAY_MAX_GROUPS`` groups, and replays it from then on; no consumer
-    can tell the reads apart."""
+    """A network stores a stream at its first read if its group bound is
+    within ``REPLAY_MAX_GROUPS``, and replays it from then on; a key over
+    the bound is searched lazily at every read. No consumer can tell the
+    reads apart."""
 
     @staticmethod
     def instances():
@@ -483,31 +490,40 @@ class TestReplay:
                 for wf in workflows:
                     yield wf, network
 
-    def test_fresh_recording_and_replayed_reads_are_equal(self, monkeypatch):
+    @staticmethod
+    def fits(wf, network, limit=REPLAY_MAX_GROUPS):
+        return _group_bound(wf, network, task_domains(wf, network)) <= limit
+
+    def test_fresh_first_and_replayed_reads_are_equal(self, monkeypatch):
         weights, params = WeightConfig(), NetworkParams()
         stored = {"one-task": 0, "empty": 0, "longer": 0, "long": 0}
         for wf, network in self.instances():
             network.group_streams.clear()
             key = stream_key(wf, network)
-            fresh, recording = [], []
-            unrolled_blocks(spied(workflow_monomorphisms(wf, network), fresh))  # the live search
-            assert network.group_streams[key] is False
-            # soft_iso reads the whole stream when nothing stops it
+            fresh = [described(group) for group in searched(wf, network)]  # the live search
             live = allocators.workflow_monomorphisms
-            monkeypatch.setattr(allocators, "workflow_monomorphisms", lambda w, n: spied(live(w, n), recording))
-            first = soft_iso(wf, network, weights, params, EXHAUSTIVE)
+            monkeypatch.setattr(allocators, "workflow_monomorphisms", searched)
+            live_outcome = soft_iso(wf, network, weights, params, EXHAUSTIVE)
+            assert key not in network.group_streams
+            # soft_iso reads the whole stream when nothing stops it
+            first = []
+            monkeypatch.setattr(allocators, "workflow_monomorphisms", lambda w, n: spied(live(w, n), first))
+            outcome = soft_iso(wf, network, weights, params, EXHAUSTIVE)
             monkeypatch.setattr(allocators, "workflow_monomorphisms", live)
+            entry = network.group_streams[key]
+            # stored at the first read exactly when the bound fits
+            assert isinstance(entry, list) == self.fits(wf, network)
             replayed = [described(group) for group in workflow_monomorphisms(wf, network)]
-            assert fresh == recording and fresh[-1] == "dry"
-            assert replayed == fresh[:-1]
-            if len(replayed) > REPLAY_MAX_GROUPS:
-                assert network.group_streams[key] is False
+            assert first == [*fresh, "dry"]
+            assert replayed == fresh and outcome == live_outcome
+            if entry is False:
+                assert len(wf.tasks) > 2 and network.group_streams[key] is False
                 stored["long"] += 1
                 continue
-            assert [described(group) for group in network.group_streams[key]] == replayed
+            assert [described(group) for group in entry] == replayed
             # a replay scores as the live search did, and leaves the stored list as it was
             again = soft_iso(wf, network, weights, params, EXHAUSTIVE)
-            assert again == first
+            assert again == live_outcome
             assert [described(group) for group in network.group_streams[key]] == replayed
             stored["one-task" if len(wf.tasks) == 1 else "empty" if not replayed else "longer"] += 1
         assert stored["one-task"] >= 1 and stored["empty"] >= 20 and stored["longer"] >= 100 and stored["long"] >= 4
@@ -518,7 +534,7 @@ class TestReplay:
         path = make_network([5, 3, 5, 5, 3, 5], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)])
         patterns = [pattern_workflow(3, [(0, 1), (1, 2)], q) for q in itertools.product([1, 3, 5], repeat=3)]
         for network in (k6, path):
-            expected = [[described(g) for g in _groups(wf, network, task_domains(wf, network))] for wf in patterns]
+            expected = [[described(g) for g in searched(wf, network)] for wf in patterns]
             assert len({repr(e) for e in expected}) > 5
             for _ in range(3):
                 for wf, groups in zip(patterns, expected):
@@ -526,7 +542,7 @@ class TestReplay:
             assert len(network.group_streams) == len({stream_key(wf, network) for wf in patterns})
             assert all(isinstance(entry, list) for entry in network.group_streams.values())
 
-    def test_abandoned_streams_are_not_stored(self, monkeypatch):
+    def test_an_abandoned_first_read_stores_the_complete_stream(self, monkeypatch):
         weights, params = WeightConfig(), NetworkParams()
         configs = (SoftIsoConfig(), SoftIsoConfig(thres_max=math.inf, thres_prev=math.inf, counter_cap_base=2.0))
         live = allocators.workflow_monomorphisms
@@ -534,40 +550,77 @@ class TestReplay:
         for config in configs:
             for wf, network in self.instances():
                 if len(wf.tasks) > 3 and len(network.nodes) > 10:
-                    continue  # LP-MR: too long to store in any case
+                    continue  # LP-MR: over the bound in any case
                 network.group_streams.clear()
                 key = stream_key(wf, network)
-                dry = []
-                for _ in range(3):
+                fresh = [described(group) for group in searched(wf, network)]
+                monkeypatch.setattr(allocators, "workflow_monomorphisms", searched)
+                outcomes = [soft_iso(wf, network, weights, params, config)]  # the live search's
+                for read in range(3):
                     seen = []
                     monkeypatch.setattr(allocators, "workflow_monomorphisms", lambda w, n: spied(live(w, n), seen))
-                    outcome = soft_iso(wf, network, weights, params, config)
-                    ran_dry = seen[-1:] == ["dry"]
-                    dry.append(ran_dry and len(seen) <= REPLAY_MAX_GROUPS + 1)
+                    outcomes.append(soft_iso(wf, network, weights, params, config))
+                    groups = [group for group in seen if group != "dry"]
+                    assert groups == fresh[: len(groups)]
                     entry = network.group_streams[key]
-                    # stored once a read after the first runs dry within the limit, and never else
-                    assert isinstance(entry, list) == any(dry[1:])
-                    if not ran_dry:
-                        budget = outcome.candidates_examined == config.cap(len(wf.tasks))
-                        cuts["budget" if budget else "stop rule"] += 1
-                cuts["dry"] += dry[-1]
+                    # the whole stream, however far the first read went, and never one over the bound
+                    assert isinstance(entry, list) == self.fits(wf, network)
+                    if entry is not False:
+                        assert [described(group) for group in entry] == fresh
+                    if read:
+                        continue
+                    if seen[-1:] == ["dry"]:
+                        cuts["dry"] += 1
+                    else:
+                        budget = outcomes[-1].candidates_examined == config.cap(len(wf.tasks))
+                        cuts["budget" if budget else "stop rule"] += entry is not False
+                assert outcomes[1] == outcomes[2] == outcomes[3] == outcomes[0]
         assert min(cuts.values()) >= 20
 
-    def test_streams_longer_than_the_limit_are_not_stored(self, monkeypatch):
+    def test_keys_over_the_bound_are_never_stored(self, monkeypatch):
         monkeypatch.setattr(matcher, "REPLAY_MAX_GROUPS", 3)
-        lengths = set()
+        lengths, kept = set(), {True: 0, False: 0}
         for wf, network in TestGroupStream.patterns():
             network.group_streams.clear()
             key = stream_key(wf, network)
-            reads = [[described(g) for g in workflow_monomorphisms(wf, network)] for _ in range(3)]
-            assert reads[0] == reads[1] == reads[2]
+            fresh = [described(g) for g in searched(wf, network)]
+            reads, prefixes = [], []
+            for _ in range(3):
+                # a live prefix is valid only until the next group: describe each as it is read
+                read = [(described(g), g[0]) for g in workflow_monomorphisms(wf, network)]
+                reads.append([d for d, _ in read])
+                prefixes.append([prefix for _, prefix in read])
+            assert reads[0] == reads[1] == reads[2] == fresh
             entry = network.group_streams[key]
-            if len(reads[0]) > 3:
-                assert entry is False
-            else:
-                assert [described(g) for g in entry] == reads[0]
-            lengths.add(min(len(reads[0]), 4))
-        assert lengths == {0, 1, 2, 3, 4}
+            fits = self.fits(wf, network, 3)
+            assert isinstance(entry, list) == fits
+            kept[fits] += 1
+            if fits:
+                # every read replays the stored snapshots
+                assert [described(g) for g in entry] == fresh
+                assert all(p is g[0] for read in prefixes for p, g in zip(read, entry, strict=True))
+            elif fresh:
+                # each read yields its own search's live mapping, no copy
+                assert all(p is read[0] for read in prefixes for p in read)
+                assert len({id(read[0]) for read in prefixes}) == 3
+            lengths.add(min(len(fresh), 4))
+        assert lengths == {0, 1, 2, 3, 4} and min(kept.values()) >= 20
+
+    def test_the_bound_is_never_below_the_group_count(self):
+        rng = random.Random(505)
+        instances = [random_small_instance(rng, max_tasks=5, max_nodes=8)[:2] for _ in range(300)]
+        for scenario in ("LP-LR", "LP-MR"):
+            for seed in range(3):
+                workflows, network, _ = scenario_instances(scenario, seed, 10)
+                instances += [(wf, network) for wf in workflows]
+        tight = 0
+        for wf, network in instances:
+            domain = task_domains(wf, network)
+            groups = sum(1 for _ in _groups(wf, network, domain))
+            bound = _group_bound(wf, network, domain)
+            assert bound >= groups
+            tight += bound == groups > 0
+        assert {len(wf.tasks) for wf, _ in instances} == {1, 2, 3, 4, 5} and tight >= 20
 
     def test_exhaustive_lp_mr_decisions_store_no_stream(self):
         weights, params = WeightConfig(), NetworkParams()

@@ -270,11 +270,13 @@ class TestFailuresAndRetries:
                 outcome = allocator(workflow, net, backlog)
                 key = (workflow.skeleton, *matcher.task_domains(workflow, net))
                 decisions.append((workflow.id, outcome, net.group_streams.get(key)))
+                keys[workflow.id] = key
                 return outcome
 
             state = run_simulation(workload, network, call, config.params, config.retry_limit)
             return state, decisions
 
+        keys = {}
         searches.clear()
         state, decisions = run(forget=False)
         memo_searches = list(searches)
@@ -288,8 +290,14 @@ class TestFailuresAndRetries:
         for wf in state.failed:
             attempts = [entry for wf_id, _, entry in decisions if wf_id == wf.id]
             assert len(attempts) == config.retry_limit + 1
-            assert attempts[1:] == [[]] * config.retry_limit  # stored at the second attempt at the latest
-            assert memo_searches.count(wf.id) <= 2 and searches.count(wf.id) == config.retry_limit + 1
+            assert attempts == [[]] * (config.retry_limit + 1)  # stored at the first attempt
+            assert searches.count(wf.id) == config.retry_limit + 1
+        # each key is searched once, at its first read: the three share one
+        # key, so the first of them is searched once and the others never
+        assert len(set(memo_searches)) == len(memo_searches) == len(set(keys.values()))
+        failed = [wf.id for wf in state.failed]
+        assert len({keys[wf_id] for wf_id in failed}) == 1
+        assert [memo_searches.count(wf_id) for wf_id in sorted(failed)] == [1, 0, 0]
 
     def test_completion_accounting_partitions_tasks(self):
         rng = random.Random(3)

@@ -20,10 +20,13 @@ sides alike. A measuring process times, ``--calls`` times each:
   calibration class of its own, each deciding 20 workflows of 4 (and of 5)
   tasks at the preset thresholds against a seeded random backlog.
 
-A call's figure is the summed time of its soft_iso calls over their number,
-in ms per decision; a process reports the median of its calls. The script
-prints each pair and, per row, the median over pairs, the change and the
-number of pairs the new tree won.
+A call gives two figures per row: the summed time of its soft_iso calls
+over their number (the mean, in ms per decision) and the 90th percentile of
+their times (the p90, in ms), so that a tail claim on the preset paths,
+which no perfbench workload runs, can be checked in process. A process
+reports the median of each over its calls. The script prints each pair and,
+per row and figure, the median over pairs, the change and the number of
+pairs the new tree won.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ def probe_cases():
     return cases
 
 
-def measure(calls: int) -> dict[str, float]:
-    """Median ms per soft_iso decision for each row, over ``calls`` calls."""
+def measure(calls: int) -> dict[str, list[float]]:
+    """For each row, the median over ``calls`` calls of the mean ms per
+    soft_iso decision and of the 90th percentile of its decision times."""
     import dataclasses
 
     import qflow.allocators as alg
@@ -83,17 +87,19 @@ def measure(calls: int) -> dict[str, float]:
     from qflow.model import NetworkParams, WeightConfig
 
     soft_iso = alg.soft_iso
-    spent = [0.0, 0]
+    spent: list[float] = []
 
     def timed(*args, **kwargs):
         started = time.perf_counter()
         outcome = soft_iso(*args, **kwargs)
-        spent[0] += time.perf_counter() - started
-        spent[1] += 1
+        spent.append(time.perf_counter() - started)
         return outcome
 
+    def figures() -> tuple[float, float]:
+        return 1e3 * sum(spent) / len(spent), 1e3 * statistics.quantiles(spent, n=10)[-1]
+
     alg.soft_iso = timed  # the simulator's allocator looks it up at each call
-    rows: dict[str, list[float]] = {}
+    rows: dict[str, list[tuple[float, float]]] = {}
     runs = [(name, name, {}) for name in SCENARIOS]
     runs += [(f"{name} exhaustive", name, dataclasses.asdict(EXHAUSTIVE)) for name in EXHAUSTIVE_SCENARIOS]
     for _ in range(calls):
@@ -102,19 +108,19 @@ def measure(calls: int) -> dict[str, float]:
                 name, "soft_iso", repetitions=3, workload={"batch_size": 100}, measure_timing=False,
                 soft_config=soft_config,
             )
-            spent[:] = [0.0, 0]
+            spent.clear()
             run_experiment(config)
-            rows.setdefault(row, []).append(1e3 * spent[0] / spent[1])
+            rows.setdefault(row, []).append(figures())
         weights, params, config = WeightConfig(), NetworkParams(), SoftIsoConfig()
         for name, decisions in probe_cases().items():
-            spent[:] = [0.0, 0]
+            spent.clear()
             for network, wf, backlog in decisions:
                 timed(wf, network, weights, params, config, backlog)
-            rows.setdefault(name, []).append(1e3 * spent[0] / spent[1])
-    return {name: statistics.median(values) for name, values in rows.items()}
+            rows.setdefault(name, []).append(figures())
+    return {name: [statistics.median(column) for column in zip(*values)] for name, values in rows.items()}
 
 
-def run_tree(src: Path, calls: int) -> dict[str, float]:
+def run_tree(src: Path, calls: int) -> dict[str, list[float]]:
     env = {**os.environ, "PYTHONPATH": str(src)}
     command = [sys.executable, __file__, "--measure", "--calls", str(calls)]
     done = subprocess.run(command, env=env, check=True, capture_output=True, text=True)
@@ -142,14 +148,21 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} ({' then '.join(order)}):")
         for name, base in pair["base"].items():
             new = pair["new"][name]
-            print(f"  {name:18} {base:9.4f} -> {new:9.4f} ms/decision ({100 * (new / base - 1):+.1f}%)")
+            print(f"  {name:18} {change(base[0], new[0], 'ms/decision')}, p90 {change(base[1], new[1], 'ms')}")
     print("medians over pairs:")
     for name in pairs[0]["base"]:
-        base = statistics.median(p["base"][name] for p in pairs)
-        new = statistics.median(p["new"][name] for p in pairs)
-        won = sum(p["new"][name] < p["base"][name] for p in pairs)
-        print(f"  {name:18} {base:9.4f} -> {new:9.4f} ms/decision ({100 * (new / base - 1):+.1f}%, won {won} of {len(pairs)})")
+        cells = []
+        for k, unit in (0, "ms/decision"), (1, "ms"):  # the mean, then the p90
+            base = statistics.median(p["base"][name][k] for p in pairs)
+            new = statistics.median(p["new"][name][k] for p in pairs)
+            won = sum(p["new"][name][k] < p["base"][name][k] for p in pairs)
+            cells.append(change(base, new, unit, f", won {won} of {len(pairs)}"))
+        print(f"  {name:18} {cells[0]}, p90 {cells[1]}")
     return 0
+
+
+def change(base: float, new: float, unit: str, won: str = "") -> str:
+    return f"{base:9.4f} -> {new:9.4f} {unit} ({100 * (new / base - 1):+.1f}%{won})"
 
 
 if __name__ == "__main__":
