@@ -207,7 +207,8 @@ def random_aware(
     candidate pool runs empty counts as an infeasible trial.
 
     A trial draws each task from the network's :meth:`~ResourceNetwork.qubit_mask`
-    for its qubit count less the nodes used so far, listed ascending. Only
+    for its qubit count less the nodes used so far, listed ascending once
+    per network, at the mask's first read (:attr:`~ResourceNetwork.host_tuples`). Only
     trials that satisfy the constraint are scored, by the
     :meth:`DecisionTable.breakdown` of one per-decision table, which also
     supplies the normalization bounds and is built at the first such trial,
@@ -218,6 +219,7 @@ def random_aware(
     tasks = workflow.tasks
     order = sorted(range(len(tasks)), key=lambda j: (tasks[j].qubits, j))
     fits = [(j, network.qubit_mask(tasks[j].qubits)) for j in order]
+    pools = network.host_tuples
     table = None
 
     mincost = math.inf
@@ -229,7 +231,8 @@ def random_aware(
         assignment: dict[int, int] = {}
         used = 0
         for j, fit in fits:
-            pool = mask_hosts(fit & ~used)
+            if (pool := pools.get(free := fit & ~used)) is None:
+                pool = pools[free] = tuple(mask_hosts(free))
             if not pool:
                 break
             pick = rng.choice(pool)

@@ -14,8 +14,9 @@ Normalization divides each raw component by a per-decision upper bound
 comparable under lazy enumeration with early stopping.
 
 :func:`aggregate_cost` is the reference objective and returns every
-component. :class:`DecisionTable` holds one decision's terms; the
-normalization bounds are read off it. Its :meth:`~DecisionTable.breakdown`
+component as a :class:`CostBreakdown`, a named tuple.
+:class:`DecisionTable` holds one decision's terms; the normalization bounds
+are read off it. Its :meth:`~DecisionTable.breakdown`
 returns a candidate's breakdown and its group scorer the totals of a group
 of candidates that differ in the hosts of two tasks, each equal as a float
 to ``aggregate_cost(...)``'s: the rest of the candidate is added up once
@@ -61,9 +62,8 @@ SUMMARY_MIN_HOSTS = 8
 SUMMARY_HOSTS_PER_CLASS = 2
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Raw and normalized cost components of one candidate assignment."""
+class CostBreakdown(NamedTuple):
+    """Raw and normalized cost components of one candidate assignment (a named tuple: immutable, cheap to build)."""
 
     availability_raw: float
     error_raw: float
@@ -86,9 +86,13 @@ class NormalizationBounds:
     max_network_sum: float
 
     def __post_init__(self):
-        for name in ("max_nat", "max_task_error_sum", "max_task_runtime_sum", "max_network_sum"):
-            if not getattr(self, name) > 0:  # NaN too
-                raise ValueError(f"{name} must be > 0 (apply the {BOUND_FLOOR} floor)")
+        if not (
+            self.max_nat > 0 and self.max_task_error_sum > 0 and self.max_task_runtime_sum > 0
+            and self.max_network_sum > 0
+        ):  # NaN too; the loop only names the field that failed
+            for name in ("max_nat", "max_task_error_sum", "max_task_runtime_sum", "max_network_sum"):
+                if not getattr(self, name) > 0:
+                    raise ValueError(f"{name} must be > 0 (apply the {BOUND_FLOOR} floor)")
 
 
 def error_cost(task: TaskSpec, node: QpuNode) -> float:
@@ -231,17 +235,7 @@ def _normalized(
     total = weights.zeta * a_norm + (1.0 - weights.zeta) * (
         weights.alpha * e_norm + weights.beta * r_norm + weights.gamma * n_norm
     )
-    return CostBreakdown(
-        availability_raw=availability,
-        error_raw=err,
-        runtime_raw=runtime,
-        network_raw=net,
-        availability=a_norm,
-        error=e_norm,
-        runtime=r_norm,
-        network=n_norm,
-        total=total,
-    )
+    return CostBreakdown(availability, err, runtime, net, a_norm, e_norm, r_norm, n_norm, total)
 
 
 class TaskTerms(NamedTuple):
@@ -339,7 +333,8 @@ class DecisionTable:
     network's term caches (:attr:`ResourceNetwork.term_caches`), keyed by
     ``(NetworkParams, TaskSpec)``: one :class:`TaskTerms` per distinct
     task. Only the bounds (maxima of the per-task maxima, the same floats as
-    maxima over the pairs) are computed per decision.
+    maxima over the pairs, kept as ``max()`` keeps them) are computed per
+    decision, in the one pass over the task terms that collects the rows.
     """
 
     def __init__(
@@ -351,14 +346,32 @@ class DecisionTable:
     ):
         if backlog is not None and len(backlog) != len(network.nodes):
             raise ValueError(f"backlog has {len(backlog)} entries for {len(network.nodes)} nodes")
-        err, run, qlink, clink, fit_max, all_max = zip(*task_terms(workflow.tasks, network, params))
-        self.err, self.run, self.qlink, self.clink = list(err), list(run), list(qlink), list(clink)
+        terms = task_terms(workflow.tasks, network, params)
+        self.err, self.run, self.qlink, self.clink = err, run, qlink, clink = [], [], [], []
         self.avail = [0.0] * len(network.nodes) if backlog is None else backlog
         self.edges = workflow.skeleton
         self.classes = network.calibration_classes
 
-        worst = [m for m in fit_max if m is not None] or all_max
-        max_err, max_run, max_net = map(max, zip(*worst))
+        max_err = None
+        for err_j, run_j, qlink_j, clink_j, fit_max, _ in terms:
+            err.append(err_j)
+            run.append(run_j)
+            qlink.append(qlink_j)
+            clink.append(clink_j)
+            if fit_max is None:
+                continue
+            if max_err is None:  # the maxima over the tasks that fit, kept as max() keeps them
+                max_err, max_run, max_net = fit_max
+                continue
+            e, r, q = fit_max
+            if e > max_err:
+                max_err = e
+            if r > max_run:
+                max_run = r
+            if q > max_net:
+                max_net = q
+        if max_err is None:  # no task fits any node: the maxima over all pairs
+            max_err, max_run, max_net = map(max, zip(*(t.all_max for t in terms)))
         n_tasks = len(err)
         self.bounds = NormalizationBounds(
             max_nat=max(max(self.avail, default=0.0), BOUND_FLOOR),
@@ -471,7 +484,8 @@ class DecisionTable:
         rest = 1.0 - zeta
         n = len(self.avail)
         max_nat = bounds.max_nat
-        wait = [zeta * (1.0 if (x := a / max_nat) > 1.0 else x) for a in self.avail]
+        # a negative or NaN entry (not first) waits 0.0, as the availability maxima from 0.0 read it
+        wait = [zeta * (1.0 if (x := a / max_nat) > 1.0 else x if x > 0.0 else 0.0) for a in self.avail]
         wait.append(min(wait))  # the sentinel host, as in the term rows
         _, masks, of_node = self.classes
         sentinel = len(masks)  # the sentinel host's class
@@ -653,8 +667,8 @@ class DecisionTable:
 def _clip01(x: float) -> float:
     # No lower clip: every raw sum is >= 0 (error terms are 1 - survival,
     # runtimes > 0, link terms >= 0, availability starts at 0.0) and every
-    # bound is > 0. A negative backlog entry gives the group scorer a negative
-    # wait, which each total reads as max(wait[h], wu) with wu >= 0.0. The
-    # upper clip stays: under a caller's bounds, aggregate_cost's sums can
-    # exceed them.
+    # bound is > 0. The group scorer gives a negative or NaN backlog entry a
+    # wait of 0.0, as the availability maxima, which start at 0.0, read it
+    # (a leading NaN is refused by the bounds). The upper clip stays: under
+    # a caller's bounds, aggregate_cost's sums can exceed them.
     return 1.0 if x > 1.0 else x

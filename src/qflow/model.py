@@ -16,8 +16,9 @@ them once and holds them as plain attributes (``skeleton``,
 ``topological_order``, ``neighbour_masks``, ``degree_masks``, ``dfs_order``);
 the neighbour bitmasks answer the link half of :func:`mapping_feasible`, as
 they do for the matcher's search. A network also keeps the hosts with at
-least q qubits per count q (:meth:`ResourceNetwork.qubit_mask`), filled at
-each count's first read.
+least q qubits per count q (:meth:`ResourceNetwork.qubit_mask`) and the
+hosts of a bitmask as a tuple (:attr:`ResourceNetwork.host_tuples`), each
+filled at its key's first read.
 """
 
 from __future__ import annotations
@@ -280,6 +281,14 @@ class ResourceNetwork:
         if mask is None:  # a mask of 0 is kept too, not recomputed
             mask = self._qubit_masks[qubits] = sum(1 << k for k, node in enumerate(self.nodes) if node.qubits >= qubits)
         return mask
+
+    @cached_property
+    def host_tuples(self) -> dict[int, tuple[int, ...]]:
+        """Per host bitmask, its hosts ascending as a tuple
+        (``tuple(mask_hosts(mask))``), stored by
+        :func:`qflow.allocators.random_aware` at the mask's first read and
+        kept for the network's life."""
+        return {}
 
     @cached_property
     def term_caches(self) -> dict[NetworkParams, dict]:

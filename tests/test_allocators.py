@@ -20,6 +20,7 @@ from qflow.allocators import (
 from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
 from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
 from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, neighbour_lists, validate_allocation
+from qflow.simulation import make_allocator, run_simulation
 
 from .conftest import (
     backlog_at,
@@ -648,6 +649,43 @@ class TestRandomAware:
             if outcome.succeeded:
                 assert validate_allocation(wf, net, outcome.allocation)
 
+    def test_pools_are_read_from_the_network_host_tuple_store(self, monkeypatch):
+        """A network lists each pool mask's hosts once: its store holds
+        exactly the masks the draws read, each as ``tuple(mask_hosts(mask))``,
+        and a later read returns the same tuple. A pool is ``fit & ~used``
+        with fewer than T nodes used (T the most tasks of a workflow), so the
+        store holds at most (distinct qubit masks read) x sum_{k<T} C(N, k)
+        entries: after 3 x 100 LP-MR workflows on one 20-node network, where
+        every node fits every task (one mask) and T is 4, 960 of 1,351."""
+
+        class Reads(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        read, listed = set(), []
+
+        def listing(mask):
+            listed.append(mask)
+            return mask_hosts(mask)
+
+        monkeypatch.setattr(allocators, "mask_hosts", listing)
+        network = scenario_instances("LP-MR", 0, 1)[1]
+        network.__dict__["host_tuples"] = store = Reads()  # the cached_property's slot
+        seen, most_tasks = {}, 0
+        for seed in range(3):
+            workflows = scenario_instances("LP-MR", seed, 100)[0]
+            most_tasks = max(most_tasks, *(len(wf.tasks) for wf in workflows))
+            allocator = make_allocator("random_aware", WEIGHTS, PARAMS, base_seed=seed)
+            assert run_simulation(workflows, network, allocator, PARAMS, retry_limit=0).completed
+            assert all(store[mask] is pool for mask, pool in seen.items())  # kept, not listed again
+            seen = dict(store)
+        assert set(store) == read and listed == list(store)
+        assert all(pool == tuple(mask_hosts(mask)) for mask, pool in store.items())
+        fits = set(network._qubit_masks.values())  # the distinct qubit masks read
+        bound = len(fits) * sum(math.comb(len(network.nodes), k) for k in range(most_tasks))
+        assert (len(store), bound) == (960, 1_351)
+
 
 def reference_random_aware(workflow, network, weights, params, rng_seed, backlog, trial_multiplier):
     """random_aware's trial loop scoring every trial with aggregate_cost and
@@ -863,6 +901,14 @@ class TestGreedyDfs:
 
 
 class TestNegativeBacklog:
+    configs = (SoftIsoConfig(), SoftIsoConfig(strict_pseudocode=True), THRESHOLDS_OFF, EXHAUSTIVE)
+
+    @staticmethod
+    def observed(outcome):
+        allocation = outcome.allocation
+        placement = allocation and (list(allocation.assignment.items()), allocation.cost_breakdown)
+        return placement, outcome.candidates_examined, outcome.incumbent_costs
+
     def test_negative_entries_score_as_idle_nodes(self):
         """A caller's negative backlog entry scores as 0.0: soft_iso (the
         presets, plain and strict, with the thresholds off and exhaustively)
@@ -871,25 +917,51 @@ class TestNegativeBacklog:
         clip no value below 0: each total reads ``max(wait[h], wu)`` with
         ``wu >= 0.0``, and the availability sums start at 0.0."""
         rng = random.Random(4242)
-        configs = (SoftIsoConfig(), SoftIsoConfig(strict_pseudocode=True), THRESHOLDS_OFF, EXHAUSTIVE)
-
-        def observed(outcome):
-            allocation = outcome.allocation
-            placement = allocation and (list(allocation.assignment.items()), allocation.cost_breakdown)
-            return placement, outcome.candidates_examined, outcome.incumbent_costs
-
+        observed = self.observed
         placed = 0
         for _ in range(400):
             wf, net, _ = random_small_instance(rng)
             backlog = [rng.uniform(-3.0, 3.0) for _ in net.nodes]
             raised = [max(x, 0.0) for x in backlog]
-            for config in configs:
+            for config in self.configs:
                 got, want = (soft_iso(wf, net, WEIGHTS, PARAMS, config, b) for b in (backlog, raised))
                 assert observed(got) == observed(want)
             got, want = (exhaustive_oracle(wf, net, WEIGHTS, PARAMS, b) for b in (backlog, raised))
             assert observed(got) == observed(want)
             placed += got.succeeded
         assert placed > 150
+
+    def test_nan_entries_after_the_first_score_as_idle_nodes(self):
+        """A NaN backlog entry other than the first (a first one is refused)
+        reads as no wait, as ``max()`` reads it in the availability bound:
+        soft_iso under every config, random_aware and the oracle return
+        what they return with the NaN entries set to 0.0. The scenario
+        networks share calibration classes, so the bounded path orders a
+        class's hosts by wait, which a NaN key would leave unsorted."""
+        rng = random.Random(4243)
+        observed = self.observed
+        instances = [random_small_instance(rng)[:2] for _ in range(200)]
+        for scenario in ("SP-MR", "LP-LR"):
+            for seed in range(2):
+                workflows, network, _ = scenario_instances(scenario, seed, 25)
+                instances += [(wf, network) for wf in workflows]
+        placed = one_task = 0
+        for wf, net in instances:
+            backlog = [rng.uniform(0.0, 3.0) for _ in net.nodes]
+            for k in rng.sample(range(1, len(backlog)), min(2, len(backlog) - 1)):
+                backlog[k] = math.nan
+            zeroed = [0.0 if x != x else x for x in backlog]
+            for config in self.configs:
+                got, want = (soft_iso(wf, net, WEIGHTS, PARAMS, config, b) for b in (backlog, zeroed))
+                assert observed(got) == observed(want)
+            got, want = (random_aware(wf, net, WEIGHTS, PARAMS, 7, b, 3) for b in (backlog, zeroed))
+            assert observed(got) == observed(want)
+            if len(net.nodes) <= allocators.ORACLE_MAX_NODES:
+                got, want = (exhaustive_oracle(wf, net, WEIGHTS, PARAMS, b) for b in (backlog, zeroed))
+                assert observed(got) == observed(want)
+            placed += want.succeeded
+            one_task += want.succeeded and len(wf.tasks) == 1
+        assert placed > 150 and one_task > 20
 
 
 class TestExhaustiveOracle:

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from qflow.costs import (
     BOUND_FLOOR,
+    CostBreakdown,
     DecisionTable,
     NormalizationBounds,
+    TaskTerms,
     aggregate_cost,
     classical_link_cost,
     compute_bounds,
@@ -89,6 +91,27 @@ def fresh_maxima(task, network, params):
 
     fitting = [n for n in network.nodes if task.qubits <= n.qubits]
     return maxima(fitting) if fitting else None, maxima(network.nodes)
+
+
+def max_reference_bounds(terms, wf, backlog):
+    """The bounds as ``max()`` takes them from the task terms: over the
+    tasks' maxima on the nodes that fit, or over every node when no task
+    fits any, the first maximum kept; ValueError where one is NaN."""
+    worst = [t.fit_max for t in terms if t.fit_max is not None] or [t.all_max for t in terms]
+    max_err, max_run, max_net = map(max, zip(*worst))
+    n_tasks, n_edges = len(terms), len(wf.skeleton)
+    return NormalizationBounds(
+        max_nat=max(max(backlog or [0.0]), BOUND_FLOOR),
+        max_task_error_sum=max(n_tasks * max_err, BOUND_FLOOR),
+        max_task_runtime_sum=max(n_tasks * max_run, BOUND_FLOOR),
+        max_network_sum=max(n_edges * max_net, BOUND_FLOOR) if n_edges else BOUND_FLOOR,
+    )
+
+
+def assert_bits_equal(got, expected):
+    """Every field equal, as floats and in sign (``0.0 == -0.0``)."""
+    for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(expected)):
+        assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def random_params(rng):
@@ -386,6 +409,43 @@ class TestAggregateCost:
             for value in (got.availability, got.error, got.runtime, got.network):
                 assert 0.0 <= value <= 1.0
             assert 0.0 <= got.total <= 1.0
+
+
+class TestCostBreakdown:
+    def test_an_immutable_named_tuple_in_declared_order(self):
+        network = make_network([127, 127, 127], [(0, 1), (1, 2)])
+        wf = chain_workflow([5, 7])
+        weights = WeightConfig(zeta=0.3, alpha=0.5, beta=0.3, gamma=0.2)
+        got = DecisionTable(wf, network, NetworkParams(), [1.0, 0.5, 2.0]).breakdown([0, 1], weights)
+        assert CostBreakdown._fields == (
+            "availability_raw", "error_raw", "runtime_raw", "network_raw",
+            "availability", "error", "runtime", "network", "total",
+        )
+        for name in CostBreakdown._fields:
+            with pytest.raises(AttributeError):
+                setattr(got, name, 0.0)
+        # each component under its own name: the positional build keeps the declared order
+        assert (got.availability_raw, got.availability) == (1.0, 0.5)
+        assert got.total == weights.zeta * got.availability + (1.0 - weights.zeta) * (
+            weights.alpha * got.error + weights.beta * got.runtime + weights.gamma * got.network
+        )
+        assert len({got.error_raw, got.runtime_raw, got.network_raw}) == 3
+        again = pickle.loads(pickle.dumps(got))
+        assert type(again) is CostBreakdown and again == got
+
+    @pytest.mark.parametrize("algorithm", ["random_aware", "soft_iso"])
+    def test_worker_processes_equal_one_process(self, algorithm):
+        from qflow.experiments import ExperimentConfig, run_experiment
+        from qflow.workload import TopologySpec, WorkloadSpec
+
+        config = ExperimentConfig(
+            algorithm=algorithm, workload=WorkloadSpec(batch_size=8, tasks_per_group=3),
+            topology=TopologySpec(node_count=5, link_probability=0.6), repetitions=4, base_seed=11,
+            measure_timing=False,
+        )
+        serial = run_experiment(config)
+        assert serial.runs == run_experiment(dataclasses.replace(config, workers=2)).runs
+        assert serial.mean("completion_pct") > 0
 
 
 class TestCandidateScorer:
@@ -1117,6 +1177,54 @@ class TestComputeBounds:
             assert bounds.max_nat == max(exp_nat, 1e-12)
         assert fallbacks == 50 and busy > 50
 
+        # tied maxima across tasks: every odd task a copy of the first but
+        # for its id, every even one sharing its depth and shots, so that
+        # its runtime row ties with the first task's; drawn from a generator
+        # of their own, so every draw above stays
+        tie = random.Random(12)
+        tied = 0
+        for _ in range(60):
+            wf, network, free_at = random_small_instance(tie, max_tasks=4, max_nodes=4)
+            first = wf.tasks[0]
+            tasks = tuple(
+                t if j == 0
+                else dataclasses.replace(first, id=f"twin{j}") if j % 2
+                else dataclasses.replace(t, depth=first.depth, shots=first.shots)
+                for j, t in enumerate(wf.tasks)
+            )
+            wf = dataclasses.replace(wf, tasks=tasks)
+            table = DecisionTable(wf, network, params, free_at)
+            assert_bits_equal(table.bounds, max_reference_bounds(task_terms(wf.tasks, network, params), wf, free_at))
+            assert_fresh(table, wf, network, params, free_at)
+            tied += len(tasks) > 1
+        assert tied > 30
+
+        # planted maxima: 0.0 against -0.0, ties and NaN in every order over
+        # two tasks, and the all-unfit fallback; the table keeps the floats
+        # max() keeps, and refuses a NaN exactly where max() keeps one (a
+        # zero maximum is floored, so its sign cannot show in the bounds)
+        network = make_network([9, 9], [(0, 1)])
+        wf = chain_workflow([3, 3])
+        values = (0.0, -0.0, 0.5, math.nan)
+        fits = [None, *itertools.product(values, repeat=3)]
+        fallbacks = ((-0.0, 0.0, 0.5), (0.0, -0.0, 0.5))
+        real = task_terms(wf.tasks, network, params)
+        cache = network.term_caches[params]
+        refused = kept = 0
+        for fit_a, fit_b in itertools.product(fits, repeat=2):
+            for task, terms, fit, all_max in zip(wf.tasks, real, (fit_a, fit_b), fallbacks):
+                cache[task] = TaskTerms(*terms[:4], fit, all_max)
+            try:
+                expected = max_reference_bounds(task_terms(wf.tasks, network, params), wf, None)
+            except ValueError:
+                refused += 1
+                with pytest.raises(ValueError, match=r"_sum must be > 0"):
+                    DecisionTable(wf, network, params)
+                continue
+            assert_bits_equal(DecisionTable(wf, network, params).bounds, expected)
+            kept += 1
+        assert refused > 1000 and kept > 1000
+
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NormalizationBounds)])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])  # nan <= 0 is false, so NaN needs the "> 0" test
     def test_nonpositive_bound_refused(self, field, value):
@@ -1131,6 +1239,37 @@ class TestComputeBounds:
         wf = chain_workflow([3, 7])
         with pytest.raises(ValueError, match=r"^max_nat must be > 0"):
             DecisionTable(wf, network, NetworkParams(), [math.nan, 1.0, 0.5])
+
+    def test_a_later_nan_backlog_entry_reads_as_no_wait(self):
+        # max() skips a NaN that is not first, so the availability bound is
+        # the other entries' maximum, and every total reads the NaN host's
+        # wait as none: breakdown, the group scorer's totals and
+        # aggregate_cost agree, and equal the totals with 0.0 in its place
+        network = make_network([50] * 4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+        params = NetworkParams()
+        nan = math.nan
+        for wf, weights in itertools.product((chain_workflow([3, 7, 5]), chain_workflow([3])),
+                                             (WeightConfig(), WeightConfig(zeta=1.0))):
+            for backlog in ([0.5, nan, 1.0, 0.25], [0.0, 2.0, 0.25, nan], [0.5, nan, nan, 0.0]):
+                table = DecisionTable(wf, network, params, backlog)
+                idle = DecisionTable(wf, network, params, [0.0 if x != x else x for x in backlog])
+                assert table.bounds == idle.bounds == compute_bounds(wf, network, params, backlog)
+                assert table.bounds.max_nat == max(x for x in backlog if x == x)
+                for cand in itertools.permutations(range(4), len(wf.tasks)):
+                    got = table.breakdown(cand, weights)
+                    assert not math.isnan(got.total)
+                    assert got == idle.breakdown(cand, weights)
+                    assert got == aggregate_cost(wf, list(cand), network, weights, params, table.bounds, backlog)
+                scored = 0
+                for number, (prefix, u, v, hosts, leaves, links) in enumerate(workflow_monomorphisms(wf, network)):
+                    if number == 0:
+                        fold, score, _, _ = table.group_scorer(weights, u, v)
+                    fold(prefix)
+                    for hu, mask in group_blocks(hosts, leaves, links):
+                        for h, total in zip(mask_hosts(mask), score(hu, mask)):
+                            assert total == table.breakdown({**prefix, u: hu, v: h}, weights).total
+                            scored += 1
+                assert scored >= 4
 
     @pytest.mark.parametrize("length", [2, 4])
     def test_backlog_of_another_length_is_refused(self, length):

@@ -1,4 +1,5 @@
-"""Time soft_iso's decisions in process for two source trees, in pairs.
+"""Time the cost-aware allocators' decisions in process for two source
+trees, in pairs.
 
 Usage::
 
@@ -18,9 +19,13 @@ sides alike. A measuring process times, ``--calls`` times each:
 * the many-class probe: three 20-node networks at link probability 0.9
   with node k's ``t1`` scaled by ``1 + 1e-6 * k``, so that every node is a
   calibration class of its own, each deciding 20 workflows of 4 (and of 5)
-  tasks at the preset thresholds against a seeded random backlog.
+  tasks at the preset thresholds against a seeded random backlog;
+* random_aware on the default config in the shape of the benchmark's
+  sim-churn workload (5 nodes, 1 to 3 tasks, retry limit 3; 3 repetitions
+  of 1,000 workflows), row ``default random_aware``, and on LP-MR (3
+  repetitions of 100 workflows), row ``LP-MR random_aware``.
 
-A call gives two figures per row: the summed time of its soft_iso calls
+A call gives two figures per row: the summed time of its allocator calls
 over their number (the mean, in ms per decision) and the 90th percentile of
 their times (the p90, in ms), so that a tail claim on the preset paths,
 which no perfbench workload runs, can be checked in process. A process
@@ -78,36 +83,47 @@ def probe_cases():
 
 def measure(calls: int) -> dict[str, list[float]]:
     """For each row, the median over ``calls`` calls of the mean ms per
-    soft_iso decision and of the 90th percentile of its decision times."""
+    allocator decision and of the 90th percentile of its decision times."""
     import dataclasses
 
     import qflow.allocators as alg
     from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
-    from qflow.experiments import run_experiment, scenario_config
+    from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
     from qflow.model import NetworkParams, WeightConfig
 
-    soft_iso = alg.soft_iso
     spent: list[float] = []
 
-    def timed(*args, **kwargs):
-        started = time.perf_counter()
-        outcome = soft_iso(*args, **kwargs)
-        spent.append(time.perf_counter() - started)
-        return outcome
+    def timing(allocator):
+        def timed(*args, **kwargs):
+            started = time.perf_counter()
+            outcome = allocator(*args, **kwargs)
+            spent.append(time.perf_counter() - started)
+            return outcome
+
+        return timed
 
     def figures() -> tuple[float, float]:
         return 1e3 * sum(spent) / len(spent), 1e3 * statistics.quantiles(spent, n=10)[-1]
 
-    alg.soft_iso = timed  # the simulator's allocator looks it up at each call
+    # the simulator's allocators look these names up at each call
+    alg.soft_iso, alg.random_aware = timing(alg.soft_iso), timing(alg.random_aware)
     rows: dict[str, list[tuple[float, float]]] = {}
-    runs = [(name, name, {}) for name in SCENARIOS]
-    runs += [(f"{name} exhaustive", name, dataclasses.asdict(EXHAUSTIVE)) for name in EXHAUSTIVE_SCENARIOS]
+
+    def scenario(name: str, algorithm: str, soft_config: dict) -> ExperimentConfig:
+        return scenario_config(
+            name, algorithm, repetitions=3, workload={"batch_size": 100}, measure_timing=False,
+            soft_config=soft_config,
+        )
+
+    runs = [(name, scenario(name, "soft_iso", {})) for name in SCENARIOS]
+    runs += [(f"{name} exhaustive", scenario(name, "soft_iso", dataclasses.asdict(EXHAUSTIVE)))
+             for name in EXHAUSTIVE_SCENARIOS]
+    churn = ExperimentConfig.from_dict(
+        {"algorithm": "random_aware", "repetitions": 3, "workload": {"batch_size": 1000}, "measure_timing": False}
+    )
+    runs += [("default random_aware", churn), ("LP-MR random_aware", scenario("LP-MR", "random_aware", {}))]
     for _ in range(calls):
-        for row, name, soft_config in runs:
-            config = scenario_config(
-                name, "soft_iso", repetitions=3, workload={"batch_size": 100}, measure_timing=False,
-                soft_config=soft_config,
-            )
+        for row, config in runs:
             spent.clear()
             run_experiment(config)
             rows.setdefault(row, []).append(figures())
@@ -115,7 +131,7 @@ def measure(calls: int) -> dict[str, list[float]]:
         for name, decisions in probe_cases().items():
             spent.clear()
             for network, wf, backlog in decisions:
-                timed(wf, network, weights, params, config, backlog)
+                alg.soft_iso(wf, network, weights, params, config, backlog)
             rows.setdefault(name, []).append(figures())
     return {name: [statistics.median(column) for column in zip(*values)] for name, values in rows.items()}
 
@@ -148,7 +164,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} ({' then '.join(order)}):")
         for name, base in pair["base"].items():
             new = pair["new"][name]
-            print(f"  {name:18} {change(base[0], new[0], 'ms/decision')}, p90 {change(base[1], new[1], 'ms')}")
+            print(f"  {name:20} {change(base[0], new[0], 'ms/decision')}, p90 {change(base[1], new[1], 'ms')}")
     print("medians over pairs:")
     for name in pairs[0]["base"]:
         cells = []
@@ -157,7 +173,7 @@ def main(argv=None) -> int:
             new = statistics.median(p["new"][name][k] for p in pairs)
             won = sum(p["new"][name][k] < p["base"][name][k] for p in pairs)
             cells.append(change(base, new, unit, f", won {won} of {len(pairs)}"))
-        print(f"  {name:18} {cells[0]}, p90 {cells[1]}")
+        print(f"  {name:20} {cells[0]}, p90 {cells[1]}")
     return 0
 
 
