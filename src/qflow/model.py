@@ -9,11 +9,12 @@ network, and the calibration classes, cost terms and group streams each
 simulation run is single-threaded; independent runs can execute in
 parallel.
 
-The graph helpers at the end (:func:`neighbour_lists`, :func:`components`,
-:func:`kahn_order`) build the neighbour lists, components and topological
-orders every module uses. Each workflow and network derives its views from
-them once and holds them as plain attributes (``skeleton``,
-``topological_order``, ``neighbour_masks``, ``degree_masks``, ``dfs_order``);
+The graph helpers at the end (:func:`neighbour_lists`, :func:`components`)
+build the neighbour lists and components the other modules use; a
+:class:`Workflow` validates from bitmasks of each task's predecessors and
+successors. Each workflow and network derives its views once and holds them
+as plain attributes (``skeleton``, ``topological_order``, ``neighbour_masks``,
+``degree_masks``, ``dfs_order``);
 the neighbour bitmasks answer the link half of :func:`mapping_feasible`, as
 they do for the matcher's search. A network also keeps the hosts with at
 least q qubits per count q (:meth:`ResourceNetwork.qubit_mask`) and the
@@ -25,10 +26,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from heapq import heappop, heappush
 from operator import attrgetter
 
 PROGRAM_FAMILIES = (
@@ -127,22 +127,52 @@ class Workflow:
         n = len(self.tasks)
         if n < 1:
             raise ValueError(f"workflow {self.id}: needs at least one task")
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        for a, b in self.edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"workflow {self.id}: edge ({a},{b}) out of range")
-            if a == b:
-                raise ValueError(f"workflow {self.id}: self-loop on task {a}")
-        if not self.arrival_time >= 0:
-            raise ValueError(f"workflow {self.id}: arrival time must be >= 0, got {self.arrival_time}")
-        # one task has no edge (self-loops are rejected above) and one order
-        order = kahn_order(n, self.edges) if n > 1 else [0]
+        fields = self.__dict__  # as in TaskSpec: cheaper than object.__setattr__
+        fields["tasks"] = tuple(self.tasks)
+        edges = fields["edges"] = frozenset(map(tuple, self.edges))
+        preds, succs = [0] * n, [0] * n  # each task's, as bitmasks: bit k for task k
+        try:
+            for a, b in edges:
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"workflow {self.id}: edge ({a},{b}) out of range")
+                if a == b:
+                    raise ValueError(f"workflow {self.id}: self-loop on task {a}")
+                succs[a] |= 1 << b
+                preds[b] |= 1 << a
+        except TypeError:  # a comparison, index or shift on a non-integer endpoint
+            raise ValueError(f"workflow {self.id}: edge ({a!r},{b!r}) needs integer task indices") from None
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(f"workflow {self.id}: arrival time must be finite and >= 0, got {self.arrival_time}")
+        if n == 1:  # no edge passed the checks above; one order
+            fields["topological_order"] = (0,)
+            return
+        ready = done = 0  # Kahn's order, least ready task first; a pop tests only its successors
+        for v, p in enumerate(preds):
+            if not p:
+                ready |= 1 << v
+        order = []
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            done |= low
+            order.append(u := low.bit_length() - 1)
+            s = succs[u]
+            while s:
+                bit = s & -s
+                s ^= bit
+                if not preds[bit.bit_length() - 1] & ~done:
+                    ready |= bit
         if len(order) < n:
             raise ValueError(f"workflow {self.id}: task graph has a cycle")
-        if n > 1 and len(components(n, self.edges)) > 1:
+        seen = frontier = 1  # a flood of the skeleton from task 0
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            new = (preds[u] | succs[u]) & ~seen
+            seen |= new
+            frontier = frontier ^ (1 << u) | new  # u leaves, the new tasks join
+        if seen != done:
             raise ValueError(f"workflow {self.id}: task graph skeleton is disconnected")
-        object.__setattr__(self, "topological_order", tuple(order))
+        fields["topological_order"] = tuple(order)
 
     @property
     def total_qubits(self) -> int:
@@ -459,23 +489,3 @@ def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
         component.sort()
         found.append(component)
     return found
-
-
-def kahn_order(n: int, edges: Collection[tuple[int, int]]) -> list[int]:
-    """Kahn's topological order of the directed graph on 0..n-1, taking the
-    least ready vertex first; shorter than ``n`` exactly when the graph has
-    a cycle."""
-    successors = neighbour_lists(n, edges, directed=True)
-    indegree = [0] * n
-    for _, b in edges:
-        indegree[b] += 1
-    ready = [v for v in range(n) if not indegree[v]]  # ascending, so a heap
-    order = []
-    while ready:
-        u = heappop(ready)
-        order.append(u)
-        for v in successors[u]:
-            indegree[v] -= 1
-            if not indegree[v]:
-                heappush(ready, v)
-    return order

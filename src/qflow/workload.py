@@ -19,6 +19,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .model import PROGRAM_FAMILIES, QpuNode, ResourceNetwork, TaskSpec, Workflow, check_count, components
@@ -115,13 +116,12 @@ def generate_task(
         depth, g2, mq = max(n * (n + 1) // 2, 1), n * (n - 1) // 2, n
     elif family == "graphstate":
         ring = n if n >= 3 else (1 if n == 2 else 0)
-        chords = 0
-        for i in range(n):
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue  # ring edge
-                if rng.random() < GRAPH_STATE_CHORD_PROB:
-                    chords += 1
+        # one draw per non-ring pair i < j: j >= i + 2, the ring's closing
+        # pair (0, n-1) excepted; only the count under the probability is kept
+        draw, chords = rng.random, 0
+        for _ in repeat(None, (n - 1) * (n - 2) // 2 - 1 if n >= 3 else 0):
+            if draw() < GRAPH_STATE_CHORD_PROB:
+                chords += 1
         g2 = ring + chords
         depth = 2 + math.ceil(2 * g2 / n)
         mq = n

@@ -97,6 +97,26 @@ def is_connected(network: ResourceNetwork) -> bool:
     return len(components(len(network.nodes), network.links)) == 1
 
 
+def reference_kahn(n, edges):
+    """Kahn's algorithm over a sorted ready list, the least index first."""
+    indeg = [0] * n
+    succ = [[] for _ in range(n)]
+    for a, b in sorted(edges):
+        indeg[b] += 1
+        succ[a].append(b)
+    ready = sorted(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while ready:
+        u = ready.pop(0)
+        order.append(u)
+        for v in sorted(succ[u]):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+        ready.sort()
+    return order
+
+
 def chain_workflow(task_qubits, wf_id="wf", arrival=0.0, shots=1000):
     tasks = tuple(
         make_task(task_id=f"{wf_id}-t{i}", qubits=q, measured_qubits=q)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 from importlib import resources
 
 import pytest
@@ -18,7 +19,6 @@ from qflow.model import (
     WeightConfig,
     Workflow,
     components,
-    kahn_order,
     mapping_feasible,
     neighbour_lists,
     validate_allocation,
@@ -26,7 +26,7 @@ from qflow.model import (
 from qflow.profiles import load_profiles, node_from_profile
 from qflow.workload import TopologySpec, WorkloadSpec, generate_network, random_connected_dag
 
-from .conftest import chain_workflow, is_connected, make_network, make_node, make_task
+from .conftest import chain_workflow, is_connected, make_network, make_node, make_task, reference_kahn
 
 
 class TestTaskSpec:
@@ -125,8 +125,14 @@ class TestWorkflow:
 
     @pytest.mark.parametrize(
         "edge, message",
-        [((0, 2), r"edge \(0,2\) out of range"), ((-1, 0), r"edge \(-1,0\) out of range"), ((1, 1), "self-loop on task 1")],
-        ids=["past-end", "negative", "self-loop"],
+        [
+            ((0, 2), r"edge \(0,2\) out of range"),
+            ((-1, 0), r"edge \(-1,0\) out of range"),
+            ((1, 1), "self-loop on task 1"),
+            ((1.0, 0), r"edge \(1\.0,0\) needs integer task indices"),
+            (("0", 1), r"edge \('0',1\) needs integer task indices"),
+        ],
+        ids=["past-end", "negative", "self-loop", "float-endpoint", "str-endpoint"],
     )
     def test_bad_edge_rejected(self, edge, message):
         tasks = tuple(make_task(task_id=f"t{i}") for i in range(2))
@@ -145,6 +151,11 @@ class TestWorkflow:
     def test_nan_arrival_rejected(self):
         with pytest.raises(ValueError, match="arrival"):
             chain_workflow([5, 5], arrival=math.nan)
+
+    def test_infinite_arrival_rejected(self):
+        # the simulator would report a NaN wait and an infinite execution time
+        with pytest.raises(ValueError, match=r"^workflow wf: arrival time must be finite and >= 0, got inf$"):
+            chain_workflow([5, 5], arrival=math.inf)
 
     def test_topological_order_respects_edges(self):
         tasks = tuple(make_task(task_id=f"t{i}") for i in range(4))
@@ -234,26 +245,6 @@ class TestQpuNode:
         assert len(dataclasses.fields(QpuNode)) == 9  # id and eight calibration fields
 
 
-def reference_kahn(n, edges):
-    """Kahn's algorithm over a sorted ready list, the least index first."""
-    indeg = [0] * n
-    succ = [[] for _ in range(n)]
-    for a, b in sorted(edges):
-        indeg[b] += 1
-        succ[a].append(b)
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    order = []
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        for v in sorted(succ[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-        ready.sort()
-    return order
-
-
 def reference_components(n, edges):
     """Components by merging vertex sets, as ascending lists ordered by
     their least vertex."""
@@ -279,19 +270,37 @@ class TestGraphLayer:
             assert wf.topological_order == tuple(reference_kahn(n, edges))
             assert wf.skeleton == tuple(sorted({tuple(sorted(e)) for e in edges}))
 
-    def test_kahn_order_matches_reference_and_is_short_on_cycles(self):
+    def test_topological_order_matches_reference_and_cycles_rejected(self):
+        # random digraphs, so cycles, disconnected skeletons and DAGs all occur
         rng = random.Random(21)
-        cyclic = 0
+        verdicts = []
         for _ in range(400):
             n = rng.randint(1, 9)
             edges = {(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < 0.2}
-            order = kahn_order(n, edges)
-            assert order == reference_kahn(n, edges)
+            order = reference_kahn(n, edges)
+            tasks = tuple(make_task(task_id=f"t{i}") for i in range(n))
             if len(order) < n:
-                cyclic += 1
-                with pytest.raises(ValueError, match="cycle"):
-                    Workflow(id="w", tasks=tuple(make_task(task_id=f"t{i}") for i in range(n)), edges=edges)
-        assert cyclic > 50
+                verdicts.append("cycle")
+            elif len(reference_components(n, edges)) > 1:
+                verdicts.append("disconnected")
+            else:
+                assert Workflow(id="w", tasks=tasks, edges=edges).topological_order == tuple(order)
+                verdicts.append("valid")
+                continue
+            with pytest.raises(ValueError, match=verdicts[-1]):
+                Workflow(id="w", tasks=tasks, edges=edges)
+        assert min(verdicts.count(v) for v in ("cycle", "disconnected", "valid")) > 50
+
+    def test_long_reversed_chain_validates_quickly(self):
+        # one scan of the pending tasks per step takes seconds on this chain
+        # (0.7 s already at 3,000 tasks); the ready mask takes milliseconds
+        n = 6000
+        edges = frozenset((i + 1, i) for i in range(n - 1))
+        tasks = (make_task(),) * n
+        started = time.perf_counter()
+        wf = Workflow(id="w", tasks=tasks, edges=edges)
+        assert time.perf_counter() - started < 1.0
+        assert wf.topological_order == tuple(reference_kahn(n, edges)) == tuple(range(n - 1, -1, -1))
 
     def test_components_and_adjacency_match_references(self):
         rng = random.Random(22)

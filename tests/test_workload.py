@@ -9,6 +9,7 @@ import pytest
 
 from qflow.model import PROGRAM_FAMILIES, TaskSpec
 from qflow.workload import (
+    GRAPH_STATE_CHORD_PROB,
     TopologySpec,
     WorkloadSpec,
     export_task_catalog,
@@ -17,9 +18,57 @@ from qflow.workload import (
     generate_task,
     generate_workload,
     import_task_catalog,
+    random_connected_dag,
 )
 
-from .conftest import is_connected
+from .conftest import is_connected, reference_kahn
+
+
+def reference_generate_task(family, n, rng, shots=1000, task_id=None):
+    """``generate_task`` with the graph-state chords drawn by a walk of every
+    pair (i, j), one draw per pair with j >= i + 2 other than the ring's
+    closing pair (0, n-1); the other families are ``generate_task``'s own."""
+    if family != "graphstate":
+        return generate_task(family, n, rng, shots=shots, task_id=task_id)
+    chords = 0
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # ring edge
+            if rng.random() < GRAPH_STATE_CHORD_PROB:
+                chords += 1
+    g2 = (n if n >= 3 else (1 if n == 2 else 0)) + chords
+    return TaskSpec(
+        id=task_id or f"graphstate-{n}", qubits=n, depth=2 + math.ceil(2 * g2 / n), two_qubit_gates=g2,
+        measured_qubits=n, shots=shots, program_family="graphstate",
+    )
+
+
+def reference_catalog(size, qubit_range=(5, 100), seed=0):
+    rng = random.Random(seed)
+    catalog = []
+    for i in range(size):
+        family = rng.choice(PROGRAM_FAMILIES)
+        qubits = rng.randint(*qubit_range)
+        catalog.append(reference_generate_task(family, qubits, rng, task_id=f"{family}-{qubits}-{i}"))
+    return catalog
+
+
+def reference_workload(spec, catalog):
+    """(id, tasks, edges, arrival time, topological order) of each workflow,
+    drawn as ``generate_workload`` draws them, the order by Kahn's algorithm."""
+    lo, hi = spec.qubit_range
+    filtered = [t for t in catalog if lo <= t.qubits <= hi]
+    rng = random.Random(spec.seed)
+    clock = 0.0
+    rows = []
+    for i in range(spec.batch_size):
+        clock += rng.expovariate(spec.effective_rate)
+        count = rng.randint(spec.tasks_per_group_min, spec.tasks_per_group)
+        tasks = tuple(rng.choice(filtered) for _ in range(count))
+        edges = random_connected_dag(count, rng)
+        rows.append((f"wf-{i:04d}", tasks, edges, clock, tuple(reference_kahn(count, edges))))
+    return rows
 
 
 class TestGenerateTask:
@@ -60,6 +109,15 @@ class TestGenerateTask:
                 assert t.qubits == n
                 assert t.depth >= 1 and t.shots >= 1
                 assert 0 <= t.measured_qubits <= t.qubits
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_family_matches_reference_draws(self, seed):
+        # equal tasks and an equal generator state, so later draws agree too
+        rng, ref = random.Random(seed), random.Random(seed)
+        for family in PROGRAM_FAMILIES:
+            for n in range(1, 121):
+                assert generate_task(family, n, rng) == reference_generate_task(family, n, ref)
+                assert rng.getstate() == ref.getstate()
 
     def test_case_insensitive_family(self):
         rng = random.Random(0)
@@ -146,6 +204,15 @@ def test_spec_out_of_range_rejected(build, message):
 
 
 class TestGenerateWorkload:
+    @pytest.mark.parametrize("seed", [0, 3, 4242])
+    def test_catalog_and_workload_match_reference(self, seed):
+        catalog = generate_catalog(128, seed=seed)
+        assert catalog == reference_catalog(128, seed=seed)
+        spec = WorkloadSpec(batch_size=300, tasks_per_group=5, seed=seed + 1)
+        rows = [(wf.id, wf.tasks, wf.edges, wf.arrival_time, wf.topological_order)
+                for wf in generate_workload(spec, catalog)]
+        assert rows == reference_workload(spec, catalog)
+
     def test_single_task_groups_have_no_edges(self):
         catalog = generate_catalog(30, seed=2)
         spec = WorkloadSpec(batch_size=20, tasks_per_group=1, seed=3)

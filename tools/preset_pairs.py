@@ -1,5 +1,5 @@
-"""Time the cost-aware allocators' decisions in process for two source
-trees, in pairs.
+"""Time the cost-aware allocators' decisions and the input builders in
+process for two source trees, in pairs.
 
 Usage::
 
@@ -23,15 +23,21 @@ sides alike. A measuring process times, ``--calls`` times each:
 * random_aware on the default config in the shape of the benchmark's
   sim-churn workload (5 nodes, 1 to 3 tasks, retry limit 3; 3 repetitions
   of 1,000 workflows), row ``default random_aware``, and on LP-MR (3
-  repetitions of 100 workflows), row ``LP-MR random_aware``.
+  repetitions of 100 workflows), row ``LP-MR random_aware``;
+* the input builders, ``generate_catalog`` (128 tasks) then
+  ``generate_workload``, seeded as perfbench seeds a unit's builds: in the
+  shape of sim-churn (the default config's workload of 3,000 workflows of 1
+  to 3 tasks; 10 builds), row ``builds sim-churn``, and of lplr-sparse (the
+  LP-LR preset's workload of 50 workflows of 4 tasks; 100 builds), row
+  ``builds lplr-sparse``.
 
 A call gives two figures per row: the summed time of its allocator calls
-over their number (the mean, in ms per decision) and the 90th percentile of
-their times (the p90, in ms), so that a tail claim on the preset paths,
-which no perfbench workload runs, can be checked in process. A process
-reports the median of each over its calls. The script prints each pair and,
-per row and figure, the median over pairs, the change and the number of
-pairs the new tree won.
+(or builds) over their number (the mean, in ms per decision or per build)
+and the 90th percentile of their times (the p90, in ms), so that a tail
+claim on the preset paths, which no perfbench workload runs, can be checked
+in process. A process reports the median of each over its calls. The script
+prints each pair and, per row and figure, the median over pairs, the change
+and the number of pairs the new tree won.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ def measure(calls: int) -> dict[str, list[float]]:
     from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
     from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
     from qflow.model import NetworkParams, WeightConfig
+    from qflow.workload import generate_catalog, generate_workload
 
     spent: list[float] = []
 
@@ -122,6 +129,10 @@ def measure(calls: int) -> dict[str, list[float]]:
         {"algorithm": "random_aware", "repetitions": 3, "workload": {"batch_size": 1000}, "measure_timing": False}
     )
     runs += [("default random_aware", churn), ("LP-MR random_aware", scenario("LP-MR", "random_aware", {}))]
+    shapes = [
+        ("builds sim-churn", ExperimentConfig.from_dict({"workload": {"batch_size": 3000}}), 10),
+        ("builds lplr-sparse", scenario_config("LP-LR", "soft_iso", workload={"batch_size": 50}), 100),
+    ]
     for _ in range(calls):
         for row, config in runs:
             spent.clear()
@@ -133,6 +144,15 @@ def measure(calls: int) -> dict[str, list[float]]:
             for network, wf, backlog in decisions:
                 alg.soft_iso(wf, network, weights, params, config, backlog)
             rows.setdefault(name, []).append(figures())
+        for row, config, builds in shapes:
+            spent.clear()
+            spec = config.workload
+            for u in range(builds):
+                started = time.perf_counter()
+                catalog = generate_catalog(config.catalog_size, spec.qubit_range, seed=4 * u + 3, shots=spec.shots_default)
+                generate_workload(dataclasses.replace(spec, seed=4 * u + 1), catalog)
+                spent.append(time.perf_counter() - started)
+            rows.setdefault(row, []).append(figures())
     return {name: [statistics.median(column) for column in zip(*values)] for name, values in rows.items()}
 
 
@@ -164,21 +184,25 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} ({' then '.join(order)}):")
         for name, base in pair["base"].items():
             new = pair["new"][name]
-            print(f"  {name:20} {change(base[0], new[0], 'ms/decision')}, p90 {change(base[1], new[1], 'ms')}")
+            print(f"  {name:20} {change(base[0], new[0], unit(name))}, p90 {change(base[1], new[1], 'ms')}")
     print("medians over pairs:")
     for name in pairs[0]["base"]:
         cells = []
-        for k, unit in (0, "ms/decision"), (1, "ms"):  # the mean, then the p90
+        for k, label in (0, unit(name)), (1, "ms"):  # the mean, then the p90
             base = statistics.median(p["base"][name][k] for p in pairs)
             new = statistics.median(p["new"][name][k] for p in pairs)
             won = sum(p["new"][name][k] < p["base"][name][k] for p in pairs)
-            cells.append(change(base, new, unit, f", won {won} of {len(pairs)}"))
+            cells.append(change(base, new, label, f", won {won} of {len(pairs)}"))
         print(f"  {name:20} {cells[0]}, p90 {cells[1]}")
     return 0
 
 
-def change(base: float, new: float, unit: str, won: str = "") -> str:
-    return f"{base:9.4f} -> {new:9.4f} {unit} ({100 * (new / base - 1):+.1f}%{won})"
+def unit(row: str) -> str:
+    return "ms/build" if row.startswith("builds") else "ms/decision"
+
+
+def change(base: float, new: float, label: str, won: str = "") -> str:
+    return f"{base:9.4f} -> {new:9.4f} {label} ({100 * (new / base - 1):+.1f}%{won})"
 
 
 if __name__ == "__main__":
