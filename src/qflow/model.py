@@ -82,10 +82,11 @@ class TaskSpec:
 
     def __post_init__(self):
         counts = (("qubits", 1), ("depth", 1), ("shots", 1), ("two_qubit_gates", 0), ("measured_qubits", 0))
-        fields = self.__dict__  # the checked ints are stored directly: cheaper than object.__setattr__
-        try:
+        try:  # not through __dict__, which would build the instance dict and slow every later read
             for name, minimum in counts:
-                fields[name] = check_count(name, fields[name], minimum)
+                value = getattr(self, name)
+                if (count := check_count(name, value, minimum)) is not value:
+                    object.__setattr__(self, name, count)
         except ValueError as exc:
             raise ValueError(f"task {self.id}: {exc}") from None
         if self.measured_qubits > self.qubits:
@@ -127,7 +128,7 @@ class Workflow:
         n = len(self.tasks)
         if n < 1:
             raise ValueError(f"workflow {self.id}: needs at least one task")
-        fields = self.__dict__  # as in TaskSpec: cheaper than object.__setattr__
+        fields = self.__dict__  # cheaper than object.__setattr__; the skeleton cache needs the dict anyway
         fields["tasks"] = tuple(self.tasks)
         edges = fields["edges"] = frozenset(map(tuple, self.edges))
         preds, succs = [0] * n, [0] * n  # each task's, as bitmasks: bit k for task k

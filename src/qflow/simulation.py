@@ -57,7 +57,7 @@ class MetricsAccumulator:
         return 100.0 * self.tasks_allocated / self.tasks_total if self.tasks_total else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskExecution:
     """Timeline record of one executed task."""
 
@@ -95,13 +95,14 @@ def run_simulation(
 
     The network is only read. Each node's free time lives in
     ``state.free_at``, and an allocator call at decision time ``t`` gets the
-    backlog ``max(free_at[k] - t, 0.0)`` per node. So runs may share a
-    network, and the cost terms the allocators cache on it stay valid. A
-    successful outcome whose placement fails
-    :func:`qflow.model.validate_allocation`, an index out of range
-    included, raises ValueError naming the workflow before any of its tasks
-    is booked; so does a workflow id repeated in ``workload``, before the
-    first allocator call.
+    backlog ``max(free_at[k] - t, 0.0)`` per node, built once per pass and
+    again after each booking, so no allocator may mutate it. So runs may
+    share a network, and the cost terms the allocators cache on it stay
+    valid. A successful outcome whose placement fails
+    :func:`qflow.model.validate_allocation`, an index out of range included,
+    raises ValueError naming the workflow before any of its tasks is booked;
+    so does a workflow id repeated in ``workload``, before the first
+    allocator call.
 
     Metrics follow the evaluation conventions: execution time is the
     workload makespan, wait time sums per-task (start - arrival), fidelity
@@ -121,6 +122,7 @@ def run_simulation(
             raise ValueError(f"workflow id {wf.id!r} is repeated; the retry count is kept per id")
         attempts[wf.id] = 0
     retrying: list[Workflow] = []
+    decision_time = 0.0
     # One pass per distinct arrival time offers the retry list, then that
     # instant's arrivals. Both are in FCFS order and every retry arrived
     # earlier, so each pass sees all pending workflows in FCFS order. After
@@ -132,22 +134,26 @@ def run_simulation(
             break
         state.clock = t
         retrying = []
+        backlog = None  # t is fixed in a pass and only a booking moves free_at
         for wf in offered:
             attempts[wf.id] += 1
-            backlog = [max(f - t, 0.0) for f in state.free_at]
+            if backlog is None:
+                backlog = [max(f - t, 0.0) for f in state.free_at]
             started = perf_counter()
             outcome = allocator(wf, network, backlog)
-            state.metrics.decision_time += perf_counter() - started
+            decision_time += perf_counter() - started
             if outcome.succeeded:
                 if not validate_allocation(wf, network, outcome.allocation):
                     raise ValueError(f"workflow {wf.id}: the allocator returned an invalid placement")
                 _execute(wf, outcome, state, params, t, dependency_gating, gate_comm_latency)
                 state.completed.append(wf)
+                backlog = None
             elif attempts[wf.id] > retry_limit:
                 state.failed.append(wf)
             else:
                 retrying.append(wf)
 
+    state.metrics.decision_time = decision_time
     if state.executions:
         state.metrics.execution_time = max(e.finish for e in state.executions) - order[0].arrival_time
     return state
@@ -166,46 +172,50 @@ def _execute(
     nodes' free times. Runtimes, fidelities and edge costs are read off the
     network's cached terms and added as ``qflow.costs`` adds them, so every
     float is equal."""
-    allocation = outcome.allocation
-    assert allocation is not None
-    network = state.network
-    free_at = state.free_at
-    assignment = allocation.assignment
-    terms = task_terms(workflow.tasks, network, params)
-    finish_times: dict[int, float] = {}
-    preds: list[list[int]] = [[] for _ in terms]
-    for a, b in workflow.edges:  # unsorted: only the maximum gate is read
-        preds[b].append(a)
+    assignment = outcome.allocation.assignment
+    free_at, busy_seconds, record = state.free_at, state.busy_seconds, state.executions.append
+    metrics = state.metrics
+    wait_time, fidelity_sum = metrics.wait_time, metrics.fidelity_sum
+    wf_id, arrival = workflow.id, workflow.arrival_time
+    terms = task_terms(workflow.tasks, state.network, params)
+    finish_times = [0.0] * len(terms)
+    gated = dependency_gating and bool(workflow.edges)
+    if gated:
+        preds: list[list[int]] = [[] for _ in terms]
+        for a, b in workflow.edges:  # unsorted: only the maximum gate is read
+            preds[b].append(a)
 
     for j in workflow.topological_order:
         node_index = assignment[j]
         t = terms[j]
         ready = now
-        if dependency_gating:
+        if gated:
             for p in preds[j]:
                 gate = finish_times[p]
                 if gate_comm_latency:
                     tp = terms[p]
                     gate += (tp.qlink[assignment[p]] + t.qlink[node_index]) / 2.0 + (tp.clink + t.clink) / 2.0
-                ready = max(ready, gate)
-        start = max(free_at[node_index], ready)
+                if gate > ready:  # max(ready, gate), ties and NaN included
+                    ready = gate
+        start = free_at[node_index]
+        if ready > start:  # max(free_at[node_index], ready), likewise
+            start = ready
         duration = t.run[node_index]
         finish = start + duration
         finish_times[j] = finish
         free_at[node_index] = finish
-        state.busy_seconds[node_index] += duration
-        state.executions.append(
-            TaskExecution(workflow_id=workflow.id, task_index=j, node_index=node_index, start=start, finish=finish)
-        )
-        state.metrics.wait_time += start - workflow.arrival_time
-        state.metrics.fidelity_sum += 1.0 - t.err[node_index]
-        state.metrics.tasks_allocated += 1
+        busy_seconds[node_index] += duration
+        record(TaskExecution(wf_id, j, node_index, start, finish))
+        wait_time += start - arrival
+        fidelity_sum += 1.0 - t.err[node_index]
+    metrics.wait_time, metrics.fidelity_sum = wait_time, fidelity_sum
+    metrics.tasks_allocated += len(terms)
 
     net = 0.0
     for a, b in workflow.skeleton:
         ka, kb = assignment[a], assignment[b]
         net += (terms[a].qlink[ka] + terms[b].qlink[kb]) / 2.0 + (terms[a].clink + terms[b].clink) / 2.0
-    state.metrics.comm_overhead += net
+    metrics.comm_overhead += net
 
 
 def qpu_time_distribution(state: SimState) -> list[float]:

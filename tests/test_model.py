@@ -69,6 +69,10 @@ class TestTaskSpec:
         counts = (task.qubits, task.depth, task.two_qubit_gates, task.measured_qubits, task.shots)
         assert counts == (5, 6, 4, 5, 1000)
         assert all(type(c) is int for c in counts)
+        names = ("qubits", "depth", "two_qubit_gates", "measured_qubits", "shots")
+        given = {name: int(str(c + 1000)) for name, c in zip(names, counts)}  # fresh objects, past the small-int cache
+        task = make_task(**given)
+        assert all(getattr(task, name) is given[name] for name in names)
 
 
 # Every whole-count field: a builder from the value, the least valid value

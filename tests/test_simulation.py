@@ -163,6 +163,28 @@ class TestFcfsDiscipline:
         assert seen == [[0.0, 0.0], [d, 0.0], [max(2 * d - 0.05, 0.0), 0.0]]
         assert state.free_at == [3 * d, 0.0]
 
+    def test_backlog_is_built_once_per_pass_and_after_each_booking(self):
+        # a always fails; b books node 0 at t=0; at t=d/2 the retry of a and
+        # the arrival c share one vector, c books node 0, then e sees a new one
+        net = make_network([127, 127], [(0, 1)])
+        d = runtime_cost(chain_workflow([5]).tasks[0], net.nodes[0])
+        arrivals = {"a": 0.0, "b": 0.0, "c": d / 2, "e": d / 2}
+        workload = [chain_workflow([5], wf_id=i, arrival=t) for i, t in arrivals.items()]
+        pinned = fixed_allocator({"b": {0: 0}, "c": {0: 0}, "e": {0: 1}})
+        seen = []
+
+        def recording(workflow, network, backlog):
+            seen.append((workflow.id, backlog, list(backlog)))
+            return pinned(workflow, network, backlog)
+
+        run_simulation(workload, net, recording, PARAMS, retry_limit=1)
+        assert [call[0] for call in seen] == ["a", "b", "a", "c", "e"]
+        (_, first, _), (_, at_b, _), (_, retry, _), (_, at_c, _), (_, after, _) = seen
+        assert at_b == first == [0.0, 0.0]
+        assert retry is not first and at_c == retry == [d - d / 2, 0.0]
+        assert after is not at_c and after == [2 * d - d / 2, 0.0]
+        assert [kept for _, kept, _ in seen] == [snapshot for *_, snapshot in seen]
+
     def test_same_instant_ties_break_by_total_qubits_then_priority(self):
         net = make_network([127], [])
         small = chain_workflow([2], wf_id="small", arrival=1.0)
@@ -178,6 +200,36 @@ class TestFcfsDiscipline:
         )
         starts = {e.workflow_id: e.start for e in state.executions}
         assert starts["urgent"] < starts["lazy"]
+
+
+class TestBacklogIsOnlyRead:
+    """The simulator hands one backlog vector to a pass's attempts until one
+    books, so no allocator may change it."""
+
+    @staticmethod
+    def draws():
+        from .conftest import scenario_instances
+
+        config = ExperimentConfig()
+        spec = config.workload
+        catalog = generate_catalog(config.catalog_size, qubit_range=spec.qubit_range, seed=3, shots=spec.shots_default)
+        workflows = generate_workload(dataclasses.replace(spec, batch_size=40, seed=1), catalog)
+        network = generate_network(config.topology, load_profiles())
+        yield workflows, network, [0.0, 0.5, 0.0, 1.25, 2.0]
+        yield scenario_instances("LP-MR", 0, 4, node_count=8)
+
+    @pytest.mark.parametrize("name", simulation.ALLOCATOR_NAMES)
+    def test_no_allocator_mutates_the_backlog(self, name):
+        placed = 0
+        for workflows, network, free_at in self.draws():
+            on_list, on_tuple = (make_allocator(name, WEIGHTS, PARAMS, base_seed=1) for _ in range(2))
+            for wf in workflows:
+                backlog = list(free_at)
+                outcome = on_list(wf, network, backlog)
+                assert backlog == free_at
+                assert on_tuple(wf, network, tuple(free_at)) == outcome
+                placed += outcome.succeeded
+        assert placed
 
 
 class TestFailuresAndRetries:
@@ -582,6 +634,16 @@ class TestNetworkIsOnlyRead:
             assert first.free_at == second.free_at
             untimed = lambda m: dataclasses.replace(m, decision_time=0.0)
             assert untimed(first.metrics) == untimed(second.metrics)
+
+
+class TestTimelineRecord:
+    def test_is_a_slotted_record_with_pinned_fields(self):
+        record = TaskExecution("w", 0, 1, 0.5, 1.5)
+        assert not hasattr(record, "__dict__")
+        names = [f.name for f in dataclasses.fields(TaskExecution)]
+        assert names == ["workflow_id", "task_index", "node_index", "start", "finish"]
+        assert record == TaskExecution(workflow_id="w", task_index=0, node_index=1, start=0.5, finish=1.5)
+        assert repr(record) == "TaskExecution(workflow_id='w', task_index=0, node_index=1, start=0.5, finish=1.5)"
 
 
 class TestQpuTimeDistribution:

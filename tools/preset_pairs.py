@@ -24,6 +24,10 @@ sides alike. A measuring process times, ``--calls`` times each:
   sim-churn workload (5 nodes, 1 to 3 tasks, retry limit 3; 3 repetitions
   of 1,000 workflows), row ``default random_aware``, and on LP-MR (3
   repetitions of 100 workflows), row ``LP-MR random_aware``;
+* the same default-config runs timed whole, each ``run_simulation`` call
+  end to end, allocator calls and bookkeeping together, row ``sim-churn
+  run`` (ms per run); its allocator calls still pass through the timing
+  wrapper of the row before;
 * the input builders, ``generate_catalog`` (128 tasks) then
   ``generate_workload``, seeded as perfbench seeds a unit's builds: in the
   shape of sim-churn (the default config's workload of 3,000 workflows of 1
@@ -32,10 +36,10 @@ sides alike. A measuring process times, ``--calls`` times each:
   ``builds lplr-sparse``.
 
 A call gives two figures per row: the summed time of its allocator calls
-(or builds) over their number (the mean, in ms per decision or per build)
-and the 90th percentile of their times (the p90, in ms), so that a tail
-claim on the preset paths, which no perfbench workload runs, can be checked
-in process. A process reports the median of each over its calls. The script
+(or builds, or runs) over their number (the mean, in ms per decision, build
+or run) and the 90th percentile of their times (the p90, in ms), so that a
+tail claim on the preset paths, which no perfbench workload runs, can be
+checked in process. A process reports the median of each over its calls. The script
 prints each pair and, per row and figure, the median over pairs, the change
 and the number of pairs the new tree won.
 """
@@ -93,27 +97,30 @@ def measure(calls: int) -> dict[str, list[float]]:
     import dataclasses
 
     import qflow.allocators as alg
+    import qflow.experiments as experiments
     from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
     from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
     from qflow.model import NetworkParams, WeightConfig
     from qflow.workload import generate_catalog, generate_workload
 
     spent: list[float] = []
+    whole: list[float] = []  # run_simulation calls, end to end
 
-    def timing(allocator):
+    def timing(function, times):
         def timed(*args, **kwargs):
             started = time.perf_counter()
-            outcome = allocator(*args, **kwargs)
-            spent.append(time.perf_counter() - started)
+            outcome = function(*args, **kwargs)
+            times.append(time.perf_counter() - started)
             return outcome
 
         return timed
 
-    def figures() -> tuple[float, float]:
-        return 1e3 * sum(spent) / len(spent), 1e3 * statistics.quantiles(spent, n=10)[-1]
+    def figures(times=spent) -> tuple[float, float]:
+        return 1e3 * sum(times) / len(times), 1e3 * statistics.quantiles(times, n=10)[-1]
 
-    # the simulator's allocators look these names up at each call
-    alg.soft_iso, alg.random_aware = timing(alg.soft_iso), timing(alg.random_aware)
+    # the simulator's allocators and run_experiment look these names up at each call
+    alg.soft_iso, alg.random_aware = timing(alg.soft_iso, spent), timing(alg.random_aware, spent)
+    experiments.run_simulation = timing(experiments.run_simulation, whole)
     rows: dict[str, list[tuple[float, float]]] = {}
 
     def scenario(name: str, algorithm: str, soft_config: dict) -> ExperimentConfig:
@@ -136,8 +143,11 @@ def measure(calls: int) -> dict[str, list[float]]:
     for _ in range(calls):
         for row, config in runs:
             spent.clear()
+            whole.clear()
             run_experiment(config)
             rows.setdefault(row, []).append(figures())
+            if row == "default random_aware":
+                rows.setdefault("sim-churn run", []).append(figures(whole))
         weights, params, config = WeightConfig(), NetworkParams(), SoftIsoConfig()
         for name, decisions in probe_cases().items():
             spent.clear()
@@ -198,6 +208,8 @@ def main(argv=None) -> int:
 
 
 def unit(row: str) -> str:
+    if row.endswith(" run"):
+        return "ms/run"
     return "ms/build" if row.startswith("builds") else "ms/decision"
 
 
