@@ -86,7 +86,7 @@ def load_config(args) -> ExperimentConfig:
         raw = {}
         if args.config:
             try:
-                raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+                raw = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
             except FileNotFoundError:
                 raise ConfigError(f"config file not found: {args.config}")
             except json.JSONDecodeError as exc:

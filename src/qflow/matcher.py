@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .model import ResourceNetwork, Workflow, neighbour_lists
+from .model import ResourceNetwork, Workflow, adjacency_masks
 
 # A candidate mapping: workflow task index -> network node index, injective.
 CandidateMapping = dict[int, int]
@@ -105,19 +105,20 @@ def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     than ``u``; and each vertex's degree, by vertex. The skeleton is
     connected (:class:`Workflow` rejects any other), so the breadth-first
     walk reaches every vertex."""
-    adj = neighbour_lists(n, edges)
-    order = [max(range(n), key=lambda v: (len(adj[v]), -v))]
-    seen = set(order)
-    for u in order:  # grows while walked: a breadth-first search
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    depth_of = {w: d for d, w in enumerate(order)}
-    earlier = tuple(tuple(p for p in adj[w] if depth_of[p] < d) for d, w in enumerate(order))
-    u = order[-2] if n > 1 else None
+    adj = adjacency_masks(n, edges)
+    order = [max(range(n), key=lambda v: (adj[v].bit_count(), -v))]
+    seen = 1 << order[0]
+    for u in order:  # grows while walked: a breadth-first search, new neighbours ascending
+        order += mask_hosts(adj[u] & ~seen)
+        seen |= adj[u]
+    earlier, placed = [], 0
+    for w in order:
+        earlier.append(tuple(mask_hosts(adj[w] & placed)))
+        placed |= 1 << w
+    u = order[-2] if n > 1 else n  # for one task, a vertex that no mask holds
     v_earlier = tuple(p for p in earlier[-1] if p != u)
-    return tuple(order), earlier, u in adj[order[-1]], v_earlier, tuple(map(len, adj))
+    v_on_u = adj[order[-1]] >> u & 1 == 1
+    return tuple(order), tuple(earlier), v_on_u, v_earlier, tuple(m.bit_count() for m in adj)
 
 
 def task_domains(workflow: Workflow, network: ResourceNetwork) -> list[int]:

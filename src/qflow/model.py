@@ -9,8 +9,8 @@ network, and the calibration classes, cost terms and group streams each
 simulation run is single-threaded; independent runs can execute in
 parallel.
 
-The graph helpers at the end (:func:`neighbour_lists`, :func:`components`)
-build the neighbour lists and components the other modules use; a
+The graph helpers at the end (:func:`adjacency_masks`, :func:`components`)
+build the neighbour bitmasks and components the other modules use; a
 :class:`Workflow` validates from bitmasks of each task's predecessors and
 successors. Each workflow and network derives its views once and holds them
 as plain attributes (``skeleton``, ``topological_order``, ``neighbour_masks``,
@@ -254,7 +254,7 @@ class ResourceNetwork:
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """Each node's neighbours as a host bitmask, bit k for node k."""
-        return tuple(sum(1 << k for k in adjacent) for adjacent in neighbour_lists(len(self.nodes), self.links))
+        return tuple(adjacency_masks(len(self.nodes), self.links))
 
     @cached_property
     def calibration_classes(self) -> tuple[tuple[QpuNode, ...], tuple[int, ...], tuple[int, ...]]:
@@ -274,23 +274,20 @@ class ResourceNetwork:
         qubits, visit neighbours in ascending qubit order, and restart from
         the next unvisited minimum-qubit node if the graph is a forest. Ties
         in qubits go to the lower index."""
+        n = len(self.nodes)
         key = lambda k: (self.nodes[k].qubits, k)
-        adjacency = neighbour_lists(len(self.nodes), self.links)
-        visited: list[int] = []
-        seen: set[int] = set()
-        for start in sorted(range(len(self.nodes)), key=key):
-            if start in seen:
-                continue
+        masks = self.neighbour_masks
+        visited, seen = [], 0  # seen as a host bitmask
+        for start in sorted(range(n), key=key):
             stack = [start]
             while stack:
                 u = stack.pop()
-                if u in seen:
+                if seen >> u & 1:
                     continue
-                seen.add(u)
+                seen |= 1 << u
                 visited.append(u)
-                for v in sorted(adjacency[u], key=key, reverse=True):
-                    if v not in seen:
-                        stack.append(v)
+                fresh = masks[u] & ~seen
+                stack += sorted((v for v in range(n) if fresh >> v & 1), key=key, reverse=True)
         return tuple(visited)
 
     @cached_property
@@ -457,36 +454,29 @@ def validate_allocation(workflow: Workflow, network: ResourceNetwork, allocation
     return mapping_feasible(assignment, workflow, network)
 
 
-def neighbour_lists(n: int, pairs: Iterable[tuple[int, int]], directed: bool = False) -> list[list[int]]:
-    """Ascending neighbour list of each vertex 0..n-1: the ``b`` of every
-    pair ``(a, b)`` when ``directed``, else both endpoints of every pair.
-    Each pair is counted once, so an undirected pair must not repeat."""
-    lists: list[list[int]] = [[] for _ in range(n)]
+def adjacency_masks(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Each vertex 0..n-1's neighbours in the undirected graph of ``pairs``
+    as a bitmask, bit k for vertex k."""
+    masks = [0] * n
     for a, b in pairs:
-        lists[a].append(b)
-        if not directed:
-            lists[b].append(a)
-    for neighbours in lists:
-        neighbours.sort()
-    return lists
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
 
 
 def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Connected components of the undirected graph on 0..n-1, each as an
     ascending vertex list, ordered by their least vertex."""
-    adjacency = neighbour_lists(n, edges)
-    seen = [False] * n
+    adjacency = adjacency_masks(n, edges)
     found = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        for u in component:  # grows while walked: a breadth-first search
-            for v in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    component.append(v)
-        component.sort()
-        found.append(component)
+    rest = (1 << n) - 1  # the vertices not yet reached
+    while rest:
+        seen = frontier = rest & -rest  # a flood from the least of them
+        while frontier:
+            low = frontier & -frontier
+            new = adjacency[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier = frontier ^ low | new  # low leaves, the new vertices join
+        rest ^= seen
+        found.append([v for v in range(n) if seen >> v & 1])
     return found

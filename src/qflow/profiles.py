@@ -25,7 +25,7 @@ def load_profiles(path: str | Path | None = None) -> dict[str, dict[str, float]]
     when it is None. A file other than an object of records, each an object
     whose eight fields are ints or floats (not bools), raises ValueError."""
     source = resources.files("qflow").joinpath("data/profiles.json") if path is None else Path(path)
-    raw = json.loads(source.read_text(encoding="utf-8"))
+    raw = json.loads(source.read_text(encoding="utf-8-sig"))
     if not isinstance(raw, dict):
         raise ValueError("profile file must be a JSON object of machine records")
     profiles = {}

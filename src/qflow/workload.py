@@ -185,7 +185,7 @@ def import_task_catalog(path: str | Path) -> list[TaskSpec]:
     """Parse a CSV task catalog; parse problems report the offending line,
     invariant violations the offending field."""
     catalog = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CATALOG_COLUMNS:
@@ -276,7 +276,7 @@ def generate_network(
     rng = random.Random(spec.seed)
     nodes: list[QpuNode] = []
     for k in range(spec.node_count):
-        name = rng.choice(list(spec.profile_pool))
+        name = rng.choice(spec.profile_pool)
         nodes.append(node_from_profile(name, profiles, node_id=f"{name}-{k}"))
 
     links = set()

@@ -19,7 +19,7 @@ from qflow.allocators import (
 )
 from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
 from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
-from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, neighbour_lists, validate_allocation
+from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
 from qflow.simulation import make_allocator, run_simulation
 
 from .conftest import (
@@ -788,7 +788,7 @@ def reference_dfs_node_order(network):
     """The DFS walk greedy_dfs used to recompute at every decision."""
     n = len(network.nodes)
     key = lambda k: (network.nodes[k].qubits, k)
-    adjacency = neighbour_lists(n, network.links)
+    adjacency = [mask_hosts(mask) for mask in network.neighbour_masks]
     visited = []
     seen = set()
     for start in sorted(range(n), key=key):

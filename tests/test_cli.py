@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 
@@ -32,6 +33,15 @@ class TestExitCodes:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "results.csv").exists()
         assert "completion" in capsys.readouterr().out
+
+    def test_config_with_byte_order_mark_runs_as_the_plain_file(self, tmp_path):
+        plain = write_config(tmp_path)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for cfg, out in (plain, "plain"), (marked, "marked"):
+            assert main(["--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        for name in ("results.csv", "summary.json"):
+            assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.json")]) == 1

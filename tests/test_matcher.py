@@ -19,7 +19,7 @@ from qflow.matcher import (
     task_domains,
     workflow_monomorphisms,
 )
-from qflow.model import NetworkParams, WeightConfig, mapping_feasible, neighbour_lists
+from qflow.model import NetworkParams, WeightConfig, components, mapping_feasible
 from qflow.workload import random_connected_dag
 
 from .conftest import (
@@ -66,7 +66,7 @@ def reference_monomorphisms(wf, host):
         adj[a].add(b)
         adj[b].add(a)
     domain = [[h for h, node in enumerate(host.nodes) if node.qubits >= task.qubits] for task in wf.tasks]
-    neighbours = [frozenset(adjacent) for adjacent in neighbour_lists(len(host.nodes), host.links)]
+    neighbours = [frozenset(mask_hosts(mask)) for mask in host.neighbour_masks]
     depth_of = {v: d for d, v in enumerate(order)}
     earlier = [[p for p in adj[v] if depth_of[p] < d] for d, v in enumerate(order)]
     last = pattern_size - 1
@@ -388,6 +388,40 @@ class TestSearchPlan:
         assert warm == fresh
         assert sum(map(len, fresh)) > 100
 
+    @staticmethod
+    def reference_plan(n, edges):
+        """The plan from ascending neighbour lists: a breadth-first walk
+        over the lists and each field read off them one by one."""
+        adj = [sorted({b for a, b in edges if a == w} | {a for a, b in edges if b == w}) for w in range(n)]
+        order = [max(range(n), key=lambda w: (len(adj[w]), -w))]
+        seen = set(order)
+        for u in order:  # grows while walked
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        depth_of = {w: d for d, w in enumerate(order)}
+        earlier = tuple(tuple(p for p in adj[w] if depth_of[p] < d) for d, w in enumerate(order))
+        u = order[-2] if n > 1 else None
+        v_earlier = tuple(p for p in earlier[-1] if p != u)
+        return tuple(order), earlier, u in adj[order[-1]], v_earlier, tuple(map(len, adj))
+
+    def test_plan_equals_the_list_reference(self):
+        # every connected skeleton on four labelled tasks, then random ones of 1 to 6 tasks
+        pairs = list(itertools.combinations(range(4), 2))
+        shapes = [(4, chosen) for r in range(3, 7) for chosen in itertools.combinations(pairs, r)]
+        skeletons = [(4, edges) for n, edges in shapes if len(components(n, edges)) == 1]
+        assert len(skeletons) == 38
+        rng = random.Random(37)
+        for _ in range(240):
+            n = rng.randint(1, 6)
+            labels = rng.sample(range(n), n)  # so that task 0 is not always the arborescence's root
+            edges = {tuple(sorted((labels[a], labels[b]))) for a, b in random_connected_dag(n, rng)}
+            skeletons.append((n, tuple(sorted(edges))))
+        for n, edges in skeletons:
+            assert _search_plan(n, edges) == self.reference_plan(n, edges), edges
+        assert {n for n, _ in skeletons} == set(range(1, 7))
+
     def test_plan_cache_is_bounded(self):
         maxsize = _search_plan.cache_info().maxsize
         assert maxsize is not None and maxsize >= 32
@@ -641,7 +675,7 @@ class TestDegreePruning:
         for seed in range(3):
             workflows, network, _ = scenario_instances("LP-LR", seed, 10)
             reps, masks, _ = network.calibration_classes
-            degrees = [len(adjacent) for adjacent in neighbour_lists(len(network.nodes), network.links)]
+            degrees = [mask.bit_count() for mask in network.neighbour_masks]
             for wf in workflows:
                 assert len(wf.tasks) == 4
                 task_degree = _search_plan(4, wf.skeleton)[4]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import json
 import math
@@ -12,15 +13,16 @@ from importlib import resources
 import pytest
 
 from qflow.experiments import ExperimentConfig
+from qflow.matcher import mask_hosts
 from qflow.model import (
     Allocation,
     NetworkParams,
     QpuNode,
     WeightConfig,
     Workflow,
+    adjacency_masks,
     components,
     mapping_feasible,
-    neighbour_lists,
     validate_allocation,
 )
 from qflow.profiles import load_profiles, node_from_profile
@@ -315,9 +317,11 @@ class TestGraphLayer:
             assert components(n, links) == reference_components(n, links)
             net = make_network([5] * n, links)
             assert is_connected(net) == (len(reference_components(n, links)) == 1)
-            assert neighbour_lists(n, net.links) == [
-                sorted({b for a, b in links if a == v} | {a for a, b in links if b == v}) for v in range(n)
-            ]
+            # each vertex's neighbours from ``links``, then as a bitmask
+            reference = [{b for a, b in links if a == v} | {a for a, b in links if b == v} for v in range(n)]
+            reference = [sum(1 << k for k in adjacent) for adjacent in reference]
+            assert adjacency_masks(n, links) == adjacency_masks(n, {(b, a) for a, b in links}) == reference
+            assert net.neighbour_masks == tuple(reference)
 
 
 def random_and_generated_networks():
@@ -354,7 +358,7 @@ class TestNeighbourMasks:
         linked = {True: 0, False: 0}  # verdicts on workflows with at least one edge
         for net in random_and_generated_networks():
             n = len(net.nodes)
-            adjacency = neighbour_lists(n, net.links)
+            adjacency = [mask_hosts(mask) for mask in net.neighbour_masks]
             for _ in range(20):
                 size = rng.randint(1, n)
                 qubits = [rng.choice((1, 5, 27)) for _ in range(size)]
@@ -510,6 +514,11 @@ class TestProfiles:
         monkeypatch.setenv("QFLOW_PROFILES", str(path))
         assert load_profiles() == profiles
         assert load_profiles(path)["tiny"]["qubits"] == 7
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, profiles):
+        path = tmp_path / "marked.json"
+        path.write_bytes(codecs.BOM_UTF8 + json.dumps(profiles).encode())
+        assert load_profiles(path) == profiles
 
     @pytest.mark.parametrize("field", ["two_qubit_runtime", "t1", "d1cps"])
     def test_nan_calibration_in_file_rejected(self, tmp_path, profiles, field):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import math
 import random
 
@@ -138,6 +139,16 @@ class TestCatalogRoundTrip:
         export_task_catalog([task], path)
         assert path.read_text().splitlines()[1] == "t,randomcircuit,5,6,4,2,100"
         assert import_task_catalog(path) == [task]
+
+    def test_byte_order_mark_is_skipped_and_never_written(self, tmp_path):
+        catalog = generate_catalog(20, seed=5)
+        path = tmp_path / "catalog.csv"
+        export_task_catalog(catalog, path)
+        plain = path.read_bytes()
+        assert not plain.startswith(codecs.BOM_UTF8)
+        marked = tmp_path / "marked.csv"  # as spreadsheet and editor exports often start
+        marked.write_bytes(codecs.BOM_UTF8 + plain)
+        assert import_task_catalog(marked) == import_task_catalog(path) == catalog
 
     def test_header_only_file_gives_empty_catalog(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -33,7 +33,12 @@ sides alike. A measuring process times, ``--calls`` times each:
   shape of sim-churn (the default config's workload of 3,000 workflows of 1
   to 3 tasks; 10 builds), row ``builds sim-churn``, and of lplr-sparse (the
   LP-LR preset's workload of 50 workflows of 4 tasks; 100 builds), row
-  ``builds lplr-sparse``.
+  ``builds lplr-sparse``;
+* the network builder, ``generate_network`` on the LP-LR preset's topology
+  (10 nodes, link probability 0.3) and on LP-MR's (20 nodes, 0.9), each at
+  100 seeds seeded as perfbench seeds a unit's network, with the network's
+  ``neighbour_masks`` and ``dfs_order`` read after each build, row
+  ``builds networks``.
 
 A call gives two figures per row: the summed time of its allocator calls
 (or builds, or runs) over their number (the mean, in ms per decision, build
@@ -101,7 +106,8 @@ def measure(calls: int) -> dict[str, list[float]]:
     from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
     from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
     from qflow.model import NetworkParams, WeightConfig
-    from qflow.workload import generate_catalog, generate_workload
+    from qflow.profiles import load_profiles
+    from qflow.workload import generate_catalog, generate_network, generate_workload
 
     spent: list[float] = []
     whole: list[float] = []  # run_simulation calls, end to end
@@ -140,6 +146,8 @@ def measure(calls: int) -> dict[str, list[float]]:
         ("builds sim-churn", ExperimentConfig.from_dict({"workload": {"batch_size": 3000}}), 10),
         ("builds lplr-sparse", scenario_config("LP-LR", "soft_iso", workload={"batch_size": 50}), 100),
     ]
+    profiles = load_profiles()
+    topologies = [scenario_config(name, "soft_iso").topology for name in ("LP-LR", "LP-MR")]
     for _ in range(calls):
         for row, config in runs:
             spent.clear()
@@ -163,6 +171,14 @@ def measure(calls: int) -> dict[str, list[float]]:
                 generate_workload(dataclasses.replace(spec, seed=4 * u + 1), catalog)
                 spent.append(time.perf_counter() - started)
             rows.setdefault(row, []).append(figures())
+        spent.clear()
+        for topology in topologies:
+            for u in range(100):
+                started = time.perf_counter()
+                network = generate_network(dataclasses.replace(topology, seed=4 * u + 2), profiles)
+                network.neighbour_masks, network.dfs_order  # read, so that the build times its views
+                spent.append(time.perf_counter() - started)
+        rows.setdefault("builds networks", []).append(figures())
     return {name: [statistics.median(column) for column in zip(*values)] for name, values in rows.items()}
 
 
