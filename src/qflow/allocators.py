@@ -24,7 +24,8 @@ import itertools
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .costs import CostBreakdown, DecisionTable, aggregate_cost, compute_bounds
 from .matcher import mask_hosts, workflow_monomorphisms
@@ -35,7 +36,6 @@ from .model import (
     WeightConfig,
     Workflow,
     mapping_feasible,
-    validate_allocation,
 )
 
 ORACLE_MAX_TASKS = 5
@@ -77,9 +77,8 @@ class SoftIsoConfig:
 EXHAUSTIVE = SoftIsoConfig(thres_max=math.inf, thres_prev=math.inf, counter_cap_base=math.inf)
 
 
-@dataclass(frozen=True)
-class AllocationOutcome:
-    """Result of one allocator invocation.
+class AllocationOutcome(NamedTuple):
+    """Result of one allocator invocation (a named tuple).
 
     ``allocation`` is None when the workflow could not be placed.
     ``candidates_examined`` counts scored candidates (soft_iso, oracle) or
@@ -89,7 +88,7 @@ class AllocationOutcome:
 
     allocation: Allocation | None
     candidates_examined: int
-    incumbent_costs: tuple[float, ...] = field(default=())
+    incumbent_costs: tuple[float, ...] = ()
 
     @property
     def succeeded(self) -> bool:
@@ -277,9 +276,8 @@ def greedy_dfs(workflow: Workflow, network: ResourceNetwork) -> AllocationOutcom
             break
         if network.nodes[k].qubits >= workflow.tasks[pending[0]].qubits:
             assignment[pending.pop(0)] = k
-    candidate = Allocation(assignment)
-    placed = not pending and validate_allocation(workflow, network, candidate)
-    return AllocationOutcome(candidate if placed else None, candidates_examined=1)
+    placed = not pending and mapping_feasible(assignment, workflow, network)
+    return AllocationOutcome(Allocation(assignment) if placed else None, candidates_examined=1)
 
 
 def exhaustive_oracle(

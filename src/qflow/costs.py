@@ -38,10 +38,12 @@ them in a term cache keyed by ``(TaskSpec, NetworkParams)``. :func:`task_terms`
 evaluates a task's terms on its first use, once per calibration class of the
 network (nodes with equal calibration have equal terms), in one loop that
 writes the term functions' expressions inline with the task's own factors
-taken once, so every float is theirs; it expands them to every node and
-serves every later decision and the simulator's execution from the cache.
-A table takes its availability column (the backlog) as given and computes
-only the bounds; its edges are the workflow's skeleton.
+taken once, so every float is theirs, with one maxima triple per task
+under one per-task rule: over the classes that fit its qubits, or over
+every class when none fits. It expands them to every node and serves every
+later decision and the simulator's execution from the cache. A table takes
+its availability column (the backlog) as given and computes only the
+bounds, the maxima of those triples; its edges are the workflow's skeleton.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def edge_communication_cost(
 
 def workflow_network_cost(
     workflow: Workflow,
-    assignment: dict[int, int],
+    assignment: Mapping[int, int] | Sequence[int],
     network: ResourceNetwork,
     params: NetworkParams,
 ) -> float:
@@ -212,8 +214,7 @@ def aggregate_cost(
         availability = max(availability, backlog[k])
         err += error_cost(task, node)
         runtime += runtime_cost(task, node)
-    assignment = {j: candidate_nodes[j] for j in range(len(workflow.tasks))}
-    net = workflow_network_cost(workflow, assignment, network, params)
+    net = workflow_network_cost(workflow, candidate_nodes, network, params)
 
     return _normalized(availability, err, runtime, net, bounds, weights)
 
@@ -246,17 +247,15 @@ class TaskTerms(NamedTuple):
     quantum-link term per node, then the row's minimum at index ``n`` (the
     node count): a sentinel host with the task's least terms, for bounds.
     ``clink`` is its classical term.
-    ``fit_max`` is the (error, runtime, ``qlink + clink``) maxima over the
-    nodes that fit the task's qubits, ``None`` when none does;
-    ``all_max`` the same maxima over every node.
+    ``maxima`` holds the (error, runtime, ``qlink + clink``) maxima over the
+    nodes that fit its qubits, or every node when none does (the per-task rule).
     """
 
     err: tuple[float, ...]
     run: tuple[float, ...]
     qlink: tuple[float, ...]
     clink: float
-    fit_max: tuple[float, float, float] | None
-    all_max: tuple[float, float, float]
+    maxima: tuple[float, float, float]
 
 
 def task_terms(tasks: Sequence[TaskSpec], network: ResourceNetwork, params: NetworkParams) -> list[TaskTerms]:
@@ -301,14 +300,13 @@ def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams)
         if q > q_max:
             q_max = q
     clink = params.classical_latency * task.measured_qubits
-    # max(q) + clink is the maximum of q + clink: rounding is monotone
-    all_max = (max(err), max(run), max(qlink) + clink)
-    fit_max = (e_max, r_max, q_max + clink) if fits else None
+    # max(q) + clink is the maximum of q + clink: rounding is monotone; no class fits -> every class
+    maxima = (e_max, r_max, q_max + clink) if fits else (max(err), max(run), max(qlink) + clink)
     # each row with its minimum appended -> the row per node, that minimum at index n
     expand = itemgetter(*of_node, len(reps))
     for row in err, run, qlink:
         row.append(min(row))
-    return TaskTerms(expand(err), expand(run), expand(qlink), clink, fit_max, all_max)
+    return TaskTerms(expand(err), expand(run), expand(qlink), clink, maxima)
 
 
 class DecisionTable:
@@ -318,23 +316,24 @@ class DecisionTable:
     classical term per task, the backlog per node (zeros when none is given),
     the workflow's skeleton (sorted), the network's calibration classes
     (for the group scorer), and the :class:`NormalizationBounds` taken from
-    those same floats. The error and runtime bounds are the worst
-    qubit-feasible (task, node) term times the task count; the network bound
-    is the worst per-endpoint quantum-plus-classical term times the edge
-    count (none for an edge-free workflow, whose network bound is the floor
-    even where that term is infinite); the availability bound is the
-    largest backlog. When no pair satisfies the qubit constraint the worst
-    cases range over all pairs, and every bound is floored at
-    ``BOUND_FLOOR`` so normalization never divides by zero.
+    those same floats. Each task's worst terms follow one per-task rule
+    (:attr:`TaskTerms.maxima`): they range over the nodes that fit its
+    qubits, or over every node when none does. The error and runtime bounds
+    are the worst such term over the tasks times the task count; the network
+    bound is the worst per-endpoint quantum-plus-classical term times the
+    edge count (none for an edge-free workflow, whose network bound is the
+    floor even where that term is infinite); the availability bound is the
+    largest backlog. Every bound is floored at ``BOUND_FLOOR`` so
+    normalization never divides by zero.
 
     The per-task rows, each ending with its minimum on the sentinel host
     ``n`` (the node count), and the maxima depend only on the task, the
     node calibration and the link parameters, so they come from the
     network's term caches (:attr:`ResourceNetwork.term_caches`), keyed by
     ``(NetworkParams, TaskSpec)``: one :class:`TaskTerms` per distinct
-    task. Only the bounds (maxima of the per-task maxima, the same floats as
-    maxima over the pairs, kept as ``max()`` keeps them) are computed per
-    decision, in the one pass over the task terms that collects the rows.
+    task. Only the bounds (maxima of the per-task maxima, kept as ``max()``
+    keeps them, a leading NaN too) are computed per decision, in the one
+    pass over the task terms that collects the rows.
     """
 
     def __init__(
@@ -352,26 +351,18 @@ class DecisionTable:
         self.edges = workflow.skeleton
         self.classes = network.calibration_classes
 
-        max_err = None
-        for err_j, run_j, qlink_j, clink_j, fit_max, _ in terms:
+        max_err, max_run, max_net = terms[0].maxima  # raised as max() raises them: a leading NaN is kept
+        for err_j, run_j, qlink_j, clink_j, (e, r, q) in terms:
             err.append(err_j)
             run.append(run_j)
             qlink.append(qlink_j)
             clink.append(clink_j)
-            if fit_max is None:
-                continue
-            if max_err is None:  # the maxima over the tasks that fit, kept as max() keeps them
-                max_err, max_run, max_net = fit_max
-                continue
-            e, r, q = fit_max
             if e > max_err:
                 max_err = e
             if r > max_run:
                 max_run = r
             if q > max_net:
                 max_net = q
-        if max_err is None:  # no task fits any node: the maxima over all pairs
-            max_err, max_run, max_net = map(max, zip(*(t.all_max for t in terms)))
         n_tasks = len(err)
         self.bounds = NormalizationBounds(
             max_nat=max(max(self.avail, default=0.0), BOUND_FLOOR),

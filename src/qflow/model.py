@@ -29,7 +29,8 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, index
+from typing import NamedTuple
 
 PROGRAM_FAMILIES = (
     "ghz",
@@ -244,11 +245,14 @@ class ResourceNetwork:
             raise ValueError("network needs at least one node")
         norm = set()
         for a, b in self.links:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"link ({a},{b}) out of range")
+            try:
+                if not (0 <= index(a) < n and 0 <= index(b) < n):
+                    raise ValueError(f"link ({a},{b}) out of range")
+            except TypeError:  # operator.index on a non-integer endpoint
+                raise ValueError(f"link ({a!r},{b!r}) needs integer node indices") from None
             if a == b:
                 raise ValueError(f"self-loop on node {a}")
-            norm.add((min(a, b), max(a, b)))
+            norm.add((a, b) if a < b else (b, a))
         object.__setattr__(self, "links", frozenset(norm))
 
     @cached_property
@@ -262,10 +266,10 @@ class ResourceNetwork:
         part of the key), in order of first appearance:
         one representative node and one host bitmask per class, then each
         node's class index. Nodes of a class have equal cost terms."""
-        index: dict[tuple, int] = {}
-        of_node = tuple(index.setdefault(_calibration(node), len(index)) for node in self.nodes)
-        reps = tuple(self.nodes[of_node.index(c)] for c in range(len(index)))
-        masks = tuple(sum(1 << k for k, d in enumerate(of_node) if d == c) for c in range(len(index)))
+        ids: dict[tuple, int] = {}
+        of_node = tuple(ids.setdefault(_calibration(node), len(ids)) for node in self.nodes)
+        reps = tuple(self.nodes[of_node.index(c)] for c in range(len(ids)))
+        masks = tuple(sum(1 << k for k, d in enumerate(of_node) if d == c) for c in range(len(ids)))
         return reps, masks, of_node
 
     @cached_property
@@ -406,15 +410,11 @@ class WeightConfig:
             raise ValueError("alpha + beta + gamma must equal 1")
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Injective task-index -> node-index assignment for one workflow."""
+class Allocation(NamedTuple):
+    """Injective task-index -> node-index assignment for one workflow, kept as given."""
 
     assignment: dict[int, int]
     cost_breakdown: "CostBreakdown | None" = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
 
 
 def mapping_feasible(

@@ -99,8 +99,10 @@ class TestSoftIso:
         monkeypatch.setattr("qflow.allocators.DecisionTable", counting_table)
         path = make_network([127, 127, 127], [(0, 1), (1, 2)])
         triangle = pattern_workflow(3, [(0, 1), (1, 2), (0, 2)], qubits=[5, 5, 5])
-        outcome = soft_iso(triangle, path, WEIGHTS, PARAMS)
-        assert (outcome.succeeded, outcome.candidates_examined, len(built)) == (False, 0, 0)
+        too_large = chain_workflow([200, 5])  # the first task fits no node: no group, no table
+        for wf in triangle, too_large:
+            outcome = soft_iso(wf, path, WEIGHTS, PARAMS)
+            assert (outcome.succeeded, outcome.candidates_examined, len(built)) == (False, 0, 0)
         outcome = soft_iso(chain_workflow([5, 5]), path, WEIGHTS, PARAMS)
         assert outcome.succeeded and len(built) == 1
 

@@ -41,17 +41,16 @@ getcontext().prec = 50
 
 def fresh_terms(wf, network, params, backlog):
     """One decision's terms and bounds evaluated afresh from the term
-    functions, the bounds taken over the qubit-feasible (task, node) pairs,
-    or over all pairs when none fits: what a cached table must equal."""
+    functions, the bounds taken over each task's pairs with the nodes that
+    fit its qubits, or with every node when none does: what a cached table
+    must equal."""
     tasks, nodes = wf.tasks, network.nodes
     err = [tuple(error_cost(t, n) for n in nodes) for t in tasks]
     run = [tuple(runtime_cost(t, n) for n in nodes) for t in tasks]
     qlink = [tuple(quantum_link_cost(t, n, params) for n in nodes) for t in tasks]
     clink = [classical_link_cost(t, params) for t in tasks]
     avail = [0.0] * len(nodes) if backlog is None else backlog
-    pairs = [
-        (j, k) for j, t in enumerate(tasks) for k, n in enumerate(nodes) if t.qubits <= n.qubits
-    ] or [(j, k) for j in range(len(tasks)) for k in range(len(nodes))]
+    pairs = [(j, k) for j, t in enumerate(tasks) for k in fitting_nodes(t, nodes)]
     bounds = NormalizationBounds(
         max_nat=max(max(avail, default=0.0), 1e-12),
         max_task_error_sum=max(len(tasks) * max(err[j][k] for j, k in pairs), 1e-12),
@@ -76,29 +75,29 @@ def assert_fresh(table, wf, network, params, backlog):
     assert table.bounds == bounds
 
 
+def fitting_nodes(task, nodes):
+    """The indices of the nodes that fit the task's qubits, or of every
+    node when none does: the per-task rule of the bounds."""
+    return [k for k, n in enumerate(nodes) if task.qubits <= n.qubits] or range(len(nodes))
+
+
 def fresh_maxima(task, network, params):
     """A task's (error, runtime, quantum plus classical link) maxima over
-    the nodes that fit its qubits, ``None`` when none does, and over every
-    node, evaluated afresh from the term functions."""
+    the nodes that fit its qubits, or over every node when none does,
+    evaluated afresh from the term functions."""
     clink = classical_link_cost(task, params)
-
-    def maxima(nodes):
-        return (
-            max(error_cost(task, n) for n in nodes),
-            max(runtime_cost(task, n) for n in nodes),
-            max(quantum_link_cost(task, n, params) + clink for n in nodes),
-        )
-
-    fitting = [n for n in network.nodes if task.qubits <= n.qubits]
-    return maxima(fitting) if fitting else None, maxima(network.nodes)
+    nodes = [network.nodes[k] for k in fitting_nodes(task, network.nodes)]
+    return (
+        max(error_cost(task, n) for n in nodes),
+        max(runtime_cost(task, n) for n in nodes),
+        max(quantum_link_cost(task, n, params) + clink for n in nodes),
+    )
 
 
 def max_reference_bounds(terms, wf, backlog):
-    """The bounds as ``max()`` takes them from the task terms: over the
-    tasks' maxima on the nodes that fit, or over every node when no task
-    fits any, the first maximum kept; ValueError where one is NaN."""
-    worst = [t.fit_max for t in terms if t.fit_max is not None] or [t.all_max for t in terms]
-    max_err, max_run, max_net = map(max, zip(*worst))
+    """The bounds as ``max()`` takes them from the tasks' maxima, the first
+    maximum kept; ValueError where one is NaN."""
+    max_err, max_run, max_net = map(max, zip(*(t.maxima for t in terms)))
     n_tasks, n_edges = len(terms), len(wf.skeleton)
     return NormalizationBounds(
         max_nat=max(max(backlog or [0.0]), BOUND_FLOOR),
@@ -561,7 +560,7 @@ class TestTermCache:
             allocator = make_allocator("soft_iso", WeightConfig(), run_params, SoftIsoConfig(counter_cap_base=2))
             state = run_simulation(workflows, network, allocator, run_params)
             assert state.completed and network.term_caches[run_params]
-            # no node can host any task of this one: its bounds fall back to all pairs
+            # no node can host any task of this one: each task's maxima range over every node
             biggest = max(n.qubits for n in network.nodes)
             homeless = dataclasses.replace(
                 workflows[0], tasks=tuple(dataclasses.replace(t, qubits=biggest + 1) for t in workflows[0].tasks)
@@ -578,8 +577,8 @@ class TestTermCache:
                     again = DecisionTable(wf, network, params, backlog)
                     assert all(a is b for a, b in zip(again.err, table.err))  # read, not re-evaluated
                     for task, terms in zip(wf.tasks, task_terms(wf.tasks, network, params)):
-                        assert (terms.fit_max, terms.all_max) == fresh_maxima(task, network, params)
-                        homeless_terms += terms.fit_max is None
+                        assert terms.maxima == fresh_maxima(task, network, params)
+                        homeless_terms += not any(task.qubits <= n.qubits for n in network.nodes)
                     tables += 1
             distinct = {t for wf in [*workflows, homeless] for t in wf.tasks}
             assert len(network.term_caches[run_params]) <= len(distinct)
@@ -610,12 +609,15 @@ class TestTermCache:
 
 class TestCalibrationFields:
     def test_every_calibration_field_changes_a_task_term(self):
-        # a field that no term reads would still split calibration classes
+        # a field that no term reads would still split calibration classes; a
+        # fitting node with smaller error rates stays beside the varied one, so
+        # a varied node the probe no longer fits lowers the probe's maxima
         probe = make_task("probe", qubits=5, depth=6, two_qubit_gates=4, measured_qubits=5)
         base = dataclasses.asdict(make_node("a", e1=0.004, e2=0.01, er=0.02))
+        fitting = make_node("b", e1=0.002, e2=0.005, er=0.01)
         for name in (f.name for f in dataclasses.fields(QpuNode) if f.name != "id"):
             changed = {**base, name: 3 if name == "qubits" else base[name] * 1.5}  # 3 qubits fit no probe
-            terms = [task_terms([probe], ResourceNetwork((QpuNode(**fields),)), NetworkParams())[0]
+            terms = [task_terms([probe], ResourceNetwork((QpuNode(**fields), fitting)), NetworkParams())[0]
                      for fields in (base, changed)]
             assert terms[0] != terms[1], name
 
@@ -1161,9 +1163,7 @@ class TestComputeBounds:
                 fallbacks += 1
             busy += any(f > 0.25 for f in free_at)
             bounds = compute_bounds(wf, network, params, backlog_at(free_at, 0.25))
-            pairs = [
-                (t, n) for t in wf.tasks for n in network.nodes if t.qubits <= n.qubits
-            ] or [(t, n) for t in wf.tasks for n in network.nodes]
+            pairs = [(t, network.nodes[k]) for t in wf.tasks for k in fitting_nodes(t, network.nodes)]
             exp_err = len(wf.tasks) * max(error_cost(t, n) for t, n in pairs)
             exp_rt = len(wf.tasks) * max(runtime_cost(t, n) for t, n in pairs)
             exp_net = len(wf.skeleton) * max(
@@ -1200,20 +1200,18 @@ class TestComputeBounds:
         assert tied > 30
 
         # planted maxima: 0.0 against -0.0, ties and NaN in every order over
-        # two tasks, and the all-unfit fallback; the table keeps the floats
-        # max() keeps, and refuses a NaN exactly where max() keeps one (a
-        # zero maximum is floored, so its sign cannot show in the bounds)
+        # two tasks; the table keeps the floats max() keeps, and refuses a
+        # NaN exactly where max() keeps one (a zero maximum is floored, so
+        # its sign cannot show in the bounds)
         network = make_network([9, 9], [(0, 1)])
         wf = chain_workflow([3, 3])
         values = (0.0, -0.0, 0.5, math.nan)
-        fits = [None, *itertools.product(values, repeat=3)]
-        fallbacks = ((-0.0, 0.0, 0.5), (0.0, -0.0, 0.5))
         real = task_terms(wf.tasks, network, params)
         cache = network.term_caches[params]
         refused = kept = 0
-        for fit_a, fit_b in itertools.product(fits, repeat=2):
-            for task, terms, fit, all_max in zip(wf.tasks, real, (fit_a, fit_b), fallbacks):
-                cache[task] = TaskTerms(*terms[:4], fit, all_max)
+        for planted in itertools.product(itertools.product(values, repeat=3), repeat=2):
+            for task, terms, maxima in zip(wf.tasks, real, planted):
+                cache[task] = TaskTerms(*terms[:4], maxima)
             try:
                 expected = max_reference_bounds(task_terms(wf.tasks, network, params), wf, None)
             except ValueError:

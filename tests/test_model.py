@@ -183,8 +183,13 @@ class TestResourceNetwork:
 
     @pytest.mark.parametrize(
         "qubit_list, links, message",
-        [([], [], "network needs at least one node"), ([127, 127], [(0, 2)], r"link \(0,2\) out of range")],
-        ids=["no-nodes", "link-out-of-range"],
+        [
+            ([], [], "network needs at least one node"),
+            ([127, 127], [(0, 2)], r"link \(0,2\) out of range"),
+            ([127, 127], [(0, 1.0)], r"link \(0,1\.0\) needs integer node indices"),
+            ([127, 127], [("a", 1)], r"link \('a',1\) needs integer node indices"),
+        ],
+        ids=["no-nodes", "link-out-of-range", "float-endpoint", "string-endpoint"],
     )
     def test_empty_network_and_stray_link_rejected(self, qubit_list, links, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):

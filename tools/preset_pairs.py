@@ -38,7 +38,12 @@ sides alike. A measuring process times, ``--calls`` times each:
   (10 nodes, link probability 0.3) and on LP-MR's (20 nodes, 0.9), each at
   100 seeds seeded as perfbench seeds a unit's network, with the network's
   ``neighbour_masks`` and ``dfs_order`` read after each build, row
-  ``builds networks``.
+  ``builds networks``;
+* a task's first-use term evaluation, ``task_terms`` over the tasks of one
+  LP-LR workload of 50 workflows (built once, as the first unit of
+  lplr-sparse builds it) on each fresh network of the row before, its
+  calibration classes read untimed after the build, row ``terms cold`` (ms
+  per network).
 
 A call gives two figures per row: the summed time of its allocator calls
 (or builds, or runs) over their number (the mean, in ms per decision, build
@@ -104,6 +109,7 @@ def measure(calls: int) -> dict[str, list[float]]:
     import qflow.allocators as alg
     import qflow.experiments as experiments
     from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
+    from qflow.costs import task_terms
     from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
     from qflow.model import NetworkParams, WeightConfig
     from qflow.profiles import load_profiles
@@ -142,12 +148,16 @@ def measure(calls: int) -> dict[str, list[float]]:
         {"algorithm": "random_aware", "repetitions": 3, "workload": {"batch_size": 1000}, "measure_timing": False}
     )
     runs += [("default random_aware", churn), ("LP-MR random_aware", scenario("LP-MR", "random_aware", {}))]
+    lplr = scenario_config("LP-LR", "soft_iso", workload={"batch_size": 50})
     shapes = [
         ("builds sim-churn", ExperimentConfig.from_dict({"workload": {"batch_size": 3000}}), 10),
-        ("builds lplr-sparse", scenario_config("LP-LR", "soft_iso", workload={"batch_size": 50}), 100),
+        ("builds lplr-sparse", lplr, 100),
     ]
     profiles = load_profiles()
     topologies = [scenario_config(name, "soft_iso").topology for name in ("LP-LR", "LP-MR")]
+    # the terms cold row's tasks: lplr-sparse's first unit's workload
+    cold = generate_catalog(lplr.catalog_size, lplr.workload.qubit_range, seed=3, shots=lplr.workload.shots_default)
+    cold_tasks = [t for wf in generate_workload(dataclasses.replace(lplr.workload, seed=1), cold) for t in wf.tasks]
     for _ in range(calls):
         for row, config in runs:
             spent.clear()
@@ -179,6 +189,15 @@ def measure(calls: int) -> dict[str, list[float]]:
                 network.neighbour_masks, network.dfs_order  # read, so that the build times its views
                 spent.append(time.perf_counter() - started)
         rows.setdefault("builds networks", []).append(figures())
+        spent.clear()
+        for topology in topologies:
+            for u in range(100):
+                network = generate_network(dataclasses.replace(topology, seed=4 * u + 2), profiles)
+                network.calibration_classes  # read, so that the row times the term evaluation alone
+                started = time.perf_counter()
+                task_terms(cold_tasks, network, lplr.params)
+                spent.append(time.perf_counter() - started)
+        rows.setdefault("terms cold", []).append(figures())
     return {name: [statistics.median(column) for column in zip(*values)] for name, values in rows.items()}
 
 
@@ -226,6 +245,8 @@ def main(argv=None) -> int:
 def unit(row: str) -> str:
     if row.endswith(" run"):
         return "ms/run"
+    if row == "terms cold":
+        return "ms/network"
     return "ms/build" if row.startswith("builds") else "ms/decision"
 
 
