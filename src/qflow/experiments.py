@@ -19,7 +19,6 @@ import json
 import math
 import statistics
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,6 +93,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, check_count(name, getattr(self, name), minimum))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.workers != 1:
+            raise ConfigError(f"workers: must be 1, got {self.workers}; repetitions run in one process")
 
         for name, kind in _SECTIONS.items():
             if not isinstance(section := getattr(self, name), kind):
@@ -217,16 +218,10 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Run all repetitions (optionally across a process pool), in seed
-    order, and write the result tables when an output directory is given.
-    A run with a non-finite metric raises ValueError before anything is
-    written."""
-    indices = list(range(config.repetitions))
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            runs = list(pool.map(run_single, [config] * len(indices), indices))
-    else:
-        runs = [run_single(config, i) for i in indices]
+    """Run all repetitions in seed order, in this process, and write the
+    result tables when an output directory is given. A run with a
+    non-finite metric raises ValueError before anything is written."""
+    runs = [run_single(config, i) for i in range(config.repetitions)]
     for run in runs:
         for name in METRIC_FIELDS:
             if not math.isfinite(value := getattr(run.metrics, name)):
@@ -299,13 +294,7 @@ def write_outputs(result: ExperimentResult, out_dir: Path) -> dict[str, Path]:
     return {"results": results_path, "shares": shares_path, "summary": summary_path}
 
 
-def scenario_config(
-    name: str,
-    algorithm: str,
-    base_seed: int = 0,
-    repetitions: int = 10,
-    **overrides,
-) -> ExperimentConfig:
+def scenario_config(name: str, algorithm: str, **overrides) -> ExperimentConfig:
     """Preset configs for the four stress scenarios.
 
     SP/LP set (tasks per group, batch) = (2, 10) / (4, 500); LR/MR set
@@ -327,8 +316,7 @@ def scenario_config(
         algorithm=algorithm,
         workload=WorkloadSpec(batch_size=batch, tasks_per_group=tasks, tasks_per_group_min=tasks),
         topology=TopologySpec(node_count=nodes, link_probability=rho),
-        base_seed=base_seed,
-        repetitions=repetitions,
+        repetitions=10,
         retry_limit=0,
     )
     return replace_fields(preset, overrides)

@@ -96,6 +96,9 @@ def group_size(hosts: int, leaves: int, links: tuple[int, ...] | None) -> int:
     return size
 
 
+# Never evicts on generated workloads: over 200,000 draws each,
+# random_connected_dag drew 3, 21 and 315 distinct skeletons for 3, 4 and 5
+# tasks, 341 over the 1-5 tasks a WorkloadSpec allows.
 @lru_cache(maxsize=512)
 def _search_plan(n: int, edges: tuple[tuple[int, int], ...]) -> tuple:
     """The skeleton-only part of the search, derived once per pattern and

@@ -131,18 +131,22 @@ class Workflow:
             raise ValueError(f"workflow {self.id}: needs at least one task")
         fields = self.__dict__  # cheaper than object.__setattr__; the skeleton cache needs the dict anyway
         fields["tasks"] = tuple(self.tasks)
-        edges = fields["edges"] = frozenset(map(tuple, self.edges))
         preds, succs = [0] * n, [0] * n  # each task's, as bitmasks: bit k for task k
-        try:
-            for a, b in edges:
+        for edge in self.edges:
+            try:
+                a, b = edge
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise ValueError(f"workflow {self.id}: edge {edge!r} is not a pair of task indices") from None
+            try:
                 if not (0 <= a < n and 0 <= b < n):
                     raise ValueError(f"workflow {self.id}: edge ({a},{b}) out of range")
                 if a == b:
                     raise ValueError(f"workflow {self.id}: self-loop on task {a}")
                 succs[a] |= 1 << b
                 preds[b] |= 1 << a
-        except TypeError:  # a comparison, index or shift on a non-integer endpoint
-            raise ValueError(f"workflow {self.id}: edge ({a!r},{b!r}) needs integer task indices") from None
+            except TypeError:  # a comparison, index or shift on a non-integer endpoint
+                raise ValueError(f"workflow {self.id}: edge ({a!r},{b!r}) needs integer task indices") from None
+        fields["edges"] = frozenset(map(tuple, self.edges))
         if not 0 <= self.arrival_time < math.inf:
             raise ValueError(f"workflow {self.id}: arrival time must be finite and >= 0, got {self.arrival_time}")
         if n == 1:  # no edge passed the checks above; one order
@@ -244,7 +248,11 @@ class ResourceNetwork:
         if n < 1:
             raise ValueError("network needs at least one node")
         norm = set()
-        for a, b in self.links:
+        for link in self.links:
+            try:
+                a, b = link
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise ValueError(f"link {link!r} is not a pair of node indices") from None
             try:
                 if not (0 <= index(a) < n and 0 <= index(b) < n):
                     raise ValueError(f"link ({a},{b}) out of range")

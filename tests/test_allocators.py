@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,8 +21,17 @@ from qflow.allocators import (
 )
 from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
 from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
-from qflow.model import Allocation, NetworkParams, WeightConfig, mapping_feasible, validate_allocation
+from qflow.model import (
+    Allocation,
+    NetworkParams,
+    ResourceNetwork,
+    WeightConfig,
+    mapping_feasible,
+    validate_allocation,
+)
+from qflow.profiles import load_profiles
 from qflow.simulation import make_allocator, run_simulation
+from qflow.workload import TopologySpec, WorkloadSpec, generate_catalog, generate_network, generate_workload
 
 from .conftest import (
     backlog_at,
@@ -208,6 +219,33 @@ class TestSoftIso:
             outcome = soft_iso(wf, net, WEIGHTS, PARAMS, backlog=backlog)
             if outcome.succeeded:
                 assert validate_allocation(wf, net, outcome.allocation)
+
+    # Bounds about 45% over the peaks measured on CPython 3.11: 0.343 MB at
+    # 4 tasks and 4.18 MB at 5 tasks. The scorer keeps one memo row per class
+    # tuple, so a network of as many classes as nodes is where it grows.
+    @pytest.mark.parametrize("tasks, bound_mb", [(4, 0.5), (5, 6.0)])
+    def test_one_decision_memory_on_a_class_per_node(self, tasks, bound_mb):
+        """One decision's tracemalloc peak on a 20-node network whose every
+        node is its own calibration class, built as the many-class probe in
+        tools/preset_pairs.py builds it: the fifth decision on its seed-0
+        network, the largest peak among the probe's decisions at either
+        task count."""
+        drawn = generate_network(TopologySpec(node_count=20, link_probability=0.9, seed=0), load_profiles())
+        nodes = tuple(dataclasses.replace(node, t1=node.t1 * (1 + 1e-6 * k)) for k, node in enumerate(drawn.nodes))
+        network = ResourceNetwork(nodes, drawn.links)
+        assert len(network.calibration_classes[0]) == len(nodes)
+        spec = WorkloadSpec(batch_size=5, tasks_per_group=tasks, tasks_per_group_min=tasks, seed=0)
+        wf = generate_workload(spec, generate_catalog(128, seed=0))[4]
+        rng = random.Random(0)
+        backlog = [[rng.uniform(0.0, 2.0) for _ in nodes] for _ in range(5)][4]
+        tracemalloc.start()
+        try:
+            outcome = soft_iso(wf, network, WEIGHTS, PARAMS, SoftIsoConfig(), backlog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.succeeded
+        assert peak <= bound_mb * 1e6, f"{peak / 1e6:.3f} MB"
 
 
 def reference_soft_iso(workflow, network, weights, params, config, backlog, by_table=False):

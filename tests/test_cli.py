@@ -141,13 +141,15 @@ class TestExitCodes:
             # every repetition derives both seeds from base_seed
             ({"workload": {"seed": 5}}, "workload.seed: must be 0, got 5"),
             ({"topology": {"seed": 9}}, "topology.seed: must be 0, got 9"),
+            # repetitions run in one process
+            ({"workers": 2}, "workers: must be 1, got 2; repetitions run in one process"),
         ],
         ids=[
             "list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency",
             "overflowing-link-cost", "infinite-latency", "overflowing-latency", "overflowing-latency-sums",
             "bool-weight", "bool-link-probability", "bool-cap-base",
             "bool-arrival-rate", "bool-catalog-path", "fd-catalog-path", "zero-catalog-path", "bool-profiles-path",
-            "number-profiles-path", "workload-seed", "topology-seed",
+            "number-profiles-path", "workload-seed", "topology-seed", "workers",
         ],
     )
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, raw, message):

@@ -433,18 +433,14 @@ class TestCostBreakdown:
         assert type(again) is CostBreakdown and again == got
 
     @pytest.mark.parametrize("algorithm", ["random_aware", "soft_iso"])
-    def test_worker_processes_equal_one_process(self, algorithm):
-        from qflow.experiments import ExperimentConfig, run_experiment
-        from qflow.workload import TopologySpec, WorkloadSpec
+    def test_worker_processes_refused(self, algorithm):
+        # repetitions run in one process; a spec's hash after a pickle round
+        # trip stays checked by test_task_spec_hash_keys_one_entry_per_equal_spec
+        from qflow.experiments import ConfigError, ExperimentConfig
 
-        config = ExperimentConfig(
-            algorithm=algorithm, workload=WorkloadSpec(batch_size=8, tasks_per_group=3),
-            topology=TopologySpec(node_count=5, link_probability=0.6), repetitions=4, base_seed=11,
-            measure_timing=False,
-        )
-        serial = run_experiment(config)
-        assert serial.runs == run_experiment(dataclasses.replace(config, workers=2)).runs
-        assert serial.mean("completion_pct") > 0
+        config = ExperimentConfig(algorithm=algorithm, repetitions=4, base_seed=11, measure_timing=False)
+        with pytest.raises(ConfigError, match="^workers: must be 1, got 2"):
+            dataclasses.replace(config, workers=2)
 
 
 class TestCandidateScorer:

@@ -1,11 +1,14 @@
-"""qflow runs on the standard library alone, and reads no environment.
+"""qflow runs on the standard library alone, in one process, and reads no
+environment.
 
-The benchmark bounds ``peak_rss_mb`` at 15% over the parent commit, and
-importing numpy adds about 12 MB of resident memory (the peak of a process
-that imports qflow grows from about 18 MB to 30 MB on CPython 3.11), which
-alone would raise lpmr-search's peak of about 25.6 MB by some 47%. So the
-allocators stay pure Python, and a change that pulls in numpy, directly or
-through a dependency, fails here first.
+The benchmark bounds ``peak_rss_mb`` at 15% over the parent commit. On
+CPython 3.11 the peak of a process that imports qflow is about 16.6 MB.
+Importing numpy adds about 12 MB to it (28.5 MB), which alone would raise
+lpmr-search's peak of about 23.7 MB by half. ``multiprocessing``, which a
+process pool pulls in, added about 2.6 MB (19.2 MB) and 10 ms to the
+import. So the allocators stay pure Python, repetitions run in one
+process, and a change that pulls in either module, directly or through a
+dependency, fails here first.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_import_loads_no_numpy():
-    probe = "import sys, qflow; print('numpy' in sys.modules)"
+@pytest.mark.parametrize("module", ["numpy", "multiprocessing"])
+def test_import_does_not_load(module):
+    probe = f"import sys, qflow; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         cwd=ROOT,

@@ -204,11 +204,9 @@ class TestRunExperiment:
         for name in ("results.csv", "qpu_shares.csv"):
             assert (generated / name).read_bytes() == (imported / name).read_bytes()
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        serial = run_experiment(small_config())
-        parallel = run_experiment(small_config(workers=2))
-        for name in ("execution_time", "wait_time", "avg_fidelity", "comm_overhead", "completion_pct"):
-            assert serial.metric_values(name) == parallel.metric_values(name)
+    def test_workers_other_than_one_refused(self):
+        with pytest.raises(ConfigError, match=r"^workers: must be 1, got 2; repetitions run in one process$"):
+            small_config(workers=2)
 
     def test_non_finite_metric_raises_before_any_output(self, tmp_path):
         # a tiny but normal efficiency: on the default config the link terms

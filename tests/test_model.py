@@ -137,8 +137,11 @@ class TestWorkflow:
             ((1, 1), "self-loop on task 1"),
             ((1.0, 0), r"edge \(1\.0,0\) needs integer task indices"),
             (("0", 1), r"edge \('0',1\) needs integer task indices"),
+            (1, "edge 1 is not a pair of task indices"),
+            ((0, 1, 2), r"edge \(0, 1, 2\) is not a pair of task indices"),
+            ((0,), r"edge \(0,\) is not a pair of task indices"),
         ],
-        ids=["past-end", "negative", "self-loop", "float-endpoint", "str-endpoint"],
+        ids=["past-end", "negative", "self-loop", "float-endpoint", "str-endpoint", "int-edge", "triple", "single"],
     )
     def test_bad_edge_rejected(self, edge, message):
         tasks = tuple(make_task(task_id=f"t{i}") for i in range(2))
@@ -188,8 +191,11 @@ class TestResourceNetwork:
             ([127, 127], [(0, 2)], r"link \(0,2\) out of range"),
             ([127, 127], [(0, 1.0)], r"link \(0,1\.0\) needs integer node indices"),
             ([127, 127], [("a", 1)], r"link \('a',1\) needs integer node indices"),
+            ([127, 127], {1}, "link 1 is not a pair of node indices"),
+            ([127, 127], {(0, 1, 2)}, r"link \(0, 1, 2\) is not a pair of node indices"),
+            ([127, 127], {(0,)}, r"link \(0,\) is not a pair of node indices"),
         ],
-        ids=["no-nodes", "link-out-of-range", "float-endpoint", "string-endpoint"],
+        ids=["no-nodes", "link-out-of-range", "float-endpoint", "string-endpoint", "int-link", "triple", "single"],
     )
     def test_empty_network_and_stray_link_rejected(self, qubit_list, links, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):
