@@ -117,13 +117,15 @@ def check_inputs(config: ExperimentConfig) -> None:
         where = "topology.profile_pool"
         nodes = [node_from_profile(name, profiles) for name in config.topology.profile_pool]
         lo, hi = config.workload.qubit_range
+        largest = TaskSpec("largest", hi, 1, 0, hi)
         # a repetition adds a link term into each of its `tasks` start times
         # through at most `tasks * (per_group - 1) / 2` gates, and the term is
         # linear in qubits, so the largest task measuring every qubit on each
         # profile bounds the sums
+        where = "workload.batch_size"
         tasks = config.workload.batch_size * config.workload.tasks_per_group
-        terms = tasks * tasks * (config.workload.tasks_per_group - 1) // 2
-        largest = TaskSpec("largest", hi, 1, 0, hi)
+        # a float, as the products below take it; an int past float range raises OverflowError here
+        terms = float(tasks * tasks * (config.workload.tasks_per_group - 1) // 2)
         for node in nodes:
             where = f"params.transmission_efficiency on profile {node.id}"
             # taken with no gate too, as a run takes every task's term; only a gate adds it into a sum
@@ -137,7 +139,8 @@ def check_inputs(config: ExperimentConfig) -> None:
         if config.catalog_path:
             if not any(lo <= task.qubits <= hi for task in import_task_catalog(config.catalog_path)):
                 raise ValueError(f"{config.catalog_path} has no task within workload.qubit_range [{lo}, {hi}]")
-    except (OSError, ValueError, ZeroDivisionError) as exc:  # coherence mean times attenuation can underflow to 0
+    except (OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
+        # ZeroDivisionError: coherence mean times attenuation can underflow to 0
         raise ConfigError(f"{where}: {exc}") from exc
 
 

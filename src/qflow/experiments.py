@@ -115,8 +115,9 @@ def replace_fields(obj, values: dict, path: str = ""):
     """Return the dataclass ``obj`` with the fields named in ``values``
     replaced; a dict given for a field that holds a dataclass is applied to
     that dataclass's fields in turn. An unknown key, a bool given for a field
-    that holds a float or None, or a bad value raises a ``ConfigError``
-    naming its dotted path (``path`` prefixes it)."""
+    that holds a float or None, anything but a bool for a field that holds a
+    bool, or a bad value raises a ``ConfigError`` naming its dotted path
+    (``path`` prefixes it)."""
     if not isinstance(values, dict):
         raise ConfigError(f"{path.rstrip('.') or 'config'}: expected an object, got {type(values).__name__}")
     unknown = set(values) - {f.name for f in dataclasses.fields(obj)}
@@ -130,6 +131,9 @@ def replace_fields(obj, values: dict, path: str = ""):
         elif isinstance(value, bool) and (current is None or type(current) is float):
             # a bool is an int, so a real-valued field would take it as 0 or 1
             raise ConfigError(f"{path}{name}: a bool is not accepted, got {value!r}")
+        elif type(current) is bool and type(value) is not bool:
+            # a switch would take any other value by its truth: "false" turns it on
+            raise ConfigError(f"{path}{name}: expected true or false, got {value!r}")
         changes[name] = value
     try:
         return dataclasses.replace(obj, **changes)

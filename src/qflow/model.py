@@ -86,6 +86,8 @@ class TaskSpec:
         try:  # not through __dict__, which would build the instance dict and slow every later read
             for name, minimum in counts:
                 value = getattr(self, name)
+                if type(value) is int and value >= minimum:  # a bool's type is bool, so it is checked below
+                    continue
                 if (count := check_count(name, value, minimum)) is not value:
                     object.__setattr__(self, name, count)
         except ValueError as exc:
@@ -132,20 +134,25 @@ class Workflow:
         fields = self.__dict__  # cheaper than object.__setattr__; the skeleton cache needs the dict anyway
         fields["tasks"] = tuple(self.tasks)
         preds, succs = [0] * n, [0] * n  # each task's, as bitmasks: bit k for task k
-        for edge in self.edges:
-            try:
-                a, b = edge
-            except (TypeError, ValueError):  # not iterable, or not two items
-                raise ValueError(f"workflow {self.id}: edge {edge!r} is not a pair of task indices") from None
-            try:
-                if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError(f"workflow {self.id}: edge ({a},{b}) out of range")
-                if a == b:
-                    raise ValueError(f"workflow {self.id}: self-loop on task {a}")
-                succs[a] |= 1 << b
-                preds[b] |= 1 << a
-            except TypeError:  # a comparison, index or shift on a non-integer endpoint
-                raise ValueError(f"workflow {self.id}: edge ({a!r},{b!r}) needs integer task indices") from None
+        try:
+            for edge in self.edges:
+                try:
+                    a, b = edge
+                except (TypeError, ValueError):  # not iterable, or not two items
+                    raise ValueError(f"workflow {self.id}: edge {edge!r} is not a pair of task indices") from None
+                try:
+                    if not (0 <= a < n and 0 <= b < n):
+                        raise ValueError(f"workflow {self.id}: edge ({a},{b}) out of range")
+                    if a == b:
+                        raise ValueError(f"workflow {self.id}: self-loop on task {a}")
+                    succs[a] |= 1 << b
+                    preds[b] |= 1 << a
+                except TypeError:  # a comparison, index or shift on a non-integer endpoint
+                    raise ValueError(f"workflow {self.id}: edge ({a!r},{b!r}) needs integer task indices") from None
+        except TypeError:  # the body raises none, so ``edges`` itself is not iterable
+            raise ValueError(
+                f"workflow {self.id}: edges must be a collection of task index pairs, got {self.edges!r}"
+            ) from None
         fields["edges"] = frozenset(map(tuple, self.edges))
         if not 0 <= self.arrival_time < math.inf:
             raise ValueError(f"workflow {self.id}: arrival time must be finite and >= 0, got {self.arrival_time}")
@@ -248,19 +255,22 @@ class ResourceNetwork:
         if n < 1:
             raise ValueError("network needs at least one node")
         norm = set()
-        for link in self.links:
-            try:
-                a, b = link
-            except (TypeError, ValueError):  # not iterable, or not two items
-                raise ValueError(f"link {link!r} is not a pair of node indices") from None
-            try:
-                if not (0 <= index(a) < n and 0 <= index(b) < n):
-                    raise ValueError(f"link ({a},{b}) out of range")
-            except TypeError:  # operator.index on a non-integer endpoint
-                raise ValueError(f"link ({a!r},{b!r}) needs integer node indices") from None
-            if a == b:
-                raise ValueError(f"self-loop on node {a}")
-            norm.add((a, b) if a < b else (b, a))
+        try:
+            for link in self.links:
+                try:
+                    a, b = link
+                except (TypeError, ValueError):  # not iterable, or not two items
+                    raise ValueError(f"link {link!r} is not a pair of node indices") from None
+                try:
+                    if not (0 <= index(a) < n and 0 <= index(b) < n):
+                        raise ValueError(f"link ({a},{b}) out of range")
+                except TypeError:  # operator.index on a non-integer endpoint
+                    raise ValueError(f"link ({a!r},{b!r}) needs integer node indices") from None
+                if a == b:
+                    raise ValueError(f"self-loop on node {a}")
+                norm.add((a, b) if a < b else (b, a))
+        except TypeError:  # the body raises none, so ``links`` itself is not iterable
+            raise ValueError(f"links must be a collection of node index pairs, got {self.links!r}") from None
         object.__setattr__(self, "links", frozenset(norm))
 
     @cached_property

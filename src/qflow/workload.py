@@ -9,7 +9,10 @@ each link independently and are repaired to connectivity with a uniform
 random spanning tree over the components.
 
 Everything is driven by explicit ``random.Random`` instances, so identical
-seeds reproduce equal objects.
+seeds reproduce equal objects. A graph state's chord draws are read in bulk
+as the generator's 32-bit words, ``getrandbits`` a few thousand draws at a
+time: they are the same numbers, in the same order, that ``rng.random()``
+would return, and leave the generator in the same state.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 from .model import PROGRAM_FAMILIES, QpuNode, ResourceNetwork, TaskSpec, Workflow, check_count, components
@@ -33,6 +35,18 @@ WORKFLOW_CHORD_PROB = 0.2
 CATALOG_COLUMNS = ("id", "family", "qubits", "depth", "two_qubit_gates", "measured_qubits", "shots")
 # The TaskSpec attribute each catalog column holds, in column order.
 _TASK_ATTRS = tuple("program_family" if column == "family" else column for column in CATALOG_COLUMNS)
+# Graph-state chord draws are read this many at a time, as the generator's
+# words: 2 words, 8 bytes, per draw, so a read holds 32 KB whatever the task.
+_CHORD_CHUNK = 4096
+# A draw whose first word has top byte t lies in [t/256, (t+1)/256). Each
+# top byte marks its draw as surely under GRAPH_STATE_CHORD_PROB (_BELOW),
+# as needing the exact value (_EDGE, the byte whose interval holds the
+# probability) or as surely not under it (0).
+_BELOW, _EDGE = 1, 2
+_CHORD_MARKS = bytes(
+    _BELOW if (t + 1) / 256 <= GRAPH_STATE_CHORD_PROB else _EDGE if t / 256 < GRAPH_STATE_CHORD_PROB else 0
+    for t in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -105,8 +119,12 @@ def generate_task(
     quadratic n(n-1)/2 controlled-rotation count; variational families use
     fixed layer counts; modular-arithmetic circuits grow quadratically.
     Randomness enters only for graph-state chord draws and the random-circuit
-    depth band. An unknown family draws nothing, and :class:`TaskSpec`
-    rejects it with a ValueError naming the task.
+    depth band. The chord draws are read in bulk as ``rng``'s words, two
+    words per draw as ``rng.random()`` takes them, so they are the same
+    numbers and ``rng`` ends in the same state; a draw is compared whole
+    only when its first word's top byte cannot settle it. An unknown family
+    draws nothing, and :class:`TaskSpec` rejects it with a ValueError
+    naming the task.
     """
     family = family.strip().lower()
     n = qubits
@@ -118,10 +136,21 @@ def generate_task(
         ring = n if n >= 3 else (1 if n == 2 else 0)
         # one draw per non-ring pair i < j: j >= i + 2, the ring's closing
         # pair (0, n-1) excepted; only the count under the probability is kept
-        draw, chords = rng.random, 0
-        for _ in repeat(None, (n - 1) * (n - 2) // 2 - 1 if n >= 3 else 0):
-            if draw() < GRAPH_STATE_CHORD_PROB:
-                chords += 1
+        draws, chords = (n - 1) * (n - 2) // 2 - 1 if n >= 3 else 0, 0
+        while draws > 0:
+            m = _CHORD_CHUNK if draws > _CHORD_CHUNK else draws
+            draws -= m
+            # the 2m words that m rng.random() calls consume, in order, each little-endian
+            raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+            marks = raw[3::8].translate(_CHORD_MARKS)  # each draw's first word's top byte
+            chords += marks.count(_BELOW)
+            k = marks.find(_EDGE)
+            while k >= 0:  # settled as random() forms a draw from its words a and b
+                pair = int.from_bytes(raw[8 * k : 8 * k + 8], "little")
+                a, b = pair & 0xFFFFFFFF, pair >> 32
+                if ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0) < GRAPH_STATE_CHORD_PROB:
+                    chords += 1
+                k = marks.find(_EDGE, k + 1)
         g2 = ring + chords
         depth = 2 + math.ceil(2 * g2 / n)
         mq = n

@@ -90,7 +90,7 @@ def make_node(node_id="n", qubits=127, e1=0.0, e2=0.0, er=0.0, rt2=660e-9, t1=22
 
 def make_network(qubit_list, links):
     nodes = tuple(make_node(node_id=f"n{k}", qubits=q) for k, q in enumerate(qubit_list))
-    return ResourceNetwork(nodes=nodes, links=frozenset(links))
+    return ResourceNetwork(nodes=nodes, links=links)
 
 
 def is_connected(network: ResourceNetwork) -> bool:

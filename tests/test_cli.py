@@ -143,13 +143,15 @@ class TestExitCodes:
             ({"topology": {"seed": 9}}, "topology.seed: must be 0, got 9"),
             # repetitions run in one process
             ({"workers": 2}, "workers: must be 1, got 2; repetitions run in one process"),
+            # a run's gate count past float range overflowed the sums check itself
+            ({"workload": {"batch_size": 1e308}}, "workload.batch_size: int too large to convert to float"),
         ],
         ids=[
             "list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency",
             "overflowing-link-cost", "infinite-latency", "overflowing-latency", "overflowing-latency-sums",
             "bool-weight", "bool-link-probability", "bool-cap-base",
             "bool-arrival-rate", "bool-catalog-path", "fd-catalog-path", "zero-catalog-path", "bool-profiles-path",
-            "number-profiles-path", "workload-seed", "topology-seed", "workers",
+            "number-profiles-path", "workload-seed", "topology-seed", "workers", "overflowing-batch",
         ],
     )
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, raw, message):
@@ -157,6 +159,23 @@ class TestExitCodes:
         path.write_text(json.dumps(raw))
         assert main(["--config", str(path), "--reps", "1", "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "zero", "null"])
+    @pytest.mark.parametrize(
+        "field",
+        ["dependency_gating", "gate_comm_latency", "measure_timing", "params.eta_in_db", "soft_config.strict_pseudocode"],
+    )
+    def test_switch_refuses_a_non_bool(self, tmp_path, capsys, field, value):
+        # taken by its truth, "false" would turn a switch on, and 0 or null off
+        *sections, name = field.split(".")
+        raw = {name: value}
+        for section in sections:
+            raw = {section: raw}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["--config", str(path), "--reps", "1", "--out", str(tmp_path / "out")]) == 1
+        assert f"{field}: expected true or false, got {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_latency_with_one_task_per_workflow_runs(self, tmp_path):

@@ -130,23 +130,28 @@ class TestWorkflow:
             Workflow(id="w", tasks=())
 
     @pytest.mark.parametrize(
-        "edge, message",
+        "edges, message",
         [
-            ((0, 2), r"edge \(0,2\) out of range"),
-            ((-1, 0), r"edge \(-1,0\) out of range"),
-            ((1, 1), "self-loop on task 1"),
-            ((1.0, 0), r"edge \(1\.0,0\) needs integer task indices"),
-            (("0", 1), r"edge \('0',1\) needs integer task indices"),
-            (1, "edge 1 is not a pair of task indices"),
-            ((0, 1, 2), r"edge \(0, 1, 2\) is not a pair of task indices"),
-            ((0,), r"edge \(0,\) is not a pair of task indices"),
+            ({(0, 1), (0, 2)}, r"edge \(0,2\) out of range"),
+            ({(0, 1), (-1, 0)}, r"edge \(-1,0\) out of range"),
+            ({(0, 1), (1, 1)}, "self-loop on task 1"),
+            ({(0, 1), (1.0, 0)}, r"edge \(1\.0,0\) needs integer task indices"),
+            ({(0, 1), ("0", 1)}, r"edge \('0',1\) needs integer task indices"),
+            ({(0, 1), 1}, "edge 1 is not a pair of task indices"),
+            ({(0, 1), (0, 1, 2)}, r"edge \(0, 1, 2\) is not a pair of task indices"),
+            ({(0, 1), (0,)}, r"edge \(0,\) is not a pair of task indices"),
+            (1, "edges must be a collection of task index pairs, got 1"),
+            (None, "edges must be a collection of task index pairs, got None"),
         ],
-        ids=["past-end", "negative", "self-loop", "float-endpoint", "str-endpoint", "int-edge", "triple", "single"],
+        ids=[
+            "past-end", "negative", "self-loop", "float-endpoint", "str-endpoint", "int-edge", "triple", "single",
+            "int-edges", "no-edges",
+        ],
     )
-    def test_bad_edge_rejected(self, edge, message):
+    def test_bad_edge_rejected(self, edges, message):
         tasks = tuple(make_task(task_id=f"t{i}") for i in range(2))
         with pytest.raises(ValueError, match=rf"^workflow w: {message}$"):
-            Workflow(id="w", tasks=tasks, edges=frozenset({(0, 1), edge}))
+            Workflow(id="w", tasks=tasks, edges=edges)
 
     def test_cycle_reported_before_disconnection(self):
         tasks = tuple(make_task(task_id=f"t{i}") for i in range(4))
@@ -194,8 +199,13 @@ class TestResourceNetwork:
             ([127, 127], {1}, "link 1 is not a pair of node indices"),
             ([127, 127], {(0, 1, 2)}, r"link \(0, 1, 2\) is not a pair of node indices"),
             ([127, 127], {(0,)}, r"link \(0,\) is not a pair of node indices"),
+            ([127, 127], 1, "links must be a collection of node index pairs, got 1"),
+            ([127, 127], None, "links must be a collection of node index pairs, got None"),
         ],
-        ids=["no-nodes", "link-out-of-range", "float-endpoint", "string-endpoint", "int-link", "triple", "single"],
+        ids=[
+            "no-nodes", "link-out-of-range", "float-endpoint", "string-endpoint", "int-link", "triple", "single",
+            "int-links", "no-links",
+        ],
     )
     def test_empty_network_and_stray_link_rejected(self, qubit_list, links, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):

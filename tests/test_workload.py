@@ -5,9 +5,11 @@ from __future__ import annotations
 import codecs
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from qflow import workload
 from qflow.model import PROGRAM_FAMILIES, TaskSpec
 from qflow.workload import (
     GRAPH_STATE_CHORD_PROB,
@@ -112,13 +114,49 @@ class TestGenerateTask:
                 assert 0 <= t.measured_qubits <= t.qubits
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_every_family_matches_reference_draws(self, seed):
-        # equal tasks and an equal generator state, so later draws agree too
-        rng, ref = random.Random(seed), random.Random(seed)
-        for family in PROGRAM_FAMILIES:
-            for n in range(1, 121):
-                assert generate_task(family, n, rng) == reference_generate_task(family, n, ref)
-                assert rng.getstate() == ref.getstate()
+    def test_every_family_matches_reference_draws(self, seed, monkeypatch):
+        # equal tasks and an equal generator state, so later draws agree too.
+        # Graph-state draws are read _CHORD_CHUNK at a time: the patched read
+        # sizes put a 50-qubit task's draws one short of, at and one past a
+        # read's end, and 120 qubits past two reads; 131 qubits' 8,255 draws
+        # pass two reads of the module's own size
+        fifty = 49 * 48 // 2 - 1
+        assert 2 * workload._CHORD_CHUNK < 130 * 129 // 2 - 1 and 2 * (fifty + 1) < 119 * 118 // 2 - 1
+        for chunk in (workload._CHORD_CHUNK, fifty + 1, fifty, fifty - 1):
+            monkeypatch.setattr(workload, "_CHORD_CHUNK", chunk)
+            rng, ref = random.Random(seed), random.Random(seed)
+            for family in PROGRAM_FAMILIES:
+                for n in (*range(1, 121), 131):
+                    assert generate_task(family, n, rng) == reference_generate_task(family, n, ref)
+                    assert rng.getstate() == ref.getstate()
+
+    def test_boundary_byte_draws_count_as_random_does(self):
+        # a draw whose first word's top byte is 25 lies in [25/256, 26/256),
+        # which holds the probability; it is counted by its exact value
+        assert 25 / 256 < GRAPH_STATE_CHORD_PROB < 26 / 256
+        n, draws = 40, 39 * 38 // 2 - 1
+        edge_draws = edge_chords = 0
+        for seed in range(300):
+            rng, ref = random.Random(seed), random.Random(seed)
+            values = [ref.random() for _ in range(draws)]
+            chords = sum(x < GRAPH_STATE_CHORD_PROB for x in values)
+            assert generate_task("graphstate", n, rng).two_qubit_gates == n + chords
+            edge = [x for x in values if int(x * 256) == 25]
+            edge_draws += len(edge)
+            edge_chords += sum(x < GRAPH_STATE_CHORD_PROB for x in edge)
+        assert 0 < edge_chords < edge_draws  # boundary draws met on both sides of the probability
+
+    def test_graph_state_draws_are_read_in_bounded_memory(self):
+        # 2,000 qubits draw 1,997,000 times, 16 MB of words and as many bytes
+        # in one read; read a few thousand at a time, the peak is about 0.11 MB
+        rng = random.Random(0)
+        tracemalloc.start()
+        try:
+            generate_task("graphstate", 2000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
     def test_case_insensitive_family(self):
         rng = random.Random(0)

@@ -34,6 +34,9 @@ sides alike. A measuring process times, ``--calls`` times each:
   to 3 tasks; 10 builds), row ``builds sim-churn``, and of lplr-sparse (the
   LP-LR preset's workload of 50 workflows of 4 tasks; 100 builds), row
   ``builds lplr-sparse``;
+* the catalog builder alone, ``generate_catalog`` (128 tasks over 5 to 100
+  qubits), seeded as perfbench seeds a unit's catalog (100 builds), row
+  ``builds catalog``;
 * the network builder, ``generate_network`` on the LP-LR preset's topology
   (10 nodes, link probability 0.3) and on LP-MR's (20 nodes, 0.9), each at
   100 seeds seeded as perfbench seeds a unit's network, with the network's
@@ -181,6 +184,12 @@ def measure(calls: int) -> dict[str, list[float]]:
                 generate_workload(dataclasses.replace(spec, seed=4 * u + 1), catalog)
                 spent.append(time.perf_counter() - started)
             rows.setdefault(row, []).append(figures())
+        spent.clear()
+        for u in range(100):
+            started = time.perf_counter()
+            generate_catalog(128, (5, 100), seed=4 * u + 3)
+            spent.append(time.perf_counter() - started)
+        rows.setdefault("builds catalog", []).append(figures())
         spent.clear()
         for topology in topologies:
             for u in range(100):
