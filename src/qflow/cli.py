@@ -32,7 +32,7 @@ from .experiments import (
 from .model import TaskSpec
 from .profiles import load_profiles, node_from_profile
 from .simulation import ALLOCATOR_NAMES
-from .workload import import_task_catalog
+from .workload import RANDOM_CIRCUIT_DEPTH_BAND, import_task_catalog
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,9 +108,11 @@ def load_config(args) -> ExperimentConfig:
 def check_inputs(config: ExperimentConfig) -> None:
     """Load the input files ``config`` names, build one node per pooled
     profile, require each one's link cost, quantum and then with the
-    classical term, to stay finite in a repetition's sums and an imported
-    catalog to hold a task within ``workload.qubit_range``: a bad input is
-    a configuration error before anything runs."""
+    classical term, to stay finite in a repetition's sums, the last arrival
+    time and each task's layer count (depth times shots) to stay in float
+    range, and an imported catalog to hold a task within
+    ``workload.qubit_range``: a bad input is a configuration error before
+    anything runs."""
     where = f"profiles file {config.profiles_path or '(bundled)'}"
     try:
         profiles = load_profiles(config.profiles_path)
@@ -135,10 +137,28 @@ def check_inputs(config: ExperimentConfig) -> None:
             where = "params.classical_latency"
             if terms and not (quantum + classical_link_cost(largest, config.params)) * terms < math.inf:
                 raise ValueError(f"the link cost of a {hi}-qubit task measuring every qubit overflows a run")
+        where = "workload.arrival_rate"
+        # a gap, -log(1.0 - random()) / rate, is at most -log(2**-53) / rate, about 36.7 / rate;
+        # refused whatever the seed, as some seed draws such gaps
+        rate = config.workload.effective_rate
+        if not config.workload.batch_size * 37 / rate < math.inf:
+            raise ValueError(f"{config.workload.batch_size} arrivals at rate {rate} can pass float range")
         where = "catalog_path"
         if config.catalog_path:
-            if not any(lo <= task.qubits <= hi for task in import_task_catalog(config.catalog_path)):
+            tasks = [task for task in import_task_catalog(config.catalog_path) if lo <= task.qubits <= hi]
+            if not tasks:
                 raise ValueError(f"{config.catalog_path} has no task within workload.qubit_range [{lo}, {hi}]")
+            layers = [(f"task {task.id}", task.depth * task.shots) for task in tasks]
+        else:
+            where = "workload.shots_default"
+            # shor's 4 * n * n is the deepest family past 3 qubits, a random circuit's band end below
+            depth = max(4 * hi * hi, RANDOM_CIRCUIT_DEPTH_BAND[1])
+            layers = [(f"the deepest {hi}-qubit task", depth * config.workload.shots_default)]
+        for name, count in layers:  # the cost terms take a task's layers, depth * shots, as a float
+            try:
+                float(count)
+            except OverflowError:
+                raise ValueError(f"{name}: depth times shots overflows a float") from None
     except (OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
         # ZeroDivisionError: coherence mean times attenuation can underflow to 0
         raise ConfigError(f"{where}: {exc}") from exc

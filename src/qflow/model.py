@@ -108,7 +108,7 @@ class TaskSpec:
         return hash(self.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Workflow:
     """A DAG of tasks submitted as one user request.
 
@@ -127,35 +127,44 @@ class Workflow:
     priority: int = 0
     topological_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n = len(self.tasks)
+    def __init__(self, id, tasks, edges=frozenset(), arrival_time=0.0, priority=0):
+        # the fields go straight into the instance dict, in field order, where a generated
+        # frozen __init__ makes five object.__setattr__ calls; the skeleton cache needs the dict anyway
+        fields = self.__dict__
+        fields["id"] = id
+        fields["tasks"] = tasks
+        fields["edges"] = edges
+        fields["arrival_time"] = arrival_time
+        fields["priority"] = priority
+        n = len(tasks)
         if n < 1:
-            raise ValueError(f"workflow {self.id}: needs at least one task")
-        fields = self.__dict__  # cheaper than object.__setattr__; the skeleton cache needs the dict anyway
-        fields["tasks"] = tuple(self.tasks)
+            raise ValueError(f"workflow {id}: needs at least one task")
+        fields["tasks"] = tuple(tasks)
         preds, succs = [0] * n, [0] * n  # each task's, as bitmasks: bit k for task k
+        pairs = []  # ``edges`` is read once, so a one-shot iterable keeps the pairs it validated
         try:
-            for edge in self.edges:
+            for edge in edges:
                 try:
                     a, b = edge
                 except (TypeError, ValueError):  # not iterable, or not two items
-                    raise ValueError(f"workflow {self.id}: edge {edge!r} is not a pair of task indices") from None
+                    raise ValueError(f"workflow {id}: edge {edge!r} is not a pair of task indices") from None
                 try:
                     if not (0 <= a < n and 0 <= b < n):
-                        raise ValueError(f"workflow {self.id}: edge ({a},{b}) out of range")
+                        raise ValueError(f"workflow {id}: edge ({a},{b}) out of range")
                     if a == b:
-                        raise ValueError(f"workflow {self.id}: self-loop on task {a}")
+                        raise ValueError(f"workflow {id}: self-loop on task {a}")
                     succs[a] |= 1 << b
                     preds[b] |= 1 << a
                 except TypeError:  # a comparison, index or shift on a non-integer endpoint
-                    raise ValueError(f"workflow {self.id}: edge ({a!r},{b!r}) needs integer task indices") from None
+                    raise ValueError(f"workflow {id}: edge ({a!r},{b!r}) needs integer task indices") from None
+                pairs.append((a, b))
         except TypeError:  # the body raises none, so ``edges`` itself is not iterable
             raise ValueError(
-                f"workflow {self.id}: edges must be a collection of task index pairs, got {self.edges!r}"
+                f"workflow {id}: edges must be a collection of task index pairs, got {edges!r}"
             ) from None
-        fields["edges"] = frozenset(map(tuple, self.edges))
-        if not 0 <= self.arrival_time < math.inf:
-            raise ValueError(f"workflow {self.id}: arrival time must be finite and >= 0, got {self.arrival_time}")
+        fields["edges"] = frozenset(pairs)
+        if not 0 <= arrival_time < math.inf:
+            raise ValueError(f"workflow {id}: arrival time must be finite and >= 0, got {arrival_time}")
         if n == 1:  # no edge passed the checks above; one order
             fields["topological_order"] = (0,)
             return
@@ -176,7 +185,7 @@ class Workflow:
                 if not preds[bit.bit_length() - 1] & ~done:
                     ready |= bit
         if len(order) < n:
-            raise ValueError(f"workflow {self.id}: task graph has a cycle")
+            raise ValueError(f"workflow {id}: task graph has a cycle")
         seen = frontier = 1  # a flood of the skeleton from task 0
         while frontier:
             u = (frontier & -frontier).bit_length() - 1
@@ -184,7 +193,7 @@ class Workflow:
             seen |= new
             frontier = frontier ^ (1 << u) | new  # u leaves, the new tasks join
         if seen != done:
-            raise ValueError(f"workflow {self.id}: task graph skeleton is disconnected")
+            raise ValueError(f"workflow {id}: task graph skeleton is disconnected")
         fields["topological_order"] = tuple(order)
 
     @property

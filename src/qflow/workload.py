@@ -9,10 +9,15 @@ each link independently and are repaired to connectivity with a uniform
 random spanning tree over the components.
 
 Everything is driven by explicit ``random.Random`` instances, so identical
-seeds reproduce equal objects. A graph state's chord draws are read in bulk
-as the generator's 32-bit words, ``getrandbits`` a few thousand draws at a
-time: they are the same numbers, in the same order, that ``rng.random()``
-would return, and leave the generator in the same state.
+seeds reproduce equal objects. Draws read the generator's 32-bit words in
+place. An integer below n is drawn as ``Random.randrange(n)`` draws it:
+``getrandbits(n.bit_length())``, one word, drawn again while it is n or
+more; so ``choice``, ``randint`` and ``randrange`` become that loop where
+the value is used, and an exponential gap is ``expovariate``'s
+``-log(1.0 - random()) / rate``. A graph state's chord draws are read in
+bulk, ``getrandbits`` a few thousand draws at a time. Each draw is the same
+number, read from the same words in the same order, that the ``Random``
+method would return, and leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ _CHORD_CHUNK = 4096
 # as needing the exact value (_EDGE, the byte whose interval holds the
 # probability) or as surely not under it (0).
 _BELOW, _EDGE = 1, 2
+# A random circuit's depth offset is drawn below the band's width, from
+# getrandbits of the width's bit length.
+_DEPTH_SPAN = RANDOM_CIRCUIT_DEPTH_BAND[1] - RANDOM_CIRCUIT_DEPTH_BAND[0] + 1
+_DEPTH_BITS = _DEPTH_SPAN.bit_length()
 _CHORD_MARKS = bytes(
     _BELOW if (t + 1) / 256 <= GRAPH_STATE_CHORD_PROB else _EDGE if t / 256 < GRAPH_STATE_CHORD_PROB else 0
     for t in range(256)
@@ -154,8 +163,11 @@ def generate_task(
         g2 = ring + chords
         depth = 2 + math.ceil(2 * g2 / n)
         mq = n
-    elif family == "randomcircuit":
-        depth = rng.randint(*RANDOM_CIRCUIT_DEPTH_BAND)
+    elif family == "randomcircuit":  # rng.randint(*RANDOM_CIRCUIT_DEPTH_BAND)
+        depth = rng.getrandbits(_DEPTH_BITS)
+        while depth >= _DEPTH_SPAN:
+            depth = rng.getrandbits(_DEPTH_BITS)
+        depth += RANDOM_CIRCUIT_DEPTH_BAND[0]
         g2, mq = depth * n // 2, n
     elif family == "grover":
         depth, g2, mq = 2 * n + 4, 2 * (n - 1), n
@@ -192,12 +204,24 @@ def generate_catalog(
     seed: int = 0,
     shots: int = 1000,
 ) -> list[TaskSpec]:
-    """Sample a catalog of tasks with uniform families and qubit counts."""
+    """Sample a catalog of tasks with uniform families and qubit counts; a
+    qubit range that is empty or not of whole numbers >= 1 raises ValueError."""
+    lo = check_count("qubit_range low end", qubit_range[0], 1)
+    span = check_count("qubit_range high end", qubit_range[1], lo) - lo + 1
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    families = len(PROGRAM_FAMILIES)
+    family_bits, span_bits = families.bit_length(), span.bit_length()
     catalog = []
     for i in range(size):
-        family = rng.choice(PROGRAM_FAMILIES)
-        qubits = rng.randint(qubit_range[0], qubit_range[1])
+        r = getrandbits(family_bits)  # rng.choice(PROGRAM_FAMILIES)
+        while r >= families:
+            r = getrandbits(family_bits)
+        family = PROGRAM_FAMILIES[r]
+        r = getrandbits(span_bits)  # rng.randint(lo, hi)
+        while r >= span:
+            r = getrandbits(span_bits)
+        qubits = lo + r
         catalog.append(generate_task(family, qubits, rng, shots=shots, task_id=f"{family}-{qubits}-{i}"))
     return catalog
 
@@ -236,13 +260,19 @@ def import_task_catalog(path: str | Path) -> list[TaskSpec]:
 def random_connected_dag(n: int, rng: random.Random) -> frozenset[tuple[int, int]]:
     """Random DAG over 0..n-1 whose skeleton is connected: a spanning
     arborescence (every task after the first depends on an earlier one) plus
-    independent forward chords."""
+    independent forward chords. Task i's parent is ``rng.randrange(i)``,
+    drawn in place."""
+    getrandbits, draw = rng.getrandbits, rng.random
     edges = set()
     for i in range(1, n):
-        edges.add((rng.randrange(i), i))
+        k = i.bit_length()
+        r = getrandbits(k)
+        while r >= i:
+            r = getrandbits(k)
+        edges.add((r, i))
     for i in range(n):
         for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < WORKFLOW_CHORD_PROB:
+            if (i, j) not in edges and draw() < WORKFLOW_CHORD_PROB:
                 edges.add((i, j))
     return frozenset(edges)
 
@@ -259,25 +289,45 @@ def generate_workload(spec: WorkloadSpec, catalog: list[TaskSpec]) -> list[Workf
     if not filtered:
         raise ValueError(f"catalog has no tasks within qubit range [{lo}, {hi}]")
     rng = random.Random(spec.seed)
+    getrandbits, draw = rng.getrandbits, rng.random
     rate = spec.effective_rate
+    least = spec.tasks_per_group_min
+    counts = spec.tasks_per_group - least + 1
+    choices = len(filtered)
+    count_bits, choice_bits = counts.bit_length(), choices.bit_length()
     workflows = []
     clock = 0.0
     for i in range(spec.batch_size):
-        clock += rng.expovariate(rate)
-        count = rng.randint(spec.tasks_per_group_min, spec.tasks_per_group)
-        tasks = tuple(rng.choice(filtered) for _ in range(count))
-        edges = random_connected_dag(count, rng)
-        workflows.append(
-            Workflow(id=f"wf-{i:04d}", tasks=tasks, edges=edges, arrival_time=clock)
-        )
+        clock += -math.log(1.0 - draw()) / rate  # rng.expovariate(rate)
+        r = getrandbits(count_bits)  # rng.randint(least, spec.tasks_per_group)
+        while r >= counts:
+            r = getrandbits(count_bits)
+        count = least + r
+        tasks = []
+        for _ in range(count):
+            r = getrandbits(choice_bits)  # rng.choice(filtered)
+            while r >= choices:
+                r = getrandbits(choice_bits)
+            tasks.append(filtered[r])
+        workflows.append(Workflow(f"wf-{i:04d}", tasks, random_connected_dag(count, rng), clock))
     return workflows
+
+
+def _below(n: int, getrandbits) -> int:
+    """``rng.randrange(n)`` for ``n >= 1``, read from the words of the
+    generator that ``getrandbits`` belongs to: the hot loops inline it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _uniform_spanning_tree_edges(m: int, rng: random.Random) -> list[tuple[int, int]]:
     """Uniform random labelled tree on m >= 2 vertices via a Prufer
     sequence; for m == 2 the sequence is empty, so no draw is made and the
     tree is the edge (0, 1)."""
-    prufer = [rng.randrange(m) for _ in range(m - 2)]
+    prufer = [_below(m, rng.getrandbits) for _ in range(m - 2)]  # rng.randrange(m) each
     degree = [1] * m
     for v in prufer:
         degree[v] += 1
@@ -303,9 +353,10 @@ def generate_network(
     with the configured probability, then connectivity repaired by joining
     components along a uniform random spanning tree."""
     rng = random.Random(spec.seed)
+    getrandbits, pool = rng.getrandbits, spec.profile_pool
     nodes: list[QpuNode] = []
     for k in range(spec.node_count):
-        name = rng.choice(spec.profile_pool)
+        name = pool[_below(len(pool), getrandbits)]  # rng.choice(pool)
         nodes.append(node_from_profile(name, profiles, node_id=f"{name}-{k}"))
 
     links = set()
@@ -318,8 +369,8 @@ def generate_network(
     members = components(n, links)
     if len(members) > 1:
         for ca, cb in _uniform_spanning_tree_edges(len(members), rng):
-            a = rng.choice(members[ca])
-            b = rng.choice(members[cb])
+            a = members[ca][_below(len(members[ca]), getrandbits)]  # rng.choice(members[ca])
+            b = members[cb][_below(len(members[cb]), getrandbits)]
             links.add((min(a, b), max(a, b)))
 
     return ResourceNetwork(nodes=tuple(nodes), links=frozenset(links))

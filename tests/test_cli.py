@@ -145,6 +145,13 @@ class TestExitCodes:
             ({"workers": 2}, "workers: must be 1, got 2; repetitions run in one process"),
             # a run's gate count past float range overflowed the sums check itself
             ({"workload": {"batch_size": 1e308}}, "workload.batch_size: int too large to convert to float"),
+            # a gap is at most about 36.7 / rate: the last arrival time can pass float range
+            ({"workload": {"arrival_rate": 5e-324}}, "workload.arrival_rate: 50 arrivals at rate 5e-324 can pass"),
+            # a 100-qubit shor task's 40,000 layers times the shots pass float range in the cost terms
+            (
+                {"workload": {"shots_default": 1e308}},
+                "workload.shots_default: the deepest 100-qubit task: depth times shots overflows a float",
+            ),
         ],
         ids=[
             "list", "string-pool", "nested-unknown", "least-subnormal-efficiency", "subnormal-efficiency",
@@ -152,6 +159,7 @@ class TestExitCodes:
             "bool-weight", "bool-link-probability", "bool-cap-base",
             "bool-arrival-rate", "bool-catalog-path", "fd-catalog-path", "zero-catalog-path", "bool-profiles-path",
             "number-profiles-path", "workload-seed", "topology-seed", "workers", "overflowing-batch",
+            "subnormal-arrival-rate", "overflowing-shots",
         ],
     )
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys, raw, message):
@@ -222,6 +230,8 @@ class TestExitCodes:
                 {"catalog_path": "too-large.csv"}, [],
                 "catalog_path: too-large.csv has no task within workload.qubit_range [5, 100]",
             ),
+            # an imported task's depth times its shots passes float range in the cost terms
+            ({"catalog_path": "deep.csv"}, [], "catalog_path: task deep: depth times shots overflows a float"),
             ({}, ["--profiles", "inf-t1.json"], "node brisbane: t1 must be > 0 and finite, got inf"),
             (
                 {}, ["--profiles", "tiny-coherence.json"],
@@ -237,7 +247,7 @@ class TestExitCodes:
             "missing-profiles", "empty-profiles", "profile-lacks-fields",
             "profiles-not-json", "unknown-pooled-profile", "missing-catalog", "catalog-header", "swept-profiles",
             "profiles-list", "profile-not-object", "profile-text-qubits", "profile-bool-t1",
-            "catalog-header-only", "catalog-out-of-range", "profile-inf-t1", "profile-tiny-coherence",
+            "catalog-header-only", "catalog-out-of-range", "catalog-overflowing-layers", "profile-inf-t1", "profile-tiny-coherence",
             "profile-underflowing-link-cost",
         ],
     )
@@ -264,6 +274,7 @@ class TestExitCodes:
         columns = "id,family,qubits,depth,two_qubit_gates,measured_qubits,shots\n"
         (tmp_path / "header-only.csv").write_text(columns)
         (tmp_path / "too-large.csv").write_text(columns + "big,qft,200,10,5,200,1000\n")
+        (tmp_path / "deep.csv").write_text(columns + f"deep,qft,5,{10**300},5,5,{10**9}\n")
         cfg = write_config(tmp_path, **extra)
         assert main(["--config", str(cfg), "--out", "out", *flags]) == 1
         err = capsys.readouterr().err

@@ -183,6 +183,81 @@ class TestWorkflow:
         wf = chain_workflow([5])
         assert wf.priority == 0
 
+    @pytest.mark.parametrize(
+        "make_edges",
+        [lambda: iter([(0, 1), (1, 2)]), lambda: ((i, i + 1) for i in range(2))],
+        ids=["iterator", "generator"],
+    )
+    def test_one_shot_edges_are_stored_as_validated(self, make_edges):
+        # edges are read once: the pairs that validated are the pairs kept,
+        # so the simulator gates on them and the matcher links the tasks
+        tasks = tuple(make_task(task_id=f"t{i}") for i in range(3))
+        wf = Workflow(id="w", tasks=tasks, edges=make_edges())
+        assert wf.edges == frozenset({(0, 1), (1, 2)})
+        assert wf.skeleton == ((0, 1), (1, 2))
+        assert wf.topological_order == (0, 1, 2)
+        assert wf == Workflow(id="w", tasks=tasks, edges=frozenset({(0, 1), (1, 2)}))
+
+    def test_positional_and_keyword_construction_take_the_same_defaults(self):
+        tasks = (make_task(task_id="t0"), make_task(task_id="t1"))
+        edges = frozenset({(0, 1)})
+        full = Workflow("w", tasks, edges, 2.5, 3)
+        assert (full.id, full.tasks, full.edges, full.arrival_time, full.priority) == ("w", tasks, edges, 2.5, 3)
+        assert full == Workflow(id="w", tasks=tasks, edges=edges, arrival_time=2.5, priority=3)
+        single = Workflow("s", tasks[:1])
+        assert (single.edges, single.arrival_time, single.priority) == (frozenset(), 0.0, 0)
+        assert single == Workflow(id="s", tasks=tasks[:1], edges=frozenset(), arrival_time=0.0, priority=0)
+        assert Workflow("w", tasks, edges) == Workflow(id="w", tasks=tasks, edges=edges)
+        # a list of tasks and list-pair edges are stored as a tuple and a frozenset of tuples
+        listed = Workflow("w", list(tasks), [[0, 1]], 2.5, 3)
+        assert (type(listed.tasks), listed.edges) == (tuple, edges)
+        assert listed == full
+
+    def test_replace_revalidates(self):
+        wf = chain_workflow([5, 5, 5], arrival=1.0)
+        moved = dataclasses.replace(wf, arrival_time=4.0)
+        assert (moved.arrival_time, moved.edges, moved.topological_order) == (4.0, wf.edges, wf.topological_order)
+        with pytest.raises(ValueError, match=r"^workflow wf: arrival time must be finite and >= 0, got inf$"):
+            dataclasses.replace(wf, arrival_time=math.inf)
+        with pytest.raises(ValueError, match="disconnected"):
+            dataclasses.replace(wf, edges=frozenset({(0, 1)}))
+        with pytest.raises(ValueError, match="topological_order"):
+            dataclasses.replace(wf, topological_order=(2, 1, 0))
+
+    @pytest.mark.parametrize("name", ["id", "tasks", "edges", "arrival_time", "priority", "topological_order"])
+    def test_every_field_is_frozen(self, name):
+        wf = chain_workflow([5, 5])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(wf, name, getattr(wf, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(wf, name)
+
+    def test_eq_hash_and_repr_follow_the_five_fields(self):
+        tasks = (make_task(task_id="t0"), make_task(task_id="t1"))
+        edges = frozenset({(0, 1)})
+        wf = Workflow("w", tasks, edges, 2.5, 3)
+        assert hash(wf) == hash(("w", tasks, edges, 2.5, 3))
+        assert repr(wf) == f"Workflow(id='w', tasks={tasks!r}, edges={edges!r}, arrival_time=2.5, priority=3)"
+        for changed in ({"id": "v"}, {"tasks": tasks[::-1]}, {"edges": frozenset({(1, 0)})},
+                        {"arrival_time": 2.0}, {"priority": 4}):
+            assert wf != dataclasses.replace(wf, **changed)
+        assert wf != ("w", tasks, edges, 2.5, 3)
+        assert dataclasses.astuple(wf) == ("w", tuple(map(dataclasses.astuple, tasks)), edges, 2.5, 3, (0, 1))
+        assert list(dataclasses.asdict(wf)) == ["id", "tasks", "edges", "arrival_time", "priority", "topological_order"]
+
+    def test_topological_order_stays_out_of_init_eq_and_repr(self):
+        flags = {f.name: (f.init, f.compare, f.repr) for f in dataclasses.fields(Workflow)}
+        assert flags == {
+            "id": (True, True, True), "tasks": (True, True, True), "edges": (True, True, True),
+            "arrival_time": (True, True, True), "priority": (True, True, True),
+            "topological_order": (False, False, False),
+        }
+        wf = chain_workflow([5, 5])
+        with pytest.raises(TypeError):
+            Workflow(wf.id, wf.tasks, wf.edges, topological_order=(0, 1))
+        assert "topological_order" not in repr(wf)
+        assert list(vars(wf)) == ["id", "tasks", "edges", "arrival_time", "priority", "topological_order"]
+
 
 class TestResourceNetwork:
     def test_self_loop_rejected(self):

@@ -10,9 +10,12 @@ import tracemalloc
 import pytest
 
 from qflow import workload
-from qflow.model import PROGRAM_FAMILIES, TaskSpec
+from qflow.model import PROGRAM_FAMILIES, ResourceNetwork, TaskSpec, components
+from qflow.profiles import node_from_profile
 from qflow.workload import (
     GRAPH_STATE_CHORD_PROB,
+    RANDOM_CIRCUIT_DEPTH_BAND,
+    WORKFLOW_CHORD_PROB,
     TopologySpec,
     WorkloadSpec,
     export_task_catalog,
@@ -30,7 +33,14 @@ from .conftest import is_connected, reference_kahn
 def reference_generate_task(family, n, rng, shots=1000, task_id=None):
     """``generate_task`` with the graph-state chords drawn by a walk of every
     pair (i, j), one draw per pair with j >= i + 2 other than the ring's
-    closing pair (0, n-1); the other families are ``generate_task``'s own."""
+    closing pair (0, n-1), and a random circuit's depth by ``rng.randint``;
+    the other families draw nothing and are ``generate_task``'s own."""
+    if family == "randomcircuit":
+        depth = rng.randint(*RANDOM_CIRCUIT_DEPTH_BAND)
+        return TaskSpec(
+            id=task_id or f"randomcircuit-{n}", qubits=n, depth=depth, two_qubit_gates=depth * n // 2,
+            measured_qubits=n, shots=shots, program_family="randomcircuit",
+        )
     if family != "graphstate":
         return generate_task(family, n, rng, shots=shots, task_id=task_id)
     chords = 0
@@ -57,9 +67,24 @@ def reference_catalog(size, qubit_range=(5, 100), seed=0):
     return catalog
 
 
+def reference_dag(n, rng):
+    """``random_connected_dag`` drawn with ``rng``'s own methods: each task
+    after the first depends on ``rng.randrange(i)``, then each other forward
+    pair is a chord when ``rng.random()`` falls under the probability."""
+    edges = set()
+    for i in range(1, n):
+        edges.add((rng.randrange(i), i))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in edges and rng.random() < WORKFLOW_CHORD_PROB:
+                edges.add((i, j))
+    return frozenset(edges)
+
+
 def reference_workload(spec, catalog):
     """(id, tasks, edges, arrival time, topological order) of each workflow,
-    drawn as ``generate_workload`` draws them, the order by Kahn's algorithm."""
+    drawn with ``rng``'s own ``expovariate``, ``randint`` and ``choice`` and
+    :func:`reference_dag`, the order by Kahn's algorithm."""
     lo, hi = spec.qubit_range
     filtered = [t for t in catalog if lo <= t.qubits <= hi]
     rng = random.Random(spec.seed)
@@ -69,9 +94,46 @@ def reference_workload(spec, catalog):
         clock += rng.expovariate(spec.effective_rate)
         count = rng.randint(spec.tasks_per_group_min, spec.tasks_per_group)
         tasks = tuple(rng.choice(filtered) for _ in range(count))
-        edges = random_connected_dag(count, rng)
+        edges = reference_dag(count, rng)
         rows.append((f"wf-{i:04d}", tasks, edges, clock, tuple(reference_kahn(count, edges))))
     return rows
+
+
+def reference_prufer_edges(prufer, m):
+    """The labelled tree of a Prufer sequence over m vertices: each entry
+    joins the least remaining leaf, and the last two leaves close it."""
+    degree = [1] * m
+    for v in prufer:
+        degree[v] += 1
+    edges = []
+    for v in prufer:
+        leaf = min(u for u in range(m) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(m) if degree[u] == 1))
+    return edges
+
+
+def reference_network(spec, profiles):
+    """``generate_network`` drawn with ``rng``'s own ``choice``, ``random``
+    and ``randrange``, the components joined along the tree of a Prufer
+    sequence of ``randrange`` draws."""
+    rng = random.Random(spec.seed)
+    nodes = []
+    for k in range(spec.node_count):
+        name = rng.choice(spec.profile_pool)
+        nodes.append(node_from_profile(name, profiles, node_id=f"{name}-{k}"))
+    n = spec.node_count
+    links = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < spec.link_probability}
+    members = components(n, links)
+    if len(members) > 1:
+        m = len(members)
+        for ca, cb in reference_prufer_edges([rng.randrange(m) for _ in range(m - 2)], m):
+            a = rng.choice(members[ca])
+            b = rng.choice(members[cb])
+            links.add((min(a, b), max(a, b)))
+    return ResourceNetwork(nodes=tuple(nodes), links=frozenset(links))
 
 
 class TestGenerateTask:
@@ -253,6 +315,18 @@ def test_spec_out_of_range_rejected(build, message):
 
 
 class TestGenerateWorkload:
+    @pytest.mark.parametrize("qubit_range", [(5, 100), (7, 7), (1, 3), (2, 64), (5, 20)])
+    def test_catalog_draws_match_random_methods(self, qubit_range):
+        # spans of one (a draw below 1 still reads a word), a power of two
+        # and others; the reference draws through choice and randint
+        for seed in range(10):
+            assert generate_catalog(60, qubit_range, seed=seed) == reference_catalog(60, qubit_range, seed=seed)
+
+    @pytest.mark.parametrize("qubit_range", [(10, 5), (0, 5), (5.5, 10)], ids=["empty", "zero-qubits", "fractional"])
+    def test_catalog_refuses_a_bad_qubit_range(self, qubit_range):
+        with pytest.raises(ValueError, match="qubit_range"):
+            generate_catalog(3, qubit_range)
+
     @pytest.mark.parametrize("seed", [0, 3, 4242])
     def test_catalog_and_workload_match_reference(self, seed):
         catalog = generate_catalog(128, seed=seed)
@@ -261,6 +335,32 @@ class TestGenerateWorkload:
         rows = [(wf.id, wf.tasks, wf.edges, wf.arrival_time, wf.topological_order)
                 for wf in generate_workload(spec, catalog)]
         assert rows == reference_workload(spec, catalog)
+
+    @pytest.mark.parametrize(
+        "batch_size, per_group, least, qubit_range",
+        [(3000, 3, 1, (5, 100)), (300, 5, 2, (5, 100)), (300, 4, 1, (5, 40))],
+        ids=["sim-churn-shape", "two-to-five-tasks", "filtered-catalog"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2, 4242])
+    def test_workload_draws_match_random_methods(self, seed, batch_size, per_group, least, qubit_range):
+        # the reference draws through expovariate, randint, choice and
+        # randrange themselves; arrival floats must be equal, not close
+        catalog = generate_catalog(128, seed=seed + 2)
+        spec = WorkloadSpec(batch_size=batch_size, tasks_per_group=per_group, tasks_per_group_min=least,
+                            qubit_range=qubit_range, seed=seed)
+        if qubit_range == (5, 40):
+            filtered = sum(5 <= t.qubits <= 40 for t in catalog)
+            assert filtered & (filtered - 1), "the filtered catalog's length must not be a power of two"
+        rows = [(wf.id, wf.tasks, wf.edges, wf.arrival_time, wf.topological_order)
+                for wf in generate_workload(spec, catalog)]
+        assert rows == reference_workload(spec, catalog)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 9, 17])
+    def test_dag_draws_match_random_methods(self, n):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_connected_dag(n, rng) == reference_dag(n, ref)
+            assert rng.getstate() == ref.getstate()
 
     def test_single_task_groups_have_no_edges(self):
         catalog = generate_catalog(30, seed=2)
@@ -315,7 +415,44 @@ class TestGenerateWorkload:
         assert all(len(wf.tasks) == 4 for wf in generate_workload(spec, catalog))
 
 
+class TestDraws:
+    """The generators inline ``Random.randrange(n)``'s loop, one
+    ``getrandbits(n.bit_length())`` drawn again while it is n or more, and
+    ``expovariate``'s body; a Python whose ``Random`` draws otherwise fails
+    here first, by name."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 4242])
+    def test_inline_loop_is_randrange(self, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            assert workload._below(n, rng.getrandbits) == ref.randrange(n)
+            assert rng.getstate() == ref.getstate()
+            seq = tuple(range(n))
+            assert seq[workload._below(n, rng.getrandbits)] == ref.choice(seq)
+            assert 3 + workload._below(n, rng.getrandbits) == ref.randint(3, 3 + n - 1)
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("rate", [1e-3, 0.5, 1.0, 10.0, 1e9])
+    def test_exponential_gap_is_expovariate(self, rate):
+        rng, ref = random.Random(rate), random.Random(rate)
+        for _ in range(500):
+            assert -math.log(1.0 - rng.random()) / rate == ref.expovariate(rate)
+        assert rng.getstate() == ref.getstate()
+
+
 class TestGenerateNetwork:
+    @pytest.mark.parametrize(
+        "node_count, rho, pool",
+        [(5, 0.5, ("brisbane", "torino", "marrakesh")), (20, 0.9, ("torino",)), (12, 0.1, ("brisbane", "torino")),
+         (30, 0.05, ("brisbane", "torino", "marrakesh")), (1, 0.5, ("marrakesh",))],
+        ids=["default", "one-profile", "two-profiles-sparse", "many-components", "one-node"],
+    )
+    def test_draws_match_random_methods(self, profiles, node_count, rho, pool):
+        for seed in range(30):
+            spec = TopologySpec(node_count=node_count, link_probability=rho, profile_pool=pool, seed=seed)
+            net, ref = generate_network(spec, profiles), reference_network(spec, profiles)
+            assert (net.nodes, net.links) == (ref.nodes, ref.links)
+
     def test_full_probability_gives_complete_graph(self, profiles):
         spec = TopologySpec(node_count=6, link_probability=1.0, seed=1)
         net = generate_network(spec, profiles)
