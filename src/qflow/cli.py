@@ -113,7 +113,7 @@ def check_inputs(config: ExperimentConfig) -> None:
     range, and an imported catalog to hold a task within
     ``workload.qubit_range``: a bad input is a configuration error before
     anything runs."""
-    where = f"profiles file {config.profiles_path or '(bundled)'}"
+    where = f"profiles_path ({config.profiles_path or 'the bundled file'})"
     try:
         profiles = load_profiles(config.profiles_path)
         where = "topology.profile_pool"

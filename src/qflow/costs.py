@@ -270,7 +270,7 @@ def task_terms(tasks: Sequence[TaskSpec], network: ResourceNetwork, params: Netw
 def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams) -> TaskTerms:
     # one evaluation per calibration class, expanded by each node's class: the expressions of error_cost,
     # runtime_cost and quantum_link_cost, the task's factors taken once as their left-to-right products
-    reps, _, of_node = network.calibration_classes
+    reps = network.calibration_classes[0]
     depth, qubits = task.depth, task.qubits
     root, layers = math.sqrt(task.two_qubit_gates), depth * task.shots
     weight, attenuation = params.success_probability * 10.0 * qubits, params.eta_linear ** params.switch_count
@@ -303,7 +303,7 @@ def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams)
     # max(q) + clink is the maximum of q + clink: rounding is monotone; no class fits -> every class
     maxima = (e_max, r_max, q_max + clink) if fits else (max(err), max(run), max(qlink) + clink)
     # each row with its minimum appended -> the row per node, that minimum at index n
-    expand = itemgetter(*of_node, len(reps))
+    expand = network.term_picker
     for row in err, run, qlink:
         row.append(min(row))
     return TaskTerms(expand(err), expand(run), expand(qlink), clink, maxima)
@@ -414,8 +414,11 @@ class DecisionTable:
         on the prefix only through its class tuple: its hosts' classes in
         task order, not in the prefix's key order. ``fold`` adds them up
         only for a class tuple the decision has not met, and otherwise
-        reuses the sums and the memo kept for it. Likewise the weighted
-        non-availability part ``R = rest * (alpha·… + beta·… + gamma·…)``
+        reuses the sums and the memo kept for it. It writes the classes by
+        task in the loop that takes ``w`` and reads the tuple's key in one
+        ``itemgetter`` call (a bare class for one prefix task, a constant
+        for none: a key only has to tell the tuples of one decision
+        apart). Likewise the weighted non-availability part ``R = rest * (alpha·… + beta·… + gamma·…)``
         depends on the two hosts only through their classes: ``score``
         evaluates it once per (class tuple, ``u``-class, ``v``-class) the
         decision meets, with the remaining additions in :meth:`breakdown`'s
@@ -489,7 +492,10 @@ class DecisionTable:
         split = next((i for i, edge in enumerate(self.edges) if u in edge or v in edge), len(edges))
         head, tail = edges[:split], edges[split:]
         cand = [0] * len(err)  # the prefix, then the pair being evaluated
+        of_task = [0] * len(err)  # the classes of the prefix's hosts, by task
         others = [j for j in range(len(err)) if j != u and j != v]  # the prefix's tasks, in task order
+        # the class tuple's key, read in one call: a bare class for one task, a constant for none
+        class_key = itemgetter(*others) if others else lambda _: ()
         memos = {}  # per class tuple of the prefix's hosts: its e, r, net and memo
         memo = []  # the prefix's R per (u-class, v-class), row-major
         by_class = []  # by classes(): per class, its index, mask, least wait, (wait, bit) by wait, greatest, reversed
@@ -502,10 +508,11 @@ class DecisionTable:
             w = 0.0
             for j, k in prefix.items():
                 cand[j] = k
+                of_task[j] = of_node[k]
                 x = wait[k]
                 if x > w:
                     w = x
-            key = tuple([of_node[cand[j]] for j in others])
+            key = class_key(of_task)
             if (sums := memos.get(key)) is not None:
                 e, r, net, memo = sums
                 return

@@ -25,7 +25,13 @@ The search yields groups. With ``u`` and ``v`` the last two vertices in
 visit order (for one task, ``u`` is ``v`` on the host ``N``, the node
 count), all mappings that differ only in the hosts of ``u`` and ``v`` share
 one prefix, and a group carries the hosts of ``u`` and the leaf hosts of
-``v`` as two bitmasks. Its blocks, listed by :func:`group_blocks`, are its
+``v`` as two bitmasks. Each depth ahead of the vertex just before ``u`` is
+a generator that recurses; the depth of that vertex computes, in its own
+loop over its hosts, the group each host ends (``u``'s pool and ``v``'s
+leaves read from the live mapping, an empty group trimmed) and yields it,
+so a group costs its bit operations and no frame of its own. Two tasks
+have an empty prefix and take their one group from the same computation.
+A group's blocks, listed by :func:`group_blocks`, are its
 ``(host of u, leaf mask)`` pairs: all mappings that differ only in the host
 of ``v``. No group is empty. A consumer can fold the prefix once per group
 and go through a run of blocks per call (as soft_iso's scorer does), count
@@ -189,7 +195,9 @@ def _group_bound(workflow: Workflow, network: ResourceNetwork, domain: list[int]
 
 
 def _groups(workflow: Workflow, network: ResourceNetwork, domain: list[int]) -> Iterator[MappingGroup]:
-    """The search itself, over the hosts of ``domain``."""
+    """The search itself, over the hosts of ``domain``: the depths before
+    ``u`` backtrack, and the level of the task before ``u`` computes the
+    group of each of its hosts in its own loop and yields it."""
     n = len(workflow.tasks)
     order, earlier, v_on_u, v_earlier, _ = _search_plan(n, workflow.skeleton)
     v = order[-1]
@@ -199,14 +207,36 @@ def _groups(workflow: Workflow, network: ResourceNetwork, domain: list[int]) -> 
     links = neighbours if v_on_u else None
     last = n - 2  # the depth of u
     u = order[last]
+    u_domain, u_earlier, v_domain = domain[u], earlier[last], domain[v]
     mapping: CandidateMapping = {}
+
+    def group(used: int) -> MappingGroup | None:
+        # the group of the prefix in ``mapping``, whose hosts are ``used``: u's pool, v's leaves off
+        # the prefix's hosts; None for an empty one, where u's one host is v's one leaf or, when v
+        # neighbours u, no host of u neighbours a leaf
+        pool = u_domain & ~used
+        for p in u_earlier:
+            pool &= neighbours[mapping[p]]
+        leaves = v_domain & ~used
+        for p in v_earlier:
+            leaves &= neighbours[mapping[p]]
+        hosts = pool if leaves else 0
+        if links is None:
+            hosts = hosts if hosts != leaves or hosts & (hosts - 1) else 0
+        else:
+            while hosts and not leaves & links[(hosts & -hosts).bit_length() - 1]:
+                hosts &= hosts - 1
+        return (mapping, u, v, pool, leaves, links) if hosts else None
+
+    if n == 2:  # the prefix is empty
+        return iter([found] if (found := group(0)) else [])
 
     def extend(depth: int, used: int) -> Iterator[MappingGroup]:
         w = order[depth]
         pool = domain[w] & ~used
         for p in earlier[depth]:
             pool &= neighbours[mapping[p]]
-        if depth < last:
+        if depth < last - 1:
             while pool:
                 low = pool & -pool
                 pool ^= low
@@ -215,19 +245,11 @@ def _groups(workflow: Workflow, network: ResourceNetwork, domain: list[int]) -> 
                 mapping[w] = low.bit_length() - 1
                 yield from extend(depth + 1, used | low)
             return
-        # w is u: v's pool without the prefix's hosts
-        leaves = domain[v] & ~used
-        for p in v_earlier:
-            leaves &= neighbours[mapping[p]]
-        # yield no empty group: u's one host is v's one leaf or, when v
-        # neighbours u, no host of u neighbours a leaf
-        hosts = pool if leaves else 0
-        if links is None:
-            hosts = hosts if hosts != leaves or hosts & (hosts - 1) else 0
-        else:
-            while hosts and not leaves & links[(hosts & -hosts).bit_length() - 1]:
-                hosts &= hosts - 1
-        if hosts:
-            yield mapping, u, v, pool, leaves, links
+        while pool:  # w is the task before u: each of its hosts ends a prefix
+            low = pool & -pool
+            pool ^= low
+            mapping[w] = low.bit_length() - 1
+            if found := group(used | low):
+                yield found
 
     return extend(0, 0)

@@ -14,22 +14,23 @@ build the neighbour bitmasks and components the other modules use; a
 :class:`Workflow` validates from bitmasks of each task's predecessors and
 successors. Each workflow and network derives its views once and holds them
 as plain attributes (``skeleton``, ``topological_order``, ``neighbour_masks``,
-``degree_masks``, ``dfs_order``);
+``degree_masks``, ``term_picker``, ``dfs_order``);
 the neighbour bitmasks answer the link half of :func:`mapping_feasible`, as
 they do for the matcher's search. A network also keeps the hosts with at
-least q qubits per count q (:meth:`ResourceNetwork.qubit_mask`) and the
-hosts of a bitmask as a tuple (:attr:`ResourceNetwork.host_tuples`), each
-filled at its key's first read.
+least q qubits per count q (:meth:`ResourceNetwork.qubit_mask`, ORed from
+the calibration classes' host masks) and the hosts of a bitmask as a tuple
+(:attr:`ResourceNetwork.host_tuples`), each filled at its key's first read.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, index
+from itertools import accumulate
+from operator import attrgetter, index, itemgetter, or_
 from typing import NamedTuple
 
 PROGRAM_FAMILIES = (
@@ -51,16 +52,20 @@ PROGRAM_FAMILIES = (
 
 def check_count(name: str, value: float, minimum: float) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is a whole
-    number ``>= minimum``. A bool, NaN, an infinite or a fractional value
-    fails; an integral float such as ``6.0`` passes and returns ``6``."""
+    number ``>= minimum``. A bool, a value that is no number (a string, a
+    list, None), NaN, an infinite or a fractional value fails; an integral
+    float such as ``6.0`` passes and returns ``6``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a whole number, not a bool, got {value}")
-    if value != value:  # NaN
-        raise ValueError(f"{name} must be a whole number, got nan")
-    if not value >= minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    if value % 1:  # inf % 1 is NaN, which is true
-        raise ValueError(f"{name} must be a finite whole number, got {value}")
+    try:
+        if value != value:  # NaN
+            raise ValueError(f"{name} must be a whole number, got nan")
+        if not value >= minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        if value % 1:  # inf % 1 is NaN, which is true
+            raise ValueError(f"{name} must be a finite whole number, got {value}")
+    except TypeError:  # a comparison or remainder on a value that is no number
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
     return int(value)
 
 
@@ -300,6 +305,15 @@ class ResourceNetwork:
         return reps, masks, of_node
 
     @cached_property
+    def term_picker(self) -> Callable[[Sequence], tuple]:
+        """``itemgetter(*of_node, len(reps))`` over :attr:`calibration_classes`:
+        a row of one value per class and one more (the sentinel's) as one
+        value per node, then that last value. :func:`qflow.costs.task_terms`
+        expands its class rows with it."""
+        reps, _, of_node = self.calibration_classes
+        return itemgetter(*of_node, len(reps))
+
+    @cached_property
     def dfs_order(self) -> tuple[int, ...]:
         """Depth-first traversal order: start at the node with the fewest
         qubits, visit neighbours in ascending qubit order, and restart from
@@ -324,21 +338,31 @@ class ResourceNetwork:
     @cached_property
     def degree_masks(self) -> tuple[int, ...]:
         """Per degree d from 0 to the greatest node degree, the nodes with at
-        least d neighbours as a host bitmask."""
+        least d neighbours as a host bitmask: the nodes bucketed by exact
+        degree, the buckets ORed from the greatest degree down."""
         degrees = [mask.bit_count() for mask in self.neighbour_masks]
-        return tuple(sum(1 << k for k, deg in enumerate(degrees) if deg >= d) for d in range(max(degrees) + 1))
+        exact = [0] * (max(degrees) + 1)
+        for k, d in enumerate(degrees):
+            exact[d] |= 1 << k
+        return tuple(accumulate(reversed(exact), or_))[::-1]
 
     @cached_property
     def _qubit_masks(self) -> dict[int, int]:
         return {}
 
     def qubit_mask(self, qubits: int) -> int:
-        """The nodes with at least ``qubits`` qubits as a host bitmask,
-        computed at the count's first read and kept for the network's
-        life."""
+        """The nodes with at least ``qubits`` qubits as a host bitmask: the
+        host masks of the calibration classes whose representative has that
+        many (``qubits`` is a calibration field), ORed at the count's first
+        read and kept for the network's life."""
         mask = self._qubit_masks.get(qubits)
         if mask is None:  # a mask of 0 is kept too, not recomputed
-            mask = self._qubit_masks[qubits] = sum(1 << k for k, node in enumerate(self.nodes) if node.qubits >= qubits)
+            reps, masks, _ = self.calibration_classes
+            mask = 0
+            for rep, hosts in zip(reps, masks):
+                if rep.qubits >= qubits:
+                    mask |= hosts
+            self._qubit_masks[qubits] = mask
         return mask
 
     @cached_property

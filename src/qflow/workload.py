@@ -83,11 +83,15 @@ class WorkloadSpec:
             raise ValueError("tasks_per_group must be in [1, 5]")
         if self.tasks_per_group_min > self.tasks_per_group:
             raise ValueError("tasks_per_group_min must be in [1, tasks_per_group]")
-        lo, hi = self.qubit_range
+        try:
+            lo, hi = self.qubit_range
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ValueError(f"qubit_range must be a pair of qubit counts, got {self.qubit_range!r}") from None
         lo = check_count("qubit_range low end", lo, 1)
         object.__setattr__(self, "qubit_range", (lo, check_count("qubit_range high end", hi, lo)))
-        if self.arrival_rate is not None and not self.arrival_rate > 0:
-            raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
+        rate = self.arrival_rate
+        if rate is not None and not (isinstance(rate, (int, float)) and rate > 0):
+            raise ValueError(f"arrival_rate must be > 0, got {rate!r}")
 
     @property
     def effective_rate(self) -> float:

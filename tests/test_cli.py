@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import codecs
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 
+from qflow.allocators import ORACLE_MAX_NODES
 from qflow.cli import build_parser, load_config, main
 from qflow.experiments import ExperimentConfig, apply_sweep_value, scenario_config
 from qflow.profiles import load_profiles
@@ -291,6 +294,80 @@ class TestExitCodes:
         assert main([*args, "env"]) == 0
         for name in ("results.csv", "qpu_shares.csv", "summary.json"):
             assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+# Each leaf of the config is set to each of these in turn.
+HOSTILE_VALUES = (
+    math.nan, math.inf, -1, 0, -0.0, True, False, "x", "1", [], {}, None, 2.5, 5e-324, [1, 2], [0, 0], ["a", "b"],
+)
+# Values that are valid but only slow, kept out of the sweep: a count of 1e308
+# or 10**30 repetitions, catalog tasks, workflows or nodes builds that many,
+# and a qubit_range end of 10**9 draws a catalog that grows about
+# quadratically in it.
+SLOW_ONLY = (1e308, 10**30, [5, 10**9])
+
+
+def config_leaves(obj, path=""):
+    """The dotted path of every field of ``obj`` that holds no section."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from config_leaves(value, f"{path}{f.name}.")
+        else:
+            yield path + f.name
+
+
+class TestHostileValues:
+    def test_every_leaf_takes_every_value_or_names_itself(self, tmp_path, capsys):
+        # one repetition of four soft_iso workflows; a section the base sets
+        # more fields of names the section, then the field
+        assert not any(value in HOSTILE_VALUES for value in SLOW_ONLY)
+        leaves = list(config_leaves(ExperimentConfig()))
+        path = tmp_path / "config.json"
+        codes = {0: 0, 1: 0}
+        for leaf in leaves:
+            *sections, name = leaf.split(".")
+            for value in HOSTILE_VALUES:
+                raw = {"algorithm": "soft_iso", "repetitions": 1, "workload": {"batch_size": 4}}
+                section = raw
+                for key in sections:
+                    section = section.setdefault(key, {})
+                section[name] = value
+                path.write_text(json.dumps(raw))
+                code = main(["--config", str(path)])
+                err = capsys.readouterr().err
+                assert code in (0, 1), (leaf, value, err)
+                codes[code] += 1
+                if code == 1:
+                    named = leaf in err or bool(sections) and (
+                        err.startswith(f"config error: {sections[0]}: ") and re.search(rf"\b{name}\b", err)
+                    )
+                    assert named, (leaf, value, err)
+        assert len(leaves) >= 30 and min(codes.values()) >= 50
+
+
+class TestOracleGuard:
+    """exhaustive_oracle places on at most ``ORACLE_MAX_NODES`` nodes, so a
+    config past that is a config error before any output."""
+
+    def test_oversize_sweep_is_config_error_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        args = ["--algo", "exhaustive_oracle", "--reps", "1", "--no-timing", "--sweep", "node_count=5,9"]
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: topology.node_count: exhaustive_oracle places on at most 8 nodes, got 9" in err
+        assert not out.exists()
+
+    def test_oversize_scenario_is_config_error(self, capsys):
+        assert main(["--scenario", "LP-LR", "--algo", "exhaustive_oracle"]) == 1
+        assert "config error: topology.node_count" in capsys.readouterr().err
+
+    def test_the_largest_network_runs(self, tmp_path):
+        topology = {"node_count": ORACLE_MAX_NODES, "link_probability": 0.7}
+        cfg = write_config(tmp_path, algorithm="exhaustive_oracle", repetitions=1, topology=topology)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["topology"]["node_count"] == ORACLE_MAX_NODES
 
 
 class TestOverrides:

@@ -189,16 +189,22 @@ class TestFlatStream:
                 for wf in workflows:
                     yield wf, network, 30_000
 
-    def test_equals_reference_stream(self):
-        compared = 0
-        for wf, network, limit in self.instances():
-            for pattern in (wf, uncapped(wf)):
-                got = list(itertools.islice(unrolled(pattern, network), limit))
-                ref = list(itertools.islice(reference_monomorphisms(pattern, network), limit))
-                assert got == ref
-                assert [list(m) for m in got] == [list(m) for m in ref]
-                compared += len(ref)
-        assert compared > 100_000
+    def test_equals_reference_stream(self, monkeypatch):
+        # every key stored at its first read, then every key searched lazily at every read
+        compared, sizes = 0, {True: set(), False: set()}
+        for stored, replay_max in ((True, math.inf), (False, -1)):
+            monkeypatch.setattr(matcher, "REPLAY_MAX_GROUPS", replay_max)
+            for wf, network, limit in self.instances():
+                for pattern in (wf, uncapped(wf)):
+                    ref = list(itertools.islice(reference_monomorphisms(pattern, network), limit))
+                    for _ in range(1 + stored):  # the first read, then a stored key's replay
+                        got = list(itertools.islice(unrolled(pattern, network), limit))
+                        assert got == ref
+                        assert [list(m) for m in got] == [list(m) for m in ref]
+                        compared += len(ref)
+                    assert (network.group_streams[stream_key(pattern, network)] is not False) == stored
+                    sizes[stored].add(len(pattern.tasks))
+        assert compared > 300_000 and sizes[True] == sizes[False] == {1, 2, 3, 4, 5}
 
 
 def reference_blocks(mappings, v):

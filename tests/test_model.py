@@ -104,10 +104,11 @@ COUNT_FIELDS = {
 
 @pytest.mark.parametrize("field", list(COUNT_FIELDS))
 def test_count_field_takes_only_whole_numbers(field):
-    """A bool, NaN, an infinite, a fractional or a too-small value is
-    rejected, naming the field; the least value passes, also as a float."""
+    """A bool, a value that is no number, NaN, an infinite, a fractional or
+    a too-small value is rejected, naming the field; the least value passes,
+    also as a float."""
     build, low, name = COUNT_FIELDS[field]
-    for bad in (True, False, math.nan, math.inf, low + 0.5, low - 1):
+    for bad in (True, False, "x", "1", None, [], math.nan, math.inf, low + 0.5, low - 1):
         with pytest.raises(ValueError, match=name):
             build(bad)
     build(low)
@@ -296,13 +297,25 @@ class TestResourceNetwork:
         assert not is_connected(make_network([1, 1, 1], [(0, 1)]))
 
     def test_qubit_mask_holds_the_nodes_with_enough_qubits(self):
-        for net in random_and_generated_networks():
+        for net in derivation_networks():
             top = max(node.qubits for node in net.nodes)
             for q in range(top + 2):
                 expected = sum(1 << k for k in [k for k, node in enumerate(net.nodes) if node.qubits >= q])
                 assert net.qubit_mask(q) == expected
                 assert net.qubit_mask(q) is net.qubit_mask(q)  # read, not recomputed
             assert net.qubit_mask(top + 1) == 0
+
+    def test_degree_masks_hold_the_nodes_with_enough_neighbours(self):
+        for net in derivation_networks():
+            degrees = [mask.bit_count() for mask in net.neighbour_masks]
+            per_node = [sum(1 << k for k, deg in enumerate(degrees) if deg >= d) for d in range(max(degrees) + 1)]
+            assert net.degree_masks == tuple(per_node)
+
+    def test_term_picker_expands_class_rows_to_nodes(self):
+        for net in derivation_networks():
+            reps, _, of_node = net.calibration_classes
+            row = [f"class {c}" for c in range(len(reps))] + ["sentinel"]
+            assert net.term_picker(row) == (*(row[of_node[k]] for k in range(len(net.nodes))), "sentinel")
 
     def test_a_qubit_mask_of_zero_is_kept(self):
         net = make_network([5, 20], [(0, 1)])
@@ -433,6 +446,17 @@ def random_and_generated_networks():
     for seed in range(30):
         spec = TopologySpec(node_count=3 + seed % 10, link_probability=0.1 + 0.03 * seed, seed=seed)
         yield generate_network(spec, profiles)
+
+
+def derivation_networks():
+    """The random and generated networks, then the shapes a derived view
+    gets wrong first: one node, no links, one calibration class, and every
+    node its own class."""
+    yield from random_and_generated_networks()
+    yield make_network([5], [])
+    yield make_network([5, 20, 127, 20], [])
+    yield make_network([20] * 6, [(0, k) for k in range(1, 6)])
+    yield make_network([5 + k for k in range(7)], [(k, k + 1) for k in range(6)])
 
 
 def links_feasible(mapping, workflow, network):

@@ -1,0 +1,72 @@
+"""The pair summary of ``tools/bench_pairs.py``, on synthetic results (no
+benchmark process runs)."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def pairs_of(base, new, name="decision_ms_p50"):
+    """Pairs of the given values, the base side first in even pairs."""
+    return [
+        {"first": "base" if i % 2 == 0 else "new", "base": {name: b}, "new": {name: n}}
+        for i, (b, n) in enumerate(zip(base, new))
+    ]
+
+
+def row_of(base, new, better="lower"):
+    [row] = bench_pairs.summarise(pairs_of(base, new), {"decision_ms_p50": better})
+    return row
+
+
+def test_seed_lists():
+    assert bench_pairs.parse_seeds("1-10") == list(range(1, 11))
+    assert bench_pairs.parse_seeds("4242") == [4242]
+    assert bench_pairs.parse_seeds("1,3,5-7") == [1, 3, 5, 6, 7]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds("a-b")
+
+
+def test_a_clear_gain_holds_the_rule():
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    row = row_of(base, [0.9 * b for b in base])
+    assert row["wins"] == 10 and row["pairs"] == 10
+    assert row["wins_by_first"] == {"base": 5, "new": 5} and row["pairs_by_first"] == {"base": 5, "new": 5}
+    assert row["gain"] and row["change_pct"] == pytest.approx(-10.0)
+    low, mid, high = row["base"]
+    assert low < mid < high and mid == pytest.approx(1.0)
+    assert "won 10 of 10 (base first 5 of 5, new first 5 of 5)" in bench_pairs.format_row(row)
+    assert bench_pairs.format_row(row).endswith("gain rule holds")
+
+
+def test_wins_split_by_the_side_that_ran_first():
+    base = [1.0] * 10
+    new = [0.9] * 10
+    new[2] = 1.1  # a loss with the base side first
+    new[3] = 1.0  # a tie, with the new side first: it wins for neither
+    row = row_of(base, new)
+    assert row["wins"] == 8 and row["wins_by_first"] == {"base": 4, "new": 4}
+    assert not row["gain"]  # 8 of 10 is under nine tenths
+
+
+def test_nine_wins_hold_but_a_gap_within_the_spread_fails():
+    base = [1.0, 1.2, 0.8, 1.1, 0.9, 1.2, 0.8, 1.1, 0.9, 1.0]
+    nine = [b - 0.4 for b in base]
+    nine[0] = 1.5
+    assert row_of(base, nine)["wins"] == 9 and row_of(base, nine)["gain"]
+    close = [b - 0.01 for b in base]  # wins every pair, by less than the base's interquartile range
+    assert row_of(base, close)["wins"] == 10 and not row_of(base, close)["gain"]
+
+
+def test_a_higher_is_better_metric_wins_upwards():
+    base = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0]
+    assert row_of(base, [b * 1.1 for b in base], better="higher")["gain"]
+    assert row_of(base, [b * 1.1 for b in base])["wins"] == 0  # the same rise is a loss where lower is better

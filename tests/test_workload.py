@@ -369,10 +369,15 @@ class TestGenerateWorkload:
             assert len(wf.tasks) == 1
             assert wf.edges == frozenset()
 
-    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, "x", [1]])
     def test_nonpositive_and_nan_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="arrival_rate must be > 0"):
             WorkloadSpec(arrival_rate=rate)
+
+    @pytest.mark.parametrize("qubit_range", [5, None, (5,), (5, 10, 20), "x"])
+    def test_qubit_range_that_is_no_pair_rejected(self, qubit_range):
+        with pytest.raises(ValueError, match="qubit_range must be a pair of qubit counts"):
+            WorkloadSpec(qubit_range=qubit_range)
 
     def test_high_rate_bunches_arrivals_near_zero(self):
         catalog = generate_catalog(30, seed=2)
