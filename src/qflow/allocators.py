@@ -127,17 +127,17 @@ def soft_iso(
     incumbent cannot stop the search, so it only moves the maximum and
     previous costs. One call of the scorer's run closure takes a run of
     such blocks at once (their count, maximum and last cost) and returns
-    the block after it, which is walked candidate by candidate with the
-    rule above; the next call starts past that block, so no block after
+    the block to walk after it, which is walked candidate by candidate with
+    the rule above; the next call starts past that block, so no block after
     the one where the search stops is scored. The outcome, including the
     incumbent's key order, is that of a walk over single candidates. The
     final incumbent's breakdown is read from the same table.
 
     The run closure is ``walk``, or ``skim`` when a threshold is infinite:
     then ``abs(cost - maxcost) > thres_max`` or ``abs(cost - prevcost) >
-    thres_prev`` is never true, so only the budget stops the search, and
-    ``skim`` counts a group or block that its exact lower bounds rule out
-    without listing it, leaving out the maximum and last cost, never read.
+    thres_prev`` is never true, so only the budget stops the search. ``skim``
+    counts what its exact bounds rule out and returns only the candidates
+    that improve in turn, leaving out the maximum and last cost, never read.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))

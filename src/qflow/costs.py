@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .matcher import group_size
+from .matcher import BYTE_BITS, group_size
 from .model import NetworkParams, QpuNode, ResourceNetwork, TaskSpec, WeightConfig, Workflow
 
 BOUND_FLOOR = 1e-12
@@ -452,22 +452,22 @@ class DecisionTable:
         class's least and greatest wait in the mask give its exact least and
         greatest totals, and the highest host the last total.
 
-        ``skim`` takes ``walk``'s arguments and returns its shape, the
-        greatest and last totals left at ``-inf`` and ``0.0``, and lists no
-        block whose exact float lower bounds are not below ``floor``. It
-        first puts ``u`` and ``v`` on the sentinel host and, when that bound
-        is ``>= floor``, counts the group's candidates (:func:`group_size`,
-        cut to the budget) without going through its blocks. Else it bounds
-        each block by ``v`` on the sentinel host, then by ``v`` on each class
-        of the mask at the class's least wait (its hosts share that ``R``
-        and wait no less), and lists it only when such a bound is below
-        ``floor``; a listed block with a total below ``floor`` ends the
-        call, as in ``walk``. No bound needs an epsilon: under
-        round-to-nearest, ``a + x``, ``x / d`` for ``d > 0``, ``w * x`` for
-        ``w >= 0``, ``max(x, a)`` and the clip are each monotone
-        non-decreasing in ``x`` as floats, the weights and ``1 - zeta`` are
-        nonnegative and the bounds positive, so each bound is ``<=`` every
-        total it covers.
+        ``skim`` takes ``walk``'s arguments and returns its shape with the
+        greatest and last totals at ``-inf`` and ``0.0``. When ``u`` and
+        ``v`` on the sentinel host bound the group at ``>= floor``, it counts
+        the group (:func:`group_size`, cut to the budget). Else it bounds
+        each block (cut to the budget) by ``v`` on the sentinel host, then on
+        each class of the mask at the class's least wait (its hosts share
+        that ``R`` and wait no less). A block such a bound lets through is
+        scanned in host order with ``score``'s floats: the first with a
+        total below ``floor`` ends the call with only its running minima
+        below ``floor`` (their mask and totals), the rest counted. Its loops
+        read masks a byte at a time (:data:`~qflow.matcher.BYTE_BITS`). No
+        bound needs an epsilon: under round-to-nearest, ``a + x``, ``x / d``
+        for ``d > 0``, ``w * x`` for ``w >= 0``, ``max(x, a)`` and the clip
+        are each monotone non-decreasing in ``x`` as floats, the weights and
+        ``1 - zeta`` are nonnegative and the bounds positive, so each bound
+        is ``<=`` every total it covers.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -562,6 +562,18 @@ class DecisionTable:
                 mask ^= low
             return costs
 
+        def improving(hu: int, wu: float, row: int, mask: int, least: float) -> tuple[int, list[float]]:
+            keep, costs, at = 0, [], 0
+            while mask:
+                for i in BYTE_BITS[mask & 255]:
+                    if (cost := memo[key := row + of_node[h := at + i]]) is None:
+                        cost = evaluate(hu, h, key)
+                    if (cost := (x if (x := wait[h]) > wu else wu) + cost) < least:  # a running minimum
+                        keep |= 1 << h
+                        costs.append(least := cost)
+                mask, at = mask >> 8, at + 8
+            return keep, costs
+
         def classes() -> list[tuple]:
             by_wait = [[] for _ in masks]
             for h in sorted(range(n), key=wait.__getitem__):
@@ -630,33 +642,34 @@ class DecisionTable:
                 cost = evaluate(n, n, key)
             if wu + cost >= floor:  # u and v on the sentinel host: the group's bound
                 return min(group_size(hosts, leaves, links), budget), -inf, 0.0, 0, 0, None
-            size = 0
-            while hosts:
-                low = hosts & -hosts
-                hosts ^= low
-                hu = low.bit_length() - 1
-                if not (mask := leaves & ~low if links is None else leaves & links[hu]):
-                    continue
-                if (count := mask.bit_count()) > budget - size:  # the block that spends the budget, cut to it
-                    for _ in range(count - budget + size):
-                        mask ^= 1 << mask.bit_length() - 1
-                    count = budget - size
-                wu = x if (x := wait[hu]) > w else w
-                row = of_node[hu] * stride
-                if (cost := memo[key := row + sentinel]) is None:
-                    cost = evaluate(hu, n, key)
-                if wu + cost < floor:  # v on the sentinel host, then on each class of the mask at its least wait
-                    for c, m, x, _, _, _ in by_class or classes():
-                        if mask & m:
-                            if (cost := memo[key := row + c]) is None:
-                                cost = evaluate(hu, (m & -m).bit_length() - 1, key)
-                            if (x if x > wu else wu) + cost < floor:
-                                if min(costs := score(hu, mask)) < floor:
-                                    return size, -inf, 0.0, hu, mask, costs
-                                break
-                size += count
-                if size >= budget:
-                    break
+            size = base = 0
+            while hosts:  # a byte of the hosts of u at a time
+                for b in BYTE_BITS[hosts & 255]:
+                    hu = base + b
+                    if not (mask := leaves & ~(1 << hu) if links is None else leaves & links[hu]):
+                        continue
+                    if (count := mask.bit_count()) > budget - size:  # the block that spends the budget, cut to it
+                        for _ in range(count - budget + size):
+                            mask ^= 1 << mask.bit_length() - 1
+                        count = budget - size
+                    wu = x if (x := wait[hu]) > w else w
+                    row = of_node[hu] * stride
+                    if (cost := memo[key := row + sentinel]) is None:
+                        cost = evaluate(hu, n, key)
+                    if wu + cost < floor:  # v on the sentinel host, then on each class of the mask at its least wait
+                        for c, m, x, _, _, _ in by_class or classes():
+                            if mask & m:
+                                if (cost := memo[key := row + c]) is None:
+                                    cost = evaluate(hu, (m & -m).bit_length() - 1, key)
+                                if (x if x > wu else wu) + cost < floor:
+                                    keep, costs = improving(hu, wu, row, mask, floor)
+                                    if costs:
+                                        return size + count - len(costs), -inf, 0.0, hu, keep, costs
+                                    break
+                    size += count
+                    if size >= budget:
+                        return size, -inf, 0.0, 0, 0, None
+                hosts, base = hosts >> 8, base + 8
             return size, -inf, 0.0, 0, 0, None
 
         return fold, score, walk, skim

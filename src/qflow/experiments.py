@@ -146,9 +146,14 @@ def replace_fields(obj, values: dict, path: str = ""):
     except ConfigError:  # ExperimentConfig's own checks name their field
         raise
     except (TypeError, ValueError) as exc:
-        # one changed field is the culprit; with several, the section is
-        where = path + next(iter(changes)) if len(changes) == 1 else path.rstrip(".")
-        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+        # the first changed field whose old value lets the others pass; with none (a rule over several), the section
+        for name in changes:
+            try:
+                dataclasses.replace(obj, **{**changes, name: getattr(obj, name)})
+            except (TypeError, ValueError):
+                continue
+            raise ConfigError(f"{path}{name}: {exc}") from exc
+        raise ConfigError(f"{path.rstrip('.')}: {exc}" if path else str(exc)) from exc
 
 
 # The nested config sections by field name: every field whose type is a

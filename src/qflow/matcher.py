@@ -37,6 +37,8 @@ of ``v``. No group is empty. A consumer can fold the prefix once per group
 and go through a run of blocks per call (as soft_iso's scorer does), count
 a group it rules out from the two masks with :func:`group_size`, and decode
 a leaf mask with :func:`mask_hosts` only where it needs the hosts one by one.
+Dense-mask loops (:func:`group_size`'s, soft_iso's ``skim``) read a byte at
+a time (``BYTE_BITS``); the rest keep the bit trick, cheaper on sparse masks.
 
 A stream depends only on the skeleton and the domains, and decisions on one
 network meet the same few keys again and again. So at a key's first read
@@ -64,6 +66,7 @@ MappingGroup = tuple[CandidateMapping, int, int, int, int, tuple[int, ...] | Non
 # of a replay: an LP-LR read of four tasks meets 17 groups in the median (bound
 # 28, at most 54 over 1,000 reads), an LP-MR one hundreds (bound 380).
 REPLAY_MAX_GROUPS = 64
+BYTE_BITS = tuple(tuple(b for b in range(8) if x >> b & 1) for x in range(256))  # per byte value, its set bits
 
 
 def mask_hosts(mask: int) -> list[int]:
@@ -94,11 +97,11 @@ def group_size(hosts: int, leaves: int, links: tuple[int, ...] | None) -> int:
     """The summed popcounts of :func:`group_blocks`, without listing them."""
     if links is None:
         return hosts.bit_count() * leaves.bit_count() - (hosts & leaves).bit_count()
-    size = 0
-    while hosts:
-        low = hosts & -hosts
-        hosts ^= low
-        size += (leaves & links[low.bit_length() - 1]).bit_count()
+    size = base = 0
+    while hosts:  # a byte of hosts at a time, each set bit offset by ``base``
+        for b in BYTE_BITS[hosts & 255]:
+            size += (leaves & links[base + b]).bit_count()
+        hosts, base = hosts >> 8, base + 8
     return size
 
 

@@ -299,10 +299,14 @@ class ResourceNetwork:
         one representative node and one host bitmask per class, then each
         node's class index. Nodes of a class have equal cost terms."""
         ids: dict[tuple, int] = {}
-        of_node = tuple(ids.setdefault(_calibration(node), len(ids)) for node in self.nodes)
-        reps = tuple(self.nodes[of_node.index(c)] for c in range(len(ids)))
-        masks = tuple(sum(1 << k for k, d in enumerate(of_node) if d == c) for c in range(len(ids)))
-        return reps, masks, of_node
+        reps, masks, of_node = [], [], []
+        for k, node in enumerate(self.nodes):  # one pass: a new class's first node is its representative
+            if (c := ids.setdefault(_calibration(node), len(ids))) == len(reps):
+                reps.append(node)
+                masks.append(0)
+            masks[c] |= 1 << k
+            of_node.append(c)
+        return tuple(reps), tuple(masks), tuple(of_node)
 
     @cached_property
     def term_picker(self) -> Callable[[Sequence], tuple]:

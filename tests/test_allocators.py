@@ -42,6 +42,7 @@ from .conftest import (
     pattern_workflow,
     random_small_instance,
     scenario_instances,
+    skim_scan,
     unrolled,
 )
 
@@ -389,14 +390,16 @@ class TestSoftIsoReference:
         default) and count the groups and blocks the matcher yields, the
         groups ``skim`` rules out as a whole (a call of ``group_size`` on
         the group's own hosts of ``u``), the blocks ``skim`` bounds one by
-        one, the blocks ``score`` lists (its calls, told apart by their
-        code object) and the candidates each decision examines. Per group
+        one, the blocks the run closure lists (calls of ``score`` under
+        ``walk`` and of the scan under ``skim``, told apart by their code
+        objects) and the candidates each decision examines. Per group
         folded, also count the scorer's pair evaluations (one read of
         ``v``'s error row each), the calibration classes of the hosts of
         ``u`` and ``v`` its blocks use, and those blocks' (``u``-class,
         ``v``-class) pairs. A block used by a run closure (``walk`` or
-        ``skim``) is one of its run of blocks, as far as the run's candidate
-        count reaches, or the improving block it returns; a call that rules
+        ``skim``) is one of the blocks it examined, in order, as far as the
+        candidates it counted and returned reach (``skim`` counts the
+        returned block's other candidates in its size); a call that rules
         out the rest of a group as a whole uses none. Per decision, count
         the pair evaluations, the groups folded and the keys (class tuple
         of the prefix's hosts in task order, ``u``-class, ``v``-class) the
@@ -468,21 +471,23 @@ class TestSoftIsoReference:
                 fold(prefix)
 
             def counted(step, bounded):
+                lister = skim_scan(step) if bounded else score
+
                 def run(hosts, leaves, links, floor, budget):
                     before, skips = reads[0], len(sized)
-                    with listings(score) as listed:
+                    with listings(lister) as listed:
                         result = step(hosts, leaves, links, floor, budget)
                     calls["folded"][-1][0] += reads[0] - before
                     decision["evals"] += reads[0] - before
                     calls["scored"] += len(listed)
-                    size, _, _, hu, mask, costs = result
+                    size, *_, costs = result
                     if bounded:  # skim bounds the group with u and v on the sentinel host first
                         decision["keys"].add((decision["prefix"], sentinel, sentinel))
                     if sized[skips:]:  # the rest of the group ruled out as a whole
                         assert sized[skips:] == [hosts] and costs is None
                         calls["groups_skipped"] += hosts == current[0]
                         return result
-                    run_size = size
+                    run_size = size + (0 if costs is None else len(costs))  # every candidate examined
                     for h, run_mask in group_blocks(hosts, leaves, links):
                         if run_size <= 0:
                             break
@@ -490,7 +495,6 @@ class TestSoftIsoReference:
                         run_size -= run_mask.bit_count()
                     decision["walked"] += size
                     if costs is not None:
-                        used(hu, mask_hosts(mask), bounded)
                         decision["walked"] += len(costs)
                         decision["last_block"] = len(costs)
                     return result
@@ -511,8 +515,8 @@ class TestSoftIsoReference:
 
     def test_thresholds_off_leaves_most_blocks_unscored(self, monkeypatch):
         """With the thresholds off only the budget stops the search, so
-        ``skim`` lists only the blocks whose bound is below the incumbent;
-        on LP-MR draws at least half of all blocks go unlisted."""
+        ``skim`` scans only the blocks whose bound is below the incumbent;
+        on LP-MR draws at least half of all blocks go unscanned."""
         calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
         assert calls["blocks"] > 1_000
@@ -520,7 +524,7 @@ class TestSoftIsoReference:
 
     def test_thresholds_off_scores_few_of_the_blocks_it_bounds(self, monkeypatch):
         """Of the blocks ``skim`` bounds one by one, the sentinel and
-        class-wise bounds rule out all but a fifth: 28 of 1,150 are listed
+        class-wise bounds rule out all but a fifth: 28 of 1,150 are scanned
         on these draws, and the sentinel bound alone let 425 through."""
         calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
@@ -580,6 +584,28 @@ class TestSoftIsoReference:
         for decision in calls["decisions"]:
             assert 0 < decision["evals"] <= len(decision["keys"])
             assert len({prefix for prefix, _, _ in decision["keys"]}) < decision["groups"] / 5
+
+    def test_walk_and_skim_agree_past_the_oracle_size(self):
+        """On 30- and 40-node LP-MR and LP-LR networks, past the oracle's 8
+        nodes, with random backlogs: thresholds of 1e300 never stop the
+        search but run ``walk``, infinite ones run ``skim``, and both give
+        the same outcome. At a base of 6 the budget ends most decisions,
+        cutting the block that spends it."""
+        rng = random.Random(3040)
+        spent = {10.0: 0, 6.0: 0}
+        for scenario in ("LP-MR", "LP-LR"):
+            for node_count in (30, 40):
+                for seed in range(3):
+                    workflows, network, _ = scenario_instances(scenario, seed, 6, node_count=node_count)
+                    for wf in workflows:
+                        backlog = [rng.choice([0.0, rng.uniform(0.0, 2.0)]) for _ in network.nodes]
+                        for base in spent:
+                            walked = soft_iso(wf, network, WEIGHTS, PARAMS, SoftIsoConfig(1e300, 1e300, base), backlog)
+                            off = SoftIsoConfig(math.inf, math.inf, base)
+                            skimmed = soft_iso(wf, network, WEIGHTS, PARAMS, off, backlog)
+                            assert skimmed == walked and skimmed.succeeded
+                            spent[base] += skimmed.candidates_examined == off.cap(len(wf.tasks))
+        assert spent[6.0] > 50 and spent[10.0] > 20, spent
 
 
 class TestSoftIsoStopRule:

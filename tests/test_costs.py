@@ -34,7 +34,7 @@ from qflow.costs import (
 from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
 from qflow.model import NetworkParams, QpuNode, ResourceNetwork, WeightConfig, Workflow
 
-from .conftest import backlog_at, chain_workflow, listings, make_network, make_node, make_task
+from .conftest import backlog_at, chain_workflow, listings, make_network, make_node, make_task, skim_scan
 
 getcontext().prec = 50
 
@@ -622,8 +622,9 @@ class TestBlockScorer:
     """Every float that ``group_scorer``'s ``score`` lists is the very float
     ``aggregate_cost`` returns for the same candidate, because soft_iso
     compares them with a strict ``<`` and its digests cover the chosen
-    assignments; its run closures ``walk`` and ``skim`` return what a walk
-    over the listed floats gives."""
+    assignments; its run closure ``walk`` returns what a walk over the
+    listed floats gives, and ``skim`` the candidates of that walk that
+    improve on its floor (:meth:`skimmed`)."""
 
     @staticmethod
     def decisions(rng):
@@ -708,16 +709,21 @@ class TestBlockScorer:
     @staticmethod
     def skimmed(blocks, floor, budget=math.inf):
         """What ``skim`` returns for a group whose blocks are ``blocks``,
-        each ``(hu, mask, listed costs)``, in host order: the candidate
-        count of the blocks before the first that holds a cost below
-        ``floor``, then that block, each cut to ``budget``."""
+        each ``(hu, mask, listed costs)``, in host order, each cut to
+        ``budget``: the candidate count of the blocks before the first that
+        holds a cost below ``floor``, then that block's strict running
+        minima below ``floor`` in host order (their hosts' mask and their
+        costs), its other candidates added to the count."""
         size = 0
         for hu, mask, costs in blocks:
             if len(costs) > budget - size:
                 costs = costs[: budget - size]
-                mask = sum(1 << h for h in mask_hosts(mask)[: len(costs)])
-            if min(costs) < floor:
-                return size, -math.inf, 0.0, hu, mask, costs
+            kept, least = {}, floor
+            for h, cost in zip(mask_hosts(mask), costs):
+                if cost < least:
+                    kept[h] = least = cost
+            if kept:
+                return size + len(costs) - len(kept), -math.inf, 0.0, hu, sum(1 << h for h in kept), [*kept.values()]
             size += len(costs)
             if size >= budget:
                 break
@@ -816,7 +822,7 @@ class TestBlockScorer:
         of the other draws' class tuples. Every total equals
         ``aggregate_cost``'s. Given floors, ``skim`` goes through each
         block alone and through the whole group (the incumbent its floor),
-        and returns the walk over the brute-forced totals each time. On
+        and returns :meth:`skimmed` of the brute-forced totals each time. On
         the scenario and one-class networks many groups meet a class tuple
         already met on other hosts; on a class per node only the reordered
         prefixes do."""
@@ -860,7 +866,7 @@ class TestBlockScorer:
                         ]
                         if floored:
                             floor = rng.choice([incumbent, min(refs), rng.random()])
-                            with listings(score) as listed:
+                            with listings(skim_scan(skim)) as listed:
                                 got = skim(1 << hu, mask, None, floor, math.inf)
                             assert got == self.skimmed([(hu, mask, refs)], floor)
                             skipped += not listed  # ruled out by its bounds
@@ -880,9 +886,10 @@ class TestBlockScorer:
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_floor_skips_only_blocks_with_no_total_below_it(self, shrink):
-        """``skim`` over one block returns it with the totals ``score``
-        lists when one of them is below the floor, and otherwise counts it,
-        listing it only when its bounds let it through. The floors are each
+        """``skim`` over one block returns its strict running minima below
+        the floor, in host order with their hosts' mask, when one of the
+        totals ``score`` lists is below the floor, and otherwise counts it,
+        scanning it only when its bounds let it through. The floors are each
         block's least total, one ulp either side of it, the least total of
         the previous block (an incumbent) and a uniform draw. On scenario
         networks and on networks of a class per node many blocks pass the
@@ -914,7 +921,7 @@ class TestBlockScorer:
                         incumbent, rng.random(),
                     )
                     for floor in floors:
-                        with listings(score) as listed:
+                        with listings(skim_scan(skim)) as listed:
                             got = skim(1 << hu, mask, None, floor, math.inf)
                         assert got == self.skimmed([(hu, mask, costs)], floor)
                         if listed:
@@ -929,9 +936,9 @@ class TestBlockScorer:
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
     def test_group_bound_is_below_every_total_of_its_group(self, monkeypatch, shrink):
         """``skim`` rules out a whole group, counting it by ``group_size``,
-        only when every total of the group is ``>= f``, and returns the walk
-        over the brute-forced totals either way. Its bound, ``u`` and ``v``
-        on the sentinel host, is ``<=`` the group's least total as a float:
+        only when every total of the group is ``>= f``, and returns
+        :meth:`skimmed` of the brute-forced totals either way. Its bound,
+        ``u`` and ``v`` on the sentinel host, is ``<=`` the group's least total as a float:
         it never rules the group out at one ulp above it. It is asked both
         before and after the group's blocks are listed, and the blocks are
         listed exactly either way."""
@@ -1082,8 +1089,10 @@ class TestBlockScorer:
         """A walk over a whole group with the floor below every cost returns
         the run of every block, cut to the budget: the candidates counted,
         their greatest cost and the last one, as the listing gives them.
-        ``skim`` cuts its run and the block it returns alike, at floors
-        below every cost, at the least, between and above every cost."""
+        ``skim`` cuts its run and the block it scans alike, at floors below
+        every cost, at the least, between and above every cost: the block
+        that spends the budget is cut before its improving candidates are
+        kept."""
         rng = random.Random(2024)
         weights, params = WeightConfig(), NetworkParams()
         cuts = skim_cuts = 0
@@ -1106,7 +1115,8 @@ class TestBlockScorer:
                     for floor in (-math.inf, min(listed), (min(listed) + max(listed)) / 2, math.inf):
                         got = skim(hosts, leaves, links, floor, budget)
                         assert got == self.skimmed(blocks, floor, budget)
-                        skim_cuts += got[5] is not None and got[4] != next(m for h, m, _ in blocks if h == got[3])
+                        if got[5] is not None:  # the block returned, cut when the blocks up to it pass the budget
+                            skim_cuts += sum(len(costs) for h, _, costs in blocks if h <= got[3]) > budget
         assert cuts > 100 and skim_cuts > 100
 
 class TestComputeBounds:

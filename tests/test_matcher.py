@@ -349,6 +349,26 @@ class TestGroupInvariants:
                 groups[group[5] is not None] += 1
         assert groups[True] > 1_000 and groups[False] > 1_000
 
+    def test_group_size_reads_every_byte_of_its_hosts(self):
+        """``group_size`` reads the hosts of ``u`` a byte at a time: on a
+        40-node network, linked and unlinked, it is the summed popcount of
+        the listed blocks for masks with empty low bytes, masks confined to
+        one high byte and bits at each byte's edges (7, 8, 15, 16, 23, 24)
+        and at the top node, 39."""
+        rng = random.Random(4040)
+        n = 40
+        network = make_network([5] * n, {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5})
+        edges = (7, 8, 15, 16, 23, 24, 39)
+        masks = [sum(1 << b for b in edges), 1 << 39, (1 << n) - 1, ((1 << n) - 1) & ~0xFFFF, 0xFF << 32, 0xFF << 8]
+        masks += [rng.getrandbits(n) & -(1 << 8 * rng.randint(1, 4)) for _ in range(25)]  # empty low bytes
+        masks += [rng.getrandbits(8) << 8 * rng.randint(1, 4) for _ in range(25)]  # one high byte
+        masks += [sum(1 << b for b in rng.sample(edges, rng.randint(1, len(edges)))) for _ in range(25)]
+        for hosts in masks:
+            for leaves in masks:
+                for links in (None, network.neighbour_masks):
+                    blocks = group_blocks(hosts, leaves, links)
+                    assert group_size(hosts, leaves, links) == sum(mask.bit_count() for _, mask in blocks)
+
 
 class TestDeterminism:
     def test_two_runs_identical_sequence(self):

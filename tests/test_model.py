@@ -311,6 +311,20 @@ class TestResourceNetwork:
             per_node = [sum(1 << k for k, deg in enumerate(degrees) if deg >= d) for d in range(max(degrees) + 1)]
             assert net.degree_masks == tuple(per_node)
 
+    def test_calibration_classes_follow_the_per_class_definition(self):
+        # classes keyed by every field but the id, in order of first appearance; per class its first node
+        # and the mask of its nodes; on one node, one class and a class per node too
+        shapes = set()
+        for net in derivation_networks():
+            keys = [tuple(v for f, v in dataclasses.asdict(node).items() if f != "id") for node in net.nodes]
+            distinct = list(dict.fromkeys(keys))
+            of_node = tuple(distinct.index(key) for key in keys)
+            reps = tuple(net.nodes[of_node.index(c)] for c in range(len(distinct)))
+            masks = tuple(sum(1 << k for k, d in enumerate(of_node) if d == c) for c in range(len(distinct)))
+            assert net.calibration_classes == (reps, masks, of_node)
+            shapes.add("one node" if len(keys) == 1 else {1: "one class", len(keys): "class per node"}.get(len(reps)))
+        assert {"one node", "one class", "class per node"} <= shapes
+
     def test_term_picker_expands_class_rows_to_nodes(self):
         for net in derivation_networks():
             reps, _, of_node = net.calibration_classes

@@ -4,6 +4,7 @@ benchmark process runs)."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,37 @@ def test_a_higher_is_better_metric_wins_upwards():
     base = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0]
     assert row_of(base, [b * 1.1 for b in base], better="higher")["gain"]
     assert row_of(base, [b * 1.1 for b in base])["wins"] == 0  # the same rise is a loss where lower is better
+
+
+def run_output(metrics, raw, correct=True):
+    """A run's last two lines as perfbench prints them: the info line, then the result."""
+    info = {"workload": "lpmr-search", "raw_host_seconds": raw, "units": 3}
+    result = {"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+              "metrics": {name: {"value": value, "unit": "u"} for name, value in metrics.items()}}
+    return f"{json.dumps(info, sort_keys=True)}\n{json.dumps(result)}\n"
+
+
+def test_a_run_reads_its_raw_host_times_from_the_info_line():
+    metrics = {"wall_s": 2.0, "decision_ms_p50": 0.7, "decision_ms_p90": 1.4, "mean_cost": 0.3}
+    raw = {"wall_s": 1.6, "decision_ms_p50": 0.56, "decision_ms_p90": 1.12}
+    values = bench_pairs.parse_run("a line a run may print first\n" + run_output(metrics, raw))
+    assert values == {**metrics, "raw wall_s": 1.6, "raw decision_ms_p50": 0.56, "raw decision_ms_p90": 1.12}
+    assert bench_pairs.parse_run(run_output(metrics, raw, correct=False)) is None
+    assert bench_pairs.parse_run("") is None
+
+
+def test_raw_rows_follow_their_scaled_metrics():
+    directions = {"setup_s": "lower", "wall_s": "lower", "decisions_per_s": "higher", "decision_ms_p50": "lower",
+                  "decision_ms_p90": "lower", "mean_cost": "lower"}
+    assert list(bench_pairs.with_raw(directions).items()) == [
+        ("setup_s", "lower"), ("wall_s", "lower"), ("raw wall_s", "lower"), ("decisions_per_s", "higher"),
+        ("decision_ms_p50", "lower"), ("raw decision_ms_p50", "lower"), ("decision_ms_p90", "lower"),
+        ("raw decision_ms_p90", "lower"), ("mean_cost", "lower"),
+    ]
+    # a gain in raw host time counts apart from the scaled one: here the scale rose with the new side
+    pairs = [{"first": "base" if i % 2 == 0 else "new",
+              "base": {"decision_ms_p50": 1.0, "raw decision_ms_p50": 1.0 + i / 100},
+              "new": {"decision_ms_p50": 1.0 + i / 100, "raw decision_ms_p50": 0.9 + i / 100}} for i in range(10)]
+    scaled, raw = bench_pairs.summarise(pairs, {"decision_ms_p50": "lower", "raw decision_ms_p50": "lower"})
+    assert scaled["wins"] == 0 and raw["wins"] == 10 and raw["gain"]
+    assert bench_pairs.format_row(raw).startswith("raw decision_ms_p50  base ")

@@ -19,7 +19,10 @@ median, the pairs ``NEW`` won (better in that metric's direction; ties win
 for neither side), those wins split by which side ran first, and whether
 the gain rule holds. The rule: ``NEW`` wins at least nine tenths of the
 pairs, and its median is better than ``BASE``'s by more than the distance
-between ``BASE``'s quartiles.
+between ``BASE``'s quartiles. Beside ``wall_s``, ``decision_ms_p50`` and
+``decision_ms_p90`` it prints the same summary of their unscaled host times
+(``raw <metric>``, read from the info line's ``raw_host_seconds``), so that a
+change can be judged apart from the host-speed scale.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import sys
 from pathlib import Path
 
 GAIN_SHARE = 0.9  # the share of pairs the new side must win for a gain
+RAW = ("wall_s", "decision_ms_p50", "decision_ms_p90")  # the metrics the info line also gives unscaled
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -89,26 +93,50 @@ def format_row(row: dict) -> str:
     (b1, b2, b3), (n1, n2, n3) = row["base"], row["new"]
     wins, runs = row["wins_by_first"], row["pairs_by_first"]
     return (
-        f"{row['metric']:16} base {b2:.4g} [{b1:.4g}, {b3:.4g}]  new {n2:.4g} [{n1:.4g}, {n3:.4g}]  "
+        f"{row['metric']:20} base {b2:.4g} [{b1:.4g}, {b3:.4g}]  new {n2:.4g} [{n1:.4g}, {n3:.4g}]  "
         f"{row['change_pct']:+.1f}%  won {row['wins']} of {row['pairs']} "
         f"(base first {wins['base']} of {runs['base']}, new first {wins['new']} of {runs['new']})  "
         f"gain rule {'holds' if row['gain'] else 'fails'}"
     )
 
 
+def with_raw(directions: dict[str, str]) -> dict[str, str]:
+    """``directions`` with ``raw <metric>`` after each metric of ``RAW``, in
+    the same direction."""
+    out = {}
+    for name, better in directions.items():
+        out[name] = better
+        if name in RAW:
+            out[f"raw {name}"] = better
+    return out
+
+
+def parse_run(stdout: str) -> dict[str, float] | None:
+    """The end-to-end metric values of a run's output, the result on its
+    last line and the info line before it, with each metric of ``RAW`` also
+    as ``raw <metric>``, its unscaled host time; None unless the result
+    reads ``correct: true``."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if result.get("correct") is not True:
+        return None
+    raw = json.loads(lines[-2])["raw_host_seconds"]
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return values | {f"raw {name}": raw[name] for name in RAW}
+
+
 def run_tree(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One benchmark run in ``tree``: its end-to-end metric values."""
+    """One benchmark run in ``tree``: its end-to-end metric values and raw host times."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", "0",
     ]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if done.returncode == 0 and lines else {}
-    if result.get("correct") is not True:
+    values = parse_run(done.stdout) if done.returncode == 0 else None
+    if values is None:
         sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
         raise SystemExit(f"bench_pairs: {tree} seed {seed}: the run is not correct: true")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    return values
 
 
 def main(argv=None) -> int:
@@ -120,7 +148,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args(argv)
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
-    directions = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    directions = with_raw({metric["name"]: metric["better"] for metric in spec["end_to_end"]})
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("base", "new") if i % 2 == 0 else ("new", "base")
