@@ -30,8 +30,10 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     emit_failure_histogram,
+    repetition,
     run_experiment,
     scenario_config,
+    simulate,
 )
 from .matcher import (
     CandidateMapping,

@@ -23,13 +23,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .costs import BOUND_FLOOR
-from .model import NetworkParams, WeightConfig, check_count
+from .model import NetworkParams, ResourceNetwork, WeightConfig, Workflow, check_count
 from .allocators import ORACLE_MAX_NODES, SoftIsoConfig
 from .profiles import load_profiles
 from .simulation import (
     ALLOCATOR_NAMES,
     DEFAULT_RETRY_LIMIT,
+    Allocator,
     MetricsAccumulator,
+    SimState,
     make_allocator,
     qpu_time_distribution,
     run_simulation,
@@ -146,14 +148,23 @@ def replace_fields(obj, values: dict, path: str = ""):
     except ConfigError:  # ExperimentConfig's own checks name their field
         raise
     except (TypeError, ValueError) as exc:
-        # the first changed field whose old value lets the others pass; with none (a rule over several), the section
-        for name in changes:
-            try:
-                dataclasses.replace(obj, **{**changes, name: getattr(obj, name)})
-            except (TypeError, ValueError):
-                continue
-            raise ConfigError(f"{path}{name}: {exc}") from exc
+        # the first changed field whose old value lets the others pass; else the one changed field that raises
+        # this error alone; with none or several (a rule over several, as a sum rule), the section
+        put_back = [name for name in changes if _error(obj, {**changes, name: getattr(obj, name)}) is None]
+        named = put_back[:1] or [name for name in changes if _error(obj, {name: changes[name]}) == str(exc)]
+        if len(named) == 1:
+            raise ConfigError(f"{path}{named[0]}: {exc}") from exc
         raise ConfigError(f"{path.rstrip('.')}: {exc}" if path else str(exc)) from exc
+
+
+def _error(obj, changes: dict) -> str | None:
+    """The message of the error that replacing ``changes`` in the
+    dataclass ``obj`` raises, or None when it raises none."""
+    try:
+        dataclasses.replace(obj, **changes)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    return None
 
 
 # The nested config sections by field name: every field whose type is a
@@ -179,10 +190,19 @@ def _derive_seed(base: int, index: int, stream: int) -> int:
     return (base + index) * 7_919 + stream
 
 
-def run_single(config: ExperimentConfig, index: int) -> RunResult:
-    """Execute repetition ``index`` of the experiment."""
+class Repetition(typing.NamedTuple):
+    """One repetition's inputs: its seed, workload, network and allocator."""
+
+    seed: int
+    workload: list[Workflow]
+    network: ResourceNetwork
+    allocator: Allocator
+
+
+def repetition(config: ExperimentConfig, index: int) -> Repetition:
+    """Build repetition ``index``'s inputs from seeds derived from ``base_seed``;
+    each call builds a fresh network and an allocator whose draws start over."""
     profiles = load_profiles(config.profiles_path)
-    run_seed = config.base_seed + index
     workload_spec = dataclasses.replace(config.workload, seed=_derive_seed(config.base_seed, index, 1))
     topology_spec = dataclasses.replace(config.topology, seed=_derive_seed(config.base_seed, index, 2))
     if config.catalog_path:
@@ -204,17 +224,15 @@ def run_single(config: ExperimentConfig, index: int) -> RunResult:
         base_seed=_derive_seed(config.base_seed, index, 4),
         trial_multiplier=config.trial_multiplier,
     )
-    state = run_simulation(
-        workload,
-        network,
-        allocator,
-        config.params,
-        retry_limit=config.retry_limit,
-        dependency_gating=config.dependency_gating,
-        gate_comm_latency=config.gate_comm_latency,
+    return Repetition(config.base_seed + index, workload, network, allocator)
+
+
+def simulate(config: ExperimentConfig, rep: Repetition) -> SimState:
+    """Run ``rep`` under the config's simulator options."""
+    return run_simulation(
+        rep.workload, rep.network, rep.allocator, config.params, retry_limit=config.retry_limit,
+        dependency_gating=config.dependency_gating, gate_comm_latency=config.gate_comm_latency,
     )
-    metrics = state.metrics if config.measure_timing else dataclasses.replace(state.metrics, decision_time=0.0)
-    return RunResult(run_seed, metrics, qpu_time_distribution(state), [node.id for node in network.nodes])
 
 
 @dataclass
@@ -236,11 +254,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     """Run all repetitions in seed order, in this process, and write the
     result tables when an output directory is given. A run with a
     non-finite metric raises ValueError before anything is written."""
-    runs = [run_single(config, i) for i in range(config.repetitions)]
-    for run in runs:
+    runs = []
+    for index in range(config.repetitions):
+        rep = repetition(config, index)
+        state = simulate(config, rep)
+        metrics = state.metrics if config.measure_timing else dataclasses.replace(state.metrics, decision_time=0.0)
         for name in METRIC_FIELDS:
-            if not math.isfinite(value := getattr(run.metrics, name)):
-                raise ValueError(f"metric {name} is {value} in the run of seed {run.seed}")
+            if not math.isfinite(value := getattr(metrics, name)):
+                raise ValueError(f"metric {name} is {value} in the run of seed {rep.seed}")
+        runs.append(RunResult(rep.seed, metrics, qpu_time_distribution(state), [node.id for node in rep.network.nodes]))
+        del rep, state  # so that no two repetitions' networks and caches are held at once
     result = ExperimentResult(config=config, runs=runs)
     if out_dir is not None:
         write_outputs(result, Path(out_dir))

@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
 
-import qflow.experiments
 from qflow.allocators import (
     EXHAUSTIVE,
     exhaustive_oracle,
@@ -60,7 +60,7 @@ from qflow.costs import (
     runtime_cost,
     workflow_network_cost,
 )
-from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
+from qflow.experiments import ExperimentConfig, repetition, run_experiment, scenario_config, simulate
 from qflow.model import Allocation, NetworkParams, WeightConfig, validate_allocation
 from qflow.simulation import AllocationOutcome, qpu_time_distribution, run_simulation
 from qflow.workload import TopologySpec, WorkloadSpec
@@ -77,19 +77,16 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-@pytest.fixture()
-def simulated(monkeypatch):
-    """Record ``(workload, final state)`` of every simulation that
-    ``run_experiment`` performs, in repetition order."""
-    runs = []
+def replayed(config: ExperimentConfig) -> list:
+    """``(workload, final state)`` of each repetition of ``config``, in
+    repetition order."""
+    reps = (repetition(config, i) for i in range(config.repetitions))
+    return [(rep.workload, simulate(config, rep)) for rep in reps]
 
-    def recording(workload, *args, **kwargs):
-        state = run_simulation(workload, *args, **kwargs)
-        runs.append((workload, state))
-        return state
 
-    monkeypatch.setattr(qflow.experiments, "run_simulation", recording)
-    return runs
+def mean(runs, name: str) -> float:
+    """The mean of metric ``name`` over replayed runs, as ``ExperimentResult.mean``."""
+    return statistics.fmean(getattr(state.metrics, name) for _, state in runs)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -270,16 +267,15 @@ def random_chain_placement(runs) -> tuple[int, float, float]:
     return placed, expected, math.sqrt(variance)
 
 
-def test_criterion_4_small_program_scenarios(simulated):
-    rows = {}
-    for name in ("SP-LR", "SP-MR"):
-        for algo in ("soft_iso", "greedy_dfs", "random_aware"):
-            rows[(name, algo)] = run_experiment(scenario_config(name, algo, base_seed=0, repetitions=SP_REPS))
-            if (name, algo) == ("SP-LR", "random_aware"):
-                placed, expected, sd = random_chain_placement(simulated)
-            simulated.clear()
+def test_criterion_4_small_program_scenarios():
+    rows = {
+        (name, algo): replayed(scenario_config(name, algo, base_seed=0, repetitions=SP_REPS))
+        for name in ("SP-LR", "SP-MR")
+        for algo in ("soft_iso", "greedy_dfs", "random_aware")
+    }
+    placed, expected, sd = random_chain_placement(rows.pop(("SP-LR", "random_aware")))
     z = (placed - expected) / sd
-    full = {key: res.mean("completion_pct") for key, res in rows.items() if key != ("SP-LR", "random_aware")}
+    full = {key: mean(runs, "completion_pct") for key, runs in rows.items()}
     detail = "; ".join(f"{name}/{algo}={round(pct)}%" for (name, algo), pct in full.items())
     ok = all(round(pct) == 100 for pct in full.values()) and abs(z) <= 3
     report(
@@ -347,18 +343,16 @@ def placed_network_costs(state) -> dict[str, float]:
     }
 
 
-def test_criterion_5_comm_overhead_trends(simulated):
+def test_criterion_5_comm_overhead_trends():
     started = time.perf_counter()
     means = []
     for tasks in range(1, 6):
-        result = run_experiment(trend_config("soft_iso", tasks))
-        means.append(result.mean("comm_overhead"))
+        runs = replayed(trend_config("soft_iso", tasks))
+        means.append(mean(runs, "comm_overhead"))
         if tasks == 3:
-            soft3, soft_runs = result, list(simulated)
-        simulated.clear()
+            soft_runs = runs
     nondecreasing = all(means[i + 1] >= means[i] for i in range(len(means) - 1))
-    greedy3 = run_experiment(trend_config("greedy_dfs", 3))
-    greedy_runs = list(simulated)
+    greedy_runs = replayed(trend_config("greedy_dfs", 3))
     elapsed = time.perf_counter() - started
     report(
         "5 (monotone trend)",
@@ -384,7 +378,7 @@ def test_criterion_5_comm_overhead_trends(simulated):
         ratio <= 0.8,
         f"paired ratio {ratio:.3f} (needs <= 0.8) over {paired} workflows placed by both: "
         f"soft {soft_sum:.2f} vs greedy {greedy_sum:.2f}; completion soft "
-        f"{soft3.mean('completion_pct'):.1f}% greedy {greedy3.mean('completion_pct'):.1f}%; "
+        f"{mean(soft_runs, 'completion_pct'):.1f}% greedy {mean(greedy_runs, 'completion_pct'):.1f}%; "
         f"elapsed {elapsed:.1f}s",
     )
     assert elapsed < 600.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from qflow import allocators, costs, experiments, matcher, model, profiles, simulation, workload
-from qflow.experiments import ExperimentConfig, run_experiment
+from qflow.experiments import ExperimentConfig, repetition, simulate
 from qflow.model import NetworkParams, WeightConfig
 
 from .conftest import chain_workflow, make_network
@@ -68,28 +68,28 @@ def test_some_allocator_calls_swapped_name(monkeypatch, name):
     assert calls, f"no allocator calls qflow.allocators.{name}, so swapping it times nothing"
 
 
-def default_soft_iso_outcomes(monkeypatch):
-    """Run soft_iso on the default config; return the runs and, per
-    allocator call, its outcome."""
-    outcomes = []
+def default_soft_iso_outcomes():
+    """Run soft_iso's repetitions of the default config; return each run's
+    task executions and, per allocator call, its outcome."""
+    config, outcomes = ExperimentConfig(algorithm="soft_iso", repetitions=2), []
 
-    def recording(workload, network, allocator, params, **kwargs):
+    def recording(allocator):
         def call(workflow, network, backlog):
             outcomes.append(allocator(workflow, network, backlog))
             return outcomes[-1]
 
-        return simulation.run_simulation(workload, network, call, params, **kwargs)
+        return call
 
-    monkeypatch.setattr(experiments, "run_simulation", recording)
-    result = run_experiment(ExperimentConfig(algorithm="soft_iso", repetitions=2, measure_timing=False))
-    return result.runs, outcomes
+    reps = (repetition(config, i) for i in range(config.repetitions))
+    runs = [simulate(config, rep._replace(allocator=recording(rep.allocator))).executions for rep in reps]
+    return runs, outcomes
 
 
 def test_wrapped_stream_reaches_soft_iso_and_changes_nothing(monkeypatch):
     """Wrapped as the tracer's ``stream()`` wraps it, the matcher stream is
     called once per soft_iso decision, yields the groups soft_iso walks, and
     leaves every outcome as it was."""
-    plain = default_soft_iso_outcomes(monkeypatch)
+    plain = default_soft_iso_outcomes()
     counts = {"streams": 0, "groups": 0}
     stream = allocators.workflow_monomorphisms
 
@@ -103,7 +103,7 @@ def test_wrapped_stream_reaches_soft_iso_and_changes_nothing(monkeypatch):
         return counted(stream(*args, **kwargs))
 
     monkeypatch.setattr(allocators, "workflow_monomorphisms", wrapper)
-    runs, outcomes = default_soft_iso_outcomes(monkeypatch)
+    runs, outcomes = default_soft_iso_outcomes()
     assert (runs, outcomes) == plain
     assert counts["streams"] == len(outcomes) > 100
     # every placed workflow came from at least one group

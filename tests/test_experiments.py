@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import statistics
@@ -19,11 +20,14 @@ from qflow.experiments import (
     RunResult,
     apply_sweep_value,
     emit_failure_histogram,
+    repetition,
     run_experiment,
     scenario_config,
+    simulate,
     _derive_seed,
 )
 from qflow.model import WeightConfig
+from qflow.simulation import qpu_time_distribution
 from qflow.workload import TopologySpec, WorkloadSpec, export_task_catalog, generate_catalog
 
 
@@ -99,7 +103,7 @@ class TestConfig:
         "raw, path", [({"workload": {"seed": 5}}, "workload.seed"), ({"topology": {"seed": 9}}, "topology.seed")]
     )
     def test_section_seed_other_than_zero_rejected(self, raw, path):
-        # run_single derives both seeds from base_seed in every repetition
+        # repetition derives both seeds from base_seed in every repetition
         with pytest.raises(ConfigError, match=rf"^{path}: must be 0, got \d; repetitions derive it from base_seed$"):
             ExperimentConfig.from_dict(raw)
         # zero, the value every recorded summary.json holds, stays valid
@@ -133,6 +137,9 @@ class TestConfig:
         # a rule over several given fields names their section
         with pytest.raises(ConfigError, match="^weights: alpha"):
             ExperimentConfig.from_dict({"weights": {"alpha": 0.5, "beta": 0.1}})
+        # two fields each bad alone: the one whose lone change raises the error
+        with pytest.raises(ConfigError, match=r"^workload\.batch_size: batch_size must be >= 1, got -1$"):
+            ExperimentConfig.from_dict({"workload": {"batch_size": -1, "tasks_per_group": 9}})
 
     @pytest.mark.parametrize("raw", [[1, 2], "soft_iso", None])
     def test_top_level_must_be_an_object(self, raw):
@@ -223,6 +230,36 @@ class TestRunExperiment:
         assert summary["config"]["workload"]["batch_size"] == 6
         assert summary["normalization"]["bound_floor"] == 1e-12
         assert "completion_pct" in summary["metrics_mean"]
+
+
+class TestRepetition:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(repetitions=3, measure_timing=False),
+            ExperimentConfig(algorithm="random_aware", repetitions=3, measure_timing=False),
+            scenario_config("LP-LR", "soft_iso", repetitions=2, measure_timing=False, workload={"batch_size": 40}),
+            scenario_config("SP-MR", "soft_iso", repetitions=3, measure_timing=False),
+        ],
+        ids=["default", "default-random_aware", "LP-LR", "SP-MR"],
+    )
+    def test_replay_reproduces_each_run(self, config):
+        result = run_experiment(config)
+        for index, run in enumerate(result.runs):
+            rep = repetition(config, index)
+            state = simulate(config, rep)
+            assert rep.seed == run.seed
+            assert dataclasses.replace(state.metrics, decision_time=0.0) == run.metrics
+            assert qpu_time_distribution(state) == run.qpu_shares
+            assert [node.id for node in rep.network.nodes] == run.node_ids
+
+    def test_each_call_builds_fresh_inputs(self):
+        config = ExperimentConfig()
+        first, second = repetition(config, 1), repetition(config, 1)
+        assert first.seed == second.seed == 1
+        assert first.workload == second.workload
+        assert first.network is not second.network
+        assert first.workload != repetition(config, 2).workload
 
 
 class TestScenarios:

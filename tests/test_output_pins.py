@@ -4,8 +4,8 @@ Each pinned config runs through :func:`qflow.experiments.run_experiment`
 with timing capture off. Its three result files are digested, and so is
 its decision stream: per allocator call, the workflow id, the attempt
 number, the sorted assignment (or ``None``), ``candidates_examined`` and
-``incumbent_costs``. The stream is recorded by wrapping the allocator that
-``run_simulation`` receives. A change that keeps every output keeps every
+``incumbent_costs``. The stream is recorded by replaying each repetition
+with its allocator wrapped. A change that keeps every output keeps every
 digest; one that changes outputs re-records them and says why.
 
 Re-record (from the repository root)::
@@ -24,9 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from qflow import experiments
 from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
-from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
+from qflow.experiments import ExperimentConfig, repetition, run_experiment, scenario_config, simulate
+from qflow.simulation import qpu_time_distribution
 
 PINS_PATH = Path(__file__).with_name("output_pins.json")
 OUTPUT_FILES = ("results.csv", "qpu_shares.csv", "summary.json")
@@ -56,32 +56,33 @@ CONFIGS = {
 }
 
 
+def recording(allocator, stream):
+    """``allocator``, adding one line per call to the sha256 ``stream``."""
+    attempts: collections.Counter = collections.Counter()
+
+    def call(workflow, network, backlog):
+        outcome = allocator(workflow, network, backlog)
+        attempts[workflow.id] += 1
+        allocation = outcome.allocation
+        placed = None if allocation is None else sorted(allocation.assignment.items())
+        line = f"{workflow.id} {attempts[workflow.id]} {placed} {outcome.candidates_examined} {outcome.incumbent_costs!r}\n"
+        stream.update(line.encode())
+        return outcome
+
+    return call
+
+
 def digests(config: ExperimentConfig, out_dir: Path) -> dict[str, str]:
     """Run ``config`` into ``out_dir`` and return the sha256 of each result
-    file and of the decision stream."""
-    stream = hashlib.sha256()
-    run_simulation = experiments.run_simulation
-
-    def recording(workload, network, allocator, params, **kwargs):
-        attempts: collections.Counter = collections.Counter()
-
-        def call(workflow, network, backlog):
-            outcome = allocator(workflow, network, backlog)
-            attempts[workflow.id] += 1
-            allocation = outcome.allocation
-            placed = None if allocation is None else sorted(allocation.assignment.items())
-            line = f"{workflow.id} {attempts[workflow.id]} {placed} {outcome.candidates_examined} {outcome.incumbent_costs!r}\n"
-            stream.update(line.encode())
-            return outcome
-
-        return run_simulation(workload, network, call, params, **kwargs)
-
-    experiments.run_simulation = recording
-    try:
-        run_experiment(config, out_dir)
-    finally:
-        experiments.run_simulation = run_simulation
+    file and of the decision stream, which a replay of each repetition
+    records; each replay's shares must equal its run's."""
+    result = run_experiment(config, out_dir)
     found = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUT_FILES}
+    stream = hashlib.sha256()
+    for index, run in enumerate(result.runs):
+        rep = repetition(config, index)
+        state = simulate(config, rep._replace(allocator=recording(rep.allocator, stream)))
+        assert qpu_time_distribution(state) == run.qpu_shares, f"repetition {index}"
     found["decisions"] = stream.hexdigest()
     return found
 

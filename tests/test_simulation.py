@@ -12,7 +12,7 @@ import pytest
 from qflow import matcher, simulation
 from qflow.allocators import AllocationOutcome, greedy_dfs
 from qflow.costs import edge_communication_cost, fidelity, runtime_cost, workflow_network_cost
-from qflow.experiments import ExperimentConfig
+from qflow.experiments import ExperimentConfig, repetition, simulate
 from qflow.model import Allocation, NetworkParams, WeightConfig, Workflow
 from qflow.profiles import load_profiles
 from qflow.simulation import TaskExecution, make_allocator, qpu_time_distribution, run_simulation
@@ -303,30 +303,24 @@ class TestFailuresAndRetries:
         # workflows that no monomorphism places on its 5-node network
         config = ExperimentConfig(algorithm="soft_iso")
         assert config.retry_limit >= 2
-        catalog = generate_catalog(
-            config.catalog_size, qubit_range=config.workload.qubit_range, seed=3, shots=config.workload.shots_default
-        )
-        workload = generate_workload(dataclasses.replace(config.workload, seed=1), catalog)
-        allocator = make_allocator("soft_iso", config.weights, config.params, config.soft_config)
         searches = []
         search = matcher._groups
         monkeypatch.setattr(matcher, "_groups", lambda wf, *args: searches.append(wf.id) or search(wf, *args))
 
         def run(forget: bool):
-            network = generate_network(dataclasses.replace(config.topology, seed=2), load_profiles())
+            rep = repetition(config, 0)  # each run on a fresh network
             decisions = []
 
             def call(workflow, net, backlog):
                 if forget:
                     net.group_streams.clear()
-                outcome = allocator(workflow, net, backlog)
+                outcome = rep.allocator(workflow, net, backlog)
                 key = (workflow.skeleton, *matcher.task_domains(workflow, net))
                 decisions.append((workflow.id, outcome, net.group_streams.get(key)))
                 keys[workflow.id] = key
                 return outcome
 
-            state = run_simulation(workload, network, call, config.params, config.retry_limit)
-            return state, decisions
+            return simulate(config, rep._replace(allocator=call)), decisions
 
         keys = {}
         searches.clear()

@@ -10,9 +10,9 @@ Usage::
 alternating which tree goes first, so that drift of the host falls on both
 sides alike. A measuring process times, ``--calls`` times each:
 
-* the four scenario presets through ``run_experiment`` (3 repetitions of
-  100 workflows each, ``measure_timing`` off), soft_iso at the preset's
-  thresholds;
+* the four scenario presets, each repetition built by ``repetition`` and
+  run by ``simulate`` (3 repetitions of 100 workflows each), soft_iso at
+  the preset's thresholds;
 * the same runs of LP-MR, SP-MR and LP-LR with soft_iso under
   ``EXHAUSTIVE`` (stopping off, the path of ``skim``), rows named
   ``<scenario> exhaustive``;
@@ -24,8 +24,8 @@ sides alike. A measuring process times, ``--calls`` times each:
   sim-churn workload (5 nodes, 1 to 3 tasks, retry limit 3; 3 repetitions
   of 1,000 workflows), row ``default random_aware``, and on LP-MR (3
   repetitions of 100 workflows), row ``LP-MR random_aware``;
-* the same default-config runs timed whole, each ``run_simulation`` call
-  end to end, allocator calls and bookkeeping together, row ``sim-churn
+* the same default-config runs timed whole, each ``simulate`` call end
+  to end, allocator calls and bookkeeping together, row ``sim-churn
   run`` (ms per run); its allocator calls still pass through the timing
   wrapper of the row before;
 * the input builders, ``generate_catalog`` (128 tasks) then
@@ -110,16 +110,15 @@ def measure(calls: int) -> dict[str, list[float]]:
     import dataclasses
 
     import qflow.allocators as alg
-    import qflow.experiments as experiments
     from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
     from qflow.costs import task_terms
-    from qflow.experiments import ExperimentConfig, run_experiment, scenario_config
+    from qflow.experiments import ExperimentConfig, repetition, scenario_config, simulate
     from qflow.model import NetworkParams, WeightConfig
     from qflow.profiles import load_profiles
     from qflow.workload import generate_catalog, generate_network, generate_workload
 
     spent: list[float] = []
-    whole: list[float] = []  # run_simulation calls, end to end
+    whole: list[float] = []  # simulate calls, end to end
 
     def timing(function, times):
         def timed(*args, **kwargs):
@@ -133,23 +132,18 @@ def measure(calls: int) -> dict[str, list[float]]:
     def figures(times=spent) -> tuple[float, float]:
         return 1e3 * sum(times) / len(times), 1e3 * statistics.quantiles(times, n=10)[-1]
 
-    # the simulator's allocators and run_experiment look these names up at each call
+    # the simulator's allocators look these names up at each call
     alg.soft_iso, alg.random_aware = timing(alg.soft_iso, spent), timing(alg.random_aware, spent)
-    experiments.run_simulation = timing(experiments.run_simulation, whole)
+    timed_simulate = timing(simulate, whole)
     rows: dict[str, list[tuple[float, float]]] = {}
 
     def scenario(name: str, algorithm: str, soft_config: dict) -> ExperimentConfig:
-        return scenario_config(
-            name, algorithm, repetitions=3, workload={"batch_size": 100}, measure_timing=False,
-            soft_config=soft_config,
-        )
+        return scenario_config(name, algorithm, repetitions=3, workload={"batch_size": 100}, soft_config=soft_config)
 
     runs = [(name, scenario(name, "soft_iso", {})) for name in SCENARIOS]
     runs += [(f"{name} exhaustive", scenario(name, "soft_iso", dataclasses.asdict(EXHAUSTIVE)))
              for name in EXHAUSTIVE_SCENARIOS]
-    churn = ExperimentConfig.from_dict(
-        {"algorithm": "random_aware", "repetitions": 3, "workload": {"batch_size": 1000}, "measure_timing": False}
-    )
+    churn = ExperimentConfig.from_dict({"algorithm": "random_aware", "repetitions": 3, "workload": {"batch_size": 1000}})
     runs += [("default random_aware", churn), ("LP-MR random_aware", scenario("LP-MR", "random_aware", {}))]
     lplr = scenario_config("LP-LR", "soft_iso", workload={"batch_size": 50})
     shapes = [
@@ -159,13 +153,13 @@ def measure(calls: int) -> dict[str, list[float]]:
     profiles = load_profiles()
     topologies = [scenario_config(name, "soft_iso").topology for name in ("LP-LR", "LP-MR")]
     # the terms cold row's tasks: lplr-sparse's first unit's workload
-    cold = generate_catalog(lplr.catalog_size, lplr.workload.qubit_range, seed=3, shots=lplr.workload.shots_default)
-    cold_tasks = [t for wf in generate_workload(dataclasses.replace(lplr.workload, seed=1), cold) for t in wf.tasks]
+    cold_tasks = [t for wf in repetition(lplr, 0).workload for t in wf.tasks]
     for _ in range(calls):
         for row, config in runs:
             spent.clear()
             whole.clear()
-            run_experiment(config)
+            for index in range(config.repetitions):
+                timed_simulate(config, repetition(config, index))
             rows.setdefault(row, []).append(figures())
             if row == "default random_aware":
                 rows.setdefault("sim-churn run", []).append(figures(whole))
