@@ -137,7 +137,14 @@ def soft_iso(
     then ``abs(cost - maxcost) > thres_max`` or ``abs(cost - prevcost) >
     thres_prev`` is never true, so only the budget stops the search. ``skim``
     counts what its exact bounds rule out and returns only the candidates
-    that improve in turn, leaving out the maximum and last cost, never read.
+    that improve in turn, leaving out the maximum and last cost, never read;
+    it scans a block only where a calibration class, at the least wait of
+    its hosts in the block, has a total below the incumbent, so every block
+    it scans improves. On this path the loop enters a group through the
+    scorer's ``skip``, which folds and counts in one call each group that
+    ``u`` and ``v`` on the sentinel host rule out and returns the first that
+    may improve, so the loop and ``skim`` see only those groups. ``walk``'s
+    path keeps one loop pass per group.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))
@@ -151,12 +158,20 @@ def soft_iso(
     incumbent: dict[int, int] | None = None
     history: list[float] = []
 
-    for prefix, u, v, hosts, leaves, links in workflow_monomorphisms(workflow, network):
+    groups = workflow_monomorphisms(workflow, network)
+    for group in groups:
         if step is None:
             table = DecisionTable(workflow, network, params, backlog)
-            fold, _, walk, skim = table.group_scorer(weights, u, v)
+            fold, _, walk, skim, skip = table.group_scorer(weights, group[1], group[2])
             step = skim if math.inf in (thres_max, thres_prev) else walk
-        fold(prefix)
+        if step is skim:  # count the groups ruled out whole, up to the next that may improve
+            size, group = skip(group, groups, mincost, cap - examined)
+            examined += size
+            if group is None:
+                break
+        else:
+            fold(group[0])
+        prefix, u, v, hosts, leaves, links = group
         while examined < cap and hosts:
             size, top, last, h, mask, costs = step(hosts, leaves, links, mincost, cap - examined)
             if size:

@@ -26,8 +26,9 @@ host then costs one compare and add (the hosts of a class differ only in
 availability). Given a floor, the scorer walks a run of blocks with no
 total below it in one call, summarising a large block by the least and
 greatest wait of each class or, when the stop rule cannot fire, ruling
-out a group or block by exact float lower bounds (tasks on a sentinel
-host, then on each class at its least wait) without listing it. The
+out a run of groups or a block by exact float lower bounds (tasks on a
+sentinel host, then on each class at its least wait, in the network and
+then in the block) without listing it. The
 cost-aware allocators build at most one table per decision, at its first
 group or feasible trial, and score every later one from it.
 
@@ -49,7 +50,7 @@ bounds, the maxima of those triples; its edges are the workflow's skeleton.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -397,10 +398,12 @@ class DecisionTable:
             net += (qlink[a][candidate[a]] + qlink[b][candidate[b]]) / 2.0 + (clink[a] + clink[b]) / 2.0
         return _normalized(availability, e, r, net, self.bounds, weights)
 
-    def group_scorer(self, weights: WeightConfig, u: int, v: int) -> tuple[Callable, Callable, Callable, Callable]:
-        """``(fold, score, walk, skim)`` for groups of candidates that differ
-        only in the hosts of tasks ``u`` and ``v`` (``u`` is ``v`` for a
-        one-task workflow). ``fold(prefix)`` takes a group's ``prefix``,
+    def group_scorer(
+        self, weights: WeightConfig, u: int, v: int
+    ) -> tuple[Callable, Callable, Callable, Callable, Callable]:
+        """``(fold, score, walk, skim, skip)`` for groups of candidates that
+        differ only in the hosts of tasks ``u`` and ``v`` (``u`` is ``v`` for
+        a one-task workflow). ``fold(prefix)`` takes a group's ``prefix``,
         which maps every other task. Then ``score(hu, mask)`` lists, for
         each host ``h`` whose bit is set in ``mask``, ascending, the total
         :meth:`breakdown` returns for ``prefix`` plus ``u`` on ``hu`` plus
@@ -456,18 +459,33 @@ class DecisionTable:
         greatest and last totals at ``-inf`` and ``0.0``. When ``u`` and
         ``v`` on the sentinel host bound the group at ``>= floor``, it counts
         the group (:func:`group_size`, cut to the budget). Else it bounds
-        each block (cut to the budget) by ``v`` on the sentinel host, then on
-        each class of the mask at the class's least wait (its hosts share
-        that ``R`` and wait no less). A block such a bound lets through is
-        scanned in host order with ``score``'s floats: the first with a
-        total below ``floor`` ends the call with only its running minima
-        below ``floor`` (their mask and totals), the rest counted. Its loops
-        read masks a byte at a time (:data:`~qflow.matcher.BYTE_BITS`). No
-        bound needs an epsilon: under round-to-nearest, ``a + x``, ``x / d``
-        for ``d > 0``, ``w * x`` for ``w >= 0``, ``max(x, a)`` and the clip
-        are each monotone non-decreasing in ``x`` as floats, the weights and
-        ``1 - zeta`` are nonnegative and the bounds positive, so each bound
-        is ``<=`` every total it covers.
+        each block by ``v`` on the sentinel host, then, the block cut to the
+        budget, by each class of the mask at the class's least wait (its
+        hosts share that ``R`` and wait no less) and, for a class that
+        passes, at the least wait of its hosts in the block (the first of
+        them in the class's hosts by wait): the exact least total of the
+        class's hosts there. A block no class passes is counted. Else only
+        the hosts of the classes that pass are scanned in host order with
+        ``score``'s floats, since no other host's total is below ``floor``;
+        the scan finds at least the least total of a passing class, so it
+        ends the call with only the block's running minima below ``floor``
+        (their mask and totals), the rest counted. Its loops read masks a
+        byte at a time (:data:`~qflow.matcher.BYTE_BITS`).
+
+        ``skip(group, groups, floor, budget)`` serves ``skim``'s caller
+        between groups: it folds ``group``, a stream group, and bounds it
+        with ``u`` and ``v`` on the sentinel host as ``skim`` does. A group
+        the bound rules out is counted (:func:`group_size`) and the next is
+        drawn from the iterator ``groups``. It returns ``(size, group)``:
+        the candidates counted, cut to the budget, and the first group the
+        bound lets through, folded, or ``None`` at the budget's or the
+        stream's end.
+
+        No bound needs an epsilon: under round-to-nearest, ``a + x``, ``x /
+        d`` for ``d > 0``, ``w * x`` for ``w >= 0``, ``max(x, a)`` and the
+        clip are each monotone non-decreasing in ``x`` as floats, the
+        weights and ``1 - zeta`` are nonnegative and the bounds positive, so
+        each bound is ``<=`` every total it covers.
         """
         err, run, qlink, clink = self.err, self.run, self.qlink, self.clink
         bounds = self.bounds
@@ -502,6 +520,9 @@ class DecisionTable:
         w = e = r = net = 0.0
         inf = math.inf
         large = max(SUMMARY_MIN_HOSTS, SUMMARY_HOSTS_PER_CLASS * len(masks))
+        rows = [c * stride for c in of_node]  # per host, the offset of its class's row in a memo
+        both = sentinel * stride + sentinel  # the memo key of u and v on the sentinel host
+        least = wait[n]
 
         def fold(prefix: Mapping[int, int]) -> None:
             nonlocal w, e, r, net, memo
@@ -637,10 +658,9 @@ class DecisionTable:
             return size, top, last, 0, 0, None
 
         def skim(hosts: int, leaves: int, links: tuple[int, ...] | None, floor: float, budget: float) -> tuple:
-            wu = x if (x := wait[n]) > w else w
-            if (cost := memo[key := sentinel * stride + sentinel]) is None:
-                cost = evaluate(n, n, key)
-            if wu + cost >= floor:  # u and v on the sentinel host: the group's bound
+            if (cost := memo[both]) is None:
+                cost = evaluate(n, n, both)
+            if (least if least > w else w) + cost >= floor:  # u and v on the sentinel host: the group's bound
                 return min(group_size(hosts, leaves, links), budget), -inf, 0.0, 0, 0, None
             size = base = 0
             while hosts:  # a byte of the hosts of u at a time
@@ -648,31 +668,50 @@ class DecisionTable:
                     hu = base + b
                     if not (mask := leaves & ~(1 << hu) if links is None else leaves & links[hu]):
                         continue
-                    if (count := mask.bit_count()) > budget - size:  # the block that spends the budget, cut to it
-                        for _ in range(count - budget + size):
-                            mask ^= 1 << mask.bit_length() - 1
-                        count = budget - size
+                    count = mask.bit_count()
                     wu = x if (x := wait[hu]) > w else w
-                    row = of_node[hu] * stride
+                    row = rows[hu]
                     if (cost := memo[key := row + sentinel]) is None:
                         cost = evaluate(hu, n, key)
                     if wu + cost < floor:  # v on the sentinel host, then on each class of the mask at its least wait
-                        for c, m, x, _, _, _ in by_class or classes():
+                        if count > budget - size:  # the block that spends the budget, cut to it
+                            for _ in range(count - budget + size):
+                                mask ^= 1 << mask.bit_length() - 1
+                            count = budget - size
+                        live = 0  # the classes whose least wait in the block gives a total below the floor
+                        for c, m, x, up, _, _ in by_class or classes():
                             if mask & m:
                                 if (cost := memo[key := row + c]) is None:
                                     cost = evaluate(hu, (m & -m).bit_length() - 1, key)
                                 if (x if x > wu else wu) + cost < floor:
-                                    keep, costs = improving(hu, wu, row, mask, floor)
-                                    if costs:
-                                        return size + count - len(costs), -inf, 0.0, hu, keep, costs
-                                    break
-                    size += count
-                    if size >= budget:
-                        return size, -inf, 0.0, 0, 0, None
+                                    for x, bit in up:  # the least wait of the class in the block
+                                        if mask & bit:
+                                            break
+                                    if (x if x > wu else wu) + cost < floor:
+                                        live |= m
+                        if live:
+                            keep, costs = improving(hu, wu, row, mask & live, floor)
+                            return size + count - len(costs), -inf, 0.0, hu, keep, costs
+                    if (size := size + count) >= budget:
+                        return budget, -inf, 0.0, 0, 0, None
                 hosts, base = hosts >> 8, base + 8
             return size, -inf, 0.0, 0, 0, None
 
-        return fold, score, walk, skim
+        def skip(group: tuple, groups: Iterator[tuple], floor: float, budget: float) -> tuple[int, tuple | None]:
+            size = 0
+            while True:
+                prefix, _, _, hosts, leaves, links = group
+                fold(prefix)
+                if (cost := memo[both]) is None:
+                    cost = evaluate(n, n, both)
+                if not (least if least > w else w) + cost >= floor:  # skim's group bound lets it through
+                    return size, group
+                if (size := size + group_size(hosts, leaves, links)) >= budget:
+                    return budget, None
+                if (group := next(groups, None)) is None:
+                    return size, None
+
+        return fold, score, walk, skim, skip
 
 
 def _clip01(x: float) -> float:

@@ -221,7 +221,12 @@ def _execute(
 def qpu_time_distribution(state: SimState) -> list[float]:
     """Percentage of total busy time spent on each node; zeros when the run
     executed nothing."""
-    total = sum(state.busy_seconds)
+    # a left-to-right fold, not sum(): from CPython 3.12 on, sum() adds
+    # floats with compensated summation (gh-100425), which moves the last
+    # digit of a share
+    total = 0.0
+    for busy in state.busy_seconds:
+        total += busy
     return [100.0 * busy / total if total > 0 else 0.0 for busy in state.busy_seconds]
 
 

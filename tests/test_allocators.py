@@ -20,6 +20,7 @@ from qflow.allocators import (
     soft_iso,
 )
 from qflow.costs import DecisionTable, aggregate_cost, compute_bounds
+from qflow.experiments import repetition, scenario_config, simulate
 from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
 from qflow.model import (
     Allocation,
@@ -385,18 +386,20 @@ class TestSoftIsoReference:
         assert placed >= 30
 
     @staticmethod
-    def count_search(monkeypatch, config=THRESHOLDS_OFF, scenario="LP-MR", seeds=(0,), batch=4):
+    def count_search(monkeypatch, config=THRESHOLDS_OFF, scenario="LP-MR", seeds=(0,), batch=4, simulated=False):
         """Run soft_iso on a scenario's draws (LP-MR, seed 0, 4 workflows by
-        default) and count the groups and blocks the matcher yields, the
-        groups ``skim`` rules out as a whole (a call of ``group_size`` on
-        the group's own hosts of ``u``), the blocks ``skim`` bounds one by
-        one, the blocks the run closure lists (calls of ``score`` under
-        ``walk`` and of the scan under ``skim``, told apart by their code
-        objects) and the candidates each decision examines. Per group
-        folded, also count the scorer's pair evaluations (one read of
-        ``v``'s error row each), the calibration classes of the hosts of
-        ``u`` and ``v`` its blocks use, and those blocks' (``u``-class,
-        ``v``-class) pairs. A block used by a run closure (``walk`` or
+        default), or, ``simulated``, on the backlogs the simulator passes in
+        one repetition per seed at lpmr-search's 50 workflows per second,
+        and count the groups and blocks the matcher yields, the groups
+        ``skip`` rules out as a whole (a call of ``group_size`` on each
+        group's own hosts of ``u``), the blocks ``skim`` bounds one by one,
+        the blocks the run closure lists (calls of ``score`` under ``walk``
+        and of the scan under ``skim``, told apart by their code objects)
+        and the candidates each decision examines. Per group folded (by
+        ``fold``, or inside ``skip``), also count the scorer's pair
+        evaluations (one read of ``v``'s error row each), the calibration
+        classes of the hosts of ``u`` and ``v`` its blocks use, and those
+        blocks' (``u``-class, ``v``-class) pairs. A block used by a run closure (``walk`` or
         ``skim``) is one of the blocks it examined, in order, as far as the
         candidates it counted and returned reach (``skim`` counts the
         returned block's other candidates in its size); a call that rules
@@ -405,13 +408,13 @@ class TestSoftIsoReference:
         of the prefix's hosts in task order, ``u``-class, ``v``-class) the
         scorer may evaluate, the sentinel host a class of its own, and the
         candidates of the blocks ``walk`` used and of the last block it
-        returned."""
+        returned, and count the blocks ``skim`` returns."""
         import qflow.allocators
         import qflow.costs
 
         calls = {
             "groups": 0, "groups_skipped": 0, "blocks": 0, "block_calls": 0, "scored": 0, "examined": [], "folded": [],
-            "decisions": [], "group_pairs": [],
+            "decisions": [], "group_pairs": [], "returned": 0,
         }
         groups = qflow.allocators.workflow_monomorphisms
         group_scorer = qflow.costs.DecisionTable.group_scorer
@@ -443,7 +446,7 @@ class TestSoftIsoReference:
 
             table.err = [*table.err]
             table.err[v] = Row(table.err[v])
-            fold, score, walk, skim = group_scorer(table, weights, u, v)
+            fold, score, walk, skim, skip = group_scorer(table, weights, u, v)
             of_node = table.classes[2]
             sentinel = len(table.classes[1])
             decision = {"evals": 0, "groups": 0, "keys": set(), "prefix": (), "walked": 0, "last_block": 0}
@@ -463,12 +466,44 @@ class TestSoftIsoReference:
                     calls["block_calls"] += 1
                     decision["keys"].add((decision["prefix"], class_of(hu), sentinel))
 
-            def counted_fold(prefix):
+            def enter(prefix):
                 # pair evaluations, classes of u's hosts, classes of v's hosts, their pairs
                 calls["folded"].append([0, set(), set(), set()])
                 decision["groups"] += 1
                 decision["prefix"] = tuple(of_node[prefix[j]] for j in sorted(prefix))
+
+            def counted_fold(prefix):
+                enter(prefix)
                 fold(prefix)
+
+            def counted_skip(group, groups, floor, budget):
+                # skip folds each group it takes, the one given first, and bounds it with u and v on the sentinel host
+                taken, skips, mark = [], len(sized), [reads[0]]
+
+                def settle():  # the pair evaluations since the last group taken, in that group
+                    calls["folded"][-1][0] += reads[0] - mark[0]
+                    decision["evals"] += reads[0] - mark[0]
+                    mark[0] = reads[0]
+
+                def take(group):
+                    if taken:
+                        settle()
+                    taken.append(group)
+                    enter(group[0])
+                    decision["keys"].add((decision["prefix"], sentinel, sentinel))
+
+                def drawn():
+                    for later in groups:
+                        take(later)
+                        yield later
+
+                take(group)
+                size, found = skip(group, drawn(), floor, budget)
+                settle()
+                skipped = taken if found is None else taken[:-1]
+                assert sized[skips:] == [hosts for _, _, _, hosts, _, _ in skipped]
+                calls["groups_skipped"] += len(skipped)
+                return size, found
 
             def counted(step, bounded):
                 lister = skim_scan(step) if bounded else score
@@ -483,6 +518,7 @@ class TestSoftIsoReference:
                     size, *_, costs = result
                     if bounded:  # skim bounds the group with u and v on the sentinel host first
                         decision["keys"].add((decision["prefix"], sentinel, sentinel))
+                        calls["returned"] += costs is not None
                     if sized[skips:]:  # the rest of the group ruled out as a whole
                         assert sized[skips:] == [hosts] and costs is None
                         calls["groups_skipped"] += hosts == current[0]
@@ -501,12 +537,26 @@ class TestSoftIsoReference:
 
                 return run
 
-            return counted_fold, score, counted(walk, False), counted(skim, True)
+            return counted_fold, score, counted(walk, False), counted(skim, True), counted_skip
 
         monkeypatch.setattr(qflow.allocators, "workflow_monomorphisms", counting_groups)
         monkeypatch.setattr(qflow.costs.DecisionTable, "group_scorer", counting)
         monkeypatch.setattr(qflow.costs, "group_size", counting_size)
         for seed in seeds:
+            if simulated:
+                run = scenario_config(
+                    scenario, "soft_iso", workload={"batch_size": batch, "arrival_rate": 50.0}, soft_config=config,
+                    base_seed=seed,
+                )
+                rep = repetition(run, 0)
+
+                def allocate(wf, network, backlog, allocator=rep.allocator):
+                    outcome = allocator(wf, network, backlog)
+                    calls["examined"].append(outcome.candidates_examined)
+                    return outcome
+
+                simulate(run, rep._replace(allocator=allocate))
+                continue
             workflows, network, free_at = scenario_instances(scenario, seed, batch)
             for wf in workflows:
                 outcome = soft_iso(wf, network, WEIGHTS, PARAMS, config, backlog_at(free_at, wf.arrival_time + 0.5))
@@ -525,14 +575,30 @@ class TestSoftIsoReference:
     def test_thresholds_off_scores_few_of_the_blocks_it_bounds(self, monkeypatch):
         """Of the blocks ``skim`` bounds one by one, the sentinel and
         class-wise bounds rule out all but a fifth: 28 of 1,150 are scanned
-        on these draws, and the sentinel bound alone let 425 through."""
+        on these draws, and the sentinel bound alone let 425 through. Here
+        most backlogs are zero, so the class bound in the block rules out no
+        block that the class bound over the network lets through: 48 class
+        checks pass both."""
         calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
         assert calls["block_calls"] > 200
         assert calls["scored"] <= calls["block_calls"] / 5
 
+    def test_thresholds_off_scans_only_blocks_that_improve(self, monkeypatch):
+        """``skim`` scans a block host by host only when a class of the
+        block, at the least wait of its hosts in the block, has a total
+        below the incumbent, so every block it scans holds a candidate that
+        improves, and ``skim`` returns it. On the backlogs of three
+        simulated LP-MR repetitions shaped as lpmr-search's, 105 of 212
+        scans found one when the class bound took the least wait over the
+        whole network."""
+        calls = self.count_search(monkeypatch, seeds=range(3), batch=5, simulated=True)
+        assert len(calls["examined"]) == 15
+        assert calls["returned"] > 100
+        assert calls["scored"] == calls["returned"]
+
     def test_thresholds_off_skips_most_groups(self, monkeypatch):
-        """With the thresholds off ``skim`` rules out whole groups by their
+        """With the thresholds off ``skip`` rules out whole groups by their
         bound; on LP-MR draws at least half of all groups are skipped."""
         calls = self.count_search(monkeypatch)
         assert calls["examined"] == [10**4] * 4
@@ -585,14 +651,33 @@ class TestSoftIsoReference:
             assert 0 < decision["evals"] <= len(decision["keys"])
             assert len({prefix for prefix, _, _ in decision["keys"]}) < decision["groups"] / 5
 
-    def test_walk_and_skim_agree_past_the_oracle_size(self):
+    def test_walk_and_skim_agree_past_the_oracle_size(self, monkeypatch):
         """On 30- and 40-node LP-MR and LP-LR networks, past the oracle's 8
         nodes, with random backlogs: thresholds of 1e300 never stop the
-        search but run ``walk``, infinite ones run ``skim``, and both give
-        the same outcome. At a base of 6 the budget ends most decisions,
-        cutting the block that spends it."""
+        search but run ``walk``, infinite ones run ``skim`` and ``skip``,
+        which counts each group its bound rules out, and both give the same
+        outcome. At a base of 6 the budget ends most decisions, cutting the
+        block that spends it. In 71 of the 144 decisions under ``skim`` the
+        budget ends inside a run of groups ``skip`` counts, past the first,
+        and there ``candidates_examined`` is the cap exactly."""
+        group_scorer = DecisionTable.group_scorer
+        ended = []  # per skip call: whether the budget ended in a group drawn past the one given
+
+        def counting(table, weights, u, v):
+            *closures, skip = group_scorer(table, weights, u, v)
+
+            def counted(group, groups, floor, budget):
+                drawn = []
+                size, found = skip(group, (drawn.append(later) or later for later in groups), floor, budget)
+                ended.append(found is None and size == budget and bool(drawn))
+                return size, found
+
+            return (*closures, counted)
+
+        monkeypatch.setattr(DecisionTable, "group_scorer", counting)
         rng = random.Random(3040)
         spent = {10.0: 0, 6.0: 0}
+        cut_in_skip = 0
         for scenario in ("LP-MR", "LP-LR"):
             for node_count in (30, 40):
                 for seed in range(3):
@@ -602,10 +687,15 @@ class TestSoftIsoReference:
                         for base in spent:
                             walked = soft_iso(wf, network, WEIGHTS, PARAMS, SoftIsoConfig(1e300, 1e300, base), backlog)
                             off = SoftIsoConfig(math.inf, math.inf, base)
+                            del ended[:]
                             skimmed = soft_iso(wf, network, WEIGHTS, PARAMS, off, backlog)
                             assert skimmed == walked and skimmed.succeeded
                             spent[base] += skimmed.candidates_examined == off.cap(len(wf.tasks))
+                            if any(ended):
+                                assert skimmed.candidates_examined == off.cap(len(wf.tasks))
+                                cut_in_skip += 1
         assert spent[6.0] > 50 and spent[10.0] > 20, spent
+        assert cut_in_skip > 50
 
 
 class TestSoftIsoStopRule:

@@ -700,7 +700,7 @@ class TestBlockScorer:
 
     @staticmethod
     def scorer(scorers, table, weights, u, v):
-        """The ``(fold, score, walk, skim)`` of ``(u, v)``, built once per
+        """The ``(fold, score, walk, skim, skip)`` of ``(u, v)``, built once per
         table."""
         if (u, v) not in scorers:
             scorers[u, v] = table.group_scorer(weights, u, v)
@@ -766,7 +766,7 @@ class TestBlockScorer:
             if one_class:
                 assert 0.0 not in backlog and len(set(backlog)) == len(backlog)
             for prefix, u, v, masks in self.groups(rng, wf, network):
-                fold, score, _, _ = self.scorer(scorers, table, weights, u, v)
+                fold, score, _, _, _ = self.scorer(scorers, table, weights, u, v)
                 fold(prefix)
                 u_classes = set()
                 for hu, mask in group_blocks(*masks):
@@ -838,7 +838,7 @@ class TestBlockScorer:
             kind = {1: "one class", n_nodes: "class per node"}.get(len(masks), "scenario")
             pairs = list(itertools.permutations(range(n_tasks), 2)) or [(0, 0)]
             for u, v in rng.sample(pairs, min(3, len(pairs))):
-                fold, score, _, skim = table.group_scorer(weights, u, v)
+                fold, score, _, skim, _ = table.group_scorer(weights, u, v)
                 others = [j for j in range(n_tasks) if j not in (u, v)]
                 stream = []
                 for _ in range(3):
@@ -909,7 +909,7 @@ class TestBlockScorer:
             scorers = {}
             incumbent = math.inf
             for prefix, u, v, masks in self.groups(rng, wf, network):
-                fold, score, _, skim = self.scorer(scorers, table, weights, u, v)
+                fold, score, _, skim, _ = self.scorer(scorers, table, weights, u, v)
                 fold(prefix)
                 for hu, mask in group_blocks(*masks):
                     costs = score(hu, mask)
@@ -937,7 +937,8 @@ class TestBlockScorer:
     def test_group_bound_is_below_every_total_of_its_group(self, monkeypatch, shrink):
         """``skim`` rules out a whole group, counting it by ``group_size``,
         only when every total of the group is ``>= f``, and returns
-        :meth:`skimmed` of the brute-forced totals either way. Its bound,
+        :meth:`skimmed` of the brute-forced totals either way; ``skip``
+        rules out the group alone exactly when ``skim`` does. Its bound,
         ``u`` and ``v`` on the sentinel host, is ``<=`` the group's least total as a float:
         it never rules the group out at one ulp above it. It is asked both
         before and after the group's blocks are listed, and the blocks are
@@ -964,7 +965,7 @@ class TestBlockScorer:
             scorers = {}
             incumbent = math.inf
             for prefix, u, v, masks in self.groups(rng, wf, network):
-                fold, score, _, skim = self.scorer(scorers, table, weights, u, v)
+                fold, score, _, skim, skip = self.scorer(scorers, table, weights, u, v)
                 fold(prefix)
                 first = skim(*masks, incumbent, math.inf)  # as soft_iso asks it
                 blocks = []
@@ -989,7 +990,13 @@ class TestBlockScorer:
                     assert skim(*masks, floor, math.inf) == self.skimmed(blocks, floor)
                     assert sized in ([], [masks])
                     assert not sized or low >= floor
-                    return bool(sized)
+                    # skip bounds the group as skim does: it counts it whole, cut to the budget, or returns it
+                    group, whole = (prefix, u, v, *masks), bool(sized)
+                    for budget in (math.inf, 1):
+                        assert skip(group, iter(()), floor, budget) == (
+                            (min(group_size(*masks), budget), None) if whole else (0, group)
+                        )
+                    return whole
 
                 assert not ruled_out(math.nextafter(low, math.inf))
                 for floor in (low, math.nextafter(low, -math.inf), incumbent):
@@ -1007,6 +1014,40 @@ class TestBlockScorer:
         assert random_skipped > 500 and random_kept > 500
         if shrink < 1.0:
             assert clipped > leaves // 4  # the > 1 clip is exercised
+
+    def test_skip_counts_a_run_of_groups_as_it_counts_each(self):
+        """``skip`` over a stream from any group on, at the incumbent that
+        group's predecessors give, returns what its calls on one group at a
+        time give: the groups its bound rules out counted up to the first it
+        lets through, which it returns folded, or up to the budget or the
+        stream's end."""
+        rng = random.Random(3141)
+        runs = cut = found = 0
+        for wf, network, params, weights, free_at, sim_time in self.decisions(rng):
+            stream = [(dict(prefix), *rest) for prefix, *rest in workflow_monomorphisms(wf, network)]
+            if not stream:
+                continue
+            table = DecisionTable(wf, network, params, backlog_at(free_at, sim_time))
+            fold, score, _, _, skip = table.group_scorer(weights, *stream[0][1:3])
+            lows = []  # per group, its least total
+            for prefix, _, _, *masks in stream:
+                fold(prefix)
+                lows.append(min(cost for hu, mask in group_blocks(*masks) for cost in score(hu, mask)))
+            start = rng.randrange(len(stream))
+            floor = min(lows[:start], default=rng.random())
+            for budget in (math.inf, rng.randint(1, 200)):
+                size, expected = 0, None
+                for group in stream[start:]:
+                    counted, expected = skip(group, iter(()), floor, budget - size)
+                    size += counted
+                    if expected is not None or size >= budget:
+                        break
+                got = skip(stream[start], iter(stream[start + 1:]), floor, budget)
+                assert got == (size, expected)
+                runs += size > 0
+                cut += size == budget
+                found += expected is not None
+        assert runs > 30 and cut > 5 and found > 30, (runs, cut, found)
 
     @staticmethod
     def summary_networks(rng):
@@ -1062,7 +1103,7 @@ class TestBlockScorer:
                 table = DecisionTable(wf, network, params, backlog)
                 for number, (prefix, u, v, *masks) in enumerate(workflow_monomorphisms(wf, network)):
                     if number == 0:
-                        fold, score, walk, _ = table.group_scorer(weights, u, v)
+                        fold, score, walk, _, _ = table.group_scorer(weights, u, v)
                     fold(prefix)
                     w = max((backlog[k] for k in prefix.values()), default=0.0)
                     for hu, mask in group_blocks(*masks):
@@ -1101,7 +1142,7 @@ class TestBlockScorer:
             table = DecisionTable(wf, network, params, backlog)
             for number, (prefix, u, v, hosts, leaves, links) in enumerate(workflow_monomorphisms(wf, network)):
                 if number == 0:
-                    fold, score, walk, skim = table.group_scorer(weights, u, v)
+                    fold, score, walk, skim, _ = table.group_scorer(weights, u, v)
                 if number % 11:
                     continue
                 fold(prefix)
@@ -1267,7 +1308,7 @@ class TestComputeBounds:
                 scored = 0
                 for number, (prefix, u, v, hosts, leaves, links) in enumerate(workflow_monomorphisms(wf, network)):
                     if number == 0:
-                        fold, score, _, _ = table.group_scorer(weights, u, v)
+                        fold, score, _, _, _ = table.group_scorer(weights, u, v)
                     fold(prefix)
                     for hu, mask in group_blocks(hosts, leaves, links):
                         for h, total in zip(mask_hosts(mask), score(hu, mask)):

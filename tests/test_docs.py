@@ -15,7 +15,7 @@ from qflow.experiments import ExperimentConfig
 README = Path(__file__).resolve().parents[1] / "README.md"
 # Inline calls that name no qflow callable: the scorer's returned closures
 # and a builtin.
-NOT_QFLOW = {"fold", "score", "walk", "skim", "len"}
+NOT_QFLOW = {"fold", "score", "walk", "skim", "skip", "len"}
 CALL = re.compile(r"`([A-Za-z_][\w.]*)\(([^`\n]*)\)`")
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 SCHEMA = re.compile(r"^## Config file schema$.*?^```json$(.*?)^```$", re.MULTILINE | re.DOTALL)

@@ -11,6 +11,9 @@ digest; one that changes outputs re-records them and says why.
 Re-record (from the repository root)::
 
     PYTHONPATH=src python tests/test_output_pins.py
+
+The module needs no pytest, so that ``CONFIGS`` and :func:`computed` can be
+imported under an interpreter that has none (``test_interpreter_parity.py``).
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from qflow.allocators import EXHAUSTIVE, SoftIsoConfig
 from qflow.experiments import ExperimentConfig, repetition, run_experiment, scenario_config, simulate
@@ -87,15 +88,25 @@ def digests(config: ExperimentConfig, out_dir: Path) -> dict[str, str]:
     return found
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
+def pytest_generate_tests(metafunc):
+    # parametrizes test_outputs_match_pins by config name without importing pytest
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", list(CONFIGS))
+
+
 def test_outputs_match_pins(name, tmp_path):
     pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
     assert digests(CONFIGS[name](), tmp_path) == pins[name]
 
 
-def record() -> None:
+def computed() -> dict[str, dict[str, str]]:
+    """The digests of every pinned config, run afresh."""
     with tempfile.TemporaryDirectory() as tmp:
-        pins = {name: digests(build(), Path(tmp) / name) for name, build in CONFIGS.items()}
+        return {name: digests(build(), Path(tmp) / name) for name, build in CONFIGS.items()}
+
+
+def record() -> None:
+    pins = computed()
     PINS_PATH.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(pins)} pins to {PINS_PATH}")
 
