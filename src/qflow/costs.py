@@ -271,7 +271,7 @@ def task_terms(tasks: Sequence[TaskSpec], network: ResourceNetwork, params: Netw
 def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams) -> TaskTerms:
     # one evaluation per calibration class, expanded by each node's class: the expressions of error_cost,
     # runtime_cost and quantum_link_cost, the task's factors taken once as their left-to-right products
-    reps = network.calibration_classes[0]
+    reps, _, of_node = network.calibration_classes
     depth, qubits = task.depth, task.qubits
     root, layers = math.sqrt(task.two_qubit_gates), depth * task.shots
     weight, attenuation = params.success_probability * 10.0 * qubits, params.eta_linear ** params.switch_count
@@ -303,8 +303,8 @@ def _task_terms(task: TaskSpec, network: ResourceNetwork, params: NetworkParams)
     clink = params.classical_latency * task.measured_qubits
     # max(q) + clink is the maximum of q + clink: rounding is monotone; no class fits -> every class
     maxima = (e_max, r_max, q_max + clink) if fits else (max(err), max(run), max(qlink) + clink)
-    # each row with its minimum appended -> the row per node, that minimum at index n
-    expand = network.term_picker
+    # each row with its minimum appended -> the row per node (each node's class entry), that minimum at index n
+    expand = itemgetter(*of_node, len(reps))
     for row in err, run, qlink:
         row.append(min(row))
     return TaskTerms(expand(err), expand(run), expand(qlink), clink, maxima)

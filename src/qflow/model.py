@@ -14,11 +14,11 @@ build the neighbour bitmasks and components the other modules use; a
 :class:`Workflow` validates from bitmasks of each task's predecessors and
 successors. Each workflow and network derives its views once and holds them
 as plain attributes (``skeleton``, ``topological_order``, ``neighbour_masks``,
-``degree_masks``, ``term_picker``, ``dfs_order``);
-the neighbour bitmasks answer the link half of :func:`mapping_feasible`, as
-they do for the matcher's search. A network also keeps the hosts with at
-least q qubits per count q (:meth:`ResourceNetwork.qubit_mask`, ORed from
-the calibration classes' host masks) and the hosts of a bitmask as a tuple
+``degree_masks``, ``dfs_order``); the neighbour bitmasks answer the link
+half of :func:`mapping_feasible`, as they do for the matcher's search. A
+network also keeps the hosts with at least q qubits per count q
+(:meth:`ResourceNetwork.qubit_mask`, ORed from the calibration classes'
+host masks) and the hosts of a bitmask as a tuple
 (:attr:`ResourceNetwork.host_tuples`), each filled at its key's first read.
 """
 
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter, index, itemgetter, or_
+from operator import attrgetter, index, or_
 from typing import NamedTuple
 
 PROGRAM_FAMILIES = (
@@ -307,15 +307,6 @@ class ResourceNetwork:
             masks[c] |= 1 << k
             of_node.append(c)
         return tuple(reps), tuple(masks), tuple(of_node)
-
-    @cached_property
-    def term_picker(self) -> Callable[[Sequence], tuple]:
-        """``itemgetter(*of_node, len(reps))`` over :attr:`calibration_classes`:
-        a row of one value per class and one more (the sentinel's) as one
-        value per node, then that last value. :func:`qflow.costs.task_terms`
-        expands its class rows with it."""
-        reps, _, of_node = self.calibration_classes
-        return itemgetter(*of_node, len(reps))
 
     @cached_property
     def dfs_order(self) -> tuple[int, ...]:

@@ -9,15 +9,17 @@ each link independently and are repaired to connectivity with a uniform
 random spanning tree over the components.
 
 Everything is driven by explicit ``random.Random`` instances, so identical
-seeds reproduce equal objects. Draws read the generator's 32-bit words in
-place. An integer below n is drawn as ``Random.randrange(n)`` draws it:
-``getrandbits(n.bit_length())``, one word, drawn again while it is n or
-more; so ``choice``, ``randint`` and ``randrange`` become that loop where
-the value is used, and an exponential gap is ``expovariate``'s
-``-log(1.0 - random()) / rate``. A graph state's chord draws are read in
-bulk, ``getrandbits`` a few thousand draws at a time. Each draw is the same
-number, read from the same words in the same order, that the ``Random``
-method would return, and leaves the generator in the same state.
+seeds reproduce equal objects. The catalog, workload and DAG builders read
+the generator's 32-bit words in place. An integer below n is drawn as
+``Random.randrange(n)`` draws it: ``getrandbits(n.bit_length())``, one
+word, drawn again while it is n or more; so their ``choice``, ``randint``
+and ``randrange`` become that loop where the value is used, and an
+exponential gap is ``expovariate``'s ``-log(1.0 - random()) / rate``. A
+graph state's chord draws are read in bulk, ``getrandbits`` a few thousand
+draws at a time. Each draw is the same number, read from the same words in
+the same order, that the ``Random`` method would return, and leaves the
+generator in the same state. The network builder and a random circuit's
+depth call the ``Random`` methods themselves.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ _CHORD_CHUNK = 4096
 # as needing the exact value (_EDGE, the byte whose interval holds the
 # probability) or as surely not under it (0).
 _BELOW, _EDGE = 1, 2
-# A random circuit's depth offset is drawn below the band's width, from
-# getrandbits of the width's bit length.
-_DEPTH_SPAN = RANDOM_CIRCUIT_DEPTH_BAND[1] - RANDOM_CIRCUIT_DEPTH_BAND[0] + 1
-_DEPTH_BITS = _DEPTH_SPAN.bit_length()
 _CHORD_MARKS = bytes(
     _BELOW if (t + 1) / 256 <= GRAPH_STATE_CHORD_PROB else _EDGE if t / 256 < GRAPH_STATE_CHORD_PROB else 0
     for t in range(256)
@@ -167,11 +165,8 @@ def generate_task(
         g2 = ring + chords
         depth = 2 + math.ceil(2 * g2 / n)
         mq = n
-    elif family == "randomcircuit":  # rng.randint(*RANDOM_CIRCUIT_DEPTH_BAND)
-        depth = rng.getrandbits(_DEPTH_BITS)
-        while depth >= _DEPTH_SPAN:
-            depth = rng.getrandbits(_DEPTH_BITS)
-        depth += RANDOM_CIRCUIT_DEPTH_BAND[0]
+    elif family == "randomcircuit":
+        depth = rng.randint(*RANDOM_CIRCUIT_DEPTH_BAND)
         g2, mq = depth * n // 2, n
     elif family == "grover":
         depth, g2, mq = 2 * n + 4, 2 * (n - 1), n
@@ -317,21 +312,11 @@ def generate_workload(spec: WorkloadSpec, catalog: list[TaskSpec]) -> list[Workf
     return workflows
 
 
-def _below(n: int, getrandbits) -> int:
-    """``rng.randrange(n)`` for ``n >= 1``, read from the words of the
-    generator that ``getrandbits`` belongs to: the hot loops inline it."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def _uniform_spanning_tree_edges(m: int, rng: random.Random) -> list[tuple[int, int]]:
     """Uniform random labelled tree on m >= 2 vertices via a Prufer
     sequence; for m == 2 the sequence is empty, so no draw is made and the
     tree is the edge (0, 1)."""
-    prufer = [_below(m, rng.getrandbits) for _ in range(m - 2)]  # rng.randrange(m) each
+    prufer = [rng.randrange(m) for _ in range(m - 2)]
     degree = [1] * m
     for v in prufer:
         degree[v] += 1
@@ -357,10 +342,9 @@ def generate_network(
     with the configured probability, then connectivity repaired by joining
     components along a uniform random spanning tree."""
     rng = random.Random(spec.seed)
-    getrandbits, pool = rng.getrandbits, spec.profile_pool
     nodes: list[QpuNode] = []
     for k in range(spec.node_count):
-        name = pool[_below(len(pool), getrandbits)]  # rng.choice(pool)
+        name = rng.choice(spec.profile_pool)
         nodes.append(node_from_profile(name, profiles, node_id=f"{name}-{k}"))
 
     links = set()
@@ -373,8 +357,8 @@ def generate_network(
     members = components(n, links)
     if len(members) > 1:
         for ca, cb in _uniform_spanning_tree_edges(len(members), rng):
-            a = members[ca][_below(len(members[ca]), getrandbits)]  # rng.choice(members[ca])
-            b = members[cb][_below(len(members[cb]), getrandbits)]
+            a = rng.choice(members[ca])
+            b = rng.choice(members[cb])
             links.add((min(a, b), max(a, b)))
 
     return ResourceNetwork(nodes=tuple(nodes), links=frozenset(links))

@@ -325,12 +325,6 @@ class TestResourceNetwork:
             shapes.add("one node" if len(keys) == 1 else {1: "one class", len(keys): "class per node"}.get(len(reps)))
         assert {"one node", "one class", "class per node"} <= shapes
 
-    def test_term_picker_expands_class_rows_to_nodes(self):
-        for net in derivation_networks():
-            reps, _, of_node = net.calibration_classes
-            row = [f"class {c}" for c in range(len(reps))] + ["sentinel"]
-            assert net.term_picker(row) == (*(row[of_node[k]] for k in range(len(net.nodes))), "sentinel")
-
     def test_a_qubit_mask_of_zero_is_kept(self):
         net = make_network([5, 20], [(0, 1)])
         assert net.qubit_mask(21) == 0

@@ -52,6 +52,8 @@ CONFIGS = {
     "LP-MR": lambda: _scenario("LP-MR", 20, 2),
     "strict-pseudocode": lambda: _default("soft_iso", soft_config=SoftIsoConfig(strict_pseudocode=True)),
     "no-dep-gating": lambda: _default("soft_iso", dependency_gating=False),
+    "no-comm-gating": lambda: _default("soft_iso", gate_comm_latency=False),
+    "random-aware-trials": lambda: _default("random_aware", trial_multiplier=2),
     "LP-MR-exhaustive": lambda: _scenario("LP-MR", 10, 1, soft_config=EXHAUSTIVE),
     "default-exhaustive": lambda: _default("soft_iso", soft_config=EXHAUSTIVE),
 }
