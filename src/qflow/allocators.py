@@ -143,8 +143,8 @@ def soft_iso(
     it scans improves. On this path the loop enters a group through the
     scorer's ``skip``, which folds and counts in one call each group that
     ``u`` and ``v`` on the sentinel host rule out and returns the first that
-    may improve, so the loop and ``skim`` see only those groups. ``walk``'s
-    path keeps one loop pass per group.
+    may improve, so the loop and ``skim`` see only those groups (the group
+    bound is ``skip``'s alone). ``walk``'s path keeps one loop pass per group.
     """
     config = config or SoftIsoConfig()
     cap = config.cap(len(workflow.tasks))

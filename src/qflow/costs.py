@@ -456,10 +456,8 @@ class DecisionTable:
         greatest totals, and the highest host the last total.
 
         ``skim`` takes ``walk``'s arguments and returns its shape with the
-        greatest and last totals at ``-inf`` and ``0.0``. When ``u`` and
-        ``v`` on the sentinel host bound the group at ``>= floor``, it counts
-        the group (:func:`group_size`, cut to the budget). Else it bounds
-        each block by ``v`` on the sentinel host, then, the block cut to the
+        greatest and last totals at ``-inf`` and ``0.0``. It bounds each
+        block by ``v`` on the sentinel host, then, the block cut to the
         budget, by each class of the mask at the class's least wait (its
         hosts share that ``R`` and wait no less) and, for a class that
         passes, at the least wait of its hosts in the block (the first of
@@ -474,12 +472,14 @@ class DecisionTable:
 
         ``skip(group, groups, floor, budget)`` serves ``skim``'s caller
         between groups: it folds ``group``, a stream group, and bounds it
-        with ``u`` and ``v`` on the sentinel host as ``skim`` does. A group
-        the bound rules out is counted (:func:`group_size`) and the next is
-        drawn from the iterator ``groups``. It returns ``(size, group)``:
-        the candidates counted, cut to the budget, and the first group the
-        bound lets through, folded, or ``None`` at the budget's or the
-        stream's end.
+        with ``u`` and ``v`` on the sentinel host. A group the bound rules
+        out is counted (:func:`group_size`) and the next is drawn from the
+        iterator ``groups``. It returns ``(size, group)``: the candidates
+        counted, cut to the budget, and the first group the bound lets
+        through, folded, or ``None`` at the budget's or the stream's end.
+        ``skim`` needs no such bound: each floor it gets is above it or a
+        total of the group, so the bound could fire only at a tie, where
+        every block bound is at the floor too and ``skim`` counts each block.
 
         No bound needs an epsilon: under round-to-nearest, ``a + x``, ``x /
         d`` for ``d > 0``, ``w * x`` for ``w >= 0``, ``max(x, a)`` and the
@@ -658,10 +658,6 @@ class DecisionTable:
             return size, top, last, 0, 0, None
 
         def skim(hosts: int, leaves: int, links: tuple[int, ...] | None, floor: float, budget: float) -> tuple:
-            if (cost := memo[both]) is None:
-                cost = evaluate(n, n, both)
-            if (least if least > w else w) + cost >= floor:  # u and v on the sentinel host: the group's bound
-                return min(group_size(hosts, leaves, links), budget), -inf, 0.0, 0, 0, None
             size = base = 0
             while hosts:  # a byte of the hosts of u at a time
                 for b in BYTE_BITS[hosts & 255]:
@@ -704,7 +700,7 @@ class DecisionTable:
                 fold(prefix)
                 if (cost := memo[both]) is None:
                     cost = evaluate(n, n, both)
-                if not (least if least > w else w) + cost >= floor:  # skim's group bound lets it through
+                if not (least if least > w else w) + cost >= floor:  # the group's bound lets it through
                     return size, group
                 if (size := size + group_size(hosts, leaves, links)) >= budget:
                     return budget, None

@@ -402,8 +402,7 @@ class TestSoftIsoReference:
         blocks' (``u``-class, ``v``-class) pairs. A block used by a run closure (``walk`` or
         ``skim``) is one of the blocks it examined, in order, as far as the
         candidates it counted and returned reach (``skim`` counts the
-        returned block's other candidates in its size); a call that rules
-        out the rest of a group as a whole uses none. Per decision, count
+        returned block's other candidates in its size). Per decision, count
         the pair evaluations, the groups folded and the keys (class tuple
         of the prefix's hosts in task order, ``u``-class, ``v``-class) the
         scorer may evaluate, the sentinel host a class of its own, and the
@@ -420,7 +419,6 @@ class TestSoftIsoReference:
         group_scorer = qflow.costs.DecisionTable.group_scorer
         group_size = qflow.costs.group_size
         sized = []  # the hosts of u of each group_size call
-        current = [0]  # the hosts of u of the group yielded last
 
         def counting_groups(workflow, network):
             of_node = network.calibration_classes[2]
@@ -429,7 +427,6 @@ class TestSoftIsoReference:
                 blocks = group_blocks(*group[3:])
                 calls["blocks"] += len(blocks)
                 calls["group_pairs"].append({(of_node[hu], of_node[h]) for hu, mask in blocks for h in mask_hosts(mask)})
-                current[0] = group[3]
                 yield group
 
         def counting_size(hosts, leaves, links):
@@ -509,20 +506,15 @@ class TestSoftIsoReference:
                 lister = skim_scan(step) if bounded else score
 
                 def run(hosts, leaves, links, floor, budget):
-                    before, skips = reads[0], len(sized)
+                    before = reads[0]
                     with listings(lister) as listed:
                         result = step(hosts, leaves, links, floor, budget)
                     calls["folded"][-1][0] += reads[0] - before
                     decision["evals"] += reads[0] - before
                     calls["scored"] += len(listed)
                     size, *_, costs = result
-                    if bounded:  # skim bounds the group with u and v on the sentinel host first
-                        decision["keys"].add((decision["prefix"], sentinel, sentinel))
+                    if bounded:
                         calls["returned"] += costs is not None
-                    if sized[skips:]:  # the rest of the group ruled out as a whole
-                        assert sized[skips:] == [hosts] and costs is None
-                        calls["groups_skipped"] += hosts == current[0]
-                        return result
                     run_size = size + (0 if costs is None else len(costs))  # every candidate examined
                     for h, run_mask in group_blocks(hosts, leaves, links):
                         if run_size <= 0:

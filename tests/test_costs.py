@@ -31,7 +31,7 @@ from qflow.costs import (
     task_terms,
     workflow_network_cost,
 )
-from qflow.matcher import group_blocks, mask_hosts, workflow_monomorphisms
+from qflow.matcher import group_blocks, group_size, mask_hosts, workflow_monomorphisms
 from qflow.model import NetworkParams, QpuNode, ResourceNetwork, WeightConfig, Workflow
 
 from .conftest import backlog_at, chain_workflow, listings, make_network, make_node, make_task, skim_scan
@@ -934,25 +934,15 @@ class TestBlockScorer:
         assert class_skipped["scenario"] > 500 and class_skipped["class per node"] > 5_000, class_skipped
 
     @pytest.mark.parametrize("shrink", [1.0, 0.5], ids=["table-bounds", "halved-bounds"])
-    def test_group_bound_is_below_every_total_of_its_group(self, monkeypatch, shrink):
-        """``skim`` rules out a whole group, counting it by ``group_size``,
-        only when every total of the group is ``>= f``, and returns
-        :meth:`skimmed` of the brute-forced totals either way; ``skip``
-        rules out the group alone exactly when ``skim`` does. Its bound,
-        ``u`` and ``v`` on the sentinel host, is ``<=`` the group's least total as a float:
-        it never rules the group out at one ulp above it. It is asked both
-        before and after the group's blocks are listed, and the blocks are
-        listed exactly either way."""
-        import qflow.costs
-
-        sized = []
-        group_size = qflow.costs.group_size
-
-        def counting_size(*masks):
-            sized.append(masks)
-            return group_size(*masks)
-
-        monkeypatch.setattr(qflow.costs, "group_size", counting_size)
+    def test_group_bound_is_below_every_total_of_its_group(self, shrink):
+        """``skip``, the group bound's owner, rules out a whole group,
+        counting it by ``group_size``, only when every total of the group is
+        ``>= f``; ``skim`` returns :meth:`skimmed` of the brute-forced totals
+        either way. The bound, ``u`` and ``v`` on the sentinel host, is
+        ``<=`` the group's least total as a float: it never rules the group
+        out at one ulp above it. ``skim`` is asked both before and after the
+        group's blocks are listed, and the blocks are listed exactly either
+        way."""
         rng = random.Random(1618)
         skipped = kept = random_skipped = random_kept = leaves = clipped = 0
         for wf, network, params, weights, _, sim_time in self.decisions(rng):
@@ -986,12 +976,11 @@ class TestBlockScorer:
                 assert first == self.skimmed(blocks, incumbent)
 
                 def ruled_out(floor):
-                    sized.clear()
                     assert skim(*masks, floor, math.inf) == self.skimmed(blocks, floor)
-                    assert sized in ([], [masks])
-                    assert not sized or low >= floor
-                    # skip bounds the group as skim does: it counts it whole, cut to the budget, or returns it
-                    group, whole = (prefix, u, v, *masks), bool(sized)
+                    group = (prefix, u, v, *masks)
+                    whole = skip(group, iter(()), floor, math.inf)[1] is None
+                    assert not whole or low >= floor
+                    # skip counts the group whole, cut to the budget, or returns it
                     for budget in (math.inf, 1):
                         assert skip(group, iter(()), floor, budget) == (
                             (min(group_size(*masks), budget), None) if whole else (0, group)

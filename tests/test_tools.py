@@ -1,18 +1,29 @@
-"""The pair summary of ``tools/bench_pairs.py``, on synthetic results (no
-benchmark process runs)."""
+"""The pair protocol of ``tools/bench_pairs.py`` and ``tools/preset_pairs.py``,
+on synthetic results (no measuring process runs)."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name):
+    """The script ``tools/<name>.py``, registered as module ``name``, as a
+    script run from ``tools/`` imports it."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load("bench_pairs")
+preset_pairs = load("preset_pairs")  # imports bench_pairs
 
 
 def pairs_of(base, new, name="decision_ms_p50"):
@@ -105,3 +116,48 @@ def test_raw_rows_follow_their_scaled_metrics():
     scaled, raw = bench_pairs.summarise(pairs, {"decision_ms_p50": "lower", "raw decision_ms_p50": "lower"})
     assert scaled["wins"] == 0 and raw["wins"] == 10 and raw["gain"]
     assert bench_pairs.format_row(raw).startswith("raw decision_ms_p50  base ")
+
+
+def test_pairs_alternate_the_side_run_first(capsys):
+    ran = []
+
+    def run(side, i):
+        ran.append((i, side))
+        return {"figure": 2.0 * i + (side == "new")}
+
+    pairs = bench_pairs.run_pairs(["seed 1", "seed 2", "seed 3"], run, ["figure"])
+    assert ran == [(0, "base"), (0, "new"), (1, "new"), (1, "base"), (2, "base"), (2, "new")]
+    assert pairs == [
+        {"first": "base", "base": {"figure": 0.0}, "new": {"figure": 1.0}},
+        {"first": "new", "base": {"figure": 2.0}, "new": {"figure": 3.0}},
+        {"first": "base", "base": {"figure": 4.0}, "new": {"figure": 5.0}},
+    ]
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 1 (base first): figure 0 -> 1", "seed 2 (new first): figure 2 -> 3", "seed 3 (base first): figure 4 -> 5",
+    ]
+    [row] = bench_pairs.summarise(pairs, {"figure": "lower"})
+    assert row["wins"] == 0 and row["pairs_by_first"] == {"base": 2, "new": 1}
+
+
+def test_preset_pairs_prints_the_summary_of_each_figure(monkeypatch, capsys):
+    """Each figure is lower-is-better: one halved in every pair holds the
+    gain rule, one left as it is fails it."""
+    calls = []
+
+    def run_tree(src, calls_per_process):
+        calls.append(src.name)
+        k = len(calls) / 100
+        halved = 0.5 if src.name == "new" else 1.0
+        return {"LP-MR mean": halved * (1 + k), "LP-MR p90": 2 + k, "LP-LR mean": 1.0, "LP-LR p90": 1.0,
+                "SP-LR mean": 1.0, "SP-MR mean": 1.0}
+
+    monkeypatch.setattr(preset_pairs, "run_tree", run_tree)
+    assert preset_pairs.main(["base", "new"]) == 0
+    assert calls == ["base", "new", "new", "base"] * 5  # ten pairs by default
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines[:10]] == [f"pair {i}" for i in range(1, 11)]
+    summary = lines[10:]
+    names = ["LP-MR mean", "LP-MR p90", "LP-LR mean", "LP-LR p90", "SP-LR mean", "SP-MR mean"]
+    assert [line[:20].rstrip() for line in summary] == names
+    assert summary[0].endswith("won 10 of 10 (base first 5 of 5, new first 5 of 5)  gain rule holds")
+    assert all(line.endswith("gain rule fails") for line in summary[1:])

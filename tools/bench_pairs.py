@@ -32,6 +32,7 @@ import json
 import statistics
 import subprocess
 import sys
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 GAIN_SHARE = 0.9  # the share of pairs the new side must win for a gain
@@ -125,6 +126,25 @@ def parse_run(stdout: str) -> dict[str, float] | None:
     return values | {f"raw {name}": raw[name] for name in RAW}
 
 
+def run_pairs(labels: list[str], run: Callable[[str, int], dict[str, float]], shown: Sequence[str]) -> list[dict]:
+    """One pair per label, the figures of ``run(side, i)`` for pair ``i``
+    on each side, ``"base"`` and ``"new"``. The side that runs first
+    alternates from pair to pair, ``"base"`` in pair 0. After each pair it
+    prints the pair's label, the side that ran first and the figures
+    ``shown``, base then new. It returns the pairs as :func:`summarise`
+    reads them."""
+    pairs = []
+    for i, label in enumerate(labels):
+        order = ("base", "new") if i % 2 == 0 else ("new", "base")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = run(side, i)
+        pairs.append(pair)
+        cells = "  ".join(f"{name} {pair['base'][name]:.4g} -> {pair['new'][name]:.4g}" for name in shown)
+        print(f"{label} ({order[0]} first): {cells}", flush=True)
+    return pairs
+
+
 def run_tree(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """One benchmark run in ``tree``: its end-to-end metric values and raw host times."""
     command = [
@@ -149,18 +169,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     directions = with_raw({metric["name"]: metric["better"] for metric in spec["end_to_end"]})
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = ("base", "new") if i % 2 == 0 else ("new", "base")
-        pair = {"first": order[0]}
-        for side in order:
-            pair[side] = run_tree(getattr(args, side), args.workload, seed, args.seconds)
-        pairs.append(pair)
-        cells = "  ".join(
-            f"{name} {pair['base'][name]:.4g} -> {pair['new'][name]:.4g}"
-            for name in ("wall_s", "decision_ms_p50", "decision_ms_p90")
-        )
-        print(f"seed {seed} ({order[0]} first): {cells}", flush=True)
+    pairs = run_pairs(
+        [f"seed {seed}" for seed in args.seeds],
+        lambda side, i: run_tree(getattr(args, side), args.workload, args.seeds[i], args.seconds),
+        RAW,
+    )
     for row in summarise(pairs, directions):
         print(format_row(row))
     return 0
