@@ -81,8 +81,11 @@ class AllocationOutcome(NamedTuple):
     """Result of one allocator invocation (a named tuple).
 
     ``allocation`` is None when the workflow could not be placed.
-    ``candidates_examined`` counts scored candidates (soft_iso, oracle) or
-    attempted trials (random_aware). ``incumbent_costs`` records the
+    ``candidates_examined`` counts the candidates a search has passed:
+    soft_iso's from the stream, scored or, on the ``skim`` path, ruled out
+    by an exact bound without scoring; the oracle's feasible tuples, each
+    scored; random_aware's attempted trials, feasible or not. greedy_dfs
+    makes one walk and reports 1. ``incumbent_costs`` records the
     incumbent's total after each improvement, for instrumentation.
     """
 
@@ -111,9 +114,10 @@ def soft_iso(
     deviates from both the maximum and the previous cost by more than the
     configured thresholds. It also ends once the candidate budget is spent,
     which is checked after each block and after each group; the block that
-    reaches the budget is cut to it, so the number of scored candidates
-    never exceeds it. The stream yields only injective, qubit-fitting,
-    edge-preserving mappings, so no candidate needs a feasibility check.
+    reaches the budget is cut to it, so the number of candidates passed,
+    scored or ruled out by a bound, never exceeds it. The stream yields
+    only injective, qubit-fitting, edge-preserving mappings, so no
+    candidate needs a feasibility check.
 
     The stream (this module's ``workflow_monomorphisms``, read at each
     call) yields groups of blocks. A block holds the candidates that differ

@@ -10,8 +10,9 @@ Every operation here is a pure function of its inputs. Raw costs:
   availability, error, runtime and network sums.
 
 Normalization divides each raw component by a per-decision upper bound
-(:func:`compute_bounds`) and clips to [0, 1], so candidate costs are
-comparable under lazy enumeration with early stopping.
+(:attr:`DecisionTable.bounds`; :func:`compute_bounds` is the oracle's
+wrapper of it) and clips to [0, 1], so candidate costs are comparable
+under lazy enumeration with early stopping.
 
 :func:`aggregate_cost` is the reference objective and returns every
 component as a :class:`CostBreakdown`, a named tuple.

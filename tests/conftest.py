@@ -227,8 +227,10 @@ def random_small_instance(rng: random.Random, max_tasks=4, max_nodes=6):
 
 
 def scenario_instances(scenario, seed, n_workflows, node_count=None):
-    """Workflows and a network drawn the way a scenario repetition draws
-    them, and a seeded free time per node (zero on about half of them)."""
+    """Workflows and a network from the scenario's specs, seeded the way
+    perfbench seeds a unit's inputs (workload ``4*seed + 1``, network
+    ``4*seed + 2``, catalog ``4*seed + 3``), not by ``repetition``'s derived
+    seeds, and a seeded free time per node (zero on about half of them)."""
     topology = {} if node_count is None else {"node_count": node_count}
     config = scenario_config(scenario, "soft_iso", workload={"batch_size": n_workflows}, topology=topology)
     catalog = generate_catalog(

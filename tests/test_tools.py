@@ -139,25 +139,39 @@ def test_pairs_alternate_the_side_run_first(capsys):
     assert row["wins"] == 0 and row["pairs_by_first"] == {"base": 2, "new": 1}
 
 
+def test_summary_columns_line_up_past_twenty_characters():
+    long = "LP-MR random_aware mean"  # 23 characters
+    pairs = [{"first": "base", "base": {"figure": 1.0, long: 1.0}, "new": {"figure": 0.5, long: 2.0}}]
+    lines = bench_pairs.format_rows(bench_pairs.summarise(pairs, {"figure": "lower", long: "lower"}))
+    assert [line.index(" base ") for line in lines] == [len(long) + 1] * 2
+    assert lines[0].startswith("figure" + " " * 19 + "base 1 [1, 1]  new 0.5 [0.5, 0.5]  -50.0%  won 1 of 1")
+
+
 def test_preset_pairs_prints_the_summary_of_each_figure(monkeypatch, capsys):
     """Each figure is lower-is-better: one halved in every pair holds the
     gain rule, one left as it is fails it."""
+    rows = ["LP-MR", "SP-LR", "SP-MR", "LP-MR exhaustive", "SP-MR exhaustive", "LP-LR exhaustive",
+            "LP-MR random_aware", "20-class, 4 tasks", "20-class, 5 tasks"]
+    names = [f"{row} {figure}" for row in rows for figure in ("mean", "p90")]
     calls = []
 
-    def run_tree(src, calls_per_process):
+    def run_tree(src):
         calls.append(src.name)
         k = len(calls) / 100
         halved = 0.5 if src.name == "new" else 1.0
-        return {"LP-MR mean": halved * (1 + k), "LP-MR p90": 2 + k, "LP-LR mean": 1.0, "LP-LR p90": 1.0,
-                "SP-LR mean": 1.0, "SP-MR mean": 1.0}
+        return {"LP-MR mean": halved * (1 + k), "LP-MR p90": 2 + k} | dict.fromkeys(names[2:], 1.0)
 
     monkeypatch.setattr(preset_pairs, "run_tree", run_tree)
     assert preset_pairs.main(["base", "new"]) == 0
     assert calls == ["base", "new", "new", "base"] * 5  # ten pairs by default
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" (")[0] for line in lines[:10]] == [f"pair {i}" for i in range(1, 11)]
+    assert lines[0].endswith("LP-MR mean 1.01 -> 0.51  SP-LR mean 1 -> 1  SP-MR mean 1 -> 1")
     summary = lines[10:]
-    names = ["LP-MR mean", "LP-MR p90", "LP-LR mean", "LP-LR p90", "SP-LR mean", "SP-MR mean"]
-    assert [line[:20].rstrip() for line in summary] == names
+    assert [line.split("  base ")[0].rstrip() for line in summary] == names
+    assert {line.index(" base ") for line in summary} == {max(map(len, names)) + 1}
     assert summary[0].endswith("won 10 of 10 (base first 5 of 5, new first 5 of 5)  gain rule holds")
     assert all(line.endswith("gain rule fails") for line in summary[1:])
+    with pytest.raises(SystemExit):  # the calls per process are a constant
+        preset_pairs.main(["base", "new", "--calls", "5"])
+    assert "unrecognized arguments: --calls 5" in capsys.readouterr().err

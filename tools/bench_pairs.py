@@ -90,15 +90,23 @@ def summarise(pairs: list[dict], directions: dict[str, str]) -> list[dict]:
     return rows
 
 
-def format_row(row: dict) -> str:
+def format_row(row: dict, width: int = 0) -> str:
+    """A :func:`summarise` row as one line, its name padded to ``width``."""
     (b1, b2, b3), (n1, n2, n3) = row["base"], row["new"]
     wins, runs = row["wins_by_first"], row["pairs_by_first"]
     return (
-        f"{row['metric']:20} base {b2:.4g} [{b1:.4g}, {b3:.4g}]  new {n2:.4g} [{n1:.4g}, {n3:.4g}]  "
+        f"{row['metric']:{width}}  base {b2:.4g} [{b1:.4g}, {b3:.4g}]  new {n2:.4g} [{n1:.4g}, {n3:.4g}]  "
         f"{row['change_pct']:+.1f}%  won {row['wins']} of {row['pairs']} "
         f"(base first {wins['base']} of {runs['base']}, new first {wins['new']} of {runs['new']})  "
         f"gain rule {'holds' if row['gain'] else 'fails'}"
     )
+
+
+def format_rows(rows: list[dict]) -> list[str]:
+    """The lines of :func:`summarise`'s rows, each name padded to the
+    longest, so that the columns after it line up."""
+    width = max(len(row["metric"]) for row in rows)
+    return [format_row(row, width) for row in rows]
 
 
 def with_raw(directions: dict[str, str]) -> dict[str, str]:
@@ -174,8 +182,8 @@ def main(argv=None) -> int:
         lambda side, i: run_tree(getattr(args, side), args.workload, args.seeds[i], args.seconds),
         RAW,
     )
-    for row in summarise(pairs, directions):
-        print(format_row(row))
+    for line in format_rows(summarise(pairs, directions)):
+        print(line)
     return 0
 
 

@@ -1,19 +1,20 @@
-"""Time the cost-aware allocators' decisions and the input builders in
-process for two source trees, in pairs.
+"""Time the allocators' decisions in process for two source trees, in
+pairs.
 
 Usage::
 
-    python tools/preset_pairs.py BASE_SRC NEW_SRC [--pairs 10] [--calls 5]
+    python tools/preset_pairs.py BASE_SRC NEW_SRC [--pairs 10]
 
 ``BASE_SRC`` and ``NEW_SRC`` are directories that hold a ``qflow`` package
 (a checkout's ``src``). Each pair runs one measuring process per tree,
 alternating which tree goes first, by ``bench_pairs.run_pairs``. A
-measuring process times, ``--calls`` times each, the rows that no perfbench
+measuring process times, ``CALLS`` times each, the rows that no perfbench
 workload measures:
 
-* the four scenario presets, each repetition built by ``repetition`` and
-  run by ``simulate`` with its allocator wrapped in a timer (3 repetitions
-  of 100 workflows each), soft_iso at the preset's thresholds;
+* the LP-MR, SP-LR and SP-MR presets, each repetition built by
+  ``repetition`` and run by ``simulate`` with its allocator wrapped in a
+  timer (3 repetitions of 100 workflows each), soft_iso at the preset's
+  thresholds (lplr-sparse times LP-LR's);
 * the same runs of LP-MR, SP-MR and LP-LR with soft_iso under
   ``EXHAUSTIVE`` (stopping off, the path of ``skim``), rows named
   ``<scenario> exhaustive``;
@@ -23,25 +24,12 @@ workload measures:
   tasks at the preset thresholds against a seeded random backlog, by calls
   of ``soft_iso`` through a timer;
 * random_aware on LP-MR (3 repetitions of 100 workflows), row ``LP-MR
-  random_aware``;
-* the catalog builder, ``generate_catalog`` (128 tasks over 5 to 100
-  qubits), seeded as perfbench seeds a unit's catalog (100 builds), row
-  ``builds catalog``;
-* the network builder, ``generate_network`` on the LP-LR preset's topology
-  (10 nodes, link probability 0.3) and on LP-MR's (20 nodes, 0.9), each at
-  100 seeds seeded as perfbench seeds a unit's network, with the network's
-  ``neighbour_masks`` and ``dfs_order`` read after each build, row
-  ``builds networks``;
-* a task's first-use term evaluation, ``task_terms`` over the tasks of one
-  LP-LR workload of 50 workflows (built once, as the first unit of
-  lplr-sparse builds it) on each fresh network of the row before, its
-  calibration classes read untimed after the build, row ``terms cold``.
+  random_aware``.
 
 A call gives two figures per row, each lower-is-better: ``<row> mean``, the
-summed time of its allocator calls (or builds, or term evaluations) over
-their number, in ms per decision (per build for the ``builds`` rows, per
-network for ``terms cold``), and ``<row> p90``, the 90th percentile of
-those times in ms. A process reports the median of each over its calls.
+summed time of its allocator calls over their number, in ms per decision,
+and ``<row> p90``, the 90th percentile of those times in ms. A process
+reports the median of each over its calls.
 The script prints each pair, then per figure ``bench_pairs``' summary:
 each tree's median and quartiles, the change of the median, the pairs the
 new tree won split by the side run first, and whether the gain rule holds.
@@ -58,9 +46,10 @@ import sys
 import time
 from pathlib import Path
 
-from bench_pairs import format_row, run_pairs, summarise
+from bench_pairs import format_rows, run_pairs, summarise
 
-SCENARIOS = ("LP-MR", "LP-LR", "SP-LR", "SP-MR")
+CALLS = 5  # the calls of each row per measuring process
+SCENARIOS = ("LP-MR", "SP-LR", "SP-MR")
 EXHAUSTIVE_SCENARIOS = ("LP-MR", "SP-MR", "LP-LR")
 PROBE_SEEDS = (0, 1, 2)
 PROBE_WORKFLOWS = 20
@@ -96,18 +85,15 @@ def probe_cases():
     return cases
 
 
-def measure(calls: int) -> dict[str, float]:
+def measure() -> dict[str, float]:
     """For each row, ``<row> mean`` and ``<row> p90``: the median over
-    ``calls`` calls of the mean ms per decision (or build, or network) and
-    of the 90th percentile of its times."""
+    ``CALLS`` calls of the mean ms per decision and of the 90th percentile
+    of its times."""
     import dataclasses
 
     from qflow.allocators import EXHAUSTIVE, SoftIsoConfig, soft_iso
-    from qflow.costs import task_terms
     from qflow.experiments import repetition, scenario_config, simulate
     from qflow.model import NetworkParams, WeightConfig
-    from qflow.profiles import load_profiles
-    from qflow.workload import generate_catalog, generate_network
 
     spent: list[float] = []
 
@@ -133,12 +119,7 @@ def measure(calls: int) -> dict[str, float]:
              for name in EXHAUSTIVE_SCENARIOS]
     runs.append(("LP-MR random_aware", scenario("LP-MR", "random_aware", {})))
     timed_soft_iso = timing(soft_iso)
-    profiles = load_profiles()
-    topologies = [scenario_config(name, "soft_iso").topology for name in ("LP-LR", "LP-MR")]
-    # the terms cold row's tasks: lplr-sparse's first unit's workload
-    lplr = scenario_config("LP-LR", "soft_iso", workload={"batch_size": 50})
-    cold_tasks = [t for wf in repetition(lplr, 0).workload for t in wf.tasks]
-    for _ in range(calls):
+    for _ in range(CALLS):
         for row, config in runs:
             spent.clear()
             for index in range(config.repetitions):
@@ -151,29 +132,6 @@ def measure(calls: int) -> dict[str, float]:
             for network, wf, backlog in decisions:
                 timed_soft_iso(wf, network, weights, params, config, backlog)
             rows.setdefault(name, []).append(figures())
-        spent.clear()
-        for u in range(100):
-            started = time.perf_counter()
-            generate_catalog(128, (5, 100), seed=4 * u + 3)
-            spent.append(time.perf_counter() - started)
-        rows.setdefault("builds catalog", []).append(figures())
-        spent.clear()
-        for topology in topologies:
-            for u in range(100):
-                started = time.perf_counter()
-                network = generate_network(dataclasses.replace(topology, seed=4 * u + 2), profiles)
-                network.neighbour_masks, network.dfs_order  # read, so that the build times its views
-                spent.append(time.perf_counter() - started)
-        rows.setdefault("builds networks", []).append(figures())
-        spent.clear()
-        for topology in topologies:
-            for u in range(100):
-                network = generate_network(dataclasses.replace(topology, seed=4 * u + 2), profiles)
-                network.calibration_classes  # read, so that the row times the term evaluation alone
-                started = time.perf_counter()
-                task_terms(cold_tasks, network, lplr.params)
-                spent.append(time.perf_counter() - started)
-        rows.setdefault("terms cold", []).append(figures())
     return {
         f"{name} {figure}": statistics.median(column)
         for name, values in rows.items()
@@ -181,9 +139,9 @@ def measure(calls: int) -> dict[str, float]:
     }
 
 
-def run_tree(src: Path, calls: int) -> dict[str, float]:
+def run_tree(src: Path) -> dict[str, float]:
     env = {**os.environ, "PYTHONPATH": str(src)}
-    command = [sys.executable, __file__, "--measure", "--calls", str(calls)]
+    command = [sys.executable, __file__, "--measure"]
     done = subprocess.run(command, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -193,21 +151,20 @@ def main(argv=None) -> int:
     parser.add_argument("base", nargs="?", type=Path, help="the reference tree's src directory")
     parser.add_argument("new", nargs="?", type=Path, help="the changed tree's src directory")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--calls", type=int, default=5)
     parser.add_argument("--measure", action="store_true", help="measure the qflow on PYTHONPATH and print JSON")
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.calls)))
+        print(json.dumps(measure()))
         return 0
     if args.base is None or args.new is None:
         parser.error("give the base and new src directories")
     pairs = run_pairs(
         [f"pair {i + 1}" for i in range(args.pairs)],
-        lambda side, i: run_tree(getattr(args, side), args.calls),
+        lambda side, i: run_tree(getattr(args, side)),
         [f"{name} mean" for name in SCENARIOS],
     )
-    for row in summarise(pairs, dict.fromkeys(pairs[0]["base"], "lower")):
-        print(format_row(row))
+    for line in format_rows(summarise(pairs, dict.fromkeys(pairs[0]["base"], "lower"))):
+        print(line)
     return 0
 
 
