@@ -15,7 +15,8 @@ each call). Four strategies share one outcome record:
 * :func:`greedy_dfs` ignores costs entirely and pins qubit-sorted tasks onto
   a depth-first traversal of the network.
 * :func:`exhaustive_oracle` enumerates every injective assignment on small
-  instances and returns the exact optimum; it exists to referee the others.
+  instances and returns the exact optimum; it referees the others. The run row
+  ``exact`` is :func:`soft_iso` under :data:`EXHAUSTIVE`, exact on any network.
 """
 
 from __future__ import annotations

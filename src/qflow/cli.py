@@ -172,6 +172,8 @@ def _run_sweep(config: ExperimentConfig, sweep: str, out: Path) -> None:
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--sweep needs at least one value")
+    if repeated := next((v for i, v in enumerate(values) if v in values[:i]), None):  # one sub-run per directory
+        raise ConfigError(f"--sweep {key}: value {repeated!r} is given twice")
     # every value is checked before the first sub-run writes anything
     variants = [(value, apply_sweep_value(config, key, value)) for value in values]
     for _, variant in variants:

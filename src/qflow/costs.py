@@ -588,9 +588,8 @@ class DecisionTable:
             keep, costs, at = 0, [], 0
             while mask:
                 for i in BYTE_BITS[mask & 255]:
-                    if (cost := memo[key := row + of_node[h := at + i]]) is None:
-                        cost = evaluate(hu, h, key)
-                    if (cost := (x if (x := wait[h]) > wu else wu) + cost) < least:  # a running minimum
+                    # h's class is live: skim's class loop has read or filled its memo entry under this fold
+                    if (cost := (x if (x := wait[h := at + i]) > wu else wu) + memo[row + of_node[h]]) < least:
                         keep |= 1 << h
                         costs.append(least := cost)
                 mask, at = mask >> 8, at + 8

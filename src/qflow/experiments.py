@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .costs import BOUND_FLOOR
 from .model import NetworkParams, ResourceNetwork, WeightConfig, Workflow, check_count
-from .allocators import ORACLE_MAX_NODES, SoftIsoConfig
+from .allocators import SoftIsoConfig
 from .profiles import load_profiles
 from .simulation import (
     ALLOCATOR_NAMES,
@@ -103,12 +103,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: expected an object")
             if getattr(section, "seed", 0) != 0:  # workload and topology hold a seed
                 raise ConfigError(f"{name}.seed: must be 0, got {section.seed!r}; repetitions derive it from base_seed")
-        # the oracle's guard, before any output; a workflow never has more than ORACLE_MAX_TASKS tasks
-        if self.algorithm == "exhaustive_oracle" and self.topology.node_count > ORACLE_MAX_NODES:
-            raise ConfigError(
-                f"topology.node_count: exhaustive_oracle places on at most {ORACLE_MAX_NODES} nodes, "
-                f"got {self.topology.node_count}"
-            )
         for name in ("catalog_path", "profiles_path"):
             if not isinstance(value := getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name}: expected a string or null, got {value!r}")

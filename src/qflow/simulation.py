@@ -243,7 +243,8 @@ def make_allocator(
 
     The random strategy derives a fresh seed per invocation from the base
     seed and an invocation counter, so retries draw new trials while the
-    whole run stays reproducible.
+    whole run stays reproducible. ``exact`` is soft_iso under ``EXHAUSTIVE``, exact on a
+    network of any size with ties broken in stream order (``exhaustive_oracle`` is the referee).
     """
     if name == "soft_iso":
         def call(workflow, network, backlog):
@@ -260,12 +261,12 @@ def make_allocator(
     elif name == "greedy_dfs":
         def call(workflow, network, backlog):
             return alg.greedy_dfs(workflow, network)
-    elif name == "exhaustive_oracle":
+    elif name == "exact":
         def call(workflow, network, backlog):
-            return alg.exhaustive_oracle(workflow, network, weights, params, backlog)
+            return alg.soft_iso(workflow, network, weights, params, alg.EXHAUSTIVE, backlog)
     else:
         raise ValueError(f"unknown allocator {name!r}")
     return call
 
 
-ALLOCATOR_NAMES = ("soft_iso", "random_aware", "greedy_dfs", "exhaustive_oracle")
+ALLOCATOR_NAMES = ("soft_iso", "random_aware", "greedy_dfs", "exact")

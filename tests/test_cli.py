@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-from qflow.allocators import ORACLE_MAX_NODES
 from qflow.cli import build_parser, load_config, main
 from qflow.experiments import ExperimentConfig, apply_sweep_value, scenario_config
 from qflow.profiles import load_profiles
@@ -343,28 +342,29 @@ class TestHostileValues:
         assert len(leaves) >= 30 and min(codes.values()) >= 50
 
 
-class TestOracleGuard:
-    """exhaustive_oracle places on at most ``ORACLE_MAX_NODES`` nodes, so a
-    config past that is a config error before any output."""
+class TestExactRow:
+    """``exact`` is soft_iso under ``EXHAUSTIVE`` and places on a network of
+    any size; the oracle is no run row."""
 
-    def test_oversize_sweep_is_config_error_before_any_output(self, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        args = ["--algo", "exhaustive_oracle", "--reps", "1", "--no-timing", "--sweep", "node_count=5,9"]
-        assert main([*args, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "config error: topology.node_count: exhaustive_oracle places on at most 8 nodes, got 9" in err
-        assert not out.exists()
-
-    def test_oversize_scenario_is_config_error(self, capsys):
-        assert main(["--scenario", "LP-LR", "--algo", "exhaustive_oracle"]) == 1
-        assert "config error: topology.node_count" in capsys.readouterr().err
-
-    def test_the_largest_network_runs(self, tmp_path):
-        topology = {"node_count": ORACLE_MAX_NODES, "link_probability": 0.7}
-        cfg = write_config(tmp_path, algorithm="exhaustive_oracle", repetitions=1, topology=topology)
+    def test_a_scenario_past_the_oracle_limit_runs(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["--config", str(cfg), "--out", str(out)]) == 0
-        assert json.loads((out / "summary.json").read_text())["config"]["topology"]["node_count"] == ORACLE_MAX_NODES
+        assert main(["--scenario", "LP-LR", "--algo", "exact", "--reps", "1", "--no-timing", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["topology"]["node_count"] == 10
+
+    def test_a_sweep_writes_both_sub_runs(self, tmp_path):
+        out = tmp_path / "sweep"
+        args = ["--algo", "exact", "--reps", "1", "--no-timing", "--sweep", "node_count=5,9", "--out", str(out)]
+        assert main(args) == 0
+        for count in (5, 9):
+            assert (out / f"topology_node_count={count}" / "results.csv").exists()
+
+    def test_the_oracle_is_no_algorithm(self, tmp_path, capsys):
+        assert main(["--algo", "exhaustive_oracle", "--reps", "1", "--no-timing"]) == 1
+        assert "--algo" in capsys.readouterr().err
+        cfg = write_config(tmp_path, algorithm="exhaustive_oracle")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: algorithm: unknown value 'exhaustive_oracle'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOverrides:
@@ -435,6 +435,13 @@ class TestSweepMode:
         out = tmp_path / "sweep"
         assert main(["--config", str(cfg), "--sweep", "workload.seed=1,2", "--out", str(out)]) == 1
         assert "config error: workload.seed: must be 0, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_value_given_twice_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        args = ["--algo", "greedy_dfs", "--reps", "1", "--no-timing", "--sweep", "tasks_per_group=2, 2 "]
+        assert main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: --sweep workload.tasks_per_group: value '2' is given twice\n"
         assert not out.exists()
 
     def test_sweep_requires_out(self, tmp_path):

@@ -1,5 +1,6 @@
 """The README's inline call signatures name the parameters of the code,
-and its config file schema lists every config field with its default."""
+its config file schema lists every config field with its default, and its
+flag line lists each choice of ``--algo`` and ``--scenario``."""
 
 from __future__ import annotations
 
@@ -9,8 +10,11 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import qflow
-from qflow.experiments import ExperimentConfig
+from qflow.experiments import SCENARIO_NAMES, ExperimentConfig
+from qflow.simulation import ALLOCATOR_NAMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # Inline calls that name no qflow callable: the scorer's returned closures
@@ -80,3 +84,9 @@ def test_config_schema_lists_every_field_with_its_default():
     block = SCHEMA.search(README.read_text(encoding="utf-8")).group(1)
     defaults = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
     assert json.loads(block) == defaults
+
+
+@pytest.mark.parametrize("flag, names", [("--algo", ALLOCATOR_NAMES), ("--scenario", SCENARIO_NAMES)])
+def test_flag_line_lists_every_choice_in_order(flag, names):
+    lists = re.findall(rf"`{flag} \{{([^}}`]*)\}}`", README.read_text(encoding="utf-8"))
+    assert [tuple(choices.split(",")) for choices in lists] == [names]

@@ -45,7 +45,7 @@ def _scenario(name: str, batch: int, repetitions: int, **overrides) -> Experimen
 
 CONFIGS = {
     **{f"default-{algo}": (lambda algo=algo: _default(algo))
-       for algo in ("soft_iso", "random_aware", "greedy_dfs", "exhaustive_oracle")},
+       for algo in ("soft_iso", "random_aware", "greedy_dfs", "exact")},
     "SP-LR": lambda: _scenario("SP-LR", 10, 3),
     "SP-MR": lambda: _scenario("SP-MR", 10, 3),
     "LP-LR": lambda: _scenario("LP-LR", 20, 2),
@@ -99,6 +99,13 @@ def pytest_generate_tests(metafunc):
 def test_outputs_match_pins(name, tmp_path):
     pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
     assert digests(CONFIGS[name](), tmp_path) == pins[name]
+
+
+def test_exact_decides_as_soft_iso_under_exhaustive():
+    # the two rows differ only in the name they write
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    for name in ("decisions", "qpu_shares.csv"):
+        assert pins["default-exact"][name] == pins["default-exhaustive"][name], name
 
 
 def computed() -> dict[str, dict[str, str]]:

@@ -10,9 +10,9 @@ import random
 import pytest
 
 from qflow import matcher, simulation
-from qflow.allocators import AllocationOutcome, greedy_dfs
+from qflow.allocators import EXHAUSTIVE, AllocationOutcome, exhaustive_oracle, greedy_dfs, soft_iso
 from qflow.costs import edge_communication_cost, fidelity, runtime_cost, workflow_network_cost
-from qflow.experiments import ExperimentConfig, repetition, simulate
+from qflow.experiments import ExperimentConfig, repetition, scenario_config, simulate
 from qflow.model import Allocation, NetworkParams, WeightConfig, Workflow
 from qflow.profiles import load_profiles
 from qflow.simulation import TaskExecution, make_allocator, qpu_time_distribution, run_simulation
@@ -218,11 +218,17 @@ class TestBacklogIsOnlyRead:
         yield workflows, network, [0.0, 0.5, 0.0, 1.25, 2.0]
         yield scenario_instances("LP-MR", 0, 4, node_count=8)
 
-    @pytest.mark.parametrize("name", simulation.ALLOCATOR_NAMES)
+    @staticmethod
+    def bound(name):
+        if name == "exhaustive_oracle":  # the tests' referee, not a run row
+            return lambda wf, network, backlog: exhaustive_oracle(wf, network, WEIGHTS, PARAMS, backlog)
+        return make_allocator(name, WEIGHTS, PARAMS, base_seed=1)
+
+    @pytest.mark.parametrize("name", [*simulation.ALLOCATOR_NAMES, "exhaustive_oracle"])
     def test_no_allocator_mutates_the_backlog(self, name):
         placed = 0
         for workflows, network, free_at in self.draws():
-            on_list, on_tuple = (make_allocator(name, WEIGHTS, PARAMS, base_seed=1) for _ in range(2))
+            on_list, on_tuple = (self.bound(name) for _ in range(2))
             for wf in workflows:
                 backlog = list(free_at)
                 outcome = on_list(wf, network, backlog)
@@ -442,6 +448,22 @@ class TestMakeAllocator:
     def test_unknown_name_refused(self, name):
         with pytest.raises(ValueError, match=f"^unknown allocator '{name}'$"):
             make_allocator(name, WEIGHTS, PARAMS)
+
+    def test_exact_is_soft_iso_under_exhaustive(self):
+        # call for call on a replayed LP-MR batch; a budget of 2 ** n_tasks would stop soft_iso early
+        config = scenario_config(
+            "LP-MR", "exact", repetitions=1, workload={"batch_size": 10}, soft_config={"counter_cap_base": 2.0}
+        )
+        rep = repetition(config, 0)
+        outcomes = []
+
+        def checked(workflow, network, backlog):
+            outcomes.append(rep.allocator(workflow, network, backlog))
+            assert outcomes[-1] == soft_iso(workflow, network, config.weights, config.params, EXHAUSTIVE, backlog)
+            return outcomes[-1]
+
+        simulate(config, rep._replace(allocator=checked))
+        assert len(outcomes) >= 10 and any(outcome.succeeded for outcome in outcomes)
 
 
 class TestCallSequence:
