@@ -31,7 +31,9 @@ out a run of groups or a block by exact float lower bounds (tasks on a
 sentinel host, then on each class at its least wait, in the network and
 then in the block) without listing it. The
 cost-aware allocators build at most one table per decision, at its first
-group or feasible trial, and score every later one from it.
+group or feasible trial, and score every later one from it. A scorer
+builds only its waits, term rows and closures; what the skeleton fixes comes
+from a bounded cache, what the calibration classes fix from the network's.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -316,10 +319,10 @@ class DecisionTable:
 
     Holds the error, runtime and quantum-link terms per (task, node), the
     classical term per task, the backlog per node (zeros when none is given),
-    the workflow's skeleton (sorted), the network's calibration classes
-    (for the group scorer), and the :class:`NormalizationBounds` taken from
-    those same floats. Each task's worst terms follow one per-task rule
-    (:attr:`TaskTerms.maxima`): they range over the nodes that fit its
+    the workflow's skeleton (sorted), the network's calibration classes and
+    scorer store (for the group scorer), and the :class:`NormalizationBounds`
+    taken from those same floats. Each task's worst terms follow one per-task
+    rule (:attr:`TaskTerms.maxima`): they range over the nodes that fit its
     qubits, or over every node when none does. The error and runtime bounds
     are the worst such term over the tasks times the task count; the network
     bound is the worst per-endpoint quantum-plus-classical term times the
@@ -333,9 +336,9 @@ class DecisionTable:
     node calibration and the link parameters, so they come from the
     network's term caches (:attr:`ResourceNetwork.term_caches`), keyed by
     ``(NetworkParams, TaskSpec)``: one :class:`TaskTerms` per distinct
-    task. Only the bounds (maxima of the per-task maxima, kept as ``max()``
-    keeps them, a leading NaN too) are computed per decision, in the one
-    pass over the task terms that collects the rows.
+    task. Per decision the rows are unpacked in one ``zip`` and only the
+    bounds (maxima of the per-task maxima, kept as ``max()`` keeps them, a
+    leading NaN too) are computed, in one loop over the maxima.
     """
 
     def __init__(
@@ -348,24 +351,21 @@ class DecisionTable:
         if backlog is not None and len(backlog) != len(network.nodes):
             raise ValueError(f"backlog has {len(backlog)} entries for {len(network.nodes)} nodes")
         terms = task_terms(workflow.tasks, network, params)
-        self.err, self.run, self.qlink, self.clink = err, run, qlink, clink = [], [], [], []
+        self.err, self.run, self.qlink, self.clink, maxima = zip(*terms)
         self.avail = [0.0] * len(network.nodes) if backlog is None else backlog
         self.edges = workflow.skeleton
         self.classes = network.calibration_classes
+        self.view = network.scorer_view
 
-        max_err, max_run, max_net = terms[0].maxima  # raised as max() raises them: a leading NaN is kept
-        for err_j, run_j, qlink_j, clink_j, (e, r, q) in terms:
-            err.append(err_j)
-            run.append(run_j)
-            qlink.append(qlink_j)
-            clink.append(clink_j)
+        max_err, max_run, max_net = maxima[0]  # raised as max() raises them: a leading NaN is kept
+        for e, r, q in maxima:
             if e > max_err:
                 max_err = e
             if r > max_run:
                 max_run = r
             if q > max_net:
                 max_net = q
-        n_tasks = len(err)
+        n_tasks = len(maxima)
         self.bounds = NormalizationBounds(
             max_nat=max(max(self.avail, default=0.0), BOUND_FLOOR),
             max_task_error_sum=max(n_tasks * max_err, BOUND_FLOOR),
@@ -482,6 +482,14 @@ class DecisionTable:
         total of the group, so the bound could fire only at a tie, where
         every block bound is at the floor too and ``skim`` counts each block.
 
+        A call builds only the waits, the term rows and the closures. The
+        skeleton-only parts (the task split at ``min(u, v)``, the edge split
+        and the class tuple's key) come from a bounded cache
+        (``_scorer_plan``), and the parts the calibration classes fix (each
+        host's class with the sentinel's, the memo stride, each host's row
+        offset and the key ``both``) from the network's
+        :attr:`~qflow.model.ResourceNetwork.scorer_view`.
+
         No bound needs an epsilon: under round-to-nearest, ``a + x``, ``x /
         d`` for ``d > 0``, ``w * x`` for ``w >= 0``, ``max(x, a)`` and the
         clip are each monotone non-decreasing in ``x`` as floats, the
@@ -501,28 +509,26 @@ class DecisionTable:
         wait = [zeta * (1.0 if (x := a / max_nat) > 1.0 else x if x > 0.0 else 0.0) for a in self.avail]
         wait.append(min(wait))  # the sentinel host, as in the term rows
         _, masks, of_node = self.classes
-        sentinel = len(masks)  # the sentinel host's class
-        of_node = [*of_node, sentinel]
-        stride = sentinel + 1
-        lo = min(u, v)
-        before = [(err[j], run[j], j) for j in range(lo)]
-        after = [(err[j], run[j], j) for j in range(lo, len(err))]
-        edges = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in self.edges]
-        split = next((i for i, edge in enumerate(self.edges) if u in edge or v in edge), len(edges))
-        head, tail = edges[:split], edges[split:]
+        if not (view := self.view):  # the network's first scorer keeps the parts that depend only on its classes
+            sentinel = len(masks)  # the sentinel host's class
+            stride = sentinel + 1
+            of_node = (*of_node, sentinel)
+            rows = tuple(c * stride for c in of_node)  # per host, the offset of its class's row in a memo
+            view.append((of_node, sentinel, stride, rows, sentinel * stride + sentinel))  # both: u, v on n
+        of_node, sentinel, stride, rows, both = view[0]
+        large = max(SUMMARY_MIN_HOSTS, SUMMARY_HOSTS_PER_CLASS * sentinel)
+        low, high, head, tail, class_key = _scorer_plan(self.edges, len(err), u, v)
+        before = [(err[j], run[j], j) for j in low]
+        after = [(err[j], run[j], j) for j in high]
+        head = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in head]
+        tail = [(qlink[a], qlink[b], a, b, (clink[a] + clink[b]) / 2.0) for a, b in tail]
         cand = [0] * len(err)  # the prefix, then the pair being evaluated
         of_task = [0] * len(err)  # the classes of the prefix's hosts, by task
-        others = [j for j in range(len(err)) if j != u and j != v]  # the prefix's tasks, in task order
-        # the class tuple's key, read in one call: a bare class for one task, a constant for none
-        class_key = itemgetter(*others) if others else lambda _: ()
         memos = {}  # per class tuple of the prefix's hosts: its e, r, net and memo
         memo = []  # the prefix's R per (u-class, v-class), row-major
         by_class = []  # by classes(): per class, its index, mask, least wait, (wait, bit) by wait, greatest, reversed
         w = e = r = net = 0.0
         inf = math.inf
-        large = max(SUMMARY_MIN_HOSTS, SUMMARY_HOSTS_PER_CLASS * len(masks))
-        rows = [c * stride for c in of_node]  # per host, the offset of its class's row in a memo
-        both = sentinel * stride + sentinel  # the memo key of u and v on the sentinel host
         least = wait[n]
 
         def fold(prefix: Mapping[int, int]) -> None:
@@ -584,7 +590,7 @@ class DecisionTable:
                 mask ^= low
             return costs
 
-        def improving(hu: int, wu: float, row: int, mask: int, least: float) -> tuple[int, list[float]]:
+        def improving(wu: float, row: int, mask: int, least: float) -> tuple[int, list[float]]:
             keep, costs, at = 0, [], 0
             while mask:
                 for i in BYTE_BITS[mask & 255]:
@@ -686,7 +692,7 @@ class DecisionTable:
                                     if (x if x > wu else wu) + cost < floor:
                                         live |= m
                         if live:
-                            keep, costs = improving(hu, wu, row, mask & live, floor)
+                            keep, costs = improving(wu, row, mask & live, floor)
                             return size + count - len(costs), -inf, 0.0, hu, keep, costs
                     if (size := size + count) >= budget:
                         return budget, -inf, 0.0, 0, 0, None
@@ -708,6 +714,20 @@ class DecisionTable:
                     return size, None
 
         return fold, score, walk, skim, skip
+
+
+# Bounded as matcher._search_plan is: a search meets each skeleton with one (u, v), its last two tasks in visit order.
+@lru_cache(maxsize=512)
+def _scorer_plan(edges: tuple[tuple[int, int], ...], n: int, u: int, v: int) -> tuple:
+    """The skeleton-only part of a group scorer for ``u`` and ``v`` on ``n``
+    tasks, as tuples: the tasks below ``min(u, v)`` and from it, the sorted
+    ``edges`` before and from the first that touches ``u`` or ``v``, and the
+    prefix's class-tuple key (a bare class for one prefix task, a constant for none)."""
+    lo = min(u, v)
+    split = next((i for i, edge in enumerate(edges) if u in edge or v in edge), len(edges))
+    others = [j for j in range(n) if j != u and j != v]  # the prefix's tasks, in task order
+    class_key = itemgetter(*others) if others else lambda _: ()
+    return tuple(range(lo)), tuple(range(lo, n)), edges[:split], edges[split:], class_key
 
 
 def _clip01(x: float) -> float:

@@ -38,13 +38,16 @@ def marrakesh(profiles):
 def listings(score):
     """Record, in the list it yields, the ``(hu, mask)`` of each call of the
     scorer's ``score`` made inside the block, told apart by its code object
-    with :func:`sys.setprofile`, so that no hook is needed in the scorer."""
+    with :func:`sys.setprofile`, so that no hook is needed in the scorer.
+    A closure without a ``hu`` of its own (``skim``'s scan) has its
+    caller's ``hu`` recorded."""
     listed = []
     code = score.__code__
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is code:
-            listed.append((frame.f_locals["hu"], frame.f_locals["mask"]))
+            local = frame.f_locals
+            listed.append((local["hu"] if "hu" in local else frame.f_back.f_locals["hu"], local["mask"]))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -56,8 +59,8 @@ def listings(score):
 
 def skim_scan(skim):
     """``skim``'s improvement scan, the closure it calls on each block its
-    bounds let through; its ``hu`` and ``mask`` are locals, so
-    :func:`listings` records its calls too."""
+    bounds let through; its ``mask`` is a local and ``hu`` one of ``skim``'s,
+    so :func:`listings` records its calls too."""
     return dict(zip(skim.__code__.co_freevars, (cell.cell_contents for cell in skim.__closure__)))["improving"]
 
 

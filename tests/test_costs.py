@@ -21,6 +21,7 @@ from qflow.costs import (
     DecisionTable,
     NormalizationBounds,
     TaskTerms,
+    _scorer_plan,
     aggregate_cost,
     classical_link_cost,
     compute_bounds,
@@ -33,6 +34,7 @@ from qflow.costs import (
 )
 from qflow.matcher import group_blocks, group_size, mask_hosts, workflow_monomorphisms
 from qflow.model import NetworkParams, QpuNode, ResourceNetwork, WeightConfig, Workflow
+from qflow.workload import random_connected_dag
 
 from .conftest import backlog_at, chain_workflow, listings, make_network, make_node, make_task, skim_scan
 
@@ -66,10 +68,10 @@ def assert_fresh(table, wf, network, params, backlog):
     """The cached rows are the fresh rows, each followed by its minimum on
     the sentinel host; the bounds range over the real nodes only."""
     err, run, qlink, clink, avail, bounds = fresh_terms(wf, network, params, backlog)
-    assert table.err == [row + (min(row),) for row in err]
-    assert table.run == [row + (min(row),) for row in run]
-    assert table.qlink == [row + (min(row),) for row in qlink]
-    assert table.clink == clink
+    assert table.err == tuple(row + (min(row),) for row in err)
+    assert table.run == tuple(row + (min(row),) for row in run)
+    assert table.qlink == tuple(row + (min(row),) for row in qlink)
+    assert table.clink == tuple(clink)
     assert table.avail == avail
     assert table.edges == tuple(sorted(wf.skeleton))
     assert table.bounds == bounds
@@ -601,6 +603,81 @@ class TestTermCache:
         (other,) = task_terms([deeper], network, params)
         assert other is not terms and other.run != terms.run
         assert len(network.term_caches[params]) == 2
+
+
+class TestScorerCaches:
+    """A group scorer reads its skeleton-only parts from a bounded cache and
+    its class-only parts from the network's store, and still scores every
+    total as ``aggregate_cost`` does."""
+
+    @staticmethod
+    def drawable_skeletons(n):
+        """Every skeleton ``random_connected_dag`` can draw on ``n`` tasks:
+        each task after the first with a nonempty set of earlier neighbours
+        (its parent, then the chords)."""
+        earlier = [[s for r in range(1, i + 1) for s in itertools.combinations(range(i), r)] for i in range(1, n)]
+        for picks in itertools.product(*earlier):
+            yield tuple(sorted((a, i + 1) for i, chosen in enumerate(picks) for a in chosen))
+
+    def test_cached_plan_equals_a_fresh_derivation(self):
+        skeletons = {n: set(self.drawable_skeletons(n)) for n in range(1, 6)}
+        assert [len(skeletons[n]) for n in range(1, 6)] == [1, 1, 3, 21, 315]
+        rng = random.Random(53)
+        for _ in range(2000):  # the generator draws no other skeleton
+            n = rng.randint(1, 5)
+            assert tuple(sorted(random_connected_dag(n, rng))) in skeletons[n]
+        probe = [10 + j for j in range(5)]  # a class per task
+        for n, drawn in skeletons.items():
+            for edges in drawn:
+                for u, v in list(itertools.permutations(range(n), 2)) or [(0, 0)]:
+                    plan = _scorer_plan(edges, n, u, v)
+                    lo = min(u, v)
+                    touching = [i for i, (a, b) in enumerate(edges) if {a, b} & {u, v}]
+                    split = touching[0] if touching else len(edges)
+                    fresh = tuple(range(lo)), tuple(range(lo, n)), edges[:split], edges[split:]
+                    assert plan[:4] == fresh, (edges, u, v)
+                    assert all(type(part) is tuple and all(type(x) is not list for x in part) for part in plan[:4])
+                    others = [probe[j] for j in range(n) if j not in (u, v)]
+                    assert plan[4](probe) == (others[0] if len(others) == 1 else tuple(others))
+
+    def test_decisions_sharing_a_skeleton_score_as_aggregate_cost(self):
+        # the second workflow's decision reads the first's cached plan, and the
+        # second network's decisions read its own class parts, not the first's
+        from .conftest import pattern_workflow, scenario_instances
+
+        edges = [(0, 1), (1, 2), (1, 3), (2, 3)]
+        workflows = [pattern_workflow(4, edges, [3, 5, 2, 7], "a"), pattern_workflow(4, edges, [6, 1, 4, 2], "b")]
+        assert workflows[0].skeleton == workflows[1].skeleton and workflows[0].tasks != workflows[1].tasks
+        networks = [
+            scenario_instances("LP-MR", 0, 1)[1],  # a few calibration classes
+            make_network([8, 9, 10, 11, 12, 13], list(itertools.combinations(range(6), 2))),  # a class per node
+        ]
+        params, weights = NetworkParams(), WeightConfig(zeta=0.3, alpha=0.5, beta=0.3, gamma=0.2)
+        hits = _scorer_plan.cache_info().hits
+        scored = 0
+        for network in networks:
+            backlog = [0.1 * ((7 * k) % len(network.nodes)) for k in range(len(network.nodes))]
+            for wf in workflows:
+                table = DecisionTable(wf, network, params, backlog)
+                fold = score = None
+                for prefix, u, v, hosts, leaves, links in itertools.islice(workflow_monomorphisms(wf, network), 40):
+                    if fold is None:
+                        fold, score, *_ = table.group_scorer(weights, u, v)
+                    fold(prefix)
+                    for hu, mask in group_blocks(hosts, leaves, links):
+                        refs = [
+                            aggregate_cost(
+                                wf, TestBlockScorer.candidate(prefix, u, hu, v, h), network, weights, params,
+                                table.bounds, backlog,
+                            ).total
+                            for h in mask_hosts(mask)
+                        ]
+                        assert score(hu, mask) == refs
+                        scored += len(refs)
+            assert len(network.scorer_view) == 1
+        assert _scorer_plan.cache_info().hits - hits >= 3
+        assert networks[0].scorer_view != networks[1].scorer_view
+        assert scored > 1000
 
 
 class TestCalibrationFields:

@@ -1,12 +1,15 @@
 """The pair protocol of ``tools/bench_pairs.py`` and ``tools/preset_pairs.py``,
-on synthetic results (no measuring process runs)."""
+and the records of ``tools/bench_record.py``, on synthetic results (no
+measuring process runs)."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +27,7 @@ def load(name):
 
 bench_pairs = load("bench_pairs")
 preset_pairs = load("preset_pairs")  # imports bench_pairs
+bench_record = load("bench_record")  # imports bench_pairs
 
 
 def pairs_of(base, new, name="decision_ms_p50"):
@@ -175,3 +179,65 @@ def test_preset_pairs_prints_the_summary_of_each_figure(monkeypatch, capsys):
     with pytest.raises(SystemExit):  # the calls per process are a constant
         preset_pairs.main(["base", "new", "--calls", "5"])
     assert "unrecognized arguments: --calls 5" in capsys.readouterr().err
+
+
+def fake_record_runs(monkeypatch, tmp_path, refused_seed=None):
+    """Point ``bench_record`` at ``tmp_path``, holding this repository's
+    ``BENCHMARK.json`` with its ``run_seconds`` set to 2, with a faked
+    ``run_tree`` whose figure ``k`` reads ``(k + 1) * seed`` and which
+    refuses the run of ``refused_seed`` as the real one refuses a run that
+    is not ``correct: true``. It returns the figure names and the list of
+    runs made."""
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({**spec, "run_seconds": 2}))
+    names = [metric["name"] for metric in spec["end_to_end"]] + [f"raw {n}" for n in bench_pairs.RAW]
+    ran = []
+
+    def run_tree(tree, workload, seed, seconds):
+        ran.append((tree, workload, seed, seconds))
+        if seed == refused_seed:
+            raise SystemExit(f"bench_pairs: {tree} seed {seed}: the run is not correct: true")
+        return {name: (k + 1.0) * seed for k, name in enumerate(names)}
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_tree", run_tree)
+    monkeypatch.setattr(bench_record, "commit", lambda root: {"head": "0" * 40, "dirty": False})
+    return names, ran
+
+
+def test_bench_record_keeps_medians_and_quartiles_in_identical_bytes(monkeypatch, tmp_path, capsys):
+    names, ran = fake_record_runs(monkeypatch, tmp_path)
+    assert bench_record.main(["lplr-sparse"]) == 0
+    assert ran == [(tmp_path, "lplr-sparse", seed, 2) for seed in range(1, 11)]  # the seconds are run_seconds
+    path = tmp_path / "BENCH_lplr-sparse.json"
+    assert capsys.readouterr().out == f"{path}\n"
+    first = path.read_bytes()
+    record = json.loads(first)
+    assert sorted(record) == ["commit", "cpu_count", "metrics", "platform", "python", "seconds", "seeds", "workload"]
+    assert record["workload"] == "lplr-sparse" and record["seeds"] == list(range(1, 11)) and record["seconds"] == 2
+    assert record["commit"] == {"head": "0" * 40, "dirty": False}
+    assert sorted(record["metrics"]) == sorted(names) and len(names) == 12
+    for k, name in enumerate(names):  # seeds 1-10: quartiles 2.75 and 8.25, median 5.5, each times k + 1
+        assert record["metrics"][name] == {"median": 5.5 * (k + 1), "q1": 2.75 * (k + 1), "q3": 8.25 * (k + 1)}, name
+    assert first.decode() == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert bench_record.main(["lplr-sparse"]) == 0
+    assert path.read_bytes() == first
+    for option in ("--seeds", "--seconds"):  # fixed, so that every record compares with the others
+        with pytest.raises(SystemExit):
+            bench_record.main(["lplr-sparse", option, "2"])
+        assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
+
+
+def test_bench_record_writes_nothing_when_a_run_is_not_correct(monkeypatch, tmp_path):
+    fake_record_runs(monkeypatch, tmp_path, refused_seed=3)
+    path = tmp_path / "BENCH_lpmr-search.json"
+    path.write_text("the last record\n")
+    with pytest.raises(SystemExit, match="seed 3: the run is not correct: true"):
+        bench_record.main(["lpmr-search"])
+    assert path.read_text() == "the last record\n"
+    # the real run_tree refuses a run whose result reads correct: false
+    output = run_output({"wall_s": 1.0}, dict.fromkeys(bench_pairs.RAW, 1.0), correct=False)
+    done = subprocess.CompletedProcess([], 0, output, "")
+    monkeypatch.setattr(bench_pairs, "subprocess", SimpleNamespace(run=lambda *args, **kwargs: done))
+    with pytest.raises(SystemExit, match="not correct: true"):
+        bench_pairs.run_tree(tmp_path, "lpmr-search", 1, 1.0)
