@@ -31,9 +31,9 @@ out a run of groups or a block by exact float lower bounds (tasks on a
 sentinel host, then on each class at its least wait, in the network and
 then in the block) without listing it. The
 cost-aware allocators build at most one table per decision, at its first
-group or feasible trial, and score every later one from it. A scorer
-builds only its waits, term rows and closures; what the skeleton fixes comes
-from a bounded cache, what the calibration classes fix from the network's.
+group or feasible trial, and score every later one from it. What the
+skeleton fixes in a scorer comes from a bounded cache; the rest is built
+per call.
 
 The error, runtime, quantum-link and classical terms of a task depend only
 on the task, the node calibration and the :class:`NetworkParams`, none of
@@ -319,10 +319,10 @@ class DecisionTable:
 
     Holds the error, runtime and quantum-link terms per (task, node), the
     classical term per task, the backlog per node (zeros when none is given),
-    the workflow's skeleton (sorted), the network's calibration classes and
-    scorer store (for the group scorer), and the :class:`NormalizationBounds`
-    taken from those same floats. Each task's worst terms follow one per-task
-    rule (:attr:`TaskTerms.maxima`): they range over the nodes that fit its
+    the workflow's skeleton (sorted), the network's calibration classes
+    (for the group scorer), and the :class:`NormalizationBounds` taken from
+    those same floats. Each task's worst terms follow one per-task rule
+    (:attr:`TaskTerms.maxima`): they range over the nodes that fit its
     qubits, or over every node when none does. The error and runtime bounds
     are the worst such term over the tasks times the task count; the network
     bound is the worst per-endpoint quantum-plus-classical term times the
@@ -355,7 +355,6 @@ class DecisionTable:
         self.avail = [0.0] * len(network.nodes) if backlog is None else backlog
         self.edges = workflow.skeleton
         self.classes = network.calibration_classes
-        self.view = network.scorer_view
 
         max_err, max_run, max_net = maxima[0]  # raised as max() raises them: a leading NaN is kept
         for e, r, q in maxima:
@@ -482,13 +481,12 @@ class DecisionTable:
         total of the group, so the bound could fire only at a tie, where
         every block bound is at the floor too and ``skim`` counts each block.
 
-        A call builds only the waits, the term rows and the closures. The
-        skeleton-only parts (the task split at ``min(u, v)``, the edge split
-        and the class tuple's key) come from a bounded cache
-        (``_scorer_plan``), and the parts the calibration classes fix (each
-        host's class with the sentinel's, the memo stride, each host's row
-        offset and the key ``both``) from the network's
-        :attr:`~qflow.model.ResourceNetwork.scorer_view`.
+        The skeleton-only parts (the task split at ``min(u, v)``, the edge
+        split and the class tuple's key) come from a bounded cache
+        (``_scorer_plan``). A call derives the parts the calibration classes
+        fix (each host's class with the sentinel's, the memo stride, each
+        host's row offset and the key ``both``) from :attr:`classes`, and
+        builds the waits, the term rows and the closures.
 
         No bound needs an epsilon: under round-to-nearest, ``a + x``, ``x /
         d`` for ``d > 0``, ``w * x`` for ``w >= 0``, ``max(x, a)`` and the
@@ -509,13 +507,11 @@ class DecisionTable:
         wait = [zeta * (1.0 if (x := a / max_nat) > 1.0 else x if x > 0.0 else 0.0) for a in self.avail]
         wait.append(min(wait))  # the sentinel host, as in the term rows
         _, masks, of_node = self.classes
-        if not (view := self.view):  # the network's first scorer keeps the parts that depend only on its classes
-            sentinel = len(masks)  # the sentinel host's class
-            stride = sentinel + 1
-            of_node = (*of_node, sentinel)
-            rows = tuple(c * stride for c in of_node)  # per host, the offset of its class's row in a memo
-            view.append((of_node, sentinel, stride, rows, sentinel * stride + sentinel))  # both: u, v on n
-        of_node, sentinel, stride, rows, both = view[0]
+        sentinel = len(masks)  # the sentinel host's class
+        of_node = [*of_node, sentinel]
+        stride = sentinel + 1
+        rows = [c * stride for c in of_node]  # per host, the offset of its class's row in a memo
+        both = sentinel * stride + sentinel  # the memo key of u and v on the sentinel host
         large = max(SUMMARY_MIN_HOSTS, SUMMARY_HOSTS_PER_CLASS * sentinel)
         low, high, head, tail, class_key = _scorer_plan(self.edges, len(err), u, v)
         before = [(err[j], run[j], j) for j in low]

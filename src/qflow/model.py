@@ -386,13 +386,6 @@ class ResourceNetwork:
         stream depends only on its key and the links."""
         return {}
 
-    @cached_property
-    def scorer_view(self) -> list[tuple]:
-        """The store in which :meth:`qflow.costs.DecisionTable.group_scorer`
-        keeps, at its first call on these nodes, the parts of a scorer that
-        depend only on the calibration classes; kept for the network's life."""
-        return []
-
 
 @dataclass(frozen=True)
 class NetworkParams:

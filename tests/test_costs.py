@@ -606,9 +606,9 @@ class TestTermCache:
 
 
 class TestScorerCaches:
-    """A group scorer reads its skeleton-only parts from a bounded cache and
-    its class-only parts from the network's store, and still scores every
-    total as ``aggregate_cost`` does."""
+    """A group scorer reads its skeleton-only parts from a bounded cache,
+    derives its class-only parts from its own table's classes, and still
+    scores every total as ``aggregate_cost`` does."""
 
     @staticmethod
     def drawable_skeletons(n):
@@ -642,7 +642,7 @@ class TestScorerCaches:
 
     def test_decisions_sharing_a_skeleton_score_as_aggregate_cost(self):
         # the second workflow's decision reads the first's cached plan, and the
-        # second network's decisions read its own class parts, not the first's
+        # second network's decisions score with its own class parts, not the first's
         from .conftest import pattern_workflow, scenario_instances
 
         edges = [(0, 1), (1, 2), (1, 3), (2, 3)]
@@ -650,8 +650,12 @@ class TestScorerCaches:
         assert workflows[0].skeleton == workflows[1].skeleton and workflows[0].tasks != workflows[1].tasks
         networks = [
             scenario_instances("LP-MR", 0, 1)[1],  # a few calibration classes
-            make_network([8, 9, 10, 11, 12, 13], list(itertools.combinations(range(6), 2))),  # a class per node
+            ResourceNetwork(  # a class per node, each with its own terms
+                tuple(make_node(f"n{k}", qubits=8 + k, e1=1e-3 * (k + 1), t1=220e-6 * (1 + k / 10)) for k in range(6)),
+                list(itertools.combinations(range(6), 2)),
+            ),
         ]
+        assert [len(network.calibration_classes[1]) for network in networks] == [3, 6]
         params, weights = NetworkParams(), WeightConfig(zeta=0.3, alpha=0.5, beta=0.3, gamma=0.2)
         hits = _scorer_plan.cache_info().hits
         scored = 0
@@ -674,9 +678,7 @@ class TestScorerCaches:
                         ]
                         assert score(hu, mask) == refs
                         scored += len(refs)
-            assert len(network.scorer_view) == 1
         assert _scorer_plan.cache_info().hits - hits >= 3
-        assert networks[0].scorer_view != networks[1].scorer_view
         assert scored > 1000
 
 

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -143,6 +144,30 @@ def test_pairs_alternate_the_side_run_first(capsys):
     assert row["wins"] == 0 and row["pairs_by_first"] == {"base": 2, "new": 1}
 
 
+def test_bench_pairs_runs_the_base_checkouts_run_seconds(monkeypatch, tmp_path, capsys):
+    """Every run lasts the base checkout's ``run_seconds``, the pipeline's
+    run; a shorter one stops at another unit count, so no option sets it."""
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    (base / "BENCHMARK.json").write_text(json.dumps({**spec, "run_seconds": 3}))
+    names = [metric["name"] for metric in spec["end_to_end"]] + [f"raw {n}" for n in bench_pairs.RAW]
+    ran = []
+
+    def run_tree(tree, workload, seed, seconds):
+        ran.append((tree.name, workload, seed, seconds))
+        return dict.fromkeys(names, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_tree", run_tree)
+    assert bench_pairs.main([str(base), str(new), "--workload", "lplr-sparse", "--seeds", "1-2"]) == 0
+    assert ran == [("base", "lplr-sparse", 1, 3), ("new", "lplr-sparse", 1, 3),
+                   ("new", "lplr-sparse", 2, 3), ("base", "lplr-sparse", 2, 3)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(base), str(new), "--workload", "lplr-sparse", "--seconds", "5"])
+    assert "unrecognized arguments: --seconds 5" in capsys.readouterr().err
+
+
 def test_summary_columns_line_up_past_twenty_characters():
     long = "LP-MR random_aware mean"  # 23 characters
     pairs = [{"first": "base", "base": {"figure": 1.0, long: 1.0}, "new": {"figure": 0.5, long: 2.0}}]
@@ -179,6 +204,34 @@ def test_preset_pairs_prints_the_summary_of_each_figure(monkeypatch, capsys):
     with pytest.raises(SystemExit):  # the calls per process are a constant
         preset_pairs.main(["base", "new", "--calls", "5"])
     assert "unrecognized arguments: --calls 5" in capsys.readouterr().err
+
+
+def test_preset_rows_scale_each_raw_figure_by_the_rows_host_scale():
+    events, spans = [], []
+
+    class FakeHostSpeed:
+        def tick(self):
+            events.append("tick")
+
+        def sample(self):
+            events.append("sample")
+
+        def scale(self, t0, t1):
+            spans.append((t0, t1))
+            return 1.25
+
+    def run(timing, calls):
+        doubled = timing(lambda x: 2 * x)
+        assert [doubled(i) for i in range(calls)] == [2 * i for i in range(calls)]
+
+    started = time.perf_counter()
+    figures = preset_pairs.timed_row("LP-MR", FakeHostSpeed(), run, 12)
+    assert events == ["sample"] + ["tick"] * 12 + ["sample"]  # a tick before each timed call
+    [(t0, t1)] = spans
+    assert started <= t0 <= t1 <= time.perf_counter()
+    assert list(figures) == ["LP-MR mean", "raw LP-MR mean", "LP-MR p90", "raw LP-MR p90"]
+    for figure in ("LP-MR mean", "LP-MR p90"):
+        assert figures[figure] == figures[f"raw {figure}"] * 1.25 and figures[f"raw {figure}"] > 0
 
 
 def fake_record_runs(monkeypatch, tmp_path, refused_seed=None):

@@ -3,12 +3,14 @@ the end-to-end metrics.
 
 Usage::
 
-    python tools/bench_pairs.py BASE NEW --workload W [--seeds 1-10] [--seconds 40]
+    python tools/bench_pairs.py BASE NEW --workload W [--seeds 1-10]
 
 ``BASE`` and ``NEW`` are checkout roots. For each seed, one pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 each checkout, with that checkout as the working directory, so that each
-side benchmarks its own ``src``. The side that runs first alternates from
+side benchmarks its own ``src``. ``T`` is the base checkout's
+``BENCHMARK.json`` ``run_seconds``, as in ``bench_record.py``: a run of
+other seconds can stop at another unit count, a different run. The side that runs first alternates from
 pair to pair, starting with ``BASE``, because the process that runs second
 in a pair tends to read slower. A run whose result is not ``correct: true``
 stops the script with exit status 1.
@@ -173,13 +175,12 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="the changed checkout's root")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
-    parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args(argv)
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     directions = with_raw({metric["name"]: metric["better"] for metric in spec["end_to_end"]})
     pairs = run_pairs(
         [f"seed {seed}" for seed in args.seeds],
-        lambda side, i: run_tree(getattr(args, side), args.workload, args.seeds[i], args.seconds),
+        lambda side, i: run_tree(getattr(args, side), args.workload, args.seeds[i], spec["run_seconds"]),
         RAW,
     )
     for line in format_rows(summarise(pairs, directions)):

@@ -28,8 +28,10 @@ workload measures:
 
 A call gives two figures per row, each lower-is-better: ``<row> mean``, the
 summed time of its allocator calls over their number, in ms per decision,
-and ``<row> p90``, the 90th percentile of those times in ms. A process
-reports the median of each over its calls.
+and ``<row> p90``, the 90th percentile of those times in ms, each scaled
+by the host-speed reference of ``perfbench/hostspeed.py``
+(:func:`timed_row`) and kept unscaled beside as ``raw <figure>``. A
+process reports the median of each over its calls.
 The script prints each pair, then per figure ``bench_pairs``' summary:
 each tree's median and quartiles, the change of the median, the pairs the
 new tree won split by the side run first, and whether the gain rule holds.
@@ -44,6 +46,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from bench_pairs import format_rows, run_pairs, summarise
@@ -85,20 +88,18 @@ def probe_cases():
     return cases
 
 
-def measure() -> dict[str, float]:
-    """For each row, ``<row> mean`` and ``<row> p90``: the median over
-    ``CALLS`` calls of the mean ms per decision and of the 90th percentile
-    of its times."""
-    import dataclasses
-
-    from qflow.allocators import EXHAUSTIVE, SoftIsoConfig, soft_iso
-    from qflow.experiments import repetition, scenario_config, simulate
-    from qflow.model import NetworkParams, WeightConfig
-
+def timed_row(row: str, host, run: Callable, *args) -> dict[str, float]:
+    """Run ``run(timing, *args)``, which times the calls of
+    ``timing(function)``'s wrapper, ``host.tick()`` before each, with a
+    ``host`` sample just before and after the run. The row's figures:
+    ``<row> mean``, in ms per call, and ``<row> p90``, in ms, each times
+    ``host.scale`` over the row's span, then the same figures unscaled
+    (``raw <figure>``)."""
     spent: list[float] = []
 
     def timing(function):
         def timed(*args, **kwargs):
+            host.tick()
             started = time.perf_counter()
             outcome = function(*args, **kwargs)
             spent.append(time.perf_counter() - started)
@@ -106,37 +107,54 @@ def measure() -> dict[str, float]:
 
         return timed
 
-    def figures() -> tuple[float, float]:
-        return 1e3 * sum(spent) / len(spent), 1e3 * statistics.quantiles(spent, n=10)[-1]
+    t0 = time.perf_counter()
+    host.sample()
+    run(timing, *args)
+    host.sample()
+    scale = host.scale(t0, time.perf_counter())
+    mean, p90 = 1e3 * sum(spent) / len(spent), 1e3 * statistics.quantiles(spent, n=10)[-1]
+    return {f"{row} mean": mean * scale, f"raw {row} mean": mean, f"{row} p90": p90 * scale, f"raw {row} p90": p90}
 
-    rows: dict[str, list[tuple[float, float]]] = {}
+
+def measure() -> dict[str, float]:
+    """Each row's figures (:func:`timed_row`), each the median over
+    ``CALLS`` calls, scaled by the ``HostSpeed`` of this tool's own
+    checkout, so that both trees time the same kernel."""
+    import dataclasses
+
+    from qflow.allocators import EXHAUSTIVE, SoftIsoConfig, soft_iso
+    from qflow.experiments import repetition, scenario_config, simulate
+    from qflow.model import NetworkParams, WeightConfig
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))  # as running perfbench/run.py puts it
+    from hostspeed import HostSpeed
 
     def scenario(name: str, algorithm: str, soft_config: dict):
         return scenario_config(name, algorithm, repetitions=3, workload={"batch_size": 100}, soft_config=soft_config)
+
+    def simulated(timing, config):
+        for index in range(config.repetitions):
+            rep = repetition(config, index)
+            simulate(config, rep._replace(allocator=timing(rep.allocator)))
+
+    def decided(timing, decisions):
+        timed, settings = timing(soft_iso), (WeightConfig(), NetworkParams(), SoftIsoConfig())
+        for network, wf, backlog in decisions:
+            timed(wf, network, *settings, backlog)
 
     runs = [(name, scenario(name, "soft_iso", {})) for name in SCENARIOS]
     runs += [(f"{name} exhaustive", scenario(name, "soft_iso", dataclasses.asdict(EXHAUSTIVE)))
              for name in EXHAUSTIVE_SCENARIOS]
     runs.append(("LP-MR random_aware", scenario("LP-MR", "random_aware", {})))
-    timed_soft_iso = timing(soft_iso)
+    host = HostSpeed()
+    figures: dict[str, list[float]] = {}
     for _ in range(CALLS):
-        for row, config in runs:
-            spent.clear()
-            for index in range(config.repetitions):
-                rep = repetition(config, index)
-                simulate(config, rep._replace(allocator=timing(rep.allocator)))
-            rows.setdefault(row, []).append(figures())
-        weights, params, config = WeightConfig(), NetworkParams(), SoftIsoConfig()
-        for name, decisions in probe_cases().items():
-            spent.clear()
-            for network, wf, backlog in decisions:
-                timed_soft_iso(wf, network, weights, params, config, backlog)
-            rows.setdefault(name, []).append(figures())
-    return {
-        f"{name} {figure}": statistics.median(column)
-        for name, values in rows.items()
-        for figure, column in zip(("mean", "p90"), zip(*values))
-    }
+        rows = [timed_row(row, host, simulated, config) for row, config in runs]
+        rows += [timed_row(name, host, decided, decisions) for name, decisions in probe_cases().items()]
+        for row in rows:
+            for name, value in row.items():
+                figures.setdefault(name, []).append(value)
+    return {name: statistics.median(values) for name, values in figures.items()}
 
 
 def run_tree(src: Path) -> dict[str, float]:
